@@ -1,0 +1,7 @@
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+SRC = os.path.join(os.path.dirname(BENCH), "src")
+sys.path[:0] = [BENCH, SRC]
