@@ -397,9 +397,6 @@ def _build_parser():
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of "
                              "key-value text")
-    common.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="cap worker threads (all current operations "
-                             "run single-threaded)")
 
     svg = argparse.ArgumentParser(add_help=False)
     svg.add_argument("--svg", metavar="PATH",
@@ -524,8 +521,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.cmd == "plan" and not args.verify \
             and (args.dim is None or args.poly is None):
         parser.error("plan needs --dim and --poly (or --verify PATH)")

@@ -16,9 +16,9 @@ polynomial estimate.  The estimate is chain-level: no differentials
 are computed, and a warning is attached when two chords land in
 adjacent degrees.
 
-Morse indices come from an in-module cyclic Jacobi eigensolver (the
-Hessians are at most 6x6); numpy is used for array arithmetic and for
-batched linear solves inside Newton iterations.
+Every solve (fiber roots and chords) runs through one batched Newton
+with a central-difference Jacobian; Morse indices and the regularity
+margin come from numpy's symmetric eigenvalues.
 """
 
 import math
@@ -62,49 +62,68 @@ def smoothstep_d(u):
     return (db1 * b2 + b1 * db2) / (b1 + b2) ** 2
 
 
-# --- in-module symmetric eigensolver ---------------------------------
+# --- linear algebra ---------------------------------------------------
 
-def sym_eigenvalues(mat, sweeps=60, tol=1e-13):
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi, sorted."""
-    a = [[float(v) for v in row] for row in mat]
-    d = len(a)
-    for _ in range(sweeps):
-        off = max((abs(a[p][q]) for p in range(d) for q in range(p + 1, d)),
-                  default=0.0)
-        scale = max(1.0, max(abs(a[i][i]) for i in range(d)))
-        if off < tol * scale:
+def sym_eigenvalues(mat):
+    """Eigenvalues of a symmetric matrix, ascending."""
+    return np.linalg.eigvalsh(np.asarray(mat, float)).tolist()
+
+
+def _fd_jacobian(F, P, h):
+    """Central-difference Jacobian of the row-wise map F at the rows of
+    P: out[m, i, k] = d F(P)[m, i] / d P[m, k]."""
+    cols = []
+    for k in range(P.shape[1]):
+        dP = np.zeros((1, P.shape[1]))
+        dP[0, k] = h
+        cols.append((F(P + dP) - F(P - dP)) / (2 * h))
+    return np.stack(cols, axis=2)
+
+
+def _newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
+    """Batched Newton for F(P) = 0, one independent system per row.
+
+    Steps are clipped to 0.5 per coordinate.  A row whose Jacobian turns
+    singular stops moving and leaves the convergence test, so it cannot
+    keep the others iterating to the cap.  Returns (points, accept,
+    stuck): accept marks rows with max |F| < accept_tol, stuck the rows
+    that hit a singular Jacobian.
+    """
+    P = np.array(P, float)
+    stuck = np.zeros(len(P), bool)
+    for _ in range(iters):
+        res = F(P)
+        if np.max(np.abs(res[~stuck]), initial=0.0) < newton_tol:
             break
-        for p in range(d):
-            for q in range(p + 1, d):
-                if abs(a[p][q]) < tol * scale:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(d):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(d):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-    return sorted(a[i][i] for i in range(d))
-
-
-def _min_singular_value(jac):
-    """Smallest singular value of a short wide matrix (rows <= 2)."""
-    j = np.asarray(jac, float)
-    gram = j @ j.T
-    eigs = sym_eigenvalues(gram)
-    return math.sqrt(max(eigs[0], 0.0))
+        jac = _fd_jacobian(F, P, h)
+        stuck |= np.abs(np.linalg.det(jac)) <= 1e-14
+        move = ~stuck
+        step = np.zeros_like(P)
+        step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
+        P -= np.clip(step, -0.5, 0.5)
+    accept = np.max(np.abs(F(P)), axis=1) < accept_tol
+    return P, accept, stuck
 
 
 # --- families ---------------------------------------------------------
 
-class GeneratingFamily:
+class _Family:
+    """What a family with a linear tail and a cutoff radius R derives
+    from them."""
+
+    def extent(self):
+        """Radius beyond which the family is exactly its tail."""
+        return 2.0 * self.R
+
+    def tail_value(self, E):
+        return E @ np.asarray(self.tail)
+
+    def value_at(self, x, eta):
+        return float(self.value(np.atleast_2d(np.asarray(x, float)),
+                                np.atleast_2d(np.asarray(eta, float)))[0])
+
+
+class GeneratingFamily(_Family):
     """Polynomial core + linear tail + cutoff radius.
 
     core is a MultiPoly in the variables x1..xn, e1..eN (in that
@@ -136,10 +155,6 @@ class GeneratingFamily:
         return ([f"x{i + 1}" for i in range(self.n)]
                 + [f"e{j + 1}" for j in range(self.N)])
 
-    def extent(self):
-        """Radius beyond which the family is exactly its tail."""
-        return 2.0 * self.R
-
     def _cols(self, X, E):
         return [X[:, i] for i in range(self.n)] \
             + [E[:, j] for j in range(self.N)]
@@ -149,45 +164,39 @@ class GeneratingFamily:
         u = (r - self.R) / self.R
         return r, smoothstep(u), smoothstep_d(u) / self.R
 
-    def tail_value(self, E):
-        return E @ np.asarray(self.tail)
-
     def value(self, X, E):
         X, E = np.asarray(X, float), np.asarray(E, float)
         core_v = self.core.evaluate(self._cols(X, E))
         _, s, _ = self._blend(X, E)
         return core_v + s * (self.tail_value(E) - core_v)
 
-    def grad_x(self, X, E):
-        X, E = np.asarray(X, float), np.asarray(E, float)
+    def _collar(self, X, E):
+        """Pieces both gradients share: the variable columns, the blend
+        s, and the collar factor s'(r) (A - core) / r that multiplies
+        each coordinate."""
         cols = self._cols(X, E)
         core_v = self.core.evaluate(cols)
         r, s, sd = self._blend(X, E)
-        gap = self.tail_value(E) - core_v
         inv_r = np.where(r > 0, 1.0 / np.maximum(r, 1e-300), 0.0)
+        return cols, s, sd * inv_r * (self.tail_value(E) - core_v)
+
+    def grad_x(self, X, E):
+        X, E = np.asarray(X, float), np.asarray(E, float)
+        cols, s, collar = self._collar(X, E)
         out = np.empty_like(X)
         for i in range(self.n):
-            gi = self._dx[i].evaluate(cols)
-            out[:, i] = (1.0 - s) * gi + sd * X[:, i] * inv_r * gap
+            out[:, i] = (1.0 - s) * self._dx[i].evaluate(cols) \
+                + collar * X[:, i]
         return out
 
     def grad_eta(self, X, E):
         X, E = np.asarray(X, float), np.asarray(E, float)
-        cols = self._cols(X, E)
-        core_v = self.core.evaluate(cols)
-        r, s, sd = self._blend(X, E)
-        gap = self.tail_value(E) - core_v
-        inv_r = np.where(r > 0, 1.0 / np.maximum(r, 1e-300), 0.0)
+        cols, s, collar = self._collar(X, E)
         out = np.empty_like(E)
         for j in range(self.N):
-            gj = self._de[j].evaluate(cols)
-            out[:, j] = ((1.0 - s) * gj + s * self.tail[j]
-                         + sd * E[:, j] * inv_r * gap)
+            out[:, j] = ((1.0 - s) * self._de[j].evaluate(cols)
+                         + s * self.tail[j] + collar * E[:, j])
         return out
-
-    def value_at(self, x, eta):
-        return float(self.value(np.atleast_2d(np.asarray(x, float)),
-                                np.atleast_2d(np.asarray(eta, float)))[0])
 
     def __repr__(self):
         return (f"GeneratingFamily(n={self.n}, N={self.N}, "
@@ -195,7 +204,7 @@ class GeneratingFamily:
                 f"tail={self.tail}, R={self.R})")
 
 
-class CompositeFamily:
+class CompositeFamily(_Family):
     """Fiber-disjoint sum of families sharing one linear tail.
 
     Each part is a family translated in the fiber by its center; the
@@ -231,12 +240,6 @@ class CompositeFamily:
                         f"{fa.extent() + fb.extent():g}")
         self.R = reach / 2.0
 
-    def extent(self):
-        return 2.0 * self.R
-
-    def tail_value(self, E):
-        return E @ np.asarray(self.tail)
-
     def value(self, X, E):
         X, E = np.asarray(X, float), np.asarray(E, float)
         total = self.tail_value(E).astype(float)
@@ -259,10 +262,6 @@ class CompositeFamily:
             out += fam.grad_eta(X, E - np.asarray(center)) \
                 - np.asarray(fam.tail)
         return out
-
-    def value_at(self, x, eta):
-        return float(self.value(np.atleast_2d(np.asarray(x, float)),
-                                np.atleast_2d(np.asarray(eta, float)))[0])
 
     def __repr__(self):
         return (f"CompositeFamily(n={self.n}, N={self.N}, "
@@ -420,95 +419,51 @@ def _x_grid(fam, step):
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-def _solve_fiber_1d(fam, xs, step, newton_tol, accept_tol):
-    """eta roots of grad_eta over each x row; N = 1 scan + Newton."""
+def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
+    """eta roots of grad_eta over each x row: grid seeds, then Newton.
+
+    N = 1 seeds at the sign changes along the eta grid, N = 2 wherever
+    |grad_eta| is small on the grid.  Rows that stall on a singular
+    Jacobian (fold points) are rejected.
+    """
     ext = fam.extent()
     es = np.arange(-ext, ext + step / 2.0, step)
-    me = len(es)
-    found_x, found_e = [], []
-    chunk = max(1, 200000 // me)
-    for lo in range(0, len(xs), chunk):
-        xc = xs[lo:lo + chunk]
-        mx = len(xc)
-        X = np.repeat(xc, me, axis=0)
-        E = np.tile(es, mx).reshape(-1, 1)
-        g = fam.grad_eta(X, E)[:, 0].reshape(mx, me)
-        ga, gb = g[:, :-1], g[:, 1:]
-        hit = np.sign(ga) * np.sign(gb) <= 0
-        hit &= ~((ga == 0) & (gb == 0))
-        rows, cols = np.nonzero(hit)
-        if not len(rows):
-            continue
-        denom = gb[rows, cols] - ga[rows, cols]
-        frac = np.where(np.abs(denom) > 1e-300,
-                        -ga[rows, cols] / np.where(denom == 0, 1, denom), 0.5)
-        e0 = es[cols] + np.clip(frac, 0.0, 1.0) * step
-        Xs = xs[lo + rows]
-        e0 = e0.reshape(-1, 1)
-        h = 1e-6
-        for _ in range(60):
-            g0 = fam.grad_eta(Xs, e0)[:, 0]
-            if np.max(np.abs(g0)) < newton_tol:
-                break
-            dg = (fam.grad_eta(Xs, e0 + h)[:, 0]
-                  - fam.grad_eta(Xs, e0 - h)[:, 0]) / (2 * h)
-            dg = np.where(np.abs(dg) > 1e-14, dg, 1e-14)
-            e0 = e0 - (g0 / dg).reshape(-1, 1)
-        g0 = np.abs(fam.grad_eta(Xs, e0)[:, 0])
-        ok = g0 < accept_tol
-        found_x.append(Xs[ok])
-        found_e.append(e0[ok])
-    if not found_x:
-        return np.empty((0, fam.n)), np.empty((0, 1))
-    return np.concatenate(found_x), np.concatenate(found_e)
-
-
-def _solve_fiber_2d(fam, xs, step, newton_tol, accept_tol):
-    """N = 2: seed where |grad_eta| is small on the grid, then Newton."""
-    ext = fam.extent()
-    es = np.arange(-ext, ext + step / 2.0, step)
-    E1, E2 = np.meshgrid(es, es, indexing="ij")
-    eta_grid = np.column_stack([E1.ravel(), E2.ravel()])
+    if fam.N == 1:
+        eta_grid = es.reshape(-1, 1)
+    else:
+        E1, E2 = np.meshgrid(es, es, indexing="ij")
+        eta_grid = np.column_stack([E1.ravel(), E2.ravel()])
     me = len(eta_grid)
-    seed_thresh = 4.0 * step
     found_x, found_e = [], []
     chunk = max(1, 200000 // me)
-    h = 1e-6
     for lo in range(0, len(xs), chunk):
         xc = xs[lo:lo + chunk]
-        mx = len(xc)
         X = np.repeat(xc, me, axis=0)
-        E = np.tile(eta_grid, (mx, 1))
+        E = np.tile(eta_grid, (len(xc), 1))
         g = fam.grad_eta(X, E)
-        norm = np.abs(g).max(axis=1)
-        pick = norm < seed_thresh
-        if not pick.any():
+        if fam.N == 1:
+            g = g[:, 0].reshape(len(xc), me)
+            ga, gb = g[:, :-1], g[:, 1:]
+            hit = np.sign(ga) * np.sign(gb) <= 0
+            hit &= ~((ga == 0) & (gb == 0))
+            rows, cols = np.nonzero(hit)
+            denom = gb[rows, cols] - ga[rows, cols]
+            frac = np.where(np.abs(denom) > 1e-300, -ga[rows, cols]
+                            / np.where(denom == 0, 1, denom), 0.5)
+            Xs = xc[rows]
+            Es = (es[cols] + np.clip(frac, 0.0, 1.0) * step).reshape(-1, 1)
+        else:
+            pick = np.abs(g).max(axis=1) < 4.0 * step
+            Xs, Es = X[pick], E[pick]
+        if not len(Xs):
             continue
-        Xs, Es = X[pick], E[pick]
-        for _ in range(60):
-            g0 = fam.grad_eta(Xs, Es)
-            if np.max(np.abs(g0)) < newton_tol:
-                break
-            jac = np.empty((len(Es), 2, 2))
-            for k in range(2):
-                dE = np.zeros_like(Es)
-                dE[:, k] = h
-                jac[:, :, k] = (fam.grad_eta(Xs, Es + dE)
-                                - fam.grad_eta(Xs, Es - dE)) / (2 * h)
-            det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-            det = np.where(np.abs(det) > 1e-14, det, 1e-14)
-            step0 = np.empty_like(Es)
-            step0[:, 0] = (jac[:, 1, 1] * g0[:, 0]
-                           - jac[:, 0, 1] * g0[:, 1]) / det
-            step0[:, 1] = (-jac[:, 1, 0] * g0[:, 0]
-                           + jac[:, 0, 0] * g0[:, 1]) / det
-            Es = Es - np.clip(step0, -0.5, 0.5)
-        g0 = np.abs(fam.grad_eta(Xs, Es)).max(axis=1)
-        ok = g0 < accept_tol
+        Es, ok, stuck = _newton(lambda P: fam.grad_eta(Xs, P), Es, 60,
+                                newton_tol, accept_tol)
+        ok &= ~stuck
         found_x.append(Xs[ok])
         found_e.append(Es[ok])
     if not found_x:
-        return np.empty((0, fam.n)), np.empty((0, 2))
+        return np.empty((0, fam.n)), np.empty((0, fam.N))
     return np.concatenate(found_x), np.concatenate(found_e)
 
 
@@ -518,11 +473,8 @@ def fiber_critical_set(fam, step=0.05, newton_tol=1e-12, accept_tol=1e-9,
     front data (x, eta, z = f, p = d_x f).  One sample per (x gridpoint,
     eta branch); x stays on the grid, eta is polished.
     """
-    xs = _x_grid(fam, step)
-    if fam.N == 1:
-        X, E = _solve_fiber_1d(fam, xs, step, newton_tol, accept_tol)
-    else:
-        X, E = _solve_fiber_2d(fam, xs, step, newton_tol, accept_tol)
+    X, E = _solve_fiber(fam, _x_grid(fam, step), step, newton_tol,
+                        accept_tol)
     points = []
     if len(X):
         Z = fam.value(X, E)
@@ -545,23 +497,11 @@ def fiber_regularity_margin(fam, points, h=1e-6):
     """min over samples of the smallest singular value of D(d_eta f)."""
     if not points:
         return None
-    margin = math.inf
-    for q in points:
-        x = np.array([q.x], float)
-        e = np.array([q.eta], float)
-        jac = np.empty((fam.N, fam.n + fam.N))
-        for k in range(fam.n):
-            dX = np.zeros_like(x)
-            dX[0, k] = h
-            jac[:, k] = (fam.grad_eta(x + dX, e)
-                         - fam.grad_eta(x - dX, e))[0] / (2 * h)
-        for k in range(fam.N):
-            dE = np.zeros_like(e)
-            dE[0, k] = h
-            jac[:, fam.n + k] = (fam.grad_eta(x, e + dE)
-                                 - fam.grad_eta(x, e - dE))[0] / (2 * h)
-        margin = min(margin, _min_singular_value(jac))
-    return margin
+    n = fam.n
+    P = np.array([q.x + q.eta for q in points], float)
+    jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), P, h)
+    gram = jac @ jac.transpose(0, 2, 1)
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[:, 0].min()), 0.0))
 
 
 # --- difference-function critical points ------------------------------
@@ -617,39 +557,8 @@ def _diff_value(fam, pts):
 
 
 def _diff_hessian(fam, pt, h=1e-5):
-    d = len(pt)
-    hess = np.empty((d, d))
-    for k in range(d):
-        dp = np.zeros((1, d))
-        dp[0, k] = h
-        hess[:, k] = (_diff_gradient(fam, pt[None, :] + dp)
-                      - _diff_gradient(fam, pt[None, :] - dp))[0] / (2 * h)
+    hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pt[None, :], h)[0]
     return (hess + hess.T) / 2.0
-
-
-def _newton_critical(fam, seeds, newton_tol=1e-12, accept_tol=1e-9,
-                     iters=80, h=1e-6):
-    pts = seeds.copy()
-    d = pts.shape[1]
-    for _ in range(iters):
-        res = _diff_gradient(fam, pts)
-        if np.max(np.abs(res)) < newton_tol:
-            break
-        jac = np.empty((len(pts), d, d))
-        for k in range(d):
-            dp = np.zeros((1, d))
-            dp[0, k] = h
-            jac[:, :, k] = (_diff_gradient(fam, pts + dp)
-                            - _diff_gradient(fam, pts - dp)) / (2 * h)
-        dets = np.linalg.det(jac)
-        good = np.abs(dets) > 1e-14
-        if not good.any():
-            break
-        step = np.zeros_like(pts)
-        step[good] = np.linalg.solve(jac[good], res[good][..., None])[..., 0]
-        pts = pts - np.clip(step, -0.5, 0.5)
-    res = np.max(np.abs(_diff_gradient(fam, pts)), axis=1)
-    return pts[res < accept_tol]
 
 
 def _cluster(pts, tol=1e-5):
@@ -687,7 +596,10 @@ def reeb_chords(fam, step=0.05, value_floor=1e-6, margin_tol=1e-8,
     if not seeds:
         return [], LaurentPoly({}), _chord_report([], N, step, value_floor,
                                                   margin_tol)
-    converged = _newton_critical(fam, np.asarray(seeds, float))
+    # Stuck rows stay in: a seed that stalls on a degenerate critical
+    # point must still reach the margin check below and raise there.
+    pts, ok, _ = _newton(lambda P: _diff_gradient(fam, P), seeds, 80)
+    converged = pts[ok]
     vals = _diff_value(fam, converged)
     keep = np.abs(vals) > value_floor
     points = []
@@ -778,10 +690,10 @@ def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
     ext = base.extent()
     exs = np.arange(0.0, ext + 0.05, 0.1).reshape(-1, 1)
     ees = np.arange(-ext, ext + 0.05, 0.2)
+    # one sample (x, eta1, 0) per grid pair (x, eta1)
     X = np.repeat(exs, len(ees), axis=0)
-    E = np.tile(ees, len(exs)).reshape(-1, base.N)
-    if base.N == 2:
-        E = np.column_stack([E[:, 0], np.zeros(len(E))])
+    E = np.zeros((len(X), base.N))
+    E[:, 0] = np.tile(ees, len(exs))
     ref = fams[0].value(X, E)
     for fam in fams[1:]:
         dev = np.max(np.abs(fam.value(X, E) - ref))

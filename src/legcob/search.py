@@ -1,12 +1,9 @@
 """Bounded searches over isotopy moves.
 
-Two workhorses: reduce_front greedily shortens a word (with neutral-move
-excursions when no shrinking move applies), and connect_fronts finds an
-isotopy move path between two nearby diagrams by meeting in the middle.
-Both are deterministic, so recorded move sequences replay exactly.
+connect_fronts finds an isotopy move path between two nearby diagrams
+by meeting in the middle.  The search is deterministic, so recorded
+move sequences replay exactly.
 """
-
-from collections import deque
 
 from .errors import DomainError
 from .moves import apply_move, invert_move
@@ -21,65 +18,6 @@ def _try(d, m):
         return apply_move(d, m)
     except DomainError:
         return None
-
-
-def _first_shrink(d):
-    for e in range(len(d.events)):
-        for kind in _SHRINK:
-            nd = _try(d, (kind, e))
-            if nd is not None:
-                return (kind, e), nd
-    return None
-
-
-def reduce_front(d, excursion=8, budget=20000):
-    """Greedily shorten a front word with isotopy moves.
-
-    Alternates immediately applicable shrinking moves (fish removal,
-    reverse cusp slides) with breadth-first excursions over neutral
-    moves (commutations, triangle moves) that unlock a shrink.
-
-    OUTPUT: (end, path); path is a list of (move, diagram_after) and end
-    is a local minimum for this strategy, not a canonical form.
-    """
-    path = []
-    while True:
-        hit = _first_shrink(d)
-        if hit is None:
-            burst = _excursion_to_shrink(d, excursion, budget)
-            if burst is None:
-                return d, path
-            for step in burst:
-                path.append(step)
-                d = step[1]
-        else:
-            path.append(hit)
-            d = hit[1]
-
-
-def _excursion_to_shrink(d, excursion, budget):
-    seen = {d.word}
-    queue = deque([(d, [])])
-    spent = 0
-    while queue:
-        cur, trail = queue.popleft()
-        if len(trail) >= excursion:
-            continue
-        for e in range(len(cur.events)):
-            for kind in _NEUTRAL:
-                nd = _try(cur, (kind, e))
-                if nd is None or nd.word in seen:
-                    continue
-                seen.add(nd.word)
-                spent += 1
-                if spent > budget:
-                    return None
-                new_trail = trail + [((kind, e), nd)]
-                hit = _first_shrink(nd)
-                if hit is not None:
-                    return new_trail + [hit]
-                queue.append((nd, new_trail))
-    return None
 
 
 def invert_path(start, moves):

@@ -65,7 +65,10 @@ def _cut_loop(base):
     return _assemble(base, list(_CUT))
 
 
-def _diff_window(ev_a, ev_b, margin):
+def _diff_span(ev_a, ev_b):
+    """The differing stretch of two event lists: (lo, hi_a, hi_b) with
+    ev_a[lo:hi_a] and ev_b[lo:hi_b] between a common prefix and a common
+    suffix."""
     lo = 0
     while lo < len(ev_a) and lo < len(ev_b) and ev_a[lo] == ev_b[lo]:
         lo += 1
@@ -73,7 +76,7 @@ def _diff_window(ev_a, ev_b, margin):
     while hi_a > lo and hi_b > lo and ev_a[hi_a - 1] == ev_b[hi_b - 1]:
         hi_a -= 1
         hi_b -= 1
-    return max(0, lo - margin), max(hi_a, hi_b) + margin
+    return lo, hi_a, hi_b
 
 
 def _loop_visits(base):
@@ -192,35 +195,27 @@ def _extend_span(state, g):
     state.spans[state.tip[0]] = [min(lo, g), max(hi, g)]
 
 
-def _diff_band(ev_a, ev_b, pad):
-    """Heights touched by the differing events of the two words, padded."""
-    lo = 0
-    while lo < len(ev_a) and lo < len(ev_b) and ev_a[lo] == ev_b[lo]:
-        lo += 1
-    hi_a, hi_b = len(ev_a), len(ev_b)
-    while hi_a > lo and hi_b > lo and ev_a[hi_a - 1] == ev_b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    band = set()
-    for kind, pos in list(ev_a[lo:hi_a]) + list(ev_b[lo:hi_b]):
-        band.update(range(pos - pad, pos + pad + 2))
-    return band
-
-
 def _advance(state, cur, moves):
     target = state.render()
     if target.word == cur.word:
         return cur
+    lo, hi_a, hi_b = _diff_span(cur.events, target.events)
+    touched = [pos for _, pos in cur.events[lo:hi_a] + target.events[lo:hi_b]]
+
+    def band(pad):
+        """Heights touched by the differing events, padded."""
+        return {h for pos in touched for h in range(pos - pad, pos + pad + 2)}
+
     # Most stage gaps are pure commutes (the tip sliding past a group),
     # so try those alone before admitting fish growth, which multiplies
     # the branching by the stack height.
     attempts = (
         (("C", "Ch"), frozenset(), 2, 6, 20000),
-        (None, _diff_band(cur.events, target.events, 2), 2, 5, 120000),
-        (None, _diff_band(cur.events, target.events, 4), 4, 6, 300000),
+        (None, band(2), 2, 5, 120000),
+        (None, band(4), 4, 6, 300000),
     )
     for kinds, fish, margin, depth, budget in attempts:
-        window = _diff_window(cur.events, target.events, margin)
+        window = (max(0, lo - margin), max(hi_a, hi_b) + margin)
         seq = connect_fronts(cur, target, depth=depth, budget=budget,
                              window=window, kinds=kinds, fish_heights=fish)
         if seq is not None:

@@ -222,11 +222,22 @@ def test_domain_error_field(capsys):
     assert set(json.loads(out)) == {"error"}
 
 
+def test_gf_spin_two_fiber_file(tmp_path, capsys):
+    gf = tmp_path / "stab.gf"
+    gf.write_text("n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 - e2^2\n"
+                  "tail=-200*e1\nR=3\n")
+    rc, out = run(["gf-spin", "--file", str(gf), "--json"], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["N"]) == (2, 2)
+    spun = parse_gf_file(doc["gf_file"])
+    assert (spun.n, spun.N) == (2, 2)
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (["nope"],
                  ["braid", "--strands", "3"],
                  ["inv", "--front", "L1 R1", "--bogus"],
-                 ["tb", "--dim", "1", "--poly", "t", "--threads", "0"],
                  ["plan", "--dim", "3"],
                  ["gf-front", "--family", "nope"],
                  ["gf-front", "--family", "unknot", "--file", "x.gf"]):

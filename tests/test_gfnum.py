@@ -193,6 +193,29 @@ def test_stacked_pair_enumeration():
     assert any("chain-level" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("make", [
+    unknot_family, scaled_unknot_family, shifted_unknot_family, fish_family,
+    stacked_pair_family])
+def test_chords_do_not_depend_on_grid_step(make):
+    fam = make()
+    runs = []
+    for step in (0.2, 0.1, 0.05, 0.03):
+        chords, gamma, report = reeb_chords(fam, step=step)
+        runs.append((report["count"], [p.index for p in chords], gamma,
+                     [p.value for p in chords]))
+    count, indices, gamma, values = runs[0]
+    assert count > 0
+    for other in runs[1:]:
+        assert other[:3] == (count, indices, gamma)
+        assert np.allclose(other[3], values, rtol=0, atol=1e-6)
+
+
+def test_fiber_solve_rejects_stalled_rows():
+    # rows that stall on a singular Jacobian at the fold points are
+    # dropped, which fixes the sample count
+    assert len(fiber_critical_set(stacked_pair_family(), 0.05)) == 176
+
+
 def test_stacked_aligned_cusps_degenerate():
     fam = stacked_pair_family(widen=1.0)
     with pytest.raises(DomainError, match="degenerate critical point"):
