@@ -15,8 +15,8 @@ s(k-1) 1-handles.
 from fractions import Fraction
 
 from .errors import DomainError
-from .front import FrontDiagram, parse_front
-from .moves import CobordismTrace, apply_move, trace_summary
+from .front import parse_front
+from .moves import CobordismTrace, _replay
 
 NOT_A_FILLING = "not a surface filling for this closure convention"
 DISCONNECTED = "disconnected filling: genus per component not defined"
@@ -83,6 +83,38 @@ def _letter_block_moves(base, s, i):
     return moves
 
 
+def _closure(b):
+    """The closure front, its filling trace, the formula genus and the
+    number of connected pieces of the filling, from one replay.
+
+    Block j is built at event 0 when j = 0; later blocks start at event
+    2s + j, just after the blocks merged so far, and merge into them
+    with s merge pinches.
+    """
+    s, letters = b.strands, b.letters
+    k = len(letters)
+    moves = []
+    for j, i in enumerate(letters):
+        base = 2 * s + j if j else 0
+        moves += _letter_block_moves(base, s, i)
+        if j:
+            moves += [("PM", base - 1 - t) for t in range(s)]
+    trace = CobordismTrace(parse_front(""), moves, gf_mode=True)
+    d, births, pinches, pieces = _replay(trace)
+    expected = ([("L", t) for t in range(1, s + 1)]
+                + [("X", s + i) for i in letters]
+                + [("R", t) for t in range(s, 0, -1)])
+    assert d.events == expected, "closure construction went off pattern"
+    assert births == k * (s - 1) and pinches == s * (k - 1)
+    cycles = b.permutation_cycles()
+    assert d.n_components == cycles, \
+        "closure components disagree with permutation cycles"
+    genus = Fraction(2 - cycles + k - s, 2)
+    if pieces == 1:
+        assert Fraction(2 - d.n_components - births + pinches, 2) == genus
+    return d, trace, genus, pieces
+
+
 def positive_braid_closure(b):
     """Front closure of a positive braid plus the filling trace.
 
@@ -92,53 +124,15 @@ def positive_braid_closure(b):
     A genus below zero means the trace is not a filling of a connected
     closure by a surface (see closure_report for the flag).
     """
-    s, letters = b.strands, b.letters
-    k = len(letters)
-    d = FrontDiagram([])
-    moves = []
-    for j, i in enumerate(letters):
-        base = len(d.events)
-        block = _letter_block_moves(base, s, i)
-        for mv in block:
-            d = apply_move(d, mv, gf_mode=True)
-        moves.extend(block)
-        if j > 0:
-            for t in range(s):
-                mv = ("PM", base - 1 - t)
-                d = apply_move(d, mv, gf_mode=True)
-                moves.append(mv)
-    expected = ([("L", t) for t in range(1, s + 1)]
-                + [("X", s + i) for i in letters]
-                + [("R", t) for t in range(s, 0, -1)])
-    assert d.events == expected, "closure construction went off pattern"
-    births = sum(1 for m in moves if m[0] == "B")
-    pinches = sum(1 for m in moves if m[0] == "PM")
-    assert births == k * (s - 1) and pinches == s * (k - 1)
-    cycles = b.permutation_cycles()
-    assert d.n_components == cycles, \
-        "closure components disagree with permutation cycles"
-    genus = Fraction(2 - cycles + k - s, 2)
-    trace = CobordismTrace(parse_front(""), moves, gf_mode=True)
-    try:
-        summary = trace_summary(trace)
-    except DomainError:
-        summary = None  # disconnected: formula value is still reported
-    if summary is not None:
-        assert summary["genus"] == genus
-        assert summary["end"].word == d.word
+    d, trace, genus, _ = _closure(b)
     return d, trace, genus
 
 
 def closure_report(b):
     """positive_braid_closure plus connectivity and boundary-case flags."""
-    diagram, trace, genus = positive_braid_closure(b)
+    diagram, trace, genus, pieces = _closure(b)
     flags = []
-    try:
-        summary = trace_summary(trace)
-        connected = True
-    except DomainError:
-        summary = None
-        connected = False
+    if pieces != 1:
         flags.append(DISCONNECTED)
     if genus < 0:
         flags.append(NOT_A_FILLING)
@@ -146,8 +140,8 @@ def closure_report(b):
         "diagram": diagram,
         "trace": trace,
         "genus": genus,
-        "cycles": b.permutation_cycles(),
-        "connected": connected,
+        "cycles": diagram.n_components,
+        "connected": pieces == 1,
         "chi": b.strands - len(b.letters),
         "flags": flags,
     }

@@ -42,7 +42,7 @@ from .gfnum import (embeddedness_check, fiber_critical_set,
                     reeb_chords, scaled_unknot_family, shifted_unknot_family,
                     spin, stacked_pair_family, unknot_family)
 from .front import classical_invariants, parse_front
-from .laurent import decompose, is_connected_form, parse_poly, \
+from .laurent import decompose, is_connected_split, parse_poly, \
     tb_from_polynomial
 from .moves import apply_move, format_trace, parse_move, parse_trace, \
     trace_summary
@@ -168,7 +168,7 @@ def cmd_inv(args):
 def cmd_rulings(args):
     d = parse_front(args.front)
     rus = enumerate_rulings(d, graded=args.graded)
-    poly = ruling_polynomial(d, graded=args.graded)
+    poly = ruling_polynomial(d, rus)
     doc = {"word": d.word, "graded": args.graded, "count": len(rus),
            "polynomial": str(poly), "rulings": [list(r) for r in rus]}
     lines = _kv([("word", d.word), ("graded", args.graded),
@@ -284,7 +284,8 @@ def cmd_compat(args):
     splits = decompose(poly, args.dim)
     doc = {"dim": args.dim, "poly": str(poly),
            "compatible": bool(splits),
-           "connected_form": is_connected_form(poly, args.dim),
+           "connected_form": any(is_connected_split(q, args.dim)
+                                 for q, _ in splits),
            "splittings": [{"q": str(q), "p": str(p)} for q, p in splits]}
     lines = _kv([("dim", args.dim), ("poly", poly),
                  ("compatible", doc["compatible"]),

@@ -48,13 +48,16 @@ class FrontDiagram:
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
       comp_of     id -> component index (components numbered by oldest id)
       components  list of sorted id lists
+      potential   id -> raw Maslov potential, 0 on the lower strand of each
+                  component's first left cusp; even means pointing right
+      defects     per component, the gcd of the potential's jumps around
+                  its cycle (0 when single valued)
     """
 
     def __init__(self, events):
         self.events = [(k, int(p)) for k, p in events]
         self._simulate()
-        self._find_components()
-        self._orient()
+        self._walk()
 
     @property
     def word(self):
@@ -110,57 +113,47 @@ class FrontDiagram:
         self.n_right = n_r
         self.max_strands = max(len(s) for s in stacks)
 
-    def _find_components(self):
-        parent = list(range(self.n_ids))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+    def _walk(self):
+        # Each id meets two cusps (birth and death), so the cusp edges on
+        # ids form one cycle per component.  One LIFO walk per cycle, from
+        # the lower strand of its first left cusp (oldest id + 1), sets
+        # mu(upper) = mu(lower) + 1; revisits with another value give the
+        # defect (0 when single valued).  Strands reverse direction at
+        # every cusp, so the parity of the potential is the orientation.
+        edges = [[] for _ in range(self.n_ids)]
         for _, _, _, u, l in self.cusps:
-            parent[find(u)] = find(l)
-        roots = {}
-        comp_of = {}
+            edges[u].append((l, -1))
+            edges[l].append((u, +1))
+        potential = [None] * self.n_ids
+        comp_of = [None] * self.n_ids
         components = []
-        for a in range(self.n_ids):
-            r = find(a)
-            if r not in roots:
-                roots[r] = len(components)
-                components.append([])
-            comp_of[a] = roots[r]
-            components[roots[r]].append(a)
+        defects = []
+        for oldest in range(0, self.n_ids, 2):
+            if potential[oldest] is not None:
+                continue
+            c = len(components)
+            ids = []
+            defect = 0
+            stack = [(oldest + 1, 0)]
+            while stack:
+                a, v = stack.pop()
+                if potential[a] is not None:
+                    gap = potential[a] - v
+                    assert gap % 2 == 0, "orientation cycle has odd length"
+                    defect = gcd(defect, abs(gap))
+                    continue
+                potential[a] = v
+                comp_of[a] = c
+                ids.append(a)
+                for b, step in edges[a]:
+                    stack.append((b, v + step))
+            components.append(sorted(ids))
+            defects.append(defect)
+        self.potential = potential
+        self.defects = defects
         self.comp_of = comp_of
         self.components = components
         self.n_components = len(components)
-
-    def _orient(self):
-        # Each id meets exactly two cusps (birth and death), so the graph
-        # on ids with cusp edges is a union of cycles; strands reverse
-        # direction across every cusp, which 2-colors each cycle.  Anchor:
-        # the lower strand of a component's first left cusp points right.
-        edges = {a: [] for a in range(self.n_ids)}
-        for _, _, _, u, l in self.cusps:
-            edges[u].append(l)
-            edges[l].append(u)
-        dirs = {}
-        for c, ids in enumerate(self.components):
-            anchor = None
-            for i, kind, pos, u, l in self.cusps:
-                if kind == "L" and self.comp_of[u] == c:
-                    anchor = l
-                    break
-            queue = [(anchor, 1)]
-            while queue:
-                a, d = queue.pop()
-                if a in dirs:
-                    assert dirs[a] == d, "orientation cycle has odd length"
-                    continue
-                dirs[a] = d
-                for b in edges[a]:
-                    queue.append((b, -d))
-        self.base_dirs = dirs
 
     def directions(self, reversed_components=()):
         """Per-id direction (+1 right, -1 left), optionally flipping
@@ -169,8 +162,8 @@ class FrontDiagram:
         bad = rev - set(range(self.n_components))
         if bad:
             raise DomainError(f"no such component: {sorted(bad)}")
-        return {a: (-d if self.comp_of[a] in rev else d)
-                for a, d in self.base_dirs.items()}
+        return {a: (1 if v % 2 == 0 else -1) * (-1 if c in rev else 1)
+                for a, (v, c) in enumerate(zip(self.potential, self.comp_of))}
 
 
 def classical_invariants(diagram, reversed_components=()):
@@ -224,8 +217,9 @@ class MaslovPotential:
         return all(m is None for m in self.mods)
 
 
-def maslov_potential(diagram, reversed_components=()):
-    """Propagate mu(upper) = mu(lower) + 1 across every cusp.
+def maslov_potential(diagram):
+    """The potential with mu(upper) = mu(lower) + 1 at every cusp, as
+    the diagram's cusp-cycle walk propagated it.
 
     The lower strand of each component's first left cusp is normalized
     to 0.  Components with nonzero rotation number only admit a potential
@@ -235,30 +229,11 @@ def maslov_potential(diagram, reversed_components=()):
     >>> mp.values[0], mp.values[1], mp.mods
     (1, 0, [None])
     """
-    rot = classical_invariants(diagram, reversed_components)["rotation"]
-    edges = {a: [] for a in range(diagram.n_ids)}
-    for _, _, _, u, l in diagram.cusps:
-        edges[u].append((l, -1))  # mu(l) = mu(u) - 1
-        edges[l].append((u, +1))
+    rot = classical_invariants(diagram)["rotation"]
     values = {}
     mods = []
     for c, ids in enumerate(diagram.components):
-        anchor = None
-        for i, kind, pos, u, l in diagram.cusps:
-            if kind == "L" and diagram.comp_of[u] == c:
-                anchor = l
-                break
-        defect = 0
-        queue = [(anchor, 0)]
-        while queue:
-            a, v = queue.pop()
-            if a in values:
-                if values[a] != v:
-                    defect = gcd(defect, abs(values[a] - v))
-                continue
-            values[a] = v
-            for b, step in edges[a]:
-                queue.append((b, v + step))
+        defect = diagram.defects[c]
         if rot[c] == 0:
             assert defect == 0, \
                 f"inconsistent potential on component {c} with r = 0"
@@ -266,7 +241,8 @@ def maslov_potential(diagram, reversed_components=()):
         else:
             assert defect == 2 * abs(rot[c]), \
                 f"inconsistent potential on component {c}: defect {defect}"
-            for a in ids:
-                values[a] %= defect
             mods.append(defect)
+        for a in ids:
+            v = diagram.potential[a]
+            values[a] = v % defect if defect else v
     return MaslovPotential(values, mods)

@@ -19,7 +19,8 @@ executing it; fronts are only built in dimension 1.
 
 from .errors import DomainError
 from .exactseq import connect_sum
-from .laurent import LaurentPoly, decompose, tb_from_polynomial
+from .laurent import LaurentPoly, decompose, is_connected_split, \
+    tb_from_polynomial
 
 
 class Block:
@@ -145,7 +146,7 @@ def realize(poly, n, sphere_only=False):
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
     candidates = [(q, p) for q, p in decompose(poly, n)
-                  if q.coeff(n) == 1 and q.coeff(0) == 0]
+                  if is_connected_split(q, n)]
     if not candidates:
         raise DomainError(
             f"not compatible with duality in connected form: "

@@ -141,8 +141,9 @@ class GeneratingFamily(_Family):
         if len(tail) != N or not any(tail):
             raise DomainError(f"tail must be a nonzero linear form on "
                               f"{N} fiber variables, got {tail}")
-        if R <= 0:
-            raise DomainError(f"cutoff radius must be positive, got {R}")
+        if not 0 < R < math.inf:
+            raise DomainError(
+                f"cutoff radius must be finite and positive, got {R}")
         self.n = n
         self.N = N
         self.core = core
@@ -268,6 +269,16 @@ class CompositeFamily(_Family):
                 f"parts={len(self.parts)}, tail={self.tail}, R={self.R})")
 
 
+def _fiber_linear(n, coeffs):
+    """The linear form sum_j coeffs[j] * eta_j in the n + len(coeffs)
+    variables of a family."""
+    nv = n + len(coeffs)
+    out = MultiPoly(nv)
+    for j, c in enumerate(coeffs):
+        out = out + MultiPoly.variable(nv, n + j).scale(c)
+    return out
+
+
 # --- standard families ------------------------------------------------
 
 def unknot_family(tail=-200.0):
@@ -298,12 +309,7 @@ def linear_family(tail=(-5.0,), R=2.0, n=1):
     """The tail itself as a family: core == A(eta), so f == A globally
     and the fiber-critical set is empty."""
     tail = list(tail)
-    N = len(tail)
-    core = MultiPoly(n + N)
-    for j, c in enumerate(tail):
-        core = core + MultiPoly(
-            n + N, {tuple(1 if k == n + j else 0 for k in range(n + N)): c})
-    return GeneratingFamily(n, N, core, tail, R)
+    return GeneratingFamily(n, len(tail), _fiber_linear(n, tail), tail, R)
 
 
 def fish_family(pull=-1.0):
@@ -382,13 +388,9 @@ def parse_gf_file(text):
 
 def format_gf_file(fam):
     names = fam.var_names()
-    tail_poly = MultiPoly(fam.n + fam.N)
-    for j, c in enumerate(fam.tail):
-        tail_poly = tail_poly + MultiPoly(
-            fam.n + fam.N, {tuple(1 if k == fam.n + j else 0
-                                  for k in range(fam.n + fam.N)): c})
     return (f"n={fam.n}\nN={fam.N}\ncore={fam.core.format(names)}\n"
-            f"tail={tail_poly.format(names)}\nR={_num(fam.R)}\n")
+            f"tail={_fiber_linear(fam.n, fam.tail).format(names)}\n"
+            f"R={_num(fam.R)}\n")
 
 
 def _num(v):
@@ -408,6 +410,26 @@ class FiberPoint:
 
     def __repr__(self):
         return f"FiberPoint(x={self.x}, eta={self.eta}, z={self.z:.6g})"
+
+
+# Cap on the (x, eta) seed grid of one fiber solve, in samples.  The
+# saucer (n = 2, N = 1) at the default step 0.05 takes 1.4e7.
+MAX_GRID_SAMPLES = 3 * 10**7
+
+
+def _check_step(fam, step):
+    """Refuse a grid step that is not finite and positive, or whose
+    seed grid of (2 extent / step + 1)^(n + N) samples exceeds the cap."""
+    if not 0 < step < math.inf:
+        raise DomainError(
+            f"grid step must be finite and positive, got {step}")
+    per_axis = 2.0 * fam.extent() / step + 1.0
+    axes = fam.n + fam.N
+    if axes * math.log(per_axis) > math.log(MAX_GRID_SAMPLES):
+        raise DomainError(
+            f"grid step {step} is too fine: {per_axis:.3g} points on each "
+            f"of {axes} axes exceed the cap of {MAX_GRID_SAMPLES:.3g} "
+            "samples")
 
 
 def _x_grid(fam, step):
@@ -473,6 +495,7 @@ def fiber_critical_set(fam, step=0.05, newton_tol=1e-12, accept_tol=1e-9,
     front data (x, eta, z = f, p = d_x f).  One sample per (x gridpoint,
     eta branch); x stays on the grid, eta is polished.
     """
+    _check_step(fam, step)
     X, E = _solve_fiber(fam, _x_grid(fam, step), step, newton_tol,
                         accept_tol)
     points = []
@@ -749,12 +772,9 @@ class ImmersedFilling:
         fam = self.family
         s = self.sigma(t)
         eps = self.eps(t)
-        nv = fam.n + fam.N
-        core = fam.core.scale(t * s)
-        for j in range(fam.N):
-            ej = {tuple(1 if k == fam.n + j else 0 for k in range(nv)):
-                  t * (1.0 - s) * fam.tail[j] - eps[j]}
-            core = core + MultiPoly(nv, ej)
+        core = fam.core.scale(t * s) + _fiber_linear(
+            fam.n, [t * (1.0 - s) * fam.tail[j] - eps[j]
+                    for j in range(fam.N)])
         tail = [t * fam.tail[j] - eps[j] for j in range(fam.N)]
         return GeneratingFamily(fam.n, fam.N, core, tail, fam.R)
 
@@ -776,8 +796,8 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
     that slices are exactly linear for t <= 1, exactly t*f for
     t >= t_plus, and exactly the tail far from the origin.
     """
-    if t_plus <= 2.0:
-        raise DomainError(f"t_plus must exceed 2, got {t_plus}")
+    if not 2.0 < t_plus < math.inf:
+        raise DomainError(f"t_plus must be finite and exceed 2, got {t_plus}")
     rng = np.random.default_rng(seed)
     t_samples = [0.5, 1.0, 1.3, 1.6, 1.9, 2.2, 2.6, t_plus, t_plus + 0.5]
     chosen = None
@@ -865,6 +885,10 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1,
     """
     if t_minus <= 0:
         raise DomainError(f"t_minus must be positive, got {t_minus}")
+    if not t_minus < t_plus < math.inf:
+        raise DomainError(
+            f"times must be finite with t_minus < t_plus, got "
+            f"[{t_minus}, {t_plus}]")
     ts = np.linspace(t_minus, t_plus, samples)
     h_min = math.inf
     max_dt = 0.0

@@ -36,10 +36,6 @@ class LaurentPoly:
                     self.coeffs[int(d)] = int(c)
 
     @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls({degree: coeff})
-
-    @classmethod
     def parse(cls, text):
         return parse_poly(text)
 
@@ -51,9 +47,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def copy(self):
-        return LaurentPoly(self.coeffs)
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -258,12 +251,16 @@ def decompose(poly, n, betti=None, window=64):
     return results
 
 
+def is_connected_split(q, n):
+    """The self-dual part q of a splitting is that of a connected
+    filling: a single top class (q_n = 1) and none in degree 0."""
+    return q.coeff(n) == 1 and q.coeff(0) == 0
+
+
 def is_connected_form(poly, n, window=64):
     """True when some decomposition has q_n = 1 and q_0 = 0."""
-    for q, _ in decompose(poly, n, window=window):
-        if q.coeff(n) == 1 and q.coeff(0) == 0:
-            return True
-    return False
+    return any(is_connected_split(q, n)
+               for q, _ in decompose(poly, n, window=window))
 
 
 def tb_from_polynomial(poly, n):

@@ -82,33 +82,21 @@ def _cusp_at(diagram, e):
     raise AssertionError(f"no cusp record at event {e}")
 
 
-def _check_pinch_grading(diagram, a, b):
-    """a above b: a pinch is graded when both strands carry the same
-    cusp level, i.e. mu(a) = mu(b) + 1 so the new right cusp is
-    consistent with the existing potential."""
-    if diagram.comp_of[a] != diagram.comp_of[b]:
+def _check_grading(diagram, a, b, gap, what):
+    """A pinch is graded when mu(a) - mu(b) = gap, modulo the potential's
+    mod: gap 1 for a new pinch on the pair a above b (the new right cusp
+    must match the potential), gap 0 for a merge of the dying strand a
+    and the born strand b (equal cusp levels)."""
+    c = diagram.comp_of[a]
+    if diagram.comp_of[b] != c:
         return  # potentials on distinct components can be shifted freely
     mp = maslov_potential(diagram)
-    m = mp.mods[diagram.comp_of[a]]
-    diff = mp.values[a] - mp.values[b] - 1
+    m = mp.mods[c]
+    diff = mp.values[a] - mp.values[b] - gap
     if (diff % m if m else diff) != 0:
         raise DomainError(
-            f"grading mismatch at pinch: potentials {mp.values[a]}, "
+            f"grading mismatch at pinch: {what} {mp.values[a]}, "
             f"{mp.values[b]} (mod {m})")
-
-
-def _check_merge_grading(diagram, e):
-    _, _, a, b = _cusp_at(diagram, e)        # dying pair at the R
-    _, _, u, v = _cusp_at(diagram, e + 1)    # born pair at the L
-    if diagram.comp_of[a] != diagram.comp_of[u]:
-        return
-    mp = maslov_potential(diagram)
-    m = mp.mods[diagram.comp_of[a]]
-    diff = mp.values[a] - mp.values[u]
-    if (diff % m if m else diff) != 0:
-        raise DomainError(
-            f"grading mismatch at pinch: cusp levels {mp.values[a]}, "
-            f"{mp.values[u]} (mod {m})")
 
 
 def _participants(event, before, after):
@@ -180,7 +168,8 @@ def _apply(diagram, move, gf_mode=False):
                 _fail(move, f"no strand pair at heights {h}, {h + 1}")
             if gf_mode:
                 stack = diagram.stacks[s]
-                _check_pinch_grading(diagram, stack[h - 1], stack[h])
+                _check_grading(diagram, stack[h - 1], stack[h], 1,
+                               "potentials")
             ins = [("R", h), ("L", h)]
         elif kind == "R1a":
             if not 1 <= h <= count:
@@ -201,7 +190,9 @@ def _apply(diagram, move, gf_mode=False):
         if (ka, kb) != ("R", "L") or pa != pb:
             _fail(move, f"events at {e}, {e + 1} are not a matched R,L pair")
         if gf_mode:
-            _check_merge_grading(diagram, e)
+            _, _, a, _ = _cusp_at(diagram, e)      # upper strand dying at R
+            _, _, u, _ = _cusp_at(diagram, e + 1)  # upper strand born at L
+            _check_grading(diagram, a, u, 0, "cusp levels")
         return _rebuild(ev[:e] + ev[e + 2:], move), e, e + 2, e
 
     if kind in ("R1a-", "R1b-"):

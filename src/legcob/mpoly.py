@@ -32,10 +32,6 @@ class MultiPoly:
                         self.terms.get(tuple(exps), 0.0) + float(c)
 
     @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def variable(cls, nvars, i):
         exps = [0] * nvars
         exps[i] = 1

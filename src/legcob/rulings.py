@@ -9,6 +9,8 @@ at that slice, never interleaved.  A graded ruling also needs equal
 Maslov potential on the two strands of every switch.
 """
 
+from collections import Counter
+
 from .front import classical_invariants, maslov_potential
 from .laurent import LaurentPoly
 
@@ -85,17 +87,17 @@ def enumerate_rulings(diagram, graded=False):
     return results
 
 
-def ruling_polynomial(diagram, graded=False):
-    """Sum of z^(#switches - #right cusps + 1) over normal rulings.
+def ruling_polynomial(diagram, rulings):
+    """Sum of z^(#switches - #right cusps + 1) over the given rulings,
+    as listed by enumerate_rulings(diagram) (graded or not).
 
     >>> from .front import parse_front
-    >>> str(ruling_polynomial(parse_front("L1 L2 X3 X3 X3 R2 R1")))
+    >>> d = parse_front("L1 L2 X3 X3 X3 R2 R1")
+    >>> str(ruling_polynomial(d, enumerate_rulings(d)))
     't^2 + 2'
     """
-    out = LaurentPoly({})
-    for sw in enumerate_rulings(diagram, graded):
-        out = out + LaurentPoly({len(sw) - diagram.n_right + 1: 1})
-    return out
+    return LaurentPoly(Counter(len(sw) - diagram.n_right + 1
+                               for sw in rulings))
 
 
 def validate_ruling(diagram, switches):

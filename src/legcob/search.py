@@ -94,14 +94,15 @@ def connect_fronts(a, b, depth=6, budget=30000, window=None, kinds=None,
         for word, (d, trail) in frontier.items():
             for m in _window_moves(d, lo, hi, kinds, fish_heights):
                 nd = _try(d, m)
-                if nd is None or nd.word in seen or nd.word in new:
+                key = None if nd is None else nd.word
+                if key is None or key in seen or key in new:
                     continue
                 spent += 1
                 if spent > budget:
                     return None, spent, None
-                new[nd.word] = (nd, trail + [m])
-                if nd.word in other_seen:
-                    path = join(nd.word, trail + [m])
+                new[key] = (nd, trail + [m])
+                if key in other_seen:
+                    path = join(key, trail + [m])
                     if path is not None:
                         return new, spent, path
         seen.update(new)

@@ -205,6 +205,35 @@ def test_gf_check_embedded_reports_slowdown(capsys):
     assert grab(out, "embedded_ok") in ("true", "false")
 
 
+def test_gf_check_rejects_bad_times(capsys):
+    # a reversed interval used to pass with max_dt 0, an empty one to end
+    # in a ZeroDivisionError, and a non-finite t-plus to print ok false
+    for extra in (["--embedded", "--t-start", "3", "--t-end", "2"],
+                  ["--embedded", "--t-start", "2.5", "--t-end", "2.5"],
+                  ["--embedded", "--t-end", "nan"],
+                  ["--t-plus", "nan"],
+                  ["--t-plus", "inf"]):
+        rc, out = run(["gf-check", "--family", "unknot"] + extra, capsys)
+        assert rc == 1, extra
+        assert out.startswith("error: "), extra
+
+
+def test_gf_grid_step_is_validated(capsys):
+    # zero and negative steps used to end in a ZeroDivisionError, nan in
+    # a numpy ValueError, and 1e-9 asked numpy for 89 GiB
+    for cmd in ("gf-chords", "gf-front"):
+        for step in ("0", "-0.1", "nan", "inf"):
+            rc, out = run([cmd, "--family", "unknot", "--step", step],
+                          capsys)
+            assert rc == 1, (cmd, step)
+            assert out.startswith(
+                "error: grid step must be finite and positive"), (cmd, step)
+        rc, out = run([cmd, "--family", "saucer", "--step", "1e-9",
+                       "--json"], capsys)
+        assert rc == 1
+        assert "too fine" in json.loads(out)["error"]
+
+
 def test_gf_check_sanitizes_infinite_margin(capsys):
     rc, out = run(["gf-check", "--family", "linear", "--json"], capsys)
     assert rc == 0

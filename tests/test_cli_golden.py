@@ -1,0 +1,119 @@
+"""Golden outputs: the sha256 of stdout and of every written file.
+
+The commands are the README examples plus braid fillings, a clasped
+double with its trace replays, one dimension-8 compat/plan pair and the
+rulings of a nine-crossing twist front.  They run in order in one work
+directory, so later commands read the traces and plans written earlier.
+A refactor that changes any output byte, or any trace move, fails here.
+"""
+
+import hashlib
+import os
+
+from legcob.cli import main
+
+TWIST9 = "L1 L2 " + "X3 " * 9 + "R2 R1"
+POLY8 = "t^8 + 5t^7 + 4t^6 + 3t^5 + 6t^4 + 2t^3 + 3t^2 + 4t + 5"
+
+# (argv, exit code, stdout sha256, {written file: sha256})
+GOLDEN = [
+    # README examples
+    (["inv", "--front", "L1 L2 X3 X3 X3 R2 R1"], 0,
+     "71090d36d6bd2a8e8b2e196166b9999afe89933b506d2762182d8b6deac42d82", {}),
+    (["rulings", "--front", "L1 L2 X3 X3 X3 R2 R1", "--graded"], 0,
+     "5f9f875db399ea1ad5114f39a891427b9c17bd4fe2c213f1705797e7f8b07aa6", {}),
+    (["move", "--front", "L1 R1", "--move", "R1a 1 1", "--gf"], 0,
+     "11a246edd4d9bd83797cb4b7b75f8996941b739e07d63f47db2dece0916fc081", {}),
+    (["wh", "--front", "L1 R1", "--out", "wh.trace"], 0,
+     "3ced316a8bb497b330a4bea94eac3c2fc4c4b57a2fdcc8aaa126afb20690055c",
+     {"wh.trace":
+      "3a02fdcc66bdb6661cf3f8212e3da4edf82dd3eb56f075041b397a6fc6d0765a"}),
+    (["trace", "wh.trace", "--gf"], 0,
+     "d6a8548738410b9a41212947ca38b6344beda0b51fb79cb86269c5f1007bf727", {}),
+    (["braid", "--strands", "3", "--word", "2,1", "--fill"], 0,
+     "f88121cee2c2faded777377c0b7f3735a1b73b2ea87f82a5be09b7c41341c039",
+     {"braid.trace":
+      "70985fd36c00b5ddeaf59b7c8bd2b6493f6a8223969bfc66f8083c7a00cbc338"}),
+    (["tb", "--dim", "1", "--poly", "2 + t"], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", {}),
+    (["compat", "--dim", "3", "--poly", "t^3 + t^2 + 1"], 0,
+     "f2f6e404f84b04d6f09437b0e5925321f1259825a45055d3b9a6220b2ccf85c8", {}),
+    (["plan", "--dim", "3", "--poly", "t^3 + t^2"], 0,
+     "d53cad7b77a8a108aad3b6d37ff0f17e2ef743ee7117b40c9f4144ad3b8763c6", {}),
+    (["plan", "--dim", "3", "--poly", "t^3 + t^2", "--out", "plan.json"], 0,
+     "d53cad7b77a8a108aad3b6d37ff0f17e2ef743ee7117b40c9f4144ad3b8763c6",
+     {"plan.json":
+      "d53cad7b77a8a108aad3b6d37ff0f17e2ef743ee7117b40c9f4144ad3b8763c6"}),
+    (["plan", "--verify", "plan.json"], 0,
+     "09d93ca0a125239ef292317439b10bcf7e381bfc62d5fe9c15ba2a446880c0c9", {}),
+    (["gf-front", "--family", "unknot", "--svg", "front.svg"], 0,
+     "45c798c11acf6c7c02a7e888018843a08191e7a0605538421e1c73064b505c72",
+     {"front.svg":
+      "cee2353e4a6db74ef7b37a9e281d861ffc52eb2275502306c0b465ed94de2df8"}),
+    (["gf-chords", "--family", "stacked-pair"], 0,
+     "977e053335158ebe8569ffb590513f43df1585e0a882c986adaf8502f01e3d2c", {}),
+    (["gf-spin", "--family", "unknot", "--out", "saucer.gf"], 0,
+     "32601e587afd3084920547a821064e639e510dfb44b8683ce9959e8115118c5e",
+     {"saucer.gf":
+      "32601e587afd3084920547a821064e639e510dfb44b8683ce9959e8115118c5e"}),
+    (["gf-check", "--family", "unknot", "--embedded"], 0,
+     "4629ae5119ad0b5cde48b19b5acc332d7e964bc2642677fd7ae9befb0c5a92b1", {}),
+    # braid fillings and their replays
+    (["trace", "braid.trace", "--gf"], 0,
+     "2679e3c5cec3a39992eab69e055fd86ceb56a9f2db69d2ce05b710320829f504", {}),
+    (["braid", "--strands", "5", "--word", "1,4,2,3,1,2,4", "--fill", "--out",
+      "b5.trace", "--svg", "b5.svg"], 0,
+     "625e69a37945e78645371e9d6eb95f4bec808fa7c1ae6176ebdb5fd8d151f6cc",
+     {"b5.svg":
+      "ad3bba9790c6a5ba42340bfd364b71af26fb948d5d17e7184e3933b5aaa0b846",
+      "b5.trace":
+      "5c9f79f12187141a40d885c661db3af64f155e94bf6d9a7c7505871a24c2836e"}),
+    (["trace", "b5.trace", "--gf", "--json"], 0,
+     "d020d57bfa0822498ed3947dd22ddb4d361fed8df10470c572b42da1c1f1720d", {}),
+    # clasped double of the trefoil and its replay
+    (["wh", "--front", "L1 L2 X3 X3 X3 R2 R1", "--out", "tre.trace", "--svg",
+      "tre.svg", "--json"], 0,
+     "f1a73dbf93e6d82772ad915e5cd20aee846e621b095c84b1c041beb6c1002f4b",
+     {"tre.svg":
+      "eb9889586cb4cd1ae72b5113be66196a6720d756325ba54a4e59a9dbee49c2d2",
+      "tre.trace":
+      "f90bd42d289a360dc73c8794bd835494c0961b37ae4085892d7c3b4f28c16dc9"}),
+    (["trace", "tre.trace", "--gf"], 0,
+     "52c8a9e6a6c93dfda8e2de81020051a50530ee3cc44c6350f7c1cee3277d895c", {}),
+    # one dimension-8 compat/plan pair
+    (["compat", "--dim", "8", "--poly", POLY8], 0,
+     "a1c3114c69b3a7908c09e24e6f5170bf5703d389a476301a4b5a3fc0fce8b2dd", {}),
+    (["plan", "--dim", "8", "--poly", POLY8, "--out", "plan8.json"], 0,
+     "e174f0480d3601a933d9ecb45730ac9c4964eeb9be6cc298d29d3cd7481f6658",
+     {"plan8.json":
+      "e174f0480d3601a933d9ecb45730ac9c4964eeb9be6cc298d29d3cd7481f6658"}),
+    # rulings of a nine-crossing twist front
+    (["rulings", "--front", TWIST9], 0,
+     "e49f9b83b43786cbdda217d38fee0d07a7fb1513bbac8ece855e0932d4a594b8", {}),
+    (["rulings", "--front", TWIST9, "--graded", "--json"], 0,
+     "a17bd51c545d1ea8dcf1eb56ebbcc7b961b625673e39f0b5585007da641a60c5", {}),
+]
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_golden(capsys):
+    """Run every GOLDEN command in the current directory and return
+    the same rows with the observed code and digests."""
+    out = []
+    for argv, _, _, _ in GOLDEN:
+        before = {f: os.stat(f).st_mtime_ns for f in os.listdir(".")}
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        written = {f: _sha(open(f, "rb").read())
+                   for f in sorted(os.listdir("."))
+                   if before.get(f) != os.stat(f).st_mtime_ns}
+        out.append((argv, code, _sha(stdout.encode()), written))
+    return out
+
+
+def test_golden_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_golden(capsys) == GOLDEN

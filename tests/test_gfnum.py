@@ -5,7 +5,7 @@ import pytest
 
 from legcob.errors import DomainError
 from legcob.gfnum import (
-    CompositeFamily, GeneratingFamily, embeddedness_check,
+    MAX_GRID_SAMPLES, CompositeFamily, GeneratingFamily, embeddedness_check,
     fiber_critical_set, fiber_regularity_margin, fish_family,
     format_gf_file, immersed_filling_family, linear_family, parse_gf_file,
     reeb_chords, scaled_unknot_family, shifted_unknot_family, smoothstep,
@@ -296,6 +296,21 @@ def test_filling_linear_and_adversarial():
     fil = immersed_filling_family(adv, t_plus=3.0)
     assert all(fil.report["conditions"].values())
     assert fil.report["regularity_margin"] > 1e-6
+
+
+def test_family_rejects_non_finite_radius():
+    # a gf-file with R=nan used to reach numpy's arange and fail there
+    core = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3", ["x1", "e1"])
+    for R in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="cutoff radius"):
+            GeneratingFamily(1, 1, core, [-30.0], R)
+
+
+def test_grid_cap_admits_the_saucer_at_the_default_step():
+    # the saucer's seed grid at step h has (12 / h + 1)^3 samples
+    assert 241 ** 3 <= MAX_GRID_SAMPLES < 344 ** 3
+    with pytest.raises(DomainError, match="too fine"):
+        fiber_critical_set(spin(unknot_family()), step=0.035)
 
 
 def test_filling_rejects_small_t_plus():

@@ -24,7 +24,8 @@ def test_trefoil_rulings_frozen():
     d = parse_front(TREFOIL)
     assert enumerate_rulings(d) == [(2,), (2, 3, 4), (4,)]
     assert enumerate_rulings(d, graded=True) == [(2,), (2, 3, 4), (4,)]
-    assert ruling_polynomial(d) == LaurentPoly({0: 2, 2: 1})
+    assert ruling_polynomial(d, enumerate_rulings(d)) == \
+        LaurentPoly({0: 2, 2: 1})
 
 
 def test_trefoil_rulings_match_filtered_brute_force():
