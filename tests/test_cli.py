@@ -84,6 +84,50 @@ def test_plan_verify_rejects_tampering(tmp_path, capsys):
     assert "does not re-validate" in out
 
 
+def _verify_plan(tmp_path, capsys, doc):
+    plan_file = tmp_path / "hand.json"
+    plan_file.write_text(json.dumps(doc))
+    return run(["plan", "--verify", str(plan_file)], capsys)
+
+
+def test_plan_verify_rejects_hopf_link_block(tmp_path, capsys):
+    # the planner never emits a HopfLink block, so the kind is gone
+    rc, out = _verify_plan(tmp_path, capsys, {
+        "n": 3, "target": "2t^3 + 2t",
+        "blocks": [{"kind": "HopfLink", "a": 1}]})
+    assert rc == 1
+    assert out.startswith("error: unknown block kind 'HopfLink'")
+
+
+def test_plan_verify_rejects_malformed_fields(tmp_path, capsys):
+    # each used to end in a traceback (ValueError, AttributeError,
+    # TypeError) instead of exit 1
+    good = {"n": 3, "target": "t^3 + t^2",
+            "blocks": [{"kind": "Manifold", "a": 2}]}
+    for key, bad in (("n", 3.5), ("n", "3"), ("n", True), ("target", 5),
+                     ("blocks", {"kind": "Saucer"}),
+                     ("blocks", [{"kind": "Manifold", "a": "x"}]),
+                     ("blocks", [{"kind": "Manifold", "a": 2.0}])):
+        rc, out = _verify_plan(tmp_path, capsys, dict(good, **{key: bad}))
+        assert rc == 1, (key, bad)
+        assert out.startswith("error: plan "), (key, bad)
+    rc, _ = _verify_plan(tmp_path, capsys, good)
+    assert rc == 0
+
+
+def test_gf_file_rejects_malformed_numbers(tmp_path, capsys):
+    # n=x and R=abc used to end in a ValueError traceback
+    good = {"n": "1", "N": "1", "core": "3*e1 - 3*x1^2*e1 - e1^3",
+            "tail": "-30*e1", "R": "3"}
+    gf = tmp_path / "bad.gf"
+    for key, bad in (("n", "x"), ("n", "1.5"), ("N", ""), ("R", "abc")):
+        fields = dict(good, **{key: bad})
+        gf.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        rc, out = run(["gf-chords", "--file", str(gf)], capsys)
+        assert rc == 1, (key, bad)
+        assert out.startswith(f"error: gf-file field {key}="), (key, bad)
+
+
 def test_inv_text_and_svg(tmp_path, capsys):
     svg = tmp_path / "trefoil.svg"
     rc, out = run(["inv", "--front", TREFOIL, "--svg", str(svg)], capsys)
@@ -126,6 +170,22 @@ def test_wh_contract(tmp_path, capsys):
     rc, out = run(["trace", str(trace_file), "--gf"], capsys)
     assert rc == 0
     assert grab(out, "genus") == "1"
+
+
+def test_wh_replays_its_trace_once(monkeypatch, capsys):
+    import legcob.moves as moves
+    calls = []
+    replay = moves._replay
+
+    def counted(trace):
+        calls.append(trace)
+        return replay(trace)
+
+    monkeypatch.setattr(moves, "_replay", counted)
+    rc, out = run(["wh", "--front", "L1 R1"], capsys)
+    assert rc == 0
+    assert grab(out, "genus") == "1"
+    assert len(calls) == 1
 
 
 def test_wh_gf_gate(capsys):

@@ -1,8 +1,8 @@
 """Golden outputs: the sha256 of stdout and of every written file.
 
-The commands are the README examples plus braid fillings, a clasped
-double with its trace replays, one dimension-8 compat/plan pair and the
-rulings of a nine-crossing twist front.  They run in order in one work
+The commands are the README examples plus braid fillings, clasped
+doubles (one with its trace replay), one dimension-8 compat/plan pair
+and the rulings of a nine-crossing twist front.  They run in order in one work
 directory, so later commands read the traces and plans written earlier.
 A refactor that changes any output byte, or any trace move, fails here.
 """
@@ -13,6 +13,8 @@ import os
 from legcob.cli import main
 
 TWIST9 = "L1 L2 " + "X3 " * 9 + "R2 R1"
+ZIGZAG = "L1 L2 R1 L1 R2 R1"
+BRAID_BASE = "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"
 POLY8 = "t^8 + 5t^7 + 4t^6 + 3t^5 + 6t^4 + 2t^3 + 3t^2 + 4t + 5"
 
 # (argv, exit code, stdout sha256, {written file: sha256})
@@ -80,6 +82,20 @@ GOLDEN = [
       "f90bd42d289a360dc73c8794bd835494c0961b37ae4085892d7c3b4f28c16dc9"}),
     (["trace", "tre.trace", "--gf"], 0,
      "52c8a9e6a6c93dfda8e2de81020051a50530ee3cc44c6350f7c1cee3277d895c", {}),
+    # clasped doubles of the zigzag, the twist front with nine crossings
+    # and a braid closure: their trace files pin the move search
+    (["wh", "--front", ZIGZAG, "--out", "zz.trace"], 0,
+     "a2f9fbf1019059c0d03aa23e05f675f39981f7ad9e3772f76f03051346d94969",
+     {"zz.trace":
+      "e02599776095af9d375847d29672f2e4bff8abb42f3582c802b27cd71b0e2020"}),
+    (["wh", "--front", TWIST9, "--out", "tw9.trace"], 0,
+     "5aece3f3071d1ea56dbdda1a411f8bd957fc0b216238bd14e7d7a0018d311725",
+     {"tw9.trace":
+      "427046150ebfb736f39ab85ed7ea70cd00a9fe7968a42f2dc38b1a518c1db985"}),
+    (["wh", "--front", BRAID_BASE, "--out", "bb.trace"], 0,
+     "6ab5474bcfb24b92ff9ee6c1235f28594b1532fe21b6cb8746ca1387dfed6160",
+     {"bb.trace":
+      "8c8ec9a652f8f3610c12af5f9f502e38caf6dbb4069cf9edd29783dd4eb56fef"}),
     # one dimension-8 compat/plan pair
     (["compat", "--dim", "8", "--poly", POLY8], 0,
      "a1c3114c69b3a7908c09e24e6f5170bf5703d389a476301a4b5a3fc0fce8b2dd", {}),

@@ -12,7 +12,6 @@ from legcob.laurent import LaurentPoly, is_connected_form, parse_poly, tb_from_p
 def test_block_polynomials():
     assert str(Block("Saucer", 4).gamma) == "t^4"
     assert str(Block("Manifold", 3, 2).gamma) == "t^3 + t^2"
-    assert str(Block("HopfLink", 3, 1).gamma) == "2t^3 + 2t"
     assert str(Block("Sphere", 3, 4).gamma) == "t^4 + t^3 + t^(-2)"
     assert str(Block("Sphere", 5, 2).gamma) == "t^5 + t^2 + t^2".replace(
         "t^2 + t^2", "2t^2")
@@ -23,8 +22,6 @@ def test_block_validation():
         Block("Saucer", 3, 1)
     with pytest.raises(DomainError, match="in 1..2"):
         Block("Manifold", 3, 3)
-    with pytest.raises(DomainError, match="avoid 0 and 2"):
-        Block("HopfLink", 3, 2)
     with pytest.raises(DomainError, match="unknown block kind"):
         Block("Torus", 3, 1)
 

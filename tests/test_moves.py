@@ -5,12 +5,16 @@ import pytest
 
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, parse_front
-from legcob.moves import (CobordismTrace, apply_move, format_move,
-                          format_trace, isotopy_candidates, parse_move,
-                          parse_trace, trace_summary)
+from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, apply_move,
+                          format_move, format_trace, invert_move,
+                          isotopy_candidates, parse_move, parse_trace,
+                          trace_summary)
 from legcob.rulings import enumerate_rulings
+from legcob.whitehead import whitehead_diagram
 
 TREFOIL = "L1 L2 X3 X3 X3 R2 R1"
+ZIGZAG = "L1 L2 R1 L1 R2 R1"
+PAST_DYING_PAIR = "L1 L3 L3 X4 X2 R1 R1 L1 L1 X2 X4 R3 L5 R3 X2 R1 R1"
 
 
 def test_move_parse_format_round_trip():
@@ -217,7 +221,9 @@ def test_random_isotopies_preserve_invariants():
         base = classical_invariants(d)
         base_rulings = _graded_ruling_count(d)
         for _ in range(60):
-            cands = isotopy_candidates(d)
+            fish = None if len(d.crossings) < 12 else ()
+            cands = list(isotopy_candidates(d, (0, len(d.events)),
+                                            ISOTOPY_KINDS, fish))
             rng.shuffle(cands)
             for move in cands:
                 try:
@@ -232,3 +238,37 @@ def test_random_isotopies_preserve_invariants():
             assert inv["rotation"] == base["rotation"]
             assert inv["components"] == base["components"]
             assert _graded_ruling_count(d) == base_rulings
+
+
+def test_invert_move_is_faithful():
+    """Every applicable isotopy candidate, pinch and merge pinch, then
+    its inverse, gives back the same word; so does the inverse followed
+    by its own inverse, which covers the removals (R1a-, R2u-, ...).
+    The braid closure holds the only triangle (R3); the last front, met
+    in the tongue walk of the trefoil's double, has a commute past a
+    dying pair that only the other placement undoes."""
+    kinds = set()
+    for d in (parse_front(TREFOIL), parse_front(ZIGZAG),
+              whitehead_diagram(parse_front("L1 R1")),
+              parse_front("L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"),
+              parse_front(PAST_DYING_PAIR)):
+        n = len(d.events)
+        cands = list(isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None))
+        cands += [("P", s, h) for s in range(n + 1)
+                  for h in range(1, len(d.stacks[s]))]
+        cands += [("PM", e) for e in range(n - 1)]
+        for move in cands:
+            try:
+                after = apply_move(d, move)
+            except DomainError:
+                continue
+            inverse = invert_move(d, move, after)
+            back = apply_move(after, inverse)
+            assert back.word == d.word, (d.word, move)
+            again = invert_move(after, inverse, back)
+            assert apply_move(back, again).word == after.word, (d.word, move)
+            kinds |= {move[0], inverse[0]}
+    assert kinds == set(ISOTOPY_KINDS) | {"R1a", "R1b", "P", "PM"}
+    d = parse_front(PAST_DYING_PAIR)
+    after = apply_move(d, ("C", 12))
+    assert invert_move(d, ("C", 12), after) == ("Ch", 12)
