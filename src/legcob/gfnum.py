@@ -1,11 +1,23 @@
 """Numerical laboratory for linear-at-infinity generating families.
 
 A family f(x, eta) on R^n x R^N is stored as a polynomial core, a
-nonzero linear tail A(eta), and a cutoff radius R: f equals the core
-inside the ball of radius R, equals A(eta) outside radius 2R, and is
-glued on the collar by the standard exp(-1/s) smoothstep.  First
-derivatives are analytic everywhere (core, tail, and bump terms);
-second derivatives are central differences of the analytic gradient.
+nonzero linear tail A(eta), and a cutoff radius R.  With r = |(x, eta)|
+it has three regions:
+
+- the core, r <= R, where f is the core polynomial;
+- the collar, R < r < 2R, where the exp(-1/u) smoothstep s(u),
+  u = (r - R) / R, glues the core to the tail:
+  f = core + s (A - core);
+- the tail, r >= 2R, where f is exactly A(eta), so d_eta f is the
+  nonzero constant tail and no fiber-critical point, front point or
+  chord lies there.
+
+Evaluation follows the regions: the blend's exponentials are only
+taken on the collar, the gradient's collar term evaluates the core
+only off the core region, and the fiber solve's seed scan only
+evaluates d_eta f at the grid points inside radius 2R.  First derivatives are analytic
+everywhere (core, tail, and bump terms); second derivatives are
+central differences of the analytic gradient.
 
 The operations follow the front/chord dictionary: the fiber-critical
 set {d_eta f = 0} projects to the front via (x, d_x f, f), and the
@@ -32,34 +44,30 @@ from .mpoly import MultiPoly, parse_mpoly
 
 # --- smoothstep -------------------------------------------------------
 
-def _bump(u):
+def _smoothstep_pair(u):
+    """(s, s') of the exp(-1/u) smoothstep: s = 0 for u <= 0 and 1 for
+    u >= 1, with s' = 0 on both; on 0 < u < 1 both come from one pair
+    of exponentials, b1 = exp(-1/u) and b2 = exp(-1/(1-u))."""
     u = np.asarray(u, float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
-def _bump_d(u):
-    u = np.asarray(u, float)
-    out = np.zeros_like(u)
-    pos = u > 1e-12
-    out[pos] = np.exp(-1.0 / u[pos]) / u[pos] ** 2
-    return out
+    s = np.where(u >= 1.0, 1.0, 0.0)
+    sd = np.zeros_like(u)
+    on = (u > 0.0) & (u < 1.0)
+    v = u[on]
+    w = 1.0 - v
+    b1 = np.exp(-1.0 / v)
+    b2 = np.exp(-1.0 / w)
+    s[on] = b1 / (b1 + b2)
+    sd[on] = (b1 / v ** 2 * b2 + b1 * (b2 / w ** 2)) / (b1 + b2) ** 2
+    return s, sd
 
 
 def smoothstep(u):
     """0 for u <= 0, 1 for u >= 1, smooth exp-based blend between."""
-    b1 = _bump(u)
-    b2 = _bump(1.0 - np.asarray(u, float))
-    return b1 / (b1 + b2)
+    return _smoothstep_pair(u)[0]
 
 
 def smoothstep_d(u):
-    b1, b2 = _bump(u), _bump(1.0 - np.asarray(u, float))
-    db1, db2 = _bump_d(u), _bump_d(1.0 - np.asarray(u, float))
-    return (db1 * b2 + b1 * db2) / (b1 + b2) ** 2
+    return _smoothstep_pair(u)[1]
 
 
 # --- linear algebra ---------------------------------------------------
@@ -106,6 +114,15 @@ def _newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
 
 
 # --- families ---------------------------------------------------------
+
+def _sq(A):
+    """Row sums of squares of a one- or two-column array, column by
+    column."""
+    out = A[:, 0] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = out + A[:, j] * A[:, j]
+    return out
+
 
 class _Family:
     """What a family with a linear tail and a cutoff radius R derives
@@ -160,10 +177,20 @@ class GeneratingFamily(_Family):
         return [X[:, i] for i in range(self.n)] \
             + [E[:, j] for j in range(self.N)]
 
+    def near(self, X, E):
+        """Mask (len(X), len(E)) of the pairs (x, eta) with r < 2R: the
+        only pairs at which the family can differ from its tail."""
+        rsq = _sq(X)[:, None] + _sq(E)[None, :]
+        return rsq < self.extent() ** 2
+
     def _blend(self, X, E):
-        r = np.sqrt((X * X).sum(axis=1) + (E * E).sum(axis=1))
+        """r, the blend s and its radial derivative s'(r) = s'(u) / R at
+        u = (r - R) / R: 0 and 0 in the core r <= R, 1 and 0 beyond 2R;
+        the exponentials are only taken on the collar rows between."""
+        r = np.sqrt(_sq(X) + _sq(E))
         u = (r - self.R) / self.R
-        return r, smoothstep(u), smoothstep_d(u) / self.R
+        s, sd = _smoothstep_pair(u)
+        return r, s, sd / self.R
 
     def value(self, X, E):
         X, E = np.asarray(X, float), np.asarray(E, float)
@@ -172,32 +199,50 @@ class GeneratingFamily(_Family):
         return core_v + s * (self.tail_value(E) - core_v)
 
     def _collar(self, X, E):
-        """Pieces both gradients share: the variable columns, the blend
+        """Pieces all gradients share: the variable columns, the blend
         s, and the collar factor s'(r) (A - core) / r that multiplies
-        each coordinate."""
+        each coordinate.  The factor is zero where s' is, so the core
+        value is only evaluated where s' != 0, and where s = 1: there
+        the factor is a signed zero that decides the sign of grad_x's
+        zero, (1 - s) d_x core + factor * x."""
         cols = self._cols(X, E)
-        core_v = self.core.evaluate(cols)
         r, s, sd = self._blend(X, E)
-        inv_r = np.where(r > 0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        return cols, s, sd * inv_r * (self.tail_value(E) - core_v)
+        collar = np.zeros_like(r)
+        on = (sd != 0.0) | (s == 1.0)
+        if on.any():
+            Xo, Eo = X[on], E[on]
+            core_v = self.core.evaluate(self._cols(Xo, Eo))
+            collar[on] = sd[on] * (1.0 / r[on]) \
+                * (self.tail_value(Eo) - core_v)
+        return cols, s, collar
 
-    def grad_x(self, X, E):
-        X, E = np.asarray(X, float), np.asarray(E, float)
-        cols, s, collar = self._collar(X, E)
+    def _grad_x(self, X, cols, s, collar):
         out = np.empty_like(X)
         for i in range(self.n):
             out[:, i] = (1.0 - s) * self._dx[i].evaluate(cols) \
                 + collar * X[:, i]
         return out
 
-    def grad_eta(self, X, E):
-        X, E = np.asarray(X, float), np.asarray(E, float)
-        cols, s, collar = self._collar(X, E)
+    def _grad_eta(self, E, cols, s, collar):
         out = np.empty_like(E)
         for j in range(self.N):
             out[:, j] = ((1.0 - s) * self._de[j].evaluate(cols)
                          + s * self.tail[j] + collar * E[:, j])
         return out
+
+    def grad_x(self, X, E):
+        X, E = np.asarray(X, float), np.asarray(E, float)
+        return self._grad_x(X, *self._collar(X, E))
+
+    def grad_eta(self, X, E):
+        X, E = np.asarray(X, float), np.asarray(E, float)
+        return self._grad_eta(E, *self._collar(X, E))
+
+    def gradient(self, X, E):
+        """(grad_x, grad_eta) from one collar evaluation."""
+        X, E = np.asarray(X, float), np.asarray(E, float)
+        pieces = self._collar(X, E)
+        return self._grad_x(X, *pieces), self._grad_eta(E, *pieces)
 
     def __repr__(self):
         return (f"GeneratingFamily(n={self.n}, N={self.N}, "
@@ -249,6 +294,13 @@ class CompositeFamily(_Family):
             total = total + fam.value(X, El) - fam.tail_value(El)
         return total
 
+    def near(self, X, E):
+        """Union of the parts' masks, each around its fiber center."""
+        out = np.zeros((len(X), len(E)), bool)
+        for fam, center in self.parts:
+            out |= fam.near(X, E - np.asarray(center))
+        return out
+
     def grad_x(self, X, E):
         X, E = np.asarray(X, float), np.asarray(E, float)
         out = np.zeros_like(X)
@@ -263,6 +315,17 @@ class CompositeFamily(_Family):
             out += fam.grad_eta(X, E - np.asarray(center)) \
                 - np.asarray(fam.tail)
         return out
+
+    def gradient(self, X, E):
+        """(grad_x, grad_eta) from one collar evaluation per part."""
+        X, E = np.asarray(X, float), np.asarray(E, float)
+        gx = np.zeros_like(X)
+        ge = np.tile(np.asarray(self.tail, float), (len(E), 1))
+        for fam, center in self.parts:
+            px, pe = fam.gradient(X, E - np.asarray(center))
+            gx += px
+            ge += pe - np.asarray(fam.tail)
+        return gx, ge
 
     def __repr__(self):
         return (f"CompositeFamily(n={self.n}, N={self.N}, "
@@ -454,8 +517,10 @@ def _x_grid(fam, step):
 def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
     """eta roots of grad_eta over each x row: grid seeds, then Newton.
 
-    N = 1 seeds at the sign changes along the eta grid, N = 2 wherever
-    |grad_eta| is small on the grid.  Rows that stall on a singular
+    grad_eta is only evaluated at the grid pairs (x, eta) the family's
+    near mask keeps; at every other pair it is exactly the tail.  N = 1
+    seeds at the sign changes along the eta grid, N = 2 at the near
+    pairs where |grad_eta| is small.  Rows that stall on a singular
     Jacobian (fold points) are rejected.
     """
     ext = fam.extent()
@@ -470,11 +535,13 @@ def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
     chunk = max(1, 200000 // me)
     for lo in range(0, len(xs), chunk):
         xc = xs[lo:lo + chunk]
-        X = np.repeat(xc, me, axis=0)
-        E = np.tile(eta_grid, (len(xc), 1))
-        g = fam.grad_eta(X, E)
+        rows, cols = np.nonzero(fam.near(xc, eta_grid))
+        Xn = np.take(xc, rows, axis=0)
+        En = np.take(eta_grid, cols, axis=0)
+        gn = fam.grad_eta(Xn, En)
         if fam.N == 1:
-            g = g[:, 0].reshape(len(xc), me)
+            g = np.full((len(xc), me), fam.tail[0])
+            g[rows, cols] = gn[:, 0]
             ga, gb = g[:, :-1], g[:, 1:]
             hit = np.sign(ga) * np.sign(gb) <= 0
             hit &= ~((ga == 0) & (gb == 0))
@@ -485,8 +552,10 @@ def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
             Xs = xc[rows]
             Es = (es[cols] + np.clip(frac, 0.0, 1.0) * step).reshape(-1, 1)
         else:
-            pick = np.abs(g).max(axis=1) < 4.0 * step
-            Xs, Es = X[pick], E[pick]
+            # Only near pairs can seed: off the mask grad_eta is the
+            # constant tail, where Newton stalls on a zero Jacobian.
+            pick = np.abs(gn).max(axis=1) < 4.0 * step
+            Xs, Es = Xn[pick], En[pick]
         if not len(Xs):
             continue
         Es, ok, stuck = _newton(lambda P: fam.grad_eta(Xs, P), Es, 60,
@@ -576,11 +645,9 @@ def _diff_gradient(fam, pts):
     X = pts[:, :n]
     E1 = pts[:, n:n + N]
     E2 = pts[:, n + N:]
-    return np.concatenate([
-        fam.grad_x(X, E2) - fam.grad_x(X, E1),
-        -fam.grad_eta(X, E1),
-        fam.grad_eta(X, E2),
-    ], axis=1)
+    gx1, ge1 = fam.gradient(X, E1)
+    gx2, ge2 = fam.gradient(X, E2)
+    return np.concatenate([gx2 - gx1, -ge1, ge2], axis=1)
 
 
 def _diff_value(fam, pts):

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from legcob.braids import BraidWord, closure_report, positive_braid_closure
+from legcob.cli import main
 from legcob.errors import DomainError
 from legcob.front import classical_invariants
 from legcob.moves import trace_summary
@@ -96,3 +98,25 @@ def test_tb_of_knot_closures_is_2g_minus_1():
         d, tr, genus = positive_braid_closure(b)
         assert classical_invariants(d)["tb"] == 2 * genus - 1
         done += 1
+
+
+def test_closure_cap_refuses_large_braids_quickly(capsys):
+    for argv in (["braid", "--strands", "100000", "--word", "1"],
+                 ["braid", "--strands", "2", "--word", ",".join(["1"] * 5000),
+                  "--fill"]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 2.0
+        assert "braid closure too large" in capsys.readouterr().out
+
+
+def test_closure_cap_boundary_and_admitted_sizes():
+    # one letter: 113 strands is the largest admitted closure
+    assert closure_report(BraidWord(113, [1]))["cycles"] == 112
+    with pytest.raises(DomainError, match="braid closure too large"):
+        closure_report(BraidWord(114, [1]))
+    with pytest.raises(DomainError, match="braid closure too large"):
+        positive_braid_closure(BraidWord(2, [1] * 432))
+    # the largest benchmark braids: 6 strands, 16 letters
+    rep = closure_report(BraidWord(6, [5] * 16))
+    assert rep["chi"] == 6 - 16

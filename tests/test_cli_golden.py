@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of stdout and of every written file.
 
 The commands are the README examples plus braid fillings, clasped
-doubles (one with its trace replay), one dimension-8 compat/plan pair
-and the rulings of a nine-crossing twist front.  They run in order in one work
+doubles (one with its trace replay), one dimension-8 compat/plan pair,
+the rulings of a nine-crossing twist front and the JSON documents of
+the generating-family commands.  They run in order in one work
 directory, so later commands read the traces and plans written earlier.
 A refactor that changes any output byte, or any trace move, fails here.
 """
@@ -108,6 +109,26 @@ GOLDEN = [
      "e49f9b83b43786cbdda217d38fee0d07a7fb1513bbac8ece855e0932d4a594b8", {}),
     (["rulings", "--front", TWIST9, "--graded", "--json"], 0,
      "a17bd51c545d1ea8dcf1eb56ebbcc7b961b625673e39f0b5585007da641a60c5", {}),
+    # generating-family JSON, every digit of every number: the chords of
+    # every built-in family, the fish front and the unknot's filling
+    (["gf-chords", "--family", "fish", "--json"], 0,
+     "e0697a7a4f0f7ae9d708ac868908f85e6e314723575623806a64983801cdefcb", {}),
+    (["gf-chords", "--family", "linear", "--json"], 0,
+     "87166ae3809a5daa2fd58731bc83032af4ab0c390f7c22a929588a461a420454", {}),
+    (["gf-chords", "--family", "saucer", "--step", "0.1", "--json"], 0,
+     "eea0868250f1a8414bbef4ad0ba0b4660ce942d3d161f33c577fe442794f320e", {}),
+    (["gf-chords", "--family", "scaled-unknot", "--json"], 0,
+     "52a7ceeb0e7d12380321cbda915cce5373815bf7a6c0ba4504a15cb29b123c57", {}),
+    (["gf-chords", "--family", "shifted-unknot", "--json"], 0,
+     "7529ed79d494976391061203361c89e65094ecba1db1c442f7c422252c8f5bca", {}),
+    (["gf-chords", "--family", "stacked-pair", "--json"], 0,
+     "5cb00867f5c52eda0c70160519edbb24b5ccb2b53e147ffc95028b42a6622c94", {}),
+    (["gf-chords", "--family", "unknot", "--json"], 0,
+     "f5c385c759da999c977d97fb88df8a5fc1704ac378293108ddf7e68ef4345139", {}),
+    (["gf-front", "--family", "fish", "--json"], 0,
+     "eb33a3ce55e781aaa2404e671b4c97db3194861d352c9d615cf9148736e1fdf7", {}),
+    (["gf-check", "--family", "unknot", "--embedded", "--json"], 0,
+     "5faf60c5a0b88fe4f8c0226e37271c82c5b4ec4aa2b6181d8bb70103388d5e6a", {}),
 ]
 
 

@@ -1,0 +1,329 @@
+"""gfnum's region-wise family evaluation against the formulas it
+replaced.
+
+The reference below evaluates everything on every row: the blend takes
+its exponentials everywhere (smoothstep and its derivative from four
+bump calls), the collar term evaluates the core on every row, and the
+fiber solve scans grad_eta over the full (x, eta) grid of each chunk.
+The fast code must agree exactly: np.array_equal, and the sign bits of
+zeros agree as well.  Grids straddle r = R and r = 2R, including the
+rows where the exponentials underflow.
+"""
+
+import numpy as np
+import pytest
+
+from legcob import gfnum
+from legcob.gfnum import (
+    CompositeFamily, FiberPoint, _newton, _x_grid, fiber_critical_set,
+    fish_family, linear_family, parse_gf_file, scaled_unknot_family,
+    shifted_unknot_family, spin, stacked_pair_family, unknot_family)
+
+# An n = 1, N = 2 family: no built-in family has two fiber variables.
+TWO_FIBER = ("n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 + e2^2\n"
+             "tail=-200*e1 + 3*e2\nR=3\n")
+# The same core with a tail below 4 step: every grid pair beyond 2R
+# passes the reference's N = 2 seed pick, and its Newton row stalls.
+SMALL_TAIL = TWO_FIBER.replace("-200*e1 + 3*e2", "0.05*e1 + 0.05*e2")
+
+
+# --- reference: every formula on every row ----------------------------
+
+def ref_bump(u):
+    u = np.asarray(u, float)
+    out = np.zeros_like(u)
+    pos = u > 0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-1.0 / u[pos])
+    return out
+
+
+def ref_bump_d(u):
+    u = np.asarray(u, float)
+    out = np.zeros_like(u)
+    pos = u > 1e-12
+    out[pos] = np.exp(-1.0 / u[pos]) / u[pos] ** 2
+    return out
+
+
+def ref_smoothstep(u):
+    b1 = ref_bump(u)
+    b2 = ref_bump(1.0 - np.asarray(u, float))
+    return b1 / (b1 + b2)
+
+
+def ref_smoothstep_d(u):
+    b1, b2 = ref_bump(u), ref_bump(1.0 - np.asarray(u, float))
+    db1, db2 = ref_bump_d(u), ref_bump_d(1.0 - np.asarray(u, float))
+    return (db1 * b2 + b1 * db2) / (b1 + b2) ** 2
+
+
+def ref_blend(fam, X, E):
+    r = np.sqrt((X * X).sum(axis=1) + (E * E).sum(axis=1))
+    u = (r - fam.R) / fam.R
+    return r, ref_smoothstep(u), ref_smoothstep_d(u) / fam.R
+
+
+def ref_value(fam, X, E):
+    if isinstance(fam, CompositeFamily):
+        total = fam.tail_value(E).astype(float)
+        for part, center in fam.parts:
+            El = E - np.asarray(center)
+            total = total + ref_value(part, X, El) - part.tail_value(El)
+        return total
+    core_v = fam.core.evaluate(fam._cols(X, E))
+    _, s, _ = ref_blend(fam, X, E)
+    return core_v + s * (fam.tail_value(E) - core_v)
+
+
+def ref_collar(fam, X, E):
+    cols = fam._cols(X, E)
+    core_v = fam.core.evaluate(cols)
+    r, s, sd = ref_blend(fam, X, E)
+    inv_r = np.where(r > 0, 1.0 / np.maximum(r, 1e-300), 0.0)
+    return cols, s, sd * inv_r * (fam.tail_value(E) - core_v)
+
+
+def ref_grad_x(fam, X, E):
+    if isinstance(fam, CompositeFamily):
+        out = np.zeros_like(X)
+        for part, center in fam.parts:
+            out += ref_grad_x(part, X, E - np.asarray(center))
+        return out
+    cols, s, collar = ref_collar(fam, X, E)
+    out = np.empty_like(X)
+    for i in range(fam.n):
+        out[:, i] = (1.0 - s) * fam._dx[i].evaluate(cols) + collar * X[:, i]
+    return out
+
+
+def ref_grad_eta(fam, X, E):
+    if isinstance(fam, CompositeFamily):
+        out = np.tile(np.asarray(fam.tail, float), (len(E), 1))
+        for part, center in fam.parts:
+            out += ref_grad_eta(part, X, E - np.asarray(center)) \
+                - np.asarray(part.tail)
+        return out
+    cols, s, collar = ref_collar(fam, X, E)
+    out = np.empty_like(E)
+    for j in range(fam.N):
+        out[:, j] = ((1.0 - s) * fam._de[j].evaluate(cols)
+                     + s * fam.tail[j] + collar * E[:, j])
+    return out
+
+
+def ref_solve_fiber(fam, xs, step, newton_tol, accept_tol):
+    ext = fam.extent()
+    es = np.arange(-ext, ext + step / 2.0, step)
+    if fam.N == 1:
+        eta_grid = es.reshape(-1, 1)
+    else:
+        E1, E2 = np.meshgrid(es, es, indexing="ij")
+        eta_grid = np.column_stack([E1.ravel(), E2.ravel()])
+    me = len(eta_grid)
+    found_x, found_e = [], []
+    chunk = max(1, 200000 // me)
+    for lo in range(0, len(xs), chunk):
+        xc = xs[lo:lo + chunk]
+        X = np.repeat(xc, me, axis=0)
+        E = np.tile(eta_grid, (len(xc), 1))
+        g = ref_grad_eta(fam, X, E)
+        if fam.N == 1:
+            g = g[:, 0].reshape(len(xc), me)
+            ga, gb = g[:, :-1], g[:, 1:]
+            hit = np.sign(ga) * np.sign(gb) <= 0
+            hit &= ~((ga == 0) & (gb == 0))
+            rows, cols = np.nonzero(hit)
+            denom = gb[rows, cols] - ga[rows, cols]
+            frac = np.where(np.abs(denom) > 1e-300, -ga[rows, cols]
+                            / np.where(denom == 0, 1, denom), 0.5)
+            Xs = xc[rows]
+            Es = (es[cols] + np.clip(frac, 0.0, 1.0) * step).reshape(-1, 1)
+        else:
+            pick = np.abs(g).max(axis=1) < 4.0 * step
+            Xs, Es = X[pick], E[pick]
+        if not len(Xs):
+            continue
+        Es, ok, stuck = _newton(lambda P: ref_grad_eta(fam, Xs, P), Es, 60,
+                                newton_tol, accept_tol)
+        ok &= ~stuck
+        found_x.append(Xs[ok])
+        found_e.append(Es[ok])
+    if not found_x:
+        return np.empty((0, fam.n)), np.empty((0, fam.N))
+    return np.concatenate(found_x), np.concatenate(found_e)
+
+
+def ref_fiber_critical_set(fam, step, newton_tol=1e-12, accept_tol=1e-9):
+    X, E = ref_solve_fiber(fam, _x_grid(fam, step), step, newton_tol,
+                           accept_tol)
+    points = []
+    if len(X):
+        Z = ref_value(fam, X, E)
+        P = ref_grad_x(fam, X, E)
+        seen = set()
+        for i in range(len(X)):
+            key = (tuple(np.round(X[i], 9)), tuple(np.round(E[i], 7)))
+            if key not in seen:
+                seen.add(key)
+                points.append(FiberPoint(tuple(X[i]), tuple(E[i]),
+                                         float(Z[i]), tuple(P[i])))
+    points.sort(key=lambda q: (q.x, q.eta))
+    return points
+
+
+# --- grids straddling r = R and r = 2R --------------------------------
+
+def _radii(R):
+    """Radii from 0 to 2.5 R, plus R and 2R with their float
+    neighbours, and the edges where exp(-1/u) and exp(-1/(1-u))
+    underflow (u about 1/745 and 1 - 1/745)."""
+    out = list(np.linspace(0.0, 2.5 * R, 211))
+    for edge in (R, 2.0 * R, R * (1 + 1 / 745), R * (2 - 1 / 745),
+                 R * (1 + 1e-12), R * (2 - 1e-15)):
+        out.append(edge)
+        lo = hi = edge
+        for _ in range(3):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+def _directions(dim, count, rng):
+    d = rng.normal(size=(count, dim))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    # axis directions too, so coordinates that are exactly zero occur
+    return np.concatenate([d, np.eye(dim), -np.eye(dim)])
+
+
+def straddling_grid(fam, seed=0):
+    """(X, E) rows on spheres about the origin, and for a composite
+    also about each part's fiber center, at the radii of _radii."""
+    rng = np.random.default_rng(seed)
+    dim = fam.n + fam.N
+    if isinstance(fam, CompositeFamily):
+        centers = [(part.R, np.array((0.0,) * fam.n + center))
+                   for part, center in fam.parts]
+    else:
+        centers = [(fam.R, np.zeros(dim))]
+    rows = []
+    for R, center in centers:
+        dirs = _directions(dim, 24, rng)
+        rows.append((dirs[:, None, :] * _radii(R)[None, :, None]
+                     ).reshape(-1, dim) + center)
+    P = np.concatenate(rows)
+    return np.ascontiguousarray(P[:, :fam.n]), \
+        np.ascontiguousarray(P[:, fam.n:])
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+EVAL_FAMILIES = {
+    "unknot (n=1, N=1)": unknot_family,
+    "fish (n=1, N=1)": fish_family,
+    "saucer (n=2, N=1)": lambda: spin(unknot_family()),
+    "gf-file (n=1, N=2)": lambda: parse_gf_file(TWO_FIBER),
+    "stacked-pair (composite)": stacked_pair_family,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_FAMILIES))
+def test_evaluations_match_reference(name):
+    fam = EVAL_FAMILIES[name]()
+    X, E = straddling_grid(fam)
+    assert _same(fam.value(X, E), ref_value(fam, X, E))
+    gx, ge = ref_grad_x(fam, X, E), ref_grad_eta(fam, X, E)
+    assert _same(fam.grad_x(X, E), gx)
+    assert _same(fam.grad_eta(X, E), ge)
+    fx, fe = fam.gradient(X, E)
+    assert _same(fx, gx) and _same(fe, ge)
+    # the same rows as strided views of one array, as the chord Newton
+    # passes them
+    P = np.concatenate([X, E, E[::-1]], axis=1)
+    Xv, Ev = P[:, :fam.n], P[:, fam.n:fam.n + fam.N]
+    assert _same(fam.grad_x(Xv, Ev), gx)
+    assert _same(fam.gradient(Xv, Ev)[1], ge)
+
+
+def test_smoothstep_matches_reference():
+    us = np.concatenate([np.linspace(-0.5, 1.5, 2001),
+                         [0.0, 1.0, 1e-13, 1e-12, 1 / 745, 1 - 1 / 745,
+                          1 - 1e-13, np.nextafter(1.0, 0.0)]])
+    assert _same(gfnum.smoothstep(us), ref_smoothstep(us))
+    assert _same(gfnum.smoothstep_d(us), ref_smoothstep_d(us))
+    for t in (-1.0, 0.0, 0.3, 1.0, 2.0):
+        assert float(gfnum.smoothstep(t)) == float(ref_smoothstep(t))
+
+
+def test_near_mask_covers_where_the_family_differs_from_its_tail():
+    for name in sorted(EVAL_FAMILIES):
+        fam = EVAL_FAMILIES[name]()
+        X, E = straddling_grid(fam, seed=1)
+        near = np.array([fam.near(X[i:i + 1], E[i:i + 1])[0, 0]
+                         for i in range(len(X))])
+        far_g = fam.grad_eta(X[~near], E[~near])
+        assert np.array_equal(far_g, np.tile(fam.tail, (len(far_g), 1)))
+
+
+FIBER_CASES = {
+    "unknot": (unknot_family, 0.05),
+    "scaled-unknot": (scaled_unknot_family, 0.05),
+    "shifted-unknot": (shifted_unknot_family, 0.05),
+    "linear": (linear_family, 0.05),
+    "fish": (fish_family, 0.05),
+    "stacked-pair": (stacked_pair_family, 0.05),
+    "saucer": (lambda: spin(unknot_family()), 0.1),
+    "gf-file N=2": (lambda: parse_gf_file(TWO_FIBER), 0.1),
+    "gf-file N=2, small tail": (lambda: parse_gf_file(SMALL_TAIL), 0.5),
+}
+
+
+def _rows(points):
+    return [repr((q.x, q.eta, q.z, q.p)) for q in points]
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_CASES))
+def test_fiber_critical_set_matches_reference(name):
+    make, step = FIBER_CASES[name]
+    fam = make()
+    got = fiber_critical_set(fam, step)
+    want = ref_fiber_critical_set(fam, step)
+    assert _rows(got) == _rows(want)
+    if name != "linear":
+        assert got
+
+
+def test_seed_scan_evaluates_only_near_pairs(monkeypatch):
+    """Outside Newton, grad_eta sees exactly the grid pairs inside
+    radius 2R, each once."""
+    fam = spin(unknot_family())
+    step = 0.2
+    scanned, in_newton = [], [False]
+    grad_eta, newton = fam.grad_eta, gfnum._newton
+
+    def spy_grad_eta(X, E):
+        if not in_newton[0]:
+            scanned.append(np.concatenate([X, E], axis=1))
+        return grad_eta(X, E)
+
+    def spy_newton(*args, **kwargs):
+        in_newton[0] = True
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            in_newton[0] = False
+
+    monkeypatch.setattr(fam, "grad_eta", spy_grad_eta)
+    monkeypatch.setattr(gfnum, "_newton", spy_newton)
+    fiber_critical_set(fam, step)
+    rows = np.concatenate(scanned)
+    r2 = (rows * rows).sum(axis=1)
+    assert np.all(r2 < fam.extent() ** 2)
+    axis = np.arange(-fam.extent(), fam.extent() + step / 2.0, step)
+    g = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    assert len(rows) == int(((g * g).sum(-1) < fam.extent() ** 2).sum())
+    assert len(np.unique(rows, axis=0)) == len(rows)
