@@ -18,7 +18,6 @@ arc running from its left cusp to its right cusp.
 """
 
 import re
-from math import gcd
 
 from .errors import DomainError
 
@@ -40,115 +39,233 @@ def parse_front(text):
 
 
 class FrontDiagram:
-    """A validated front word plus everything derived from its simulation.
+    """A validated front word, its strand stacks, and what they determine.
 
-    Attributes set during validation:
+    Set on construction:
+      events      list of (kind, pos)
+      word        the event word as text
+      n_left      left cusps; n_right (equal) and n_ids = 2 * n_left
+    Read off the stacks on each use: max_strands, the largest stack.
+    Set on construction by a full build, on first use by a windowed one:
       stacks      tuple of strand-id stacks, one per slice (len(events)+1)
+      born        tuple of per-slice birth counts: born[t] left cusps lie
+                  in events[:t], so the ids born before slice t are
+                  0 .. 2 * born[t] - 1
+    Computed on first use, from the stacks:
       crossings   list of (event_index, pos, upper_id, lower_id)
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
+    and from one walk of the cusp cycles:
       comp_of     id -> component index (components numbered by oldest id)
       components  list of sorted id lists
+      n_components
       potential   id -> raw Maslov potential, 0 on the lower strand of each
                   component's first left cusp; even means pointing right
-      defects     per component, the gcd of the potential's jumps around
+      defects     per component, the size of the potential's jump around
                   its cycle (0 when single valued)
+
+    With no parent the whole word is simulated.  A windowed build takes
+    a parent front and window=(w0, w1_old): `events` is the parent's
+    word with events[w0:w1_old] replaced, so the rewritten window is
+    events[w0:w1_new] and the rest is the parent's.  Only the window is
+    simulated, with the position checks of a full build.  When it ends
+    with as many strands as the parent has at w1_old, the parent's
+    suffix stays valid, and the stacks and births are joined on first
+    use: stacks[:w0 + 1] and born[:w0 + 1] are the parent's own objects,
+    and from slice w1_new on the stacks are the parent's stacks[w1_old:],
+    the same objects once the two agree, otherwise relabelled: each id
+    on the parent's stack at w1_old by the id at the same height at
+    w1_new, each id born later by the change in births.  (A window that
+    ends with another strand count is simulated to the end of the word.)
     """
 
-    def __init__(self, events):
-        self.events = [(k, int(p)) for k, p in events]
-        self._simulate()
-        self._walk()
+    _LAZY = {"stacks": "_join", "born": "_join",
+             "crossings": "_sweep", "cusps": "_sweep",
+             "comp_of": "_walk", "components": "_walk",
+             "n_components": "_walk", "potential": "_walk",
+             "defects": "_walk"}
 
-    @property
-    def word(self):
-        return " ".join(f"{k}{p}" for k, p in self.events)
-
-    def __repr__(self):
-        return f"FrontDiagram({self.word!r})"
-
-    def _simulate(self):
-        stack = []
-        stacks = [()]
-        next_id = 0
-        crossings = []
-        cusps = []
-        n_l = n_r = 0
-        for i, (kind, pos) in enumerate(self.events):
+    def __init__(self, events, parent=None, window=None):
+        if parent is None:
+            events = [(k, int(p)) for k, p in events]
+            i, w1_new = 0, None
+            stack, nb = [], 0
+            stacks, born = [()], [0]
+        else:
+            w0, w1_old = window
+            i = w0
+            w1_new = w1_old + len(events) - len(parent.events)
+            stack, nb = list(parent.stacks[w0]), parent.born[w0]
+            stacks, born = [], []
+            tokens = parent.word.split()
+            tokens[w0:w1_old] = [f"{k}{p}" for k, p in events[w0:w1_new]]
+            self.word = " ".join(tokens)
+        self.events = events
+        while i < len(events):
+            if i == w1_new and len(stack) == len(parent.stacks[w1_old]):
+                # the suffix's positions depend only on the strand count,
+                # so it stays valid and ends with every strand closed
+                break
+            kind, pos = events[i]
             count = len(stack)
             if kind == "L":
                 if not 1 <= pos <= count + 1:
                     raise DomainError(
                         f"invalid position {pos} at event {i} (L{pos}) "
                         f"with {count} strands")
-                u, l = next_id, next_id + 1
-                next_id += 2
-                stack[pos - 1:pos - 1] = [u, l]
-                cusps.append((i, "L", pos, u, l))
-                n_l += 1
+                stack[pos - 1:pos - 1] = (2 * nb, 2 * nb + 1)
+                nb += 1
             elif kind in ("X", "R"):
                 if not 1 <= pos <= count - 1:
                     raise DomainError(
                         f"invalid position {pos} at event {i} ({kind}{pos}) "
                         f"with {count} strands")
-                u, l = stack[pos - 1], stack[pos]
                 if kind == "X":
-                    stack[pos - 1], stack[pos] = l, u
-                    crossings.append((i, pos, u, l))
+                    stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
                 else:
                     del stack[pos - 1:pos + 1]
-                    cusps.append((i, "R", pos, u, l))
-                    n_r += 1
             else:
                 raise DomainError(f"unknown event kind {kind!r} at event {i}")
             stacks.append(tuple(stack))
-        if n_l != n_r:
-            raise DomainError(f"unbalanced cusps: {n_l} left, {n_r} right")
-        if stack:
-            raise DomainError(f"nonzero final strand count {len(stack)}")
-        self.stacks = tuple(stacks)
+            born.append(nb)
+            i += 1
+        else:
+            w1_old = None  # simulated to the end: no suffix to join
+            if stack:
+                # the strand count is 2 * (left - right cusps)
+                raise DomainError(
+                    f"unbalanced cusps: {nb} left, {nb - len(stack) // 2} "
+                    f"right")
+        if parent is None:
+            self.stacks = tuple(stacks)
+            self.born = tuple(born)
+            self.n_left = nb
+            self.word = " ".join(f"{k}{p}" for k, p in events)
+            return
+        if w1_old is None:
+            self.n_left = nb
+        else:
+            self.n_left = parent.n_left + nb - parent.born[w1_old]
+        self._pending = (parent, w0, w1_old, stacks, born)
+
+    def _join(self):
+        """Set stacks and born from the parent's and the window's; the
+        parent's slices from w1_old on follow unless w1_old is None."""
+        parent, w0, w1_old, stacks, born = self.__dict__.pop("_pending")
+        head = parent.stacks[:w0 + 1]
+        self.born = parent.born[:w0 + 1] + tuple(born)
+        if w1_old is None:
+            self.stacks = head + tuple(stacks)
+            return
+        old, new = parent.stacks[w1_old], stacks[-1] if stacks else head[-1]
+        shift = self.born[-1] - parent.born[w1_old]
+        tail = parent.stacks[w1_old + 1:]
+        if shift:
+            self.born += tuple(b + shift for b in parent.born[w1_old + 1:])
+        else:
+            self.born += parent.born[w1_old + 1:]
+        if not shift and new == old:
+            self.stacks = head + tuple(stacks) + tail
+            return
+        relabel = list(range(parent.n_ids))
+        for a, b in zip(old, new):
+            relabel[a] = b
+        first = 2 * parent.born[w1_old]
+        relabel[first:] = range(first + 2 * shift, parent.n_ids + 2 * shift)
+        get = relabel.__getitem__
+        for t, s in enumerate(tail):
+            mapped = tuple(map(get, s))
+            if not shift and mapped == s:
+                # no relabelled id is left, and none is born again
+                stacks.extend(tail[t:])
+                break
+            stacks.append(mapped)
+        self.stacks = head + tuple(stacks)
+
+    def __getattr__(self, name):
+        # only reached while a lazy attribute is unset
+        build = FrontDiagram._LAZY.get(name)
+        if build is None:
+            raise AttributeError(
+                f"'FrontDiagram' object has no attribute {name!r}")
+        getattr(self, build)()
+        return self.__dict__[name]
+
+    @property
+    def n_ids(self):
+        return 2 * self.n_left
+
+    @property
+    def n_right(self):
+        # a valid word closes every strand
+        return self.n_left
+
+    @property
+    def max_strands(self):
+        return max(map(len, self.stacks))
+
+    def __repr__(self):
+        return f"FrontDiagram({self.word!r})"
+
+    def _sweep(self):
+        crossings = []
+        cusps = []
+        stacks = self.stacks
+        for i, (kind, pos) in enumerate(self.events):
+            if kind == "L":
+                s = stacks[i + 1]
+                cusps.append((i, "L", pos, s[pos - 1], s[pos]))
+            else:
+                s = stacks[i]
+                if kind == "X":
+                    crossings.append((i, pos, s[pos - 1], s[pos]))
+                else:
+                    cusps.append((i, "R", pos, s[pos - 1], s[pos]))
         self.crossings = crossings
         self.cusps = cusps
-        self.n_ids = next_id
-        self.n_left = n_l
-        self.n_right = n_r
-        self.max_strands = max(len(s) for s in stacks)
 
     def _walk(self):
-        # Each id meets two cusps (birth and death), so the cusp edges on
-        # ids form one cycle per component.  One LIFO walk per cycle, from
-        # the lower strand of its first left cusp (oldest id + 1), sets
-        # mu(upper) = mu(lower) + 1; revisits with another value give the
-        # defect (0 when single valued).  Strands reverse direction at
+        # Each id meets two cusps, its birth and its death, so the cusp
+        # edges on ids form one cycle per component; a left cusp gives
+        # birth to the pair 2k (upper) and 2k + 1.  The walk goes once
+        # around each cycle from the lower strand of its first left cusp
+        # (oldest id + 1), across its death cusp first and then across
+        # births and deaths in turn, setting mu(upper) = mu(lower) + 1 at
+        # each; the jump left at the birth cusp that closes the cycle is
+        # the defect (0 when single valued).  Strands reverse direction at
         # every cusp, so the parity of the potential is the orientation.
-        edges = [[] for _ in range(self.n_ids)]
-        for _, _, _, u, l in self.cusps:
-            edges[u].append((l, -1))
-            edges[l].append((u, +1))
-        potential = [None] * self.n_ids
-        comp_of = [None] * self.n_ids
+        n = self.n_ids
+        dies_with = [None] * n  # id -> (partner at its death, mu step)
+        stacks = self.stacks
+        for i, (kind, pos) in enumerate(self.events):
+            if kind == "R":
+                u, l = stacks[i][pos - 1], stacks[i][pos]
+                dies_with[u] = (l, -1)
+                dies_with[l] = (u, 1)
+        potential = [None] * n
+        comp_of = [None] * n
         components = []
         defects = []
-        for oldest in range(0, self.n_ids, 2):
-            if potential[oldest] is not None:
+        for oldest in range(0, n, 2):
+            if comp_of[oldest] is not None:
                 continue
             c = len(components)
             ids = []
-            defect = 0
-            stack = [(oldest + 1, 0)]
-            while stack:
-                a, v = stack.pop()
-                if potential[a] is not None:
-                    gap = potential[a] - v
-                    assert gap % 2 == 0, "orientation cycle has odd length"
-                    defect = gcd(defect, abs(gap))
-                    continue
+            a, v = oldest + 1, 0
+            while True:
+                b, step = dies_with[a]
                 potential[a] = v
-                comp_of[a] = c
-                ids.append(a)
-                for b, step in edges[a]:
-                    stack.append((b, v + step))
+                v += step
+                potential[b] = v
+                comp_of[a] = comp_of[b] = c
+                ids += (a, b)
+                if b == oldest:
+                    break
+                a = b ^ 1
+                v += 1 if b & 1 else -1
+            gap = v - 1  # mu(oldest) - mu(oldest + 1) - 1
+            assert gap % 2 == 0, "orientation cycle has odd length"
             components.append(sorted(ids))
-            defects.append(defect)
+            defects.append(abs(gap))
         self.potential = potential
         self.defects = defects
         self.comp_of = comp_of

@@ -1,8 +1,11 @@
 """Moves on front words and replayable cobordism traces.
 
-A move rewrites a small window of the event word and the result is
-revalidated by rebuilding the FrontDiagram, so an illegal rewrite
-surfaces as "move not applicable" instead of a corrupt diagram.
+A move rewrites a small window of the event word.  The new
+FrontDiagram is built from the old one and simulates only that window,
+with the position checks of a full build, so an illegal rewrite
+surfaces as "move not applicable" instead of a corrupt diagram; the
+stacks outside the window are the old diagram's, shared or relabelled
+(see FrontDiagram).
 
 Move syntax, one per trace line (s = slice index, h = height, e = event
 index, all 0-based except heights which are 1-based like event words):
@@ -54,8 +57,11 @@ def parse_move(text):
             f"argument(s)")
     args = []
     for t in tok[1:]:
-        if not t.lstrip("-").isdigit() or int(t) < 0:
-            raise DomainError(f"bad move line {text!r}: arguments are >= 0")
+        # isdigit alone admits other scripts' digits and superscripts
+        if not (t.isascii() and t.isdigit()):
+            raise DomainError(
+                f"bad move line {text!r}: arguments are decimal integers "
+                f">= 0")
         args.append(int(t))
     return (kind, *args)
 
@@ -66,20 +72,6 @@ def format_move(move):
 
 def _fail(move, reason):
     raise DomainError(f"move not applicable ({format_move(move)}): {reason}")
-
-
-def _rebuild(events, move):
-    try:
-        return FrontDiagram(events)
-    except DomainError as err:
-        _fail(move, f"rewritten word is invalid: {err}")
-
-
-def _cusp_at(diagram, e):
-    for i, kind, pos, u, l in diagram.cusps:
-        if i == e:
-            return kind, pos, u, l
-    raise AssertionError(f"no cusp record at event {e}")
 
 
 def _check_grading(diagram, a, b, gap, what):
@@ -148,11 +140,26 @@ def apply_move(diagram, move, gf_mode=False):
 
 def _apply(diagram, move, gf_mode=False):
     """Internal applier.  Returns (new_diagram, w0, w1_old, w1_new): the
-    rewritten event window [w0, w1_old) was replaced by [w0, w1_new)."""
+    rewritten event window [w0, w1_old) was replaced by [w0, w1_new).
+    The new diagram is built from `diagram`, simulating the window only,
+    so its position checks reject an illegal rewrite."""
+    w0, w1_old, repl = _rewrite(diagram, move, gf_mode)
+    ev = diagram.events
+    try:
+        new = FrontDiagram(ev[:w0] + repl + ev[w1_old:], diagram,
+                           (w0, w1_old))
+    except DomainError as err:
+        _fail(move, f"rewritten word is invalid: {err}")
+    return new, w0, w1_old, w0 + len(repl)
+
+
+def _rewrite(diagram, move, gf_mode):
+    """The window [w0, w1_old) of the event word that `move` rewrites and
+    its replacement events, after the move's own applicability checks."""
     kind = move[0]
     if kind not in _MOVE_ARITY or len(move) != 1 + _MOVE_ARITY[kind]:
         raise DomainError(f"bad move {move!r}")
-    ev = list(diagram.events)
+    ev = diagram.events
 
     if kind in ("B", "P", "R1a", "R1b"):
         s, h = move[1], move[2]
@@ -179,7 +186,7 @@ def _apply(diagram, move, gf_mode=False):
             if not 1 <= h <= count:
                 _fail(move, f"no strand at height {h}")
             ins = [("L", h), ("X", h + 1), ("R", h)]
-        return _rebuild(ev[:s] + ins + ev[s:], move), s, s, s + len(ins)
+        return s, s, ins
 
     e = move[1]
 
@@ -190,10 +197,11 @@ def _apply(diagram, move, gf_mode=False):
         if (ka, kb) != ("R", "L") or pa != pb:
             _fail(move, f"events at {e}, {e + 1} are not a matched R,L pair")
         if gf_mode:
-            _, _, a, _ = _cusp_at(diagram, e)      # upper strand dying at R
-            _, _, u, _ = _cusp_at(diagram, e + 1)  # upper strand born at L
+            st = diagram.stacks
+            a, _ = _participants(ev[e], st[e], st[e + 1])  # dying at R
+            u, _ = _participants(ev[e + 1], st[e + 1], st[e + 2])  # born
             _check_grading(diagram, a, u, 0, "cusp levels")
-        return _rebuild(ev[:e] + ev[e + 2:], move), e, e + 2, e
+        return e, e + 2, []
 
     if kind in ("R1a-", "R1b-"):
         if not 0 <= e <= len(ev) - 3:
@@ -202,7 +210,7 @@ def _apply(diagram, move, gf_mode=False):
         want = p1 - 1 if kind == "R1a-" else p1 + 1
         if (k1, k2, k3) != ("L", "X", "R") or p2 != want or p3 != p1:
             _fail(move, f"events at {e}..{e + 2} are not a fish")
-        return _rebuild(ev[:e] + ev[e + 3:], move), e, e + 3, e
+        return e, e + 3, []
 
     if kind in ("R2u", "R2d"):
         if not 0 <= e < len(ev):
@@ -222,7 +230,7 @@ def _apply(diagram, move, gf_mode=False):
                 _fail(move, "no strand below the cusp")
             repl = ([("L", q + 1), ("X", q), ("X", q + 1)] if k == "L"
                     else [("X", q + 1), ("X", q), ("R", q + 1)])
-        return _rebuild(ev[:e] + repl + ev[e + 1:], move), e, e + 1, e + 3
+        return e, e + 1, repl
 
     if kind in ("R2u-", "R2d-"):
         if not 0 <= e <= len(ev) - 3:
@@ -237,7 +245,7 @@ def _apply(diagram, move, gf_mode=False):
             repl = [("R", p1 + step)]
         else:
             _fail(move, f"events at {e}..{e + 2} do not match the pattern")
-        return _rebuild(ev[:e] + repl + ev[e + 3:], move), e, e + 3, e + 1
+        return e, e + 3, repl
 
     if kind == "R3":
         if not 0 <= e <= len(ev) - 3:
@@ -245,8 +253,7 @@ def _apply(diagram, move, gf_mode=False):
         (k1, p1), (k2, p2), (k3, p3) = ev[e:e + 3]
         if (k1, k2, k3) != ("X", "X", "X") or p3 != p1 or abs(p2 - p1) != 1:
             _fail(move, f"events at {e}..{e + 2} are not a triangle")
-        repl = [("X", p2), ("X", p1), ("X", p2)]
-        return _rebuild(ev[:e] + repl + ev[e + 3:], move), e, e + 3, e + 3
+        return e, e + 3, [("X", p2), ("X", p1), ("X", p2)]
 
     if kind in ("C", "Ch"):
         if not 0 <= e < len(ev) - 1:
@@ -268,8 +275,7 @@ def _apply(diagram, move, gf_mode=False):
             _fail(move, str(err))
         if end != s2:
             _fail(move, "strands interleave vertically")
-        events = ev[:e] + [new_second, new_first] + ev[e + 2:]
-        return _rebuild(events, move), e, e + 2, e + 2
+        return e, e + 2, [new_second, new_first]
 
     raise AssertionError(f"unhandled move kind {kind!r}")
 
@@ -376,17 +382,24 @@ def format_trace(trace):
 def _overlap(old, new, w0, w1_old, w1_new):
     """Map each component of `new` to the set of components of `old` it
     shares a strand cell with, matching slices outside the rewritten
-    window.  A component with no overlap was created inside the window."""
-    shift = w1_new - w1_old
+    window.  A component with no overlap was created inside the window.
+
+    Outside the window `new` continues `old` strand by strand: ids born
+    before w0 are the same, the ids on the stacks at w1_old and w1_new
+    pair by height, and ids born later pair up offset by the change in
+    births.  So one pair per strand id stands for all its cells."""
     found = defaultdict(set)
-    pairs = [(t, t) for t in range(w0 + 1)]
-    pairs += [(t, t + shift) for t in range(w1_old, len(old.events) + 1)]
-    for t, tn in set(pairs):
-        so = old.stacks[t]
-        sn = new.stacks[tn]
-        assert len(so) == len(sn)
-        for p in range(len(so)):
-            found[new.comp_of[sn[p]]].add(old.comp_of[so[p]])
+    old_comp, new_comp = old.comp_of, new.comp_of
+    for a in range(2 * old.born[w0]):
+        found[new_comp[a]].add(old_comp[a])
+    so, sn = old.stacks[w1_old], new.stacks[w1_new]
+    assert len(so) == len(sn)
+    for a, b in zip(so, sn):
+        found[new_comp[b]].add(old_comp[a])
+    first = 2 * old.born[w1_old]
+    shift = 2 * new.born[w1_new] - first
+    for a in range(first, old.n_ids):
+        found[new_comp[a + shift]].add(old_comp[a])
     return found
 
 

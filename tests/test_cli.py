@@ -158,6 +158,18 @@ def test_move_rejects_inapplicable(capsys):
     assert out.startswith("error: move not applicable")
 
 
+def test_move_arguments_are_ascii_digits(tmp_path, capsys):
+    for bad in ("C --5", "C -1", "C \u00b2", "C \u0663", "B 0 +1"):
+        rc, out = run(["move", "--front", "L1 R1", "--move", bad], capsys)
+        assert rc == 1
+        assert out.startswith("error: bad move line"), out
+    trace_file = tmp_path / "bad.trace"
+    trace_file.write_text("L1 R1\nC --1\n")
+    rc, out = run(["trace", str(trace_file)], capsys)
+    assert rc == 1
+    assert out.startswith("error: bad move line"), out
+
+
 def test_wh_contract(tmp_path, capsys):
     trace_file = tmp_path / "wh.trace"
     rc, out = run(["wh", "--front", "L1 R1", "--out", str(trace_file)],

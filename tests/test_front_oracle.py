@@ -1,28 +1,51 @@
-"""The one cusp-cycle walk of FrontDiagram against the three separate
-traversals it replaced: a union-find for the components, a 2-colouring
-for the orientation and a second walk for the Maslov potential.
+"""Reference code for the front core, kept to check the fast paths.
 
-They are compared on every intermediate front of clasped-double and
-braid-closure filling traces, which pass through multi-component fronts
-and kinks, and on a few fronts with nonzero rotation numbers.
+1. The one cusp-cycle walk of FrontDiagram against the traversals it
+   replaced: a union-find for the components, a 2-colouring for the
+   orientation, a second walk for the Maslov potential, and the LIFO
+   walk that first merged them.  They are compared on every
+   intermediate front of clasped-double and braid-closure filling
+   traces, which pass through multi-component fronts and kinks, on a few
+   fronts with nonzero rotation numbers, and on the random rewrites of
+   item 2.
+2. The windowed rebuild of a moved front against the full simulation it
+   replaced: every isotopy candidate, birth, pinch and merge on every
+   intermediate front of four `wh` traces and two braid filling traces
+   must give the diagram a from-scratch build gives, field by field, or
+   the same error.  Random rewrites of short windows, legal or not, are
+   checked the same way against the constructor.
+3. The per-strand overlap of `_replay` against the cell-by-cell one, on
+   every replayed step of those traces.
 """
 
+import random
+from collections import defaultdict
 from math import gcd
 
 import pytest
 
 from legcob.braids import BraidWord, closure_report
-from legcob.front import classical_invariants, maslov_potential, parse_front
-from legcob.moves import apply_move
+from legcob.errors import DomainError
+from legcob.front import (FrontDiagram, classical_invariants,
+                          maslov_potential, parse_front)
+from legcob.moves import (ISOTOPY_KINDS, _apply, _fail, _overlap, _rewrite,
+                          apply_move, isotopy_candidates)
 from legcob.whitehead import whitehead_double
 
 WH_BASES = ("L1 R1", "L1 L2 R1 L1 R2 R1", "L1 L2 X3 X3 X3 R2 R1")
+TWIST_9 = "L1 L2 " + " ".join(["X3"] * 9) + " R2 R1"
 BRAIDS = ((2, [1, 1, 1]), (3, [2, 1]), (3, [1, 2, 1, 2]), (4, [1]),
           (4, [1, 3, 2, 2, 1]), (5, [1, 4, 2, 3, 1, 2, 4]))
+# The traces the windowed rebuild is checked on.
+MOVE_BASES = WH_BASES + (TWIST_9,)
+MOVE_BRAIDS = ((3, [2, 1]), (5, [1, 4, 2, 3, 1, 2, 4]))
 # Graded traces keep every rotation number 0; these fronts carry
 # components whose potential is only defined mod 2|r|.
 ROTATING = ("L1 X1 R1", "L1 X1 X1 X1 R1", "L1 L2 X2 X2 X2 R2 R1",
             "L1 R1 L1 X1 R1", "L1 L1 R2 X1 R1", "L1 L2 X1 R1 X1 R1")
+FIELDS = ("events", "word", "stacks", "born", "crossings", "cusps",
+          "n_ids", "n_left", "n_right", "max_strands", "comp_of",
+          "components", "n_components", "potential", "defects")
 
 
 def ref_components(d):
@@ -45,6 +68,41 @@ def ref_components(d):
         comp_of[a] = roots[r]
         components[roots[r]].append(a)
     return comp_of, components
+
+
+def ref_walk(d):
+    """The LIFO walk of the cusp cycles the fronts used to run: potential,
+    defects, comp_of and components."""
+    edges = [[] for _ in range(d.n_ids)]
+    for _, _, _, u, l in d.cusps:
+        edges[u].append((l, -1))
+        edges[l].append((u, +1))
+    potential = [None] * d.n_ids
+    comp_of = [None] * d.n_ids
+    components = []
+    defects = []
+    for oldest in range(0, d.n_ids, 2):
+        if potential[oldest] is not None:
+            continue
+        c = len(components)
+        ids = []
+        defect = 0
+        stack = [(oldest + 1, 0)]
+        while stack:
+            a, v = stack.pop()
+            if potential[a] is not None:
+                gap = potential[a] - v
+                assert gap % 2 == 0, "orientation cycle has odd length"
+                defect = gcd(defect, abs(gap))
+                continue
+            potential[a] = v
+            comp_of[a] = c
+            ids.append(a)
+            for b, step in edges[a]:
+                stack.append((b, v + step))
+        components.append(sorted(ids))
+        defects.append(defect)
+    return potential, defects, comp_of, components
 
 
 def _anchor(d, comp_of, c):
@@ -114,14 +172,33 @@ def _replayed(trace):
     return out
 
 
+def _wh_trace(word):
+    return whitehead_double(parse_front(word))[1]
+
+
+def _braid_trace(strands, letters):
+    return closure_report(BraidWord(strands, letters))["trace"]
+
+
 @pytest.fixture(scope="module")
 def fronts():
     out = []
     for word in WH_BASES:
-        out += _replayed(whitehead_double(parse_front(word))[1])
+        out += _replayed(_wh_trace(word))
     for s, letters in BRAIDS:
-        out += _replayed(closure_report(BraidWord(s, letters))["trace"])
+        out += _replayed(_braid_trace(s, letters))
     return out + [parse_front(word) for word in ROTATING]
+
+
+@pytest.fixture(scope="module")
+def move_traces():
+    return ([_wh_trace(word) for word in MOVE_BASES]
+            + [_braid_trace(s, letters) for s, letters in MOVE_BRAIDS])
+
+
+@pytest.fixture(scope="module")
+def move_fronts(move_traces):
+    return [d for trace in move_traces for d in _replayed(trace)]
 
 
 def test_fronts_cover_links_kinks_and_rotation(fronts):
@@ -142,3 +219,196 @@ def test_walk_matches_reference(fronts):
         assert d.directions(every) == ref_directions(d, every), d.word
         mp = maslov_potential(d)
         assert (mp.values, mp.mods) == ref_potential(d), d.word
+        assert (d.potential, d.defects, d.comp_of, d.components) == \
+            ref_walk(d), d.word
+
+
+def ref_simulate(events):
+    """The full simulation every build used to run: the fields it set,
+    or the DomainError it raised."""
+    stack = []
+    stacks = [()]
+    next_id = 0
+    crossings = []
+    cusps = []
+    n_l = n_r = 0
+    for i, (kind, pos) in enumerate(events):
+        count = len(stack)
+        if kind == "L":
+            if not 1 <= pos <= count + 1:
+                raise DomainError(
+                    f"invalid position {pos} at event {i} (L{pos}) "
+                    f"with {count} strands")
+            u, l = next_id, next_id + 1
+            next_id += 2
+            stack[pos - 1:pos - 1] = [u, l]
+            cusps.append((i, "L", pos, u, l))
+            n_l += 1
+        elif kind in ("X", "R"):
+            if not 1 <= pos <= count - 1:
+                raise DomainError(
+                    f"invalid position {pos} at event {i} ({kind}{pos}) "
+                    f"with {count} strands")
+            u, l = stack[pos - 1], stack[pos]
+            if kind == "X":
+                stack[pos - 1], stack[pos] = l, u
+                crossings.append((i, pos, u, l))
+            else:
+                del stack[pos - 1:pos + 1]
+                cusps.append((i, "R", pos, u, l))
+                n_r += 1
+        else:
+            raise DomainError(f"unknown event kind {kind!r} at event {i}")
+        stacks.append(tuple(stack))
+    if n_l != n_r:
+        raise DomainError(f"unbalanced cusps: {n_l} left, {n_r} right")
+    if stack:
+        raise DomainError(f"nonzero final strand count {len(stack)}")
+    return {"events": list(events),
+            "word": " ".join(f"{k}{p}" for k, p in events),
+            "stacks": tuple(stacks), "crossings": crossings, "cusps": cusps,
+            "n_ids": next_id, "n_left": n_l, "n_right": n_r,
+            "max_strands": max(len(s) for s in stacks)}
+
+
+def ref_apply(d, move, gf_mode):
+    """The applier as it was: the same rewrite, then a full rebuild."""
+    w0, w1_old, repl = _rewrite(d, move, gf_mode)
+    try:
+        return FrontDiagram(d.events[:w0] + repl + d.events[w1_old:])
+    except DomainError as err:
+        _fail(move, f"rewritten word is invalid: {err}")
+
+
+def ref_overlap(old, new, w0, w1_old, w1_new):
+    """_overlap as it was: every strand cell of every slice outside the
+    rewritten window."""
+    shift = w1_new - w1_old
+    found = defaultdict(set)
+    pairs = [(t, t) for t in range(w0 + 1)]
+    pairs += [(t, t + shift) for t in range(w1_old, len(old.events) + 1)]
+    for t, tn in set(pairs):
+        so = old.stacks[t]
+        sn = new.stacks[tn]
+        assert len(so) == len(sn)
+        for p in range(len(so)):
+            found[new.comp_of[sn[p]]].add(old.comp_of[so[p]])
+    return found
+
+
+def _outcome(build):
+    try:
+        return build()
+    except DomainError as err:
+        return str(err)
+
+
+# What a windowed build sets itself; every other field is computed on
+# first use from these alone, by the code a full build runs.
+OWN_FIELDS = ("events", "word", "stacks", "born", "n_ids", "n_left",
+              "n_right")
+
+
+def _assert_same(d, ref, fields=FIELDS):
+    for name in fields:
+        assert getattr(d, name) == getattr(ref, name), (d.word, name)
+
+
+def _every_move(d):
+    yield from isotopy_candidates(d, (0, len(d.events)), ISOTOPY_KINDS, None)
+    for s in range(len(d.events) + 1):
+        for h in range(1, len(d.stacks[s]) + 2):
+            yield ("B", s, h)
+            yield ("P", s, h)
+    for e in range(len(d.events) - 1):
+        yield ("PM", e)
+
+
+def test_fresh_build_matches_reference_simulation(move_fronts):
+    for d in move_fronts + [parse_front(word) for word in ROTATING]:
+        ref = ref_simulate(d.events)
+        for name, value in ref.items():
+            assert getattr(d, name) == value, (d.word, name)
+        assert d.born == tuple(
+            sum(k == "L" for k, _ in d.events[:t])
+            for t in range(len(d.events) + 1))
+
+
+def test_move_fronts_cover_every_kind_of_window(move_fronts):
+    kinds = set()
+    for d in move_fronts:
+        for move in _every_move(d):
+            kinds.add(move[0])
+    assert kinds == set(ISOTOPY_KINDS) | {"R1a", "R1b", "B", "P", "PM"}
+    assert len(move_fronts) > 190
+
+
+def test_windowed_moves_match_full_rebuild(move_fronts):
+    # every field on the children of every fifth front, the fields a
+    # windowed build sets on all of them
+    accepted = shifted = swapped = rejected = 0
+    for k, parent in enumerate(move_fronts):
+        fields = FIELDS if k % 5 == 0 else OWN_FIELDS
+        for move in _every_move(parent):
+            want = _outcome(lambda: ref_apply(parent, move, True))
+            got = _outcome(lambda: apply_move(parent, move, gf_mode=True))
+            if isinstance(want, str):
+                assert got == want, (parent.word, move)
+                rejected += 1
+                continue
+            assert not isinstance(got, str), (parent.word, move, got)
+            _assert_same(got, want, fields)
+            accepted += 1
+            shifted += got.n_left != parent.n_left
+            swapped += (move[0] in ("C", "Ch") and
+                        parent.events[move[1]][0] ==
+                        parent.events[move[1] + 1][0] == "L")
+    assert accepted > 50000 and rejected > 20000
+    assert shifted > 50000 and swapped > 400
+
+
+def test_random_windows_match_full_simulation(move_fronts):
+    # rewrites no move makes: positions out of range, unknown kinds,
+    # windows that change the strand count or leave strands open
+    rng = random.Random(6)
+    errors = 0
+    for parent in move_fronts[::3]:
+        n = len(parent.events)
+        for _ in range(40):
+            w0 = rng.randint(0, n)
+            w1_old = rng.randint(w0, min(n, w0 + 3))
+            repl = [(rng.choice("LXRLXRQ"), rng.randint(1, 9))
+                    for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                # a legal position more often than not
+                repl = [(k, min(p, 1 + len(parent.stacks[w0]) // 2))
+                        for k, p in repl]
+            events = parent.events[:w0] + repl + parent.events[w1_old:]
+            want = _outcome(lambda: ref_simulate(events))
+            fresh = _outcome(lambda: FrontDiagram(events))
+            got = _outcome(lambda: FrontDiagram(events, parent,
+                                                (w0, w1_old)))
+            if isinstance(want, str):
+                assert fresh == want and got == want, \
+                    (parent.word, w0, w1_old, repl)
+                errors += 1
+                continue
+            for name, value in want.items():
+                assert getattr(got, name) == value, (got.word, name)
+            _assert_same(got, fresh)
+            assert (got.potential, got.defects, got.comp_of,
+                    got.components) == ref_walk(got)
+    assert errors > 500
+
+
+def test_per_strand_overlap_matches_cells(move_traces):
+    steps = 0
+    for trace in move_traces:
+        d = trace.start
+        for move in trace.moves:
+            new, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
+            assert _overlap(d, new, w0, w1_old, w1_new) == \
+                ref_overlap(d, new, w0, w1_old, w1_new), move
+            d = new
+            steps += 1
+    assert steps > 180

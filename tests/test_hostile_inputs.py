@@ -1,0 +1,82 @@
+"""Short inputs that must not hang the `leg` command or run it out of
+memory.
+
+Each row is one argv for `python -m legcob.cli`, run in a fresh
+interpreter with its address space capped at 1 GiB and a deadline of a
+few seconds.  It must exit 0 or 1 (a DomainError), print no traceback
+and not die from a signal.  Inputs that still fail are strict xfails
+naming the ROADMAP item that fixes them, so a fix shows up as an
+unexpected pass.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MEMORY_CAP = 1 << 30
+DEADLINE_S = 3.0
+# Files a row may name, written to its working directory first.
+FILES = {"bad-argument.trace": "L1 R1\nC --1\n"}
+
+
+def _offender(item, why):
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {why}")
+
+
+ROWS = [
+    pytest.param(["braid", "--strands", "100000", "--word", "1"],
+                 id="braid-wide"),
+    pytest.param(["gf-chords", "--family", "unknot", "--step", "1e-9"],
+                 id="gf-chords-fine-step"),
+    pytest.param(["tb", "--dim", "1", "--poly", "t^99999999999"],
+                 id="tb-huge-degree"),
+    pytest.param(["move", "--front", "L1 R1", "--move", "C --5"],
+                 id="move-double-minus"),
+    pytest.param(["move", "--front", "L1 R1", "--move", "C ²"],
+                 id="move-superscript"),
+    pytest.param(["trace", "bad-argument.trace"], id="trace-double-minus"),
+    pytest.param(["inv", "--front", "L1 R1 " * 3000], id="inv-3000-circles"),
+    pytest.param(["compat", "--dim", "3", "--poly",
+                  "t^3 + 100000000t^2 + 100000000t"],
+                 id="compat-big-coefficients",
+                 marks=_offender(1, "decompose walks every splitting")),
+    pytest.param(["plan", "--dim", "4", "--poly",
+                  "t^4 + 1000000t^3 + 1000000"],
+                 id="plan-big-coefficients",
+                 marks=_offender(1, "plans are not bounded")),
+    pytest.param(["rulings", "--front", "L1 L2 " + "X3 " * 40 + "R2 R1"],
+                 id="rulings-40-twists",
+                 marks=_offender(2, "enumerate_rulings lists every ruling")),
+]
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+@pytest.mark.parametrize("argv", ROWS)
+def test_short_input_gets_a_bounded_answer(argv, tmp_path):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "legcob.cli", *argv], cwd=tmp_path,
+            env=env, capture_output=True, text=True, timeout=DEADLINE_S,
+            preexec_fn=_cap_memory)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no answer within {DEADLINE_S} s")
+    out = proc.stdout + proc.stderr
+    assert proc.returncode >= 0, f"killed by signal {-proc.returncode}"
+    assert proc.returncode in (0, 1), out[-500:]
+    assert "Traceback" not in out, out[-500:]
+    if proc.returncode == 1:
+        # exit 1 is a DomainError, reported on standard output
+        assert proc.stdout.startswith("error: "), out[-500:]
