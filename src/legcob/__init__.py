@@ -1,8 +1,8 @@
 """Front diagrams, cobordism traces, and generating family numerics."""
 
 from .errors import DomainError
-from .laurent import (LaurentPoly, parse_poly, decompose, is_connected_form,
-                      tb_from_polynomial)
+from .laurent import (LaurentPoly, parse_poly, decompose, splitting_box,
+                      is_connected_form, tb_from_polynomial)
 from .exactseq import (les_ranks, les_solve, zero_surgery_update,
                        connect_sum, filling_polynomial,
                        cobordism_les_constrain)

@@ -28,6 +28,7 @@ import argparse
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def _fmt(v):
 
 
 def _kv(pairs):
-    return [f"{k} {_fmt(v)}" for k, v in pairs]
+    return (f"{k} {_fmt(v)}" for k, v in pairs)
 
 
 def _jsonable(v):
@@ -155,7 +156,9 @@ def _single_piece(fam, what):
 
 
 # --- command handlers --------------------------------------------------
-# Each returns (text lines, JSON document).
+# Each returns (text lines, JSON document).  The lines are a lazy
+# iterable, formatted only when main prints text; a document may come
+# already encoded, as a string.
 
 def cmd_inv(args):
     d = parse_front(args.front)
@@ -171,9 +174,10 @@ def cmd_rulings(args):
     poly = ruling_polynomial(d, rus)
     doc = {"word": d.word, "graded": args.graded, "count": len(rus),
            "polynomial": str(poly), "rulings": [list(r) for r in rus]}
-    lines = _kv([("word", d.word), ("graded", args.graded),
-                 ("count", len(rus)), ("polynomial", poly)])
-    lines += [f"ruling {_fmt(list(r))}" for r in rus]
+    lines = chain(_kv([("word", d.word), ("graded", args.graded),
+                       ("count", len(rus)),
+                       ("polynomial", doc["polynomial"])]),
+                  (f"ruling {_fmt(r)}" for r in doc["rulings"]))
     return lines, doc
 
 
@@ -223,13 +227,13 @@ def cmd_braid(args):
            "components": d.n_components, "cycles": rep["cycles"],
            "chi": rep["chi"], "genus": rep["genus"],
            "connected": rep["connected"], "flags": rep["flags"]}
-    lines = _kv((k, v) for k, v in doc.items() if k != "flags")
-    lines += [f"flag {f}" for f in rep["flags"]]
+    lines = chain(_kv([(k, v) for k, v in doc.items() if k != "flags"]),
+                  (f"flag {f}" for f in rep["flags"]))
     if args.fill or args.out:
         path = args.out or "braid.trace"
         _write(path, format_trace(rep["trace"]))
         doc["trace"] = path
-        lines.append(f"trace {path}")
+        lines = chain(lines, [f"trace {path}"])
     return lines, doc
 
 
@@ -279,11 +283,10 @@ def cmd_plan(args):
         return _kv(doc.items()), doc
     plan = realize(parse_poly(args.poly), args.dim,
                    sphere_only=args.sphere_only)
-    doc = plan.to_dict()
-    text = _dump(doc)
+    text = _dump(plan.to_dict())
     if args.out:
         _write(args.out, text + "\n")
-    return [text], doc
+    return [text], text
 
 
 def cmd_tb(args):
@@ -297,19 +300,20 @@ def cmd_tb(args):
 def cmd_compat(args):
     poly = parse_poly(args.poly)
     splits = decompose(poly, args.dim)
+    listed = [{"q": str(q), "p": str(p)} for q, p in splits]
     doc = {"dim": args.dim, "poly": str(poly),
            "compatible": bool(splits),
            "connected_form": any(is_connected_split(q, args.dim)
                                  for q, _ in splits),
-           "splittings": [{"q": str(q), "p": str(p)} for q, p in splits]}
-    lines = _kv([("dim", args.dim), ("poly", poly),
-                 ("compatible", doc["compatible"]),
-                 ("connected_form", doc["connected_form"]),
-                 ("splittings", len(splits))])
-    lines += [f"split q={q}; p={p}" for q, p in splits]
+           "splittings": listed}
     if not splits:
         doc["reason"] = incompat_reason(poly, args.dim)
-        lines.append(f"reason {doc['reason']}")
+    lines = chain(_kv([("dim", args.dim), ("poly", doc["poly"]),
+                       ("compatible", doc["compatible"]),
+                       ("connected_form", doc["connected_form"]),
+                       ("splittings", len(splits))]),
+                  (f"split q={s['q']}; p={s['p']}" for s in listed),
+                  _kv([("reason", doc["reason"])] if not splits else []))
     return lines, doc
 
 
@@ -323,11 +327,18 @@ def cmd_gf_front(args):
            "regularity_margin": margin,
            "points": [{"x": list(q.x), "eta": list(q.eta), "z": q.z,
                        "p": list(q.p)} for q in pts]}
-    lines = _kv([("n", fam.n), ("N", fam.N), ("R", fam.R),
-                 ("count", len(pts)), ("regularity_margin", margin)])
-    lines += [f"point x {_fmt(list(q.x))} eta {_fmt(list(q.eta))} "
-              f"z {_fmt(q.z)} p {_fmt(list(q.p))}" for q in pts]
+    lines = chain(_kv([("n", fam.n), ("N", fam.N), ("R", fam.R),
+                       ("count", len(pts)), ("regularity_margin", margin)]),
+                  (f"point x {_fmt(list(q.x))} eta {_fmt(list(q.eta))} "
+                   f"z {_fmt(q.z)} p {_fmt(list(q.p))}" for q in pts))
     return lines, doc
+
+
+def _chord_line(c):
+    x, e1, e2 = c.coords
+    return (f"chord value {_fmt(c.value)} index {c.index} degree "
+            f"{c.degree} margin {_fmt(c.min_abs_hessian_eigenvalue)} "
+            f"x {_fmt(list(x))} eta {_fmt(list(e1))} eta~ {_fmt(list(e2))}")
 
 
 def cmd_gf_chords(args):
@@ -335,18 +346,14 @@ def cmd_gf_chords(args):
     chords, gamma, report = reeb_chords(fam, step=args.step)
     doc = {"count": len(chords), "gamma": str(gamma),
            "chords": [c.to_dict() for c in chords], "report": report}
-    lines = _kv([("count", len(chords)), ("gamma", gamma),
-                 ("epsilon", report["epsilon"]), ("omega", report["omega"]),
-                 ("chain_level_only", report["chain_level_only"])])
-    for c in chords:
-        x, e1, e2 = c.coords
-        lines.append(
-            f"chord value {_fmt(c.value)} index {c.index} degree "
-            f"{c.degree} margin {_fmt(c.min_abs_hessian_eigenvalue)} "
-            f"x {_fmt(list(x))} eta {_fmt(list(e1))} eta~ {_fmt(list(e2))}")
-    lines += [f"warning {w}" for w in report["warnings"]]
-    lines += [f"tolerance {k} {_fmt(v)}"
-              for k, v in sorted(report["tolerances"].items())]
+    lines = chain(
+        _kv([("count", len(chords)), ("gamma", doc["gamma"]),
+             ("epsilon", report["epsilon"]), ("omega", report["omega"]),
+             ("chain_level_only", report["chain_level_only"])]),
+        map(_chord_line, chords),
+        (f"warning {w}" for w in report["warnings"]),
+        (f"tolerance {k} {_fmt(v)}"
+         for k, v in sorted(report["tolerances"].items())))
     return lines, doc
 
 
@@ -367,21 +374,21 @@ def cmd_gf_check(args):
     filling = immersed_filling_family(fam, t_plus=args.t_plus)
     rep = filling.report
     doc = {"filling": rep, "ok": all(rep["conditions"].values())}
-    lines = _kv([("eps_G", rep["eps_G"]), ("t_minus", rep["t_minus"]),
-                 ("t_plus", rep["t_plus"]),
-                 ("regularity_margin", rep["regularity_margin"])])
-    lines += [f"condition {name} {'pass' if good else 'fail'}"
-              for name, good in rep["conditions"].items()]
-    lines += [f"tolerance {k} {_fmt(v)}"
-              for k, v in sorted(rep["tolerances"].items())]
-    lines += _kv([("ok", doc["ok"])])
+    lines = chain(_kv([("eps_G", rep["eps_G"]), ("t_minus", rep["t_minus"]),
+                       ("t_plus", rep["t_plus"]),
+                       ("regularity_margin", rep["regularity_margin"])]),
+                  (f"condition {name} {'pass' if good else 'fail'}"
+                   for name, good in rep["conditions"].items()),
+                  (f"tolerance {k} {_fmt(v)}"
+                   for k, v in sorted(rep["tolerances"].items())),
+                  _kv([("ok", doc["ok"])]))
     if args.embedded:
         t_end = args.t_end if args.t_end is not None else args.t_plus
         emb = embeddedness_check(filling.slice_family, args.t_start, t_end)
         doc["embeddedness"] = emb
-        lines += _kv([("h", emb["h"]), ("max_dt", emb["max_dt"]),
-                      ("slowdown", emb["slowdown"]),
-                      ("embedded_ok", emb["ok"])])
+        lines = chain(lines, _kv([("h", emb["h"]), ("max_dt", emb["max_dt"]),
+                                  ("slowdown", emb["slowdown"]),
+                                  ("embedded_ok", emb["ok"])]))
     return lines, doc
 
 
@@ -534,8 +541,14 @@ def _build_parser():
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     if args.cmd == "plan" and not args.verify \
             and (args.dim is None or args.poly is None):
@@ -549,7 +562,7 @@ def main(argv=None):
             print(f"error: {e}")
         return 1
     if args.json:
-        print(_dump(doc))
+        print(doc if isinstance(doc, str) else _dump(doc))
     else:
         print("\n".join(lines))
     return 0

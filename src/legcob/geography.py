@@ -17,8 +17,12 @@ executing it; fronts are only built in dimension 1.
 
 from .errors import DomainError
 from .exactseq import connect_sum
-from .laurent import LaurentPoly, decompose, is_connected_split, \
-    tb_from_polynomial
+from .laurent import LaurentPoly, connected_p_top, split_from_p, \
+    splitting_box, tb_from_polynomial
+
+# Largest number of blocks realize puts in a plan; counted from the
+# chosen splitting before any block is built.
+MAX_PLAN_BLOCKS = 10**4
 
 
 class Block:
@@ -119,6 +123,39 @@ def _incompat_reason(poly, n):
             "in degree 0")
 
 
+def choose_split(poly, n, sphere_only=False):
+    """The splitting (q, p) that realize builds its plan from.
+
+    Among the splittings with q_n = 1 and q_0 = 0 it takes the one with
+    the fewest sphere blocks.  The connected form fixes p_(n-1) and no
+    other free degree, so that optimum sets every other free p_i to 0.
+    sphere_only demands q = t^n, which fixes each free p_i to c(i)
+    (c(i)/2 in the middle degree), or leaves no splitting.
+    """
+    box = splitting_box(poly, n)
+    top = connected_p_top(poly, n, box)
+    if top is None:
+        raise DomainError(
+            f"not compatible with duality in connected form: "
+            f"{_incompat_reason(poly, n)}")
+    forced, degrees, _ = box
+    if not sphere_only:
+        return split_from_p(poly, n, forced, [(n - 1, top)])
+    c = poly.coeff
+    free = []
+    for i in degrees:
+        if 2 * i == n - 1:
+            v = c(i) // 2 if c(i) % 2 == 0 else None
+        else:
+            v = c(i) if c(i) == c(n - 1 - i) else None
+        if v is None:
+            raise DomainError(
+                f"sphere-only plan impossible for {poly}: every splitting "
+                "leaves terms that need manifold blocks")
+        free.append((i, v))
+    return split_from_p(poly, n, forced, free)
+
+
 def realize(poly, n, sphere_only=False):
     """Plan a connect sum of blocks whose count polynomial is poly.
 
@@ -126,29 +163,21 @@ def realize(poly, n, sphere_only=False):
     manifold block per q-term below the top) and p the sphere part.
     Policy: among valid splittings, keep as much as possible in q
     (fewest sphere blocks), tie-broken by ascending sphere degrees.
-    sphere_only restricts to splittings with q = t^n.
+    sphere_only restricts to splittings with q = t^n.  A plan of more
+    than MAX_PLAN_BLOCKS blocks is refused before any block is built.
 
     >>> realize(LaurentPoly.parse("t^3 + t^2"), 3).blocks
     [Block(Manifold(2), n=3)]
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
-    candidates = [(q, p) for q, p in decompose(poly, n)
-                  if is_connected_split(q, n)]
-    if not candidates:
+    q, p = choose_split(poly, n, sphere_only)
+    count = sum(q.coeff(a) for a in range(1, n)) \
+        + sum(max(v, 0) for v in p.coeffs.values())
+    if count > MAX_PLAN_BLOCKS:
         raise DomainError(
-            f"not compatible with duality in connected form: "
-            f"{_incompat_reason(poly, n)}")
-    if sphere_only:
-        top = LaurentPoly({n: 1})
-        candidates = [(q, p) for q, p in candidates if q == top]
-        if not candidates:
-            raise DomainError(
-                f"sphere-only plan impossible for {poly}: every splitting "
-                "leaves terms that need manifold blocks")
-    q, p = min(candidates,
-               key=lambda qp: (qp[1].total_count(),
-                               sorted(qp[1].coeffs.items())))
+            f"plan too large: {count} blocks exceed the cap of "
+            f"{MAX_PLAN_BLOCKS:.3g}")
     blocks = []
     for a in range(1, n):
         blocks.extend(Block("Manifold", n, a) for _ in range(q.coeff(a)))

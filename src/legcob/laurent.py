@@ -8,14 +8,19 @@ an ambient dimension n, in how many ways can P be written as
 with q, p having nonnegative integer coefficients, q supported in degrees
 [0, n] with q_n >= 1, and p supported in degrees >= ceil((n-1)/2)?
 Coefficients of P above degree n or below degree 0 force coefficients of
-p outright; the only genuine freedom is a finite band in the middle, so
-the enumeration is exact and fast.
+p outright; the only genuine freedom is a finite band in the middle, and
+each free p_i meets only q_i and q_(n-1-i), so the splittings form a box
+of per-degree ranges (splitting_box) that is counted before it is listed.
 """
 
 import itertools
+import math
 import re
 
 from .errors import DomainError
+
+# Largest number of splittings decompose lists; the box is counted first.
+MAX_SPLITTINGS = 10**5
 
 
 class LaurentPoly:
@@ -173,15 +178,18 @@ def parse_poly(text):
     return LaurentPoly(coeffs)
 
 
-def decompose(poly, n, betti=None, window=64):
-    """Enumerate all (q, p) with poly = q + p + p.reflect(n-1).
+def splitting_box(poly, n, window=64):
+    """The splittings of poly = q + p + p.reflect(n-1) as a box.
 
-    INPUT: poly with nonnegative coefficients, dimension n >= 1, optional
-    betti sequence (indexable by 0..n) demanding q_k + q_(n-k) = betti[k],
-    and a degree window bound: poly must be supported in [-window, n+window].
+    INPUT: as for decompose, without the betti filter.
 
-    OUTPUT: a deterministically sorted list of (q, p) LaurentPoly pairs;
-    empty when no decomposition exists.
+    OUTPUT: (forced, degrees, bounds), or None exactly when no splitting
+    exists.  forced is the {degree: coefficient} part of p that the
+    degrees above n and below 0 fix outright; degrees are the free
+    middle degrees i = ceil((n-1)/2) .. n-1 of p, and p_i ranges over
+    0..bounds[k] for the k-th of them, independently of the others.
+    Each free p_i touches only q_i and q_(n-1-i), so every point of the
+    box is a splitting and there are prod(b + 1) of them.
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
@@ -202,13 +210,13 @@ def decompose(poly, n, betti=None, window=64):
             high.add(n - 1 - d)
     for d in high:
         if c(d) != c(n - 1 - d):
-            return []
+            return None
         if c(d):
             forced[d] = c(d)
     if c(-1):
         forced[n] = c(-1)
     if c(n) - c(-1) < 1:
-        return []
+        return None
 
     mid_lo = n // 2  # equals ceil((n - 1) / 2)
     free_degrees = list(range(mid_lo, n))
@@ -219,30 +227,60 @@ def decompose(poly, n, betti=None, window=64):
         else:
             bounds.append(min(c(i), c(n - 1 - i)))
     if any(b < 0 for b in bounds):
-        return []
+        return None
+    return forced, free_degrees, bounds
 
+
+def box_size(box):
+    """Number of splittings in a splitting_box (0 for None)."""
+    return 0 if box is None else math.prod(b + 1 for b in box[2])
+
+
+def split_from_p(poly, n, forced, free):
+    """The splitting (q, p) whose p is forced plus the free (degree,
+    value) pairs, with q = poly - p - p.reflect(n-1) on degrees 0..n."""
+    p = dict(forced)
+    for i, v in free:
+        if v:
+            p[i] = v
+    c = poly.coeff
+    q = {}
+    for d in range(0, n + 1):
+        qd = c(d) - p.get(d, 0) - p.get(n - 1 - d, 0)
+        if qd:
+            q[d] = qd
+    return LaurentPoly(q), LaurentPoly(p)
+
+
+def decompose(poly, n, betti=None, window=64):
+    """Enumerate all (q, p) with poly = q + p + p.reflect(n-1).
+
+    INPUT: poly with nonnegative coefficients, dimension n >= 1, optional
+    betti sequence (indexable by 0..n) demanding q_k + q_(n-k) = betti[k],
+    and a degree window bound: poly must be supported in [-window, n+window].
+
+    OUTPUT: a deterministically sorted list of (q, p) LaurentPoly pairs;
+    empty when no decomposition exists.  A box of more than
+    MAX_SPLITTINGS points is refused with a DomainError before anything
+    is listed.
+    """
+    box = splitting_box(poly, n, window)
+    if box is None:
+        return []
+    forced, degrees, bounds = box
+    count = box_size(box)
+    if count > MAX_SPLITTINGS:
+        raise DomainError(
+            f"too many splittings to list: {count} exceed the cap of "
+            f"{MAX_SPLITTINGS:.3g}")
     results = []
     for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        p = dict(forced)
-        for i, v in zip(free_degrees, combo):
-            if v:
-                p[i] = v
-        q = {}
-        ok = True
-        for d in range(0, n + 1):
-            qd = c(d) - p.get(d, 0) - p.get(n - 1 - d, 0)
-            if qd < 0:
-                ok = False
-                break
-            if qd:
-                q[d] = qd
-        if not ok or q.get(n, 0) < 1:
-            continue
+        q, p = split_from_p(poly, n, forced, zip(degrees, combo))
         if betti is not None:
-            if any(q.get(k, 0) + q.get(n - k, 0) != betti[k]
+            if any(q.coeff(k) + q.coeff(n - k) != betti[k]
                    for k in range(0, n + 1)):
                 continue
-        results.append((LaurentPoly(q), LaurentPoly(p)))
+        results.append((q, p))
     results.sort(key=lambda qp: (sorted(qp[1].coeffs.items()),
                                  sorted(qp[0].coeffs.items())))
     return results
@@ -254,10 +292,27 @@ def is_connected_split(q, n):
     return q.coeff(n) == 1 and q.coeff(0) == 0
 
 
+def connected_p_top(poly, n, box):
+    """The value of p_(n-1) that every connected splitting in box has,
+    or None when the box holds no connected splitting.
+
+    q_n = c(n) - c(-1) for every point, and q_0 = c(0) - p_(n-1)
+    (c(0) - 2 p_0 when n = 1), so the connected form fixes p_(n-1) and
+    leaves the other free degrees alone.
+    """
+    if box is None or poly.coeff(n) - poly.coeff(-1) != 1:
+        return None
+    c0 = poly.coeff(0)
+    mult = 2 if n == 1 else 1
+    if c0 % mult or c0 // mult > box[2][-1]:
+        return None
+    return c0 // mult
+
+
 def is_connected_form(poly, n, window=64):
     """True when some decomposition has q_n = 1 and q_0 = 0."""
-    return any(is_connected_split(q, n)
-               for q, _ in decompose(poly, n, window=window))
+    return connected_p_top(poly, n, splitting_box(poly, n, window)) \
+        is not None
 
 
 def tb_from_polynomial(poly, n):

@@ -356,6 +356,44 @@ def test_byte_identical_reruns(capsys):
     assert runs[0] == runs[1]
 
 
+def test_parser_reuse_matches_fresh_interpreters(tmp_path, monkeypatch,
+                                                 capsys):
+    """main keeps one parser per process; each command must still run
+    as it does alone in a fresh interpreter."""
+    import os
+    from pathlib import Path
+    from legcob import cli
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    monkeypatch.chdir(tmp_path)
+    sequence = [
+        ["move", "--front", "L1 R1", "--move", "R1a 1 1", "--move",
+         "R1a 1 1"],
+        ["move", "--front", "L1 R1", "--move", "R1a 1 1"],
+        ["inv", "--front", "L1 R1", "--bogus"],
+        ["tb", "--dim", "1", "--poly", "2 + t"],
+        ["plan", "--dim", "4", "--poly", "t^4 + t^2 + t", "--out",
+         "plan.json"],
+        ["plan", "--verify", "plan.json"],
+    ]
+    parsers, outs = set(), []
+    for argv in sequence:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        here = capsys.readouterr()
+        parsers.add(id(cli._PARSER))
+        outs.append(here.out)
+        fresh = subprocess.run([sys.executable, "-m", "legcob.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (rc, here.out, here.err) \
+            == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(parsers) == 1
+    assert grab(outs[0], "moves") == "2" and grab(outs[1], "moves") == "1"
+    assert grab(outs[5], "verified") == "true"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "legcob.cli", "tb", "--dim", "1",

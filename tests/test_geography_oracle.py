@@ -1,0 +1,253 @@
+"""Reference code for the splitting box, kept to check the fast paths.
+
+`ref_decompose` is the enumerator that `laurent.decompose` replaced: it
+walks every point of the product of per-degree ranges and keeps the
+points whose q has no negative coefficient and a top class.
+`ref_choose` and `ref_realize` are the planner that `geography.realize`
+replaced: list the splittings, keep the connected ones (the sphere-only
+ones under sphere_only), and take the `min` by sphere count, then by
+sphere degrees.  The box code must give the same lists, the same (q, p)
+by `repr` (dict order included), the same block list, and the same
+error text, on every small polynomial and on seeded random ones with
+negative coefficients and mirrored high degrees.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from legcob import geography, laurent
+from legcob.errors import DomainError
+from legcob.geography import (Block, RealizationPlan, _incompat_reason,
+                              choose_split, realize)
+from legcob.laurent import (LaurentPoly, box_size, decompose,
+                            is_connected_form, is_connected_split,
+                            splitting_box)
+
+
+# --- reference: enumerate, then filter and take the min ----------------
+
+def ref_decompose(poly, n, betti=None, window=64):
+    if n < 1:
+        raise DomainError(f"dimension must be >= 1, got {n}")
+    lo, hi = -window, n + window
+    for d in poly.coeffs:
+        if d < lo or d > hi:
+            raise DomainError(f"degree {d} outside search window [{lo}, {hi}]")
+    c = poly.coeff
+    forced = {}
+    high = set()
+    for d in poly.coeffs:
+        if d > n:
+            high.add(d)
+        elif d < -1:
+            high.add(n - 1 - d)
+    for d in high:
+        if c(d) != c(n - 1 - d):
+            return []
+        if c(d):
+            forced[d] = c(d)
+    if c(-1):
+        forced[n] = c(-1)
+    if c(n) - c(-1) < 1:
+        return []
+    free_degrees = list(range(n // 2, n))
+    bounds = []
+    for i in free_degrees:
+        if 2 * i == n - 1:
+            bounds.append(c(i) // 2)
+        else:
+            bounds.append(min(c(i), c(n - 1 - i)))
+    if any(b < 0 for b in bounds):
+        return []
+    results = []
+    for combo in itertools.product(*(range(b + 1) for b in bounds)):
+        p = dict(forced)
+        for i, v in zip(free_degrees, combo):
+            if v:
+                p[i] = v
+        q = {}
+        ok = True
+        for d in range(0, n + 1):
+            qd = c(d) - p.get(d, 0) - p.get(n - 1 - d, 0)
+            if qd < 0:
+                ok = False
+                break
+            if qd:
+                q[d] = qd
+        if not ok or q.get(n, 0) < 1:
+            continue
+        if betti is not None:
+            if any(q.get(k, 0) + q.get(n - k, 0) != betti[k]
+                   for k in range(0, n + 1)):
+                continue
+        results.append((LaurentPoly(q), LaurentPoly(p)))
+    results.sort(key=lambda qp: (sorted(qp[1].coeffs.items()),
+                                 sorted(qp[0].coeffs.items())))
+    return results
+
+
+def ref_choose(poly, n, sphere_only=False):
+    candidates = [(q, p) for q, p in ref_decompose(poly, n)
+                  if is_connected_split(q, n)]
+    if not candidates:
+        raise DomainError(
+            f"not compatible with duality in connected form: "
+            f"{_incompat_reason(poly, n)}")
+    if sphere_only:
+        top = LaurentPoly({n: 1})
+        candidates = [(q, p) for q, p in candidates if q == top]
+        if not candidates:
+            raise DomainError(
+                f"sphere-only plan impossible for {poly}: every splitting "
+                "leaves terms that need manifold blocks")
+    return min(candidates,
+               key=lambda qp: (qp[1].total_count(),
+                               sorted(qp[1].coeffs.items())))
+
+
+def ref_blocks(q, p, n):
+    blocks = []
+    for a in range(1, n):
+        blocks.extend(Block("Manifold", n, a) for _ in range(q.coeff(a)))
+    for a in sorted(p.coeffs):
+        blocks.extend(Block("Sphere", n, a) for _ in range(p.coeffs[a]))
+    return blocks or [Block("Saucer", n)]
+
+
+def ref_realize(poly, n, sphere_only=False):
+    if n < 2:
+        raise DomainError(f"dimension must be >= 2, got {n}")
+    q, p = ref_choose(poly, n, sphere_only)
+    plan = RealizationPlan(n, ref_blocks(q, p, n), poly)
+    assert plan.verified(), \
+        f"plan replay mismatch: {plan.recomposed} != {poly}"
+    return plan
+
+
+# --- the inputs ----------------------------------------------------------
+
+def small_polys(n):
+    """Every polynomial with coefficients 0..2 on degrees -2..n+2."""
+    degrees = range(-2, n + 3)
+    for coeffs in itertools.product(range(3), repeat=len(degrees)):
+        yield LaurentPoly(dict(zip(degrees, coeffs)))
+
+
+def random_polys(seed, count):
+    """(poly, n) with negative coefficients and high degrees mirrored
+    below 0, so that the forced part of p is often consistent."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        coeffs = {d: rng.randint(-2, 4) for d in range(-1, n + 1)
+                  if rng.random() < 0.7}
+        if rng.random() < 0.8:
+            coeffs[n] = rng.randint(1, 3)
+        for _ in range(rng.randint(0, 3)):
+            d = rng.randint(n + 1, n + 6)
+            c = rng.choice((-2, -1, 1, 2, 3))
+            coeffs[d] = c
+            coeffs[n - 1 - d] = c if rng.random() < 0.85 else c + 1
+        out.append((LaurentPoly(coeffs), n))
+    return out
+
+
+SMALL = [(poly, n) for n in range(2, 6) for poly in small_polys(n)]
+RANDOM = random_polys(7, 4000)
+
+
+def outcome(fn, *args):
+    """repr of the result, or the exception's type and first line (an
+    assert in this module gets pytest's explanation appended)."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, AssertionError) as e:
+        return (type(e).__name__, str(e).splitlines()[0])
+
+
+def plan_outcome(fn, *args):
+    try:
+        return repr(fn(*args).blocks)
+    except (DomainError, AssertionError) as e:
+        return (type(e).__name__, str(e).splitlines()[0])
+
+
+# --- the checks ----------------------------------------------------------
+
+@pytest.mark.parametrize("cases", [SMALL, RANDOM], ids=["small", "random"])
+def test_box_matches_enumeration(cases):
+    for poly, n in cases:
+        ref = ref_decompose(poly, n)
+        box = splitting_box(poly, n)
+        assert (box is None) == (ref == []), (poly, n)
+        assert box_size(box) == len(ref), (poly, n)
+        assert repr(decompose(poly, n)) == repr(ref), (poly, n)
+        assert is_connected_form(poly, n) == any(
+            is_connected_split(q, n) for q, _ in ref), (poly, n)
+
+
+@pytest.mark.parametrize("cases", [SMALL, RANDOM], ids=["small", "random"])
+def test_realize_matches_min_over_enumeration(cases):
+    for poly, n in cases:
+        for sphere_only in (False, True):
+            args = (poly, n, sphere_only)
+            if n >= 2:
+                assert outcome(choose_split, *args) \
+                    == outcome(ref_choose, *args), args
+            assert plan_outcome(realize, *args) \
+                == plan_outcome(ref_realize, *args), args
+
+
+def test_betti_filter_matches_enumeration():
+    rng = random.Random(11)
+    for poly, n in RANDOM + SMALL[::7]:
+        ref = ref_decompose(poly, n)
+        profiles = [[rng.randint(0, 2) for _ in range(n + 1)]]
+        if ref:
+            q, _ = rng.choice(ref)
+            profiles.append([q.coeff(k) + q.coeff(n - k)
+                             for k in range(n + 1)])
+        for betti in profiles:
+            assert repr(decompose(poly, n, betti=betti)) \
+                == repr(ref_decompose(poly, n, betti=betti)), (poly, n, betti)
+
+
+def test_domain_errors_match():
+    wide = LaurentPoly({100: 1, 3: 1})
+    for args in ((wide, 3), (LaurentPoly({2: 1}), 0), (wide, 3, None, 128)):
+        assert outcome(decompose, *args) == outcome(ref_decompose, *args)
+    assert outcome(is_connected_form, wide, 3) \
+        == outcome(ref_decompose, wide, 3)
+    with pytest.raises(DomainError, match="dimension must be >= 1"):
+        splitting_box(LaurentPoly({2: 1}), 0)
+
+
+def test_splitting_cap(monkeypatch):
+    monkeypatch.setattr(laurent, "MAX_SPLITTINGS", 4)
+    for poly, n in RANDOM + SMALL[::10]:
+        ref = ref_decompose(poly, n)
+        if len(ref) > 4:
+            with pytest.raises(DomainError, match="too many splittings"):
+                decompose(poly, n)
+        else:
+            assert repr(decompose(poly, n)) == repr(ref)
+
+
+def test_plan_block_cap(monkeypatch):
+    monkeypatch.setattr(geography, "MAX_PLAN_BLOCKS", 3)
+    for poly, n in RANDOM + SMALL[::10]:
+        if n < 2:
+            continue
+        try:
+            q, p = ref_choose(poly, n)
+        except DomainError:
+            continue
+        if len(ref_blocks(q, p, n)) > 3:
+            with pytest.raises(DomainError, match="plan too large"):
+                realize(poly, n)
+        else:
+            assert plan_outcome(realize, poly, n) \
+                == plan_outcome(ref_realize, poly, n)

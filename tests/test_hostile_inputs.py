@@ -43,12 +43,13 @@ ROWS = [
     pytest.param(["inv", "--front", "L1 R1 " * 3000], id="inv-3000-circles"),
     pytest.param(["compat", "--dim", "3", "--poly",
                   "t^3 + 100000000t^2 + 100000000t"],
-                 id="compat-big-coefficients",
-                 marks=_offender(1, "decompose walks every splitting")),
+                 id="compat-big-coefficients"),
+    pytest.param(["compat", "--dim", "10", "--poly",
+                  "t^10 + " + " + ".join(f"60t^{d}" for d in range(9, 0, -1))],
+                 id="compat-dim-10-coefficients-60"),
     pytest.param(["plan", "--dim", "4", "--poly",
                   "t^4 + 1000000t^3 + 1000000"],
-                 id="plan-big-coefficients",
-                 marks=_offender(1, "plans are not bounded")),
+                 id="plan-big-coefficients"),
     pytest.param(["rulings", "--front", "L1 L2 " + "X3 " * 40 + "R2 R1"],
                  id="rulings-40-twists",
                  marks=_offender(2, "enumerate_rulings lists every ruling")),
