@@ -17,8 +17,8 @@ executing it; fronts are only built in dimension 1.
 
 from .errors import DomainError
 from .exactseq import connect_sum
-from .laurent import LaurentPoly, connected_p_top, split_from_p, \
-    splitting_box, tb_from_polynomial
+from .laurent import LaurentPoly, check_dim_cap, connected_p_top, \
+    split_from_p, splitting_box, tb_from_polynomial, tb_sign
 
 # Largest number of blocks realize puts in a plan; counted from the
 # chosen splitting before any block is built.
@@ -31,6 +31,7 @@ class Block:
     def __init__(self, kind, n, a=None):
         if n < 2:
             raise DomainError(f"block dimension must be >= 2, got {n}")
+        check_dim_cap(n)
         self.kind = kind
         self.n = n
         self.a = a
@@ -204,8 +205,7 @@ def classical_fillable(n, tau):
         raise DomainError(f"n must be >= 3, got {n}")
     if tau % 2 == 0:
         raise DomainError(f"tau must be odd, got {tau}")
-    sign = -1 if ((n - 2) * (n - 1) // 2) % 2 else 1
-    st = sign * tau
+    st = tb_sign(n) * tau
     if st > 0:
         k = (st - 1) // 2
         poly = LaurentPoly({n: 1, n - 1: k + 1, 0: k + 1})

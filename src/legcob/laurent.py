@@ -21,6 +21,9 @@ from .errors import DomainError
 
 # Largest number of splittings decompose lists; the box is counted first.
 MAX_SPLITTINGS = 10**5
+# Largest dimension n the solver and the plan blocks take; every answer
+# has per-degree lists of length about n.
+MAX_DIM = 10**5
 
 
 class LaurentPoly:
@@ -178,26 +181,37 @@ def parse_poly(text):
     return LaurentPoly(coeffs)
 
 
+def check_dim_cap(n):
+    """Refuse a dimension above MAX_DIM."""
+    if n > MAX_DIM:
+        raise DomainError(
+            f"dimension too large: {n} exceeds the cap of {MAX_DIM:.3g}")
+
+
 def splitting_box(poly, n, window=64):
     """The splittings of poly = q + p + p.reflect(n-1) as a box.
 
     INPUT: as for decompose, without the betti filter.
 
     OUTPUT: (forced, degrees, bounds), or None exactly when no splitting
-    exists.  forced is the {degree: coefficient} part of p that the
-    degrees above n and below 0 fix outright; degrees are the free
-    middle degrees i = ceil((n-1)/2) .. n-1 of p, and p_i ranges over
-    0..bounds[k] for the k-th of them, independently of the others.
+    exists, as when poly has a negative coefficient (q, p >= 0).  forced
+    is the {degree: coefficient} part of p that the degrees above n and
+    below 0 fix outright; degrees are the free middle degrees
+    i = ceil((n-1)/2) .. n-1 of p, and p_i ranges over 0..bounds[k] for
+    the k-th of them, independently of the others.
     Each free p_i touches only q_i and q_(n-1-i), so every point of the
     box is a splitting and there are prod(b + 1) of them.
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
+    check_dim_cap(n)
     lo, hi = -window, n + window
     for d in poly.coeffs:
         if d < lo or d > hi:
             raise DomainError(f"degree {d} outside search window [{lo}, {hi}]")
     c = poly.coeff
+    if any(v < 0 for v in poly.coeffs.values()):
+        return None
 
     # Degrees above n can only come from p itself, degrees below 0 only
     # from the reflected copy.  Both force p and must agree.
@@ -325,5 +339,10 @@ def tb_from_polynomial(poly, n):
     >>> tb_from_polynomial(parse_poly("t^5 + 2t^4 + 2"), 5)
     3
     """
-    sign = -1 if ((n - 2) * (n - 1) // 2) % 2 else 1
-    return sign * poly.evaluate(-1)
+    return tb_sign(n) * poly.evaluate(-1)
+
+
+def tb_sign(n):
+    """The sign (-1)^((n-2)(n-1)/2) relating tb to the count polynomial
+    at t = -1 in dimension n."""
+    return -1 if ((n - 2) * (n - 1) // 2) % 2 else 1

@@ -37,12 +37,41 @@ from fractions import Fraction
 from .errors import DomainError
 from .front import FrontDiagram, maslov_potential, parse_front
 
-_MOVE_ARITY = {
-    "B": 2, "P": 2, "R1a": 2, "R1b": 2,
-    "PM": 1, "R1a-": 1, "R1b-": 1,
-    "R2u": 1, "R2d": 1, "R2u-": 1, "R2d-": 1,
-    "R3": 1, "C": 1, "Ch": 1,
-}
+# Each move with its inverse as local rewrites old -> new of the event
+# word, positions written as offsets from a height h.  A move whose old
+# side is empty inserts new at a slice (K s h); the others match old at
+# an event (K e) and read h off it.  The inverse kind rewrites new ->
+# old.  A birth has no inverse; R3 is its own.
+_REWRITES = (
+    ("B", None, [("", "L0 R0")]),
+    ("P", "PM", [("", "R0 L0")]),
+    ("R1a", "R1a-", [("", "L1 X0 R1")]),
+    ("R1b", "R1b-", [("", "L0 X1 R0")]),
+    ("R2u", "R2u-", [("L0", "L-1 X0 X-1"), ("R0", "X-1 X0 R-1")]),
+    ("R2d", "R2d-", [("L0", "L1 X0 X1"), ("R0", "X1 X0 R1")]),
+    ("R3", "R3", [("X0 X1 X0", "X1 X0 X1")]),
+)
+
+
+def _tables():
+    """kind -> [(old, new)] with sides as (event kind, offset) tuples,
+    kind -> inverse kind, and kind -> argument count."""
+    def side(text):
+        return tuple((t[0], int(t[1:])) for t in text.split())
+
+    rules, inverse = defaultdict(list), {}
+    for kind, inv, pairs in _REWRITES:
+        rules[kind] += [(side(old), side(new)) for old, new in pairs]
+        inverse[kind] = inv
+        if inv:
+            rules[inv] += [(new, old) for old, new in rules[kind]]
+            inverse[inv] = kind
+    arity = {kind: 1 if r[0][0] else 2 for kind, r in rules.items()}
+    arity.update(C=1, Ch=1)
+    return dict(rules), inverse, arity
+
+
+_RULES, _INVERSE, _MOVE_ARITY = _tables()
 
 
 def parse_move(text):
@@ -74,11 +103,20 @@ def _fail(move, reason):
     raise DomainError(f"move not applicable ({format_move(move)}): {reason}")
 
 
-def _check_grading(diagram, a, b, gap, what):
-    """A pinch is graded when mu(a) - mu(b) = gap, modulo the potential's
-    mod: gap 1 for a new pinch on the pair a above b (the new right cusp
-    must match the potential), gap 0 for a merge of the dying strand a
-    and the born strand b (equal cusp levels)."""
+def _check_grading(diagram, move):
+    """A pinch P s h needs mu(a) - mu(b) = 1 for the strands a above b
+    at heights h, h+1 of slice s (the new right cusp matches the
+    potential), a merge PM e equal cusp levels mu(a) = mu(b) for a dying
+    at its R_h and b born at its L_h; both modulo the potential's mod."""
+    kind, st = move[0], diagram.stacks
+    if kind == "P":
+        _, w, h = move
+        a, b, gap, what = st[w][h - 1], st[w][h], 1, "potentials"
+    elif kind == "PM":
+        w, h = move[1], diagram.events[move[1]][1]
+        a, b, gap, what = st[w][h - 1], st[w + 2][h - 1], 0, "cusp levels"
+    else:
+        return
     c = diagram.comp_of[a]
     if diagram.comp_of[b] != c:
         return  # potentials on distinct components can be shifted freely
@@ -143,117 +181,40 @@ def _apply(diagram, move, gf_mode=False):
     rewritten event window [w0, w1_old) was replaced by [w0, w1_new).
     The new diagram is built from `diagram`, simulating the window only,
     so its position checks reject an illegal rewrite."""
-    w0, w1_old, repl = _rewrite(diagram, move, gf_mode)
+    w0, w1_old, repl = _rewrite(diagram, move)
     ev = diagram.events
     try:
         new = FrontDiagram(ev[:w0] + repl + ev[w1_old:], diagram,
                            (w0, w1_old))
     except DomainError as err:
         _fail(move, f"rewritten word is invalid: {err}")
+    if gf_mode:
+        _check_grading(diagram, move)
     return new, w0, w1_old, w0 + len(repl)
 
 
-def _rewrite(diagram, move, gf_mode):
+def _match(rules, ev, e):
+    """(h, old, new) of the rule whose old side starts at event e."""
+    if not 0 <= e < len(ev):
+        return None
+    first, pos = ev[e]
+    for old, new in rules:
+        if old[0][0] == first:
+            h = pos - old[0][1]
+            if ev[e:e + len(old)] == [(k, h + o) for k, o in old]:
+                return h, old, new
+    return None
+
+
+def _rewrite(diagram, move):
     """The window [w0, w1_old) of the event word that `move` rewrites and
-    its replacement events, after the move's own applicability checks."""
+    its replacement events; the window build checks their positions."""
     kind = move[0]
-    if kind not in _MOVE_ARITY or len(move) != 1 + _MOVE_ARITY[kind]:
+    arity = _MOVE_ARITY.get(kind)
+    if arity is None or len(move) != 1 + arity:
         raise DomainError(f"bad move {move!r}")
     ev = diagram.events
-
-    if kind in ("B", "P", "R1a", "R1b"):
-        s, h = move[1], move[2]
-        if not 0 <= s <= len(ev):
-            _fail(move, f"no slice {s}")
-        count = len(diagram.stacks[s])
-        if kind == "B":
-            if not 1 <= h <= count + 1:
-                _fail(move, f"height {h} out of range for {count} strands")
-            ins = [("L", h), ("R", h)]
-        elif kind == "P":
-            if not 1 <= h <= count - 1:
-                _fail(move, f"no strand pair at heights {h}, {h + 1}")
-            if gf_mode:
-                stack = diagram.stacks[s]
-                _check_grading(diagram, stack[h - 1], stack[h], 1,
-                               "potentials")
-            ins = [("R", h), ("L", h)]
-        elif kind == "R1a":
-            if not 1 <= h <= count:
-                _fail(move, f"no strand at height {h}")
-            ins = [("L", h + 1), ("X", h), ("R", h + 1)]
-        else:
-            if not 1 <= h <= count:
-                _fail(move, f"no strand at height {h}")
-            ins = [("L", h), ("X", h + 1), ("R", h)]
-        return s, s, ins
-
-    e = move[1]
-
-    if kind == "PM":
-        if not 0 <= e < len(ev) - 1:
-            _fail(move, f"no event pair at {e}")
-        (ka, pa), (kb, pb) = ev[e], ev[e + 1]
-        if (ka, kb) != ("R", "L") or pa != pb:
-            _fail(move, f"events at {e}, {e + 1} are not a matched R,L pair")
-        if gf_mode:
-            st = diagram.stacks
-            a, _ = _participants(ev[e], st[e], st[e + 1])  # dying at R
-            u, _ = _participants(ev[e + 1], st[e + 1], st[e + 2])  # born
-            _check_grading(diagram, a, u, 0, "cusp levels")
-        return e, e + 2, []
-
-    if kind in ("R1a-", "R1b-"):
-        if not 0 <= e <= len(ev) - 3:
-            _fail(move, f"no event triple at {e}")
-        (k1, p1), (k2, p2), (k3, p3) = ev[e:e + 3]
-        want = p1 - 1 if kind == "R1a-" else p1 + 1
-        if (k1, k2, k3) != ("L", "X", "R") or p2 != want or p3 != p1:
-            _fail(move, f"events at {e}..{e + 2} are not a fish")
-        return e, e + 3, []
-
-    if kind in ("R2u", "R2d"):
-        if not 0 <= e < len(ev):
-            _fail(move, f"no event {e}")
-        k, q = ev[e]
-        if k not in ("L", "R"):
-            _fail(move, f"event {e} is not a cusp")
-        count = len(diagram.stacks[e])
-        if kind == "R2u":
-            if q < 2:
-                _fail(move, "no strand above the cusp")
-            repl = ([("L", q - 1), ("X", q), ("X", q - 1)] if k == "L"
-                    else [("X", q - 1), ("X", q), ("R", q - 1)])
-        else:
-            need = q if k == "L" else q + 2
-            if count < need:
-                _fail(move, "no strand below the cusp")
-            repl = ([("L", q + 1), ("X", q), ("X", q + 1)] if k == "L"
-                    else [("X", q + 1), ("X", q), ("R", q + 1)])
-        return e, e + 1, repl
-
-    if kind in ("R2u-", "R2d-"):
-        if not 0 <= e <= len(ev) - 3:
-            _fail(move, f"no event triple at {e}")
-        (k1, p1), (k2, p2), (k3, p3) = ev[e:e + 3]
-        step = 1 if kind == "R2u-" else -1
-        if ((k1, k2, k3) == ("L", "X", "X") and p2 == p1 + step
-                and p3 == p1):
-            repl = [("L", p1 + step)]
-        elif ((k1, k2, k3) == ("X", "X", "R") and p2 == p1 + step
-                and p3 == p1):
-            repl = [("R", p1 + step)]
-        else:
-            _fail(move, f"events at {e}..{e + 2} do not match the pattern")
-        return e, e + 3, repl
-
-    if kind == "R3":
-        if not 0 <= e <= len(ev) - 3:
-            _fail(move, f"no event triple at {e}")
-        (k1, p1), (k2, p2), (k3, p3) = ev[e:e + 3]
-        if (k1, k2, k3) != ("X", "X", "X") or p3 != p1 or abs(p2 - p1) != 1:
-            _fail(move, f"events at {e}..{e + 2} are not a triangle")
-        return e, e + 3, [("X", p2), ("X", p1), ("X", p2)]
+    e = move[1]  # an event, or the slice of an insertion
 
     if kind in ("C", "Ch"):
         if not 0 <= e < len(ev) - 1:
@@ -276,8 +237,17 @@ def _rewrite(diagram, move, gf_mode):
         if end != s2:
             _fail(move, "strands interleave vertically")
         return e, e + 2, [new_second, new_first]
-
-    raise AssertionError(f"unhandled move kind {kind!r}")
+    if arity == 2:
+        h = move[2]
+        if not 0 <= e <= len(ev):
+            _fail(move, f"no slice {e}")
+        (old, new), = _RULES[kind]
+    else:
+        found = _match(_RULES[kind], ev, e)
+        if found is None:
+            _fail(move, f"no pattern match at event {e}")
+        h, old, new = found
+    return e, e + len(old), [(k, h + o) for k, o in new]
 
 
 def invert_move(before, move, after):
@@ -286,22 +256,6 @@ def invert_move(before, move, after):
     no inverse in the move set.
     """
     kind = move[0]
-    if kind == "B":
-        raise DomainError("a birth has no inverse move")
-    if kind == "P":
-        return ("PM", move[1])
-    if kind == "PM":
-        return ("P", move[1], before.events[move[1]][1])
-    if kind in ("R1a", "R1b", "R2u", "R2d"):
-        return (kind + "-", move[1])
-    if kind in ("R1a-", "R1b-"):
-        p = before.events[move[1]][1]
-        h = p - 1 if kind == "R1a-" else p
-        return (kind[:-1], move[1], h)
-    if kind in ("R2u-", "R2d-"):
-        return (kind[:-1], move[1])
-    if kind == "R3":
-        return move
     if kind in ("C", "Ch"):
         # commuting back past a dying pair may need the other placement
         for cand in (("C", move[1]), ("Ch", move[1])):
@@ -311,7 +265,13 @@ def invert_move(before, move, after):
             except DomainError:
                 pass
         raise AssertionError(f"no faithful inverse for {move!r}")
-    raise DomainError(f"bad move {move!r}")
+    inverse = _INVERSE.get(kind)
+    if inverse is None:
+        raise DomainError(f"no inverse move for {move!r}")
+    if _MOVE_ARITY[inverse] == 1:
+        return (inverse, move[1])
+    h, _, _ = _match(_RULES[kind], before.events, move[1])
+    return (inverse, move[1], h)
 
 
 # Event-indexed isotopy kinds in the order a search tries them: removals

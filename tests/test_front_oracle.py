@@ -16,6 +16,13 @@
    checked the same way against the constructor.
 3. The per-strand overlap of `_replay` against the cell-by-cell one, on
    every replayed step of those traces.
+4. The table of local rewrites in `moves` against the rewriter it
+   replaced, one branch per move kind, and its `invert_move`: every
+   isotopy candidate, birth and pinch at every slice and height
+   0..count+2, and merge at every event, on the fronts of items 1 and 2
+   and of `test_moves.test_invert_move_is_faithful`, with the pinch
+   gradings checked and not, must be accepted or refused alike and give
+   the same word and the same inverse.
 """
 
 import random
@@ -28,9 +35,10 @@ from legcob.braids import BraidWord, closure_report
 from legcob.errors import DomainError
 from legcob.front import (FrontDiagram, classical_invariants,
                           maslov_potential, parse_front)
-from legcob.moves import (ISOTOPY_KINDS, _apply, _fail, _overlap, _rewrite,
-                          apply_move, isotopy_candidates)
-from legcob.whitehead import whitehead_double
+from legcob.moves import (ISOTOPY_KINDS, _apply, _check_grading, _fail,
+                          _overlap, _participants, _reposition, _rewrite,
+                          apply_move, invert_move, isotopy_candidates)
+from legcob.whitehead import whitehead_diagram, whitehead_double
 
 WH_BASES = ("L1 R1", "L1 L2 R1 L1 R2 R1", "L1 L2 X3 X3 X3 R2 R1")
 TWIST_9 = "L1 L2 " + " ".join(["X3"] * 9) + " R2 R1"
@@ -43,6 +51,10 @@ MOVE_BRAIDS = ((3, [2, 1]), (5, [1, 4, 2, 3, 1, 2, 4]))
 # components whose potential is only defined mod 2|r|.
 ROTATING = ("L1 X1 R1", "L1 X1 X1 X1 R1", "L1 L2 X2 X2 X2 R2 R1",
             "L1 R1 L1 X1 R1", "L1 L1 R2 X1 R1", "L1 L2 X1 R1 X1 R1")
+# The fronts of test_moves.test_invert_move_is_faithful.
+INVERTED = ("L1 L2 X3 X3 X3 R2 R1", "L1 L2 R1 L1 R2 R1",
+            "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1",
+            "L1 L3 L3 X4 X2 R1 R1 L1 L1 X2 X4 R3 L5 R3 X2 R1 R1")
 FIELDS = ("events", "word", "stacks", "born", "crossings", "cusps",
           "n_ids", "n_left", "n_right", "max_strands", "comp_of",
           "components", "n_components", "potential", "defects")
@@ -273,11 +285,14 @@ def ref_simulate(events):
 
 def ref_apply(d, move, gf_mode):
     """The applier as it was: the same rewrite, then a full rebuild."""
-    w0, w1_old, repl = _rewrite(d, move, gf_mode)
+    w0, w1_old, repl = _rewrite(d, move)
     try:
-        return FrontDiagram(d.events[:w0] + repl + d.events[w1_old:])
+        new = FrontDiagram(d.events[:w0] + repl + d.events[w1_old:])
     except DomainError as err:
         _fail(move, f"rewritten word is invalid: {err}")
+    if gf_mode:
+        _check_grading(d, move)
+    return new
 
 
 def ref_overlap(old, new, w0, w1_old, w1_new):
@@ -412,3 +427,249 @@ def test_per_strand_overlap_matches_cells(move_traces):
             d = new
             steps += 1
     assert steps > 180
+
+
+# --- item 4: the rewriter before the table ------------------------------
+
+REF_MOVE_ARITY = {
+    "B": 2, "P": 2, "R1a": 2, "R1b": 2,
+    "PM": 1, "R1a-": 1, "R1b-": 1,
+    "R2u": 1, "R2d": 1, "R2u-": 1, "R2d-": 1,
+    "R3": 1, "C": 1, "Ch": 1,
+}
+
+
+def ref_check_grading(diagram, a, b, gap, what):
+    """A pinch is graded when mu(a) - mu(b) = gap, modulo the potential's
+    mod: gap 1 for a new pinch on the pair a above b (the new right cusp
+    must match the potential), gap 0 for a merge of the dying strand a
+    and the born strand b (equal cusp levels)."""
+    c = diagram.comp_of[a]
+    if diagram.comp_of[b] != c:
+        return  # potentials on distinct components can be shifted freely
+    mp = maslov_potential(diagram)
+    m = mp.mods[c]
+    diff = mp.values[a] - mp.values[b] - gap
+    if (diff % m if m else diff) != 0:
+        raise DomainError(
+            f"grading mismatch at pinch: {what} {mp.values[a]}, "
+            f"{mp.values[b]} (mod {m})")
+
+
+def ref_rewrite(diagram, move, gf_mode):
+    """The rewriter as it was, one branch per move kind: the window
+    [w0, w1_old) of the event word that `move` rewrites and its
+    replacement events, after the move's own applicability checks."""
+    kind = move[0]
+    if kind not in REF_MOVE_ARITY or len(move) != 1 + REF_MOVE_ARITY[kind]:
+        raise DomainError(f"bad move {move!r}")
+    ev = diagram.events
+
+    if kind in ("B", "P", "R1a", "R1b"):
+        s, h = move[1], move[2]
+        if not 0 <= s <= len(ev):
+            _fail(move, f"no slice {s}")
+        count = len(diagram.stacks[s])
+        if kind == "B":
+            if not 1 <= h <= count + 1:
+                _fail(move, f"height {h} out of range for {count} strands")
+            ins = [("L", h), ("R", h)]
+        elif kind == "P":
+            if not 1 <= h <= count - 1:
+                _fail(move, f"no strand pair at heights {h}, {h + 1}")
+            if gf_mode:
+                stack = diagram.stacks[s]
+                ref_check_grading(diagram, stack[h - 1], stack[h], 1,
+                               "potentials")
+            ins = [("R", h), ("L", h)]
+        elif kind == "R1a":
+            if not 1 <= h <= count:
+                _fail(move, f"no strand at height {h}")
+            ins = [("L", h + 1), ("X", h), ("R", h + 1)]
+        else:
+            if not 1 <= h <= count:
+                _fail(move, f"no strand at height {h}")
+            ins = [("L", h), ("X", h + 1), ("R", h)]
+        return s, s, ins
+
+    e = move[1]
+
+    if kind == "PM":
+        if not 0 <= e < len(ev) - 1:
+            _fail(move, f"no event pair at {e}")
+        (ka, pa), (kb, pb) = ev[e], ev[e + 1]
+        if (ka, kb) != ("R", "L") or pa != pb:
+            _fail(move, f"events at {e}, {e + 1} are not a matched R,L pair")
+        if gf_mode:
+            st = diagram.stacks
+            a, _ = _participants(ev[e], st[e], st[e + 1])  # dying at R
+            u, _ = _participants(ev[e + 1], st[e + 1], st[e + 2])  # born
+            ref_check_grading(diagram, a, u, 0, "cusp levels")
+        return e, e + 2, []
+
+    if kind in ("R1a-", "R1b-"):
+        if not 0 <= e <= len(ev) - 3:
+            _fail(move, f"no event triple at {e}")
+        (k1, p1), (k2, p2), (k3, p3) = ev[e:e + 3]
+        want = p1 - 1 if kind == "R1a-" else p1 + 1
+        if (k1, k2, k3) != ("L", "X", "R") or p2 != want or p3 != p1:
+            _fail(move, f"events at {e}..{e + 2} are not a fish")
+        return e, e + 3, []
+
+    if kind in ("R2u", "R2d"):
+        if not 0 <= e < len(ev):
+            _fail(move, f"no event {e}")
+        k, q = ev[e]
+        if k not in ("L", "R"):
+            _fail(move, f"event {e} is not a cusp")
+        count = len(diagram.stacks[e])
+        if kind == "R2u":
+            if q < 2:
+                _fail(move, "no strand above the cusp")
+            repl = ([("L", q - 1), ("X", q), ("X", q - 1)] if k == "L"
+                    else [("X", q - 1), ("X", q), ("R", q - 1)])
+        else:
+            need = q if k == "L" else q + 2
+            if count < need:
+                _fail(move, "no strand below the cusp")
+            repl = ([("L", q + 1), ("X", q), ("X", q + 1)] if k == "L"
+                    else [("X", q + 1), ("X", q), ("R", q + 1)])
+        return e, e + 1, repl
+
+    if kind in ("R2u-", "R2d-"):
+        if not 0 <= e <= len(ev) - 3:
+            _fail(move, f"no event triple at {e}")
+        (k1, p1), (k2, p2), (k3, p3) = ev[e:e + 3]
+        step = 1 if kind == "R2u-" else -1
+        if ((k1, k2, k3) == ("L", "X", "X") and p2 == p1 + step
+                and p3 == p1):
+            repl = [("L", p1 + step)]
+        elif ((k1, k2, k3) == ("X", "X", "R") and p2 == p1 + step
+                and p3 == p1):
+            repl = [("R", p1 + step)]
+        else:
+            _fail(move, f"events at {e}..{e + 2} do not match the pattern")
+        return e, e + 3, repl
+
+    if kind == "R3":
+        if not 0 <= e <= len(ev) - 3:
+            _fail(move, f"no event triple at {e}")
+        (k1, p1), (k2, p2), (k3, p3) = ev[e:e + 3]
+        if (k1, k2, k3) != ("X", "X", "X") or p3 != p1 or abs(p2 - p1) != 1:
+            _fail(move, f"events at {e}..{e + 2} are not a triangle")
+        return e, e + 3, [("X", p2), ("X", p1), ("X", p2)]
+
+    if kind in ("C", "Ch"):
+        if not 0 <= e < len(ev) - 1:
+            _fail(move, f"no event pair at {e}")
+        first, second = ev[e], ev[e + 1]
+        s0 = list(diagram.stacks[e])
+        s1 = diagram.stacks[e + 1]
+        s2 = list(diagram.stacks[e + 2])
+        pa = _participants(first, s0, s1)
+        pb = _participants(second, s1, s2)
+        if set(pa) & set(pb):
+            _fail(move, "events share a strand")
+        s2_pos = {w: i for i, w in enumerate(s2)}
+        high = kind == "Ch"
+        try:
+            new_second, mid = _reposition(second, pb, s0, s2_pos, high)
+            new_first, end = _reposition(first, pa, mid, s2_pos, high)
+        except DomainError as err:
+            _fail(move, str(err))
+        if end != s2:
+            _fail(move, "strands interleave vertically")
+        return e, e + 2, [new_second, new_first]
+
+    raise AssertionError(f"unhandled move kind {kind!r}")
+
+
+def ref_invert_move(before, move, after):
+    """invert_move as it was, one case per move kind."""
+    kind = move[0]
+    if kind == "B":
+        raise DomainError("a birth has no inverse move")
+    if kind == "P":
+        return ("PM", move[1])
+    if kind == "PM":
+        return ("P", move[1], before.events[move[1]][1])
+    if kind in ("R1a", "R1b", "R2u", "R2d"):
+        return (kind + "-", move[1])
+    if kind in ("R1a-", "R1b-"):
+        p = before.events[move[1]][1]
+        h = p - 1 if kind == "R1a-" else p
+        return (kind[:-1], move[1], h)
+    if kind in ("R2u-", "R2d-"):
+        return (kind[:-1], move[1])
+    if kind == "R3":
+        return move
+    if kind in ("C", "Ch"):
+        # commuting back past a dying pair may need the other placement
+        for cand in (("C", move[1]), ("Ch", move[1])):
+            try:
+                if apply_move(after, cand).word == before.word:
+                    return cand
+            except DomainError:
+                pass
+        raise AssertionError(f"no faithful inverse for {move!r}")
+    raise DomainError(f"bad move {move!r}")
+
+
+def ref_windowed_apply(d, move, gf_mode):
+    """The applier before the table: the old rewrite, then the windowed
+    build."""
+    w0, w1_old, repl = ref_rewrite(d, move, gf_mode)
+    try:
+        return FrontDiagram(d.events[:w0] + repl + d.events[w1_old:], d,
+                            (w0, w1_old))
+    except DomainError as err:
+        _fail(move, f"rewritten word is invalid: {err}")
+
+
+def _inverse(invert, d, move, after):
+    try:
+        return invert(d, move, after)
+    except (DomainError, AssertionError):
+        return None  # no inverse; the texts differ between the two
+
+
+def test_rewrite_table_matches_reference(fronts, move_fronts):
+    bases = fronts + move_fronts + [parse_front(word) for word in INVERTED]
+    bases.append(whitehead_diagram(parse_front("L1 R1")))
+    bases = list({d.word: d for d in bases}.values())
+    cases = accepted = refused = 0
+    kinds = set()
+    for d in bases:
+        n = len(d.events)
+        moves = list(isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None))
+        moves += [(kind, s, h) for s in range(n + 1)
+                  for h in range(len(d.stacks[s]) + 3) for kind in "BP"]
+        moves += [("PM", e) for e in range(n)]
+        for move in moves:
+            for gf_mode in (False, True):
+                cases += 1
+                want = _outcome(lambda: ref_windowed_apply(d, move, gf_mode))
+                got = _outcome(lambda: apply_move(d, move, gf_mode=gf_mode))
+                if isinstance(want, str):
+                    assert isinstance(got, str), (d.word, move, gf_mode)
+                    prefix = "move not applicable"
+                    assert got.startswith(prefix) == want.startswith(prefix), \
+                        (d.word, move, got, want)
+                    refused += 1
+                    continue
+                assert not isinstance(got, str), (d.word, move, got)
+                assert got.word == want.word, (d.word, move)
+                inverse = _inverse(invert_move, d, move, got)
+                assert inverse == _inverse(ref_invert_move, d, move, want), \
+                    (d.word, move)
+                if inverse and not gf_mode:
+                    # the removals meet their patterns on the moved fronts
+                    back = apply_move(got, inverse)
+                    assert back.word == d.word, (d.word, move)
+                    assert ref_windowed_apply(want, inverse, False).word \
+                        == d.word, (d.word, move)
+                accepted += 1
+                kinds.add(move[0])
+    assert kinds == set(ISOTOPY_KINDS) | {"R1a", "R1b", "B", "P", "PM"}
+    assert len(bases) > 230
+    assert cases > 300000 and accepted > 180000 and refused > 120000

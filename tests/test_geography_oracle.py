@@ -2,7 +2,8 @@
 
 `ref_decompose` is the enumerator that `laurent.decompose` replaced: it
 walks every point of the product of per-degree ranges and keeps the
-points whose q has no negative coefficient and a top class.
+points whose q and p have no negative coefficient and whose q has a top
+class.
 `ref_choose` and `ref_realize` are the planner that `geography.realize`
 replaced: list the splittings, keep the connected ones (the sphere-only
 ones under sphere_only), and take the `min` by sphere count, then by
@@ -68,7 +69,7 @@ def ref_decompose(poly, n, betti=None, window=64):
             if v:
                 p[i] = v
         q = {}
-        ok = True
+        ok = all(v >= 0 for v in p.values())
         for d in range(0, n + 1):
             qd = c(d) - p.get(d, 0) - p.get(n - 1 - d, 0)
             if qd < 0:

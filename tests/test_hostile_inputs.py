@@ -21,7 +21,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MEMORY_CAP = 1 << 30
 DEADLINE_S = 3.0
 # Files a row may name, written to its working directory first.
-FILES = {"bad-argument.trace": "L1 R1\nC --1\n"}
+FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
+         "huge-dim.plan": '{"n": 300000000, "target": "t^300000000", '
+                          '"blocks": [{"kind": "Saucer"}]}'}
 
 
 def _offender(item, why):
@@ -50,6 +52,14 @@ ROWS = [
     pytest.param(["plan", "--dim", "4", "--poly",
                   "t^4 + 1000000t^3 + 1000000"],
                  id="plan-big-coefficients"),
+    pytest.param(["plan", "--dim", "3", "--poly", "t^3 - t^5 - t^(-3)"],
+                 id="plan-negative-mirrored-coefficient"),
+    pytest.param(["compat", "--dim", "30000000", "--poly", "t^30000000"],
+                 id="compat-huge-dim"),
+    pytest.param(["plan", "--dim", "30000000", "--poly", "t^30000000"],
+                 id="plan-huge-dim"),
+    pytest.param(["plan", "--verify", "huge-dim.plan"],
+                 id="plan-verify-huge-dim"),
     pytest.param(["rulings", "--front", "L1 L2 " + "X3 " * 40 + "R2 R1"],
                  id="rulings-40-twists",
                  marks=_offender(2, "enumerate_rulings lists every ruling")),
