@@ -13,11 +13,14 @@ it has three regions:
   chord lies there.
 
 Evaluation follows the regions: the blend's exponentials are only
-taken on the collar, the gradient's collar term evaluates the core
-only off the core region, and the fiber solve's seed scan only
-evaluates d_eta f at the grid points inside radius 2R.  First derivatives are analytic
-everywhere (core, tail, and bump terms); second derivatives are
-central differences of the analytic gradient.
+taken on the collar, and the gradient's collar term evaluates the core
+only off the core region.  The fiber solve's seed scan is certified:
+each family bounds d_eta f over a box (one x, a block of eta grid
+cells) by interval arithmetic, and d_eta f is only evaluated at the
+grid points inside radius 2R whose blocks the bound does not prove
+seedless.  First derivatives are analytic everywhere (core, tail, and
+bump terms); second derivatives are central differences of the
+analytic gradient.
 
 The operations follow the front/chord dictionary: the fiber-critical
 set {d_eta f = 0} projects to the front via (x, d_x f, f), and the
@@ -33,6 +36,8 @@ with a central-difference Jacobian; Morse indices and the regularity
 margin come from numpy's symmetric eigenvalues.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -70,6 +75,16 @@ def smoothstep_d(u):
     return _smoothstep_pair(u)[1]
 
 
+# Relative margin of every grad_eta bound: each bound is widened by
+# BOUND_MARGIN times the magnitude of the terms it sums, which clears
+# the float rounding of the bound and of the values grad_eta computes
+# (a few ulps of that magnitude) by a wide factor.
+BOUND_MARGIN = 1e-9
+# Supremum of smoothstep_d, reached at u = 1/2 where it is 2; the
+# margin covers the ulps by which computed values exceed 2.
+SMOOTHSTEP_D_SUP = 2.0 * (1.0 + BOUND_MARGIN)
+
+
 # --- linear algebra ---------------------------------------------------
 
 def sym_eigenvalues(mat):
@@ -89,38 +104,45 @@ def _fd_jacobian(F, P, h):
 
 
 def _newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
-    """Batched Newton for F(P) = 0, one independent system per row.
+    """Batched Newton for F = 0, one independent system per row.
 
-    Steps are clipped to 0.5 per coordinate.  A row whose Jacobian turns
-    singular stops moving and leaves the convergence test, so it cannot
-    keep the others iterating to the cap.  Returns (points, accept,
-    stuck): accept marks rows with max |F| < accept_tol, stuck the rows
-    that hit a singular Jacobian.
+    F(Q, rows) maps the points Q of the batch rows `rows` (an index
+    array) row by row.  Steps are clipped to 0.5 per coordinate.  A row
+    whose Jacobian turns singular never moves again: it leaves the
+    live rows, on which alone F, its Jacobian and the convergence test
+    are evaluated, so it cannot keep the others iterating to the cap.
+    Returns (points, accept, stuck): accept marks rows with max |F| <
+    accept_tol, stuck the rows that hit a singular Jacobian.
     """
     P = np.array(P, float)
     stuck = np.zeros(len(P), bool)
+    live = np.arange(len(P))
     for _ in range(iters):
-        res = F(P)
-        if np.max(np.abs(res[~stuck]), initial=0.0) < newton_tol:
+        if not len(live):
             break
-        jac = _fd_jacobian(F, P, h)
-        stuck |= np.abs(np.linalg.det(jac)) <= 1e-14
-        move = ~stuck
-        step = np.zeros_like(P)
+        Q = P[live]
+        res = F(Q, live)
+        if np.max(np.abs(res)) < newton_tol:
+            break
+        jac = _fd_jacobian(lambda Q: F(Q, live), Q, h)
+        move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
+        stuck[live[~move]] = True
+        step = np.zeros_like(Q)
         step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
-        P -= np.clip(step, -0.5, 0.5)
-    accept = np.max(np.abs(F(P)), axis=1) < accept_tol
+        P[live] = Q - np.clip(step, -0.5, 0.5)
+        live = live[move]
+    accept = np.max(np.abs(F(P, np.arange(len(P)))), axis=1) < accept_tol
     return P, accept, stuck
 
 
 # --- families ---------------------------------------------------------
 
 def _sq(A):
-    """Row sums of squares of a one- or two-column array, column by
-    column."""
-    out = A[:, 0] * A[:, 0]
-    for j in range(1, A.shape[1]):
-        out = out + A[:, j] * A[:, j]
+    """Sums of squares along the last axis (one or two columns), column
+    by column."""
+    out = A[..., 0] * A[..., 0]
+    for j in range(1, A.shape[-1]):
+        out = out + A[..., j] * A[..., j]
     return out
 
 
@@ -244,6 +266,59 @@ class GeneratingFamily(_Family):
         pieces = self._collar(X, E)
         return self._grad_x(X, *pieces), self._grad_eta(E, *pieces)
 
+    def grad_eta_bound(self, X, Elo, Ehi):
+        """Bounds (lo, hi) of grad_eta over the boxes {x} x [eta_lo,
+        eta_hi]: x runs over the last axis of X, the eta ends over that
+        of Elo and Ehi, the other axes broadcast together.  Every value
+        grad_eta computes in a box lies in its [lo, hi].
+
+        d_eta_j f = (1 - s) d_eta_j core + s A_j + (s'(r) / r) (A - core)
+        eta_j, bounded as a sum of interval products: the core and its
+        derivative from their monomial ranges (x exact), s from r's
+        range since s is monotone in r, s'(r) / r between 0 and
+        SMOOTHSTEP_D_SUP / (R max(r, R)) on boxes meeting the collar and
+        0 elsewhere.  Each bound is widened by BOUND_MARGIN times the
+        magnitude of the terms it sums.
+        """
+        X = np.asarray(X, float)
+        Elo, Ehi = np.asarray(Elo, float), np.asarray(Ehi, float)
+        exact = [X[..., i] for i in range(self.n)]
+        lo = [Elo[..., j] for j in range(self.N)]
+        hi = [Ehi[..., j] for j in range(self.N)]
+        absmax = np.maximum(np.abs(Elo), np.abs(Ehi))
+        tail = np.asarray(self.tail)
+        c_lo, c_hi, c_mag = self.core.bound(exact, lo, hi)
+        # A - core, and the scale of its rounding
+        q_lo = np.minimum(Elo * tail, Ehi * tail).sum(axis=-1) - c_hi
+        q_hi = np.maximum(Elo * tail, Ehi * tail).sum(axis=-1) - c_lo
+        q_mag = absmax @ np.abs(tail) + c_mag
+        sqx = _sq(X)
+        r_lo = np.sqrt(sqx + _sq(np.where((Elo < 0) & (Ehi > 0), 0.0,
+                                          np.minimum(np.abs(Elo),
+                                                     np.abs(Ehi)))))
+        u_lo = (r_lo - self.R) / self.R
+        u_hi = (np.sqrt(sqx + _sq(absmax)) - self.R) / self.R
+        s_lo, s_hi = smoothstep(u_lo), smoothstep(u_hi)
+        slope = np.where((u_hi > 0.0) & (u_lo < 1.0), SMOOTHSTEP_D_SUP
+                         / self.R / np.maximum(r_lo, self.R), 0.0)
+        out_lo, out_hi = [], []
+        for j in range(self.N):
+            d_lo, d_hi, d_mag = self._de[j].bound(exact, lo, hi)
+            ends = (q_lo * lo[j], q_lo * hi[j], q_hi * lo[j], q_hi * hi[j])
+            t = self.tail[j]
+            low = (np.minimum((1.0 - s_hi) * d_lo, (1.0 - s_lo) * d_lo)
+                   + np.minimum(s_lo * t, s_hi * t)
+                   + slope * np.minimum(functools.reduce(np.minimum, ends),
+                                        0.0))
+            high = (np.maximum((1.0 - s_hi) * d_hi, (1.0 - s_lo) * d_hi)
+                    + np.maximum(s_lo * t, s_hi * t)
+                    + slope * np.maximum(functools.reduce(np.maximum, ends),
+                                         0.0))
+            mag = d_mag + abs(t) + slope * q_mag * absmax[..., j]
+            out_lo.append(low - BOUND_MARGIN * mag)
+            out_hi.append(high + BOUND_MARGIN * mag)
+        return np.stack(out_lo, axis=-1), np.stack(out_hi, axis=-1)
+
     def __repr__(self):
         return (f"GeneratingFamily(n={self.n}, N={self.N}, "
                 f"core={self.core.format(self.var_names())!r}, "
@@ -300,6 +375,24 @@ class CompositeFamily(_Family):
         for fam, center in self.parts:
             out |= fam.near(X, E - np.asarray(center))
         return out
+
+    def grad_eta_bound(self, X, Elo, Ehi):
+        """Bounds of grad_eta over boxes, as for one family: the tail
+        plus each part's bound less its tail, the part's boxes shifted
+        by its center."""
+        tail = np.asarray(self.tail, float)
+        lo = hi = tail
+        mag = np.abs(tail)
+        for fam, center in self.parts:
+            c = np.asarray(center)
+            p_lo, p_hi = fam.grad_eta_bound(X, np.asarray(Elo) - c,
+                                            np.asarray(Ehi) - c)
+            p_tail = np.asarray(fam.tail)
+            lo = lo + (p_lo - p_tail)
+            hi = hi + (p_hi - p_tail)
+            mag = mag + np.maximum(np.abs(p_lo), np.abs(p_hi)) \
+                + np.abs(p_tail)
+        return lo - BOUND_MARGIN * mag, hi + BOUND_MARGIN * mag
 
     def grad_x(self, X, E):
         X, E = np.asarray(X, float), np.asarray(E, float)
@@ -486,8 +579,13 @@ class FiberPoint:
 
 
 # Cap on the (x, eta) seed grid of one fiber solve, in samples.  The
-# saucer (n = 2, N = 1) at the default step 0.05 takes 1.4e7.
+# saucer (n = 2, N = 1) at the default step 0.05 takes 1.4e7, of which
+# the certified seed scan evaluates grad_eta at 22,482 (0.16%).
 MAX_GRID_SAMPLES = 3 * 10**7
+# Grid cells per axis of an eta block of the certified seed scan, and
+# of the smallest block it halves a block into.
+SCAN_BLOCK = 16
+SCAN_MIN_BLOCK = 8
 
 
 def _check_step(fam, step):
@@ -514,14 +612,92 @@ def _x_grid(fam, step):
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
-    """eta roots of grad_eta over each x row: grid seeds, then Newton.
+def _seedless(fam, X, es, first, count, step):
+    """Which boxes provably hold no seed.  A box is an x row of X
+    times the eta grid cells first .. first + count - 1 along each
+    axis (the last axis of first and count), whose corners run from
+    es[first] to es[first + count]; the other axes broadcast.  It holds
+    none when its grad_eta_bound has one strict sign (N = 1: no sign
+    change) or a component outside (-4 step, 4 step) (N = 2: no grid
+    point picked)."""
+    lo, hi = fam.grad_eta_bound(X, es[first], es[first + count])
+    if fam.N == 1:
+        return (lo[..., 0] > 0.0) | (hi[..., 0] < 0.0)
+    four = 4.0 * step
+    return ((lo >= four) | (hi <= -four)).any(axis=-1)
 
-    grad_eta is only evaluated at the grid pairs (x, eta) the family's
-    near mask keeps; at every other pair it is exactly the tail.  N = 1
-    seeds at the sign changes along the eta grid, N = 2 at the near
-    pairs where |grad_eta| is small.  Rows that stall on a singular
-    Jacobian (fold points) are rejected.
+
+def _live_cells(fam, xc, es, step):
+    """The eta grid cells that may hold a seed, for the x rows xc.
+
+    The cells are bounded in blocks of SCAN_BLOCK cells per axis; a
+    block not proven seedless is halved along every axis while it has
+    more than SCAN_MIN_BLOCK cells on one, and its halves bounded in
+    turn.  The cells of the boxes left are live.  Returns (rows, cells,
+    points): rows, ascending, index the rows of xc with live cells;
+    cells and points mask, per such row, the live cells and the grid
+    points at their corners, with one axis per fiber variable.
+    """
+    N, size = fam.N, len(es) - 1
+    starts = np.arange(0, size, SCAN_BLOCK)
+    first = np.stack(np.meshgrid(*[starts] * N, indexing="ij"),
+                     -1).reshape(-1, N)
+    count = np.minimum(first + SCAN_BLOCK, size) - first
+    rows, block = np.nonzero(~_seedless(fam, xc[:, None, :], es, first,
+                                        count, step))
+    first, count = first[block], count[block]
+    left = []
+    while True:
+        done = (count <= SCAN_MIN_BLOCK).all(axis=1)
+        left.append((rows[done], first[done], count[done]))
+        rows, first, count = rows[~done], first[~done], count[~done]
+        if not len(rows):
+            break
+        half = count // 2
+        rows = np.concatenate([rows] * 2 ** N)
+        first = np.concatenate([first + c * half for c in _corners(N)])
+        count = np.concatenate([np.where(c, count - half, half)
+                                for c in _corners(N)])
+        keep = (count > 0).all(axis=1)
+        keep[keep] = ~_seedless(fam, xc[rows[keep]], es, first[keep],
+                                count[keep], step)
+        rows, first, count = rows[keep], first[keep], count[keep]
+    rows, first, count = (np.concatenate(a) for a in zip(*left))
+    rows, at = np.unique(rows, return_inverse=True)
+    return (rows, _cover(len(rows), size, at, first, count),
+            _cover(len(rows), size + 1, at, first, count + 1))
+
+
+def _corners(N):
+    return [np.array(c) for c in itertools.product((0, 1), repeat=N)]
+
+
+def _cover(n_rows, size, at, first, count):
+    """Mask (n_rows, size, ...) of the union of the boxes k that span
+    first[k] .. first[k] + count[k] - 1 along each axis in row at[k]:
+    each box is marked by +-1 at its corners, and cumulative sums along
+    the axes fill it in."""
+    N = first.shape[1]
+    mask = np.zeros((n_rows,) + (size + 1,) * N, np.int8)
+    for c in _corners(N):
+        np.add.at(mask, (at,) + tuple((first + c * count).T),
+                  (-1) ** int(c.sum()))
+    for a in range(N):
+        mask = mask.cumsum(axis=a + 1, dtype=np.int8)
+    return mask[(slice(None),) + (slice(0, size),) * N] > 0
+
+
+def _fiber_seeds(fam, xs, step):
+    """Grid seeds of the eta roots of grad_eta over the x rows xs, as
+    one (Xs, Es) pair per chunk of rows.
+
+    N = 1 seeds at the sign changes along the eta grid, N = 2 at the
+    near pairs where |grad_eta| < 4 step.  The scan is certified:
+    grad_eta is only evaluated at the near grid pairs that are corners
+    of live cells (_live_cells), every pair off the near mask is
+    exactly the tail, and under N = 1 only live cells are tested for a
+    sign change, so both ends of a tested cell are exact.  The seeds
+    are those of a scan of every near pair, in the same order.
     """
     ext = fam.extent()
     es = np.arange(-ext, ext + step / 2.0, step)
@@ -531,11 +707,15 @@ def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
         E1, E2 = np.meshgrid(es, es, indexing="ij")
         eta_grid = np.column_stack([E1.ravel(), E2.ravel()])
     me = len(eta_grid)
-    found_x, found_e = [], []
     chunk = max(1, 200000 // me)
     for lo in range(0, len(xs), chunk):
         xc = xs[lo:lo + chunk]
-        rows, cols = np.nonzero(fam.near(xc, eta_grid))
+        sub, cells, points = _live_cells(fam, xc, es, step)
+        if not len(sub):
+            continue
+        xc = xc[sub]
+        rows, cols = np.nonzero(fam.near(xc, eta_grid)
+                                & points.reshape(len(xc), me))
         Xn = np.take(xc, rows, axis=0)
         En = np.take(eta_grid, cols, axis=0)
         gn = fam.grad_eta(Xn, En)
@@ -544,7 +724,7 @@ def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
             g[rows, cols] = gn[:, 0]
             ga, gb = g[:, :-1], g[:, 1:]
             hit = np.sign(ga) * np.sign(gb) <= 0
-            hit &= ~((ga == 0) & (gb == 0))
+            hit &= ~((ga == 0) & (gb == 0)) & cells
             rows, cols = np.nonzero(hit)
             denom = gb[rows, cols] - ga[rows, cols]
             frac = np.where(np.abs(denom) > 1e-300, -ga[rows, cols]
@@ -556,10 +736,19 @@ def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
             # constant tail, where Newton stalls on a zero Jacobian.
             pick = np.abs(gn).max(axis=1) < 4.0 * step
             Xs, Es = Xn[pick], En[pick]
-        if not len(Xs):
-            continue
-        Es, ok, stuck = _newton(lambda P: fam.grad_eta(Xs, P), Es, 60,
-                                newton_tol, accept_tol)
+        if len(Xs):
+            yield Xs, Es
+
+
+def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
+    """eta roots of grad_eta over each x row: the grid seeds of
+    _fiber_seeds, then Newton, one batch per chunk of rows.  Rows that
+    stall on a singular Jacobian (fold points) are rejected.
+    """
+    found_x, found_e = [], []
+    for Xs, Es in _fiber_seeds(fam, xs, step):
+        Es, ok, stuck = _newton(lambda P, rows: fam.grad_eta(Xs[rows], P),
+                                Es, 60, newton_tol, accept_tol)
         ok &= ~stuck
         found_x.append(Xs[ok])
         found_e.append(Es[ok])
@@ -698,7 +887,7 @@ def reeb_chords(fam, step=0.05, value_floor=1e-6, margin_tol=1e-8,
                                                   margin_tol)
     # Stuck rows stay in: a seed that stalls on a degenerate critical
     # point must still reach the margin check below and raise there.
-    pts, ok, _ = _newton(lambda P: _diff_gradient(fam, P), seeds, 80)
+    pts, ok, _ = _newton(lambda P, rows: _diff_gradient(fam, P), seeds, 80)
     converged = pts[ok]
     vals = _diff_value(fam, converged)
     keep = np.abs(vals) > value_floor

@@ -7,6 +7,7 @@ deliberately has no parentheses; families are written out in expanded
 form so the stored text is the polynomial itself.
 """
 
+import functools
 import math
 import re
 
@@ -107,6 +108,56 @@ class MultiPoly:
                             if cols else ())
         return total + np.zeros(np.broadcast(
             *[np.asarray(c) for c in cols]).shape)
+
+    def bound(self, exact, lo, hi):
+        """Range of the polynomial over boxes, term by term.
+
+        The leading len(exact) variables take the values in exact; each
+        later variable v ranges over [lo[v - len(exact)], hi[...]].  All
+        are scalars or arrays broadcast together.  Returns (low, high,
+        mag): every value of the polynomial in a box lies in [low,
+        high] up to rounding, and mag bounds the sum of the absolute
+        values of its terms there, the scale of evaluate's rounding.
+        An even power of a range straddling 0 starts at 0.
+        """
+        k = len(exact)
+        cache = {}
+
+        def power(v, e):
+            if (v, e) not in cache:
+                if v < k:
+                    cache[v, e] = np.asarray(exact[v]) ** e
+                else:
+                    a, b = np.asarray(lo[v - k]), np.asarray(hi[v - k])
+                    pa, pb = a ** e, b ** e
+                    if e % 2:
+                        cache[v, e] = (pa, pb)
+                    else:
+                        cache[v, e] = (
+                            np.where((a < 0) & (b > 0), 0.0,
+                                     np.minimum(pa, pb)),
+                            np.maximum(pa, pb))
+            return cache[v, e]
+
+        low = high = mag = 0.0
+        for e, c in self.terms.items():
+            t = c
+            for v in range(k):
+                if e[v]:
+                    t = t * power(v, e[v])
+            t_lo = t_hi = t
+            for v in range(k, self.nvars):
+                if e[v]:
+                    a, b = power(v, e[v])
+                    ends = [t_lo * a, t_lo * b]
+                    if t_hi is not t_lo:
+                        ends += [t_hi * a, t_hi * b]
+                    t_lo = functools.reduce(np.minimum, ends)
+                    t_hi = functools.reduce(np.maximum, ends)
+            low = low + t_lo
+            high = high + t_hi
+            mag = mag + np.maximum(np.abs(t_lo), np.abs(t_hi))
+        return low, high, mag
 
     def format(self, names):
         if not self.terms:

@@ -4,7 +4,8 @@ The commands are the README examples plus braid fillings, clasped
 doubles (one with its trace replay), one dimension-8 compat/plan pair,
 the rulings of a nine-crossing twist front and the JSON documents of
 the generating-family commands.  They run in order in one work
-directory, so later commands read the traces and plans written earlier.
+directory, so later commands read the traces and plans written earlier;
+the files in FILES are written there first.
 A refactor that changes any output byte, or any trace move, fails here.
 """
 
@@ -17,6 +18,9 @@ TWIST9 = "L1 L2 " + "X3 " * 9 + "R2 R1"
 ZIGZAG = "L1 L2 R1 L1 R2 R1"
 BRAID_BASE = "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"
 POLY8 = "t^8 + 5t^7 + 4t^6 + 3t^5 + 6t^4 + 2t^3 + 3t^2 + 4t + 5"
+# A family with two fiber variables (n = 1, N = 2): no built-in has one.
+FILES = {"two-fiber.gf": "n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 + e2^2\n"
+                         "tail=-200*e1 + 3*e2\nR=3\n"}
 
 # (argv, exit code, stdout sha256, {written file: sha256})
 GOLDEN = [
@@ -129,6 +133,8 @@ GOLDEN = [
      "eb33a3ce55e781aaa2404e671b4c97db3194861d352c9d615cf9148736e1fdf7", {}),
     (["gf-check", "--family", "unknot", "--embedded", "--json"], 0,
      "5faf60c5a0b88fe4f8c0226e37271c82c5b4ec4aa2b6181d8bb70103388d5e6a", {}),
+    (["gf-front", "--file", "two-fiber.gf", "--step", "0.2", "--json"], 0,
+     "93ac895d254886efd4177af8d343c457d595590c88eef14b232cbc1b224f1564", {}),
 ]
 
 
@@ -153,4 +159,6 @@ def run_golden(capsys):
 
 def test_golden_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
     assert run_golden(capsys) == GOLDEN

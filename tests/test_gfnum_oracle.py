@@ -3,11 +3,14 @@ replaced.
 
 The reference below evaluates everything on every row: the blend takes
 its exponentials everywhere (smoothstep and its derivative from four
-bump calls), the collar term evaluates the core on every row, and the
-fiber solve scans grad_eta over the full (x, eta) grid of each chunk.
-The fast code must agree exactly: np.array_equal, and the sign bits of
-zeros agree as well.  Grids straddle r = R and r = 2R, including the
-rows where the exponentials underflow.
+bump calls), the collar term evaluates the core on every row, the fiber
+solve scans grad_eta over the full (x, eta) grid of each chunk, and
+Newton iterates every row of its batch to the end.  The fast code must
+agree exactly: np.array_equal, and the sign bits of zeros agree as
+well.  Grids straddle r = R and r = 2R, including the rows where the
+exponentials underflow.  The certified seed scan must give the seeds
+of a scan of every near grid pair, and its grad_eta bounds must hold
+every value grad_eta computes in their boxes.
 """
 
 import numpy as np
@@ -15,9 +18,11 @@ import pytest
 
 from legcob import gfnum
 from legcob.gfnum import (
-    CompositeFamily, FiberPoint, _newton, _x_grid, fiber_critical_set,
+    CompositeFamily, FiberPoint, GeneratingFamily, _diff_gradient,
+    _fd_jacobian, _fiber_seeds, _newton, _x_grid, fiber_critical_set,
     fish_family, linear_family, parse_gf_file, scaled_unknot_family,
     shifted_unknot_family, spin, stacked_pair_family, unknot_family)
+from legcob.mpoly import MultiPoly
 
 # An n = 1, N = 2 family: no built-in family has two fiber variables.
 TWO_FIBER = ("n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 + e2^2\n"
@@ -112,6 +117,25 @@ def ref_grad_eta(fam, X, E):
     return out
 
 
+def ref_newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
+    """Full-batch Newton for F(P) = 0: F and its Jacobian are evaluated
+    on every row each iteration, stuck rows included."""
+    P = np.array(P, float)
+    stuck = np.zeros(len(P), bool)
+    for _ in range(iters):
+        res = F(P)
+        if np.max(np.abs(res[~stuck]), initial=0.0) < newton_tol:
+            break
+        jac = _fd_jacobian(F, P, h)
+        stuck |= np.abs(np.linalg.det(jac)) <= 1e-14
+        move = ~stuck
+        step = np.zeros_like(P)
+        step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
+        P -= np.clip(step, -0.5, 0.5)
+    accept = np.max(np.abs(F(P)), axis=1) < accept_tol
+    return P, accept, stuck
+
+
 def ref_solve_fiber(fam, xs, step, newton_tol, accept_tol):
     ext = fam.extent()
     es = np.arange(-ext, ext + step / 2.0, step)
@@ -144,8 +168,8 @@ def ref_solve_fiber(fam, xs, step, newton_tol, accept_tol):
             Xs, Es = X[pick], E[pick]
         if not len(Xs):
             continue
-        Es, ok, stuck = _newton(lambda P: ref_grad_eta(fam, Xs, P), Es, 60,
-                                newton_tol, accept_tol)
+        Es, ok, stuck = ref_newton(lambda P: ref_grad_eta(fam, Xs, P), Es,
+                                   60, newton_tol, accept_tol)
         ok &= ~stuck
         found_x.append(Xs[ok])
         found_e.append(Es[ok])
@@ -297,33 +321,227 @@ def test_fiber_critical_set_matches_reference(name):
         assert got
 
 
-def test_seed_scan_evaluates_only_near_pairs(monkeypatch):
-    """Outside Newton, grad_eta sees exactly the grid pairs inside
-    radius 2R, each once."""
+# --- the certified seed scan -------------------------------------------
+
+def dense_seeds(fam, xs, step):
+    """The seed scan that evaluates grad_eta at every near grid pair and
+    takes the tail elsewhere, one (Xs, Es) pair per chunk of rows."""
+    ext = fam.extent()
+    es = np.arange(-ext, ext + step / 2.0, step)
+    if fam.N == 1:
+        eta_grid = es.reshape(-1, 1)
+    else:
+        E1, E2 = np.meshgrid(es, es, indexing="ij")
+        eta_grid = np.column_stack([E1.ravel(), E2.ravel()])
+    me = len(eta_grid)
+    chunk = max(1, 200000 // me)
+    for lo in range(0, len(xs), chunk):
+        xc = xs[lo:lo + chunk]
+        rows, cols = np.nonzero(fam.near(xc, eta_grid))
+        Xn, En = xc[rows], eta_grid[cols]
+        gn = fam.grad_eta(Xn, En)
+        if fam.N == 1:
+            g = np.full((len(xc), me), fam.tail[0])
+            g[rows, cols] = gn[:, 0]
+            ga, gb = g[:, :-1], g[:, 1:]
+            hit = np.sign(ga) * np.sign(gb) <= 0
+            hit &= ~((ga == 0) & (gb == 0))
+            rows, cols = np.nonzero(hit)
+            denom = gb[rows, cols] - ga[rows, cols]
+            frac = np.where(np.abs(denom) > 1e-300, -ga[rows, cols]
+                            / np.where(denom == 0, 1, denom), 0.5)
+            Xs = xc[rows]
+            Es = (es[cols] + np.clip(frac, 0.0, 1.0) * step).reshape(-1, 1)
+        else:
+            pick = np.abs(gn).max(axis=1) < 4.0 * step
+            Xs, Es = Xn[pick], En[pick]
+        if len(Xs):
+            yield Xs, Es
+
+
+def _steps(make):
+    """0.2, 0.1, 0.05, and 0.03 where the grid cap admits it (n + N =
+    2)."""
+    fam = make()
+    return (0.2, 0.1, 0.05) + ((0.03,) if fam.n + fam.N == 2 else ())
+
+
+SEED_CASES = [(name, step) for name in sorted(FIBER_CASES)
+              for step in _steps(FIBER_CASES[name][0])]
+
+
+@pytest.mark.parametrize("name,step", SEED_CASES)
+def test_seeds_match_a_dense_scan(name, step):
+    """The certified scan gives the dense scan's seeds, chunk by chunk
+    and in order, so Newton sees the same batches."""
+    fam = FIBER_CASES[name][0]()
+    xs = _x_grid(fam, step)
+    got = list(_fiber_seeds(fam, xs, step))
+    want = list(dense_seeds(fam, xs, step))
+    assert len(got) == len(want)
+    for (gx, ge), (wx, we) in zip(got, want):
+        assert _same(gx, wx) and _same(ge, we)
+
+
+def _random_family(rng):
+    """A family with a random core of degree <= 4, random tail and
+    cutoff; one in five with N = 1 is a two-part composite."""
+    n, N = [(1, 1), (1, 2), (2, 1)][rng.integers(3)]
+    terms = {}
+    for _ in range(rng.integers(1, 7)):
+        exps = tuple(int(k) for k in rng.integers(0, 4, size=n + N))
+        if sum(exps) <= 4:
+            terms[exps] = round(float(rng.normal()) * 3, 2)
+    core = MultiPoly(n + N, terms)
+    tail = [round(float(rng.normal() * rng.choice([0.1, 3.0, 50.0])), 2)
+            or 1.0 for _ in range(N)]
+    R = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+    fam = GeneratingFamily(n, N, core, tail, R)
+    if N == 1 and rng.random() < 0.2:
+        other = GeneratingFamily(n, N, core.scale(-1.3), tail, R)
+        fam = CompositeFamily([fam, other], [(-2.1 * R,), (2.3 * R,)])
+    return fam
+
+
+def test_seeds_match_a_dense_scan_on_random_families():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        fam = _random_family(rng)
+        step = float(rng.choice([0.3, 0.2, 0.13, 0.1] if fam.n + fam.N == 2
+                                else [0.4, 0.3, 0.2]))
+        xs = _x_grid(fam, step)
+        got = list(_fiber_seeds(fam, xs, step))
+        want = list(dense_seeds(fam, xs, step))
+        assert len(got) == len(want), fam
+        for (gx, ge), (wx, we) in zip(got, want):
+            assert _same(gx, wx) and _same(ge, we), fam
+
+
+def test_seed_scan_evaluates_few_near_pairs_once(monkeypatch):
+    """grad_eta sees only grid pairs inside radius 2R, each once, and on
+    the saucer under a tenth of them."""
     fam = spin(unknot_family())
     step = 0.2
-    scanned, in_newton = [], [False]
-    grad_eta, newton = fam.grad_eta, gfnum._newton
+    scanned = []
+    grad_eta = fam.grad_eta
 
     def spy_grad_eta(X, E):
-        if not in_newton[0]:
-            scanned.append(np.concatenate([X, E], axis=1))
+        scanned.append(np.concatenate([X, E], axis=1))
         return grad_eta(X, E)
 
-    def spy_newton(*args, **kwargs):
-        in_newton[0] = True
-        try:
-            return newton(*args, **kwargs)
-        finally:
-            in_newton[0] = False
-
     monkeypatch.setattr(fam, "grad_eta", spy_grad_eta)
-    monkeypatch.setattr(gfnum, "_newton", spy_newton)
-    fiber_critical_set(fam, step)
+    seeds = list(_fiber_seeds(fam, _x_grid(fam, step), step))
+    assert seeds
     rows = np.concatenate(scanned)
     r2 = (rows * rows).sum(axis=1)
     assert np.all(r2 < fam.extent() ** 2)
+    assert len(np.unique(rows, axis=0)) == len(rows)
     axis = np.arange(-fam.extent(), fam.extent() + step / 2.0, step)
     g = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
-    assert len(rows) == int(((g * g).sum(-1) < fam.extent() ** 2).sum())
-    assert len(np.unique(rows, axis=0)) == len(rows)
+    near = int(((g * g).sum(-1) < fam.extent() ** 2).sum())
+    assert 0 < len(rows) < 0.1 * near
+
+
+def _centers(fam):
+    """(R, fiber center) of each family the bound is made of."""
+    if isinstance(fam, CompositeFamily):
+        return [(part.R, np.asarray(center)) for part, center in fam.parts]
+    return [(fam.R, np.zeros(fam.N))]
+
+
+def _straddling_boxes(fam, x, rng):
+    """eta boxes around the points (x, eta) at r = R and r = 2R about
+    each fiber center, and around each center (eta = 0 there), with
+    half-widths from a hundredth of a cell to a few cells."""
+    boxes = []
+    for R, center in _centers(fam):
+        mids = [center]
+        for rho in (R, 2.0 * R):
+            d = rho * rho - float(x @ x)
+            if d > 0:
+                v = rng.normal(size=fam.N)
+                v *= np.sqrt(d) / np.linalg.norm(v)
+                mids += [center + v, center - v]
+        for mid in mids:
+            for w in (0.001, 0.05, 0.4, 1.5):
+                off = rng.uniform(-w, w, size=fam.N)
+                boxes.append((mid + off - w, mid + off + w))
+    return np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes])
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_FAMILIES))
+def test_grad_eta_bound_holds_every_computed_value(name):
+    """Boxes about r = R, r = 2R and eta = 0 on straddling-grid rows:
+    grad_eta at a dense sample of each box, its corners included, lies
+    within the box's bound."""
+    fam = EVAL_FAMILIES[name]()
+    rng = np.random.default_rng(3)
+    X, _ = straddling_grid(fam, seed=2)
+    X = X[rng.choice(len(X), 150, replace=False)]
+    rows, lo, hi = [], [], []
+    for x in X:
+        b_lo, b_hi = _straddling_boxes(fam, x, rng)
+        rows += [x] * len(b_lo)
+        lo.append(b_lo)
+        hi.append(b_hi)
+    rows, lo, hi = np.array(rows), np.concatenate(lo), np.concatenate(hi)
+    bound_lo, bound_hi = fam.grad_eta_bound(rows, lo, hi)
+    ticks = np.linspace(0.0, 1.0, 17 if fam.N == 1 else 9)
+    frac = np.stack(np.meshgrid(*[ticks] * fam.N, indexing="ij"),
+                    -1).reshape(-1, fam.N)
+    E = np.clip(lo[:, None, :] + frac[None] * (hi - lo)[:, None, :],
+                lo[:, None, :], hi[:, None, :])
+    E[:, -1] = hi
+    g = fam.grad_eta(np.repeat(rows, len(frac), axis=0),
+                     E.reshape(-1, fam.N)).reshape(E.shape)
+    assert np.all(bound_lo[:, None, :] <= g)
+    assert np.all(g <= bound_hi[:, None, :])
+    # and the bound is not vacuous: it is finite, and proves a sign for
+    # some of the boxes
+    assert np.all(np.isfinite(bound_lo)) and np.all(np.isfinite(bound_hi))
+    assert np.mean((bound_lo > 0) | (bound_hi < 0)) > 0.25
+
+
+def test_smoothstep_d_sup_dominates():
+    us = np.concatenate([np.linspace(-0.5, 1.5, 400001),
+                         0.5 + np.arange(-5000, 5000) * 2.0 ** -53,
+                         0.5 + np.linspace(-1e-6, 1e-6, 20001)])
+    assert np.max(gfnum.smoothstep_d(us)) <= gfnum.SMOOTHSTEP_D_SUP
+    assert gfnum.SMOOTHSTEP_D_SUP < 2.0 * (1.0 + 1e-6)
+
+
+def test_newton_matches_full_batch_reference():
+    """The Newton that drops stuck rows gives the full-batch result bit
+    for bit, on fiber seeds with many stuck rows and on chord seeds,
+    while evaluating F on fewer rows."""
+    cases = []
+    for text, step in ((SMALL_TAIL, 0.5), (TWO_FIBER, 0.2)):
+        fam = parse_gf_file(text)
+        for Xs, Es in _fiber_seeds(fam, _x_grid(fam, step), step):
+            cases.append((lambda P, Xs=Xs, fam=fam: fam.grad_eta(Xs, P),
+                          lambda P, rows, Xs=Xs, fam=fam:
+                          fam.grad_eta(Xs[rows], P), Es, 60))
+    fam = stacked_pair_family()
+    points = fiber_critical_set(fam, 0.1)
+    seeds = [list(p.x) + list(p.eta) + list(q.eta)
+             for p in points for q in points if p.x == q.x and p is not q]
+    cases.append((lambda P: _diff_gradient(fam, P),
+                  lambda P, rows: _diff_gradient(fam, P), seeds, 80))
+    full_rows, live_rows = [0], [0]
+    saw_stuck = False
+    for F_full, F_live, P, iters in cases:
+        def count_full(P, F=F_full):
+            full_rows[0] += len(P)
+            return F(P)
+
+        def count_live(P, rows, F=F_live):
+            live_rows[0] += len(P)
+            return F(P, rows)
+
+        want = ref_newton(count_full, P, iters)
+        got = _newton(count_live, P, iters)
+        for a, b in zip(got, want):
+            assert _same(a, b)
+        saw_stuck |= bool(want[2].any())
+    assert saw_stuck
+    assert live_rows[0] < full_rows[0]

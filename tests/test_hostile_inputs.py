@@ -35,6 +35,9 @@ ROWS = [
                  id="braid-wide"),
     pytest.param(["gf-chords", "--family", "unknot", "--step", "1e-9"],
                  id="gf-chords-fine-step"),
+    # the finest step the grid cap admits on the saucer (3 axes)
+    pytest.param(["gf-chords", "--family", "saucer", "--step", "0.039"],
+                 id="gf-chords-saucer-finest-step"),
     pytest.param(["tb", "--dim", "1", "--poly", "t^99999999999"],
                  id="tb-huge-degree"),
     pytest.param(["move", "--front", "L1 R1", "--move", "C --5"],
