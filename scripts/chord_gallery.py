@@ -8,23 +8,15 @@ applied, and leaves one SVG front per family next to the script when
 
 import sys
 
-from legcob.gfnum import (fiber_critical_set, fish_family, reeb_chords,
-                          scaled_unknot_family, shifted_unknot_family, spin,
-                          stacked_pair_family, unknot_family)
+from legcob.gfnum import FAMILIES, fiber_critical_set, reeb_chords
 from legcob.render import render_points_svg
-
-FAMILIES = [
-    ("unknot", unknot_family(), 0.05),
-    ("scaled-unknot", scaled_unknot_family(), 0.05),
-    ("shifted-unknot", shifted_unknot_family(), 0.05),
-    ("fish", fish_family(), 0.05),
-    ("stacked-pair", stacked_pair_family(), 0.05),
-    ("saucer", spin(unknot_family()), 0.1),
-]
 
 
 def main(write_svg=False):
-    for name, fam, step in FAMILIES:
+    for name, build in FAMILIES.items():
+        fam = build()
+        # a 2-d base (the saucer) has three grid axes: a coarser step
+        step = 0.1 if fam.n == 2 else 0.05
         pts = fiber_critical_set(fam, step=step)
         chords, gamma, report = reeb_chords(fam, step=step)
         print(f"{name}: n={fam.n} N={fam.N} "

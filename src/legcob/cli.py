@@ -36,31 +36,18 @@ from .braids import BraidWord, closure_report
 from .errors import DomainError
 from .exactseq import filling_polynomial
 from .geography import Block, RealizationPlan, realize
-from .geography import _incompat_reason as incompat_reason
-from .gfnum import (embeddedness_check, fiber_critical_set,
-                    fiber_regularity_margin, fish_family, format_gf_file,
-                    immersed_filling_family, linear_family, parse_gf_file,
-                    reeb_chords, scaled_unknot_family, shifted_unknot_family,
-                    spin, stacked_pair_family, unknot_family)
+from .gfnum import (FAMILIES, embeddedness_check, fiber_critical_set,
+                    fiber_regularity_margin, format_gf_file,
+                    immersed_filling_family, parse_gf_file, reeb_chords,
+                    spin)
 from .front import classical_invariants, parse_front
-from .laurent import decompose, is_connected_split, parse_poly, \
-    tb_from_polynomial
+from .laurent import decompose, incompat_reason, is_connected_form, \
+    parse_poly, tb_from_polynomial
 from .moves import apply_move, format_trace, parse_move, parse_trace, \
     trace_summary
 from .render import render_points_svg, render_svg
 from .rulings import enumerate_rulings, ruling_polynomial
 from .whitehead import whitehead_double
-
-_FAMILIES = {
-    "unknot": unknot_family,
-    "scaled-unknot": scaled_unknot_family,
-    "shifted-unknot": shifted_unknot_family,
-    "linear": linear_family,
-    "fish": fish_family,
-    "stacked-pair": stacked_pair_family,
-    "saucer": lambda: spin(unknot_family()),
-}
-
 
 def _fmt(v):
     """One value as text: floats trimmed, lists comma-joined, booleans
@@ -144,15 +131,7 @@ def _maybe_svg(args, diagram):
 def _load_family(args):
     if args.file:
         return parse_gf_file(_read(args.file))
-    return _FAMILIES[args.family]()
-
-
-def _single_piece(fam, what):
-    if not hasattr(fam, "core"):
-        raise DomainError(
-            f"{what} needs a single-piece family; a composite has no "
-            "single polynomial core")
-    return fam
+    return FAMILIES[args.family]()
 
 
 # --- command handlers --------------------------------------------------
@@ -303,8 +282,7 @@ def cmd_compat(args):
     listed = [{"q": str(q), "p": str(p)} for q, p in splits]
     doc = {"dim": args.dim, "poly": str(poly),
            "compatible": bool(splits),
-           "connected_form": any(is_connected_split(q, args.dim)
-                                 for q, _ in splits),
+           "connected_form": is_connected_form(poly, args.dim),
            "splittings": listed}
     if not splits:
         doc["reason"] = incompat_reason(poly, args.dim)
@@ -358,8 +336,7 @@ def cmd_gf_chords(args):
 
 
 def cmd_gf_spin(args):
-    fam = _single_piece(_load_family(args), "spin")
-    spun = spin(fam)
+    spun = spin(_load_family(args))
     text = format_gf_file(spun)
     if args.out:
         _write(args.out, text)
@@ -370,8 +347,8 @@ def cmd_gf_spin(args):
 
 
 def cmd_gf_check(args):
-    fam = _single_piece(_load_family(args), "the filling interpolation")
-    filling = immersed_filling_family(fam, t_plus=args.t_plus)
+    filling = immersed_filling_family(_load_family(args),
+                                      t_plus=args.t_plus)
     rep = filling.report
     doc = {"filling": rep, "ok": all(rep["conditions"].values())}
     lines = chain(_kv([("eps_G", rep["eps_G"]), ("t_minus", rep["t_minus"]),
@@ -433,7 +410,7 @@ def _build_parser():
     src = gfsrc.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", metavar="PATH",
                      help="gf-file with n=, N=, core=, tail=, R= lines")
-    src.add_argument("--family", choices=sorted(_FAMILIES),
+    src.add_argument("--family", choices=sorted(FAMILIES),
                      help="built-in sample family")
 
     p = sub.add_parser("inv", parents=[common, svg, front],

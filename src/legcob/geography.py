@@ -18,7 +18,8 @@ executing it; fronts are only built in dimension 1.
 from .errors import DomainError
 from .exactseq import connect_sum
 from .laurent import LaurentPoly, check_dim_cap, connected_p_top, \
-    split_from_p, splitting_box, tb_from_polynomial, tb_sign
+    incompat_reason, split_from_p, splitting_box, tb_from_polynomial, \
+    tb_sign
 
 # Largest number of blocks realize puts in a plan; counted from the
 # chosen splitting before any block is built.
@@ -108,22 +109,6 @@ class RealizationPlan:
         }
 
 
-def _incompat_reason(poly, n):
-    c = poly.coeff
-    for d in sorted(poly.coeffs):
-        if c(d) < 0:
-            return f"negative coefficient {c(d)} at degree {d}"
-    for d in sorted(poly.coeffs):
-        if (d > n or d < -1) and c(d) != c(n - 1 - d):
-            return (f"mirror law fails: coefficient {c(d)} at degree {d} "
-                    f"but {c(n - 1 - d)} at degree {n - 1 - d}")
-    if c(n) - c(-1) < 1:
-        return (f"needs a spare top class: coefficient {c(n)} at degree {n} "
-                f"against {c(-1)} at degree -1")
-    return ("no splitting with a single top class and trivial class "
-            "in degree 0")
-
-
 def choose_split(poly, n, sphere_only=False):
     """The splitting (q, p) that realize builds its plan from.
 
@@ -136,9 +121,11 @@ def choose_split(poly, n, sphere_only=False):
     box = splitting_box(poly, n)
     top = connected_p_top(poly, n, box)
     if top is None:
+        reason = incompat_reason(poly, n) or (
+            "no splitting with a single top class and trivial class "
+            "in degree 0")
         raise DomainError(
-            f"not compatible with duality in connected form: "
-            f"{_incompat_reason(poly, n)}")
+            f"not compatible with duality in connected form: {reason}")
     forced, degrees, _ = box
     if not sphere_only:
         return split_from_p(poly, n, forced, [(n - 1, top)])
@@ -167,7 +154,7 @@ def realize(poly, n, sphere_only=False):
     sphere_only restricts to splittings with q = t^n.  A plan of more
     than MAX_PLAN_BLOCKS blocks is refused before any block is built.
 
-    >>> realize(LaurentPoly.parse("t^3 + t^2"), 3).blocks
+    >>> realize(LaurentPoly({3: 1, 2: 1}), 3).blocks
     [Block(Manifold(2), n=3)]
     """
     if n < 2:

@@ -33,7 +33,11 @@ adjacent degrees.
 
 Every solve (fiber roots and chords) runs through one batched Newton
 with a central-difference Jacobian; Morse indices and the regularity
-margin come from numpy's symmetric eigenvalues.
+margin come from numpy's symmetric eigenvalues.  No tolerance is a
+parameter: one used twice is a module constant (FD_STEP, CHORD_*), any
+other a literal at its use.  FAMILIES names the built-in families.
+Refused: dimensions other than 1 or 2 (a gf-file's before anything is
+built), and composites in spin and immersed_filling_family.
 """
 
 import functools
@@ -92,6 +96,10 @@ def sym_eigenvalues(mat):
     return np.linalg.eigvalsh(np.asarray(mat, float)).tolist()
 
 
+# Central-difference step of Newton and of the regularity margin.
+FD_STEP = 1e-6
+
+
 def _fd_jacobian(F, P, h):
     """Central-difference Jacobian of the row-wise map F at the rows of
     P: out[m, i, k] = d F(P)[m, i] / d P[m, k]."""
@@ -103,7 +111,7 @@ def _fd_jacobian(F, P, h):
     return np.stack(cols, axis=2)
 
 
-def _newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
+def _newton(F, P, iters):
     """Batched Newton for F = 0, one independent system per row.
 
     F(Q, rows) maps the points Q of the batch rows `rows` (an index
@@ -111,8 +119,9 @@ def _newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
     whose Jacobian turns singular never moves again: it leaves the
     live rows, on which alone F, its Jacobian and the convergence test
     are evaluated, so it cannot keep the others iterating to the cap.
-    Returns (points, accept, stuck): accept marks rows with max |F| <
-    accept_tol, stuck the rows that hit a singular Jacobian.
+    Iteration stops once max |F| < 1e-12 on the live rows.  Returns
+    (points, accept, stuck): accept marks rows with max |F| < 1e-9,
+    stuck the rows that hit a singular Jacobian.
     """
     P = np.array(P, float)
     stuck = np.zeros(len(P), bool)
@@ -122,16 +131,16 @@ def _newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
             break
         Q = P[live]
         res = F(Q, live)
-        if np.max(np.abs(res)) < newton_tol:
+        if np.max(np.abs(res)) < 1e-12:
             break
-        jac = _fd_jacobian(lambda Q: F(Q, live), Q, h)
+        jac = _fd_jacobian(lambda Q: F(Q, live), Q, FD_STEP)
         move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
         stuck[live[~move]] = True
         step = np.zeros_like(Q)
         step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
         P[live] = Q - np.clip(step, -0.5, 0.5)
         live = live[move]
-    accept = np.max(np.abs(F(P, np.arange(len(P)))), axis=1) < accept_tol
+    accept = np.max(np.abs(F(P, np.arange(len(P)))), axis=1) < 1e-9
     return P, accept, stuck
 
 
@@ -162,6 +171,12 @@ class _Family:
                                 np.atleast_2d(np.asarray(eta, float)))[0])
 
 
+def _check_dims(n, N):
+    if n not in (1, 2) or N not in (1, 2):
+        raise DomainError(
+            f"base and fiber dimensions must be 1 or 2, got {n}, {N}")
+
+
 class GeneratingFamily(_Family):
     """Polynomial core + linear tail + cutoff radius.
 
@@ -170,9 +185,7 @@ class GeneratingFamily(_Family):
     """
 
     def __init__(self, n, N, core, tail, R):
-        if n not in (1, 2) or N not in (1, 2):
-            raise DomainError(
-                f"base and fiber dimensions must be 1 or 2, got {n}, {N}")
+        _check_dims(n, N)
         if core.nvars != n + N:
             raise DomainError(
                 f"core has {core.nvars} variables, expected {n + N}")
@@ -528,6 +541,7 @@ def parse_gf_file(text):
         if key not in fields:
             raise DomainError(f"gf-file missing field {key}=")
     n, N = _number(fields, "n", int), _number(fields, "N", int)
+    _check_dims(n, N)
     names = [f"x{i + 1}" for i in range(n)] + [f"e{j + 1}" for j in range(N)]
     core = parse_mpoly(fields["core"], names)
     tail_poly = parse_mpoly(fields["tail"], names)
@@ -603,13 +617,17 @@ def _check_step(fam, step):
             "samples")
 
 
-def _x_grid(fam, step):
+def _sample_grid(fam, step, dims):
+    """(axis, points): the axis -extent..extent in steps of step, and
+    its dims-fold product as rows, the first coordinate slowest."""
     ext = fam.extent()
     axis = np.arange(-ext, ext + step / 2.0, step)
-    if fam.n == 1:
-        return axis.reshape(-1, 1)
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    return np.column_stack([g1.ravel(), g2.ravel()])
+    return axis, np.stack(np.meshgrid(*[axis] * dims, indexing="ij"),
+                          -1).reshape(-1, dims)
+
+
+def _x_grid(fam, step):
+    return _sample_grid(fam, step, fam.n)[1]
 
 
 def _seedless(fam, X, es, first, count, step):
@@ -699,13 +717,7 @@ def _fiber_seeds(fam, xs, step):
     sign change, so both ends of a tested cell are exact.  The seeds
     are those of a scan of every near pair, in the same order.
     """
-    ext = fam.extent()
-    es = np.arange(-ext, ext + step / 2.0, step)
-    if fam.N == 1:
-        eta_grid = es.reshape(-1, 1)
-    else:
-        E1, E2 = np.meshgrid(es, es, indexing="ij")
-        eta_grid = np.column_stack([E1.ravel(), E2.ravel()])
+    es, eta_grid = _sample_grid(fam, step, fam.N)
     me = len(eta_grid)
     chunk = max(1, 200000 // me)
     for lo in range(0, len(xs), chunk):
@@ -740,7 +752,7 @@ def _fiber_seeds(fam, xs, step):
             yield Xs, Es
 
 
-def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
+def _solve_fiber(fam, xs, step):
     """eta roots of grad_eta over each x row: the grid seeds of
     _fiber_seeds, then Newton, one batch per chunk of rows.  Rows that
     stall on a singular Jacobian (fold points) are rejected.
@@ -748,7 +760,7 @@ def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
     found_x, found_e = [], []
     for Xs, Es in _fiber_seeds(fam, xs, step):
         Es, ok, stuck = _newton(lambda P, rows: fam.grad_eta(Xs[rows], P),
-                                Es, 60, newton_tol, accept_tol)
+                                Es, 60)
         ok &= ~stuck
         found_x.append(Xs[ok])
         found_e.append(Es[ok])
@@ -757,15 +769,13 @@ def _solve_fiber(fam, xs, step, newton_tol, accept_tol):
     return np.concatenate(found_x), np.concatenate(found_e)
 
 
-def fiber_critical_set(fam, step=0.05, newton_tol=1e-12, accept_tol=1e-9,
-                       require=False):
+def fiber_critical_set(fam, step=0.05):
     """Newton-polished samples of the fiber-critical set, tagged with the
     front data (x, eta, z = f, p = d_x f).  One sample per (x gridpoint,
     eta branch); x stays on the grid, eta is polished.
     """
     _check_step(fam, step)
-    X, E = _solve_fiber(fam, _x_grid(fam, step), step, newton_tol,
-                        accept_tol)
+    X, E = _solve_fiber(fam, _x_grid(fam, step), step)
     points = []
     if len(X):
         Z = fam.value(X, E)
@@ -779,18 +789,17 @@ def fiber_critical_set(fam, step=0.05, newton_tol=1e-12, accept_tol=1e-9,
             points.append(FiberPoint(tuple(X[i]), tuple(E[i]),
                                      float(Z[i]), tuple(P[i])))
     points.sort(key=lambda q: (q.x, q.eta))
-    if require and not points:
-        raise DomainError("no fiber critical points found")
     return points
 
 
-def fiber_regularity_margin(fam, points, h=1e-6):
+def fiber_regularity_margin(fam, points):
     """min over samples of the smallest singular value of D(d_eta f)."""
     if not points:
         return None
     n = fam.n
     P = np.array([q.x + q.eta for q in points], float)
-    jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), P, h)
+    jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), P,
+                       FD_STEP)
     gram = jac @ jac.transpose(0, 2, 1)
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[:, 0].min()), 0.0))
 
@@ -845,22 +854,27 @@ def _diff_value(fam, pts):
             - fam.value(pts[:, :n], pts[:, n:n + N]))
 
 
-def _diff_hessian(fam, pt, h=1e-5):
-    hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pt[None, :], h)[0]
+def _diff_hessian(fam, pt):
+    hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pt[None], 1e-5)[0]
     return (hess + hess.T) / 2.0
 
 
-def _cluster(pts, tol=1e-5):
+def _cluster(pts):
     out = []
     for p in sorted(map(tuple, pts)):
-        if any(max(abs(a - b) for a, b in zip(q, p)) < tol for q in out):
+        if any(max(abs(a - b) for a, b in zip(q, p)) < 1e-5 for q in out):
             continue
         out.append(p)
     return [np.array(p) for p in out]
 
 
-def reeb_chords(fam, step=0.05, value_floor=1e-6, margin_tol=1e-8,
-                pair_tol=1e-9):
+# Critical points with |value| <= CHORD_VALUE_FLOOR are dropped, and a
+# Hessian eigenvalue below CHORD_MARGIN_TOL in magnitude is refused.
+CHORD_VALUE_FLOOR = 1e-6
+CHORD_MARGIN_TOL = 1e-8
+
+
+def reeb_chords(fam, step=0.05):
     """Enumerate the critical points of the difference function.
 
     Returns (chords, gamma_estimate, report): chords are the
@@ -883,14 +897,13 @@ def reeb_chords(fam, step=0.05, value_floor=1e-6, margin_tol=1e-8,
                 if i != j:
                     seeds.append(list(x) + list(ei) + list(ej))
     if not seeds:
-        return [], LaurentPoly({}), _chord_report([], N, step, value_floor,
-                                                  margin_tol)
+        return [], LaurentPoly({}), _chord_report([], step)
     # Stuck rows stay in: a seed that stalls on a degenerate critical
     # point must still reach the margin check below and raise there.
     pts, ok, _ = _newton(lambda P, rows: _diff_gradient(fam, P), seeds, 80)
     converged = pts[ok]
     vals = _diff_value(fam, converged)
-    keep = np.abs(vals) > value_floor
+    keep = np.abs(vals) > CHORD_VALUE_FLOOR
     points = []
     for pt in _cluster(converged[keep]):
         value = float(_diff_value(fam, pt[None, :])[0])
@@ -898,27 +911,26 @@ def reeb_chords(fam, step=0.05, value_floor=1e-6, margin_tol=1e-8,
         eigs = sym_eigenvalues(hess)
         margin = min(abs(v) for v in eigs)
         coords = (tuple(pt[:n]), tuple(pt[n:n + N]), tuple(pt[n + N:]))
-        if margin < margin_tol:
+        if margin < CHORD_MARGIN_TOL:
             raise DomainError(
                 f"degenerate critical point at {coords}: min |eigenvalue| "
                 f"{margin:.3e}")
         index = sum(1 for v in eigs if v < 0)
         points.append(CriticalPoint(coords, value, index, margin, N))
-    _audit_duality(points, n, N, pair_tol)
+    _audit_duality(points, n, N)
     chords = sorted((p for p in points if p.value > 0),
                     key=lambda p: (p.value, p.coords))
     gamma = LaurentPoly({})
     for p in chords:
         gamma = gamma + LaurentPoly({p.degree: 1})
-    report = _chord_report(chords, N, step, value_floor, margin_tol)
-    return chords, gamma, report
+    return chords, gamma, _chord_report(chords, step)
 
 
-def _chord_report(chords, N, step, value_floor, margin_tol):
+def _chord_report(chords, step):
     values = [p.value for p in chords]
     degrees = sorted({p.degree for p in chords})
     adjacent = any(d + 1 in degrees for d in degrees)
-    report = {
+    return {
         "count": len(chords),
         "epsilon": min(values) / 2.0 if values else None,
         "omega": 2.0 * max(values) if values else None,
@@ -926,13 +938,12 @@ def _chord_report(chords, N, step, value_floor, margin_tol):
         "warnings": (["chain-level estimate only: chords in adjacent "
                       "degrees, differentials not computed"]
                      if adjacent else []),
-        "tolerances": {"grid_step": step, "value_floor": value_floor,
-                       "margin_tol": margin_tol},
+        "tolerances": {"grid_step": step, "value_floor": CHORD_VALUE_FLOOR,
+                       "margin_tol": CHORD_MARGIN_TOL},
     }
-    return report
 
 
-def _audit_duality(points, n, N, tol):
+def _audit_duality(points, n, N):
     total = n + 2 * N
     for p in points:
         x, e1, e2 = p.coords
@@ -944,7 +955,7 @@ def _audit_duality(points, n, N, tol):
             if max(abs(a - b) for a, b in zip(flat, target)) < 1e-5:
                 partner = q
                 break
-        if partner is None or abs(partner.value + p.value) > tol \
+        if partner is None or abs(partner.value + p.value) > 1e-9 \
                 or partner.index + p.index != total:
             raise DomainError(
                 f"duality violated: point at {p.coords} value {p.value:.6g} "
@@ -953,6 +964,13 @@ def _audit_duality(points, n, N, tol):
 
 
 # --- spinning ---------------------------------------------------------
+
+def _refuse_composite(fam, what):
+    if isinstance(fam, CompositeFamily):
+        raise DomainError(
+            f"{what} needs a single-piece family; a composite has no "
+            "single polynomial core")
+
 
 def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
     """Rotate a 1-d base family about the x = 0 axis.
@@ -970,6 +988,7 @@ def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
     else:
         fams = [path]
     base = fams[0]
+    _refuse_composite(base, "spin")
     if base.n != 1:
         raise DomainError(f"spin needs a 1-dimensional base, got n={base.n}")
     for fam in fams[1:]:
@@ -1003,6 +1022,18 @@ def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
             f"size {slope:g} give the gradient a direction-dependent limit)")
     spun_core = base.core.insert_rotation(0)
     return GeneratingFamily(2, base.N, spun_core, base.tail, base.R)
+
+
+# The built-in families by name, the --family choices of the CLI.
+FAMILIES = {
+    "unknot": unknot_family,
+    "scaled-unknot": scaled_unknot_family,
+    "shifted-unknot": shifted_unknot_family,
+    "linear": linear_family,
+    "fish": fish_family,
+    "stacked-pair": stacked_pair_family,
+    "saucer": lambda: spin(unknot_family()),
+}
 
 
 # --- immersed filling family ------------------------------------------
@@ -1062,6 +1093,7 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
     that slices are exactly linear for t <= 1, exactly t*f for
     t >= t_plus, and exactly the tail far from the origin.
     """
+    _refuse_composite(fam, "the filling interpolation")
     if not 2.0 < t_plus < math.inf:
         raise DomainError(f"t_plus must be finite and exceed 2, got {t_plus}")
     rng = np.random.default_rng(seed)

@@ -11,6 +11,10 @@ Coefficients of P above degree n or below degree 0 force coefficients of
 p outright; the only genuine freedom is a finite band in the middle, and
 each free p_i meets only q_i and q_(n-1-i), so the splittings form a box
 of per-degree ranges (splitting_box) that is counted before it is listed.
+The box is empty exactly when incompat_reason names one of three
+reasons: a negative coefficient (q, p >= 0), a mirror-law failure (a
+degree above n and its mirror below -1 fix p alike) or no spare top
+class (q_n = c(n) - c(-1) >= 1).
 """
 
 import itertools
@@ -24,6 +28,9 @@ MAX_SPLITTINGS = 10**5
 # Largest dimension n the solver and the plan blocks take; every answer
 # has per-degree lists of length about n.
 MAX_DIM = 10**5
+# Degree window of the solver: poly must be supported in
+# [-WINDOW, n + WINDOW].
+WINDOW = 64
 
 
 class LaurentPoly:
@@ -42,10 +49,6 @@ class LaurentPoly:
             for d, c in coeffs.items():
                 if c:
                     self.coeffs[int(d)] = int(c)
-
-    @classmethod
-    def parse(cls, text):
-        return parse_poly(text)
 
     def coeff(self, degree):
         return self.coeffs.get(degree, 0)
@@ -188,15 +191,32 @@ def check_dim_cap(n):
             f"dimension too large: {n} exceeds the cap of {MAX_DIM:.3g}")
 
 
-def splitting_box(poly, n, window=64):
+def incompat_reason(poly, n):
+    """Why poly has no splitting in dimension n (naming the lowest
+    offending degree), or None when it has one."""
+    c = poly.coeff
+    for d in sorted(poly.coeffs):
+        if c(d) < 0:
+            return f"negative coefficient {c(d)} at degree {d}"
+    for d in sorted(poly.coeffs):
+        if (d > n or d < -1) and c(d) != c(n - 1 - d):
+            return (f"mirror law fails: coefficient {c(d)} at degree {d} "
+                    f"but {c(n - 1 - d)} at degree {n - 1 - d}")
+    if c(n) - c(-1) < 1:
+        return (f"needs a spare top class: coefficient {c(n)} at degree {n} "
+                f"against {c(-1)} at degree -1")
+    return None
+
+
+def splitting_box(poly, n):
     """The splittings of poly = q + p + p.reflect(n-1) as a box.
 
     INPUT: as for decompose, without the betti filter.
 
     OUTPUT: (forced, degrees, bounds), or None exactly when no splitting
-    exists, as when poly has a negative coefficient (q, p >= 0).  forced
-    is the {degree: coefficient} part of p that the degrees above n and
-    below 0 fix outright; degrees are the free middle degrees
+    exists, that is when incompat_reason gives a reason.  forced is the
+    {degree: coefficient} part of p that the degrees above n and below
+    0 fix outright; degrees are the free middle degrees
     i = ceil((n-1)/2) .. n-1 of p, and p_i ranges over 0..bounds[k] for
     the k-th of them, independently of the others.
     Each free p_i touches only q_i and q_(n-1-i), so every point of the
@@ -205,32 +225,21 @@ def splitting_box(poly, n, window=64):
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     check_dim_cap(n)
-    lo, hi = -window, n + window
+    lo, hi = -WINDOW, n + WINDOW
     for d in poly.coeffs:
         if d < lo or d > hi:
             raise DomainError(f"degree {d} outside search window [{lo}, {hi}]")
-    c = poly.coeff
-    if any(v < 0 for v in poly.coeffs.values()):
+    if incompat_reason(poly, n) is not None:
         return None
+    c = poly.coeff
 
     # Degrees above n can only come from p itself, degrees below 0 only
-    # from the reflected copy.  Both force p and must agree.
-    forced = {}
-    high = set()
-    for d in poly.coeffs:
-        if d > n:
-            high.add(d)
-        elif d < -1:
-            high.add(n - 1 - d)
-    for d in high:
-        if c(d) != c(n - 1 - d):
-            return None
-        if c(d):
-            forced[d] = c(d)
+    # from the reflected copy; by the mirror law both force the same p.
+    high = {d if d > n else n - 1 - d for d in poly.coeffs
+            if d > n or d < -1}
+    forced = {d: c(d) for d in high}
     if c(-1):
         forced[n] = c(-1)
-    if c(n) - c(-1) < 1:
-        return None
 
     mid_lo = n // 2  # equals ceil((n - 1) / 2)
     free_degrees = list(range(mid_lo, n))
@@ -240,8 +249,6 @@ def splitting_box(poly, n, window=64):
             bounds.append(c(i) // 2)
         else:
             bounds.append(min(c(i), c(n - 1 - i)))
-    if any(b < 0 for b in bounds):
-        return None
     return forced, free_degrees, bounds
 
 
@@ -266,19 +273,20 @@ def split_from_p(poly, n, forced, free):
     return LaurentPoly(q), LaurentPoly(p)
 
 
-def decompose(poly, n, betti=None, window=64):
+def decompose(poly, n, betti=None):
     """Enumerate all (q, p) with poly = q + p + p.reflect(n-1).
 
-    INPUT: poly with nonnegative coefficients, dimension n >= 1, optional
-    betti sequence (indexable by 0..n) demanding q_k + q_(n-k) = betti[k],
-    and a degree window bound: poly must be supported in [-window, n+window].
+    INPUT: poly with nonnegative coefficients, dimension n >= 1 and an
+    optional betti sequence (indexable by 0..n) demanding
+    q_k + q_(n-k) = betti[k]; poly must be supported in
+    [-WINDOW, n + WINDOW].
 
     OUTPUT: a deterministically sorted list of (q, p) LaurentPoly pairs;
     empty when no decomposition exists.  A box of more than
     MAX_SPLITTINGS points is refused with a DomainError before anything
     is listed.
     """
-    box = splitting_box(poly, n, window)
+    box = splitting_box(poly, n)
     if box is None:
         return []
     forced, degrees, bounds = box
@@ -300,12 +308,6 @@ def decompose(poly, n, betti=None, window=64):
     return results
 
 
-def is_connected_split(q, n):
-    """The self-dual part q of a splitting is that of a connected
-    filling: a single top class (q_n = 1) and none in degree 0."""
-    return q.coeff(n) == 1 and q.coeff(0) == 0
-
-
 def connected_p_top(poly, n, box):
     """The value of p_(n-1) that every connected splitting in box has,
     or None when the box holds no connected splitting.
@@ -323,10 +325,10 @@ def connected_p_top(poly, n, box):
     return c0 // mult
 
 
-def is_connected_form(poly, n, window=64):
-    """True when some decomposition has q_n = 1 and q_0 = 0."""
-    return connected_p_top(poly, n, splitting_box(poly, n, window)) \
-        is not None
+def is_connected_form(poly, n):
+    """True when some decomposition has q_n = 1 and q_0 = 0: a connected
+    filling, a single top class and none in degree 0."""
+    return connected_p_top(poly, n, splitting_box(poly, n)) is not None
 
 
 def tb_from_polynomial(poly, n):

@@ -20,7 +20,7 @@ from legcob.exactseq import filling_polynomial, les_solve, \
     zero_surgery_update
 from legcob.front import classical_invariants, parse_front
 from legcob.geography import classical_fillable, realize
-from legcob.gfnum import (reeb_chords, shifted_unknot_family, spin,
+from legcob.gfnum import (FAMILIES, reeb_chords, shifted_unknot_family,
                           sym_eigenvalues, unknot_family)
 from legcob.gfnum import _diff_hessian, _diff_value
 from legcob.laurent import LaurentPoly, decompose, parse_poly, \
@@ -184,7 +184,7 @@ def test_criterion_7_numerical_lab():
     assert gamma == LaurentPoly({1: 1})
 
     cases = [(fam, 0.05), (shifted_unknot_family(), 0.05),
-             (spin(unknot_family()), 0.1)]
+             (FAMILIES["saucer"](), 0.1)]
     for f, step in cases:
         chords, _, _ = reeb_chords(f, step=step)
         assert chords

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from legcob.cli import main
+from legcob import gfnum
+from legcob.cli import _build_parser, main
 from legcob.front import parse_front
 from legcob.gfnum import parse_gf_file
 from legcob.moves import apply_move
@@ -220,6 +221,57 @@ def test_compat_reason_and_splittings(capsys):
     assert int(grab(out, "splittings")) >= 1
 
 
+# (poly, reason) at dimension 3: one row for each refusal of incompat_reason
+REFUSALS = [
+    ("t^3 - t^2", "negative coefficient -1 at degree 2"),
+    ("t^5 + t^3",
+     "mirror law fails: coefficient 1 at degree 5 but 0 at degree -3"),
+    ("t^2 + t^(-1)",
+     "needs a spare top class: coefficient 0 at degree 3 against 1 at "
+     "degree -1"),
+]
+
+
+@pytest.mark.parametrize("poly, reason", REFUSALS)
+def test_compat_and_plan_name_the_refusal(poly, reason, capsys):
+    rc, out = run(["compat", "--dim", "3", "--poly", poly, "--json"], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["compatible"], doc["connected_form"], doc["splittings"],
+            doc["reason"]) == (False, False, [], reason)
+    rc, out = run(["plan", "--dim", "3", "--poly", poly], capsys)
+    assert (rc, out) == (
+        1, f"error: not compatible with duality in connected form: {reason}\n")
+
+
+def test_compatible_but_not_connected(capsys):
+    rc, out = run(["compat", "--dim", "3", "--poly", "t^3 + 2", "--json"],
+                  capsys)
+    assert rc == 0
+    assert json.loads(out) == {
+        "dim": 3, "poly": "t^3 + 2", "compatible": True,
+        "connected_form": False, "splittings": [{"q": "t^3 + 2", "p": "0"}]}
+    rc, out = run(["plan", "--dim", "3", "--poly", "t^3 + 2"], capsys)
+    assert (rc, out) == (
+        1, "error: not compatible with duality in connected form: no "
+        "splitting with a single top class and trivial class in degree 0\n")
+
+
+def test_family_choices_are_the_catalogue():
+    # every gf command takes its --family from one shared parent parser
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if a.dest == "cmd").choices["gf-chords"]
+    family = next(a for a in sub._actions if a.dest == "family")
+    assert family.choices == sorted(gfnum.FAMILIES)
+
+
+@pytest.mark.parametrize("name", sorted(gfnum.FAMILIES))
+def test_every_catalogue_family_builds(name):
+    fam = gfnum.FAMILIES[name]()
+    assert fam.n in (1, 2) and fam.N in (1, 2) and fam.extent() > 0
+
+
 def test_gf_front_unknot(tmp_path, capsys):
     svg = tmp_path / "front.svg"
     rc, out = run(["gf-front", "--family", "unknot", "--step", "0.2",
@@ -259,6 +311,10 @@ def test_gf_spin_rejects_composite(capsys):
     rc, out = run(["gf-spin", "--family", "stacked-pair"], capsys)
     assert rc == 1
     assert "single-piece family" in out
+    rc, out = run(["gf-check", "--family", "stacked-pair"], capsys)
+    assert (rc, out) == (
+        1, "error: the filling interpolation needs a single-piece family; "
+        "a composite has no single polynomial core\n")
 
 
 def test_gf_check_conditions(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from legcob.errors import DomainError
 from legcob.gfnum import (
-    MAX_GRID_SAMPLES, CompositeFamily, GeneratingFamily, embeddedness_check,
+    FAMILIES, MAX_GRID_SAMPLES, CompositeFamily, GeneratingFamily, embeddedness_check,
     fiber_critical_set, fiber_regularity_margin, fish_family,
     format_gf_file, immersed_filling_family, linear_family, parse_gf_file,
     reeb_chords, scaled_unknot_family, shifted_unknot_family, smoothstep,
@@ -58,7 +58,7 @@ def sample_families():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     h = 1e-6
-    for fam in sample_families() + [spin(unknot_family())]:
+    for fam in sample_families() + [FAMILIES["saucer"]()]:
         m = 50
         X = rng.uniform(-fam.extent(), fam.extent(), (m, fam.n))
         E = rng.uniform(-fam.extent(), fam.extent(), (m, fam.N))
@@ -120,8 +120,6 @@ def test_pure_linear_family():
     assert fiber_critical_set(lin, step=0.2) == []
     chords, gamma, _ = reeb_chords(lin, step=0.2)
     assert chords == [] and gamma.is_zero()
-    with pytest.raises(DomainError, match="no fiber critical points found"):
-        fiber_critical_set(lin, step=0.2, require=True)
 
 
 def test_fish_root_counts():
@@ -173,7 +171,7 @@ def test_duality_pairing_across_families():
         chords, _, _ = reeb_chords(fam, step=0.05)
         assert chords
         _mirror_check(fam, chords)
-    saucer = spin(unknot_family())
+    saucer = FAMILIES["saucer"]()
     chords, _, _ = reeb_chords(saucer, step=0.1)
     assert chords
     _mirror_check(saucer, chords)
@@ -233,7 +231,7 @@ def test_composite_validation():
 
 
 def test_spin_saucer():
-    saucer = spin(unknot_family())
+    saucer = FAMILIES["saucer"]()
     assert saucer.n == 2 and saucer.N == 1
     pts = fiber_critical_set(saucer, step=0.1)
     for q in pts:
@@ -253,6 +251,17 @@ def test_spin_saucer():
     assert p.index == 4 == saucer.n + 2 * saucer.N
     assert math.hypot(*p.coords[0]) < 1e-6
     assert gamma == LaurentPoly({2: 1})
+
+
+def test_composites_are_refused():
+    pair = stacked_pair_family()
+    tail = "needs a single-piece family; a composite has no single " \
+        "polynomial core"
+    with pytest.raises(DomainError, match=f"^spin {tail}$"):
+        spin(pair)
+    with pytest.raises(DomainError,
+                       match=f"^the filling interpolation {tail}$"):
+        immersed_filling_family(pair)
 
 
 def test_spin_rejects_theta_dependence():
@@ -310,7 +319,7 @@ def test_grid_cap_admits_the_saucer_at_the_default_step():
     # the saucer's seed grid at step h has (12 / h + 1)^3 samples
     assert 241 ** 3 <= MAX_GRID_SAMPLES < 344 ** 3
     with pytest.raises(DomainError, match="too fine"):
-        fiber_critical_set(spin(unknot_family()), step=0.035)
+        fiber_critical_set(FAMILIES["saucer"](), step=0.035)
 
 
 def test_filling_rejects_small_t_plus():

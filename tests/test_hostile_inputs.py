@@ -23,7 +23,9 @@ DEADLINE_S = 3.0
 # Files a row may name, written to its working directory first.
 FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
          "huge-dim.plan": '{"n": 300000000, "target": "t^300000000", '
-                          '"blocks": [{"kind": "Saucer"}]}'}
+                          '"blocks": [{"kind": "Saucer"}]}',
+         "huge-n.gf": "n=1000000000\nN=1\ncore=e1\ntail=-e1\nR=1\n",
+         "huge-N.gf": "n=1\nN=1000000000\ncore=e1\ntail=-e1\nR=1\n"}
 
 
 def _offender(item, why):
@@ -38,6 +40,8 @@ ROWS = [
     # the finest step the grid cap admits on the saucer (3 axes)
     pytest.param(["gf-chords", "--family", "saucer", "--step", "0.039"],
                  id="gf-chords-saucer-finest-step"),
+    pytest.param(["gf-chords", "--file", "huge-n.gf"], id="gf-file-huge-n"),
+    pytest.param(["gf-chords", "--file", "huge-N.gf"], id="gf-file-huge-N"),
     pytest.param(["tb", "--dim", "1", "--poly", "t^99999999999"],
                  id="tb-huge-degree"),
     pytest.param(["move", "--front", "L1 R1", "--move", "C --5"],
