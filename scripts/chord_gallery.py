@@ -6,10 +6,13 @@ applied, and leaves one SVG front per family next to the script when
 --svg is passed.
 """
 
+import os
 import sys
 
 from legcob.gfnum import FAMILIES, fiber_critical_set, reeb_chords
 from legcob.render import render_points_svg
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def main(write_svg=False):
@@ -29,10 +32,10 @@ def main(write_svg=False):
         for w in report["warnings"]:
             print(f"  note: {w}")
         if write_svg:
-            path = f"{name}_front.svg"
+            path = os.path.join(HERE, f"{name}_front.svg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render_points_svg(pts))
-            print(f"  wrote {path}")
+            print(f"  wrote {os.path.relpath(path)}")
         print()
 
 

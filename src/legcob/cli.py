@@ -27,6 +27,8 @@ deterministic for fixed inputs; configuration is flags only.
 import argparse
 import json
 import math
+import os
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -41,13 +43,20 @@ from .gfnum import (FAMILIES, embeddedness_check, fiber_critical_set,
                     immersed_filling_family, parse_gf_file, reeb_chords,
                     spin)
 from .front import classical_invariants, parse_front
-from .laurent import decompose, incompat_reason, is_connected_form, \
-    parse_poly, tb_from_polynomial
+from .laurent import box_size, decompose, incompat_reason, \
+    is_connected_form, parse_poly, splitting_box, tb_from_polynomial
 from .moves import apply_move, format_trace, parse_move, parse_trace, \
     trace_summary
 from .render import render_points_svg, render_svg
 from .rulings import enumerate_rulings, ruling_polynomial
 from .whitehead import whitehead_double
+
+# Most rulings or splittings a command lists; it always prints how many
+# there are, and a `listed N of M` line when it lists fewer.
+MAX_LISTED = 1000
+# Largest input file a command reads; every format it takes is short text.
+MAX_INPUT_BYTES = 1 << 24
+
 
 def _fmt(v):
     """One value as text: floats trimmed, lists comma-joined, booleans
@@ -98,11 +107,24 @@ def _dump(doc):
 
 
 def _read(path):
+    """The text of a UTF-8 file of at most MAX_INPUT_BYTES, with
+    newlines translated as text mode does."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as e:
         raise DomainError(f"cannot read {path}: {e.strerror or e}")
+    if len(data) > MAX_INPUT_BYTES:
+        raise DomainError(
+            f"cannot read {path}: larger than the cap of "
+            f"{MAX_INPUT_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DomainError(
+            f"cannot read {path}: not UTF-8 text ({e.reason} at byte "
+            f"{e.start})")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path, text):
@@ -147,16 +169,23 @@ def cmd_inv(args):
     return _kv(doc.items()), doc
 
 
+def _cut(listed, count):
+    """The `listed N of M` line when a listing stops at the cap."""
+    return [f"listed {listed} of {count}"] if listed < count else []
+
+
 def cmd_rulings(args):
     d = parse_front(args.front)
-    rus = enumerate_rulings(d, graded=args.graded)
-    poly = ruling_polynomial(d, rus)
-    doc = {"word": d.word, "graded": args.graded, "count": len(rus),
+    poly = ruling_polynomial(d, graded=args.graded)
+    count = poly.total_count()
+    rus = enumerate_rulings(d, graded=args.graded, limit=MAX_LISTED)
+    doc = {"word": d.word, "graded": args.graded, "count": count,
            "polynomial": str(poly), "rulings": [list(r) for r in rus]}
     lines = chain(_kv([("word", d.word), ("graded", args.graded),
-                       ("count", len(rus)),
+                       ("count", count),
                        ("polynomial", doc["polynomial"])]),
-                  (f"ruling {_fmt(r)}" for r in doc["rulings"]))
+                  (f"ruling {_fmt(r)}" for r in doc["rulings"]),
+                  _cut(len(rus), count))
     return lines, doc
 
 
@@ -278,20 +307,22 @@ def cmd_tb(args):
 
 def cmd_compat(args):
     poly = parse_poly(args.poly)
-    splits = decompose(poly, args.dim)
+    count = box_size(splitting_box(poly, args.dim))
+    splits = decompose(poly, args.dim, limit=MAX_LISTED)
     listed = [{"q": str(q), "p": str(p)} for q, p in splits]
     doc = {"dim": args.dim, "poly": str(poly),
-           "compatible": bool(splits),
+           "compatible": count > 0,
            "connected_form": is_connected_form(poly, args.dim),
-           "splittings": listed}
-    if not splits:
+           "count": count, "splittings": listed}
+    if not count:
         doc["reason"] = incompat_reason(poly, args.dim)
     lines = chain(_kv([("dim", args.dim), ("poly", doc["poly"]),
                        ("compatible", doc["compatible"]),
                        ("connected_form", doc["connected_form"]),
-                       ("splittings", len(splits))]),
+                       ("splittings", count)]),
                   (f"split q={s['q']}; p={s['p']}" for s in listed),
-                  _kv([("reason", doc["reason"])] if not splits else []))
+                  _cut(len(listed), count),
+                  _kv([("reason", doc["reason"])] if not count else []))
     return lines, doc
 
 
@@ -521,6 +552,17 @@ def _build_parser():
 _PARSER = None
 
 
+def _emit(text):
+    """Print text; when the reader has closed standard output (`leg ...
+    | head`), stop writing quietly."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send the flush at exit to nowhere instead of the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     global _PARSER
     if _PARSER is None:
@@ -533,15 +575,13 @@ def main(argv=None):
     try:
         lines, doc = _HANDLERS[args.cmd](args)
     except DomainError as e:
-        if args.json:
-            print(json.dumps({"error": str(e)}, sort_keys=True))
-        else:
-            print(f"error: {e}")
+        _emit(json.dumps({"error": str(e)}, sort_keys=True) if args.json
+              else f"error: {e}")
         return 1
     if args.json:
-        print(doc if isinstance(doc, str) else _dump(doc))
+        _emit(doc if isinstance(doc, str) else _dump(doc))
     else:
-        print("\n".join(lines))
+        _emit("\n".join(lines))
     return 0
 
 

@@ -972,6 +972,32 @@ def _refuse_composite(fam, what):
             "single polynomial core")
 
 
+def _check_constant_path(fams, axis_band, tol):
+    """Refuse a path of families whose values differ from the first's
+    on a check grid of (x, eta1, 0) samples."""
+    base = fams[0]
+    ext = base.extent()
+    exs = np.arange(0.0, ext + 0.05, 0.1).reshape(-1, 1)
+    ees = np.arange(-ext, ext + 0.05, 0.2)
+    # one sample (x, eta1, 0) per grid pair (x, eta1)
+    X = np.repeat(exs, len(ees), axis=0)
+    E = np.zeros((len(X), base.N))
+    E[:, 0] = np.tile(ees, len(exs))
+    ref = base.value(X, E)
+    for fam in fams[1:]:
+        dev = np.max(np.abs(fam.value(X, E) - ref))
+        if dev > tol:
+            near = np.abs(X[:, 0]) <= axis_band
+            axis_dev = np.max(np.abs(fam.value(X, E) - ref)[near])
+            if axis_dev > tol:
+                raise DomainError(
+                    f"not spinnable: θ-dependence near axis "
+                    f"(variation {axis_dev:.3e})")
+            raise DomainError(
+                f"spin is implemented for θ-constant paths; the path "
+                f"varies by {dev:.3e} away from the axis")
+
+
 def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
     """Rotate a 1-d base family about the x = 0 axis.
 
@@ -995,26 +1021,8 @@ def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
         if fam.N != base.N or fam.R != base.R or fam.tail != base.tail:
             raise DomainError(
                 "spin needs a shared tail and cutoff across the path")
-    ext = base.extent()
-    exs = np.arange(0.0, ext + 0.05, 0.1).reshape(-1, 1)
-    ees = np.arange(-ext, ext + 0.05, 0.2)
-    # one sample (x, eta1, 0) per grid pair (x, eta1)
-    X = np.repeat(exs, len(ees), axis=0)
-    E = np.zeros((len(X), base.N))
-    E[:, 0] = np.tile(ees, len(exs))
-    ref = fams[0].value(X, E)
-    for fam in fams[1:]:
-        dev = np.max(np.abs(fam.value(X, E) - ref))
-        if dev > tol:
-            near = np.abs(X[:, 0]) <= axis_band
-            axis_dev = np.max(np.abs(fam.value(X, E) - ref)[near])
-            if axis_dev > tol:
-                raise DomainError(
-                    f"not spinnable: θ-dependence near axis "
-                    f"(variation {axis_dev:.3e})")
-            raise DomainError(
-                f"spin is implemented for θ-constant paths; the path "
-                f"varies by {dev:.3e} away from the axis")
+    if len(fams) > 1:
+        _check_constant_path(fams, axis_band, tol)
     if any(e[0] % 2 for e in base.core.terms):
         slope = max(abs(c) for e, c in base.core.terms.items() if e[0] % 2)
         raise DomainError(

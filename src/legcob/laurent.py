@@ -23,7 +23,8 @@ import re
 
 from .errors import DomainError
 
-# Largest number of splittings decompose lists; the box is counted first.
+# Largest number of splittings decompose lists without a limit; the box
+# is counted first.
 MAX_SPLITTINGS = 10**5
 # Largest dimension n the solver and the plan blocks take; every answer
 # has per-degree lists of length about n.
@@ -211,7 +212,7 @@ def incompat_reason(poly, n):
 def splitting_box(poly, n):
     """The splittings of poly = q + p + p.reflect(n-1) as a box.
 
-    INPUT: as for decompose, without the betti filter.
+    INPUT: as for decompose.
 
     OUTPUT: (forced, degrees, bounds), or None exactly when no splitting
     exists, that is when incompat_reason gives a reason.  forced is the
@@ -264,48 +265,78 @@ def split_from_p(poly, n, forced, free):
     for i, v in free:
         if v:
             p[i] = v
-    c = poly.coeff
-    q = {}
-    for d in range(0, n + 1):
-        qd = c(d) - p.get(d, 0) - p.get(n - 1 - d, 0)
-        if qd:
-            q[d] = qd
-    return LaurentPoly(q), LaurentPoly(p)
+    q = {d: c for d, c in poly.coeffs.items() if 0 <= d <= n}
+    for i, v in p.items():
+        for d in (i, n - 1 - i):
+            if 0 <= d <= n:
+                q[d] = q.get(d, 0) - v
+    return LaurentPoly({d: q[d] for d in sorted(q)}), LaurentPoly(p)
 
 
-def decompose(poly, n, betti=None):
-    """Enumerate all (q, p) with poly = q + p + p.reflect(n-1).
+def _box_points(bounds, tail_first):
+    """The points of prod(range(b + 1) for b in bounds), lazily, in
+    increasing order of their lists of nonzero (index, value) items.
 
-    INPUT: poly with nonnegative coefficients, dimension n >= 1 and an
-    optional betti sequence (indexable by 0..n) demanding
-    q_k + q_(n-k) = betti[k]; poly must be supported in
-    [-WINDOW, n + WINDOW].
+    At each index the values run 1..b, then 0: a 0 lets the list go on
+    with an item of a later index, which sorts after every value there.
+    The exception is a point whose values from some index on are all 0:
+    with tail_first (no forced items end every list) its list is a
+    prefix of the others that share its earlier values, so it comes
+    first among them.
+    """
+    m = len(bounds)
+    point = [0] * m
+    if tail_first or not m:
+        yield tuple(point)
+    if not m:
+        return
+    choices = [None] * m
+    choices[0] = itertools.chain(range(1, bounds[0] + 1), (0,))
+    k = 0
+    while k >= 0:
+        v = next(choices[k], None)
+        if v is None:
+            point[k] = 0
+            k -= 1
+            continue
+        point[k] = v
+        if tail_first and v:
+            yield tuple(point)  # the zero tail after v comes first
+        if k + 1 < m:
+            k += 1
+            choices[k] = itertools.chain(range(1, bounds[k] + 1), (0,))
+        elif not tail_first:
+            yield tuple(point)
 
-    OUTPUT: a deterministically sorted list of (q, p) LaurentPoly pairs;
-    empty when no decomposition exists.  A box of more than
-    MAX_SPLITTINGS points is refused with a DomainError before anything
-    is listed.
+
+def decompose(poly, n, limit=None):
+    """The first `limit` (q, p) with poly = q + p + p.reflect(n-1), all
+    when limit is None.
+
+    INPUT: poly with nonnegative coefficients and dimension n >= 1;
+    poly must be supported in [-WINDOW, n + WINDOW].
+
+    OUTPUT: a list of (q, p) LaurentPoly pairs in increasing order of
+    (sorted p items, sorted q items); empty when no decomposition
+    exists.  The box's points are walked in that order, so the first
+    `limit` come without listing the others.  A full listing of more
+    than MAX_SPLITTINGS points is refused with a DomainError before
+    anything is listed.
     """
     box = splitting_box(poly, n)
     if box is None:
         return []
     forced, degrees, bounds = box
     count = box_size(box)
-    if count > MAX_SPLITTINGS:
+    if limit is None and count > MAX_SPLITTINGS:
         raise DomainError(
             f"too many splittings to list: {count} exceed the cap of "
             f"{MAX_SPLITTINGS:.3g}")
-    results = []
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        q, p = split_from_p(poly, n, forced, zip(degrees, combo))
-        if betti is not None:
-            if any(q.coeff(k) + q.coeff(n - k) != betti[k]
-                   for k in range(0, n + 1)):
-                continue
-        results.append((q, p))
-    results.sort(key=lambda qp: (sorted(qp[1].coeffs.items()),
-                                 sorted(qp[0].coeffs.items())))
-    return results
+    # p_i is 0 wherever its bound is: such degrees list no item
+    live = [(i, b) for i, b in zip(degrees, bounds) if b]
+    points = _box_points([b for _, b in live], tail_first=not forced)
+    return [split_from_p(poly, n, forced, zip((i for i, _ in live), combo))
+            for combo in itertools.islice(points, limit)]
 
 
 def connected_p_top(poly, n, box):

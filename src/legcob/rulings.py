@@ -9,95 +9,185 @@ at that slice, never interleaved.  A graded ruling also needs equal
 Maslov potential on the two strands of every switch.
 """
 
-from collections import Counter
-
+from .errors import DomainError
 from .front import classical_invariants, maslov_potential
 from .laurent import LaurentPoly
 
 
-def enumerate_rulings(diagram, graded=False):
-    """All normal rulings, as sorted tuples of switched event indices.
+# Largest number of distinct eye pairings the sweep carries past one
+# event; a wider front is refused before its pairings run the process
+# out of memory.
+MAX_PAIRINGS = 10**4
+# Largest sum over the events of the pairings the sweep carries, which
+# its time follows; a long front that stays wide is refused with it.
+MAX_SWEEP_WORK = 10**5
 
-    The search walks the event word once, branching only at crossings and
-    pruning dead states immediately, so it stays far below the nominal
-    2^(#crossings) cost on diagrams whose rulings are sparse.
 
-    graded=True filters switches by equal potential; components with
-    nonzero rotation number admit no graded ruling, so the graded set is
-    empty as soon as one is present.
+def _transitions(diagram, graded):
+    """step(e, partner) -> (through, switch) for the event word, or None
+    when the diagram admits no ruling at all.
+
+    partner is the eye pairing of the strands before event e: partner[j]
+    is the position of the strand that shares an eye with position j.
+    through is the pairing after e when its strands go through, switch
+    the pairing after a switch; each is None where that choice kills
+    the ruling (switch also wherever e is no crossing).
+
+    graded=True admits only switches of equal potential; components with
+    nonzero rotation number admit no graded ruling.
     """
-    mu = None
-    if graded:
-        if any(classical_invariants(diagram)["rotation"]):
-            return []
-        pot = maslov_potential(diagram)
-        mu = {i: (pot.values[u], pot.values[l])
-              for i, _, u, l in diagram.crossings}
-    results = []
+    if graded and any(classical_invariants(diagram)["rotation"]):
+        return None
     events = diagram.events
+    level = None
+    if graded:
+        pot = maslov_potential(diagram).values
+        level = {i: pot[u] == pot[l] for i, _, u, l in diagram.crossings}
 
-    def walk(e, partner, switches):
-        if e == len(events):
-            results.append(tuple(switches))
-            return
+    def step(e, partner):
         kind, pos = events[e]
         p = pos - 1
         if kind == "L":
-            def shift(j):
-                return j if j < p else j + 2
-            new = [None] * (len(partner) + 2)
-            for j, q in enumerate(partner):
-                new[shift(j)] = shift(q)
-            new[p] = p + 1
-            new[p + 1] = p
-            walk(e + 1, new, switches)
-        elif kind == "R":
-            if partner[p] != p + 1:
-                return
-            def shift(j):
-                return j if j < p else j - 2
-            new = [shift(q) for j, q in enumerate(partner)
-                   if j not in (p, p + 1)]
-            walk(e + 1, new, switches)
-        else:
-            if partner[p] == p + 1:
-                return  # mates may neither cross nor switch
-            def tau(j):
-                if j == p:
-                    return p + 1
-                if j == p + 1:
-                    return p
-                return j
-            new = [None] * len(partner)
-            for j, q in enumerate(partner):
-                new[tau(j)] = tau(q)
-            walk(e + 1, new, switches)
-            if mu is not None and mu[e][0] != mu[e][1]:
-                return
-            a1, a2 = sorted((p, partner[p]))
-            b1, b2 = sorted((p + 1, partner[p + 1]))
-            if a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2:
-                return  # interleaved eyes cannot switch
-            switches.append(e)
-            walk(e + 1, partner, switches)
-            switches.pop()
+            new = tuple(q if q < p else q + 2 for q in partner)
+            return new[:p] + (p + 1, p) + new[p:], None
+        a, b = partner[p], partner[p + 1]
+        if kind == "R":
+            if a != p + 1:
+                return None, None
+            return tuple(q if q < p else q - 2
+                         for q in partner[:p] + partner[p + 2:]), None
+        if a == p + 1:
+            return None, None  # mates may neither cross nor switch
+        new = [p + 1 if q == p else p if q == p + 1 else q for q in partner]
+        new[p], new[p + 1] = new[p + 1], new[p]
+        a1, a2 = sorted((p, a))
+        b1, b2 = sorted((p + 1, b))
+        if (level is not None and not level[e]) \
+                or a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2:
+            # a switch needs equal potential and eyes that do not interleave
+            return tuple(new), None
+        return tuple(new), partner
 
-    walk(0, [], [])
-    results.sort()
-    return results
+    return step
 
 
-def ruling_polynomial(diagram, rulings):
-    """Sum of z^(#switches - #right cusps + 1) over the given rulings,
-    as listed by enumerate_rulings(diagram) (graded or not).
+def ruling_polynomial(diagram, *, graded=False):
+    """Sum of t^(#switches - #right cusps + 1) over the normal rulings
+    (graded or not), by one sweep of the word.  graded is keyword-only,
+    so a list of rulings passed in its place fails loudly.
+
+    The sweep carries each eye pairing reached so far with the number of
+    ways to reach it per switch count, and merges equal pairings as they
+    meet, so no ruling is ever listed; the ruling count is the value at
+    t = 1.  A front whose sweep carries more than MAX_PAIRINGS pairings
+    past one event, or more than MAX_SWEEP_WORK over all events, is
+    refused with a DomainError.
 
     >>> from .front import parse_front
-    >>> d = parse_front("L1 L2 X3 X3 X3 R2 R1")
-    >>> str(ruling_polynomial(d, enumerate_rulings(d)))
+    >>> str(ruling_polynomial(parse_front("L1 L2 X3 X3 X3 R2 R1")))
     't^2 + 2'
     """
-    return LaurentPoly(Counter(len(sw) - diagram.n_right + 1
-                               for sw in rulings))
+    step = _transitions(diagram, graded)
+    if step is None:
+        return LaurentPoly()
+    states = {(): {0: 1}}  # pairing -> {switch count: ways}
+    work = 0
+    for e in range(len(diagram.events)):
+        reached = {}
+        for partner, ways in states.items():
+            for new, shift in zip(step(e, partner), (0, 1)):
+                if new is None:
+                    continue
+                have = reached.get(new)
+                if have is None and not shift:
+                    reached[new] = ways
+                    continue
+                merged = dict(have or ())
+                for k, c in ways.items():
+                    merged[k + shift] = merged.get(k + shift, 0) + c
+                reached[new] = merged
+        work += len(reached)
+        if len(reached) > MAX_PAIRINGS:
+            raise DomainError(
+                f"front too wide for the ruling sweep: {len(reached)} "
+                f"eye pairings after event {e + 1} exceed the cap of "
+                f"{MAX_PAIRINGS:.3g}")
+        if work > MAX_SWEEP_WORK:
+            raise DomainError(
+                f"front too long and wide for the ruling sweep: {work} "
+                f"pairings carried by event {e + 1} exceed the cap of "
+                f"{MAX_SWEEP_WORK:.3g}")
+        states = reached
+    return LaurentPoly({k - diagram.n_right + 1: c
+                        for k, c in sorted(states.get((), {}).items())})
+
+
+def enumerate_rulings(diagram, graded=False, limit=None):
+    """The first `limit` normal rulings (all when None), as sorted tuples
+    of switched event indices, in increasing order.
+
+    The walk follows the strands through each crossing and branches off
+    at every admissible switch.  Two rulings' tuples first differ at a
+    crossing that one switches and the other goes through; the one that
+    switches sorts first, unless the other switches nowhere after it and
+    so is a prefix.  At each switch the walk therefore emits the
+    all-through completion of the through branch, then lists the switch
+    branch, then the rest of the through branch: that is increasing
+    order, with no sort.  An (event, pairing) state that gave no ruling
+    is remembered and never walked again, and each transition is worked
+    out once.
+    """
+    transition = _transitions(diagram, graded)
+    if transition is None:
+        return []
+    seen = {}
+
+    def step(e, partner):
+        key = (e, partner)
+        got = seen.get(key)
+        if got is None:
+            got = seen[key] = transition(e, partner)
+        return got
+
+    n = len(diagram.events)
+    results = []
+    dead = set()   # (event, pairing, tail out) states that gave nothing
+
+    def through_to_end(e, partner):
+        while partner is not None and e < n:
+            partner = step(e, partner)[0]
+            e += 1
+        return partner is not None
+
+    # a task lists the rulings that extend switches from state (e,
+    # partner); with tail_out its all-through completion is already out
+    stack = [(0, (), (), False)]
+    while stack and (limit is None or len(results) < limit):
+        task = stack.pop()
+        if task[0] is None:  # a task's end: (None, key, rulings before)
+            if len(results) == task[2]:
+                dead.add(task[1])
+            continue
+        e, partner, switches, tail_out = task
+        stack.append((None, (e, partner, tail_out), len(results)))
+        while e < n:
+            through, switch = step(e, partner)
+            if through is None:
+                break
+            if switch is not None:
+                if not tail_out and through_to_end(e + 1, through):
+                    results.append(switches)
+                    tail_out = True
+                if (e + 1, through, True) not in dead:
+                    stack.append((e + 1, through, switches, True))
+                if (e + 1, switch, False) not in dead:
+                    stack.append((e + 1, switch, switches + (e,), False))
+                break
+            partner, e = through, e + 1
+        else:
+            if not tail_out:
+                results.append(switches)
+    return results
 
 
 def validate_ruling(diagram, switches):

@@ -237,8 +237,8 @@ def test_compat_and_plan_name_the_refusal(poly, reason, capsys):
     rc, out = run(["compat", "--dim", "3", "--poly", poly, "--json"], capsys)
     assert rc == 0
     doc = json.loads(out)
-    assert (doc["compatible"], doc["connected_form"], doc["splittings"],
-            doc["reason"]) == (False, False, [], reason)
+    assert (doc["compatible"], doc["connected_form"], doc["count"],
+            doc["splittings"], doc["reason"]) == (False, False, 0, [], reason)
     rc, out = run(["plan", "--dim", "3", "--poly", poly], capsys)
     assert (rc, out) == (
         1, f"error: not compatible with duality in connected form: {reason}\n")
@@ -250,7 +250,8 @@ def test_compatible_but_not_connected(capsys):
     assert rc == 0
     assert json.loads(out) == {
         "dim": 3, "poly": "t^3 + 2", "compatible": True,
-        "connected_form": False, "splittings": [{"q": "t^3 + 2", "p": "0"}]}
+        "connected_form": False, "count": 1,
+        "splittings": [{"q": "t^3 + 2", "p": "0"}]}
     rc, out = run(["plan", "--dim", "3", "--poly", "t^3 + 2"], capsys)
     assert (rc, out) == (
         1, "error: not compatible with duality in connected form: no "
@@ -457,3 +458,25 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rulings", "--front", "L1 L2 " + "X3 " * 21 + "R2 R1"],
+    ["compat", "--dim", "3", "--poly", "t^3 + t^2 + 1", "--json"],
+    ["tb", "--dim", "0", "--poly", "t"]], ids=["text", "json", "error"])
+def test_closed_stdout_exits_quietly(argv):
+    """`leg ... | head` closes the pipe early: no traceback, same code."""
+    import os
+    from pathlib import Path
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "legcob.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=30)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == (1 if argv[0] == "tb" else 0)

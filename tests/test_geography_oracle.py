@@ -12,7 +12,8 @@ listed splitting, and `ref_incompat_reason` the refusal text, fallback
 included, that the planner reported.  The box code must give the same
 lists, the same (q, p) by `repr` (dict order included), the same block
 list, and the same error text, on every small polynomial and on seeded
-random ones with negative coefficients and mirrored high degrees.
+random ones with negative coefficients and mirrored high degrees.  A
+listing cut at `limit` must be the head of the sorted list.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from legcob.laurent import (LaurentPoly, box_size, decompose,
 
 # --- reference: enumerate, then filter and take the min ----------------
 
-def ref_decompose(poly, n, betti=None, window=64):
+def ref_decompose(poly, n, window=64):
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     lo, hi = -window, n + window
@@ -80,10 +81,6 @@ def ref_decompose(poly, n, betti=None, window=64):
                 q[d] = qd
         if not ok or q.get(n, 0) < 1:
             continue
-        if betti is not None:
-            if any(q.get(k, 0) + q.get(n - k, 0) != betti[k]
-                   for k in range(0, n + 1)):
-                continue
         results.append((LaurentPoly(q), LaurentPoly(p)))
     results.sort(key=lambda qp: (sorted(qp[1].coeffs.items()),
                                  sorted(qp[0].coeffs.items())))
@@ -227,18 +224,13 @@ def test_realize_matches_min_over_enumeration(cases):
                 == plan_outcome(ref_realize, *args), args
 
 
-def test_betti_filter_matches_enumeration():
-    rng = random.Random(11)
+def test_limited_listing_is_a_prefix():
+    rng = random.Random(12)
     for poly, n in RANDOM + SMALL[::7]:
         ref = ref_decompose(poly, n)
-        profiles = [[rng.randint(0, 2) for _ in range(n + 1)]]
-        if ref:
-            q, _ = rng.choice(ref)
-            profiles.append([q.coeff(k) + q.coeff(n - k)
-                             for k in range(n + 1)])
-        for betti in profiles:
-            assert repr(decompose(poly, n, betti=betti)) \
-                == repr(ref_decompose(poly, n, betti=betti)), (poly, n, betti)
+        for k in (0, 1, rng.randint(0, len(ref) + 1)):
+            assert repr(decompose(poly, n, limit=k)) == repr(ref[:k]), \
+                (poly, n, k)
 
 
 def test_domain_errors_match():
@@ -260,6 +252,8 @@ def test_splitting_cap(monkeypatch):
                 decompose(poly, n)
         else:
             assert repr(decompose(poly, n)) == repr(ref)
+        # a limited listing is never refused
+        assert repr(decompose(poly, n, limit=5)) == repr(ref[:5])
 
 
 def test_plan_block_cap(monkeypatch):

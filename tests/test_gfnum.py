@@ -273,6 +273,22 @@ def test_spin_rejects_theta_dependence():
         spin(path)
 
 
+def test_constant_path_spin_evaluates_nothing(monkeypatch):
+    # a single family has no other family to compare on the check grid
+    calls = []
+    value = GeneratingFamily.value
+    monkeypatch.setattr(GeneratingFamily, "value",
+                        lambda self, X, E: calls.append(len(X))
+                        or value(self, X, E))
+    spun = spin(unknot_family())
+    assert calls == []
+    assert spun.n == 2
+    # a path of equal families is compared, and spins the same
+    assert format_gf_file(spin(lambda theta: unknot_family())) \
+        == format_gf_file(spun)
+    assert calls
+
+
 def test_spin_rejects_odd_radial_terms():
     with pytest.raises(DomainError, match="θ-dependence near axis"):
         spin(fish_family())

@@ -4,9 +4,9 @@ memory.
 Each row is one argv for `python -m legcob.cli`, run in a fresh
 interpreter with its address space capped at 1 GiB and a deadline of a
 few seconds.  It must exit 0 or 1 (a DomainError), print no traceback
-and not die from a signal.  Inputs that still fail are strict xfails
-naming the ROADMAP item that fixes them, so a fix shows up as an
-unexpected pass.
+and not die from a signal.  An input that still fails is marked a
+strict xfail naming the ROADMAP item that fixes it, so a fix shows up
+as an unexpected pass; none is marked today.
 """
 
 import os
@@ -25,11 +25,8 @@ FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
          "huge-dim.plan": '{"n": 300000000, "target": "t^300000000", '
                           '"blocks": [{"kind": "Saucer"}]}',
          "huge-n.gf": "n=1000000000\nN=1\ncore=e1\ntail=-e1\nR=1\n",
-         "huge-N.gf": "n=1\nN=1000000000\ncore=e1\ntail=-e1\nR=1\n"}
-
-
-def _offender(item, why):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {why}")
+         "huge-N.gf": "n=1\nN=1000000000\ncore=e1\ntail=-e1\nR=1\n",
+         "not-utf8.trace": b"\xff\xfe"}
 
 
 ROWS = [
@@ -68,8 +65,24 @@ ROWS = [
     pytest.param(["plan", "--verify", "huge-dim.plan"],
                  id="plan-verify-huge-dim"),
     pytest.param(["rulings", "--front", "L1 L2 " + "X3 " * 40 + "R2 R1"],
-                 id="rulings-40-twists",
-                 marks=_offender(2, "enumerate_rulings lists every ruling")),
+                 id="rulings-40-twists"),
+    # ten nested eyes whose crossings reach over 10^4 pairings
+    pytest.param(["rulings", "--front",
+                  " ".join([f"L{t}" for t in range(1, 11)]
+                           + [f"X{10 + i}" for i in range(1, 10)] * 2
+                           + [f"R{t}" for t in range(10, 0, -1)])],
+                 id="rulings-wide-front"),
+    # seven nested eyes over 180 crossings: never 10^4 pairings at once
+    pytest.param(["rulings", "--front",
+                  " ".join([f"L{t}" for t in range(1, 8)]
+                           + [f"X{7 + i}" for i in range(1, 7)] * 30
+                           + [f"R{t}" for t in range(7, 0, -1)])],
+                 id="rulings-long-wide-front"),
+    pytest.param(["trace", "not-utf8.trace"], id="trace-not-utf8"),
+    pytest.param(["trace", "/dev/zero"], id="trace-dev-zero"),
+    pytest.param(["gf-chords", "--file", "/dev/zero"],
+                 id="gf-chords-dev-zero"),
+    pytest.param(["plan", "--verify", "/dev/zero"], id="plan-verify-dev-zero"),
 ]
 
 
@@ -80,7 +93,10 @@ def _cap_memory():
 @pytest.mark.parametrize("argv", ROWS)
 def test_short_input_gets_a_bounded_answer(argv, tmp_path):
     for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

@@ -85,15 +85,6 @@ def test_unique_connected_decomposition_t5():
     assert str(q) == "t^5" and str(p) == "2t^4"
 
 
-def test_decompose_betti_filter():
-    # q = t^3 + 2t has q_k + q_(3-k) profile [1, 2, 2, 1]; q = t^3 has
-    # [1, 0, 0, 1].  A profile matching neither filters everything out.
-    results = decompose(parse_poly("t^3 + 2t"), 3, betti=[0, 2, 2, 0])
-    assert results == []
-    results = decompose(parse_poly("t^3 + 2t"), 3, betti=[1, 2, 2, 1])
-    assert [(str(q), str(p)) for q, p in results] == [("t^3 + 2t", "0")]
-
-
 def test_decompose_window_guard():
     with pytest.raises(DomainError, match="outside search window"):
         decompose(LaurentPoly({100: 1, 3: 1}), 3)

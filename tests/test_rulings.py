@@ -24,7 +24,7 @@ def test_trefoil_rulings_frozen():
     d = parse_front(TREFOIL)
     assert enumerate_rulings(d) == [(2,), (2, 3, 4), (4,)]
     assert enumerate_rulings(d, graded=True) == [(2,), (2, 3, 4), (4,)]
-    assert ruling_polynomial(d, enumerate_rulings(d)) == \
+    assert ruling_polynomial(d) == ruling_polynomial(d, graded=True) == \
         LaurentPoly({0: 2, 2: 1})
 
 
@@ -72,3 +72,11 @@ def test_graded_subset_of_ungraded():
         d = parse_front(word)
         graded = set(enumerate_rulings(d, graded=True))
         assert graded <= set(enumerate_rulings(d))
+
+
+def test_forty_twists_by_the_sweep():
+    # k twists have Fibonacci(k + 1) rulings: 55 at k = 9 (the golden
+    # TWIST9), 165,580,141 at k = 40, none of them listed
+    d = parse_front("L1 L2 " + "X3 " * 40 + "R2 R1")
+    assert ruling_polynomial(d).total_count() == 165580141
+    assert len(enumerate_rulings(d, limit=3)) == 3
