@@ -33,8 +33,9 @@ adjacent degrees.
 
 Every solve (fiber roots and chords) runs through one batched Newton
 with a central-difference Jacobian; Morse indices and the regularity
-margin come from numpy's symmetric eigenvalues.  No tolerance is a
-parameter: one used twice is a module constant (FD_STEP, CHORD_*), any
+margin come from numpy's symmetric eigenvalues.  No tolerance, and no
+setting that no caller changes, is a parameter: one used twice is a
+module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
 other a literal at its use.  FAMILIES names the built-in families.
 Refused: dimensions other than 1 or 2 (a gf-file's before anything is
 built), and composites in spin and immersed_filling_family.
@@ -972,7 +973,11 @@ def _refuse_composite(fam, what):
             "single polynomial core")
 
 
-def _check_constant_path(fams, axis_band, tol):
+# A spun path's families must agree with its first to within SPIN_TOL.
+SPIN_TOL = 1e-9
+
+
+def _check_constant_path(fams):
     """Refuse a path of families whose values differ from the first's
     on a check grid of (x, eta1, 0) samples."""
     base = fams[0]
@@ -986,10 +991,10 @@ def _check_constant_path(fams, axis_band, tol):
     ref = base.value(X, E)
     for fam in fams[1:]:
         dev = np.max(np.abs(fam.value(X, E) - ref))
-        if dev > tol:
-            near = np.abs(X[:, 0]) <= axis_band
+        if dev > SPIN_TOL:
+            near = np.abs(X[:, 0]) <= 0.4  # the band about the axis
             axis_dev = np.max(np.abs(fam.value(X, E) - ref)[near])
-            if axis_dev > tol:
+            if axis_dev > SPIN_TOL:
                 raise DomainError(
                     f"not spinnable: θ-dependence near axis "
                     f"(variation {axis_dev:.3e})")
@@ -998,19 +1003,18 @@ def _check_constant_path(fams, axis_band, tol):
                 f"varies by {dev:.3e} away from the axis")
 
 
-def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
+def spin(path):
     """Rotate a 1-d base family about the x = 0 axis.
 
     path is either a single family (constant path) or a callable
-    theta -> family on [0, 2pi).  The construction replaces x^2 by
-    x1^2 + x2^2 in the core, which is exact for theta-constant paths
-    with even cores; theta-variation near the axis and odd radial
-    terms both obstruct a smooth spun family and are rejected.
+    theta -> family on [0, 2pi), sampled at the eight multiples of
+    pi/4.  The construction replaces x^2 by x1^2 + x2^2 in the core,
+    which is exact for theta-constant paths with even cores;
+    theta-variation near the axis and odd radial terms both obstruct a
+    smooth spun family and are rejected.
     """
     if callable(path):
-        thetas = [2.0 * math.pi * k / theta_samples
-                  for k in range(theta_samples)]
-        fams = [path(t) for t in thetas]
+        fams = [path(math.pi * k / 4) for k in range(8)]
     else:
         fams = [path]
     base = fams[0]
@@ -1022,7 +1026,7 @@ def spin(path, theta_samples=8, axis_band=0.4, tol=1e-9):
             raise DomainError(
                 "spin needs a shared tail and cutoff across the path")
     if len(fams) > 1:
-        _check_constant_path(fams, axis_band, tol)
+        _check_constant_path(fams)
     if any(e[0] % 2 for e in base.core.terms):
         slope = max(abs(c) for e, c in base.core.terms.items() if e[0] % 2)
         raise DomainError(
@@ -1091,8 +1095,15 @@ class ImmersedFilling:
         return base - np.asarray(E, float) @ eps
 
 
-def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
-                            margin_tol=1e-6, seed=0):
+# The filling tries FILLING_BUDGET offsets eps_G and takes the first
+# whose slices, solved on a grid of step FILLING_GRID_STEP, keep a
+# regularity margin of at least FILLING_MARGIN_TOL.
+FILLING_BUDGET = 40
+FILLING_GRID_STEP = 0.2
+FILLING_MARGIN_TOL = 1e-6
+
+
+def immersed_filling_family(fam, t_plus=3.0):
     """Build the filling interpolation and certify its slice conditions.
 
     Searches decreasing offsets eps_G until 0 is a regular value of the
@@ -1104,10 +1115,10 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
     _refuse_composite(fam, "the filling interpolation")
     if not 2.0 < t_plus < math.inf:
         raise DomainError(f"t_plus must be finite and exceed 2, got {t_plus}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     t_samples = [0.5, 1.0, 1.3, 1.6, 1.9, 2.2, 2.6, t_plus, t_plus + 0.5]
     chosen = None
-    for k in range(budget):
+    for k in range(FILLING_BUDGET):
         mag = 0.5 * (0.7 ** (k // 4))
         direction = rng.normal(size=fam.N)
         direction /= max(np.abs(direction).max(), 1e-12)
@@ -1120,11 +1131,11 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
             if not any(sl.tail):
                 ok = False
                 break
-            pts = fiber_critical_set(sl, step=step)
+            pts = fiber_critical_set(sl, step=FILLING_GRID_STEP)
             m = fiber_regularity_margin(sl, pts)
             if m is not None:
                 margin = min(margin, m)
-                if m < margin_tol:
+                if m < FILLING_MARGIN_TOL:
                     ok = False
                     break
         if ok:
@@ -1132,7 +1143,8 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
             break
     if chosen is None:
         raise DomainError(
-            f"failed to locate regular value ε_G after {budget} samples")
+            f"failed to locate regular value ε_G after {FILLING_BUDGET} "
+            "samples")
     eps_G, margin = chosen
     filling = ImmersedFilling(fam, eps_G, t_plus, None)
     xs = np.linspace(-fam.extent(), fam.extent(), 9).reshape(-1, 1)
@@ -1160,7 +1172,7 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
         filling.value(t, xs, es) - t * fam.value(xs, es))))
         for t in (t_plus, t_plus + 1.0))
     conditions["scaled_family_above_t_plus"] = dev_high < 1e-9
-    conditions["fiber_derivative_regular"] = margin >= margin_tol
+    conditions["fiber_derivative_regular"] = margin >= FILLING_MARGIN_TOL
     report = {
         "eps_G": eps_G,
         "t_minus": 1.0,
@@ -1169,7 +1181,8 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
         "conditions": conditions,
         "sigma": "exp-bump smoothstep rising on [1, 2]",
         "eps_path": "constant eps_G up to t = 2, linear ramp to 0 at t_plus",
-        "tolerances": {"margin_tol": margin_tol, "slice_grid_step": step},
+        "tolerances": {"margin_tol": FILLING_MARGIN_TOL,
+                       "slice_grid_step": FILLING_GRID_STEP},
     }
     filling.report = report
     return filling
@@ -1177,8 +1190,13 @@ def immersed_filling_family(fam, t_plus=3.0, budget=40, step=0.2,
 
 # --- embeddedness along a path ----------------------------------------
 
-def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1,
-                       death_tol=1e-3, dt=1e-4):
+# A chord whose value falls below CHORD_DEATH_TOL along a path counts
+# as dead; d_t delta is a central difference of step PATH_DT.
+CHORD_DEATH_TOL = 1e-3
+PATH_DT = 1e-4
+
+
+def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1):
     """Certify the chord-length inequality along a family path.
 
     path: callable t -> family on [t_minus, t_plus], t_minus > 0.
@@ -1207,14 +1225,14 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1,
                 f"chord death along path: no chords at t = {t:.6g}")
         values = [p.value for p in chords]
         h_t = min(values)
-        if h_t < death_tol:
+        if h_t < CHORD_DEATH_TOL:
             raise DomainError(
                 f"chord death along path: minimal value {h_t:.3e} "
                 f"at t = {t:.6g}")
         h_min = min(h_min, h_t)
-        lo = path(max(t - dt, t_minus))
-        hi = path(min(t + dt, t_plus))
-        span = min(t + dt, t_plus) - max(t - dt, t_minus)
+        lo = path(max(t - PATH_DT, t_minus))
+        hi = path(min(t + PATH_DT, t_plus))
+        span = min(t + PATH_DT, t_plus) - max(t - PATH_DT, t_minus)
         for p in chords:
             pt = np.array([list(p.coords[0]) + list(p.coords[1])
                            + list(p.coords[2])])
@@ -1227,4 +1245,4 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1,
     return {"h": h_min, "max_dt": max_dt, "ok": ok,
             "slowdown": slowdown,
             "t_samples": list(map(float, ts)),
-            "tolerances": {"grid_step": step, "death_tol": death_tol}}
+            "tolerances": {"grid_step": step, "death_tol": CHORD_DEATH_TOL}}

@@ -23,8 +23,9 @@ index, all 0-based except heights which are 1-based like event words):
     R2d- e    undo an R2d
     R3 e      triangle move on the three crossings at e, e+1, e+2
     C e       commute the independent events at e and e+1
-    Ch e      commute, but when a moved left cusp may land on either
-              side of a dying pair, place it above instead of below
+    Ch e      commute, but when a left cusp moves back past a right cusp
+              at its own height (R_h L_h), place the new pair below the
+              dying one instead of above
 
 B, P and PM change the surface topology; the rest are isotopies of the
 front and leave tb, rotation numbers, component count and the graded
@@ -129,45 +130,26 @@ def _check_grading(diagram, move):
             f"{mp.values[b]} (mod {m})")
 
 
-def _participants(event, before, after):
-    kind, pos = event
-    if kind == "L":
-        return after[pos - 1], after[pos]
-    return before[pos - 1], before[pos]
+_SHIFT = {"L": 2, "X": 0, "R": -2}  # the change in strand count
 
 
-def _reposition(event, ids, stack, s2_pos, high=False):
-    """Recompute an event against a new stack so that the final strand
-    order s2_pos is reproduced.  Returns (new_event, stack_after).
-
-    When the stack holds strands that die before the final slice, a
-    left cusp can sit on either side of the dying run; high=False puts
-    it below, high=True above.
-    """
-    kind, _ = event
-    u, l = ids
-    if kind == "L":
-        target = s2_pos[u]
-        goal = sum(1 for w in stack if w in s2_pos and s2_pos[w] < target)
-        q = seen = 0
-        while q < len(stack) and seen < goal:
-            if stack[q] in s2_pos:
-                seen += 1
-            q += 1
-        if high:
-            while q < len(stack) and stack[q] not in s2_pos:
-                q += 1
-        return ("L", q + 1), stack[:q] + [u, l] + stack[q:]
-    if u not in stack:
-        raise DomainError("commuted strand is missing")
-    i = stack.index(u)
-    if i + 1 >= len(stack) or stack[i + 1] != l:
-        raise DomainError("strands are not adjacent")
-    if kind == "X":
-        out = list(stack)
-        out[i], out[i + 1] = l, u
-        return ("X", i + 1), out
-    return ("R", i + 1), stack[:i] + stack[i + 2:]
+def _commute(first, second, below):
+    """[second', first'], the adjacent events first, second swapped, or
+    why they do not commute.  On the slice between them strand i sits at
+    2i and the gap above it at 2i - 1; a right cusp's dead pair and a
+    left cusp's unborn pair are gaps.  R_h L_h, a birth where a pair
+    died, may go either way: the birth above, or below when `below`."""
+    (k1, p1), (k2, p2) = first, second
+    lo1, hi1 = (2 * p1 - 1,) * 2 if k1 == "R" else (2 * p1, 2 * p1 + 2)
+    lo2, hi2 = (2 * p2 - 1,) * 2 if k2 == "L" else (2 * p2, 2 * p2 + 2)
+    tie = (k1, k2, p1) == ("R", "L", p2)
+    if hi2 < lo1 or tie and not below:
+        return [(k2, p2), (k1, p1 + _SHIFT[k2])]
+    if lo2 > hi1 or tie:
+        return [(k2, p2 - _SHIFT[k1]), (k1, p1)]
+    if k1 != "R" and k2 != "L":
+        return "events share a strand"
+    return "strands interleave vertically"
 
 
 def apply_move(diagram, move, gf_mode=False):
@@ -219,24 +201,10 @@ def _rewrite(diagram, move):
     if kind in ("C", "Ch"):
         if not 0 <= e < len(ev) - 1:
             _fail(move, f"no event pair at {e}")
-        first, second = ev[e], ev[e + 1]
-        s0 = list(diagram.stacks[e])
-        s1 = diagram.stacks[e + 1]
-        s2 = list(diagram.stacks[e + 2])
-        pa = _participants(first, s0, s1)
-        pb = _participants(second, s1, s2)
-        if set(pa) & set(pb):
-            _fail(move, "events share a strand")
-        s2_pos = {w: i for i, w in enumerate(s2)}
-        high = kind == "Ch"
-        try:
-            new_second, mid = _reposition(second, pb, s0, s2_pos, high)
-            new_first, end = _reposition(first, pa, mid, s2_pos, high)
-        except DomainError as err:
-            _fail(move, str(err))
-        if end != s2:
-            _fail(move, "strands interleave vertically")
-        return e, e + 2, [new_second, new_first]
+        repl = _commute(ev[e], ev[e + 1], kind == "Ch")
+        if isinstance(repl, str):
+            _fail(move, repl)
+        return e, e + 2, repl
     if arity == 2:
         h = move[2]
         if not 0 <= e <= len(ev):
@@ -257,14 +225,10 @@ def invert_move(before, move, after):
     """
     kind = move[0]
     if kind in ("C", "Ch"):
-        # commuting back past a dying pair may need the other placement
-        for cand in (("C", move[1]), ("Ch", move[1])):
-            try:
-                if apply_move(after, cand).word == before.word:
-                    return cand
-            except DomainError:
-                pass
-        raise AssertionError(f"no faithful inverse for {move!r}")
+        # C and Ch differ on R_h L_h alone: take the one giving back before
+        e = move[1]
+        back = _commute(*after.events[e:e + 2], False)
+        return ("C" if back == before.events[e:e + 2] else "Ch", e)
     inverse = _INVERSE.get(kind)
     if inverse is None:
         raise DomainError(f"no inverse move for {move!r}")
@@ -374,20 +338,14 @@ def _replay(trace):
         return a
 
     piece_of = list(range(d.n_components))
-    births = pinches = 0
     for move in trace.moves:
         new_d, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
-        kind = move[0]
-        if kind == "B":
-            births += 1
-        elif kind in ("P", "PM"):
-            pinches += 1
         overlap = _overlap(d, new_d, w0, w1_old, w1_new)
         next_piece_of = []
         for c in range(new_d.n_components):
             olds = overlap.get(c)
             if not olds:
-                assert kind == "B", f"untracked component after {kind}"
+                assert move[0] == "B", f"untracked component after {move[0]}"
                 parent.append(len(parent))
                 next_piece_of.append(len(parent) - 1)
             else:
@@ -398,6 +356,8 @@ def _replay(trace):
         piece_of = next_piece_of
         d = new_d
     pieces = len({find(p) for p in piece_of}) if piece_of else 0
+    births = sum(m[0] == "B" for m in trace.moves)
+    pinches = sum(m[0] in ("P", "PM") for m in trace.moves)
     return d, births, pinches, pieces
 
 

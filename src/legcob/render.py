@@ -1,49 +1,13 @@
-"""ASCII and SVG rendering of front diagrams.
+"""SVG rendering of front diagrams and of sampled family fronts.
 
 Layout is deterministic: event index fixes the x coordinate, strand
-position fixes the y coordinate.  Cusps are drawn in SVG as the meeting
-point of two cubic curves; crossings are plain intersections with no
+position fixes the y coordinate.  Cusps are drawn as the meeting point
+of two cubic curves; crossings are plain intersections with no
 over/under break.
 """
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
-
-
-def render_front(diagram, format="ascii"):
-    if format == "ascii":
-        return render_ascii(diagram)
-    if format == "svg":
-        return render_svg(diagram)
-    raise ValueError(f"unknown render format {format!r}")
-
-
-def render_ascii(diagram):
-    """One text row per strand position, one glyph column per event."""
-    if not diagram.events:
-        return "(empty front)\n"
-    rows = diagram.max_strands
-    width = 4 * len(diagram.events) + 1
-    grid = [[" "] * width for _ in range(rows)]
-    for s in range(len(diagram.events) + 1):
-        x0 = 4 * s - 3 if s else 0
-        for p in range(len(diagram.stacks[s])):
-            for x in range(max(x0, 0), min(4 * s + 1, width)):
-                grid[p][x] = "-"
-    for i, (kind, pos) in enumerate(diagram.events):
-        x = 4 * i + 2
-        p = pos - 1
-        if kind == "L":
-            grid[p][x] = "/"
-            grid[p + 1][x] = "\\"
-        elif kind == "R":
-            grid[p][x] = "\\"
-            grid[p + 1][x] = "/"
-        else:
-            grid[p][x] = "X"
-            grid[p + 1][x] = "X"
-    lines = ["".join(r).rstrip() for r in grid]
-    return "\n".join([diagram.word] + lines) + "\n"
 
 
 def _strand_tracks(diagram):

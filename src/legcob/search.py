@@ -43,9 +43,9 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     bwd_seen = {b.word: (b, None, None)}
 
     def join(word):
-        # invert_move checks only a commute's inverse against the state
-        # it undoes, so a meet counts only if the joined path actually
-        # replays a into b.
+        # invert_move reads each inverse off the events alone and
+        # applies nothing, so a meet counts only if the joined path
+        # actually replays a into b.
         path = [m for _, m, _ in reversed(_steps(fwd_seen, word))]
         path += [invert_move(*step) for step in _steps(bwd_seen, word)]
         d = a

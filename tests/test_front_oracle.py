@@ -16,13 +16,17 @@
    checked the same way against the constructor.
 3. The per-strand overlap of `_replay` against the cell-by-cell one, on
    every replayed step of those traces.
-4. The table of local rewrites in `moves` against the rewriter it
-   replaced, one branch per move kind, and its `invert_move`: every
+4. The table of local rewrites in `moves` and the positional commute
+   rule against the rewriter they replaced, one branch per move kind
+   with the commutes replayed on strand stacks, and its `invert_move`: every
    isotopy candidate, birth and pinch at every slice and height
    0..count+2, and merge at every event, on the fronts of items 1 and 2
    and of `test_moves.test_invert_move_is_faithful`, with the pinch
    gradings checked and not, must be accepted or refused alike and give
    the same word and the same inverse.
+5. The commutes C and Ch and their inverses against that reference on
+   seeded random words of up to 12 events, many with a birth where a
+   pair just died (R_h L_h), where C and Ch differ.
 """
 
 import random
@@ -36,8 +40,8 @@ from legcob.errors import DomainError
 from legcob.front import (FrontDiagram, classical_invariants,
                           maslov_potential, parse_front)
 from legcob.moves import (ISOTOPY_KINDS, _apply, _check_grading, _fail,
-                          _overlap, _participants, _reposition, _rewrite,
-                          apply_move, invert_move, isotopy_candidates)
+                          _overlap, _rewrite, apply_move, format_move,
+                          invert_move, isotopy_candidates)
 from legcob.whitehead import whitehead_diagram, whitehead_double
 
 WH_BASES = ("L1 R1", "L1 L2 R1 L1 R2 R1", "L1 L2 X3 X3 X3 R2 R1")
@@ -456,6 +460,47 @@ def ref_check_grading(diagram, a, b, gap, what):
             f"{mp.values[b]} (mod {m})")
 
 
+def ref_participants(event, before, after):
+    kind, pos = event
+    if kind == "L":
+        return after[pos - 1], after[pos]
+    return before[pos - 1], before[pos]
+
+
+def ref_reposition(event, ids, stack, s2_pos, high=False):
+    """Recompute an event against a new stack so that the final strand
+    order s2_pos is reproduced.  Returns (new_event, stack_after).
+
+    When the stack holds strands that die before the final slice, a
+    left cusp can sit on either side of the dying run; high=False puts
+    it above, high=True below.
+    """
+    kind, _ = event
+    u, l = ids
+    if kind == "L":
+        target = s2_pos[u]
+        goal = sum(1 for w in stack if w in s2_pos and s2_pos[w] < target)
+        q = seen = 0
+        while q < len(stack) and seen < goal:
+            if stack[q] in s2_pos:
+                seen += 1
+            q += 1
+        if high:
+            while q < len(stack) and stack[q] not in s2_pos:
+                q += 1
+        return ("L", q + 1), stack[:q] + [u, l] + stack[q:]
+    if u not in stack:
+        raise DomainError("commuted strand is missing")
+    i = stack.index(u)
+    if i + 1 >= len(stack) or stack[i + 1] != l:
+        raise DomainError("strands are not adjacent")
+    if kind == "X":
+        out = list(stack)
+        out[i], out[i + 1] = l, u
+        return ("X", i + 1), out
+    return ("R", i + 1), stack[:i] + stack[i + 2:]
+
+
 def ref_rewrite(diagram, move, gf_mode):
     """The rewriter as it was, one branch per move kind: the window
     [w0, w1_old) of the event word that `move` rewrites and its
@@ -502,8 +547,8 @@ def ref_rewrite(diagram, move, gf_mode):
             _fail(move, f"events at {e}, {e + 1} are not a matched R,L pair")
         if gf_mode:
             st = diagram.stacks
-            a, _ = _participants(ev[e], st[e], st[e + 1])  # dying at R
-            u, _ = _participants(ev[e + 1], st[e + 1], st[e + 2])  # born
+            a, _ = ref_participants(ev[e], st[e], st[e + 1])  # dying at R
+            u, _ = ref_participants(ev[e + 1], st[e + 1], st[e + 2])  # born
             ref_check_grading(diagram, a, u, 0, "cusp levels")
         return e, e + 2, []
 
@@ -566,15 +611,15 @@ def ref_rewrite(diagram, move, gf_mode):
         s0 = list(diagram.stacks[e])
         s1 = diagram.stacks[e + 1]
         s2 = list(diagram.stacks[e + 2])
-        pa = _participants(first, s0, s1)
-        pb = _participants(second, s1, s2)
+        pa = ref_participants(first, s0, s1)
+        pb = ref_participants(second, s1, s2)
         if set(pa) & set(pb):
             _fail(move, "events share a strand")
         s2_pos = {w: i for i, w in enumerate(s2)}
         high = kind == "Ch"
         try:
-            new_second, mid = _reposition(second, pb, s0, s2_pos, high)
-            new_first, end = _reposition(first, pa, mid, s2_pos, high)
+            new_second, mid = ref_reposition(second, pb, s0, s2_pos, high)
+            new_first, end = ref_reposition(first, pa, mid, s2_pos, high)
         except DomainError as err:
             _fail(move, str(err))
         if end != s2:
@@ -607,7 +652,7 @@ def ref_invert_move(before, move, after):
         # commuting back past a dying pair may need the other placement
         for cand in (("C", move[1]), ("Ch", move[1])):
             try:
-                if apply_move(after, cand).word == before.word:
+                if ref_windowed_apply(after, cand, False).word == before.word:
                     return cand
             except DomainError:
                 pass
@@ -673,3 +718,63 @@ def test_rewrite_table_matches_reference(fronts, move_fronts):
     assert kinds == set(ISOTOPY_KINDS) | {"R1a", "R1b", "B", "P", "PM"}
     assert len(bases) > 230
     assert cases > 300000 and accepted > 180000 and refused > 120000
+
+
+# --- item 5: the commutes on random words --------------------------------
+
+def _random_word(rng, size):
+    """A valid event word of at most `size` events; half the right cusps
+    that leave room are followed by a left cusp at their height."""
+    events, count = [], 0
+    while rng.random() < 0.92:
+        used = len(events) + count // 2  # the closing right cusps included
+        kinds = ("L" * (used + 2 <= size) + "X" * (count >= 2 and used < size)
+                 + "R" * (count >= 2))
+        if not kinds:
+            break
+        kind = rng.choice(kinds)
+        pos = rng.randint(1, count + 1 if kind == "L" else count - 1)
+        count += {"L": 2, "X": 0, "R": -2}[kind]
+        events.append((kind, pos))
+        if (kind == "R" and len(events) + count // 2 + 2 <= size
+                and rng.random() < 0.5):
+            events.append(("L", pos))
+            count += 2
+    for _ in range(count // 2):
+        events.append(("R", rng.randint(1, count - 1)))
+        count -= 2
+    return events
+
+
+def test_commute_matches_reference_on_random_words():
+    rng = random.Random(12)
+    accepted = ties = 0
+    reasons = set()
+    for _ in range(1500):
+        d = FrontDiagram(_random_word(rng, rng.randint(2, 12)))
+        for e in range(len(d.events) - 1):
+            words = set()
+            for move in (("C", e), ("Ch", e)):
+                want = _outcome(lambda: ref_windowed_apply(d, move, False))
+                got = _outcome(lambda: apply_move(d, move))
+                if isinstance(want, str):
+                    # the reference also said "strands are not adjacent"
+                    reason = ("events share a strand"
+                              if want.endswith("events share a strand")
+                              else "strands interleave vertically")
+                    assert got == (f"move not applicable "
+                                   f"({format_move(move)}): {reason}"), \
+                        (d.word, move, want)
+                    reasons.add(reason)
+                    continue
+                assert not isinstance(got, str), (d.word, move, got)
+                assert got.word == want.word, (d.word, move)
+                inverse = invert_move(d, move, got)
+                assert inverse == ref_invert_move(d, move, want), \
+                    (d.word, move)
+                assert apply_move(got, inverse).word == d.word, (d.word, move)
+                words.add(got.word)
+                accepted += 1
+            ties += len(words) == 2
+    assert len(reasons) == 2
+    assert accepted > 5000 and ties > 750

@@ -1,23 +1,11 @@
-import pytest
-
 from legcob.front import parse_front
-from legcob.render import render_front
+from legcob.render import render_svg
 
 TREFOIL = "L1 L2 X3 X3 X3 R2 R1"
 
 
-def test_ascii_contains_word_and_glyphs():
-    out = render_front(parse_front(TREFOIL), "ascii")
-    assert out.startswith(TREFOIL)
-    assert "X" in out and "/" in out and "\\" in out
-
-
-def test_ascii_empty():
-    assert "empty" in render_front(parse_front(""), "ascii")
-
-
 def test_svg_structure():
-    out = render_front(parse_front(TREFOIL), "svg")
+    out = render_svg(parse_front(TREFOIL))
     assert out.startswith("<svg")
     assert 'width="' in out and 'height="' in out
     assert out.count("<path") == 4  # one per strand arc
@@ -25,11 +13,6 @@ def test_svg_structure():
 
 
 def test_svg_deterministic():
-    d1 = render_front(parse_front("L1 R1"), "svg")
-    d2 = render_front(parse_front("L1 R1"), "svg")
+    d1 = render_svg(parse_front("L1 R1"))
+    d2 = render_svg(parse_front("L1 R1"))
     assert d1 == d2
-
-
-def test_unknown_format():
-    with pytest.raises(ValueError):
-        render_front(parse_front("L1 R1"), "png")
