@@ -16,11 +16,11 @@ Evaluation follows the regions: the blend's exponentials are only
 taken on the collar, and the gradient's collar term evaluates the core
 only off the core region.  The fiber solve's seed scan is certified:
 each family bounds d_eta f over a box (one x, a block of eta grid
-cells) by interval arithmetic, and d_eta f is only evaluated at the
-grid points inside radius 2R whose blocks the bound does not prove
-seedless.  First derivatives are analytic everywhere (core, tail, and
-bump terms); second derivatives are central differences of the
-analytic gradient.
+cells) by interval arithmetic, boxes wholly beyond radius 2R are
+dropped, and d_eta f is only evaluated at the grid points inside
+radius 2R whose blocks the bound does not prove seedless.  First
+derivatives are analytic everywhere (core, tail, and bump terms);
+second derivatives are central differences of the analytic gradient.
 
 The operations follow the front/chord dictionary: the fiber-critical
 set {d_eta f = 0} projects to the front via (x, d_x f, f), and the
@@ -32,7 +32,11 @@ are computed, and a warning is attached when two chords land in
 adjacent degrees.
 
 Every solve (fiber roots and chords) runs through one batched Newton
-with a central-difference Jacobian; Morse indices and the regularity
+with a central-difference Jacobian.  Each Newton step makes one call
+of the map, on the live points stacked over their difference probes,
+so the map must be row-wise: a row's value may not depend on the rest
+of its batch.  The chord map evaluates both sheets of the difference
+function in one gradient call.  Morse indices and the regularity
 margin come from numpy's symmetric eigenvalues.  No tolerance, and no
 setting that no caller changes, is a parameter: one used twice is a
 module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
@@ -116,25 +120,37 @@ def _newton(F, P, iters):
     """Batched Newton for F = 0, one independent system per row.
 
     F(Q, rows) maps the points Q of the batch rows `rows` (an index
-    array) row by row.  Steps are clipped to 0.5 per coordinate.  A row
-    whose Jacobian turns singular never moves again: it leaves the
-    live rows, on which alone F, its Jacobian and the convergence test
-    are evaluated, so it cannot keep the others iterating to the cap.
-    Iteration stops once max |F| < 1e-12 on the live rows.  Returns
-    (points, accept, stuck): accept marks rows with max |F| < 1e-9,
-    stuck the rows that hit a singular Jacobian.
+    array) row by row: a row's value must not depend on the other rows
+    of its batch.  Each step calls F once, on the live points Q stacked
+    over their central-difference probes, [Q; Q + h e_1; ...; Q + h e_k;
+    Q - h e_1; ...; Q - h e_k] with h = FD_STEP and `rows` tiled to
+    match; the residual is F(Q) and column i of the Jacobian
+    (F(Q + h e_i) - F(Q - h e_i)) / (2h), as _fd_jacobian computes it.
+    Steps are clipped to 0.5 per coordinate.  A row whose Jacobian
+    turns singular never moves again: it leaves the live rows, on which
+    alone F, its Jacobian and the convergence test are evaluated, so it
+    cannot keep the others iterating to the cap.  Iteration stops once
+    max |F| < 1e-12 on the live rows.  Returns (points, accept, stuck):
+    accept marks rows with max |F| < 1e-9 (one more call of F, on every
+    row), stuck the rows that hit a singular Jacobian.
     """
     P = np.array(P, float)
+    k = P.shape[1]
+    probes = FD_STEP * np.eye(k)
     stuck = np.zeros(len(P), bool)
     live = np.arange(len(P))
     for _ in range(iters):
         if not len(live):
             break
         Q = P[live]
-        res = F(Q, live)
+        stack = np.concatenate([Q[None], Q + probes[:, None, :],
+                                Q - probes[:, None, :]])
+        out = F(stack.reshape(-1, k), np.tile(live, 2 * k + 1))
+        out = out.reshape(2 * k + 1, len(Q), -1)
+        res = out[0]
         if np.max(np.abs(res)) < 1e-12:
             break
-        jac = _fd_jacobian(lambda Q: F(Q, live), Q, FD_STEP)
+        jac = np.moveaxis((out[1:k + 1] - out[k + 1:]) / (2 * FD_STEP), 0, 2)
         move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
         stuck[live[~move]] = True
         step = np.zeros_like(Q)
@@ -154,6 +170,12 @@ def _sq(A):
     for j in range(1, A.shape[-1]):
         out = out + A[..., j] * A[..., j]
     return out
+
+
+def _gap(lo, hi):
+    """Per coordinate, the least |eta_j| over [lo_j, hi_j]."""
+    return np.where((lo < 0) & (hi > 0), 0.0,
+                    np.minimum(np.abs(lo), np.abs(hi)))
 
 
 class _Family:
@@ -218,6 +240,14 @@ class GeneratingFamily(_Family):
         only pairs at which the family can differ from its tail."""
         rsq = _sq(X)[:, None] + _sq(E)[None, :]
         return rsq < self.extent() ** 2
+
+    def near_box(self, X, Elo, Ehi):
+        """Mask of the boxes {x} x [eta_lo, eta_hi], broadcast as in
+        grad_eta_bound, that may hold a pair of the near mask.  A box
+        outside it holds none: its nearest point's r^2, summed as near
+        sums it, is a lower bound of every pair's, since rounding is
+        monotone."""
+        return _sq(X) + _sq(_gap(Elo, Ehi)) < self.extent() ** 2
 
     def _blend(self, X, E):
         """r, the blend s and its radial derivative s'(r) = s'(u) / R at
@@ -307,9 +337,7 @@ class GeneratingFamily(_Family):
         q_hi = np.maximum(Elo * tail, Ehi * tail).sum(axis=-1) - c_lo
         q_mag = absmax @ np.abs(tail) + c_mag
         sqx = _sq(X)
-        r_lo = np.sqrt(sqx + _sq(np.where((Elo < 0) & (Ehi > 0), 0.0,
-                                          np.minimum(np.abs(Elo),
-                                                     np.abs(Ehi)))))
+        r_lo = np.sqrt(sqx + _sq(_gap(Elo, Ehi)))
         u_lo = (r_lo - self.R) / self.R
         u_hi = (np.sqrt(sqx + _sq(absmax)) - self.R) / self.R
         s_lo, s_hi = smoothstep(u_lo), smoothstep(u_hi)
@@ -388,6 +416,15 @@ class CompositeFamily(_Family):
         out = np.zeros((len(X), len(E)), bool)
         for fam, center in self.parts:
             out |= fam.near(X, E - np.asarray(center))
+        return out
+
+    def near_box(self, X, Elo, Ehi):
+        """Union of the parts' box masks, each around its fiber center."""
+        out = False
+        for fam, center in self.parts:
+            c = np.asarray(center)
+            out = out | fam.near_box(X, np.asarray(Elo) - c,
+                                     np.asarray(Ehi) - c)
         return out
 
     def grad_eta_bound(self, X, Elo, Ehi):
@@ -649,21 +686,32 @@ def _seedless(fam, X, es, first, count, step):
 def _live_cells(fam, xc, es, step):
     """The eta grid cells that may hold a seed, for the x rows xc.
 
-    The cells are bounded in blocks of SCAN_BLOCK cells per axis; a
-    block not proven seedless is halved along every axis while it has
-    more than SCAN_MIN_BLOCK cells on one, and its halves bounded in
-    turn.  The cells of the boxes left are live.  Returns (rows, cells,
-    points): rows, ascending, index the rows of xc with live cells;
-    cells and points mask, per such row, the live cells and the grid
-    points at their corners, with one axis per fiber variable.
+    The cells are bounded in blocks of SCAN_BLOCK cells per axis.  An
+    (x row, block) box that holds no pair of the near mask holds only
+    tail pairs and no seed: it is dropped, and x rows and blocks with
+    no other box are not bounded at all.  A block not proven seedless
+    is halved along every axis while it has more than SCAN_MIN_BLOCK
+    cells on one, and its halves bounded in turn.  The cells of the
+    boxes left are live.  Returns (rows, cells, points): rows,
+    ascending, index the rows of xc with live cells; cells and points
+    mask, per such row, the live cells and the grid points at their
+    corners, with one axis per fiber variable.
     """
     N, size = fam.N, len(es) - 1
     starts = np.arange(0, size, SCAN_BLOCK)
     first = np.stack(np.meshgrid(*[starts] * N, indexing="ij"),
                      -1).reshape(-1, N)
     count = np.minimum(first + SCAN_BLOCK, size) - first
-    rows, block = np.nonzero(~_seedless(fam, xc[:, None, :], es, first,
-                                        count, step))
+    near = fam.near_box(xc[:, None, :], es[first], es[first + count])
+    # One broadcast bounds every pair of the x rows and the blocks with
+    # a near box (bounding the near boxes alone, gathered, costs more
+    # than the far boxes it skips); the far boxes are dropped after.
+    sub = np.nonzero(near.any(axis=1))[0]
+    blocks = np.nonzero(near.any(axis=0))[0]
+    live = near[np.ix_(sub, blocks)] & ~_seedless(
+        fam, xc[sub][:, None, :], es, first[blocks], count[blocks], step)
+    rows, block = np.nonzero(live)
+    rows, block = sub[rows], blocks[block]
     first, count = first[block], count[block]
     left = []
     while True:
@@ -781,12 +829,13 @@ def fiber_critical_set(fam, step=0.05):
     if len(X):
         Z = fam.value(X, E)
         P = fam.grad_x(X, E)
-        seen = {}
-        for i in range(len(X)):
-            key = (tuple(np.round(X[i], 9)), tuple(np.round(E[i], 7)))
+        keys = zip(map(tuple, np.round(X, 9).tolist()),
+                   map(tuple, np.round(E, 7).tolist()))
+        seen = set()
+        for i, key in enumerate(keys):
             if key in seen:
                 continue
-            seen[key] = True
+            seen.add(key)
             points.append(FiberPoint(tuple(X[i]), tuple(E[i]),
                                      float(Z[i]), tuple(P[i])))
     points.sort(key=lambda q: (q.x, q.eta))
@@ -839,14 +888,13 @@ class CriticalPoint:
 
 
 def _diff_gradient(fam, pts):
-    """Gradient of the difference function at pts (m, n+2N)."""
-    n, N = fam.n, fam.N
+    """Gradient of the difference function at pts (m, n+2N), from one
+    gradient call on both sheets stacked: (x, eta) over (x, eta~)."""
+    n, N, m = fam.n, fam.N, len(pts)
     X = pts[:, :n]
-    E1 = pts[:, n:n + N]
-    E2 = pts[:, n + N:]
-    gx1, ge1 = fam.gradient(X, E1)
-    gx2, ge2 = fam.gradient(X, E2)
-    return np.concatenate([gx2 - gx1, -ge1, ge2], axis=1)
+    gx, ge = fam.gradient(np.concatenate([X, X]),
+                          np.concatenate([pts[:, n:n + N], pts[:, n + N:]]))
+    return np.concatenate([gx[m:] - gx[:m], -ge[:m], ge[m:]], axis=1)
 
 
 def _diff_value(fam, pts):
@@ -1205,7 +1253,9 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1):
     derivative of the difference function at those points, and the
     path passes when h/t stays above |d_t delta| everywhere sampled.
     The reported slowdown is the factor a time reparameterization must
-    stretch the path by to restore the inequality when it fails.
+    stretch the path by to restore the inequality when it fails: the
+    largest t |d_t delta| / h over the samples, with h the path's
+    smallest value, known once every sample is in.
     """
     if t_minus <= 0:
         raise DomainError(f"t_minus must be positive, got {t_minus}")
@@ -1216,7 +1266,7 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1):
     ts = np.linspace(t_minus, t_plus, samples)
     h_min = math.inf
     max_dt = 0.0
-    slowdown = 0.0
+    rate_t = 0.0
     for t in ts:
         fam = path(t)
         chords, _, _ = reeb_chords(fam, step=step)
@@ -1240,7 +1290,8 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1):
             d_lo = float(_diff_value(lo, pt)[0])
             rate = abs(d_hi - d_lo) / span
             max_dt = max(max_dt, rate)
-            slowdown = max(slowdown, float(rate * t) / h_min)
+            rate_t = max(rate_t, float(rate * t))
+    slowdown = rate_t / h_min
     ok = slowdown < 1.0
     return {"h": h_min, "max_dt": max_dt, "ok": ok,
             "slowdown": slowdown,

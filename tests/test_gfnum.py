@@ -364,6 +364,17 @@ def test_embeddedness_tilted_path():
     assert report["ok"] == (report["slowdown"] < 1.0)
 
 
+def test_embeddedness_slowdown_divides_by_the_path_minimum():
+    """On a path whose chord shrinks, value 16/t on [1, 2], h is the
+    chord at t = 2 and the slowdown max_t t |d_t delta| / h = 16 / 8,
+    not the 16 / 16 of the smallest value seen by t = 1."""
+    report = embeddedness_check(lambda t: scaled_unknot_family(k=4.0 / t),
+                                1.0, 2.0, samples=5, step=0.1)
+    assert report["h"] == pytest.approx(8.0, rel=1e-6)
+    assert report["slowdown"] == pytest.approx(2.0, rel=1e-3)
+    assert not report["ok"]
+
+
 def test_embeddedness_chord_death():
     def shrink(t):
         k = max(1.0 - 0.5 * (t - 1.0), 1e-4)

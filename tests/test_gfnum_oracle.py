@@ -18,7 +18,7 @@ import pytest
 
 from legcob import gfnum
 from legcob.gfnum import (
-    CompositeFamily, FiberPoint, GeneratingFamily, _diff_gradient,
+    FAMILIES, CompositeFamily, FiberPoint, GeneratingFamily, _diff_gradient,
     _fd_jacobian, _fiber_seeds, _newton, _x_grid, fiber_critical_set,
     fish_family, linear_family, parse_gf_file, scaled_unknot_family,
     shifted_unknot_family, spin, stacked_pair_family, unknot_family)
@@ -442,6 +442,57 @@ def test_seed_scan_evaluates_few_near_pairs_once(monkeypatch):
     assert 0 < len(rows) < 0.1 * near
 
 
+def _chunk_boxes(fam, xc, es):
+    """Per (x row, top-level eta block) of the chunk xc, whether the box
+    meets the ball of radius 2R about some fiber center."""
+    starts = np.arange(0, len(es) - 1, gfnum.SCAN_BLOCK)
+    first = np.stack(np.meshgrid(*[starts] * fam.N, indexing="ij"),
+                     -1).reshape(-1, fam.N)
+    last = np.minimum(first + gfnum.SCAN_BLOCK, len(es) - 1)
+    near = np.zeros((len(xc), len(first)), bool)
+    for R, center in _centers(fam):
+        lo, hi = es[first] - center, es[last] - center
+        gap = np.where((lo < 0) & (hi > 0), 0.0,
+                       np.minimum(np.abs(lo), np.abs(hi)))
+        r2 = (xc * xc).sum(axis=1)[:, None] + (gap * gap).sum(axis=1)
+        near |= r2 < (2.0 * R) ** 2
+    return near
+
+
+@pytest.mark.parametrize("name,step", [("saucer", 0.05),
+                                       ("stacked-pair", 0.05),
+                                       ("gf-file N=2, small tail", 0.5)])
+def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
+                                                       step):
+    """Each chunk's first bound covers the x rows and eta blocks that
+    have a box meeting the 2R ball (about each part's center), every
+    pair of them, and no other box: on the saucer at the default step,
+    611,839 of its 871,215 boxes, where 495,471 meet the ball."""
+    fam = FIBER_CASES[name][0]()
+    bounded = []
+    live_cells, seedless = gfnum._live_cells, gfnum._seedless
+
+    def spy_live_cells(fam, xc, es, step):
+        bounded.append((xc, es, []))
+        return live_cells(fam, xc, es, step)
+
+    def spy_seedless(fam, X, es, first, count, step):
+        bounded[-1][2].append(np.broadcast(X[..., 0], first[..., 0]).size)
+        return seedless(fam, X, es, first, count, step)
+
+    monkeypatch.setattr(gfnum, "_live_cells", spy_live_cells)
+    monkeypatch.setattr(gfnum, "_seedless", spy_seedless)
+    assert list(_fiber_seeds(fam, _x_grid(fam, step), step))
+    top = meet = total = 0
+    for xc, es, calls in bounded:
+        near = _chunk_boxes(fam, xc, es)
+        assert calls[0] == near.any(axis=1).sum() * near.any(axis=0).sum()
+        top, meet, total = top + calls[0], meet + near.sum(), total + near.size
+    assert meet <= top < total
+    if name == "saucer":
+        assert (top, meet, total) == (611839, 495471, 871215)
+
+
 def _centers(fam):
     """(R, fiber center) of each family the bound is made of."""
     if isinstance(fam, CompositeFamily):
@@ -510,6 +561,14 @@ def test_smoothstep_d_sup_dominates():
     assert gfnum.SMOOTHSTEP_D_SUP < 2.0 * (1.0 + 1e-6)
 
 
+def _chord_seeds(fam, step):
+    """reeb_chords' Newton seeds: every ordered pair of fiber branches
+    over one x."""
+    points = fiber_critical_set(fam, step)
+    return [list(p.x) + list(p.eta) + list(q.eta)
+            for p in points for q in points if p.x == q.x and p is not q]
+
+
 def test_newton_matches_full_batch_reference():
     """The Newton that drops stuck rows gives the full-batch result bit
     for bit, on fiber seeds with many stuck rows and on chord seeds,
@@ -521,12 +580,11 @@ def test_newton_matches_full_batch_reference():
             cases.append((lambda P, Xs=Xs, fam=fam: fam.grad_eta(Xs, P),
                           lambda P, rows, Xs=Xs, fam=fam:
                           fam.grad_eta(Xs[rows], P), Es, 60))
-    fam = stacked_pair_family()
-    points = fiber_critical_set(fam, 0.1)
-    seeds = [list(p.x) + list(p.eta) + list(q.eta)
-             for p in points for q in points if p.x == q.x and p is not q]
-    cases.append((lambda P: _diff_gradient(fam, P),
-                  lambda P, rows: _diff_gradient(fam, P), seeds, 80))
+    for fam, step in ((stacked_pair_family(), 0.1), (fish_family(), 0.05),
+                      (spin(unknot_family()), 0.1)):
+        cases.append((lambda P, fam=fam: _diff_gradient(fam, P),
+                      lambda P, rows, fam=fam: _diff_gradient(fam, P),
+                      _chord_seeds(fam, step), 80))
     full_rows, live_rows = [0], [0]
     saw_stuck = False
     for F_full, F_live, P, iters in cases:
@@ -545,3 +603,71 @@ def test_newton_matches_full_batch_reference():
         saw_stuck |= bool(want[2].any())
     assert saw_stuck
     assert live_rows[0] < full_rows[0]
+
+
+def per_probe_newton(F, P, iters):
+    """_newton with one F call for the residual and one per probe
+    (_fd_jacobian), as it was before the probes were stacked."""
+    P = np.array(P, float)
+    live = np.arange(len(P))
+    for _ in range(iters):
+        if not len(live):
+            break
+        Q = P[live]
+        res = F(Q, live)
+        if np.max(np.abs(res)) < 1e-12:
+            break
+        jac = _fd_jacobian(lambda Q: F(Q, live), Q, 1e-6)
+        move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
+        step = np.zeros_like(Q)
+        step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
+        P[live] = Q - np.clip(step, -0.5, 0.5)
+        live = live[move]
+    F(P, np.arange(len(P)))
+    return P
+
+
+def test_newton_calls_F_once_per_step():
+    """One F call per iteration, on the live rows stacked over their
+    2k probes, and one on every row for the accept test: the fish's
+    chord seeds run to the 80-iteration cap in 81 calls, not 561, on
+    the rows one call per probe evaluated, to the same points."""
+    def spy(fam, calls):
+        def F(P, rows):
+            assert len(P) == len(rows)
+            calls.append(len(P))
+            return _diff_gradient(fam, P)
+        return F
+
+    fam = fish_family()
+    seeds = _chord_seeds(fam, 0.05)
+    k = len(seeds[0])
+    calls, per_probe = [], []
+    got = _newton(spy(fam, calls), seeds, 80)[0]
+    want = per_probe_newton(spy(fam, per_probe), seeds, 80)
+    assert _same(got, want)
+    assert (len(calls), len(per_probe)) == (81, 561)
+    assert sum(calls) == sum(per_probe)
+    assert calls[-1] == len(seeds)
+    assert all(m % (2 * k + 1) == 0 for m in calls[:-1])
+    # a batch that converges: the last step's call finds max |F| small
+    # and ends the loop
+    fam, calls = unknot_family(), []
+    _, accept, _ = _newton(spy(fam, calls), _chord_seeds(fam, 0.1), 80)
+    assert accept.any() and len(calls) < 81
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES) + ["gf-file N=2"])
+def test_diff_gradient_is_two_gradient_calls(name):
+    """Both sheets in one gradient call give what one call per sheet
+    gives, bit for bit."""
+    fam = (FAMILIES[name]() if name in FAMILIES
+           else parse_gf_file(TWO_FIBER))
+    n, N = fam.n, fam.N
+    X, E = straddling_grid(fam)
+    E2 = E[np.random.default_rng(5).permutation(len(E))]
+    P = np.concatenate([X, E, E2], axis=1)
+    gx1, ge1 = fam.gradient(P[:, :n], P[:, n:n + N])
+    gx2, ge2 = fam.gradient(P[:, :n], P[:, n + N:])
+    want = np.concatenate([gx2 - gx1, -ge1, ge2], axis=1)
+    assert _same(_diff_gradient(fam, P), want)
