@@ -5,8 +5,11 @@ by meeting in the middle.  The search is deterministic, so recorded
 move sequences replay exactly.
 """
 
+from collections import Counter
+
 from .errors import DomainError
-from .moves import apply_move, invert_move, isotopy_candidates
+from .moves import (COUNT_KEEPING_KINDS, apply_move, invert_move,
+                    isotopy_candidates)
 
 
 def _try(d, m):
@@ -14,6 +17,10 @@ def _try(d, m):
         return apply_move(d, m)
     except DomainError:
         return None
+
+
+def _event_counts(d):
+    return Counter(kind for kind, _ in d.events)
 
 
 def _steps(seen, word):
@@ -36,9 +43,19 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     each state for `window` = (lo, hi), `kinds` and `fish_heights`.
     Returns the move list, or None if the searches do not meet within
     depth moves from each side or spend more than budget new states.
+
+    When every usable move is in COUNT_KEEPING_KINDS (no fish growth:
+    `fish_heights` empty, not None) and a and b differ in their counts
+    of L, X and R events, it returns None without expanding a state.
+    That is exact: every front either side reaches keeps its root's
+    counts, so the two sides never meet.
     """
     if a.word == b.word:
         return []
+    grows_fish = fish_heights is None or len(fish_heights) > 0
+    if not grows_fish and COUNT_KEEPING_KINDS.issuperset(kinds) \
+            and _event_counts(a) != _event_counts(b):
+        return None
     fwd_seen = {a.word: (a, None, None)}
     bwd_seen = {b.word: (b, None, None)}
 

@@ -19,7 +19,11 @@ import os
 
 from legcob.cli import main
 
-TWIST9 = "L1 L2 " + "X3 " * 9 + "R2 R1"
+def twist(k):
+    return "L1 L2 " + "X3 " * k + "R2 R1"
+
+
+TWIST9 = twist(9)
 ZIGZAG = "L1 L2 R1 L1 R2 R1"
 BRAID_BASE = "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"
 POLY8 = "t^8 + 5t^7 + 4t^6 + 3t^5 + 6t^4 + 2t^3 + 3t^2 + 4t + 5"
@@ -92,8 +96,9 @@ GOLDEN = [
       "f90bd42d289a360dc73c8794bd835494c0961b37ae4085892d7c3b4f28c16dc9"}),
     (["trace", "tre.trace", "--gf"], 0,
      "52c8a9e6a6c93dfda8e2de81020051a50530ee3cc44c6350f7c1cee3277d895c", {}),
-    # clasped doubles of the zigzag, the twist front with nine crossings
-    # and a braid closure: their trace files pin the move search
+    # clasped doubles of the zigzag, the twist fronts with nine, five and
+    # seven crossings and a braid closure: their trace files pin the
+    # move search
     (["wh", "--front", ZIGZAG, "--out", "zz.trace"], 0,
      "a2f9fbf1019059c0d03aa23e05f675f39981f7ad9e3772f76f03051346d94969",
      {"zz.trace":
@@ -102,6 +107,14 @@ GOLDEN = [
      "5aece3f3071d1ea56dbdda1a411f8bd957fc0b216238bd14e7d7a0018d311725",
      {"tw9.trace":
       "427046150ebfb736f39ab85ed7ea70cd00a9fe7968a42f2dc38b1a518c1db985"}),
+    (["wh", "--front", twist(5), "--out", "tw5.trace", "--json"], 0,
+     "57d62b0c87626ab3cff4317386fc2534b9d96b7f6b8594c5f72d80fb547b0c02",
+     {"tw5.trace":
+      "9599452de13e53ff11c3a2128fccf24649ca04b31c08d15c97528d6c23cc504d"}),
+    (["wh", "--front", twist(7), "--out", "tw7.trace", "--json"], 0,
+     "f6b8214306d77c8cf89ff7afcc2b1b3d32a68eb75b918652e35171b6fdb9846b",
+     {"tw7.trace":
+      "806e8d2ed5aba56b3be2742940d590a4e24fae1f184b09f801023c63a1e7ef68"}),
     (["wh", "--front", BRAID_BASE, "--out", "bb.trace"], 0,
      "6ab5474bcfb24b92ff9ee6c1235f28594b1532fe21b6cb8746ca1387dfed6160",
      {"bb.trace":

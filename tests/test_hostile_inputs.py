@@ -78,6 +78,15 @@ ROWS = [
                            + [f"X{7 + i}" for i in range(1, 7)] * 30
                            + [f"R{t}" for t in range(7, 0, -1)])],
                  id="rulings-long-wide-front"),
+    # 3001 crossings: with 3000 the front is a link, refused as one
+    pytest.param(["wh", "--front", "L1 L2 " + "X3 " * 3001 + "R2 R1"],
+                 id="wh-long-twist"),
+    # the closure of s1 s2 ... s39 on 40 strands, a knot
+    pytest.param(["wh", "--front",
+                  " ".join([f"L{t}" for t in range(1, 41)]
+                           + [f"X{40 + i}" for i in range(1, 40)]
+                           + [f"R{t}" for t in range(40, 0, -1)])],
+                 id="wh-40-strand-closure"),
     pytest.param(["trace", "not-utf8.trace"], id="trace-not-utf8"),
     pytest.param(["trace", "/dev/zero"], id="trace-dev-zero"),
     pytest.param(["gf-chords", "--file", "/dev/zero"],

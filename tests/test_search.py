@@ -1,8 +1,29 @@
+"""connect_fronts, and its count refusal against the full search.
+
+`ref_connect_fronts` is connect_fronts without the refusal: it expands
+states until the two sides meet or give out.  The two must return the
+same path, or both None, on every search `whitehead_double` makes for
+the benchmark's seven bases and on seeded random pairs of fronts.
+"""
+
+import random
+from collections import Counter
+
+from legcob import whitehead
+from legcob.errors import DomainError
 from legcob.front import parse_front
-from legcob.moves import ISOTOPY_KINDS, apply_move
+from legcob.moves import (COUNT_KEEPING_KINDS, ISOTOPY_KINDS, _RULES,
+                          apply_move, invert_move, isotopy_candidates)
 from legcob.search import connect_fronts
+from legcob.whitehead import whitehead_double
 
 TWO_EYES = "L1 R1 L1 R1"
+# The bases the benchmark doubles: the unknot, the zigzag, twist fronts
+# with 3, 5, 7 and 9 crossings and the closure of s1 s2 s1 s2.
+BENCH_BASES = ("L1 R1", "L1 L2 R1 L1 R2 R1") + tuple(
+    "L1 L2 " + "X3 " * k + "R2 R1" for k in (3, 5, 7, 9)) \
+    + ("L1 L2 L3 X4 X5 X4 X5 R3 R2 R1",)
+COMMUTES = ("C", "Ch")
 
 
 def _replay(d, path):
@@ -13,6 +34,74 @@ def _replay(d, path):
 
 def _search(a, b, depth, budget):
     return connect_fronts(a, b, depth, budget, (0, 20), ISOTOPY_KINDS, None)
+
+
+def _counts(d):
+    return Counter(kind for kind, _ in d.events)
+
+
+def _try(d, m):
+    try:
+        return apply_move(d, m)
+    except DomainError:
+        return None
+
+
+def _steps(seen, word):
+    out = []
+    after, parent, move = seen[word]
+    while parent is not None:
+        before, grand, up = seen[parent]
+        out.append((before, move, after))
+        after, parent, move = before, grand, up
+    return out
+
+
+def ref_connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
+    """connect_fronts without the count refusal: the full search."""
+    if a.word == b.word:
+        return []
+    fwd_seen = {a.word: (a, None, None)}
+    bwd_seen = {b.word: (b, None, None)}
+
+    def join(word):
+        path = [m for _, m, _ in reversed(_steps(fwd_seen, word))]
+        path += [invert_move(*step) for step in _steps(bwd_seen, word)]
+        d = a
+        for m in path:
+            d = _try(d, m)
+            if d is None:
+                return None
+        return path if d.word == b.word else None
+
+    def expand(frontier, seen, other_seen, spent):
+        new = {}
+        for word, (d, _, _) in frontier.items():
+            for m in isotopy_candidates(d, window, kinds, fish_heights):
+                nd = _try(d, m)
+                key = None if nd is None else nd.word
+                if key is None or key in seen:
+                    continue
+                spent += 1
+                if spent > budget:
+                    return None, spent, None
+                seen[key] = new[key] = (nd, word, m)
+                if key in other_seen:
+                    path = join(key)
+                    if path is not None:
+                        return new, spent, path
+        return new, spent, None
+
+    fwd, bwd = dict(fwd_seen), dict(bwd_seen)
+    spent = 0
+    for _ in range(depth):
+        fwd, spent, path = expand(fwd, fwd_seen, bwd_seen, spent)
+        if path is not None or not fwd:
+            return path
+        bwd, spent, path = expand(bwd, bwd_seen, fwd_seen, spent)
+        if path is not None or not bwd:
+            return path
+    return None
 
 
 def test_connect_fronts_one_commute_apart():
@@ -39,3 +128,118 @@ def test_connect_fronts_meets_in_the_middle():
                     ("R1b", 1, 1)]
     assert _replay(a, path).word == b.word
     assert _search(a, b, 2, 300) is None
+
+
+def _walk(d, rng, kinds, fish_heights, steps):
+    """`steps` random applicable isotopy moves from d, in a window over
+    the whole word."""
+    for _ in range(steps):
+        cands = list(isotopy_candidates(d, (0, len(d.events)), kinds,
+                                        fish_heights))
+        rng.shuffle(cands)
+        for move in cands:
+            nd = _try(d, move)
+            if nd is not None:
+                d = nd
+                break
+    return d
+
+
+def _random_fronts(rng, count):
+    """Seeded fronts: small knots and links moved by a few isotopy
+    moves, fish included."""
+    seeds = ("L1 R1", TWO_EYES, "L1 L2 R1 L1 R2 R1", "L1 L2 X3 X3 X3 R2 R1",
+             "L1 L1 R2 X1 R1", "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1")
+    return [_walk(parse_front(rng.choice(seeds)), rng, ISOTOPY_KINDS, None,
+                  rng.randint(0, 4)) for _ in range(count)]
+
+
+def _change(old, new):
+    """New less old event counts, by event kind."""
+    return {k: sum(e == k for e, _ in new) - sum(e == k for e, _ in old)
+            for k in "LXR"}
+
+
+def test_table_kinds_change_counts_as_their_rules_say():
+    """Each rewrite kind, applied wherever it applies on random fronts,
+    changes the L, X and R counts by its new side less its old side;
+    the commutes change none.  COUNT_KEEPING_KINDS is exactly the kinds
+    that change none."""
+    change = {kind: _change(*rules[0]) for kind, rules in _RULES.items()}
+    for kind, rules in _RULES.items():
+        assert all(_change(*rule) == change[kind] for rule in rules)
+    change.update({kind: _change((), ()) for kind in COMMUTES})
+    assert COUNT_KEEPING_KINDS == {kind for kind, c in change.items()
+                                   if not any(c.values())} \
+        == {"R3", "C", "Ch"}
+    inserts = {kind for kind, rules in _RULES.items() if not rules[0][0]}
+    applied = Counter()
+    for d in _random_fronts(random.Random(14), 60):
+        n = len(d.events)
+        cands = [(kind, e) for e in range(n) for kind in change
+                 if kind not in inserts]
+        cands += [(kind, s, h) for kind in inserts for s in range(n + 1)
+                  for h in range(1, len(d.stacks[s]) + 2)]
+        for move in cands:
+            nd = _try(d, move)
+            if nd is not None:
+                got = {k: _counts(nd)[k] - _counts(d)[k] for k in "LXR"}
+                assert got == change[move[0]], (d.word, move)
+                applied[move[0]] += 1
+    assert set(applied) == set(change)
+
+
+def test_refusal_matches_full_search_on_random_pairs():
+    """Pairs a short walk apart (commutes and R3, one fish, or any
+    isotopy) and unrelated pairs, searched with commute-only kinds and
+    with ISOTOPY_KINDS, without fish, with fish at two heights and with
+    fish everywhere.  A commute-only search with fish finds the pairs
+    one fish apart, which a refusal ignoring the fish would miss."""
+    rng = random.Random(14)
+    found = refused = fish_found = 0
+    for a in _random_fronts(rng, 40):
+        others = (_walk(a, rng, COMMUTES + ("R3",), (), rng.randint(1, 3)),
+                  _walk(a, rng, (), None, 1),
+                  _walk(a, rng, ISOTOPY_KINDS, None, rng.randint(1, 2)),
+                  _random_fronts(rng, 1)[0])
+        for b in others:
+            for kinds in (COMMUTES, ISOTOPY_KINDS):
+                for fish in (frozenset(), frozenset({1, 2}), None):
+                    window = (0, max(len(a.events), len(b.events)))
+                    args = (a, b, 2, 60, window, kinds, fish)
+                    path = connect_fronts(*args)
+                    assert path == ref_connect_fronts(*args), \
+                        (a.word, b.word, kinds, fish)
+                    if path is None:
+                        refused += (fish == frozenset() and kinds == COMMUTES
+                                    and _counts(a) != _counts(b))
+                    else:
+                        found += 1
+                        fish_found += bool(kinds == COMMUTES and fish
+                                           and _counts(a) != _counts(b))
+                        assert _replay(a, path).word == b.word
+    assert found > 350 and refused > 100 and fish_found > 20
+
+
+def test_whitehead_searches_match_full_search(monkeypatch):
+    """Every search of the tongue walks on the benchmark's bases, replayed
+    through the reference."""
+    calls = []
+
+    def recording(a, b, depth, budget, window, kinds, fish_heights):
+        args = (a, b, depth, budget, window, kinds, fish_heights)
+        path = connect_fronts(*args)
+        calls.append((args, path))
+        return path
+
+    monkeypatch.setattr(whitehead, "connect_fronts", recording)
+    for base in BENCH_BASES:
+        whitehead_double(parse_front(base))
+    misses = [args for args, path in calls if path is None]
+    assert (len(calls), len(misses)) == (132, 58)
+    # every miss is a commute-only stage gap that adds a doubled group
+    assert all(kinds == COMMUTES and not fish and _counts(a) != _counts(b)
+               for a, b, _, _, _, kinds, fish in misses)
+    for (a, b, depth, budget, window, kinds, fish), path in calls:
+        assert ref_connect_fronts(a, b, depth, budget, window, kinds,
+                                  fish) == path, (a.word, b.word)

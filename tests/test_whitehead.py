@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from legcob import whitehead
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, parse_front
 from legcob.moves import format_trace, parse_trace, trace_summary
@@ -74,3 +75,36 @@ def test_gf_gate_on_rotation():
     d, tr = whitehead_double(kink, gf_mode=False)
     assert classical_invariants(d)["tb"] == 1
     assert trace_summary(tr)["genus"] == Fraction(1)
+
+
+def _twist(k):
+    return "L1 L2 " + "X3 " * k + "R2 R1"
+
+
+def _closure(strands):
+    """The closure of s1 s2 ... s_{strands-1}, a knot."""
+    return " ".join([f"L{t}" for t in range(1, strands + 1)]
+                    + [f"X{strands + i}" for i in range(1, strands)]
+                    + [f"R{t}" for t in range(strands, 0, -1)])
+
+
+def test_work_cap_boundary(monkeypatch):
+    """The largest admitted twist front and closure reach the tongue
+    walk, and so do the benchmark's and the golden rows' bases; one
+    crossing pair or one strand more is refused before it."""
+    class Walked(Exception):
+        pass
+
+    def walk(base):
+        raise Walked
+
+    monkeypatch.setattr(whitehead, "_drag_moves", walk)
+    admitted = [_twist(87), _closure(13), UNKNOT, ZIGZAG, TREFOIL,
+                "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"]
+    admitted += [_twist(k) for k in (5, 7, 9)]
+    for word in admitted:
+        with pytest.raises(Walked):
+            whitehead_double(parse_front(word))
+    for word in (_twist(89), _closure(14), _twist(3001), _closure(40)):
+        with pytest.raises(DomainError, match="front too large to double"):
+            whitehead_double(parse_front(word))
