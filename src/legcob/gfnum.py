@@ -15,10 +15,12 @@ it has three regions:
 Evaluation follows the regions: the blend's exponentials are only
 taken on the collar, and the gradient's collar term evaluates the core
 only off the core region.  The fiber solve's seed scan is certified:
-each family bounds d_eta f over a box (one x, a block of eta grid
-cells) by interval arithmetic, boxes wholly beyond radius 2R are
-dropped, and d_eta f is only evaluated at the grid points inside
-radius 2R whose blocks the bound does not prove seedless.  First
+each family bounds d_eta f over a box (a range of x, a block of eta
+grid cells) by interval arithmetic.  The scan first bounds blocks of x
+grid points, over the whole x grid, then single x rows of the boxes
+left, then halves of their eta blocks; boxes wholly beyond radius 2R
+are dropped unbounded, and d_eta f is only evaluated at the grid
+points inside radius 2R whose cells no tier proves seedless.  First
 derivatives are analytic everywhere (core, tail, and bump terms);
 second derivatives are central differences of the analytic gradient.
 
@@ -173,7 +175,7 @@ def _sq(A):
 
 
 def _gap(lo, hi):
-    """Per coordinate, the least |eta_j| over [lo_j, hi_j]."""
+    """Per coordinate, the least |v_j| over [lo_j, hi_j]."""
     return np.where((lo < 0) & (hi > 0), 0.0,
                     np.minimum(np.abs(lo), np.abs(hi)))
 
@@ -241,13 +243,14 @@ class GeneratingFamily(_Family):
         rsq = _sq(X)[:, None] + _sq(E)[None, :]
         return rsq < self.extent() ** 2
 
-    def near_box(self, X, Elo, Ehi):
-        """Mask of the boxes {x} x [eta_lo, eta_hi], broadcast as in
-        grad_eta_bound, that may hold a pair of the near mask.  A box
-        outside it holds none: its nearest point's r^2, summed as near
-        sums it, is a lower bound of every pair's, since rounding is
-        monotone."""
-        return _sq(X) + _sq(_gap(Elo, Ehi)) < self.extent() ** 2
+    def near_box(self, Xlo, Xhi, Elo, Ehi):
+        """Mask of the boxes [x_lo, x_hi] x [eta_lo, eta_hi], broadcast
+        as in grad_eta_bound, that may hold a pair of the near mask.  A
+        box outside it holds none: its nearest point's r^2, summed as
+        near sums it, is a lower bound of every pair's, since rounding
+        is monotone."""
+        return _sq(_gap(Xlo, Xhi)) + _sq(_gap(Elo, Ehi)) \
+            < self.extent() ** 2
 
     def _blend(self, X, E):
         """r, the blend s and its radial derivative s'(r) = s'(u) / R at
@@ -310,42 +313,48 @@ class GeneratingFamily(_Family):
         pieces = self._collar(X, E)
         return self._grad_x(X, *pieces), self._grad_eta(E, *pieces)
 
-    def grad_eta_bound(self, X, Elo, Ehi):
-        """Bounds (lo, hi) of grad_eta over the boxes {x} x [eta_lo,
-        eta_hi]: x runs over the last axis of X, the eta ends over that
-        of Elo and Ehi, the other axes broadcast together.  Every value
-        grad_eta computes in a box lies in its [lo, hi].
+    def grad_eta_bound(self, Xlo, Xhi, Elo, Ehi):
+        """Bounds (lo, hi) of grad_eta over the boxes [x_lo, x_hi] x
+        [eta_lo, eta_hi]: the x ends run over the last axis of Xlo and
+        Xhi, the eta ends over that of Elo and Ehi, the other axes
+        broadcast together.  Every value grad_eta computes in a box lies
+        in its [lo, hi].  When Xlo is Xhi (one array) each box is one x
+        row, and the core's monomials take x exactly.
 
         d_eta_j f = (1 - s) d_eta_j core + s A_j + (s'(r) / r) (A - core)
         eta_j, bounded as a sum of interval products: the core and its
-        derivative from their monomial ranges (x exact), s from r's
-        range since s is monotone in r, s'(r) / r between 0 and
-        SMOOTHSTEP_D_SUP / (R max(r, R)) on boxes meeting the collar and
-        0 elsewhere.  Each bound is widened by BOUND_MARGIN times the
-        magnitude of the terms it sums.
+        derivative from their monomial ranges, s from r's range (from
+        the least and the greatest |x| and |eta| of the box) since s is
+        monotone in r, s'(r) / r between 0 and SMOOTHSTEP_D_SUP / (R
+        max(r, R)) on boxes meeting the collar and 0 elsewhere.  Each
+        bound is widened by BOUND_MARGIN times the magnitude of the
+        terms it sums.
         """
-        X = np.asarray(X, float)
-        Elo, Ehi = np.asarray(Elo, float), np.asarray(Ehi, float)
-        exact = [X[..., i] for i in range(self.n)]
+        Xlo, Xhi, Elo, Ehi = (np.asarray(A, float)
+                              for A in (Xlo, Xhi, Elo, Ehi))
         lo = [Elo[..., j] for j in range(self.N)]
         hi = [Ehi[..., j] for j in range(self.N)]
+        x_lo = [Xlo[..., i] for i in range(self.n)]
+        # one object for both ends: MultiPoly.bound takes x exactly
+        x_hi = x_lo if Xhi is Xlo else [Xhi[..., i] for i in range(self.n)]
+        box_lo, box_hi = x_lo + lo, x_hi + hi
         absmax = np.maximum(np.abs(Elo), np.abs(Ehi))
         tail = np.asarray(self.tail)
-        c_lo, c_hi, c_mag = self.core.bound(exact, lo, hi)
+        c_lo, c_hi, c_mag = self.core.bound(box_lo, box_hi)
         # A - core, and the scale of its rounding
         q_lo = np.minimum(Elo * tail, Ehi * tail).sum(axis=-1) - c_hi
         q_hi = np.maximum(Elo * tail, Ehi * tail).sum(axis=-1) - c_lo
         q_mag = absmax @ np.abs(tail) + c_mag
-        sqx = _sq(X)
-        r_lo = np.sqrt(sqx + _sq(_gap(Elo, Ehi)))
+        r_lo = np.sqrt(_sq(_gap(Xlo, Xhi)) + _sq(_gap(Elo, Ehi)))
         u_lo = (r_lo - self.R) / self.R
-        u_hi = (np.sqrt(sqx + _sq(absmax)) - self.R) / self.R
-        s_lo, s_hi = smoothstep(u_lo), smoothstep(u_hi)
+        u_hi = (np.sqrt(_sq(np.maximum(np.abs(Xlo), np.abs(Xhi)))
+                        + _sq(absmax)) - self.R) / self.R
+        s_lo, s_hi = smoothstep(np.stack([u_lo, u_hi]))
         slope = np.where((u_hi > 0.0) & (u_lo < 1.0), SMOOTHSTEP_D_SUP
                          / self.R / np.maximum(r_lo, self.R), 0.0)
         out_lo, out_hi = [], []
         for j in range(self.N):
-            d_lo, d_hi, d_mag = self._de[j].bound(exact, lo, hi)
+            d_lo, d_hi, d_mag = self._de[j].bound(box_lo, box_hi)
             ends = (q_lo * lo[j], q_lo * hi[j], q_hi * lo[j], q_hi * hi[j])
             t = self.tail[j]
             low = (np.minimum((1.0 - s_hi) * d_lo, (1.0 - s_lo) * d_lo)
@@ -418,25 +427,25 @@ class CompositeFamily(_Family):
             out |= fam.near(X, E - np.asarray(center))
         return out
 
-    def near_box(self, X, Elo, Ehi):
+    def near_box(self, Xlo, Xhi, Elo, Ehi):
         """Union of the parts' box masks, each around its fiber center."""
         out = False
         for fam, center in self.parts:
             c = np.asarray(center)
-            out = out | fam.near_box(X, np.asarray(Elo) - c,
+            out = out | fam.near_box(Xlo, Xhi, np.asarray(Elo) - c,
                                      np.asarray(Ehi) - c)
         return out
 
-    def grad_eta_bound(self, X, Elo, Ehi):
+    def grad_eta_bound(self, Xlo, Xhi, Elo, Ehi):
         """Bounds of grad_eta over boxes, as for one family: the tail
         plus each part's bound less its tail, the part's boxes shifted
-        by its center."""
+        by its center in eta (x as it is)."""
         tail = np.asarray(self.tail, float)
         lo = hi = tail
         mag = np.abs(tail)
         for fam, center in self.parts:
             c = np.asarray(center)
-            p_lo, p_hi = fam.grad_eta_bound(X, np.asarray(Elo) - c,
+            p_lo, p_hi = fam.grad_eta_bound(Xlo, Xhi, np.asarray(Elo) - c,
                                             np.asarray(Ehi) - c)
             p_tail = np.asarray(fam.tail)
             lo = lo + (p_lo - p_tail)
@@ -632,12 +641,15 @@ class FiberPoint:
 
 # Cap on the (x, eta) seed grid of one fiber solve, in samples.  The
 # saucer (n = 2, N = 1) at the default step 0.05 takes 1.4e7, of which
-# the certified seed scan evaluates grad_eta at 22,482 (0.16%).
+# the certified seed scan evaluates grad_eta at 22,482 (0.16%), after
+# bounding 17,626 boxes in two calls.
 MAX_GRID_SAMPLES = 3 * 10**7
 # Grid cells per axis of an eta block of the certified seed scan, and
-# of the smallest block it halves a block into.
+# of the smallest block it halves a block into; grid points per axis of
+# an x block.
 SCAN_BLOCK = 16
 SCAN_MIN_BLOCK = 8
+SCAN_X_BLOCK = 8
 
 
 def _check_step(fam, step):
@@ -655,84 +667,125 @@ def _check_step(fam, step):
             "samples")
 
 
+def _product(axes):
+    """The points of the product of the 1-d arrays axes as rows, the
+    first coordinate slowest."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    -1).reshape(-1, len(axes))
+
+
 def _sample_grid(fam, step, dims):
     """(axis, points): the axis -extent..extent in steps of step, and
     its dims-fold product as rows, the first coordinate slowest."""
     ext = fam.extent()
     axis = np.arange(-ext, ext + step / 2.0, step)
-    return axis, np.stack(np.meshgrid(*[axis] * dims, indexing="ij"),
-                          -1).reshape(-1, dims)
+    return axis, _product([axis] * dims)
 
 
 def _x_grid(fam, step):
     return _sample_grid(fam, step, fam.n)[1]
 
 
-def _seedless(fam, X, es, first, count, step):
-    """Which boxes provably hold no seed.  A box is an x row of X
-    times the eta grid cells first .. first + count - 1 along each
-    axis (the last axis of first and count), whose corners run from
-    es[first] to es[first + count]; the other axes broadcast.  It holds
-    none when its grad_eta_bound has one strict sign (N = 1: no sign
-    change) or a component outside (-4 step, 4 step) (N = 2: no grid
-    point picked)."""
-    lo, hi = fam.grad_eta_bound(X, es[first], es[first + count])
+def _seedless(fam, Xlo, Xhi, Elo, Ehi, step):
+    """Which boxes [x_lo, x_hi] x [eta_lo, eta_hi] (the last axes of
+    the four arrays) provably hold no seed: those whose grad_eta_bound
+    has one strict sign (N = 1: no sign change) or a component outside
+    (-4 step, 4 step) (N = 2: no grid point picked)."""
+    lo, hi = fam.grad_eta_bound(Xlo, Xhi, Elo, Ehi)
     if fam.N == 1:
         return (lo[..., 0] > 0.0) | (hi[..., 0] < 0.0)
     four = 4.0 * step
     return ((lo >= four) | (hi <= -four)).any(axis=-1)
 
 
-def _live_cells(fam, xc, es, step):
-    """The eta grid cells that may hold a seed, for the x rows xc.
+def _may_seed(fam, Xlo, Xhi, es, first, count, step):
+    """Mask of the boxes [x_lo, x_hi] x (the eta grid cells first ..
+    first + count - 1 along each axis, whose corners run from
+    es[first] to es[first + count]) that may hold a seed: a box that
+    holds no pair of the near mask holds only tail pairs and no seed,
+    and is not bounded; the others are kept unless proven seedless."""
+    Elo, Ehi = es[first], es[first + count]
+    keep = fam.near_box(Xlo, Xhi, Elo, Ehi)
+    x_lo = Xlo[keep]
+    x_hi = x_lo if Xhi is Xlo else Xhi[keep]
+    keep[keep] = ~_seedless(fam, x_lo, x_hi, Elo[keep], Ehi[keep], step)
+    return keep
 
-    The cells are bounded in blocks of SCAN_BLOCK cells per axis.  An
-    (x row, block) box that holds no pair of the near mask holds only
-    tail pairs and no seed: it is dropped, and x rows and blocks with
-    no other box are not bounded at all.  A block not proven seedless
-    is halved along every axis while it has more than SCAN_MIN_BLOCK
-    cells on one, and its halves bounded in turn.  The cells of the
-    boxes left are live.  Returns (rows, cells, points): rows,
-    ascending, index the rows of xc with live cells; cells and points
-    mask, per such row, the live cells and the grid points at their
-    corners, with one axis per fiber variable.
+
+def _halve(rows, first, count):
+    """The boxes with each one that has more than SCAN_MIN_BLOCK cells
+    on some axis halved along every axis (its 2^N halves, the empty
+    ones dropped), the others whole."""
+    N = first.shape[1]
+    big = (count > SCAN_MIN_BLOCK).any(axis=1, keepdims=True)
+    half = np.where(big, count // 2, 0)
+    rows = np.concatenate([rows] * 2 ** N)
+    first = np.concatenate([first + c * half for c in _corners(N)])
+    count = np.concatenate([np.where(c, count - half, half)
+                            for c in _corners(N)])
+    keep = (count > 0).all(axis=1)
+    return rows[keep], first[keep], count[keep]
+
+
+def _x_blocks(xs):
+    """The x blocks of the rows xs, SCAN_X_BLOCK grid points per x
+    axis: block k of an axis holds the rows whose value on it ranks
+    SCAN_X_BLOCK k .. SCAN_X_BLOCK (k + 1) - 1 among that axis's
+    distinct values, and the x blocks are the products of one block per
+    axis, the first axis slowest.  Returns (lo, hi, at): each x block's
+    box, from the least to the greatest value of its ranks on every
+    axis, and each row's x block."""
+    at = 0
+    lo, hi = [], []
+    for i in range(xs.shape[1]):
+        values, rank = np.unique(xs[:, i], return_inverse=True)
+        first = np.arange(0, len(values), SCAN_X_BLOCK)
+        at = at * len(first) + rank // SCAN_X_BLOCK
+        lo.append(values[first])
+        hi.append(values[np.minimum(first + SCAN_X_BLOCK, len(values)) - 1])
+    return _product(lo), _product(hi), at
+
+
+def _live_cells(fam, xs, es, step):
+    """The eta grid cells that may hold a seed, per x row of xs, as
+    boxes (rows, first, count): row rows[k] of xs times the cells
+    first[k] .. first[k] + count[k] - 1 along each fiber axis, rows
+    ascending.
+
+    The scan has tiers, and each tier's boxes are tested once
+    (_may_seed): a box that holds no pair of the near mask, or whose
+    bound proves it seedless, is dropped with all its rows and halves.
+    The first tier tests every box of an x block (_x_blocks) times an
+    eta block (SCAN_BLOCK cells per axis), over the whole x grid.  The
+    second splits the boxes left into their x rows and, in the same
+    step and bound call, halves along every axis each eta block with
+    more than SCAN_MIN_BLOCK cells on one axis; later tiers halve such
+    blocks again.  The cells of the boxes left are live.
     """
     N, size = fam.N, len(es) - 1
     starts = np.arange(0, size, SCAN_BLOCK)
-    first = np.stack(np.meshgrid(*[starts] * N, indexing="ij"),
-                     -1).reshape(-1, N)
+    first = _product([starts] * N)
     count = np.minimum(first + SCAN_BLOCK, size) - first
-    near = fam.near_box(xc[:, None, :], es[first], es[first + count])
-    # One broadcast bounds every pair of the x rows and the blocks with
-    # a near box (bounding the near boxes alone, gathered, costs more
-    # than the far boxes it skips); the far boxes are dropped after.
-    sub = np.nonzero(near.any(axis=1))[0]
-    blocks = np.nonzero(near.any(axis=0))[0]
-    live = near[np.ix_(sub, blocks)] & ~_seedless(
-        fam, xc[sub][:, None, :], es, first[blocks], count[blocks], step)
-    rows, block = np.nonzero(live)
-    rows, block = sub[rows], blocks[block]
-    first, count = first[block], count[block]
-    left = []
-    while True:
-        done = (count <= SCAN_MIN_BLOCK).all(axis=1)
-        left.append((rows[done], first[done], count[done]))
-        rows, first, count = rows[~done], first[~done], count[~done]
-        if not len(rows):
-            break
-        half = count // 2
-        rows = np.concatenate([rows] * 2 ** N)
-        first = np.concatenate([first + c * half for c in _corners(N)])
-        count = np.concatenate([np.where(c, count - half, half)
-                                for c in _corners(N)])
-        keep = (count > 0).all(axis=1)
-        keep[keep] = ~_seedless(fam, xc[rows[keep]], es, first[keep],
-                                count[keep], step)
+    x_lo, x_hi, at = _x_blocks(xs)
+    nx, ne = len(x_lo), len(first)
+    block, eta = np.divmod(np.arange(nx * ne), ne)
+    keep = _may_seed(fam, x_lo[block], x_hi[block], es, first[eta],
+                     count[eta], step)
+    rows, eta = np.nonzero(keep.reshape(nx, ne)[at])
+    boxes, live = (rows, first[eta], count[eta]), []
+    while len(boxes[0]):
+        rows, first, count = _halve(*boxes)
+        X = xs[rows]
+        keep = _may_seed(fam, X, X, es, first, count, step)
         rows, first, count = rows[keep], first[keep], count[keep]
-    rows, first, count = (np.concatenate(a) for a in zip(*left))
-    rows, at = np.unique(rows, return_inverse=True)
-    return (rows, _cover(len(rows), size, at, first, count),
-            _cover(len(rows), size + 1, at, first, count + 1))
+        done = (count <= SCAN_MIN_BLOCK).all(axis=1)
+        live.append((rows[done], first[done], count[done]))
+        boxes = (rows[~done], first[~done], count[~done])
+    rows, first, count = (np.concatenate(a) for a in zip(boxes, *live))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], first[order], count[order]
 
 
 def _corners(N):
@@ -754,6 +807,16 @@ def _cover(n_rows, size, at, first, count):
     return mask[(slice(None),) + (slice(0, size),) * N] > 0
 
 
+def _corner_points(cells):
+    """Mask (rows, size + 1, ...) of the grid points at the corners of
+    the cells of the mask cells (rows, size, ...)."""
+    size = cells.shape[1]
+    points = np.zeros((len(cells),) + (size + 1,) * (cells.ndim - 1), bool)
+    for c in _corners(cells.ndim - 1):
+        points[(slice(None),) + tuple(slice(k, k + size) for k in c)] |= cells
+    return points
+
+
 def _fiber_seeds(fam, xs, step):
     """Grid seeds of the eta roots of grad_eta over the x rows xs, as
     one (Xs, Es) pair per chunk of rows.
@@ -763,18 +826,23 @@ def _fiber_seeds(fam, xs, step):
     grad_eta is only evaluated at the near grid pairs that are corners
     of live cells (_live_cells), every pair off the near mask is
     exactly the tail, and under N = 1 only live cells are tested for a
-    sign change, so both ends of a tested cell are exact.  The seeds
-    are those of a scan of every near pair, in the same order.
+    sign change, so both ends of a tested cell are exact.  The live
+    cells are found once, over every row of xs, and each chunk masks
+    those of its own rows.  The seeds are those of a scan of every near
+    pair, in the same order.
     """
     es, eta_grid = _sample_grid(fam, step, fam.N)
-    me = len(eta_grid)
+    me, size = len(eta_grid), len(es) - 1
     chunk = max(1, 200000 // me)
+    live, first, count = _live_cells(fam, xs, es, step)
     for lo in range(0, len(xs), chunk):
-        xc = xs[lo:lo + chunk]
-        sub, cells, points = _live_cells(fam, xc, es, step)
-        if not len(sub):
+        a, b = np.searchsorted(live, (lo, lo + chunk))
+        if a == b:
             continue
-        xc = xc[sub]
+        sub, at = np.unique(live[a:b], return_inverse=True)
+        cells = _cover(len(sub), size, at, first[a:b], count[a:b])
+        points = _corner_points(cells)
+        xc = xs[sub]
         rows, cols = np.nonzero(fam.near(xc, eta_grid)
                                 & points.reshape(len(xc), me))
         Xn = np.take(xc, rows, axis=0)

@@ -10,7 +10,8 @@ agree exactly: np.array_equal, and the sign bits of zeros agree as
 well.  Grids straddle r = R and r = 2R, including the rows where the
 exponentials underflow.  The certified seed scan must give the seeds
 of a scan of every near grid pair, and its grad_eta bounds must hold
-every value grad_eta computes in their boxes.
+every value grad_eta computes in their boxes, over a range of x as
+over one x row.
 """
 
 import numpy as np
@@ -417,6 +418,32 @@ def test_seeds_match_a_dense_scan_on_random_families():
             assert _same(gx, wx) and _same(ge, we), fam
 
 
+# x axes of 1-3 points (unknot and saucer: extent 6), and axes whose
+# last x block is ragged (53 points: 6 blocks of 8 and one of 5) or
+# full (64 points: 8 blocks of 8).
+BLOCK_EDGE_CASES = [("unknot", 6.0, 3), ("unknot", 12.0, 2),
+                    ("unknot", 13.0, 2), ("unknot", 25.0, 1),
+                    ("unknot", 0.23, 53), ("unknot", 0.19, 64),
+                    ("saucer", 6.0, 3), ("saucer", 12.0, 2),
+                    ("saucer", 0.23, 53), ("saucer", 0.19, 64),
+                    ("gf-file N=2", 0.23, 53)]
+
+
+@pytest.mark.parametrize("name,step,points", BLOCK_EDGE_CASES)
+def test_seeds_match_a_dense_scan_at_block_edges(name, step, points):
+    """The x blocks of the scan's first tier hold SCAN_X_BLOCK points per
+    x axis; axes shorter than a block and ragged last blocks give the
+    dense scan's seeds too."""
+    fam = FIBER_CASES[name][0]()
+    xs = _x_grid(fam, step)
+    assert len(np.unique(xs[:, 0])) == points
+    got = list(_fiber_seeds(fam, xs, step))
+    want = list(dense_seeds(fam, xs, step))
+    assert len(got) == len(want)
+    for (gx, ge), (wx, we) in zip(got, want):
+        assert _same(gx, wx) and _same(ge, we)
+
+
 def test_seed_scan_evaluates_few_near_pairs_once(monkeypatch):
     """grad_eta sees only grid pairs inside radius 2R, each once, and on
     the saucer under a tenth of them."""
@@ -442,55 +469,77 @@ def test_seed_scan_evaluates_few_near_pairs_once(monkeypatch):
     assert 0 < len(rows) < 0.1 * near
 
 
-def _chunk_boxes(fam, xc, es):
-    """Per (x row, top-level eta block) of the chunk xc, whether the box
-    meets the ball of radius 2R about some fiber center."""
-    starts = np.arange(0, len(es) - 1, gfnum.SCAN_BLOCK)
-    first = np.stack(np.meshgrid(*[starts] * fam.N, indexing="ij"),
-                     -1).reshape(-1, fam.N)
-    last = np.minimum(first + gfnum.SCAN_BLOCK, len(es) - 1)
-    near = np.zeros((len(xc), len(first)), bool)
+def _min_r2(fam, x_lo, x_hi, e_lo, e_hi):
+    """Per box, the least squared distance of a box point from a fiber
+    center, over (2R)^2 of that center's part: under 1 exactly when the
+    box meets the 2R ball about some center."""
+    def gap(lo, hi):
+        return np.where((lo < 0) & (hi > 0), 0.0,
+                        np.minimum(np.abs(lo), np.abs(hi)))
+    out = np.full(len(x_lo), np.inf)
     for R, center in _centers(fam):
-        lo, hi = es[first] - center, es[last] - center
-        gap = np.where((lo < 0) & (hi > 0), 0.0,
-                       np.minimum(np.abs(lo), np.abs(hi)))
-        r2 = (xc * xc).sum(axis=1)[:, None] + (gap * gap).sum(axis=1)
-        near |= r2 < (2.0 * R) ** 2
-    return near
+        r2 = (gap(x_lo, x_hi) ** 2).sum(axis=1) \
+            + (gap(e_lo - center, e_hi - center) ** 2).sum(axis=1)
+        out = np.minimum(out, r2 / (2.0 * R) ** 2)
+    return out
+
+
+def _top_boxes(fam, xs, step):
+    """(x_lo, x_hi, eta_lo, eta_hi) of every (x block, eta block) box of
+    the scan's first tier, built the plain way: runs of SCAN_X_BLOCK
+    points of the x axis, their products over the x axes, each paired
+    with each top-level eta block."""
+    def product(axes):
+        return np.stack(np.meshgrid(*axes, indexing="ij"),
+                        -1).reshape(-1, len(axes))
+
+    axis = np.unique(xs[:, 0])
+    starts = np.arange(0, len(axis), gfnum.SCAN_X_BLOCK)
+    ends = np.minimum(starts + gfnum.SCAN_X_BLOCK, len(axis)) - 1
+    x_lo = product([axis[starts]] * fam.n)
+    x_hi = product([axis[ends]] * fam.n)
+    es = np.arange(-fam.extent(), fam.extent() + step / 2.0, step)
+    first = product([np.arange(0, len(es) - 1, gfnum.SCAN_BLOCK)] * fam.N)
+    last = np.minimum(first + gfnum.SCAN_BLOCK, len(es) - 1)
+    i, j = np.divmod(np.arange(len(x_lo) * len(first)), len(first))
+    return x_lo[i], x_hi[i], es[first[j]], es[last[j]]
+
+
+# Boxes bounded per tier: x blocks times eta blocks, then x rows times
+# eta half blocks (16 cells per axis halve once, to 8, and are done).
+TIER_BOXES = {"saucer": (8410, 9216), "stacked-pair": (787, 464),
+              "gf-file N=2, small tail": (12, 263)}
 
 
 @pytest.mark.parametrize("name,step", [("saucer", 0.05),
                                        ("stacked-pair", 0.05),
                                        ("gf-file N=2, small tail", 0.5)])
-def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
-                                                       step):
-    """Each chunk's first bound covers the x rows and eta blocks that
-    have a box meeting the 2R ball (about each part's center), every
-    pair of them, and no other box: on the saucer at the default step,
-    611,839 of its 871,215 boxes, where 495,471 meet the ball."""
+def test_seed_scan_bounds_per_tier_only_boxes_near_2R(monkeypatch, name,
+                                                      step):
+    """The first tier bounds, over the whole x grid, exactly the (x
+    block, eta block) boxes that meet the 2R ball about some part's
+    center; the second bounds single x rows (x_lo is x_hi).  No box of
+    any tier lies wholly beyond 2R of every center.  On the saucer at
+    the default step that is 17,626 boxes in two bound calls."""
     fam = FIBER_CASES[name][0]()
-    bounded = []
-    live_cells, seedless = gfnum._live_cells, gfnum._seedless
+    xs = _x_grid(fam, step)
+    tiers = []
+    seedless = gfnum._seedless
 
-    def spy_live_cells(fam, xc, es, step):
-        bounded.append((xc, es, []))
-        return live_cells(fam, xc, es, step)
+    def spy_seedless(fam, x_lo, x_hi, e_lo, e_hi, step):
+        tiers.append((x_lo, x_hi, e_lo, e_hi))
+        return seedless(fam, x_lo, x_hi, e_lo, e_hi, step)
 
-    def spy_seedless(fam, X, es, first, count, step):
-        bounded[-1][2].append(np.broadcast(X[..., 0], first[..., 0]).size)
-        return seedless(fam, X, es, first, count, step)
-
-    monkeypatch.setattr(gfnum, "_live_cells", spy_live_cells)
     monkeypatch.setattr(gfnum, "_seedless", spy_seedless)
-    assert list(_fiber_seeds(fam, _x_grid(fam, step), step))
-    top = meet = total = 0
-    for xc, es, calls in bounded:
-        near = _chunk_boxes(fam, xc, es)
-        assert calls[0] == near.any(axis=1).sum() * near.any(axis=0).sum()
-        top, meet, total = top + calls[0], meet + near.sum(), total + near.size
-    assert meet <= top < total
-    if name == "saucer":
-        assert (top, meet, total) == (611839, 495471, 871215)
+    assert list(_fiber_seeds(fam, xs, step))
+    assert tuple(len(t[0]) for t in tiers) == TIER_BOXES[name]
+    for box in tiers:
+        assert np.all(_min_r2(fam, *box) < 1.0)
+    top = _top_boxes(fam, xs, step)
+    near = _min_r2(fam, *top) < 1.0
+    assert len(tiers[0][0]) == near.sum() < len(near)
+    assert np.any(tiers[0][0] < tiers[0][1])
+    assert all(x_lo is x_hi for x_lo, x_hi, _, _ in tiers[1:])
 
 
 def _centers(fam):
@@ -520,37 +569,62 @@ def _straddling_boxes(fam, x, rng):
     return np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes])
 
 
+def _box_sample(lo, hi, ticks):
+    """Points of each box [lo, hi] (rows of lo and hi) on a grid of
+    ticks per axis, every corner exactly."""
+    dim = lo.shape[1]
+    frac = np.stack(np.meshgrid(*[ticks] * dim, indexing="ij"),
+                    -1).reshape(-1, dim)
+    P = lo[:, None, :] + frac[None] * (hi - lo)[:, None, :]
+    P = np.where(frac[None] == 1.0, hi[:, None, :], P)
+    return np.clip(P, lo[:, None, :], hi[:, None, :])
+
+
+# Widths of the x ranges of the bounded boxes: 0 is one x row, passed
+# as the scan's row tiers pass it (x_lo is x_hi); the others run from
+# 1e-3 to four default grid steps.
+X_WIDTHS = (0.0, 1e-3, 0.05, 0.2)
+
+
 @pytest.mark.parametrize("name", sorted(EVAL_FAMILIES))
 def test_grad_eta_bound_holds_every_computed_value(name):
-    """Boxes about r = R, r = 2R and eta = 0 on straddling-grid rows:
+    """Boxes about r = R, r = 2R and each fiber center (eta = 0 there)
+    on straddling-grid rows, with x ranges of every width in X_WIDTHS:
     grad_eta at a dense sample of each box, its corners included, lies
-    within the box's bound."""
+    within the box's bound, and the bound proves a sign for some of
+    the boxes."""
     fam = EVAL_FAMILIES[name]()
+    n, N = fam.n, fam.N
     rng = np.random.default_rng(3)
     X, _ = straddling_grid(fam, seed=2)
-    X = X[rng.choice(len(X), 150, replace=False)]
-    rows, lo, hi = [], [], []
-    for x in X:
-        b_lo, b_hi = _straddling_boxes(fam, x, rng)
-        rows += [x] * len(b_lo)
-        lo.append(b_lo)
-        hi.append(b_hi)
-    rows, lo, hi = np.array(rows), np.concatenate(lo), np.concatenate(hi)
-    bound_lo, bound_hi = fam.grad_eta_bound(rows, lo, hi)
-    ticks = np.linspace(0.0, 1.0, 17 if fam.N == 1 else 9)
-    frac = np.stack(np.meshgrid(*[ticks] * fam.N, indexing="ij"),
-                    -1).reshape(-1, fam.N)
-    E = np.clip(lo[:, None, :] + frac[None] * (hi - lo)[:, None, :],
-                lo[:, None, :], hi[:, None, :])
-    E[:, -1] = hi
-    g = fam.grad_eta(np.repeat(rows, len(frac), axis=0),
-                     E.reshape(-1, fam.N)).reshape(E.shape)
-    assert np.all(bound_lo[:, None, :] <= g)
-    assert np.all(g <= bound_hi[:, None, :])
-    # and the bound is not vacuous: it is finite, and proves a sign for
-    # some of the boxes
-    assert np.all(np.isfinite(bound_lo)) and np.all(np.isfinite(bound_hi))
-    assert np.mean((bound_lo > 0) | (bound_hi < 0)) > 0.25
+    X = X[rng.choice(len(X), 60, replace=False)]
+    ticks = np.linspace(0.0, 1.0, 9 if n + N == 2 else 5)
+    for width in X_WIDTHS:
+        rows, lo, hi = [], [], []
+        for x in X:
+            b_lo, b_hi = _straddling_boxes(fam, x, rng)
+            rows += [x] * len(b_lo)
+            lo.append(b_lo)
+            hi.append(b_hi)
+        rows, lo, hi = np.array(rows), np.concatenate(lo), np.concatenate(hi)
+        if width:
+            x_lo = rows - rng.uniform(0.0, width, size=rows.shape)
+            x_hi = x_lo + width
+        else:
+            x_lo = x_hi = rows
+        bound_lo, bound_hi = fam.grad_eta_bound(x_lo, x_hi, lo, hi)
+        P = _box_sample(np.concatenate([x_lo, lo], axis=1),
+                        np.concatenate([x_hi, hi], axis=1), ticks)
+        g = fam.grad_eta(P[..., :n].reshape(-1, n),
+                         P[..., n:].reshape(-1, N)).reshape(
+                             len(P), -1, N)
+        assert np.all(bound_lo[:, None, :] <= g), width
+        assert np.all(g <= bound_hi[:, None, :]), width
+        # and the bound is not vacuous: it is finite, and proves a sign
+        # for some of the boxes
+        assert np.all(np.isfinite(bound_lo)) and \
+            np.all(np.isfinite(bound_hi))
+        assert np.mean((bound_lo > 0) | (bound_hi < 0)) > 0.25, width
 
 
 def test_smoothstep_d_sup_dominates():
