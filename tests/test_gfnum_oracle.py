@@ -514,8 +514,8 @@ TIER_BOXES = {"saucer": (8410, 9216), "stacked-pair": (787, 464),
 @pytest.mark.parametrize("name,step", [("saucer", 0.05),
                                        ("stacked-pair", 0.05),
                                        ("gf-file N=2, small tail", 0.5)])
-def test_seed_scan_bounds_per_tier_only_boxes_near_2R(monkeypatch, name,
-                                                      step):
+def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
+                                                       step):
     """The first tier bounds, over the whole x grid, exactly the (x
     block, eta block) boxes that meet the 2R ball about some part's
     center; the second bounds single x rows (x_lo is x_hi).  No box of
