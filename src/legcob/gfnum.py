@@ -17,12 +17,13 @@ taken on the collar, and the gradient's collar term evaluates the core
 only off the core region.  The fiber solve's seed scan is certified:
 each family bounds d_eta f over a box (a range of x, a block of eta
 grid cells) by interval arithmetic.  The scan first bounds blocks of x
-grid points, over the whole x grid, then single x rows of the boxes
-left, then halves of their eta blocks; boxes wholly beyond radius 2R
-are dropped unbounded, and d_eta f is only evaluated at the grid
-points inside radius 2R whose cells no tier proves seedless.  First
-derivatives are analytic everywhere (core, tail, and bump terms);
-second derivatives are central differences of the analytic gradient.
+grid points, over the whole x grid, then, per chunk of x rows, single
+x rows of the boxes left and halves of their eta blocks; boxes wholly
+beyond radius 2R are dropped unbounded, and d_eta f is only evaluated
+at the grid points inside radius 2R whose cells no tier proves
+seedless.  First derivatives are analytic everywhere (core, tail, and
+bump terms); second derivatives are central differences of the
+analytic gradient.
 
 The operations follow the front/chord dictionary: the fiber-critical
 set {d_eta f = 0} projects to the front via (x, d_x f, f), and the
@@ -318,8 +319,7 @@ class GeneratingFamily(_Family):
         [eta_lo, eta_hi]: the x ends run over the last axis of Xlo and
         Xhi, the eta ends over that of Elo and Ehi, the other axes
         broadcast together.  Every value grad_eta computes in a box lies
-        in its [lo, hi].  When Xlo is Xhi (one array) each box is one x
-        row, and the core's monomials take x exactly.
+        in its [lo, hi].
 
         d_eta_j f = (1 - s) d_eta_j core + s A_j + (s'(r) / r) (A - core)
         eta_j, bounded as a sum of interval products: the core and its
@@ -334,10 +334,8 @@ class GeneratingFamily(_Family):
                               for A in (Xlo, Xhi, Elo, Ehi))
         lo = [Elo[..., j] for j in range(self.N)]
         hi = [Ehi[..., j] for j in range(self.N)]
-        x_lo = [Xlo[..., i] for i in range(self.n)]
-        # one object for both ends: MultiPoly.bound takes x exactly
-        x_hi = x_lo if Xhi is Xlo else [Xhi[..., i] for i in range(self.n)]
-        box_lo, box_hi = x_lo + lo, x_hi + hi
+        box_lo = [Xlo[..., i] for i in range(self.n)] + lo
+        box_hi = [Xhi[..., i] for i in range(self.n)] + hi
         absmax = np.maximum(np.abs(Elo), np.abs(Ehi))
         tail = np.asarray(self.tail)
         c_lo, c_hi, c_mag = self.core.bound(box_lo, box_hi)
@@ -349,7 +347,7 @@ class GeneratingFamily(_Family):
         u_lo = (r_lo - self.R) / self.R
         u_hi = (np.sqrt(_sq(np.maximum(np.abs(Xlo), np.abs(Xhi)))
                         + _sq(absmax)) - self.R) / self.R
-        s_lo, s_hi = smoothstep(np.stack([u_lo, u_hi]))
+        s_lo, s_hi = smoothstep(u_lo), smoothstep(u_hi)
         slope = np.where((u_hi > 0.0) & (u_lo < 1.0), SMOOTHSTEP_D_SUP
                          / self.R / np.maximum(r_lo, self.R), 0.0)
         out_lo, out_hi = [], []
@@ -642,7 +640,7 @@ class FiberPoint:
 # Cap on the (x, eta) seed grid of one fiber solve, in samples.  The
 # saucer (n = 2, N = 1) at the default step 0.05 takes 1.4e7, of which
 # the certified seed scan evaluates grad_eta at 22,482 (0.16%), after
-# bounding 17,626 boxes in two calls.
+# bounding 17,626 boxes in 15 calls.
 MAX_GRID_SAMPLES = 3 * 10**7
 # Grid cells per axis of an eta block of the certified seed scan, and
 # of the smallest block it halves a block into; grid points per axis of
@@ -708,9 +706,8 @@ def _may_seed(fam, Xlo, Xhi, es, first, count, step):
     and is not bounded; the others are kept unless proven seedless."""
     Elo, Ehi = es[first], es[first + count]
     keep = fam.near_box(Xlo, Xhi, Elo, Ehi)
-    x_lo = Xlo[keep]
-    x_hi = x_lo if Xhi is Xlo else Xhi[keep]
-    keep[keep] = ~_seedless(fam, x_lo, x_hi, Elo[keep], Ehi[keep], step)
+    keep[keep] = ~_seedless(fam, Xlo[keep], Xhi[keep], Elo[keep],
+                            Ehi[keep], step)
     return keep
 
 
@@ -748,44 +745,54 @@ def _x_blocks(xs):
     return _product(lo), _product(hi), at
 
 
-def _live_cells(fam, xs, es, step):
-    """The eta grid cells that may hold a seed, per x row of xs, as
-    boxes (rows, first, count): row rows[k] of xs times the cells
-    first[k] .. first[k] + count[k] - 1 along each fiber axis, rows
-    ascending.
-
-    The scan has tiers, and each tier's boxes are tested once
-    (_may_seed): a box that holds no pair of the near mask, or whose
-    bound proves it seedless, is dropped with all its rows and halves.
-    The first tier tests every box of an x block (_x_blocks) times an
-    eta block (SCAN_BLOCK cells per axis), over the whole x grid.  The
-    second splits the boxes left into their x rows and, in the same
-    step and bound call, halves along every axis each eta block with
-    more than SCAN_MIN_BLOCK cells on one axis; later tiers halve such
-    blocks again.  The cells of the boxes left are live.
-    """
+def _x_tier(fam, xs, es, step):
+    """The first tier of the seed scan, over the whole x grid: every box
+    of an x block (_x_blocks) times an eta block (SCAN_BLOCK cells per
+    axis) is tested once (_may_seed).  Returns (first, count, top): the
+    eta blocks, and per x row of xs the mask of the blocks whose box
+    with the row's x block may hold a seed."""
     N, size = fam.N, len(es) - 1
-    starts = np.arange(0, size, SCAN_BLOCK)
-    first = _product([starts] * N)
+    first = _product([np.arange(0, size, SCAN_BLOCK)] * N)
     count = np.minimum(first + SCAN_BLOCK, size) - first
     x_lo, x_hi, at = _x_blocks(xs)
     nx, ne = len(x_lo), len(first)
     block, eta = np.divmod(np.arange(nx * ne), ne)
     keep = _may_seed(fam, x_lo[block], x_hi[block], es, first[eta],
                      count[eta], step)
-    rows, eta = np.nonzero(keep.reshape(nx, ne)[at])
+    return first, count, keep.reshape(nx, ne)[at]
+
+
+def _live_cells(fam, xc, es, step, first, count, top):
+    """The eta grid cells that may hold a seed, for the x rows xc, of
+    the eta blocks (first, count) that the x tier (_x_tier) left to
+    each row in the mask top.
+
+    The row tiers: the first splits the x tier's boxes into their x
+    rows and, in the same step and bound call, halves along every axis
+    each eta block with more than SCAN_MIN_BLOCK cells on one axis;
+    later tiers halve such blocks again.  Each tier's boxes are tested
+    once (_may_seed): a box that holds no pair of the near mask, or
+    whose bound proves it seedless, is dropped with all its halves.
+    The cells of the boxes left are live.  Returns (rows, cells,
+    points): rows, ascending, index the rows of xc with live cells;
+    cells and points mask, per such row, the live cells and the grid
+    points at their corners, with one axis per fiber variable.
+    """
+    size = len(es) - 1
+    rows, eta = np.nonzero(top)
     boxes, live = (rows, first[eta], count[eta]), []
     while len(boxes[0]):
         rows, first, count = _halve(*boxes)
-        X = xs[rows]
+        X = xc[rows]
         keep = _may_seed(fam, X, X, es, first, count, step)
         rows, first, count = rows[keep], first[keep], count[keep]
         done = (count <= SCAN_MIN_BLOCK).all(axis=1)
         live.append((rows[done], first[done], count[done]))
         boxes = (rows[~done], first[~done], count[~done])
     rows, first, count = (np.concatenate(a) for a in zip(boxes, *live))
-    order = np.argsort(rows, kind="stable")
-    return rows[order], first[order], count[order]
+    rows, at = np.unique(rows, return_inverse=True)
+    return (rows, _cover(len(rows), size, at, first, count),
+            _cover(len(rows), size + 1, at, first, count + 1))
 
 
 def _corners(N):
@@ -807,16 +814,6 @@ def _cover(n_rows, size, at, first, count):
     return mask[(slice(None),) + (slice(0, size),) * N] > 0
 
 
-def _corner_points(cells):
-    """Mask (rows, size + 1, ...) of the grid points at the corners of
-    the cells of the mask cells (rows, size, ...)."""
-    size = cells.shape[1]
-    points = np.zeros((len(cells),) + (size + 1,) * (cells.ndim - 1), bool)
-    for c in _corners(cells.ndim - 1):
-        points[(slice(None),) + tuple(slice(k, k + size) for k in c)] |= cells
-    return points
-
-
 def _fiber_seeds(fam, xs, step):
     """Grid seeds of the eta roots of grad_eta over the x rows xs, as
     one (Xs, Es) pair per chunk of rows.
@@ -826,23 +823,24 @@ def _fiber_seeds(fam, xs, step):
     grad_eta is only evaluated at the near grid pairs that are corners
     of live cells (_live_cells), every pair off the near mask is
     exactly the tail, and under N = 1 only live cells are tested for a
-    sign change, so both ends of a tested cell are exact.  The live
-    cells are found once, over every row of xs, and each chunk masks
-    those of its own rows.  The seeds are those of a scan of every near
-    pair, in the same order.
+    sign change, so both ends of a tested cell are exact.  The x tier
+    bounds boxes over every row of xs once (_x_tier); the row tiers run
+    per chunk, on the chunk's rows.  The seeds are those of a scan of
+    every near pair, in the same order.
     """
     es, eta_grid = _sample_grid(fam, step, fam.N)
-    me, size = len(eta_grid), len(es) - 1
+    me = len(eta_grid)
     chunk = max(1, 200000 // me)
-    live, first, count = _live_cells(fam, xs, es, step)
+    first, count, top = _x_tier(fam, xs, es, step)
     for lo in range(0, len(xs), chunk):
-        a, b = np.searchsorted(live, (lo, lo + chunk))
-        if a == b:
+        if not top[lo:lo + chunk].any():
             continue
-        sub, at = np.unique(live[a:b], return_inverse=True)
-        cells = _cover(len(sub), size, at, first[a:b], count[a:b])
-        points = _corner_points(cells)
-        xc = xs[sub]
+        xc = xs[lo:lo + chunk]
+        sub, cells, points = _live_cells(fam, xc, es, step, first, count,
+                                         top[lo:lo + chunk])
+        if not len(sub):
+            continue
+        xc = xc[sub]
         rows, cols = np.nonzero(fam.near(xc, eta_grid)
                                 & points.reshape(len(xc), me))
         Xn = np.take(xc, rows, axis=0)

@@ -113,23 +113,19 @@ class MultiPoly:
         """Range of the polynomial over boxes, term by term.
 
         Variable v ranges over [lo[v], hi[v]]; all are scalars or arrays
-        broadcast together, and a variable whose lo[v] is hi[v] (one
-        object) is taken as exact.  Returns (low, high, mag): every
-        value of the polynomial in a box lies in [low, high] up to
-        rounding, and mag bounds the sum of the absolute values of its
-        terms there, the scale of evaluate's rounding.  An even power
-        of a range straddling 0 starts at 0.
+        broadcast together.  Returns (low, high, mag): every value of
+        the polynomial in a box lies in [low, high] up to rounding, and
+        mag bounds the sum of the absolute values of its terms there,
+        the scale of evaluate's rounding.  An even power of a range
+        straddling 0 starts at 0.
         """
         cache = {}
 
         def power(v, e):
-            """The ends of variable v's range to the power e, one array
-            when v is exact."""
+            """The ends of variable v's range to the power e."""
             if (v, e) not in cache:
                 a, b = np.asarray(lo[v]), np.asarray(hi[v])
-                if lo[v] is hi[v]:
-                    cache[v, e] = (a ** e,)
-                elif e % 2:
+                if e % 2:
                     cache[v, e] = (a ** e, b ** e)
                 else:
                     pa, pb = a ** e, b ** e

@@ -505,8 +505,9 @@ def _top_boxes(fam, xs, step):
     return x_lo[i], x_hi[i], es[first[j]], es[last[j]]
 
 
-# Boxes bounded per tier: x blocks times eta blocks, then x rows times
-# eta half blocks (16 cells per axis halve once, to 8, and are done).
+# Boxes bounded per tier: x blocks times eta blocks, then, summed over
+# the chunks of x rows, x rows times eta half blocks (16 cells per axis
+# halve once, to 8, and are done).
 TIER_BOXES = {"saucer": (8410, 9216), "stacked-pair": (787, 464),
               "gf-file N=2, small tail": (12, 263)}
 
@@ -518,9 +519,10 @@ def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
                                                        step):
     """The first tier bounds, over the whole x grid, exactly the (x
     block, eta block) boxes that meet the 2R ball about some part's
-    center; the second bounds single x rows (x_lo is x_hi).  No box of
-    any tier lies wholly beyond 2R of every center.  On the saucer at
-    the default step that is 17,626 boxes in two bound calls."""
+    center; the row tiers, per chunk of x rows, bound single x rows.
+    No box of any tier lies wholly beyond 2R of every center.  On the
+    saucer at the default step that is 17,626 boxes in 15 bound calls,
+    one of them the x tier's."""
     fam = FIBER_CASES[name][0]()
     xs = _x_grid(fam, step)
     tiers = []
@@ -532,14 +534,16 @@ def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
 
     monkeypatch.setattr(gfnum, "_seedless", spy_seedless)
     assert list(_fiber_seeds(fam, xs, step))
-    assert tuple(len(t[0]) for t in tiers) == TIER_BOXES[name]
+    bounded = [len(t[0]) for t in tiers]
+    assert (bounded[0], sum(bounded[1:])) == TIER_BOXES[name]
     for box in tiers:
         assert np.all(_min_r2(fam, *box) < 1.0)
     top = _top_boxes(fam, xs, step)
     near = _min_r2(fam, *top) < 1.0
     assert len(tiers[0][0]) == near.sum() < len(near)
     assert np.any(tiers[0][0] < tiers[0][1])
-    assert all(x_lo is x_hi for x_lo, x_hi, _, _ in tiers[1:])
+    assert len(tiers) > 1
+    assert all(np.array_equal(x_lo, x_hi) for x_lo, x_hi, _, _ in tiers[1:])
 
 
 def _centers(fam):
@@ -570,19 +574,19 @@ def _straddling_boxes(fam, x, rng):
 
 
 def _box_sample(lo, hi, ticks):
-    """Points of each box [lo, hi] (rows of lo and hi) on a grid of
-    ticks per axis, every corner exactly."""
-    dim = lo.shape[1]
-    frac = np.stack(np.meshgrid(*[ticks] * dim, indexing="ij"),
-                    -1).reshape(-1, dim)
+    """Points of each box [lo, hi] (rows of lo and hi) on the product of
+    the fractions ticks[i] of its width along axis i, the fraction 1
+    exactly at hi."""
+    frac = np.stack(np.meshgrid(*ticks, indexing="ij"),
+                    -1).reshape(-1, len(ticks))
     P = lo[:, None, :] + frac[None] * (hi - lo)[:, None, :]
     P = np.where(frac[None] == 1.0, hi[:, None, :], P)
     return np.clip(P, lo[:, None, :], hi[:, None, :])
 
 
-# Widths of the x ranges of the bounded boxes: 0 is one x row, passed
-# as the scan's row tiers pass it (x_lo is x_hi); the others run from
-# 1e-3 to four default grid steps.
+# Widths of the x ranges of the bounded boxes: 0 is one x row, as the
+# scan's row tiers pass it; the others run from 1e-3 to four default
+# grid steps.
 X_WIDTHS = (0.0, 1e-3, 0.05, 0.2)
 
 
@@ -592,16 +596,17 @@ def test_grad_eta_bound_holds_every_computed_value(name):
     on straddling-grid rows, with x ranges of every width in X_WIDTHS:
     grad_eta at a dense sample of each box, its corners included, lies
     within the box's bound, and the bound proves a sign for some of
-    the boxes."""
+    the boxes.  One x row (width 0) is checked on 150 rows, and eta on
+    17 ticks (N = 1) or 9 x 9; an x range on 60 rows, with the same eta
+    ticks times 3 ticks per x axis."""
     fam = EVAL_FAMILIES[name]()
     n, N = fam.n, fam.N
     rng = np.random.default_rng(3)
     X, _ = straddling_grid(fam, seed=2)
-    X = X[rng.choice(len(X), 60, replace=False)]
-    ticks = np.linspace(0.0, 1.0, 9 if n + N == 2 else 5)
+    eta_ticks = [np.linspace(0.0, 1.0, 17 if N == 1 else 9)] * N
     for width in X_WIDTHS:
         rows, lo, hi = [], [], []
-        for x in X:
+        for x in X[rng.choice(len(X), 60 if width else 150, replace=False)]:
             b_lo, b_hi = _straddling_boxes(fam, x, rng)
             rows += [x] * len(b_lo)
             lo.append(b_lo)
@@ -610,11 +615,14 @@ def test_grad_eta_bound_holds_every_computed_value(name):
         if width:
             x_lo = rows - rng.uniform(0.0, width, size=rows.shape)
             x_hi = x_lo + width
+            x_ticks = [np.linspace(0.0, 1.0, 3)] * n
         else:
             x_lo = x_hi = rows
+            x_ticks = [np.zeros(1)] * n
         bound_lo, bound_hi = fam.grad_eta_bound(x_lo, x_hi, lo, hi)
         P = _box_sample(np.concatenate([x_lo, lo], axis=1),
-                        np.concatenate([x_hi, hi], axis=1), ticks)
+                        np.concatenate([x_hi, hi], axis=1),
+                        x_ticks + eta_ticks)
         g = fam.grad_eta(P[..., :n].reshape(-1, n),
                          P[..., n:].reshape(-1, N)).reshape(
                              len(P), -1, N)
