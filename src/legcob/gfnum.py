@@ -28,9 +28,12 @@ analytic gradient.
 The operations follow the front/chord dictionary: the fiber-critical
 set {d_eta f = 0} projects to the front via (x, d_x f, f), and the
 positive-value critical points of the difference
-delta(x, eta, eta~) = f(x, eta~) - f(x, eta) are the Reeb chords.  A
-chord in Morse index i contributes t^(i - (N+1)) to the count
-polynomial estimate.  The estimate is chain-level: no differentials
+delta(x, eta, eta~) = f(x, eta~) - f(x, eta) are the Reeb chords.  On
+the fiber-critical set they lie over an x where two sheets have one
+slope d_x f, so under N = 1 the chord Newton is only seeded where two
+branches' slopes cross over a grid cell, or near a cusp.  A chord in
+Morse index i contributes t^(i - (N+1)) to the count polynomial
+estimate.  The estimate is chain-level: no differentials
 are computed, and a warning is attached when two chords land in
 adjacent degrees.
 
@@ -45,7 +48,9 @@ setting that no caller changes, is a parameter: one used twice is a
 module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
 other a literal at its use.  FAMILIES names the built-in families.
 Refused: dimensions other than 1 or 2 (a gf-file's before anything is
-built), and composites in spin and immersed_filling_family.
+built), grid steps whose seed grid exceeds MAX_GRID_SAMPLES, chord
+searches whose Newton work exceeds MAX_CHORD_WORK, and composites in
+spin and immersed_filling_family.
 """
 
 import functools
@@ -974,6 +979,81 @@ def _diff_hessian(fam, pt):
     return (hess + hess.T) / 2.0
 
 
+def _pairs(counts):
+    """(cell, i, j): every pair i > j of the counts[c] branches of each
+    cell c, cell by cell, ordered by i and then j within a cell.  The
+    first c (c - 1) / 2 pairs of tril_indices are those of c branches."""
+    counts = np.asarray(counts, int)
+    npairs = counts * (counts - 1) // 2
+    i, j = np.tril_indices(max(int(counts.max(initial=0)), 1), -1)
+    cell = np.repeat(np.arange(len(counts)), npairs)
+    off = np.arange(len(cell)) - np.repeat(np.cumsum(npairs) - npairs, npairs)
+    return cell, i[off], j[off]
+
+
+def _chord_seeds(fam, fiber, step):
+    """reeb_chords' Newton seeds (x, eta, eta~): ordered pairs of fiber
+    branches over one grid x, in the order of x, then eta, then eta~.
+    fiber holds fiber_critical_set(fam, step), sorted by x and then eta.
+
+    Under N = 1 the branches over each x are numbered by eta; they
+    cannot cross in eta without merging at a cusp.  A chord is an x where
+    two branches have one slope p = d_x f, so p_i - p_j takes both
+    signs, or 0, over the corners of a grid cell that holds one (2 x
+    points for n = 1, 4 for n = 2).  A cell whose corners carry one
+    branch count seeds the pairs (i, j) for which every component of
+    p_i - p_j does so, at each corner.  A cell whose counts differ holds
+    a cusp, and seeds every pair at its corners; a corner without
+    samples counts 0, beyond the ends of the grid as well.  Only the
+    cells with an occupied corner are visited.  Under N >= 2 branches
+    may cross, and every pair over each x is seeded.
+    """
+    n, N = fam.n, fam.N
+    if not fiber:
+        return np.empty((0, n + 2 * N))
+    X = np.array([q.x for q in fiber])
+    E = np.array([q.eta for q in fiber])
+    axis = _sample_grid(fam, step, 1)[0]
+    G = np.searchsorted(axis, X)
+    # runs of samples over one x, and their keys on the grid padded by
+    # one point at each end, ascending as the samples are
+    new = np.ones(len(X), bool)
+    new[1:] = (G[1:] != G[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    count = np.diff(np.append(start, len(X)))
+    base = len(axis) + 2
+    weight = base ** np.arange(n - 1, -1, -1)
+    keys = (G[start] + 1) @ weight
+    full = np.full(len(start), N > 1)
+    A, B = [], []
+    if N == 1:
+        corners = np.array(list(itertools.product((0, 1), repeat=n)))
+        cells = np.unique((G[start][:, None] - corners).reshape(-1, n),
+                          axis=0)
+        ck = (cells[:, None] + corners + 1) @ weight
+        run = np.minimum(np.searchsorted(keys, ck), len(keys) - 1)
+        hit = keys[run] == ck
+        cnt = np.where(hit, count[run], 0)
+        same = (cnt == cnt[:, :1]).all(axis=1)
+        full[run[~same[:, None] & hit]] = True
+        eq = same & (cnt[:, 0] > 1)
+        cell, i, j = _pairs(cnt[eq, 0])
+        first = start[run[eq][cell]]
+        a, b = first + i[:, None], first + j[:, None]
+        P = np.array([q.p for q in fiber])
+        d = P[a] - P[b]
+        cross = ((d.min(axis=1) <= 0) & (d.max(axis=1) >= 0)).all(axis=1)
+        A += [a[cross].ravel(), b[cross].ravel()]
+        B += [b[cross].ravel(), a[cross].ravel()]
+    run, i, j = _pairs(count[full])
+    first = start[full][run]
+    A += [first + i, first + j]
+    B += [first + j, first + i]
+    pair = np.unique(np.concatenate(A) * len(X) + np.concatenate(B))
+    a, b = np.divmod(pair, len(X))
+    return np.concatenate([X[a], E[a], E[b]], axis=1)
+
+
 def _cluster(pts):
     out = []
     for p in sorted(map(tuple, pts)):
@@ -987,10 +1067,25 @@ def _cluster(pts):
 # Hessian eigenvalue below CHORD_MARGIN_TOL in magnitude is refused.
 CHORD_VALUE_FLOOR = 1e-6
 CHORD_MARGIN_TOL = 1e-8
+# Iteration cap of the chord Newton, and the cap on its work before it
+# starts: seed rows x (2k + 1) probes x CHORD_ITERS, k = n + 2N.  The
+# built-in families need at most 2.9e5: the saucer (k = 4) at 0.039, the
+# finest step the grid cap admits, has 408 seeds.  Random families of
+# degree <= 4 at steps 0.1-0.4 need up to 3.3e6 (4,580 seeds, k = 4).
+# The degenerate n = 2 family core = e1^3 - 3 x1^2 e1 + x2^2 e1 needs
+# 6.1e6 at step 0.2 and 1.3e7 at 0.1, and is refused at both.
+CHORD_ITERS = 80
+MAX_CHORD_WORK = 4 * 10**6
 
 
 def reeb_chords(fam, step=0.05):
     """Enumerate the critical points of the difference function.
+
+    Newton starts from the pairs of fiber branches that _chord_seeds
+    picks: under N = 1 the pairs whose slopes cross over a grid cell,
+    and every pair at the cells around a cusp; under N = 2 every pair
+    over each grid x.  A search whose seed rows x (2k + 1) probes x
+    CHORD_ITERS exceeds MAX_CHORD_WORK is refused before Newton.
 
     Returns (chords, gamma_estimate, report): chords are the
     positive-value points sorted by value then coords, gamma_estimate
@@ -1001,21 +1096,19 @@ def reeb_chords(fam, step=0.05):
     partner (x, eta~, eta) with opposite value and complementary index.
     """
     n, N = fam.n, fam.N
-    fiber = fiber_critical_set(fam, step)
-    by_x = {}
-    for q in fiber:
-        by_x.setdefault(q.x, []).append(q.eta)
-    seeds = []
-    for x, branches in by_x.items():
-        for i, ei in enumerate(branches):
-            for j, ej in enumerate(branches):
-                if i != j:
-                    seeds.append(list(x) + list(ei) + list(ej))
-    if not seeds:
+    seeds = _chord_seeds(fam, fiber_critical_set(fam, step), step)
+    if not len(seeds):
         return [], LaurentPoly({}), _chord_report([], step)
+    probes = 2 * seeds.shape[1] + 1
+    if len(seeds) * probes * CHORD_ITERS > MAX_CHORD_WORK:
+        raise DomainError(
+            f"chord search too large at grid step {step}: {len(seeds)} "
+            f"seeds x {probes} probes x {CHORD_ITERS} Newton steps exceed "
+            f"the cap of {MAX_CHORD_WORK:.3g}")
     # Stuck rows stay in: a seed that stalls on a degenerate critical
     # point must still reach the margin check below and raise there.
-    pts, ok, _ = _newton(lambda P, rows: _diff_gradient(fam, P), seeds, 80)
+    pts, ok, _ = _newton(lambda P, rows: _diff_gradient(fam, P), seeds,
+                         CHORD_ITERS)
     converged = pts[ok]
     vals = _diff_value(fam, converged)
     keep = np.abs(vals) > CHORD_VALUE_FLOOR
@@ -1025,7 +1118,8 @@ def reeb_chords(fam, step=0.05):
         hess = _diff_hessian(fam, pt)
         eigs = sym_eigenvalues(hess)
         margin = min(abs(v) for v in eigs)
-        coords = (tuple(pt[:n]), tuple(pt[n:n + N]), tuple(pt[n + N:]))
+        coords = (tuple(pt[:n].tolist()), tuple(pt[n:n + N].tolist()),
+                  tuple(pt[n + N:].tolist()))
         if margin < CHORD_MARGIN_TOL:
             raise DomainError(
                 f"degenerate critical point at {coords}: min |eigenvalue| "

@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from legcob.errors import DomainError
 from legcob.gfnum import (
-    FAMILIES, MAX_GRID_SAMPLES, CompositeFamily, GeneratingFamily, embeddedness_check,
-    fiber_critical_set, fiber_regularity_margin, fish_family,
-    format_gf_file, immersed_filling_family, linear_family, parse_gf_file,
-    reeb_chords, scaled_unknot_family, shifted_unknot_family, smoothstep,
-    smoothstep_d, spin, stacked_pair_family, sym_eigenvalues, unknot_family)
+    CHORD_ITERS, FAMILIES, MAX_CHORD_WORK, MAX_GRID_SAMPLES, CompositeFamily,
+    GeneratingFamily, _chord_seeds, embeddedness_check, fiber_critical_set,
+    fiber_regularity_margin, fish_family, format_gf_file,
+    immersed_filling_family, linear_family, parse_gf_file, reeb_chords,
+    scaled_unknot_family, shifted_unknot_family, smoothstep, smoothstep_d,
+    spin, stacked_pair_family, sym_eigenvalues, unknot_family)
 from legcob.laurent import LaurentPoly
 from legcob.mpoly import MultiPoly, parse_mpoly
 
@@ -191,21 +193,67 @@ def test_stacked_pair_enumeration():
     assert any("chain-level" in w for w in report["warnings"])
 
 
-@pytest.mark.parametrize("make", [
-    unknot_family, scaled_unknot_family, shifted_unknot_family, fish_family,
-    stacked_pair_family])
-def test_chords_do_not_depend_on_grid_step(make):
+FINE_STEPS = (0.2, 0.1, 0.05, 0.03)
+
+
+@pytest.mark.parametrize("make,steps,values", [
+    pytest.param(unknot_family, FINE_STEPS, [4.0], id="unknot_family"),
+    pytest.param(scaled_unknot_family, FINE_STEPS, [8.0],
+                 id="scaled_unknot_family"),
+    pytest.param(shifted_unknot_family, FINE_STEPS, [4.0],
+                 id="shifted_unknot_family"),
+    pytest.param(fish_family, FINE_STEPS,
+                 [23.625178, 23.808958, 23.976938], id="fish_family"),
+    pytest.param(stacked_pair_family, FINE_STEPS,
+                 [4.0, 8.0, 5189.0, 5193.0, 5197.0, 5201.0],
+                 id="stacked_pair_family"),
+    # the grid cap admits the saucer's three axes down to step 0.039
+    pytest.param(FAMILIES["saucer"], (0.2, 0.1), [4.0], id="saucer")])
+def test_chords_do_not_depend_on_grid_step(make, steps, values):
     fam = make()
     runs = []
-    for step in (0.2, 0.1, 0.05, 0.03):
+    for step in steps:
         chords, gamma, report = reeb_chords(fam, step=step)
         runs.append((report["count"], [p.index for p in chords], gamma,
                      [p.value for p in chords]))
-    count, indices, gamma, values = runs[0]
-    assert count > 0
+    count, indices, gamma, first = runs[0]
+    assert count == len(values)
+    assert np.allclose(first, values, rtol=0, atol=1e-6)
     for other in runs[1:]:
         assert other[:3] == (count, indices, gamma)
-        assert np.allclose(other[3], values, rtol=0, atol=1e-6)
+        assert np.allclose(other[3], first, rtol=0, atol=1e-6)
+
+
+# Newton seed rows of reeb_chords at the default step: the pairs of
+# branches whose slopes cross over a grid cell, with every pair at the
+# cells around a cusp.
+CHORD_SEED_ROWS = {"unknot": 8, "scaled-unknot": 8, "shifted-unknot": 8,
+                   "linear": 0, "fish": 44, "stacked-pair": 56,
+                   "saucer": 316}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_chord_seed_rows_per_family(name):
+    fam = FAMILIES[name]()
+    seeds = _chord_seeds(fam, fiber_critical_set(fam, 0.05), 0.05)
+    assert seeds.shape == (CHORD_SEED_ROWS[name], fam.n + 2 * fam.N)
+
+
+# An n = 2 family whose chord search, had it run, would meet a
+# degenerate critical point
+DEGENERATE_N2 = "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\ntail=e1\nR=3\n"
+
+
+def test_chord_work_cap():
+    # the saucer at the finest step the grid cap admits fits the cap
+    saucer = FAMILIES["saucer"]()
+    seeds = _chord_seeds(saucer, fiber_critical_set(saucer, 0.039), 0.039)
+    assert len(seeds) * (2 * seeds.shape[1] + 1) * CHORD_ITERS \
+        <= MAX_CHORD_WORK
+    # the degenerate family's 8,508 seeds at step 0.2 do not
+    with pytest.raises(DomainError, match="chord search too large") as err:
+        reeb_chords(parse_gf_file(DEGENERATE_N2), step=0.2)
+    assert "8508 seeds x 9 probes x 80 Newton steps" in str(err.value)
 
 
 def test_fiber_solve_rejects_stalled_rows():
@@ -216,8 +264,12 @@ def test_fiber_solve_rejects_stalled_rows():
 
 def test_stacked_aligned_cusps_degenerate():
     fam = stacked_pair_family(widen=1.0)
-    with pytest.raises(DomainError, match="degenerate critical point"):
+    with pytest.raises(DomainError, match="degenerate critical point") as err:
         reeb_chords(fam, step=0.05)
+    # the point's coordinates print as plain floats
+    num = r"-?[\d.]+(e[-+]\d+)?"
+    assert re.search(rf"at \(\({num},\), \({num},\), \({num},\)\): ",
+                     str(err.value))
 
 
 def test_composite_validation():

@@ -11,18 +11,26 @@ well.  Grids straddle r = R and r = 2R, including the rows where the
 exponentials underflow.  The certified seed scan must give the seeds
 of a scan of every near grid pair, and its grad_eta bounds must hold
 every value grad_eta computes in their boxes, over a range of x as
-over one x row.
+over one x row.  The chord Newton, seeded only where two branches'
+slopes cross, must find the chords, indices, gamma and duality audit
+that seeding it with every ordered pair of branches finds, or the same
+refusal.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
 
 from legcob import gfnum
+from legcob.errors import DomainError
 from legcob.gfnum import (
     FAMILIES, CompositeFamily, FiberPoint, GeneratingFamily, _diff_gradient,
     _fd_jacobian, _fiber_seeds, _newton, _x_grid, fiber_critical_set,
-    fish_family, linear_family, parse_gf_file, scaled_unknot_family,
-    shifted_unknot_family, spin, stacked_pair_family, unknot_family)
+    fish_family, linear_family, parse_gf_file, reeb_chords,
+    scaled_unknot_family, shifted_unknot_family, spin, stacked_pair_family,
+    unknot_family)
 from legcob.mpoly import MultiPoly
 
 # An n = 1, N = 2 family: no built-in family has two fiber variables.
@@ -404,12 +412,21 @@ def _random_family(rng):
     return fam
 
 
-def test_seeds_match_a_dense_scan_on_random_families():
+@functools.lru_cache(maxsize=None)
+def random_cases():
+    """Sixty (family, step) pairs drawn from one seeded stream."""
     rng = np.random.default_rng(7)
+    cases = []
     for _ in range(60):
         fam = _random_family(rng)
         step = float(rng.choice([0.3, 0.2, 0.13, 0.1] if fam.n + fam.N == 2
                                 else [0.4, 0.3, 0.2]))
+        cases.append((fam, step))
+    return cases
+
+
+def test_seeds_match_a_dense_scan_on_random_families():
+    for fam, step in random_cases():
         xs = _x_grid(fam, step)
         got = list(_fiber_seeds(fam, xs, step))
         want = list(dense_seeds(fam, xs, step))
@@ -643,12 +660,23 @@ def test_smoothstep_d_sup_dominates():
     assert gfnum.SMOOTHSTEP_D_SUP < 2.0 * (1.0 + 1e-6)
 
 
-def _chord_seeds(fam, step):
-    """reeb_chords' Newton seeds: every ordered pair of fiber branches
-    over one x."""
-    points = fiber_critical_set(fam, step)
-    return [list(p.x) + list(p.eta) + list(q.eta)
-            for p in points for q in points if p.x == q.x and p is not q]
+def ref_chord_seeds(fam, fiber, step):
+    """The reference Newton seeds of reeb_chords: every ordered pair of
+    fiber branches over one x."""
+    by_x = {}
+    for q in fiber:
+        by_x.setdefault(q.x, []).append(q.eta)
+    seeds = []
+    for x, branches in by_x.items():
+        for i, ei in enumerate(branches):
+            for j, ej in enumerate(branches):
+                if i != j:
+                    seeds.append(list(x) + list(ei) + list(ej))
+    return np.array(seeds, float).reshape(-1, fam.n + 2 * fam.N)
+
+
+def all_pair_seeds(fam, step):
+    return ref_chord_seeds(fam, fiber_critical_set(fam, step), step)
 
 
 def test_newton_matches_full_batch_reference():
@@ -666,7 +694,7 @@ def test_newton_matches_full_batch_reference():
                       (spin(unknot_family()), 0.1)):
         cases.append((lambda P, fam=fam: _diff_gradient(fam, P),
                       lambda P, rows, fam=fam: _diff_gradient(fam, P),
-                      _chord_seeds(fam, step), 80))
+                      all_pair_seeds(fam, step), 80))
     full_rows, live_rows = [0], [0]
     saw_stuck = False
     for F_full, F_live, P, iters in cases:
@@ -722,7 +750,7 @@ def test_newton_calls_F_once_per_step():
         return F
 
     fam = fish_family()
-    seeds = _chord_seeds(fam, 0.05)
+    seeds = all_pair_seeds(fam, 0.05)
     k = len(seeds[0])
     calls, per_probe = [], []
     got = _newton(spy(fam, calls), seeds, 80)[0]
@@ -735,7 +763,7 @@ def test_newton_calls_F_once_per_step():
     # a batch that converges: the last step's call finds max |F| small
     # and ends the loop
     fam, calls = unknot_family(), []
-    _, accept, _ = _newton(spy(fam, calls), _chord_seeds(fam, 0.1), 80)
+    _, accept, _ = _newton(spy(fam, calls), all_pair_seeds(fam, 0.1), 80)
     assert accept.any() and len(calls) < 81
 
 
@@ -753,3 +781,78 @@ def test_diff_gradient_is_two_gradient_calls(name):
     gx2, ge2 = fam.gradient(P[:, :n], P[:, n + N:])
     want = np.concatenate([gx2 - gx1, -ge1, ge2], axis=1)
     assert _same(_diff_gradient(fam, P), want)
+
+
+# --- chord seeds from slope sign changes --------------------------------
+
+def _chord_outcome(fam, step):
+    """reeb_chords' answer, or the kind of its refusal: the first two
+    words of the DomainError, whose numbers must print as plain
+    floats."""
+    try:
+        return reeb_chords(fam, step)
+    except DomainError as err:
+        assert "np.float64" not in str(err)
+        return " ".join(str(err).split()[:2])
+
+
+def check_against_all_pairs(fam, step, monkeypatch):
+    """reeb_chords gives the chords, indices, gamma and report that it
+    gives seeded with every pair of branches and no work cap, or the
+    same kind of refusal; returns the outcome."""
+    got = _chord_outcome(fam, step)
+    with monkeypatch.context() as m:
+        m.setattr(gfnum, "_chord_seeds", ref_chord_seeds)
+        m.setattr(gfnum, "MAX_CHORD_WORK", math.inf)
+        want = _chord_outcome(fam, step)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return got
+    (chords, gamma, report), (ref, ref_gamma, ref_report) = got, want
+    assert str(gamma) == str(ref_gamma) and len(chords) == len(ref)
+
+    def flat(c):
+        return np.array([*c.coords[0], *c.coords[1], *c.coords[2]])
+
+    # chords of one value (a chord and its mirror image, say) may sort
+    # either way, so each is matched to a reference chord: the same
+    # index and value, and coordinates within the radius in which
+    # reeb_chords takes two points for one
+    left = list(ref)
+    for c in chords:
+        match = [r for r in left if r.index == c.index
+                 and abs(r.value - c.value) < 1e-9
+                 and np.abs(flat(r) - flat(c)).max() < 1e-5]
+        assert match, c
+        left.remove(match[0])
+    loose = ("epsilon", "omega")
+    assert {k: v for k, v in report.items() if k not in loose} \
+        == {k: v for k, v in ref_report.items() if k not in loose}
+    for k in loose:
+        assert (report[k] is None) == (ref_report[k] is None)
+        assert report[k] is None or abs(report[k] - ref_report[k]) < 1e-9
+    return got
+
+
+CHORD_CASES = ([(name, step) for name in sorted(FAMILIES)
+                for step in ((0.2, 0.1) if name == "saucer"
+                             else (0.2, 0.1, 0.05, 0.03))]
+               + [("gf-file N=2", 0.1), ("gf-file N=2, small tail", 0.5)])
+
+
+@pytest.mark.parametrize("name,step", CHORD_CASES)
+def test_chords_match_all_pair_seeds(name, step, monkeypatch):
+    fam = (FAMILIES[name] if name in FAMILIES else FIBER_CASES[name][0])()
+    check_against_all_pairs(fam, step, monkeypatch)
+
+
+def test_aligned_cusps_stay_refused_as_degenerate(monkeypatch):
+    fam = stacked_pair_family(widen=1.0)
+    assert check_against_all_pairs(fam, 0.05, monkeypatch) \
+        == "degenerate critical"
+
+
+@pytest.mark.parametrize("k", range(60))
+def test_chords_match_all_pair_seeds_on_random_families(k, monkeypatch):
+    fam, step = random_cases()[k]
+    check_against_all_pairs(fam, step, monkeypatch)

@@ -26,6 +26,8 @@ FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
                           '"blocks": [{"kind": "Saucer"}]}',
          "huge-n.gf": "n=1000000000\nN=1\ncore=e1\ntail=-e1\nR=1\n",
          "huge-N.gf": "n=1\nN=1000000000\ncore=e1\ntail=-e1\nR=1\n",
+         "degenerate-n2.gf": "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\n"
+                             "tail=e1\nR=3\n",
          "not-utf8.trace": b"\xff\xfe"}
 
 
@@ -37,6 +39,9 @@ ROWS = [
     # the finest step the grid cap admits on the saucer (3 axes)
     pytest.param(["gf-chords", "--family", "saucer", "--step", "0.039"],
                  id="gf-chords-saucer-finest-step"),
+    # 17,772 chord seeds: refused by the chord work cap before Newton
+    pytest.param(["gf-chords", "--file", "degenerate-n2.gf", "--step", "0.1"],
+                 id="gf-chords-degenerate-n2"),
     pytest.param(["gf-chords", "--file", "huge-n.gf"], id="gf-file-huge-n"),
     pytest.param(["gf-chords", "--file", "huge-N.gf"], id="gf-file-huge-N"),
     pytest.param(["tb", "--dim", "1", "--poly", "t^99999999999"],
