@@ -29,7 +29,9 @@ index, all 0-based except heights which are 1-based like event words):
 
 B, P and PM change the surface topology; the rest are isotopies of the
 front and leave tb, rotation numbers, component count and the graded
-ruling count unchanged.
+ruling count unchanged.  A replay counts the surface's connected
+pieces with a union-find over strand labels that each move carries
+past its window (see _replay); the count walks no cusp cycles.
 """
 
 from collections import defaultdict
@@ -254,22 +256,33 @@ def invert_move(before, move, after):
 ISOTOPY_KINDS = ("R1a-", "R1b-", "R2u-", "R2d-", "C", "Ch", "R3",
                  "R2u", "R2d")
 
+# Event-indexed table kind -> the event kinds its old sides start with.
+_STARTS = {kind: frozenset(old[0][0] for old, _ in rules)
+           for kind, rules in _RULES.items() if rules[0][0]}
+
 
 def isotopy_candidates(diagram, window, kinds, fish_heights):
     """Candidate isotopy moves (no B/P/PM) whose event or slice index
     falls in window = (lo, hi).
 
-    For each event, the kinds in the order given; then fish growth by
-    slice and height, at the heights in fish_heights (None: every
-    height), since fish at every height of a tall diagram dominate the
-    branching otherwise.  Candidates are not guaranteed applicable;
-    callers filter through apply_move.
+    For each event, the kinds in the order given where they can match:
+    a table kind where one of its old sides starts with the event's
+    kind, C and Ch where _commute accepts the event and the next.  Then
+    fish growth by slice and height, at the heights in fish_heights
+    (None: every height), since fish at every height of a tall diagram
+    dominate the branching otherwise.  Candidates are not guaranteed
+    applicable; callers filter through apply_move.
     """
     lo, hi = max(window[0], 0), window[1]
-    n = len(diagram.events)
+    ev = diagram.events
+    n = len(ev)
+    starts = [_STARTS.get(kind) for kind in kinds]  # None: C or Ch
     for e in range(lo, min(hi, n - 1) + 1):
-        for kind in kinds:
-            yield (kind, e)
+        swaps = e < n - 1 and not isinstance(
+            _commute(ev[e], ev[e + 1], False), str)
+        for kind, start in zip(kinds, starts):
+            if (ev[e][0] in start) if start else swaps:
+                yield (kind, e)
     for s in range(lo, min(hi, n) + 1):
         for h in range(1, len(diagram.stacks[s]) + 1):
             if fish_heights is None or h in fish_heights:
@@ -313,33 +326,16 @@ def format_trace(trace):
     return "\n".join(out) + "\n"
 
 
-def _overlap(old, new, w0, w1_old, w1_new):
-    """Map each component of `new` to the set of components of `old` it
-    shares a strand cell with, matching slices outside the rewritten
-    window.  A component with no overlap was created inside the window.
-
-    Outside the window `new` continues `old` strand by strand: ids born
-    before w0 are the same, the ids on the stacks at w1_old and w1_new
-    pair by height, and ids born later pair up offset by the change in
-    births.  So one pair per strand id stands for all its cells."""
-    found = defaultdict(set)
-    old_comp, new_comp = old.comp_of, new.comp_of
-    for a in range(2 * old.born[w0]):
-        found[new_comp[a]].add(old_comp[a])
-    so, sn = old.stacks[w1_old], new.stacks[w1_new]
-    assert len(so) == len(sn)
-    for a, b in zip(so, sn):
-        found[new_comp[b]].add(old_comp[a])
-    first = 2 * old.born[w1_old]
-    shift = 2 * new.born[w1_new] - first
-    for a in range(first, old.n_ids):
-        found[new_comp[a + shift]].add(old_comp[a])
-    return found
-
-
 def _replay(trace):
+    """(end front, births, pinches, pieces) of a trace: label[id] is
+    the union-find label of each strand id of the current front.  A
+    move keeps the labels of ids born before w0, shifts those born
+    after w1 with their ids, and gives fresh labels to ids born in the
+    window.  It joins the two strands of each cusp in the new window
+    and the strands at each height of the stacks at w1, whose cells
+    continue past the window."""
     d = trace.start
-    parent = list(range(d.n_components))
+    parent = list(range(d.n_ids))
 
     def find(a):
         while parent[a] != a:
@@ -347,25 +343,35 @@ def _replay(trace):
             a = parent[a]
         return a
 
-    piece_of = list(range(d.n_components))
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:  # the older root stays, so new labels hang below
+            parent[max(a, b)] = min(a, b)
+
+    label = list(range(d.n_ids))
+    for _, _, _, u, l in d.cusps:
+        union(u, l)
     for move in trace.moves:
         new_d, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
-        overlap = _overlap(d, new_d, w0, w1_old, w1_new)
-        next_piece_of = []
-        for c in range(new_d.n_components):
-            olds = overlap.get(c)
-            if not olds:
-                assert move[0] == "B", f"untracked component after {move[0]}"
-                parent.append(len(parent))
-                next_piece_of.append(len(parent) - 1)
-            else:
-                roots = sorted({find(piece_of[o]) for o in olds})
-                for r in roots[1:]:
-                    parent[r] = roots[0]
-                next_piece_of.append(roots[0])
-        piece_of = next_piece_of
+        old = len(parent)
+        pairs = [label[a] for a in d.stacks[w1_old]]
+        fresh = 2 * (new_d.born[w1_new] - new_d.born[w0])
+        parent += range(old, old + fresh)
+        label[2 * d.born[w0]:2 * d.born[w1_old]] = range(old, old + fresh)
+        stacks = new_d.stacks
+        for i in range(w0, w1_new):
+            kind, pos = new_d.events[i]
+            if kind != "X":
+                s = stacks[i + 1] if kind == "L" else stacks[i]
+                union(label[s[pos - 1]], label[s[pos]])
+        for a, b in zip(pairs, stacks[w1_new]):
+            union(a, label[b])
+        # only a birth makes a piece that joins no label of the last front
+        if move[0] != "B" and any(find(a) >= old
+                                  for a in range(old, old + fresh)):
+            raise AssertionError(f"untracked component after {move[0]}")
         d = new_d
-    pieces = len({find(p) for p in piece_of}) if piece_of else 0
+    pieces = len({find(a) for a in label})
     births = sum(m[0] == "B" for m in trace.moves)
     pinches = sum(m[0] in ("P", "PM") for m in trace.moves)
     return d, births, pinches, pieces

@@ -43,6 +43,8 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     each state for `window` = (lo, hi), `kinds` and `fish_heights`.
     Returns the move list, or None if the searches do not meet within
     depth moves from each side or spend more than budget new states.
+    At a meet the backward half is inverted by invert_move, which is
+    exact, so the joined path is returned without a replay.
 
     When every usable move is in COUNT_KEEPING_KINDS (no fish growth:
     `fish_heights` empty, not None) and a and b differ in their counts
@@ -60,17 +62,8 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     bwd_seen = {b.word: (b, None, None)}
 
     def join(word):
-        # invert_move reads each inverse off the events alone and
-        # applies nothing, so a meet counts only if the joined path
-        # actually replays a into b.
         path = [m for _, m, _ in reversed(_steps(fwd_seen, word))]
-        path += [invert_move(*step) for step in _steps(bwd_seen, word)]
-        d = a
-        for m in path:
-            d = _try(d, m)
-            if d is None:
-                return None
-        return path if d.word == b.word else None
+        return path + [invert_move(*step) for step in _steps(bwd_seen, word)]
 
     def expand(frontier, seen, other_seen, spent):
         # Meets are checked as states are generated so shallow paths
@@ -87,9 +80,7 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
                     return None, spent, None
                 seen[key] = new[key] = (nd, word, m)
                 if key in other_seen:
-                    path = join(key)
-                    if path is not None:
-                        return new, spent, path
+                    return new, spent, join(key)
         return new, spent, None
 
     fwd, bwd = dict(fwd_seen), dict(bwd_seen)

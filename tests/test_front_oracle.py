@@ -14,8 +14,14 @@
    must give the diagram a from-scratch build gives, field by field, or
    the same error.  Random rewrites of short windows, legal or not, are
    checked the same way against the constructor.
-3. The per-strand overlap of `_replay` against the cell-by-cell one, on
-   every replayed step of those traces.
+3. The replay's piece count.  `_replay` tracks pieces by a union-find
+   over strand labels; `ref_replay` is the replay it replaced, which
+   walked the cusp cycles of every new front and matched components by
+   their per-strand overlap (`ref_strand_overlap`, itself checked
+   against the cell-by-cell overlap).  They must give the same end word,
+   births, pinches and pieces, or the same error, on the `wh` traces of
+   the benchmark's bases, the braid survey's 300 closures and seeded
+   random traces mixing births, pinches and merges with isotopies.
 4. The table of local rewrites in `moves` and the positional commute
    rule against the rewriter they replaced, one branch per move kind
    with the commutes replayed on strand stacks, and its `invert_move`: every
@@ -27,6 +33,11 @@
 5. The commutes C and Ch and their inverses against that reference on
    seeded random words of up to 12 events, many with a birth where a
    pair just died (R_h L_h), where C and Ch differ.
+6. The filtered `isotopy_candidates` against the unfiltered generator
+   (`ref_isotopy_candidates` in test_search.py): on every front of item
+   2 it keeps the reference's order, and apply_move refuses every
+   candidate it drops.  Items 2 and 4 draw their moves from the
+   unfiltered generator, so they keep checking those refusals.
 """
 
 import random
@@ -39,10 +50,12 @@ from legcob.braids import BraidWord, closure_report
 from legcob.errors import DomainError
 from legcob.front import (FrontDiagram, classical_invariants,
                           maslov_potential, parse_front)
-from legcob.moves import (ISOTOPY_KINDS, _apply, _check_grading, _fail,
-                          _overlap, _rewrite, apply_move, format_move,
-                          invert_move, isotopy_candidates)
+from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, _apply,
+                          _check_grading, _fail, _replay, _rewrite,
+                          apply_move, format_move, invert_move,
+                          isotopy_candidates)
 from legcob.whitehead import whitehead_diagram, whitehead_double
+from test_search import BENCH_BASES, ref_isotopy_candidates
 
 WH_BASES = ("L1 R1", "L1 L2 R1 L1 R2 R1", "L1 L2 X3 X3 X3 R2 R1")
 TWIST_9 = "L1 L2 " + " ".join(["X3"] * 9) + " R2 R1"
@@ -334,7 +347,8 @@ def _assert_same(d, ref, fields=FIELDS):
 
 
 def _every_move(d):
-    yield from isotopy_candidates(d, (0, len(d.events)), ISOTOPY_KINDS, None)
+    yield from ref_isotopy_candidates(d, (0, len(d.events)), ISOTOPY_KINDS,
+                                      None)
     for s in range(len(d.events) + 1):
         for h in range(1, len(d.stacks[s]) + 2):
             yield ("B", s, h)
@@ -420,17 +434,152 @@ def test_random_windows_match_full_simulation(move_fronts):
     assert errors > 500
 
 
+def ref_strand_overlap(old, new, w0, w1_old, w1_new):
+    """Map each component of `new` to the set of components of `old` it
+    shares a strand cell with, one pair per strand id: ids born before
+    w0 are the same, the ids on the stacks at w1_old and w1_new pair by
+    height, and ids born later pair up offset by the change in births."""
+    found = defaultdict(set)
+    old_comp, new_comp = old.comp_of, new.comp_of
+    for a in range(2 * old.born[w0]):
+        found[new_comp[a]].add(old_comp[a])
+    so, sn = old.stacks[w1_old], new.stacks[w1_new]
+    assert len(so) == len(sn)
+    for a, b in zip(so, sn):
+        found[new_comp[b]].add(old_comp[a])
+    first = 2 * old.born[w1_old]
+    shift = 2 * new.born[w1_new] - first
+    for a in range(first, old.n_ids):
+        found[new_comp[a + shift]].add(old_comp[a])
+    return found
+
+
+def ref_replay(trace):
+    """_replay as it was: a union-find over the components of each
+    front, merged by their per-strand overlap with the last one."""
+    d = trace.start
+    parent = list(range(d.n_components))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    piece_of = list(range(d.n_components))
+    for move in trace.moves:
+        new_d, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
+        overlap = ref_strand_overlap(d, new_d, w0, w1_old, w1_new)
+        next_piece_of = []
+        for c in range(new_d.n_components):
+            olds = overlap.get(c)
+            if not olds:
+                assert move[0] == "B", f"untracked component after {move[0]}"
+                parent.append(len(parent))
+                next_piece_of.append(len(parent) - 1)
+            else:
+                roots = sorted({find(piece_of[o]) for o in olds})
+                for r in roots[1:]:
+                    parent[r] = roots[0]
+                next_piece_of.append(roots[0])
+        piece_of = next_piece_of
+        d = new_d
+    pieces = len({find(p) for p in piece_of}) if piece_of else 0
+    births = sum(m[0] == "B" for m in trace.moves)
+    pinches = sum(m[0] in ("P", "PM") for m in trace.moves)
+    return d, births, pinches, pieces
+
+
 def test_per_strand_overlap_matches_cells(move_traces):
     steps = 0
     for trace in move_traces:
         d = trace.start
         for move in trace.moves:
             new, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
-            assert _overlap(d, new, w0, w1_old, w1_new) == \
+            assert ref_strand_overlap(d, new, w0, w1_old, w1_new) == \
                 ref_overlap(d, new, w0, w1_old, w1_new), move
             d = new
             steps += 1
     assert steps > 180
+
+
+def _replay_outcome(replay, trace):
+    def run():
+        d, births, pinches, pieces = replay(trace)
+        return d.word, births, pinches, pieces
+    return _outcome(run)
+
+
+def _survey_braids():
+    """The 300 braids of scripts/braid_genus_survey.py, drawn alike."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        s = rng.randint(2, 5)
+        k = rng.randint(1, 8)
+        yield BraidWord(s, [rng.randint(1, s - 1) for _ in range(k)])
+
+
+def _random_traces(starts, rng, count):
+    """Short traces from the given fronts, each move drawn from every
+    isotopy candidate, birth, pinch and merge; a drawn move that is
+    refused ends one trace in five and is skipped otherwise."""
+    for _ in range(count):
+        start = d = rng.choice(starts)
+        gf_mode = rng.random() < 0.5
+        moves = []
+        for _ in range(rng.randint(1, 10)):
+            move = rng.choice(list(_every_move(d)))
+            try:
+                d = apply_move(d, move, gf_mode=gf_mode)
+            except DomainError:
+                if rng.random() < 0.2:
+                    moves.append(move)
+                    break
+                continue
+            moves.append(move)
+        yield CobordismTrace(start, moves, gf_mode=gf_mode)
+
+
+def test_label_replay_matches_reference(move_fronts):
+    traces = [_wh_trace(word) for word in BENCH_BASES]
+    disconnected = 0
+    for braid in _survey_braids():
+        trace = closure_report(braid)["trace"]
+        traces.append(trace)
+        disconnected += ref_replay(trace)[3] > 1
+    assert disconnected == 107
+    traces += _random_traces(move_fronts, random.Random(17), 400)
+    outcomes = []
+    for trace in traces:
+        want = _replay_outcome(ref_replay, trace)
+        assert _replay_outcome(_replay, trace) == want, \
+            (trace.start.word, trace.moves)
+        outcomes.append(want)
+    random_outcomes = outcomes[-400:]
+    assert sum(isinstance(o, str) for o in random_outcomes) > 80
+    assert sum(not isinstance(o, str) and o[3] > 1
+               for o in random_outcomes) > 150
+    kinds = {m[0] for t in traces[-400:] for m in t.moves}
+    assert {"B", "P", "PM"} <= kinds and len(kinds) > 10
+
+
+def test_filtered_candidates_drop_only_refused_moves(move_fronts):
+    dropped = kept = 0
+    for d in move_fronts:
+        window = (0, len(d.events))
+        for kinds in (ISOTOPY_KINDS, ("C", "Ch"), ("R2u", "C", "R3")):
+            want = list(ref_isotopy_candidates(d, window, kinds, None))
+            got = list(isotopy_candidates(d, window, kinds, None))
+            keep = set(got)
+            assert [m for m in want if m in keep] == got, d.word
+            for move in want:
+                if move in keep:
+                    kept += 1
+                    continue
+                with pytest.raises(DomainError):
+                    apply_move(d, move)
+                dropped += 1
+    assert dropped > 20000 and kept > 100000
 
 
 # --- item 4: the rewriter before the table ------------------------------
@@ -686,7 +835,7 @@ def test_rewrite_table_matches_reference(fronts, move_fronts):
     kinds = set()
     for d in bases:
         n = len(d.events)
-        moves = list(isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None))
+        moves = list(ref_isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None))
         moves += [(kind, s, h) for s in range(n + 1)
                   for h in range(len(d.stacks[s]) + 3) for kind in "BP"]
         moves += [("PM", e) for e in range(n)]

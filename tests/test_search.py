@@ -1,9 +1,13 @@
 """connect_fronts, and its count refusal against the full search.
 
-`ref_connect_fronts` is connect_fronts without the refusal: it expands
-states until the two sides meet or give out.  The two must return the
-same path, or both None, on every search `whitehead_double` makes for
-the benchmark's seven bases and on seeded random pairs of fronts.
+`ref_connect_fronts` is connect_fronts as it was before the refusal,
+the candidate filter and the meet replay went in: it expands every
+candidate of `ref_isotopy_candidates`, the unfiltered generator, until
+the two sides meet or give out, and accepts a meet only if the joined
+path replays a into b.  The two must return the same path, or both
+None, on every search `whitehead_double` makes for the benchmark's
+seven bases and on seeded random pairs of fronts, and every path
+connect_fronts returns must replay a into b through apply_move.
 """
 
 import random
@@ -13,7 +17,7 @@ from legcob import whitehead
 from legcob.errors import DomainError
 from legcob.front import parse_front
 from legcob.moves import (COUNT_KEEPING_KINDS, ISOTOPY_KINDS, _RULES,
-                          apply_move, invert_move, isotopy_candidates)
+                          apply_move, invert_move)
 from legcob.search import connect_fronts
 from legcob.whitehead import whitehead_double
 
@@ -57,8 +61,24 @@ def _steps(seen, word):
     return out
 
 
+def ref_isotopy_candidates(diagram, window, kinds, fish_heights):
+    """isotopy_candidates before the filter: every kind at every event
+    of the window, then fish growth."""
+    lo, hi = max(window[0], 0), window[1]
+    n = len(diagram.events)
+    for e in range(lo, min(hi, n - 1) + 1):
+        for kind in kinds:
+            yield (kind, e)
+    for s in range(lo, min(hi, n) + 1):
+        for h in range(1, len(diagram.stacks[s]) + 1):
+            if fish_heights is None or h in fish_heights:
+                yield ("R1a", s, h)
+                yield ("R1b", s, h)
+
+
 def ref_connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
-    """connect_fronts without the count refusal: the full search."""
+    """connect_fronts without the count refusal, over the unfiltered
+    candidates and with the meet replay: the full search."""
     if a.word == b.word:
         return []
     fwd_seen = {a.word: (a, None, None)}
@@ -77,7 +97,7 @@ def ref_connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     def expand(frontier, seen, other_seen, spent):
         new = {}
         for word, (d, _, _) in frontier.items():
-            for m in isotopy_candidates(d, window, kinds, fish_heights):
+            for m in ref_isotopy_candidates(d, window, kinds, fish_heights):
                 nd = _try(d, m)
                 key = None if nd is None else nd.word
                 if key is None or key in seen:
@@ -132,10 +152,10 @@ def test_connect_fronts_meets_in_the_middle():
 
 def _walk(d, rng, kinds, fish_heights, steps):
     """`steps` random applicable isotopy moves from d, in a window over
-    the whole word."""
+    the whole word, drawn from the unfiltered candidates."""
     for _ in range(steps):
-        cands = list(isotopy_candidates(d, (0, len(d.events)), kinds,
-                                        fish_heights))
+        cands = list(ref_isotopy_candidates(d, (0, len(d.events)), kinds,
+                                            fish_heights))
         rng.shuffle(cands)
         for move in cands:
             nd = _try(d, move)
@@ -223,7 +243,7 @@ def test_refusal_matches_full_search_on_random_pairs():
 
 def test_whitehead_searches_match_full_search(monkeypatch):
     """Every search of the tongue walks on the benchmark's bases, replayed
-    through the reference."""
+    through the reference; every path found replays a into b."""
     calls = []
 
     def recording(a, b, depth, budget, window, kinds, fish_heights):
@@ -243,3 +263,5 @@ def test_whitehead_searches_match_full_search(monkeypatch):
     for (a, b, depth, budget, window, kinds, fish), path in calls:
         assert ref_connect_fronts(a, b, depth, budget, window, kinds,
                                   fish) == path, (a.word, b.word)
+        if path is not None:
+            assert _replay(a, path).word == b.word, (a.word, b.word)
