@@ -21,7 +21,8 @@ is a signed sum of ``c*t^d`` terms.  Every command prints key-value
 text by default or a JSON document under ``--json``; front pictures go
 to ``--svg PATH``.  Exit codes: 0 success, 1 domain error (the output
 document is a single error field), 2 usage error.  Output is
-deterministic for fixed inputs; configuration is flags only.
+deterministic for fixed inputs; configuration is flags only.  Only the
+gf commands load numpy, through legcob.gfnum.
 """
 
 import argparse
@@ -32,16 +33,11 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 from .braids import BraidWord, closure_report
 from .errors import DomainError
 from .exactseq import filling_polynomial
+from .families import FAMILY_BUILDERS
 from .geography import Block, RealizationPlan, realize
-from .gfnum import (FAMILIES, embeddedness_check, fiber_critical_set,
-                    fiber_regularity_margin, format_gf_file,
-                    immersed_filling_family, parse_gf_file, reeb_chords,
-                    spin)
 from .front import classical_invariants, parse_front
 from .laurent import box_size, decompose, incompat_reason, \
     is_connected_form, parse_poly, splitting_box, tb_from_polynomial
@@ -67,7 +63,7 @@ def _fmt(v):
     """
     if v is None:
         return "-"
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return "%.10g" % v
@@ -95,10 +91,6 @@ def _jsonable(v):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
     return str(v)
 
 
@@ -150,10 +142,18 @@ def _maybe_svg(args, diagram):
         _write(args.svg, render_svg(diagram))
 
 
+def _gfnum():
+    """legcob.gfnum, imported by the first gf command, so that numpy
+    loads only for the commands that need it."""
+    from . import gfnum
+    return gfnum
+
+
 def _load_family(args):
+    gf = _gfnum()
     if args.file:
-        return parse_gf_file(_read(args.file))
-    return FAMILIES[args.family]()
+        return gf.parse_gf_file(_read(args.file))
+    return gf.FAMILIES[args.family]()
 
 
 # --- command handlers --------------------------------------------------
@@ -327,9 +327,10 @@ def cmd_compat(args):
 
 
 def cmd_gf_front(args):
+    gf = _gfnum()
     fam = _load_family(args)
-    pts = fiber_critical_set(fam, step=args.step)
-    margin = fiber_regularity_margin(fam, pts) if pts else None
+    pts = gf.fiber_critical_set(fam, step=args.step)
+    margin = gf.fiber_regularity_margin(fam, pts) if pts else None
     if args.svg:
         _write(args.svg, render_points_svg(pts))
     doc = {"n": fam.n, "N": fam.N, "R": fam.R, "count": len(pts),
@@ -352,7 +353,7 @@ def _chord_line(c):
 
 def cmd_gf_chords(args):
     fam = _load_family(args)
-    chords, gamma, report = reeb_chords(fam, step=args.step)
+    chords, gamma, report = _gfnum().reeb_chords(fam, step=args.step)
     doc = {"count": len(chords), "gamma": str(gamma),
            "chords": [c.to_dict() for c in chords], "report": report}
     lines = chain(
@@ -367,8 +368,9 @@ def cmd_gf_chords(args):
 
 
 def cmd_gf_spin(args):
-    spun = spin(_load_family(args))
-    text = format_gf_file(spun)
+    gf = _gfnum()
+    spun = gf.spin(_load_family(args))
+    text = gf.format_gf_file(spun)
     if args.out:
         _write(args.out, text)
     doc = {"n": spun.n, "N": spun.N, "R": spun.R,
@@ -378,8 +380,9 @@ def cmd_gf_spin(args):
 
 
 def cmd_gf_check(args):
-    filling = immersed_filling_family(_load_family(args),
-                                      t_plus=args.t_plus)
+    gf = _gfnum()
+    filling = gf.immersed_filling_family(_load_family(args),
+                                         t_plus=args.t_plus)
     rep = filling.report
     doc = {"filling": rep, "ok": all(rep["conditions"].values())}
     lines = chain(_kv([("eps_G", rep["eps_G"]), ("t_minus", rep["t_minus"]),
@@ -392,7 +395,8 @@ def cmd_gf_check(args):
                   _kv([("ok", doc["ok"])]))
     if args.embedded:
         t_end = args.t_end if args.t_end is not None else args.t_plus
-        emb = embeddedness_check(filling.slice_family, args.t_start, t_end)
+        emb = gf.embeddedness_check(filling.slice_family, args.t_start,
+                                    t_end)
         doc["embeddedness"] = emb
         lines = chain(lines, _kv([("h", emb["h"]), ("max_dt", emb["max_dt"]),
                                   ("slowdown", emb["slowdown"]),
@@ -441,7 +445,7 @@ def _build_parser():
     src = gfsrc.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", metavar="PATH",
                      help="gf-file with n=, N=, core=, tail=, R= lines")
-    src.add_argument("--family", choices=sorted(FAMILIES),
+    src.add_argument("--family", choices=sorted(FAMILY_BUILDERS),
                      help="built-in sample family")
 
     p = sub.add_parser("inv", parents=[common, svg, front],

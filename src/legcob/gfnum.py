@@ -60,6 +60,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .families import FAMILY_BUILDERS
 from .laurent import LaurentPoly
 from .mpoly import MultiPoly, parse_mpoly
 
@@ -1244,16 +1245,15 @@ def spin(path):
     return GeneratingFamily(2, base.N, spun_core, base.tail, base.R)
 
 
-# The built-in families by name, the --family choices of the CLI.
-FAMILIES = {
-    "unknot": unknot_family,
-    "scaled-unknot": scaled_unknot_family,
-    "shifted-unknot": shifted_unknot_family,
-    "linear": linear_family,
-    "fish": fish_family,
-    "stacked-pair": stacked_pair_family,
-    "saucer": lambda: spin(unknot_family()),
-}
+def saucer_family():
+    """The unknot family spun about its vertical axis."""
+    return spin(unknot_family())
+
+
+# The built-in families by name, the --family choices of the CLI, in
+# the order of the numpy-free table in legcob.families.
+FAMILIES = {name: globals()[builder]
+            for name, builder in FAMILY_BUILDERS.items()}
 
 
 # --- immersed filling family ------------------------------------------
@@ -1404,10 +1404,10 @@ CHORD_DEATH_TOL = 1e-3
 PATH_DT = 1e-4
 
 
-def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1):
+def embeddedness_check(path, t_start, t_end, samples=9, step=0.1):
     """Certify the chord-length inequality along a family path.
 
-    path: callable t -> family on [t_minus, t_plus], t_minus > 0.
+    path: callable t -> family on [t_start, t_end], t_start > 0.
     Enumerates the difference-function critical points at sampled
     times; h is the smallest |value| seen, max_dt the largest time
     derivative of the difference function at those points, and the
@@ -1417,13 +1417,14 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1):
     largest t |d_t delta| / h over the samples, with h the path's
     smallest value, known once every sample is in.
     """
-    if t_minus <= 0:
-        raise DomainError(f"t_minus must be positive, got {t_minus}")
-    if not t_minus < t_plus < math.inf:
+    if t_start <= 0:
         raise DomainError(
-            f"times must be finite with t_minus < t_plus, got "
-            f"[{t_minus}, {t_plus}]")
-    ts = np.linspace(t_minus, t_plus, samples)
+            f"embeddedness run: t_start must be positive, got {t_start}")
+    if not t_start < t_end < math.inf:
+        raise DomainError(
+            f"embeddedness run: times must be finite with t_start < t_end, "
+            f"got [{t_start}, {t_end}]")
+    ts = np.linspace(t_start, t_end, samples)
     h_min = math.inf
     max_dt = 0.0
     rate_t = 0.0
@@ -1440,9 +1441,9 @@ def embeddedness_check(path, t_minus, t_plus, samples=9, step=0.1):
                 f"chord death along path: minimal value {h_t:.3e} "
                 f"at t = {t:.6g}")
         h_min = min(h_min, h_t)
-        lo = path(max(t - PATH_DT, t_minus))
-        hi = path(min(t + PATH_DT, t_plus))
-        span = min(t + PATH_DT, t_plus) - max(t - PATH_DT, t_minus)
+        lo = path(max(t - PATH_DT, t_start))
+        hi = path(min(t + PATH_DT, t_end))
+        span = min(t + PATH_DT, t_end) - max(t - PATH_DT, t_start)
         for p in chords:
             pt = np.array([list(p.coords[0]) + list(p.coords[1])
                            + list(p.coords[2])])

@@ -345,6 +345,15 @@ def test_gf_check_rejects_bad_times(capsys):
         rc, out = run(["gf-check", "--family", "unknot"] + extra, capsys)
         assert rc == 1, extra
         assert out.startswith("error: "), extra
+    # the refusal names the run's own times, not the filling's t_plus
+    rc, out = run(["gf-check", "--family", "unknot", "--embedded",
+                   "--t-start", "3", "--t-end", "2"], capsys)
+    assert out == ("error: embeddedness run: times must be finite with "
+                   "t_start < t_end, got [3.0, 2.0]\n")
+    rc, out = run(["gf-check", "--family", "unknot", "--embedded",
+                   "--t-start", "0"], capsys)
+    assert (rc, out) == (
+        1, "error: embeddedness run: t_start must be positive, got 0.0\n")
 
 
 def test_gf_grid_step_is_validated(capsys):

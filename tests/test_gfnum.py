@@ -435,7 +435,7 @@ def test_embeddedness_chord_death():
         return GeneratingFamily(1, 1, core, [-200.0], 3.0)
     with pytest.raises(DomainError, match="chord death along path"):
         embeddedness_check(shrink, 1.0, 3.0, samples=5, step=0.1)
-    with pytest.raises(DomainError, match="t_minus must be positive"):
+    with pytest.raises(DomainError, match="t_start must be positive"):
         embeddedness_check(lambda t: unknot_family(), 0.0, 1.0)
 
 

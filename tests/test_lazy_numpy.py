@@ -1,0 +1,188 @@
+"""Only the gf commands and legcob.gfnum load numpy.
+
+The front, exact and geography commands run with numpy blocked, byte
+for byte as they run with it; the package resolves its generating-family
+names on first use; and since the CLI's encoders name no numpy type,
+the gf documents may carry no numpy scalar but float64, a float.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import legcob
+from legcob import cli, gfnum
+from legcob.families import FAMILY_BUILDERS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+TREFOIL = "L1 L2 X3 X3 X3 R2 R1"
+
+# Runs COMMANDS through one cli.main in the work directory argv[1] and
+# prints each command's exit code, stdout and stderr, the sha256 of every
+# file written, and which of numpy, gfnum and mpoly were imported.
+# argv[2] == "blocked" sets sys.modules["numpy"] = None first, so any
+# import of numpy raises ImportError.
+RUNNER = """
+import contextlib, hashlib, io, json, os, sys
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None
+from legcob.cli import main
+os.chdir(sys.argv[1])
+results = []
+for argv in json.loads(sys.argv[3]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    results.append([argv, rc, out.getvalue(), err.getvalue()])
+files = {}
+for name in sorted(os.listdir(".")):
+    with open(name, "rb") as fh:
+        files[name] = hashlib.sha256(fh.read()).hexdigest()
+loaded = [m for m in ("numpy", "legcob.gfnum", "legcob.mpoly")
+          if sys.modules.get(m) is not None]
+print(json.dumps({"results": results, "files": files, "loaded": loaded}))
+"""
+
+COMMANDS = [
+    ["inv", "--front", TREFOIL, "--svg", "inv.svg"],
+    ["rulings", "--front", TREFOIL, "--json"],
+    ["move", "--front", "L1 R1", "--move", "R1a 1 1", "--gf"],
+    ["wh", "--front", "L1 R1", "--out", "wh.trace"],
+    ["trace", "wh.trace", "--gf"],
+    ["braid", "--strands", "3", "--word", "2,1", "--fill"],
+    ["plan", "--dim", "3", "--poly", "t^3 + t^2", "--out", "plan.json"],
+    ["plan", "--verify", "plan.json"],
+    ["tb", "--dim", "1", "--poly", "2 + t"],
+    ["tb", "--dim", "0", "--poly", "t"],
+    ["compat", "--dim", "3", "--poly", "t^3 + t^2 + 1"],
+    ["gf-chords", "--family", "bogus"],
+]
+
+
+def run_commands(work, mode):
+    work.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, str(work), mode,
+         json.dumps(COMMANDS)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_front_commands_run_without_numpy(tmp_path):
+    blocked = run_commands(tmp_path / "blocked", "blocked")
+    normal = run_commands(tmp_path / "normal", "normal")
+    assert blocked["loaded"] == []
+    assert blocked["results"] == normal["results"]
+    assert blocked["files"] == normal["files"]
+    assert set(blocked["files"]) == {"inv.svg", "wh.trace", "braid.trace",
+                                     "plan.json"}
+    codes = [rc for _, rc, _, _ in blocked["results"]]
+    assert codes == [0] * 9 + [1, 0, 2]
+    _, _, out, err = blocked["results"][-1]
+    assert out == "" and "invalid choice: 'bogus'" in err
+
+
+def test_import_cli_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, legcob.cli; print(sorted(m for m in ('numpy', "
+         "'legcob.gfnum', 'legcob.mpoly') if m in sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+GF_NAMES = ["GeneratingFamily", "CompositeFamily", "fiber_critical_set",
+            "reeb_chords", "spin", "immersed_filling_family",
+            "embeddedness_check", "unknot_family", "stacked_pair_family",
+            "parse_gf_file", "format_gf_file"]
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_package_gf_names_are_gfnum_names(name, monkeypatch):
+    assert getattr(legcob, name) is getattr(gfnum, name)
+    assert name in dir(legcob)
+    assert name not in vars(legcob)
+    # looked up on every access: a replaced gfnum function is what the
+    # package hands out, as a tracer wrapping gfnum's functions needs
+    marker = object()
+    monkeypatch.setattr(gfnum, name, marker)
+    assert getattr(legcob, name) is marker
+
+
+def test_package_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        legcob.nope
+    assert not hasattr(legcob, "FAMILIES")
+
+
+def test_family_catalogue_order():
+    assert list(gfnum.FAMILIES) == list(FAMILY_BUILDERS)
+    assert gfnum.FAMILIES["saucer"] is gfnum.saucer_family
+
+
+# --- numpy scalars in gf documents --------------------------------------
+
+TWO_FIBER = ("n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 + e2^2\n"
+             "tail=-200*e1 + 3*e2\nR=3\n")
+SMALL_TAIL = TWO_FIBER.replace("-200*e1 + 3*e2", "0.05*e1 + 0.05*e2")
+SOURCES = ([["--family", name] for name in sorted(gfnum.FAMILIES)]
+           + [["--file", "two-fiber.gf"], ["--file", "small-tail.gf"]])
+GF_COMMANDS = [["gf-front", "--step", "0.2"], ["gf-chords", "--step", "0.2"],
+               ["gf-spin"], ["gf-check", "--embedded"]]
+
+
+def gf_argvs():
+    for cmd in GF_COMMANDS:
+        for source in SOURCES:
+            if cmd[0] == "gf-check" and source[-1] == "small-tail.gf":
+                # its embeddedness run takes seconds; the filling report
+                # is built by the same code as everywhere else
+                yield ["gf-check"] + source
+            else:
+                yield cmd + source
+
+
+def _recording(fn, seen):
+    def spy(v):
+        if isinstance(v, np.generic) and type(v) is not np.float64:
+            seen.append(type(v).__name__)
+        return fn(v)
+    return spy
+
+
+@pytest.mark.parametrize("argv", list(gf_argvs()), ids=" ".join)
+def test_gf_documents_hold_no_numpy_scalar_but_float64(argv, tmp_path,
+                                                       monkeypatch):
+    """Every value the text formatter and the JSON encoder see: a numpy
+    bool would print as "True" in either."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two-fiber.gf").write_text(TWO_FIBER)
+    (tmp_path / "small-tail.gf").write_text(SMALL_TAIL)
+    args = cli._build_parser().parse_args(argv)
+    try:
+        lines, doc = cli._HANDLERS[args.cmd](args)
+    except legcob.DomainError:
+        return
+    seen = []
+    monkeypatch.setattr(cli, "_fmt", _recording(cli._fmt, seen))
+    monkeypatch.setattr(cli, "_jsonable", _recording(cli._jsonable, seen))
+    "\n".join(lines)
+    cli._dump(doc)
+    assert seen == []
+
+
+def test_document_walk_sees_a_numpy_bool(monkeypatch):
+    """The spy above catches what the encoder would print wrong."""
+    seen = []
+    monkeypatch.setattr(cli, "_jsonable", _recording(cli._jsonable, seen))
+    assert json.loads(cli._dump({"ok": np.bool_(True)})) == {"ok": "True"}
+    assert seen == ["bool"]
