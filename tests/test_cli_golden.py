@@ -3,9 +3,11 @@
 The commands are the README examples plus braid fillings, clasped
 doubles (one with its trace replay), one dimension-8 compat/plan pair,
 the rulings of a nine-crossing twist front and the JSON documents of
-the generating-family commands.  They run in order in one work
-directory, so later commands read the traces and plans written earlier;
-the files in FILES are written there first.
+the generating-family commands.  Long JSON documents (the rulings of a
+six-strand braid closure, 1,000 listed splittings at n = 9, a plan at
+n = 10) pin the JSON writer's bytes on each Python that CI runs.  They
+run in order in one work directory, so later commands read the traces
+and plans written earlier; the files in FILES are written there first.
 A refactor that changes any output byte, or any trace move, fails here.
 
 Three rows depend on numpy's kernel tier: without its AVX-512 kernels
@@ -27,6 +29,12 @@ TWIST9 = twist(9)
 ZIGZAG = "L1 L2 R1 L1 R2 R1"
 BRAID_BASE = "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"
 POLY8 = "t^8 + 5t^7 + 4t^6 + 3t^5 + 6t^4 + 2t^3 + 3t^2 + 4t + 5"
+POLY9 = "t^9 + 5t^8 + 6t^7 + 7t^6 + 8t^5 + 7t^4 + 6t^3 + 5t^2 + 4t + 5"
+POLY10 = ("t^10 + 3t^9 + 4t^8 + 5t^7 + 6t^6 + 5t^5 + 4t^4 + 3t^3 + 2t^2 + 2t "
+          "+ 3")
+# the closure of a six-strand braid of 18 letters
+CLOSURE6 = ("L1 L2 L3 L4 L5 L6 X7 X11 X9 X8 X10 X7 X9 X11 X8 X10 X9 X7 X11 "
+            "X8 X10 X9 X7 X11 R6 R5 R4 R3 R2 R1")
 # A family with two fiber variables (n = 1, N = 2): no built-in has one.
 FILES = {"two-fiber.gf": "n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 + e2^2\n"
                          "tail=-200*e1 + 3*e2\nR=3\n"}
@@ -131,6 +139,18 @@ GOLDEN = [
      "e49f9b83b43786cbdda217d38fee0d07a7fb1513bbac8ece855e0932d4a594b8", {}),
     (["rulings", "--front", TWIST9, "--graded", "--json"], 0,
      "a17bd51c545d1ea8dcf1eb56ebbcc7b961b625673e39f0b5585007da641a60c5", {}),
+    # long JSON documents: 677 rulings, 1,000 of 5,040 splittings, a
+    # plan at n = 10 and a small tb
+    (["rulings", "--front", CLOSURE6, "--json"], 0,
+     "fdd87277b912ed6bcbc46f945ad492bce380fea73b7752a6b714c667c622ba2d", {}),
+    (["rulings", "--front", CLOSURE6, "--graded", "--json"], 0,
+     "435bc36383ccb4146262433d9fefece1004c73525da4acb1fd6a800be7df2a6e", {}),
+    (["compat", "--dim", "9", "--poly", POLY9, "--json"], 0,
+     "912e7402e1e48a49d229510e0421c1e6150873478871aeb821cae84e1d330d4a", {}),
+    (["plan", "--dim", "10", "--poly", POLY10, "--json"], 0,
+     "aa4698eaa1963dd4c6ddbe825ba17901ab662a86d4ce46d6a39e228085effcfc", {}),
+    (["tb", "--dim", "4", "--poly", "t^4 + 2t^3 + t + 3", "--json"], 0,
+     "5a943b055e7ea5250c9ca5306be384cf409929ba4ce47ac29286b8d8d7c13b94", {}),
     # generating-family JSON, every digit of every number: the chords of
     # every built-in family, the fish front and the unknot's filling
     (["gf-chords", "--family", "fish", "--json"], 0,
