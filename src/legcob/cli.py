@@ -76,26 +76,68 @@ def _kv(pairs):
     return (f"{k} {_fmt(v)}" for k, v in pairs)
 
 
-def _jsonable(v):
-    """Strict-JSON copy: non-finite floats become strings, fractions and
-    other objects their text form, keys stay strings."""
-    if v is None or isinstance(v, (bool, str, int)):
-        return v
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return float(v)
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return str(v)
+_ascii = json.encoder.encode_basestring_ascii
 
 
 def _dump(doc):
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2)
+    """The JSON text of a document: byte for byte what
+    json.dumps(sort_keys=True, indent=2) printed for it, in one pass.
+
+    Keys are str(k), sorted and ensure-ASCII escaped; floats print as
+    float.__repr__, with nan and +-inf as the strings "nan", "inf" and
+    "-inf"; ints as int.__repr__; bools and None as true, false and
+    null; tuples as lists; any other object as the string str(v) (a
+    Fraction, a LaurentPoly, a numpy bool as "True"); an empty list or
+    dict as [] or {}.  A list of plain ints is joined in one call.
+
+    >>> print(_dump({"b": [1, 2], 1: float("nan"), "a": {}}))
+    {
+      "1": "nan",
+      "a": {},
+      "b": [
+        1,
+        2
+      ]
+    }
+    """
+    return _encode(doc, "\n")
+
+
+def _encode(v, nl):
+    """v as JSON text; nl is the newline and indent of v's own line."""
+    if isinstance(v, str):
+        return _ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if math.isnan(v):
+            return '"nan"'
+        if math.isinf(v):
+            return '"inf"' if v > 0 else '"-inf"'
+        return float.__repr__(v)
+    inner = nl + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = {str(k): x for k, x in v.items()}
+        body = [_ascii(k) + ": " + _encode(items[k], inner)
+                for k in sorted(items)]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        if all(type(x) is int for x in v):
+            body = map(int.__repr__, v)
+        else:
+            body = [_encode(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    return _ascii(str(v))
 
 
 def _read(path):

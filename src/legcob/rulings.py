@@ -7,6 +7,13 @@ Constraints: mates never meet at a crossing, right cusps close mates
 only, and a switch needs the two eyes involved to be nested or disjoint
 at that slice, never interleaved.  A graded ruling also needs equal
 Maslov potential on the two strands of every switch.
+
+Both functions sweep the word once over the eye pairings it reaches,
+under the caps MAX_PAIRINGS and MAX_SWEEP_WORK, and refuse a front past
+either with the same DomainError.  ruling_polynomial counts; a listing
+by enumerate_rulings is the list, order included, of walking every
+ruling and sorting, cut at its limit: its walk enters only live states,
+those the sweep's table shows reach the end.
 """
 
 from .errors import DomainError
@@ -58,10 +65,12 @@ def _transitions(diagram, graded):
                          for q in partner[:p] + partner[p + 2:]), None
         if a == p + 1:
             return None, None  # mates may neither cross nor switch
-        new = [p + 1 if q == p else p if q == p + 1 else q for q in partner]
-        new[p], new[p + 1] = new[p + 1], new[p]
-        a1, a2 = sorted((p, a))
-        b1, b2 = sorted((p + 1, b))
+        # the strands at p and p + 1 trade places; their mates a and b
+        # lie elsewhere, so only these four entries change
+        new = list(partner)
+        new[p], new[p + 1], new[a], new[b] = b, a, p + 1, p
+        a1, a2 = (p, a) if p < a else (a, p)
+        b1, b2 = (p + 1, b) if p + 1 < b else (b, p + 1)
         if (level is not None and not level[e]) \
                 or a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2:
             # a switch needs equal potential and eyes that do not interleave
@@ -69,6 +78,20 @@ def _transitions(diagram, graded):
         return tuple(new), partner
 
     return step
+
+
+def _check_caps(e, width, work):
+    """Refuse a sweep that carries `width` pairings past event e, or
+    `work` over events 0..e."""
+    if width > MAX_PAIRINGS:
+        raise DomainError(
+            f"front too wide for the ruling sweep: {width} eye pairings "
+            f"after event {e + 1} exceed the cap of {MAX_PAIRINGS:.3g}")
+    if work > MAX_SWEEP_WORK:
+        raise DomainError(
+            f"front too long and wide for the ruling sweep: {work} "
+            f"pairings carried by event {e + 1} exceed the cap of "
+            f"{MAX_SWEEP_WORK:.3g}")
 
 
 def ruling_polynomial(diagram, *, graded=False):
@@ -107,16 +130,7 @@ def ruling_polynomial(diagram, *, graded=False):
                     merged[k + shift] = merged.get(k + shift, 0) + c
                 reached[new] = merged
         work += len(reached)
-        if len(reached) > MAX_PAIRINGS:
-            raise DomainError(
-                f"front too wide for the ruling sweep: {len(reached)} "
-                f"eye pairings after event {e + 1} exceed the cap of "
-                f"{MAX_PAIRINGS:.3g}")
-        if work > MAX_SWEEP_WORK:
-            raise DomainError(
-                f"front too long and wide for the ruling sweep: {work} "
-                f"pairings carried by event {e + 1} exceed the cap of "
-                f"{MAX_SWEEP_WORK:.3g}")
+        _check_caps(e, len(reached), work)
         states = reached
     return LaurentPoly({k - diagram.n_right + 1: c
                         for k, c in sorted(states.get((), {}).items())})
@@ -124,69 +138,82 @@ def ruling_polynomial(diagram, *, graded=False):
 
 def enumerate_rulings(diagram, graded=False, limit=None):
     """The first `limit` normal rulings (all when None), as sorted tuples
-    of switched event indices, in increasing order.
+    of switched event indices, in increasing order: the same list, order
+    included, as walking every ruling and sorting.
 
-    The walk follows the strands through each crossing and branches off
-    at every admissible switch.  Two rulings' tuples first differ at a
-    crossing that one switches and the other goes through; the one that
-    switches sorts first, unless the other switches nowhere after it and
-    so is a prefix.  At each switch the walk therefore emits the
-    all-through completion of the through branch, then lists the switch
-    branch, then the rest of the through branch: that is increasing
-    order, with no sort.  An (event, pairing) state that gave no ruling
-    is remembered and never walked again, and each transition is worked
-    out once.
+    A forward sweep tabulates each event's transitions (through, switch)
+    for every eye pairing it reaches, under the caps of
+    ruling_polynomial and with its DomainError.  A backward pass keeps
+    the live states, those that reach the empty pairing at the end, and
+    marks for each whether its all-through completion does (straight)
+    and whether a completion with a further switch does (rich).
+
+    Two rulings' tuples first differ at a crossing that one switches and
+    the other goes through; the one that switches sorts first, unless
+    the other switches nowhere after it and so is a prefix.  So the walk
+    follows the strands and, at each live switch, emits the all-through
+    completion of the through branch when it is straight, then lists
+    the switch branch, then the rich rest of the through branch: that is
+    increasing order, with no sort.  It never enters a dead state, so
+    every branch it takes lists at least one ruling.
     """
-    transition = _transitions(diagram, graded)
-    if transition is None:
+    step = _transitions(diagram, graded)
+    if step is None:
         return []
-    seen = {}
-
-    def step(e, partner):
-        key = (e, partner)
-        got = seen.get(key)
-        if got is None:
-            got = seen[key] = transition(e, partner)
-        return got
-
     n = len(diagram.events)
+    tables = []   # per event: {pairing: (through, switch)}
+    states = {()}
+    work = 0
+    for e in range(n):
+        table = {partner: step(e, partner) for partner in states}
+        reached = {new for pair in table.values() for new in pair
+                   if new is not None}
+        work += len(reached)
+        _check_caps(e, len(reached), work)
+        tables.append(table)
+        states = reached
+    # live[e]: {pairing: (through, live switch or None, through is
+    # straight, through is rich)} for the live pairings before event e
+    straight, rich = {()}, set()
+    live = [None] * n
+    for e in reversed(range(n)):
+        row, now_straight, now_rich = {}, set(), set()
+        for partner, (through, switch) in tables[e].items():
+            t_straight = through in straight
+            t_rich = through in rich
+            if switch not in straight and switch not in rich:
+                switch = None
+            if t_straight:
+                now_straight.add(partner)
+            if t_rich or switch is not None:
+                now_rich.add(partner)
+            if t_straight or t_rich or switch is not None:
+                row[partner] = (through, switch, t_straight, t_rich)
+        live[e] = row
+        straight, rich = now_straight, now_rich
+    if () not in straight and () not in rich:
+        return []
+
+    # a task lists the rulings that extend switches from the live state
+    # (e, partner); with tail_out it lists only those that switch again
+    # (the state is rich), since its all-through completion is out
+    # already or was never straight
     results = []
-    dead = set()   # (event, pairing, tail out) states that gave nothing
-
-    def through_to_end(e, partner):
-        while partner is not None and e < n:
-            partner = step(e, partner)[0]
-            e += 1
-        return partner is not None
-
-    # a task lists the rulings that extend switches from state (e,
-    # partner); with tail_out its all-through completion is already out
     stack = [(0, (), (), False)]
     while stack and (limit is None or len(results) < limit):
-        task = stack.pop()
-        if task[0] is None:  # a task's end: (None, key, rulings before)
-            if len(results) == task[2]:
-                dead.add(task[1])
-            continue
-        e, partner, switches, tail_out = task
-        stack.append((None, (e, partner, tail_out), len(results)))
+        e, partner, switches, tail_out = stack.pop()
         while e < n:
-            through, switch = step(e, partner)
-            if through is None:
-                break
+            through, switch, t_straight, t_rich = live[e][partner]
             if switch is not None:
-                if not tail_out and through_to_end(e + 1, through):
+                if t_straight and not tail_out:
                     results.append(switches)
-                    tail_out = True
-                if (e + 1, through, True) not in dead:
+                if t_rich:
                     stack.append((e + 1, through, switches, True))
-                if (e + 1, switch, False) not in dead:
-                    stack.append((e + 1, switch, switches + (e,), False))
+                stack.append((e + 1, switch, switches + (e,), False))
                 break
             partner, e = through, e + 1
         else:
-            if not tail_out:
-                results.append(switches)
+            results.append(switches)
     return results
 
 

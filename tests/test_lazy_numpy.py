@@ -3,7 +3,9 @@
 The front, exact and geography commands run with numpy blocked, byte
 for byte as they run with it; the package resolves its generating-family
 names on first use; and since the CLI's encoders name no numpy type,
-the gf documents may carry no numpy scalar but float64, a float.
+the gf documents may carry no numpy scalar but float64, a float.  The
+documents are walked by the JSON writer's reference copy
+(`test_json_writer.ref_jsonable`), which visits every value.
 """
 
 import json
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import legcob
+import test_json_writer as writer_oracle
 from legcob import cli, gfnum
 from legcob.families import FAMILY_BUILDERS
 
@@ -162,8 +165,9 @@ def _recording(fn, seen):
 @pytest.mark.parametrize("argv", list(gf_argvs()), ids=" ".join)
 def test_gf_documents_hold_no_numpy_scalar_but_float64(argv, tmp_path,
                                                        monkeypatch):
-    """Every value the text formatter and the JSON encoder see: a numpy
-    bool would print as "True" in either."""
+    """Every value the text formatter and the JSON writer's reference
+    walk see: a numpy bool would print as "True" in either, and the
+    writer prints what the reference prints."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two-fiber.gf").write_text(TWO_FIBER)
     (tmp_path / "small-tail.gf").write_text(SMALL_TAIL)
@@ -174,15 +178,19 @@ def test_gf_documents_hold_no_numpy_scalar_but_float64(argv, tmp_path,
         return
     seen = []
     monkeypatch.setattr(cli, "_fmt", _recording(cli._fmt, seen))
-    monkeypatch.setattr(cli, "_jsonable", _recording(cli._jsonable, seen))
+    monkeypatch.setattr(writer_oracle, "ref_jsonable",
+                        _recording(writer_oracle.ref_jsonable, seen))
     "\n".join(lines)
-    cli._dump(doc)
+    assert cli._dump(doc) == writer_oracle.ref_dump(doc)
     assert seen == []
 
 
 def test_document_walk_sees_a_numpy_bool(monkeypatch):
     """The spy above catches what the encoder would print wrong."""
     seen = []
-    monkeypatch.setattr(cli, "_jsonable", _recording(cli._jsonable, seen))
-    assert json.loads(cli._dump({"ok": np.bool_(True)})) == {"ok": "True"}
+    monkeypatch.setattr(writer_oracle, "ref_jsonable",
+                        _recording(writer_oracle.ref_jsonable, seen))
+    doc = {"ok": np.bool_(True)}
+    assert json.loads(writer_oracle.ref_dump(doc)) == {"ok": "True"}
+    assert json.loads(cli._dump(doc)) == {"ok": "True"}
     assert seen == ["bool"]

@@ -1,13 +1,19 @@
 """Reference code for the rulings, kept to check the fast paths.
 
-`ref_enumerate_rulings` is the walker that `rulings.enumerate_rulings`
-replaced: it lists every normal ruling by one recursion per event and
-sorts the list.  `ref_ruling_polynomial` is the polynomial summed over
-that list, which `rulings.ruling_polynomial` now gets from one sweep of
-the word without listing any ruling.  On hypothesis fronts, graded and
+`ref_enumerate_rulings` is the first walker: it lists every normal
+ruling by one recursion per event and sorts the list.
+`ref_ruling_polynomial` is the polynomial summed over that list, which
+`rulings.ruling_polynomial` now gets from one sweep of the word without
+listing any ruling.  `ref_walk_rulings` is the second walker, which
+lists in increasing order with no sort but walks every state it meets,
+remembers those that gave no ruling, and walks each through branch to
+its end at every switch; `rulings.enumerate_rulings` replaced it with a
+walk over the sweep's live states.  On hypothesis fronts, graded and
 ungraded, the sweep must give the reference polynomial, a listing cut
 at `limit` must be the head of the reference list, and every listed
-ruling must pass `validate_ruling`.
+ruling must pass `validate_ruling`; on those fronts, the twist fronts
+and the benchmark's ruling fronts the listing must equal the second
+walker's, order included, at every limit.
 """
 
 from collections import Counter
@@ -19,10 +25,25 @@ from legcob import rulings
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, maslov_potential, parse_front
 from legcob.laurent import LaurentPoly
-from legcob.rulings import enumerate_rulings, ruling_polynomial, \
-    validate_ruling
+from legcob.rulings import _transitions, enumerate_rulings, \
+    ruling_polynomial, validate_ruling
 
 TWISTS = ["L1 L2 " + "X3 " * k + "R2 R1" for k in range(16)]
+# the ruling fronts of the exact_counts benchmark, as (word, graded):
+# four twist fronts and the closures of braids on 4, 5 and 6 strands
+BENCH_FRONTS = [
+    ("L1 L2 " + "X3 " * 9 + "R2 R1", True),
+    ("L1 L2 " + "X3 " * 13 + "R2 R1", False),
+    ("L1 L2 " + "X3 " * 17 + "R2 R1", True),
+    ("L1 L2 " + "X3 " * 21 + "R2 R1", False),
+    ("L1 L2 L3 L4 X5 X7 X6 X5 X7 X6 X6 X5 X7 X6 X5 X7 X7 X6 X5 X6 X7 X5 "
+     "R4 R3 R2 R1", False),
+    ("L1 L2 L3 L4 L5 X6 X9 X7 X8 X6 X7 X9 X8 X7 X6 X8 X9 X7 X8 X6 X9 X7 "
+     "X8 R5 R4 R3 R2 R1", True),
+    ("L1 L2 L3 L4 L5 L6 X7 X11 X9 X8 X10 X7 X9 X11 X8 X10 X9 X7 X11 X8 "
+     "X10 X9 X7 X11 R6 R5 R4 R3 R2 R1", False),
+]
+LIMITS = (0, 1, 3, 1000, None)
 
 
 # --- reference: walk every ruling, then sort ---------------------------
@@ -91,6 +112,67 @@ def ref_enumerate_rulings(diagram, graded=False):
     return results
 
 
+# --- reference: the dead-set walk, in increasing order --------------------
+
+def ref_walk_rulings(diagram, graded=False, limit=None):
+    """The first `limit` normal rulings (all when None), in increasing
+    order: the walk follows the strands and branches at every admissible
+    switch, emitting the through branch's all-through completion first;
+    an (event, pairing, tail out) state that gave no ruling is
+    remembered and never walked again."""
+    transition = _transitions(diagram, graded)
+    if transition is None:
+        return []
+    seen = {}
+
+    def step(e, partner):
+        key = (e, partner)
+        got = seen.get(key)
+        if got is None:
+            got = seen[key] = transition(e, partner)
+        return got
+
+    n = len(diagram.events)
+    results = []
+    dead = set()   # (event, pairing, tail out) states that gave nothing
+
+    def through_to_end(e, partner):
+        while partner is not None and e < n:
+            partner = step(e, partner)[0]
+            e += 1
+        return partner is not None
+
+    # a task lists the rulings that extend switches from state (e,
+    # partner); with tail_out its all-through completion is already out
+    stack = [(0, (), (), False)]
+    while stack and (limit is None or len(results) < limit):
+        task = stack.pop()
+        if task[0] is None:  # a task's end: (None, key, rulings before)
+            if len(results) == task[2]:
+                dead.add(task[1])
+            continue
+        e, partner, switches, tail_out = task
+        stack.append((None, (e, partner, tail_out), len(results)))
+        while e < n:
+            through, switch = step(e, partner)
+            if through is None:
+                break
+            if switch is not None:
+                if not tail_out and through_to_end(e + 1, through):
+                    results.append(switches)
+                    tail_out = True
+                if (e + 1, through, True) not in dead:
+                    stack.append((e + 1, through, switches, True))
+                if (e + 1, switch, False) not in dead:
+                    stack.append((e + 1, switch, switches + (e,), False))
+                break
+            partner, e = through, e + 1
+        else:
+            if not tail_out:
+                results.append(switches)
+    return results
+
+
 def ref_ruling_polynomial(diagram, rulings):
     """Sum of t^(#switches - #right cusps + 1) over the listed rulings."""
     return LaurentPoly(Counter(len(sw) - diagram.n_right + 1
@@ -146,6 +228,13 @@ def check_against_reference(d, graded, cut):
     listed = enumerate_rulings(d, graded, limit=k)
     assert listed == ref[:k]
     assert all(validate_ruling(d, sw) for sw in listed)
+    check_against_walk(d, graded)
+
+
+def check_against_walk(d, graded):
+    for limit in LIMITS:
+        assert enumerate_rulings(d, graded, limit) \
+            == ref_walk_rulings(d, graded, limit)
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,3 +260,29 @@ def test_wide_front_is_refused(monkeypatch):
             m.setattr(rulings, cap, value)
             with pytest.raises(DomainError, match=text):
                 ruling_polynomial(d)
+            with pytest.raises(DomainError, match=text):
+                enumerate_rulings(d, limit=1)
+
+
+@pytest.mark.parametrize("word,graded", BENCH_FRONTS)
+def test_bench_fronts_match_walk(word, graded):
+    d = parse_front(word)
+    check_against_walk(d, graded)
+    check_against_walk(d, not graded)
+    assert len(enumerate_rulings(d, graded)) \
+        == ruling_polynomial(d, graded=graded).total_count()
+
+
+def test_listing_refuses_what_the_sweep_refuses():
+    """The listing runs the polynomial's sweep first, so a front too wide
+    for it is refused by the same DomainError (the walk it replaced
+    listed such a front's first rulings)."""
+    d = parse_front(" ".join([f"L{t}" for t in range(1, 11)]
+                             + [f"X{10 + i}" for i in range(1, 10)] * 2
+                             + [f"R{t}" for t in range(10, 0, -1)]))
+    with pytest.raises(DomainError, match="eye pairings after") as sweep:
+        ruling_polynomial(d)
+    for limit in (1, 1000, None):
+        with pytest.raises(DomainError) as listing:
+            enumerate_rulings(d, limit=limit)
+        assert str(listing.value) == str(sweep.value)
