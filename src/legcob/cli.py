@@ -226,7 +226,7 @@ def cmd_rulings(args):
     lines = chain(_kv([("word", d.word), ("graded", args.graded),
                        ("count", count),
                        ("polynomial", doc["polynomial"])]),
-                  (f"ruling {_fmt(r)}" for r in doc["rulings"]),
+                  (f"ruling {','.join(map(str, r)) or '-'}" for r in rus),
                   _cut(len(rus), count))
     return lines, doc
 

@@ -37,13 +37,15 @@ estimate.  The estimate is chain-level: no differentials
 are computed, and a warning is attached when two chords land in
 adjacent degrees.
 
-Every solve (fiber roots and chords) runs through one batched Newton
-with a central-difference Jacobian.  Each Newton step makes one call
-of the map, on the live points stacked over their difference probes,
-so the map must be row-wise: a row's value may not depend on the rest
-of its batch.  The chord map evaluates both sheets of the difference
-function in one gradient call.  Morse indices and the regularity
-margin come from numpy's symmetric eigenvalues.  No tolerance, and no
+Every central difference is one _fd_jacobian call: one call of the
+map on the points stacked over their probes.  Every solve (fiber roots
+and chords) runs through one batched Newton that takes one such
+Jacobian per step; the chord Hessian and the regularity margin take
+one each.  So every family map is row-wise, the tail A(eta) summed
+column by column: a row's value never depends on the rest of its
+batch.  The chord map evaluates both sheets of the difference function
+in one gradient call.  Morse indices and the regularity margin come
+from numpy's symmetric eigenvalues.  No tolerance, and no
 setting that no caller changes, is a parameter: one used twice is a
 module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
 other a literal at its use.  FAMILIES names the built-in families.
@@ -115,14 +117,17 @@ FD_STEP = 1e-6
 
 
 def _fd_jacobian(F, P, h):
-    """Central-difference Jacobian of the row-wise map F at the rows of
-    P: out[m, i, k] = d F(P)[m, i] / d P[m, k]."""
-    cols = []
-    for k in range(P.shape[1]):
-        dP = np.zeros((1, P.shape[1]))
-        dP[0, k] = h
-        cols.append((F(P + dP) - F(P - dP)) / (2 * h))
-    return np.stack(cols, axis=2)
+    """(F(P), J) for the row-wise map F at the rows of P, J the
+    central-difference Jacobian J[m, i, k] = (F(P + h e_k) - F(P -
+    h e_k))[m, i] / (2h), from one call of F on the rows of P stacked
+    over their probes: [P; P + h e_1; ...; P + h e_k; P - h e_1; ...;
+    P - h e_k]."""
+    m, k = P.shape
+    probes = h * np.eye(k)
+    out = F(np.concatenate([P[None], P + probes[:, None, :],
+                            P - probes[:, None, :]]).reshape(-1, k))
+    out = out.reshape(2 * k + 1, m, -1)
+    return out[0], np.moveaxis((out[1:k + 1] - out[k + 1:]) / (2 * h), 0, 2)
 
 
 def _newton(F, P, iters):
@@ -130,36 +135,29 @@ def _newton(F, P, iters):
 
     F(Q, rows) maps the points Q of the batch rows `rows` (an index
     array) row by row: a row's value must not depend on the other rows
-    of its batch.  Each step calls F once, on the live points Q stacked
-    over their central-difference probes, [Q; Q + h e_1; ...; Q + h e_k;
-    Q - h e_1; ...; Q - h e_k] with h = FD_STEP and `rows` tiled to
-    match; the residual is F(Q) and column i of the Jacobian
-    (F(Q + h e_i) - F(Q - h e_i)) / (2h), as _fd_jacobian computes it.
-    Steps are clipped to 0.5 per coordinate.  A row whose Jacobian
-    turns singular never moves again: it leaves the live rows, on which
-    alone F, its Jacobian and the convergence test are evaluated, so it
-    cannot keep the others iterating to the cap.  Iteration stops once
-    max |F| < 1e-12 on the live rows.  Returns (points, accept, stuck):
-    accept marks rows with max |F| < 1e-9 (one more call of F, on every
-    row), stuck the rows that hit a singular Jacobian.
+    of its batch.  Each step takes the residual and the Jacobian of the
+    live points Q from one _fd_jacobian call, with h = FD_STEP and
+    `rows` tiled to match its 2k + 1 stacked blocks.  Steps are clipped
+    to 0.5 per coordinate.  A row whose Jacobian turns singular never
+    moves again: it leaves the live rows, on which alone F, its
+    Jacobian and the convergence test are evaluated, so it cannot keep
+    the others iterating to the cap.  Iteration stops once max |F| <
+    1e-12 on the live rows.  Returns (points, accept, stuck): accept
+    marks rows with max |F| < 1e-9 (one more call of F, on every row),
+    stuck the rows that hit a singular Jacobian.
     """
     P = np.array(P, float)
     k = P.shape[1]
-    probes = FD_STEP * np.eye(k)
     stuck = np.zeros(len(P), bool)
     live = np.arange(len(P))
     for _ in range(iters):
         if not len(live):
             break
         Q = P[live]
-        stack = np.concatenate([Q[None], Q + probes[:, None, :],
-                                Q - probes[:, None, :]])
-        out = F(stack.reshape(-1, k), np.tile(live, 2 * k + 1))
-        out = out.reshape(2 * k + 1, len(Q), -1)
-        res = out[0]
+        res, jac = _fd_jacobian(lambda S: F(S, np.tile(live, 2 * k + 1)),
+                                Q, FD_STEP)
         if np.max(np.abs(res)) < 1e-12:
             break
-        jac = np.moveaxis((out[1:k + 1] - out[k + 1:]) / (2 * FD_STEP), 0, 2)
         move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
         stuck[live[~move]] = True
         step = np.zeros_like(Q)
@@ -196,7 +194,12 @@ class _Family:
         return 2.0 * self.R
 
     def tail_value(self, E):
-        return E @ np.asarray(self.tail)
+        """A(eta), column by column like _sq, so each row's value is
+        computed alone."""
+        out = E[..., 0] * self.tail[0]
+        for j in range(1, len(self.tail)):
+            out = out + E[..., j] * self.tail[j]
+        return out
 
     def value_at(self, x, eta):
         return float(self.value(np.atleast_2d(np.asarray(x, float)),
@@ -418,7 +421,7 @@ class CompositeFamily(_Family):
 
     def value(self, X, E):
         X, E = np.asarray(X, float), np.asarray(E, float)
-        total = self.tail_value(E).astype(float)
+        total = self.tail_value(E)
         for fam, center in self.parts:
             El = E - np.asarray(center)
             total = total + fam.value(X, El) - fam.tail_value(El)
@@ -648,11 +651,10 @@ class FiberPoint:
 # the certified seed scan evaluates grad_eta at 22,482 (0.16%), after
 # bounding 17,626 boxes in 15 calls.
 MAX_GRID_SAMPLES = 3 * 10**7
-# Grid cells per axis of an eta block of the certified seed scan, and
-# of the smallest block it halves a block into; grid points per axis of
-# an x block.
+# Grid cells per axis of an eta block of the certified seed scan's x
+# tier, which its row tier halves once; grid points per axis of an x
+# block.
 SCAN_BLOCK = 16
-SCAN_MIN_BLOCK = 8
 SCAN_X_BLOCK = 8
 
 
@@ -718,11 +720,11 @@ def _may_seed(fam, Xlo, Xhi, es, first, count, step):
 
 
 def _halve(rows, first, count):
-    """The boxes with each one that has more than SCAN_MIN_BLOCK cells
+    """The boxes with each one that has more than SCAN_BLOCK // 2 cells
     on some axis halved along every axis (its 2^N halves, the empty
     ones dropped), the others whole."""
     N = first.shape[1]
-    big = (count > SCAN_MIN_BLOCK).any(axis=1, keepdims=True)
+    big = (count > SCAN_BLOCK // 2).any(axis=1, keepdims=True)
     half = np.where(big, count // 2, 0)
     rows = np.concatenate([rows] * 2 ** N)
     first = np.concatenate([first + c * half for c in _corners(N)])
@@ -773,30 +775,22 @@ def _live_cells(fam, xc, es, step, first, count, top):
     the eta blocks (first, count) that the x tier (_x_tier) left to
     each row in the mask top.
 
-    The row tiers: the first splits the x tier's boxes into their x
-    rows and, in the same step and bound call, halves along every axis
-    each eta block with more than SCAN_MIN_BLOCK cells on one axis;
-    later tiers halve such blocks again.  Each tier's boxes are tested
-    once (_may_seed): a box that holds no pair of the near mask, or
-    whose bound proves it seedless, is dropped with all its halves.
-    The cells of the boxes left are live.  Returns (rows, cells,
-    points): rows, ascending, index the rows of xc with live cells;
-    cells and points mask, per such row, the live cells and the grid
-    points at their corners, with one axis per fiber variable.
+    The row tier splits the x tier's boxes into their x rows and halves
+    along every axis each eta block with more than SCAN_BLOCK // 2
+    cells on one axis, then tests each box once (_may_seed): a box that
+    holds no pair of the near mask, or whose bound proves it seedless,
+    is dropped.  The cells of the boxes left are live.  Returns (rows,
+    cells, points): rows, ascending, index the rows of xc with live
+    cells; cells and points mask, per such row, the live cells and the
+    grid points at their corners, with one axis per fiber variable.
     """
     size = len(es) - 1
     rows, eta = np.nonzero(top)
-    boxes, live = (rows, first[eta], count[eta]), []
-    while len(boxes[0]):
-        rows, first, count = _halve(*boxes)
-        X = xc[rows]
-        keep = _may_seed(fam, X, X, es, first, count, step)
-        rows, first, count = rows[keep], first[keep], count[keep]
-        done = (count <= SCAN_MIN_BLOCK).all(axis=1)
-        live.append((rows[done], first[done], count[done]))
-        boxes = (rows[~done], first[~done], count[~done])
-    rows, first, count = (np.concatenate(a) for a in zip(boxes, *live))
-    rows, at = np.unique(rows, return_inverse=True)
+    rows, first, count = _halve(rows, first[eta], count[eta])
+    X = xc[rows]
+    keep = _may_seed(fam, X, X, es, first, count, step)
+    rows, at = np.unique(rows[keep], return_inverse=True)
+    first, count = first[keep], count[keep]
     return (rows, _cover(len(rows), size, at, first, count),
             _cover(len(rows), size + 1, at, first, count + 1))
 
@@ -830,7 +824,7 @@ def _fiber_seeds(fam, xs, step):
     of live cells (_live_cells), every pair off the near mask is
     exactly the tail, and under N = 1 only live cells are tested for a
     sign change, so both ends of a tested cell are exact.  The x tier
-    bounds boxes over every row of xs once (_x_tier); the row tiers run
+    bounds boxes over every row of xs once (_x_tier); the row tier runs
     per chunk, on the chunk's rows.  The seeds are those of a scan of
     every near pair, in the same order.
     """
@@ -920,8 +914,8 @@ def fiber_regularity_margin(fam, points):
         return None
     n = fam.n
     P = np.array([q.x + q.eta for q in points], float)
-    jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), P,
-                       FD_STEP)
+    _, jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), P,
+                          FD_STEP)
     gram = jac @ jac.transpose(0, 2, 1)
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[:, 0].min()), 0.0))
 
@@ -976,7 +970,8 @@ def _diff_value(fam, pts):
 
 
 def _diff_hessian(fam, pt):
-    hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pt[None], 1e-5)[0]
+    hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pt[None],
+                        1e-5)[1][0]
     return (hess + hess.T) / 2.0
 
 

@@ -14,7 +14,9 @@ every value grad_eta computes in their boxes, over a range of x as
 over one x row.  The chord Newton, seeded only where two branches'
 slopes cross, must find the chords, indices, gamma and duality audit
 that seeding it with every ordered pair of branches finds, or the same
-refusal.
+refusal.  Every family map is row-wise, so the Jacobian from one call
+on the points stacked over their probes equals, bit for bit, the one
+that calls the map once per probe column.
 """
 
 import functools
@@ -26,9 +28,10 @@ import pytest
 from legcob import gfnum
 from legcob.errors import DomainError
 from legcob.gfnum import (
-    FAMILIES, CompositeFamily, FiberPoint, GeneratingFamily, _diff_gradient,
-    _fd_jacobian, _fiber_seeds, _newton, _x_grid, fiber_critical_set,
-    fish_family, linear_family, parse_gf_file, reeb_chords,
+    FAMILIES, FD_STEP, CompositeFamily, FiberPoint, GeneratingFamily,
+    _diff_gradient, _fd_jacobian, _fiber_seeds, _newton, _x_grid,
+    fiber_critical_set, fish_family, linear_family, parse_gf_file,
+    reeb_chords,
     scaled_unknot_family, shifted_unknot_family, spin, stacked_pair_family,
     unknot_family)
 from legcob.mpoly import MultiPoly
@@ -126,6 +129,17 @@ def ref_grad_eta(fam, X, E):
     return out
 
 
+def ref_fd_jacobian(F, P, h):
+    """Central-difference Jacobian of F at the rows of P from one call
+    of F per probe: out[m, i, k] = d F(P)[m, i] / d P[m, k]."""
+    cols = []
+    for k in range(P.shape[1]):
+        dP = np.zeros((1, P.shape[1]))
+        dP[0, k] = h
+        cols.append((F(P + dP) - F(P - dP)) / (2 * h))
+    return np.stack(cols, axis=2)
+
+
 def ref_newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
     """Full-batch Newton for F(P) = 0: F and its Jacobian are evaluated
     on every row each iteration, stuck rows included."""
@@ -135,7 +149,7 @@ def ref_newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
         res = F(P)
         if np.max(np.abs(res[~stuck]), initial=0.0) < newton_tol:
             break
-        jac = _fd_jacobian(F, P, h)
+        jac = ref_fd_jacobian(F, P, h)
         stuck |= np.abs(np.linalg.det(jac)) <= 1e-14
         move = ~stuck
         step = np.zeros_like(P)
@@ -536,7 +550,7 @@ def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
                                                        step):
     """The first tier bounds, over the whole x grid, exactly the (x
     block, eta block) boxes that meet the 2R ball about some part's
-    center; the row tiers, per chunk of x rows, bound single x rows.
+    center; the row tier, per chunk of x rows, bounds single x rows.
     No box of any tier lies wholly beyond 2R of every center.  On the
     saucer at the default step that is 17,626 boxes in 15 bound calls,
     one of them the x tier's."""
@@ -602,7 +616,7 @@ def _box_sample(lo, hi, ticks):
 
 
 # Widths of the x ranges of the bounded boxes: 0 is one x row, as the
-# scan's row tiers pass it; the others run from 1e-3 to four default
+# scan's row tier passes it; the others run from 1e-3 to four default
 # grid steps.
 X_WIDTHS = (0.0, 1e-3, 0.05, 0.2)
 
@@ -717,7 +731,7 @@ def test_newton_matches_full_batch_reference():
 
 def per_probe_newton(F, P, iters):
     """_newton with one F call for the residual and one per probe
-    (_fd_jacobian), as it was before the probes were stacked."""
+    (ref_fd_jacobian), as it was before the probes were stacked."""
     P = np.array(P, float)
     live = np.arange(len(P))
     for _ in range(iters):
@@ -727,7 +741,7 @@ def per_probe_newton(F, P, iters):
         res = F(Q, live)
         if np.max(np.abs(res)) < 1e-12:
             break
-        jac = _fd_jacobian(lambda Q: F(Q, live), Q, 1e-6)
+        jac = ref_fd_jacobian(lambda Q: F(Q, live), Q, 1e-6)
         move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
         step = np.zeros_like(Q)
         step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
@@ -765,6 +779,118 @@ def test_newton_calls_F_once_per_step():
     fam, calls = unknot_family(), []
     _, accept, _ = _newton(spy(fam, calls), all_pair_seeds(fam, 0.1), 80)
     assert accept.any() and len(calls) < 81
+
+
+# --- row-wise maps and the stacked Jacobian -----------------------------
+
+# Every built-in family (the saucer at step 0.1) and both N = 2 gf-files,
+# with the grid step of their chord and fiber point checks.
+JACOBIAN_CASES = {**{name: (FAMILIES[name], 0.1 if name == "saucer"
+                            else 0.05) for name in FAMILIES},
+                  "gf-file N=2": FIBER_CASES["gf-file N=2"],
+                  "gf-file N=2, small tail":
+                  FIBER_CASES["gf-file N=2, small tail"]}
+
+
+def random_rows(fam, seed):
+    """(X, E): 200 rows drawn uniformly from the cube of half-side
+    1.25 extent (core, collar and tail), and 200 straddling-grid rows."""
+    rng = np.random.default_rng(seed)
+    ext = 1.25 * fam.extent()
+    P = rng.uniform(-ext, ext, size=(200, fam.n + fam.N))
+    X, E = straddling_grid(fam, seed)
+    pick = rng.choice(len(X), 200, replace=False)
+    return (np.concatenate([P[:, :fam.n], X[pick]]),
+            np.concatenate([P[:, fam.n:], E[pick]]))
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+def test_family_maps_are_row_wise(name):
+    """Each row of tail_value, value, grad_x, grad_eta and gradient,
+    computed as a batch of one, equals that row of the whole batch."""
+    fam = JACOBIAN_CASES[name][0]()
+    X, E = random_rows(fam, 11)
+    maps = {"tail_value": lambda X, E: fam.tail_value(E),
+            "value": fam.value, "grad_x": fam.grad_x,
+            "grad_eta": fam.grad_eta,
+            "gradient": lambda X, E: np.concatenate(fam.gradient(X, E),
+                                                    axis=1)}
+    for what, F in maps.items():
+        full = F(X, E)
+        for i in range(len(X)):
+            assert _same(F(X[i:i + 1], E[i:i + 1]), full[i:i + 1]), \
+                (what, X[i], E[i])
+
+
+@functools.lru_cache(maxsize=None)
+def chords_and_points(name):
+    """The chord coordinates of reeb_chords and the fiber points, as
+    rows, of a JACOBIAN_CASES family at its step."""
+    make, step = JACOBIAN_CASES[name]
+    fam = make()
+    chords = np.array([[*c.coords[0], *c.coords[1], *c.coords[2]]
+                       for c in reeb_chords(fam, step)[0]])
+    points = np.array([q.x + q.eta for q in fiber_critical_set(fam, step)])
+    return chords, points
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+def test_stacked_jacobian_matches_one_call_per_probe(name):
+    """_fd_jacobian's residual and Jacobian, from one call on the stacked
+    probes, equal F(P) and the Jacobian from one call per probe column,
+    bit for bit: the difference gradient at every chord (all together
+    and one at a time, as the Hessian takes them) and grad_eta at every
+    fiber point."""
+    fam = JACOBIAN_CASES[name][0]()
+    chords, points = chords_and_points(name)
+    # the linear family has neither
+    assert (len(chords) > 0) == (len(points) > 0) == (name != "linear")
+    n = fam.n
+
+    def diff(P):
+        return _diff_gradient(fam, P)
+
+    def grad_eta(P):
+        return fam.grad_eta(P[:, :n], P[:, n:])
+
+    cases = [(diff, c[None], 1e-5) for c in chords]
+    if name != "linear":
+        cases += [(diff, chords, 1e-5), (grad_eta, points, FD_STEP)]
+    for F, P, h in cases:
+        res, jac = _fd_jacobian(F, P, h)
+        assert _same(res, F(P))
+        assert _same(jac, ref_fd_jacobian(F, P, h))
+
+
+def test_hessian_and_margin_make_one_call_each(monkeypatch):
+    """_diff_hessian calls _diff_gradient once, on 2k + 1 rows, and
+    fiber_regularity_margin calls grad_eta once, on 2(n + N) + 1 rows
+    per fiber point."""
+    fam = stacked_pair_family()
+    chords, _ = chords_and_points("stacked-pair")
+    calls = []
+    diff_gradient = gfnum._diff_gradient
+
+    def spy_diff(fam, P):
+        calls.append(len(P))
+        return diff_gradient(fam, P)
+
+    with monkeypatch.context() as m:
+        m.setattr(gfnum, "_diff_gradient", spy_diff)
+        gfnum._diff_hessian(fam, chords[0])
+    assert calls == [2 * chords.shape[1] + 1]
+    fam = parse_gf_file(TWO_FIBER)
+    points = fiber_critical_set(fam, 0.2)
+    calls = []
+    grad_eta = fam.grad_eta
+
+    def spy_grad_eta(X, E):
+        calls.append(len(X))
+        return grad_eta(X, E)
+
+    monkeypatch.setattr(fam, "grad_eta", spy_grad_eta)
+    assert gfnum.fiber_regularity_margin(fam, points) > 0
+    assert calls == [(2 * (fam.n + fam.N) + 1) * len(points)]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES) + ["gf-file N=2"])
