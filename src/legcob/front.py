@@ -41,16 +41,17 @@ def parse_front(text):
 class FrontDiagram:
     """A validated front word, its strand stacks, and what they determine.
 
-    Set on construction:
+    Set on construction, which checks every position against the strand
+    count of its slice, an integer count per event (no strand ids):
       events      list of (kind, pos)
       word        the event word as text
       n_left      left cusps; n_right (equal) and n_ids = 2 * n_left
-    Read off the stacks on each use: max_strands, the largest stack.
-    Set on construction by a full build, on first use by a windowed one:
+    Simulated on first use, one strand-id stack per event:
       stacks      tuple of strand-id stacks, one per slice (len(events)+1)
       born        tuple of per-slice birth counts: born[t] left cusps lie
                   in events[:t], so the ids born before slice t are
                   0 .. 2 * born[t] - 1
+    Read off the stacks on each use: max_strands, the largest stack.
     Computed on first use, from the stacks:
       crossings   list of (event_index, pos, upper_id, lower_id)
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
@@ -63,19 +64,22 @@ class FrontDiagram:
       defects     per component, the size of the potential's jump around
                   its cycle (0 when single valued)
 
-    With no parent the whole word is simulated.  A windowed build takes
-    a parent front and window=(w0, w1_old): `events` is the parent's
-    word with events[w0:w1_old] replaced, so the rewritten window is
-    events[w0:w1_new] and the rest is the parent's.  Only the window is
-    simulated, with the position checks of a full build.  When it ends
-    with as many strands as the parent has at w1_old, the parent's
-    suffix stays valid, and the stacks and births are joined on first
-    use: stacks[:w0 + 1] and born[:w0 + 1] are the parent's own objects,
-    and from slice w1_new on the stacks are the parent's stacks[w1_old:],
+    With no parent the whole word is checked, and simulated on first
+    use.  A windowed build takes a parent front and window=(w0, w1_old):
+    `events` is the parent's word with events[w0:w1_old] replaced, so the
+    rewritten window is events[w0:w1_new] and the rest is the parent's.
+    Only the window is checked, from the parent's strand count at w0,
+    and `word` joins the parent's tokens with the window's spliced in.
+    When the window ends with as many strands as the parent has at
+    w1_old, the parent's suffix stays valid.  On first use the window
+    alone is simulated and joined to the parent's stacks and births:
+    stacks[:w0 + 1] and born[:w0 + 1] are the parent's own objects, and
+    from slice w1_new on the stacks are the parent's stacks[w1_old:],
     the same objects once the two agree, otherwise relabelled: each id
     on the parent's stack at w1_old by the id at the same height at
     w1_new, each id born later by the change in births.  (A window that
-    ends with another strand count is simulated to the end of the word.)
+    ends with another strand count is checked and simulated to the end
+    of the word.)
     """
 
     _LAZY = {"stacks": "_join", "born": "_join",
@@ -86,74 +90,74 @@ class FrontDiagram:
 
     def __init__(self, events, parent=None, window=None):
         if parent is None:
+            # a full build rewrites the empty front's one slice
             events = [(k, int(p)) for k, p in events]
-            i, w1_new = 0, None
-            stack, nb = [], 0
-            stacks, born = [()], [0]
-        else:
-            w0, w1_old = window
-            i = w0
-            w1_new = w1_old + len(events) - len(parent.events)
-            stack, nb = list(parent.stacks[w0]), parent.born[w0]
-            stacks, born = [], []
-            tokens = parent.word.split()
-            tokens[w0:w1_old] = [f"{k}{p}" for k, p in events[w0:w1_new]]
-            self.word = " ".join(tokens)
+            parent, window = _EMPTY, (0, 0)
+        w0, w1_old = window
+        n = len(events)
+        w1_new = w1_old + n - len(parent.events)
+        stacks = parent.stacks
+        count, goal, nb = len(stacks[w0]), len(stacks[w1_old]), parent.born[w0]
         self.events = events
-        while i < len(events):
-            if i == w1_new and len(stack) == len(parent.stacks[w1_old]):
+        i = w0
+        while i < n:
+            if i == w1_new and count == goal:
                 # the suffix's positions depend only on the strand count,
                 # so it stays valid and ends with every strand closed
                 break
             kind, pos = events[i]
-            count = len(stack)
             if kind == "L":
                 if not 1 <= pos <= count + 1:
                     raise DomainError(
                         f"invalid position {pos} at event {i} (L{pos}) "
                         f"with {count} strands")
-                stack[pos - 1:pos - 1] = (2 * nb, 2 * nb + 1)
+                count += 2
                 nb += 1
             elif kind in ("X", "R"):
                 if not 1 <= pos <= count - 1:
                     raise DomainError(
                         f"invalid position {pos} at event {i} ({kind}{pos}) "
                         f"with {count} strands")
-                if kind == "X":
-                    stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
-                else:
-                    del stack[pos - 1:pos + 1]
+                if kind == "R":
+                    count -= 2
             else:
                 raise DomainError(f"unknown event kind {kind!r} at event {i}")
-            stacks.append(tuple(stack))
-            born.append(nb)
             i += 1
         else:
-            w1_old = None  # simulated to the end: no suffix to join
-            if stack:
+            if count:
                 # the strand count is 2 * (left - right cusps)
                 raise DomainError(
-                    f"unbalanced cusps: {nb} left, {nb - len(stack) // 2} "
-                    f"right")
-        if parent is None:
-            self.stacks = tuple(stacks)
-            self.born = tuple(born)
-            self.n_left = nb
-            self.word = " ".join(f"{k}{p}" for k, p in events)
-            return
-        if w1_old is None:
+                    f"unbalanced cusps: {nb} left, {nb - count // 2} right")
+        self._tokens = tokens = parent._tokens[:]
+        tokens[w0:w1_old] = [f"{k}{p}" for k, p in events[w0:w1_new]]
+        self.word = " ".join(tokens)
+        if i == n:  # checked to the end: no suffix to join
             self.n_left = nb
         else:
             self.n_left = parent.n_left + nb - parent.born[w1_old]
-        self._pending = (parent, w0, w1_old, stacks, born)
+        self._pending = (parent, w0, w1_old, i)
 
     def _join(self):
-        """Set stacks and born from the parent's and the window's; the
-        parent's slices from w1_old on follow unless w1_old is None."""
-        parent, w0, w1_old, stacks, born = self.__dict__.pop("_pending")
-        head = parent.stacks[:w0 + 1]
-        self.born = parent.born[:w0 + 1] + tuple(born)
-        if w1_old is None:
+        """Set stacks and born: simulate events[w0:end] from the parent's
+        stack at w0, then join the parent's slices from w1_old on unless
+        the window was simulated to the end of the word."""
+        parent, w0, w1_old, end = self.__dict__.pop("_pending")
+        events = self.events
+        head, self.born = parent.stacks[:w0 + 1], parent.born[:w0 + 1]
+        stack, nb = list(head[-1]), self.born[-1]
+        stacks, born = [], []
+        for kind, pos in events[w0:end]:
+            if kind == "L":
+                stack[pos - 1:pos - 1] = (2 * nb, 2 * nb + 1)
+                nb += 1
+            elif kind == "X":
+                stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
+            else:
+                del stack[pos - 1:pos + 1]
+            stacks.append(tuple(stack))
+            born.append(nb)
+        self.born += tuple(born)
+        if end == len(events):
             self.stacks = head + tuple(stacks)
             return
         old, new = parent.stacks[w1_old], stacks[-1] if stacks else head[-1]
@@ -281,6 +285,13 @@ class FrontDiagram:
             raise DomainError(f"no such component: {sorted(bad)}")
         return {a: (1 if v % 2 == 0 else -1) * (-1 if c in rev else 1)
                 for a, (v, c) in enumerate(zip(self.potential, self.comp_of))}
+
+
+# The empty front, with its one slice: every full build is a windowed
+# build over it, rewriting the window (0, 0).
+_EMPTY = object.__new__(FrontDiagram)
+_EMPTY.__dict__.update(events=[], word="", n_left=0, stacks=((),),
+                       born=(0,), _tokens=[])
 
 
 def classical_invariants(diagram, reversed_components=()):

@@ -1,11 +1,13 @@
 """Moves on front words and replayable cobordism traces.
 
 A move rewrites a small window of the event word.  The new
-FrontDiagram is built from the old one and simulates only that window,
-with the position checks of a full build, so an illegal rewrite
-surfaces as "move not applicable" instead of a corrupt diagram; the
-stacks outside the window are the old diagram's, shared or relabelled
-(see FrontDiagram).
+FrontDiagram is built from the old one: its construction checks only
+that window's positions, against strand counts, with the checks of a
+full build, so an illegal rewrite surfaces as "move not applicable"
+instead of a corrupt diagram, and splices the window's tokens into the
+old word's.  Its strand stacks are built on first read: the window is
+simulated and the stacks outside it are the old diagram's, shared or
+relabelled (see FrontDiagram).
 
 Move syntax, one per trace line (s = slice index, h = height, e = event
 index, all 0-based except heights which are 1-based like event words):
@@ -38,7 +40,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .errors import DomainError
-from .front import FrontDiagram, maslov_potential, parse_front
+from .front import FrontDiagram, parse_front
 
 # Each move with its inverse as local rewrites old -> new of the event
 # word, positions written as offsets from a height h.  A move whose old
@@ -120,7 +122,8 @@ def _check_grading(diagram, move):
     """A pinch P s h needs mu(a) - mu(b) = 1 for the strands a above b
     at heights h, h+1 of slice s (the new right cusp matches the
     potential), a merge PM e equal cusp levels mu(a) = mu(b) for a dying
-    at its R_h and b born at its L_h; both modulo the potential's mod."""
+    at its R_h and b born at its L_h; both modulo the potential's mod,
+    its component's defect (twice its absolute rotation number)."""
     kind, st = move[0], diagram.stacks
     if kind == "P":
         _, w, h = move
@@ -133,13 +136,14 @@ def _check_grading(diagram, move):
     c = diagram.comp_of[a]
     if diagram.comp_of[b] != c:
         return  # potentials on distinct components can be shifted freely
-    mp = maslov_potential(diagram)
-    m = mp.mods[c]
-    diff = mp.values[a] - mp.values[b] - gap
+    m = diagram.defects[c] or None
+    mu_a, mu_b = diagram.potential[a], diagram.potential[b]
+    if m:
+        mu_a, mu_b = mu_a % m, mu_b % m
+    diff = mu_a - mu_b - gap
     if (diff % m if m else diff) != 0:
         raise DomainError(
-            f"grading mismatch at pinch: {what} {mp.values[a]}, "
-            f"{mp.values[b]} (mod {m})")
+            f"grading mismatch at pinch: {what} {mu_a}, {mu_b} (mod {m})")
 
 
 _SHIFT = {"L": 2, "X": 0, "R": -2}  # the change in strand count
@@ -173,13 +177,14 @@ def apply_move(diagram, move, gf_mode=False):
 def _apply(diagram, move, gf_mode=False):
     """Internal applier.  Returns (new_diagram, w0, w1_old, w1_new): the
     rewritten event window [w0, w1_old) was replaced by [w0, w1_new).
-    The new diagram is built from `diagram`, simulating the window only,
-    so its position checks reject an illegal rewrite."""
+    The new diagram is built from `diagram`, checking the window only,
+    so its position checks reject an illegal rewrite; its stacks wait
+    for their first read."""
     w0, w1_old, repl = _rewrite(diagram, move)
-    ev = diagram.events
+    events = diagram.events[:]
+    events[w0:w1_old] = repl
     try:
-        new = FrontDiagram(ev[:w0] + repl + ev[w1_old:], diagram,
-                           (w0, w1_old))
+        new = FrontDiagram(events, diagram, (w0, w1_old))
     except DomainError as err:
         _fail(move, f"rewritten word is invalid: {err}")
     if gf_mode:
@@ -309,14 +314,11 @@ class CobordismTrace:
 
 def parse_trace(text, gf_mode=False):
     """Parse a trace file: first line is the start word (may be empty),
-    each following nonblank line is one move.  '#' starts a comment."""
-    lines = text.splitlines()
+    each following nonblank line is one move.  '#' starts a comment on
+    any line, the first included."""
+    lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
     start = parse_front(lines[0] if lines else "")
-    moves = []
-    for line in lines[1:]:
-        body = line.split("#", 1)[0].strip()
-        if body:
-            moves.append(parse_move(body))
+    moves = [parse_move(body) for body in lines[1:] if body]
     return CobordismTrace(start, moves, gf_mode=gf_mode)
 
 
@@ -365,7 +367,8 @@ def _replay(trace):
                 s = stacks[i + 1] if kind == "L" else stacks[i]
                 union(label[s[pos - 1]], label[s[pos]])
         for a, b in zip(pairs, stacks[w1_new]):
-            union(a, label[b])
+            if a != label[b]:  # most heights keep their label: no union
+                union(a, label[b])
         # only a birth makes a piece that joins no label of the last front
         if move[0] != "B" and any(find(a) >= old
                                   for a in range(old, old + fresh)):

@@ -13,7 +13,10 @@
    intermediate front of four `wh` traces and two braid filling traces
    must give the diagram a from-scratch build gives, field by field, or
    the same error.  Random rewrites of short windows, legal or not, are
-   checked the same way against the constructor.
+   checked the same way against the constructor.  The reference checks
+   pinch gradings through `maslov_potential`, which the applier's check
+   does not call; every pinch and merge on the fronts with nonzero
+   rotation numbers is checked that way too.
 3. The replay's piece count.  `_replay` tracks pieces by a union-find
    over strand labels; `ref_replay` is the replay it replaced, which
    walked the cusp cycles of every new front and matched components by
@@ -50,10 +53,9 @@ from legcob.braids import BraidWord, closure_report
 from legcob.errors import DomainError
 from legcob.front import (FrontDiagram, classical_invariants,
                           maslov_potential, parse_front)
-from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, _apply,
-                          _check_grading, _fail, _replay, _rewrite,
-                          apply_move, format_move, invert_move,
-                          isotopy_candidates)
+from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, _apply, _fail,
+                          _replay, _rewrite, apply_move, format_move,
+                          invert_move, isotopy_candidates)
 from legcob.whitehead import whitehead_diagram, whitehead_double
 from test_search import BENCH_BASES, ref_isotopy_candidates
 
@@ -301,14 +303,21 @@ def ref_simulate(events):
 
 
 def ref_apply(d, move, gf_mode):
-    """The applier as it was: the same rewrite, then a full rebuild."""
+    """The applier as it was: the same rewrite, then a full rebuild and
+    the pinch grading check through maslov_potential."""
     w0, w1_old, repl = _rewrite(d, move)
     try:
         new = FrontDiagram(d.events[:w0] + repl + d.events[w1_old:])
     except DomainError as err:
         _fail(move, f"rewritten word is invalid: {err}")
-    if gf_mode:
-        _check_grading(d, move)
+    st = d.stacks
+    if gf_mode and move[0] == "P":
+        _, w, h = move
+        ref_check_grading(d, st[w][h - 1], st[w][h], 1, "potentials")
+    elif gf_mode and move[0] == "PM":
+        w, h = move[1], d.events[move[1]][1]
+        ref_check_grading(d, st[w][h - 1], st[w + 2][h - 1], 0,
+                          "cusp levels")
     return new
 
 
@@ -398,6 +407,35 @@ def test_windowed_moves_match_full_rebuild(move_fronts):
                         parent.events[move[1] + 1][0] == "L")
     assert accepted > 50000 and rejected > 20000
     assert shifted > 50000 and swapped > 400
+
+
+def test_pinch_gradings_on_rotating_fronts():
+    # every pinch and merge on fronts whose potential is only defined
+    # mod 2|r|, where the check reads the walk's defect as its mod
+    modded = {"accepted": 0, "refused": 0}
+    for word in ROTATING:
+        d = parse_front(word)
+        moves = [("P", s, h) for s in range(len(d.events) + 1)
+                 for h in range(1, len(d.stacks[s]) + 2)]
+        moves += [("PM", e) for e in range(len(d.events))]
+        for move in moves:
+            want = _outcome(lambda: ref_apply(d, move, True))
+            got = _outcome(lambda: apply_move(d, move, gf_mode=True))
+            if isinstance(want, str):
+                assert got == want, (word, move)
+                modded["refused"] += ("grading mismatch" in want
+                                      and "(mod None)" not in want)
+                continue
+            assert not isinstance(got, str), (word, move, got)
+            assert got.word == want.word, (word, move)
+            if move[0] == "P":
+                a, b = d.stacks[move[1]][move[2] - 1:move[2] + 1]
+                c = d.comp_of[a]
+                modded["accepted"] += c == d.comp_of[b] and d.defects[c] > 0
+            for front in (d, got):
+                rot = classical_invariants(front)["rotation"]
+                assert front.defects == [2 * abs(r) for r in rot], front.word
+    assert modded["accepted"] >= 20 and modded["refused"] >= 2, modded
 
 
 def test_random_windows_match_full_simulation(move_fronts):

@@ -137,6 +137,17 @@ def test_commute_rejects_interleaved_cusps():
         apply_move(d, ("C", 0))
 
 
+def test_moved_front_simulates_its_stacks_on_first_read():
+    for word, move in ((TREFOIL, ("R1a", 2, 1)), (TREFOIL, ("R2u", 1)),
+                       (TREFOIL, ("P", 3, 2)), ("L1 R1 L1 R1", ("C", 1))):
+        moved = apply_move(parse_front(word), move)
+        assert "stacks" not in moved.__dict__, move
+        assert "born" not in moved.__dict__, move
+        fresh = parse_front(moved.word)
+        assert (moved.stacks, moved.born) == (fresh.stacks, fresh.born)
+        assert "stacks" in moved.__dict__ and "born" in moved.__dict__
+
+
 def test_pinch_grading_checks():
     assert apply_move(parse_front("L1 R1"), ("P", 1, 1),
                       gf_mode=True).word == "L1 R1 L1 R1"
@@ -169,6 +180,16 @@ def test_trace_parse_format_round_trip():
     assert t.start.word == "L1 R1"
     assert t.moves == [("R1a", 1, 1), ("R1a-", 1)]
     assert format_trace(t) == "L1 R1\nR1a 1 1\nR1a- 1\n"
+
+
+def test_trace_start_line_may_carry_a_comment():
+    t = parse_trace("L1 R1  # the unknot\nR1a 1 1  # a fish\n")
+    assert t.start.word == "L1 R1"
+    assert t.moves == [("R1a", 1, 1)]
+    # the first line is the start front even when it is all comment
+    t = parse_trace("# a filling from nothing\nB 0 1\n")
+    assert t.start.word == ""
+    assert t.moves == [("B", 0, 1)]
 
 
 def test_trace_summary_disk():

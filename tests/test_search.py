@@ -13,9 +13,9 @@ connect_fronts returns must replay a into b through apply_move.
 import random
 from collections import Counter
 
-from legcob import whitehead
+from legcob import search, whitehead
 from legcob.errors import DomainError
-from legcob.front import parse_front
+from legcob.front import FrontDiagram, parse_front
 from legcob.moves import (COUNT_KEEPING_KINDS, ISOTOPY_KINDS, _RULES,
                           apply_move, invert_move)
 from legcob.search import connect_fronts
@@ -148,6 +148,28 @@ def test_connect_fronts_meets_in_the_middle():
                     ("R1b", 1, 1)]
     assert _replay(a, path).word == b.word
     assert _search(a, b, 2, 300) is None
+
+
+def test_search_simulates_stacks_only_of_the_states_it_expands(
+        monkeypatch):
+    # the other candidates are built for their word and position checks
+    a = parse_front("L1 R1")
+    b = _replay(a, [("R1a", 1, 1), ("R1b", 1, 1), ("R1a", 7, 1),
+                    ("R1b", 9, 1)])
+    joined, expanded, built = [], [], []
+    join, candidates = FrontDiagram._join, search.isotopy_candidates
+    apply = search.apply_move
+    monkeypatch.setattr(FrontDiagram, "_join",
+                        lambda d: joined.append(d) or join(d))
+    monkeypatch.setattr(search, "isotopy_candidates",
+                        lambda d, *rest: expanded.append(d) or
+                        candidates(d, *rest))
+    monkeypatch.setattr(search, "apply_move",
+                        lambda d, m: built.append(m) or apply(d, m))
+    path = _search(a, b, 2, 2000)
+    assert len(path) == 4
+    assert len(joined) <= len(expanded) + len(path)
+    assert len(built) > 10 * len(expanded)
 
 
 def _walk(d, rng, kinds, fish_heights, steps):
