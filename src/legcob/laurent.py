@@ -118,30 +118,51 @@ class LaurentPoly:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[d]
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
+        out = []
+        for d, c in sorted(self.coeffs.items(), reverse=True):
+            if c > 0:
+                out.append(" + ")
             else:
-                var = "t" if d == 1 else (f"t^{d}" if d > 0 else f"t^({d})")
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append((c > 0, body))
-        out = parts[0][1] if parts[0][0] else "-" + parts[0][1]
-        for positive, body in parts[1:]:
-            out += (" + " if positive else " - ") + body
-        return out
+                out.append(" - ")
+                c = -c
+            out.append(_VARS[d] if c == 1 and d else f"{c}{_VARS[d]}")
+        out[0] = "" if out[0] == " + " else "-"
+        return "".join(out)
+
+    @classmethod
+    def _of(cls, coeffs):
+        """A polynomial on coeffs as given: integer degrees to nonzero
+        integer coefficients, kept in their order."""
+        poly = cls.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
 
 
-_TERM_RE = re.compile(r"(\d+)?\*?(t(\^\(?(-?\d+)\)?)?)?")
+class _Monomials(dict):
+    """degree -> the text of t^degree in a term: '' for 0, 't', 't^5',
+    't^(-2)'; each degree is formatted once."""
+
+    def __missing__(self, d):
+        var = self[d] = ("" if d == 0 else "t" if d == 1
+                         else f"t^{d}" if d > 0 else f"t^({d})")
+        return var
+
+
+_VARS = _Monomials()
+
+
+# [C[*]]t[^E] or C, where E is an integer, parenthesized or not; a '*'
+# stands only between a coefficient and t
+_TERM_RE = re.compile(
+    r"(?:(\d+)(?:\*(?=t))?)?(t(?:\^(?:\((-?\d+)\)|(-?\d+)))?)?")
 
 
 def parse_poly(text):
     """Parse a polynomial string such as 't^5 + 2t^4 + 2' or '3t^-1 + t'.
 
     A term is an integer, 't', or 'Ct^E' with integer exponent E; a
-    negative exponent may be parenthesized.  Returns a LaurentPoly.
+    '*' may stand between C and t, and an exponent may be
+    parenthesized.  Returns a LaurentPoly.
     """
     s = text.replace(" ", "")
     if not s:
@@ -171,10 +192,8 @@ def parse_poly(text):
         coeff = int(m.group(1)) if m.group(1) is not None else 1
         if m.group(2) is None:
             deg = 0
-        elif m.group(4) is None:
-            deg = 1
         else:
-            deg = int(m.group(4))
+            deg = int(m.group(3) or m.group(4) or 1)
         coeffs[deg] = coeffs.get(deg, 0) + sign * coeff
         if j >= len(s):
             break
@@ -258,19 +277,47 @@ def box_size(box):
     return 0 if box is None else math.prod(b + 1 for b in box[2])
 
 
+def _splitter(poly, n, forced, degrees):
+    """The map from the values of p at the free `degrees` to the
+    splitting (q, p) whose p is forced plus those values, with
+    q = poly - p - p.reflect(n-1) on degrees 0..n.
+
+    q at the origin (every free value 0) is computed once; a value v at
+    a free degree i then adds v to p_i and takes v off q_i and
+    q_(n-1-i), the only two degrees of q it meets.  Free degrees lie in
+    0..n-1 and apart from the forced ones.
+    """
+    p0 = {d: c for d, c in forced.items() if c}
+    origin = {d: c for d, c in poly.coeffs.items() if 0 <= d <= n}
+    for i, v in p0.items():
+        for d in (i, n - 1 - i):
+            if 0 <= d <= n:
+                origin[d] = origin.get(d, 0) - v
+    support = sorted(origin.keys() | {d for i in degrees
+                                      for d in (i, n - 1 - i)})
+    at = {d: k for k, d in enumerate(support)}
+    q0 = [origin.get(d, 0) for d in support]
+    deltas = [(i, at[i], at[n - 1 - i]) for i in degrees]
+
+    def split(values):
+        q, p = q0[:], dict(p0)
+        for (i, a, b), v in zip(deltas, values):
+            if v:
+                p[i] = v
+                q[a] -= v
+                q[b] -= v
+        return (LaurentPoly._of({d: c for d, c in zip(support, q) if c}),
+                LaurentPoly._of(p))
+
+    return split
+
+
 def split_from_p(poly, n, forced, free):
     """The splitting (q, p) whose p is forced plus the free (degree,
     value) pairs, with q = poly - p - p.reflect(n-1) on degrees 0..n."""
-    p = dict(forced)
-    for i, v in free:
-        if v:
-            p[i] = v
-    q = {d: c for d, c in poly.coeffs.items() if 0 <= d <= n}
-    for i, v in p.items():
-        for d in (i, n - 1 - i):
-            if 0 <= d <= n:
-                q[d] = q.get(d, 0) - v
-    return LaurentPoly({d: q[d] for d in sorted(q)}), LaurentPoly(p)
+    free = list(free)
+    return _splitter(poly, n, forced, [i for i, _ in free])(
+        [v for _, v in free])
 
 
 def _box_points(bounds, tail_first):
@@ -319,9 +366,11 @@ def decompose(poly, n, limit=None):
     OUTPUT: a list of (q, p) LaurentPoly pairs in increasing order of
     (sorted p items, sorted q items); empty when no decomposition
     exists.  The box's points are walked in that order, so the first
-    `limit` come without listing the others.  A full listing of more
-    than MAX_SPLITTINGS points is refused with a DomainError before
-    anything is listed.
+    `limit` come without listing the others.  q at the box's origin and
+    p's forced part are computed once; each point then adds its value
+    at each live free degree i to p_i and takes it off q_i and
+    q_(n-1-i).  A full listing of more than MAX_SPLITTINGS points is
+    refused with a DomainError before anything is listed.
     """
     box = splitting_box(poly, n)
     if box is None:
@@ -335,8 +384,8 @@ def decompose(poly, n, limit=None):
     # p_i is 0 wherever its bound is: such degrees list no item
     live = [(i, b) for i, b in zip(degrees, bounds) if b]
     points = _box_points([b for _, b in live], tail_first=not forced)
-    return [split_from_p(poly, n, forced, zip((i for i, _ in live), combo))
-            for combo in itertools.islice(points, limit)]
+    split = _splitter(poly, n, forced, [i for i, _ in live])
+    return [split(point) for point in itertools.islice(points, limit)]
 
 
 def connected_p_top(poly, n, box):

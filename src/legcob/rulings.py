@@ -8,12 +8,12 @@ only, and a switch needs the two eyes involved to be nested or disjoint
 at that slice, never interleaved.  A graded ruling also needs equal
 Maslov potential on the two strands of every switch.
 
-Both functions sweep the word once over the eye pairings it reaches,
-under the caps MAX_PAIRINGS and MAX_SWEEP_WORK, and refuse a front past
-either with the same DomainError.  ruling_polynomial counts; a listing
-by enumerate_rulings is the list, order included, of walking every
-ruling and sorting, cut at its limit: its walk enters only live states,
-those the sweep's table shows reach the end.
+Both functions read one sweep of the word over the eye pairings it
+reaches, kept on the diagram, so asking for the polynomial and then the
+listing sweeps once.  Every call refuses a front past the cap
+MAX_PAIRINGS or MAX_SWEEP_WORK with the same DomainError.  A listing by
+enumerate_rulings is the list, order included, of walking every ruling
+and sorting, cut at its limit.
 """
 
 from .errors import DomainError
@@ -94,31 +94,36 @@ def _check_caps(e, width, work):
             f"{MAX_SWEEP_WORK:.3g}")
 
 
-def ruling_polynomial(diagram, *, graded=False):
-    """Sum of t^(#switches - #right cusps + 1) over the normal rulings
-    (graded or not), by one sweep of the word.  graded is keyword-only,
-    so a list of rulings passed in its place fails loudly.
-
-    The sweep carries each eye pairing reached so far with the number of
-    ways to reach it per switch count, and merges equal pairings as they
-    meet, so no ruling is ever listed; the ruling count is the value at
-    t = 1.  A front whose sweep carries more than MAX_PAIRINGS pairings
-    past one event, or more than MAX_SWEEP_WORK over all events, is
-    refused with a DomainError.
-
-    >>> from .front import parse_front
-    >>> str(ruling_polynomial(parse_front("L1 L2 X3 X3 X3 R2 R1")))
-    't^2 + 2'
-    """
-    step = _transitions(diagram, graded)
-    if step is None:
-        return LaurentPoly()
-    states = {(): {0: 1}}  # pairing -> {switch count: ways}
+def _sweep(diagram, graded):
+    """(live, ends) from one forward and one backward pass.  The forward
+    pass carries each pairing it reaches with {switch count: ways},
+    merging equal pairings as they meet; ends is that map past the last
+    event.  live[e] maps each live pairing before event e, one that
+    reaches the end, to (through, live switch or None, through is
+    straight, through is rich): straight when its all-through completion
+    reaches the end, rich when one with a further switch does.  A first
+    call checks the caps as it goes, before a wide front can run the
+    process out of memory; a later one, against the pairings carried."""
+    # {graded: (live, ends, pairings carried past each event)}
+    sweeps = vars(diagram).setdefault("_ruling_sweeps", {})
     work = 0
+    if graded in sweeps:
+        live, ends, widths = sweeps[graded]
+        for e, width in enumerate(widths):
+            work += width
+            _check_caps(e, width, work)
+        return live, ends
+    step = _transitions(diagram, graded)
+    tables, widths, states = [], [], {(): {0: 1}} if step else {}
     for e in range(len(diagram.events)):
-        reached = {}
-        for partner, ways in states.items():
-            for new, shift in zip(step(e, partner), (0, 1)):
+        # ways go once read, and equal pairings reached share one tuple
+        table, reached, canon = {}, {}, {}
+        for partner in list(states):
+            ways = states.pop(partner)
+            through, switch = step(e, partner)
+            table[partner] = pair = (canon.setdefault(through, through),
+                                     canon.setdefault(switch, switch))
+            for new, shift in zip(pair, (0, 1)):
                 if new is None:
                     continue
                 have = reached.get(new)
@@ -131,56 +136,15 @@ def ruling_polynomial(diagram, *, graded=False):
                 reached[new] = merged
         work += len(reached)
         _check_caps(e, len(reached), work)
-        states = reached
-    return LaurentPoly({k - diagram.n_right + 1: c
-                        for k, c in sorted(states.get((), {}).items())})
-
-
-def enumerate_rulings(diagram, graded=False, limit=None):
-    """The first `limit` normal rulings (all when None), as sorted tuples
-    of switched event indices, in increasing order: the same list, order
-    included, as walking every ruling and sorting.
-
-    A forward sweep tabulates each event's transitions (through, switch)
-    for every eye pairing it reaches, under the caps of
-    ruling_polynomial and with its DomainError.  A backward pass keeps
-    the live states, those that reach the empty pairing at the end, and
-    marks for each whether its all-through completion does (straight)
-    and whether a completion with a further switch does (rich).
-
-    Two rulings' tuples first differ at a crossing that one switches and
-    the other goes through; the one that switches sorts first, unless
-    the other switches nowhere after it and so is a prefix.  So the walk
-    follows the strands and, at each live switch, emits the all-through
-    completion of the through branch when it is straight, then lists
-    the switch branch, then the rich rest of the through branch: that is
-    increasing order, with no sort.  It never enters a dead state, so
-    every branch it takes lists at least one ruling.
-    """
-    step = _transitions(diagram, graded)
-    if step is None:
-        return []
-    n = len(diagram.events)
-    tables = []   # per event: {pairing: (through, switch)}
-    states = {()}
-    work = 0
-    for e in range(n):
-        table = {partner: step(e, partner) for partner in states}
-        reached = {new for pair in table.values() for new in pair
-                   if new is not None}
-        work += len(reached)
-        _check_caps(e, len(reached), work)
         tables.append(table)
+        widths.append(len(reached))
         states = reached
-    # live[e]: {pairing: (through, live switch or None, through is
-    # straight, through is rich)} for the live pairings before event e
-    straight, rich = {()}, set()
-    live = [None] * n
-    for e in reversed(range(n)):
+    straight, rich = set(states), set()
+    live = [None] * len(tables)
+    for e in reversed(range(len(tables))):
         row, now_straight, now_rich = {}, set(), set()
-        for partner, (through, switch) in tables[e].items():
-            t_straight = through in straight
-            t_rich = through in rich
+        for partner, (through, switch) in tables.pop().items():
+            t_straight, t_rich = through in straight, through in rich
             if switch not in straight and switch not in rich:
                 switch = None
             if t_straight:
@@ -191,7 +155,42 @@ def enumerate_rulings(diagram, graded=False, limit=None):
                 row[partner] = (through, switch, t_straight, t_rich)
         live[e] = row
         straight, rich = now_straight, now_rich
-    if () not in straight and () not in rich:
+    sweeps[graded] = live, states, widths
+    return live, states
+
+
+def ruling_polynomial(diagram, *, graded=False):
+    """Sum of t^(#switches - #right cusps + 1) over the normal rulings
+    (graded or not), read off the sweep's end.  graded is keyword-only,
+    so a list of rulings passed in its place fails loudly.
+
+    >>> from .front import parse_front
+    >>> str(ruling_polynomial(parse_front("L1 L2 X3 X3 X3 R2 R1")))
+    't^2 + 2'
+    """
+    ends = _sweep(diagram, graded)[1]
+    return LaurentPoly({k - diagram.n_right + 1: c
+                        for k, c in sorted(ends.get((), {}).items())})
+
+
+def enumerate_rulings(diagram, graded=False, limit=None):
+    """The first `limit` normal rulings (all when None), as sorted tuples
+    of switched event indices, in increasing order: the same list, order
+    included, as walking every ruling and sorting.
+
+    Two rulings' tuples first differ at a crossing that one switches and
+    the other goes through; the one that switches sorts first, unless
+    the other switches nowhere after it and so is a prefix.  So the walk
+    follows the strands through the sweep's live states and, at each
+    live switch, emits the all-through completion of the through branch
+    when it is straight, then lists the switch branch, then the rich
+    rest of the through branch: that is increasing order, with no sort.
+    It never enters a dead state, so every branch it takes lists at
+    least one ruling.
+    """
+    live, ends = _sweep(diagram, graded)
+    n = len(live)
+    if () not in (live[0] if live else ends):
         return []
 
     # a task lists the rulings that extend switches from the live state

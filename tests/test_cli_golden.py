@@ -2,7 +2,7 @@
 
 The commands are the README examples plus braid fillings, clasped
 doubles (one with its trace replay), one dimension-8 compat/plan pair,
-the rulings of a nine-crossing twist front and the JSON documents of
+a splitting listing whose p has a forced part, the rulings of a nine-crossing twist front and the JSON documents of
 the generating-family commands.  Long JSON documents (the rulings of a
 six-strand braid closure, 1,000 listed splittings at n = 9, a plan at
 n = 10) pin the JSON writer's bytes on each Python that CI runs.  They
@@ -30,6 +30,9 @@ ZIGZAG = "L1 L2 R1 L1 R2 R1"
 BRAID_BASE = "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"
 POLY8 = "t^8 + 5t^7 + 4t^6 + 3t^5 + 6t^4 + 2t^3 + 3t^2 + 4t + 5"
 POLY9 = "t^9 + 5t^8 + 6t^7 + 7t^6 + 8t^5 + 7t^4 + 6t^3 + 5t^2 + 4t + 5"
+# at n = 4, t^6 and its mirror t^(-3) force p_6 = 2, and t^(-1) forces
+# p_4 = 1
+POLY4_FORCED = "2t^6 + 2t^(-3) + t^(-1) + 3t^4 + 2t^3 + 3t^2 + t + 2"
 POLY10 = ("t^10 + 3t^9 + 4t^8 + 5t^7 + 6t^6 + 5t^5 + 4t^4 + 3t^3 + 2t^2 + 2t "
           "+ 3")
 # the closure of a six-strand braid of 18 letters
@@ -134,6 +137,9 @@ GOLDEN = [
      "e174f0480d3601a933d9ecb45730ac9c4964eeb9be6cc298d29d3cd7481f6658",
      {"plan8.json":
       "e174f0480d3601a933d9ecb45730ac9c4964eeb9be6cc298d29d3cd7481f6658"}),
+    # splittings with a forced part of p
+    (["compat", "--dim", "4", "--poly", POLY4_FORCED, "--json"], 0,
+     "e5e83559ad5efef02bd27bb71e9f1fcf71126ccb7ffedeeb090aa2c4ff41590c", {}),
     # rulings of a nine-crossing twist front
     (["rulings", "--front", TWIST9], 0,
      "e49f9b83b43786cbdda217d38fee0d07a7fb1513bbac8ece855e0932d4a594b8", {}),

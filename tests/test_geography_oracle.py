@@ -14,6 +14,10 @@ lists, the same (q, p) by `repr` (dict order included), the same block
 list, and the same error text, on every small polynomial and on seeded
 random ones with negative coefficients and mirrored high degrees.  A
 listing cut at `limit` must be the head of the sorted list.
+`ref_str` is the formatter `LaurentPoly.__str__` replaced; every listed
+splitting must print as `ref_str` prints the reference's, and the two
+must agree on random polynomials with negative coefficients and
+degrees.
 """
 
 import itertools
@@ -85,6 +89,25 @@ def ref_decompose(poly, n, window=64):
     results.sort(key=lambda qp: (sorted(qp[1].coeffs.items()),
                                  sorted(qp[0].coeffs.items())))
     return results
+
+
+def ref_str(poly):
+    if not poly.coeffs:
+        return "0"
+    parts = []
+    for d in sorted(poly.coeffs, reverse=True):
+        c = poly.coeffs[d]
+        mag = abs(c)
+        if d == 0:
+            body = str(mag)
+        else:
+            var = "t" if d == 1 else (f"t^{d}" if d > 0 else f"t^({d})")
+            body = var if mag == 1 else f"{mag}{var}"
+        parts.append((c > 0, body))
+    out = parts[0][1] if parts[0][0] else "-" + parts[0][1]
+    for positive, body in parts[1:]:
+        out += (" + " if positive else " - ") + body
+    return out
 
 
 def is_connected_split(q, n):
@@ -231,6 +254,24 @@ def test_limited_listing_is_a_prefix():
         for k in (0, 1, rng.randint(0, len(ref) + 1)):
             assert repr(decompose(poly, n, limit=k)) == repr(ref[:k]), \
                 (poly, n, k)
+
+
+@pytest.mark.parametrize("cases", [SMALL, RANDOM], ids=["small", "random"])
+def test_listed_splittings_print_as_reference(cases):
+    for poly, n in cases:
+        ref = [(ref_str(q), ref_str(p)) for q, p in ref_decompose(poly, n)]
+        for limit in (0, 1, 1000):
+            assert [(str(q), str(p)) for q, p in
+                    decompose(poly, n, limit=limit)] == ref[:limit], \
+                (poly, n, limit)
+
+
+def test_str_matches_reference_formatter():
+    rng = random.Random(5)
+    for _ in range(20000):
+        poly = LaurentPoly({rng.randint(-70, 70): rng.choice(
+            (-100, -3, -2, -1, 1, 2, 3, 100)) for _ in range(rng.randint(0, 9))})
+        assert str(poly) == ref_str(poly), poly.coeffs
 
 
 def test_domain_errors_match():

@@ -16,12 +16,22 @@ def test_parse_rejects_garbage():
     for bad in ["", "t^", "2 +", "x + 1", "t^^2"]:
         with pytest.raises(DomainError):
             parse_poly(bad)
+    # a stray '*' or an unbalanced parenthesis is not a term either
+    for bad in ["2*", "1 + 2*", "*t", "t^(2", "t^-1)"]:
+        with pytest.raises(DomainError, match="cannot parse term"):
+            parse_poly(bad)
 
 
 def test_parse_negative_exponents():
     poly = parse_poly("2t^-2 + 1")
     assert poly.coeff(-2) == 2 and poly.coeff(0) == 1
     assert parse_poly("2t^(-2) + 1") == poly
+
+
+def test_parse_star_between_coefficient_and_t():
+    assert parse_poly("2*t") == LaurentPoly({1: 2})
+    assert parse_poly("3*t^(-1) + 2*t^4") == LaurentPoly({-1: 3, 4: 2})
+    assert parse_poly("t^(-1)") == parse_poly("t^-1") == LaurentPoly({-1: 1})
 
 
 def test_subtract_monomial_underflow():

@@ -4,7 +4,9 @@
 ruling by one recursion per event and sorts the list.
 `ref_ruling_polynomial` is the polynomial summed over that list, which
 `rulings.ruling_polynomial` now gets from one sweep of the word without
-listing any ruling.  `ref_walk_rulings` is the second walker, which
+listing any ruling.  `ref_sweep` is that sweep as it stood alone, before
+the polynomial and the listing came to share one sweep per diagram.
+`ref_walk_rulings` is the second walker, which
 lists in increasing order with no sort but walks every state it meets,
 remembers those that gave no ruling, and walks each through branch to
 its end at every switch; `rulings.enumerate_rulings` replaced it with a
@@ -13,15 +15,19 @@ ungraded, the sweep must give the reference polynomial, a listing cut
 at `limit` must be the head of the reference list, and every listed
 ruling must pass `validate_ruling`; on those fronts, the twist fronts
 and the benchmark's ruling fronts the listing must equal the second
-walker's, order included, at every limit.
+walker's, order included, at every limit, and the polynomial the
+standalone sweep's.  A `leg rulings` command computes each transition
+once, and lets the shared sweep go with its diagram.
 """
 
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from legcob import rulings
+from legcob.cli import main
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, maslov_potential, parse_front
 from legcob.laurent import LaurentPoly
@@ -173,6 +179,31 @@ def ref_walk_rulings(diagram, graded=False, limit=None):
     return results
 
 
+# --- reference: the polynomial's own sweep --------------------------------
+
+def ref_sweep(diagram, graded=False):
+    """(polynomial, transitions computed): the sweep that carries each
+    eye pairing with its ways per switch count, run on its own."""
+    step = _transitions(diagram, graded)
+    if step is None:
+        return LaurentPoly(), 0
+    states = {(): {0: 1}}  # pairing -> {switch count: ways}
+    calls = 0
+    for e in range(len(diagram.events)):
+        reached = {}
+        for partner, ways in states.items():
+            calls += 1
+            for new, shift in zip(step(e, partner), (0, 1)):
+                if new is None:
+                    continue
+                merged = reached.setdefault(new, {})
+                for k, c in ways.items():
+                    merged[k + shift] = merged.get(k + shift, 0) + c
+        states = reached
+    return LaurentPoly({k - diagram.n_right + 1: c for k, c in
+                        sorted(states.get((), {}).items())}), calls
+
+
 def ref_ruling_polynomial(diagram, rulings):
     """Sum of t^(#switches - #right cusps + 1) over the listed rulings."""
     return LaurentPoly(Counter(len(sw) - diagram.n_right + 1
@@ -223,12 +254,18 @@ def fronts(draw, max_strands=8):
 def check_against_reference(d, graded, cut):
     ref = ref_enumerate_rulings(d, graded)
     assert ruling_polynomial(d, graded=graded) == ref_ruling_polynomial(d, ref)
+    check_against_sweep(d, graded)
     assert enumerate_rulings(d, graded) == ref
     k = min(cut, len(ref) + 1)
     listed = enumerate_rulings(d, graded, limit=k)
     assert listed == ref[:k]
     assert all(validate_ruling(d, sw) for sw in listed)
     check_against_walk(d, graded)
+
+
+def check_against_sweep(d, graded):
+    assert repr(ruling_polynomial(d, graded=graded)) \
+        == repr(ref_sweep(d, graded)[0])
 
 
 def check_against_walk(d, graded):
@@ -269,6 +306,8 @@ def test_bench_fronts_match_walk(word, graded):
     d = parse_front(word)
     check_against_walk(d, graded)
     check_against_walk(d, not graded)
+    check_against_sweep(d, graded)
+    check_against_sweep(d, not graded)
     assert len(enumerate_rulings(d, graded)) \
         == ruling_polynomial(d, graded=graded).total_count()
 
@@ -286,3 +325,32 @@ def test_listing_refuses_what_the_sweep_refuses():
         with pytest.raises(DomainError) as listing:
             enumerate_rulings(d, limit=limit)
         assert str(listing.value) == str(sweep.value)
+
+
+def test_rulings_command_sweeps_once(monkeypatch, capsys):
+    """One `leg rulings` run on each benchmark front computes each
+    transition once, for the polynomial and the listing alike (7,843
+    calls, where a sweep apiece made 15,686), and its diagram, which
+    holds the sweep, is let go with the command."""
+    calls = Counter()
+    seen = []
+
+    def counting(diagram, graded):
+        step = _transitions(diagram, graded)
+        seen.append(weakref.ref(diagram))
+
+        def spy(e, partner):
+            calls[diagram.word, graded] += 1
+            return step(e, partner)
+        return step and spy
+
+    monkeypatch.setattr(rulings, "_transitions", counting)
+    for word, graded in BENCH_FRONTS:
+        argv = ["rulings", "--front", word, "--json"]
+        assert main(argv + ["--graded"] * graded) == 0
+        capsys.readouterr()
+        d = parse_front(word)
+        assert calls[d.word, graded] == ref_sweep(d, graded)[1]
+    assert sum(calls.values()) == 7843
+    assert len(seen) == len(BENCH_FRONTS)
+    assert all(ref() is None for ref in seen)
