@@ -2,8 +2,9 @@
 
 The commands are the README examples plus braid fillings, clasped
 doubles (one with its trace replay), one dimension-8 compat/plan pair,
-a splitting listing whose p has a forced part, the rulings of a nine-crossing twist front and the JSON documents of
-the generating-family commands.  Long JSON documents (the rulings of a
+a splitting listing whose p has a forced part, the rulings of a
+nine-crossing twist front and the JSON documents of the
+generating-family commands.  Long JSON documents (the rulings of a
 six-strand braid closure, 1,000 listed splittings at n = 9, a plan at
 n = 10) pin the JSON writer's bytes on each Python that CI runs.  They
 run in order in one work directory, so later commands read the traces

@@ -268,9 +268,10 @@ def test_listed_splittings_print_as_reference(cases):
 
 def test_str_matches_reference_formatter():
     rng = random.Random(5)
+    coeffs = (-100, -3, -2, -1, 1, 2, 3, 100)
     for _ in range(20000):
-        poly = LaurentPoly({rng.randint(-70, 70): rng.choice(
-            (-100, -3, -2, -1, 1, 2, 3, 100)) for _ in range(rng.randint(0, 9))})
+        poly = LaurentPoly({rng.randint(-70, 70): rng.choice(coeffs)
+                            for _ in range(rng.randint(0, 9))})
         assert str(poly) == ref_str(poly), poly.coeffs
 
 
