@@ -43,8 +43,14 @@ and chords) runs through one batched Newton that takes one such
 Jacobian per step; the chord Hessian and the regularity margin take
 one each.  So every family map is row-wise, the tail A(eta) summed
 column by column: a row's value never depends on the rest of its
-batch.  The chord map evaluates both sheets of the difference function
-in one gradient call.  Morse indices and the regularity margin come
+batch.  The fiber solve joins whole chunks of its seed scan into one
+Newton call until the call holds FIBER_BATCH_ROWS seed rows, and each
+chunk stops on the step its own rows converge, so a row takes the
+steps a call per chunk gives it; the chord Newton is one group.  The
+fiber samples stay arrays from the solve to the chord seeds and the
+filling's margins; only fiber_critical_set builds FiberPoints.  The
+chord map evaluates both sheets of the difference function in one
+gradient call.  Morse indices and the regularity margin come
 from numpy's symmetric eigenvalues.  No tolerance, and no
 setting that no caller changes, is a parameter: one used twice is a
 module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
@@ -130,7 +136,7 @@ def _fd_jacobian(F, P, h):
     return out[0], np.moveaxis((out[1:k + 1] - out[k + 1:]) / (2 * h), 0, 2)
 
 
-def _newton(F, P, iters):
+def _newton(F, P, iters, starts=(0,)):
     """Batched Newton for F = 0, one independent system per row.
 
     F(Q, rows) maps the points Q of the batch rows `rows` (an index
@@ -141,10 +147,15 @@ def _newton(F, P, iters):
     to 0.5 per coordinate.  A row whose Jacobian turns singular never
     moves again: it leaves the live rows, on which alone F, its
     Jacobian and the convergence test are evaluated, so it cannot keep
-    the others iterating to the cap.  Iteration stops once max |F| <
-    1e-12 on the live rows.  Returns (points, accept, stuck): accept
-    marks rows with max |F| < 1e-9 (one more call of F, on every row),
-    stuck the rows that hit a singular Jacobian.
+    the others iterating to the cap.
+
+    The rows form groups of consecutive rows, group g starting at row
+    starts[g] (ascending, from 0), and each group stops on its own: on
+    the step where its live rows reach max |F| < 1e-12, they leave the
+    live rows unmoved.  So every row takes the steps it takes in a run
+    on its group alone, bit for bit.  Returns (points, accept, stuck):
+    accept marks rows with max |F| < 1e-9 (one more call of F, on every
+    row), stuck the rows that hit a singular Jacobian.
     """
     P = np.array(P, float)
     k = P.shape[1]
@@ -156,8 +167,16 @@ def _newton(F, P, iters):
         Q = P[live]
         res, jac = _fd_jacobian(lambda S: F(S, np.tile(live, 2 * k + 1)),
                                 Q, FD_STEP)
-        if np.max(np.abs(res)) < 1e-12:
+        # a group stops once each of its live rows has max |F| < 1e-12
+        near = np.abs(res).max(axis=1) < 1e-12
+        if near.all():
             break
+        if len(starts) > 1 and near.any():
+            going = np.zeros(len(starts), bool)
+            going[np.searchsorted(starts, live[~near], "right") - 1] = True
+            on = going[np.searchsorted(starts, live, "right") - 1]
+            if not on.all():
+                live, Q, res, jac = live[on], Q[on], res[on], jac[on]
         move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
         stuck[live[~move]] = True
         step = np.zeros_like(Q)
@@ -867,15 +886,53 @@ def _fiber_seeds(fam, xs, step):
             yield Xs, Es
 
 
+# Seed rows at which a Newton batch of the fiber solve closes.  A batch
+# joins consecutive chunks of the seed scan until it holds this many
+# rows, so it holds fewer rows than this plus its last chunk, and a
+# chunk of that size that opens a batch closes it.  The saucer at the
+# default step seeds 2,502 rows in 12 chunks: one batch.  The small-tail
+# N = 2 gf-file at step 0.1 seeds 139k rows in 10 chunks of 2k-16k, each
+# a batch; as one batch, its gf-front peaked at 124 MB, not 50.
+FIBER_BATCH_ROWS = 10000
+
+
+def _batches(chunks):
+    """The (Xs, Es) chunks of the seed scan joined, in order, into
+    batches (Xs, Es, starts), starts the first row of each chunk in its
+    batch.  A batch closes once it holds FIBER_BATCH_ROWS rows, before
+    the next chunk is scanned; a batch of one chunk is passed on
+    uncopied."""
+    held, rows = [], 0
+    for Xs, Es in chunks:
+        held.append((Xs, Es))
+        rows += len(Xs)
+        if rows >= FIBER_BATCH_ROWS:
+            batch, held, rows = _joined(held), [], 0
+            yield batch
+    if held:
+        yield _joined(held)
+
+
+def _joined(held):
+    """One batch (Xs, Es, starts) of the chunks held."""
+    if len(held) == 1:
+        return held[0] + (np.zeros(1, int),)
+    return (np.concatenate([Xs for Xs, _ in held]),
+            np.concatenate([Es for _, Es in held]),
+            np.cumsum([0] + [len(Xs) for Xs, _ in held[:-1]]))
+
+
 def _solve_fiber(fam, xs, step):
     """eta roots of grad_eta over each x row: the grid seeds of
-    _fiber_seeds, then Newton, one batch per chunk of rows.  Rows that
-    stall on a singular Jacobian (fold points) are rejected.
+    _fiber_seeds, then one Newton call per batch of chunks (_batches),
+    in which each chunk is a group that stops on its own, as a call on
+    the chunk alone would.  Rows that stall on a singular Jacobian (fold
+    points) are rejected.
     """
     found_x, found_e = [], []
-    for Xs, Es in _fiber_seeds(fam, xs, step):
+    for Xs, Es, starts in _batches(_fiber_seeds(fam, xs, step)):
         Es, ok, stuck = _newton(lambda P, rows: fam.grad_eta(Xs[rows], P),
-                                Es, 60)
+                                Es, 60, starts)
         ok &= ~stuck
         found_x.append(Xs[ok])
         found_e.append(Es[ok])
@@ -884,36 +941,47 @@ def _solve_fiber(fam, xs, step):
     return np.concatenate(found_x), np.concatenate(found_e)
 
 
+def _fiber_samples(fam, step):
+    """The samples of fiber_critical_set as arrays (X, E, Z, P), one row
+    per sample, sorted by x and then eta.
+
+    Of the solved rows whose x rounded to 9 decimals and eta rounded to
+    7 agree, the first one solved is kept: a stable sort by the rounded
+    keys puts it first among its equals.  Kept rows differ in (x, eta),
+    so the sort by x and eta has no ties.
+    """
+    _check_step(fam, step)
+    X, E = _solve_fiber(fam, _x_grid(fam, step), step)
+    if not len(X):
+        return X, E, np.empty(0), np.empty((0, fam.n))
+    keys = np.concatenate([np.round(X, 9), np.round(E, 7)], axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keep = order[first]
+    keep = keep[np.lexsort(np.concatenate([X, E], axis=1)[keep].T[::-1])]
+    X, E = X[keep], E[keep]
+    return X, E, fam.value(X, E), fam.grad_x(X, E)
+
+
 def fiber_critical_set(fam, step=0.05):
     """Newton-polished samples of the fiber-critical set, tagged with the
     front data (x, eta, z = f, p = d_x f).  One sample per (x gridpoint,
     eta branch); x stays on the grid, eta is polished.
     """
-    _check_step(fam, step)
-    X, E = _solve_fiber(fam, _x_grid(fam, step), step)
-    points = []
-    if len(X):
-        Z = fam.value(X, E)
-        P = fam.grad_x(X, E)
-        keys = zip(map(tuple, np.round(X, 9).tolist()),
-                   map(tuple, np.round(E, 7).tolist()))
-        seen = set()
-        for i, key in enumerate(keys):
-            if key in seen:
-                continue
-            seen.add(key)
-            points.append(FiberPoint(tuple(X[i]), tuple(E[i]),
-                                     float(Z[i]), tuple(P[i])))
-    points.sort(key=lambda q: (q.x, q.eta))
-    return points
+    return [FiberPoint(tuple(x), tuple(eta), float(z), tuple(p))
+            for x, eta, z, p in zip(*_fiber_samples(fam, step))]
 
 
 def fiber_regularity_margin(fam, points):
-    """min over samples of the smallest singular value of D(d_eta f)."""
-    if not points:
+    """min over samples of the smallest singular value of D(d_eta f).
+    points: FiberPoints, or an array with one row (x, eta) per sample."""
+    if not len(points):
         return None
     n = fam.n
-    P = np.array([q.x + q.eta for q in points], float)
+    P = np.asarray(points if isinstance(points, np.ndarray)
+                   else [q.x + q.eta for q in points], float)
     _, jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), P,
                           FD_STEP)
     gram = jac @ jac.transpose(0, 2, 1)
@@ -987,10 +1055,13 @@ def _pairs(counts):
     return cell, i[off], j[off]
 
 
-def _chord_seeds(fam, fiber, step):
+def _chord_seeds(fam, X, E, P, step):
     """reeb_chords' Newton seeds (x, eta, eta~): ordered pairs of fiber
     branches over one grid x, in the order of x, then eta, then eta~.
-    fiber holds fiber_critical_set(fam, step), sorted by x and then eta.
+    X, E and P are the x, eta and p = d_x f rows of the fiber samples at
+    step (_fiber_samples), sorted by x and then eta.  The seeds go to
+    one Newton call as a single group, with no batch bound:
+    MAX_CHORD_WORK caps their count.
 
     Under N = 1 the branches over each x are numbered by eta; they
     cannot cross in eta without merging at a cusp.  A chord is an x where
@@ -1005,10 +1076,8 @@ def _chord_seeds(fam, fiber, step):
     may cross, and every pair over each x is seeded.
     """
     n, N = fam.n, fam.N
-    if not fiber:
+    if not len(X):
         return np.empty((0, n + 2 * N))
-    X = np.array([q.x for q in fiber])
-    E = np.array([q.eta for q in fiber])
     axis = _sample_grid(fam, step, 1)[0]
     G = np.searchsorted(axis, X)
     # runs of samples over one x, and their keys on the grid padded by
@@ -1036,7 +1105,6 @@ def _chord_seeds(fam, fiber, step):
         cell, i, j = _pairs(cnt[eq, 0])
         first = start[run[eq][cell]]
         a, b = first + i[:, None], first + j[:, None]
-        P = np.array([q.p for q in fiber])
         d = P[a] - P[b]
         cross = ((d.min(axis=1) <= 0) & (d.max(axis=1) >= 0)).all(axis=1)
         A += [a[cross].ravel(), b[cross].ravel()]
@@ -1092,7 +1160,8 @@ def reeb_chords(fam, step=0.05):
     partner (x, eta~, eta) with opposite value and complementary index.
     """
     n, N = fam.n, fam.N
-    seeds = _chord_seeds(fam, fiber_critical_set(fam, step), step)
+    X, E, _, P = _fiber_samples(fam, step)
+    seeds = _chord_seeds(fam, X, E, P, step)
     if not len(seeds):
         return [], LaurentPoly({}), _chord_report([], step)
     probes = 2 * seeds.shape[1] + 1
@@ -1334,8 +1403,8 @@ def immersed_filling_family(fam, t_plus=3.0):
             if not any(sl.tail):
                 ok = False
                 break
-            pts = fiber_critical_set(sl, step=FILLING_GRID_STEP)
-            m = fiber_regularity_margin(sl, pts)
+            X, E, _, _ = _fiber_samples(sl, FILLING_GRID_STEP)
+            m = fiber_regularity_margin(sl, np.concatenate([X, E], axis=1))
             if m is not None:
                 margin = min(margin, m)
                 if m < FILLING_MARGIN_TOL:

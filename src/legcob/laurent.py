@@ -155,6 +155,9 @@ _VARS = _Monomials()
 # stands only between a coefficient and t
 _TERM_RE = re.compile(
     r"(?:(\d+)(?:\*(?=t))?)?(t(?:\^(?:\((-?\d+)\)|(-?\d+)))?)?")
+# Spaces are dropped before a term is read, so two digits on either side
+# of one would join into one number
+_SPLIT_NUMBER_RE = re.compile(r"\d\s+\d")
 
 
 def parse_poly(text):
@@ -162,8 +165,13 @@ def parse_poly(text):
 
     A term is an integer, 't', or 'Ct^E' with integer exponent E; a
     '*' may stand between C and t, and an exponent may be
-    parenthesized.  Returns a LaurentPoly.
+    parenthesized.  Spaces may stand anywhere but between two digits.
+    Returns a LaurentPoly.
     """
+    split = _SPLIT_NUMBER_RE.search(text)
+    if split:
+        raise DomainError(
+            f"space inside a number {split.group()!r} in {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise DomainError("empty polynomial string")

@@ -7,8 +7,8 @@ import pytest
 from legcob.errors import DomainError
 from legcob.gfnum import (
     CHORD_ITERS, FAMILIES, MAX_CHORD_WORK, MAX_GRID_SAMPLES, CompositeFamily,
-    GeneratingFamily, _chord_seeds, embeddedness_check, fiber_critical_set,
-    fiber_regularity_margin, fish_family, format_gf_file,
+    GeneratingFamily, _chord_seeds, _fiber_samples, embeddedness_check,
+    fiber_critical_set, fiber_regularity_margin, fish_family, format_gf_file,
     immersed_filling_family, linear_family, parse_gf_file, reeb_chords,
     scaled_unknot_family, shifted_unknot_family, smoothstep, smoothstep_d,
     spin, stacked_pair_family, sym_eigenvalues, unknot_family)
@@ -235,7 +235,8 @@ CHORD_SEED_ROWS = {"unknot": 8, "scaled-unknot": 8, "shifted-unknot": 8,
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_chord_seed_rows_per_family(name):
     fam = FAMILIES[name]()
-    seeds = _chord_seeds(fam, fiber_critical_set(fam, 0.05), 0.05)
+    X, E, _, P = _fiber_samples(fam, 0.05)
+    seeds = _chord_seeds(fam, X, E, P, 0.05)
     assert seeds.shape == (CHORD_SEED_ROWS[name], fam.n + 2 * fam.N)
 
 
@@ -247,7 +248,8 @@ DEGENERATE_N2 = "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\ntail=e1\nR=3\n"
 def test_chord_work_cap():
     # the saucer at the finest step the grid cap admits fits the cap
     saucer = FAMILIES["saucer"]()
-    seeds = _chord_seeds(saucer, fiber_critical_set(saucer, 0.039), 0.039)
+    X, E, _, P = _fiber_samples(saucer, 0.039)
+    seeds = _chord_seeds(saucer, X, E, P, 0.039)
     assert len(seeds) * (2 * seeds.shape[1] + 1) * CHORD_ITERS \
         <= MAX_CHORD_WORK
     # the degenerate family's 8,508 seeds at step 0.2 do not

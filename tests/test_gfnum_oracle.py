@@ -16,7 +16,8 @@ slopes cross, must find the chords, indices, gamma and duality audit
 that seeding it with every ordered pair of branches finds, or the same
 refusal.  Every family map is row-wise, so the Jacobian from one call
 on the points stacked over their probes equals, bit for bit, the one
-that calls the map once per probe column.
+that calls the map once per probe column, and Newton on groups of rows
+that stop on their own gives what one call per group gives.
 """
 
 import functools
@@ -693,6 +694,14 @@ def all_pair_seeds(fam, step):
     return ref_chord_seeds(fam, fiber_critical_set(fam, step), step)
 
 
+def ref_chord_seeds_of_arrays(fam, X, E, P, step):
+    """ref_chord_seeds on the fiber samples as _chord_seeds takes them,
+    the rows (X, E, P); z is not read."""
+    return ref_chord_seeds(fam, [FiberPoint(tuple(x), tuple(eta), None,
+                                            tuple(p))
+                                 for x, eta, p in zip(X, E, P)], step)
+
+
 def test_newton_matches_full_batch_reference():
     """The Newton that drops stuck rows gives the full-batch result bit
     for bit, on fiber seeds with many stuck rows and on chord seeds,
@@ -779,6 +788,107 @@ def test_newton_calls_F_once_per_step():
     fam, calls = unknot_family(), []
     _, accept, _ = _newton(spy(fam, calls), all_pair_seeds(fam, 0.1), 80)
     assert accept.any() and len(calls) < 81
+
+
+def mixed_chord_map(fams, label):
+    """The chord map of family fams[label[r]] on batch row r: each family
+    maps its own rows, so the map stays row-wise."""
+    def F(P, rows):
+        out = np.empty_like(P)
+        for f, fam in enumerate(fams):
+            on = label[rows] == f
+            out[on] = _diff_gradient(fam, P[on])
+        return out
+    return F
+
+
+def test_grouped_newton_matches_one_call_per_group():
+    """Groups in one _newton call each stop on their own, so every row
+    ends where a call on its group alone leaves it, bit for bit: a group
+    at its roots, which stops on the first step, and three with stuck
+    rows, the unknot's converging in a few steps and the fish's running
+    to the 80-step cap."""
+    fams = [unknot_family(), fish_family(), stacked_pair_family()]
+    unknot = all_pair_seeds(fams[0], 0.1)
+    roots, ok, stuck = _newton(lambda P, rows: _diff_gradient(fams[0], P),
+                               unknot, 80)
+    groups = [(0, roots[ok & ~stuck]), (0, unknot),
+              (1, all_pair_seeds(fams[1], 0.05)),
+              (2, all_pair_seeds(fams[2], 0.1))]
+    sizes = [len(seeds) for _, seeds in groups]
+    label = np.repeat([f for f, _ in groups], sizes)
+    starts = np.cumsum([0] + sizes[:-1])
+    got = _newton(mixed_chord_map(fams, label),
+                  np.concatenate([seeds for _, seeds in groups]), 80, starts)
+    calls, stuck = [], []
+    for lo, (f, seeds) in zip(starts, groups):
+        count = []
+
+        def alone(P, rows, fam=fams[f]):
+            count.append(len(P))
+            return _diff_gradient(fam, P)
+
+        want = _newton(alone, seeds, 80)
+        for a, b in zip(got, want):
+            assert _same(a[lo:lo + len(seeds)], b)
+        calls.append(len(count))
+        stuck.append(bool(want[2].any()))
+    # F calls alone, the accept test's included
+    assert calls[0] == 2 and 2 < calls[1] < 81 and calls[2] == 81 \
+        and calls[3] < 81
+    assert stuck == [False, True, True, True]
+
+
+def test_fiber_solve_polishes_whole_chunks_in_bounded_batches(monkeypatch):
+    """A Newton batch of the fiber solve closes once it holds
+    FIBER_BATCH_ROWS seed rows: the saucer's 12 scan chunks at the
+    default step are polished in one _newton call, and each of the
+    small-tail gf-file's chunks at step 0.1 (139k rows in all) in a call
+    of its own, so no call there is larger than its largest chunk."""
+    def chunk(m):
+        return np.zeros((m, 1)), np.zeros((m, 1))
+
+    bound = gfnum.FIBER_BATCH_ROWS
+    sizes = [bound // 2, bound // 4, bound // 2, bound + 1, 3, 2]
+    batches = list(gfnum._batches(map(chunk, sizes)))
+    assert [(len(Xs), list(starts)) for Xs, _, starts in batches] == [
+        (sum(sizes[:3]), [0, sizes[0], sizes[0] + sizes[1]]),
+        (bound + 1, [0]), (5, [0, 3])]
+    calls = []
+    newton = gfnum._newton
+
+    def spy(F, P, iters, starts=(0,)):
+        calls.append((len(P), len(starts)))
+        return newton(F, P, iters, starts)
+
+    monkeypatch.setattr(gfnum, "_newton", spy)
+    fam = FAMILIES["saucer"]()
+    gfnum._solve_fiber(fam, _x_grid(fam, 0.05), 0.05)
+    assert calls == [(2502, 12)]
+    calls.clear()
+    fam = parse_gf_file(SMALL_TAIL)
+    xs = _x_grid(fam, 0.1)
+    chunks = [len(Xs) for Xs, _ in _fiber_seeds(fam, xs, 0.1)]
+    gfnum._solve_fiber(fam, xs, 0.1)
+    assert sum(chunks) == 139347 and len(chunks) == 10
+    assert calls == [(m, 1) for m in chunks]
+
+
+def test_chord_search_builds_no_fiber_points(monkeypatch):
+    """reeb_chords reads the fiber samples as arrays: no FiberPoint is
+    built, where fiber_critical_set builds one per sample."""
+    built = []
+    init = FiberPoint.__init__
+
+    def spy(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(FiberPoint, "__init__", spy)
+    for name, step in (("fish", 0.05), ("saucer", 0.1)):
+        assert reeb_chords(FAMILIES[name](), step)[0]
+    assert not built
+    assert len(fiber_critical_set(fish_family(), 0.05)) == len(built) > 0
 
 
 # --- row-wise maps and the stacked Jacobian -----------------------------
@@ -928,7 +1038,7 @@ def check_against_all_pairs(fam, step, monkeypatch):
     same kind of refusal; returns the outcome."""
     got = _chord_outcome(fam, step)
     with monkeypatch.context() as m:
-        m.setattr(gfnum, "_chord_seeds", ref_chord_seeds)
+        m.setattr(gfnum, "_chord_seeds", ref_chord_seeds_of_arrays)
         m.setattr(gfnum, "MAX_CHORD_WORK", math.inf)
         want = _chord_outcome(fam, step)
     if isinstance(got, str) or isinstance(want, str):

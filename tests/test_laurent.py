@@ -20,6 +20,10 @@ def test_parse_rejects_garbage():
     for bad in ["2*", "1 + 2*", "*t", "t^(2", "t^-1)"]:
         with pytest.raises(DomainError, match="cannot parse term"):
             parse_poly(bad)
+    # nor do two digits on either side of a space join into one number
+    for bad in ["2 3", "t^1 0", "1 2t"]:
+        with pytest.raises(DomainError, match="space inside a number"):
+            parse_poly(bad)
 
 
 def test_parse_negative_exponents():
