@@ -20,10 +20,10 @@ def main(write_svg=False):
         fam = build()
         # a 2-d base (the saucer) has three grid axes: a coarser step
         step = 0.1 if fam.n == 2 else 0.05
-        pts = fiber_critical_set(fam, step=step)
+        rows = fiber_critical_set(fam, step=step)
         chords, gamma, report = reeb_chords(fam, step=step)
         print(f"{name}: n={fam.n} N={fam.N} "
-              f"front samples={len(pts)} chords={len(chords)} "
+              f"front samples={len(rows)} chords={len(chords)} "
               f"gamma={gamma}")
         for c in chords:
             print(f"  value {c.value:>12.6f}  index {c.index}  "
@@ -33,8 +33,9 @@ def main(write_svg=False):
             print(f"  note: {w}")
         if write_svg:
             path = os.path.join(HERE, f"{name}_front.svg")
+            X, E = rows[:, :fam.n], rows[:, fam.n:]
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(render_points_svg(pts))
+                fh.write(render_points_svg(X[:, 0], fam.value(X, E)))
             print(f"  wrote {os.path.relpath(path)}")
         print()
 

@@ -371,18 +371,20 @@ def cmd_compat(args):
 def cmd_gf_front(args):
     gf = _gfnum()
     fam = _load_family(args)
-    pts = gf.fiber_critical_set(fam, step=args.step)
-    margin = gf.fiber_regularity_margin(fam, pts) if pts else None
+    rows = gf.fiber_critical_set(fam, step=args.step)
+    margin = gf.fiber_regularity_margin(fam, rows)
+    X, E = rows[:, :fam.n], rows[:, fam.n:]
+    Z, P = fam.value(X, E), fam.grad_x(X, E)
     if args.svg:
-        _write(args.svg, render_points_svg(pts))
+        _write(args.svg, render_points_svg(X[:, 0], Z))
+    pts = [{"x": x, "eta": eta, "z": z, "p": p} for x, eta, z, p
+           in zip(X.tolist(), E.tolist(), Z.tolist(), P.tolist())]
     doc = {"n": fam.n, "N": fam.N, "R": fam.R, "count": len(pts),
-           "regularity_margin": margin,
-           "points": [{"x": list(q.x), "eta": list(q.eta), "z": q.z,
-                       "p": list(q.p)} for q in pts]}
+           "regularity_margin": margin, "points": pts}
     lines = chain(_kv([("n", fam.n), ("N", fam.N), ("R", fam.R),
                        ("count", len(pts)), ("regularity_margin", margin)]),
-                  (f"point x {_fmt(list(q.x))} eta {_fmt(list(q.eta))} "
-                   f"z {_fmt(q.z)} p {_fmt(list(q.p))}" for q in pts))
+                  (f"point x {_fmt(q['x'])} eta {_fmt(q['eta'])} "
+                   f"z {_fmt(q['z'])} p {_fmt(q['p'])}" for q in pts))
     return lines, doc
 
 

@@ -46,19 +46,23 @@ column by column: a row's value never depends on the rest of its
 batch.  The fiber solve joins whole chunks of its seed scan into one
 Newton call until the call holds FIBER_BATCH_ROWS seed rows, and each
 chunk stops on the step its own rows converge, so a row takes the
-steps a call per chunk gives it; the chord Newton is one group.  The
-fiber samples stay arrays from the solve to the chord seeds and the
-filling's margins; only fiber_critical_set builds FiberPoints.  The
-chord map evaluates both sheets of the difference function in one
-gradient call.  Morse indices and the regularity margin come
+steps a call per chunk gives it; the chord Newton is one group.
+fiber_critical_set is the one fiber solve, for gf-front, the chord
+searches and the filling's slices alike: it returns the samples as
+rows (x, eta), and only the readers of z = f and p = d_x f evaluate
+them (gf-front both, the chord seeds p under N = 1).  The filling's
+slice families are its only evaluator: its conditions are checked on
+them.  The chord map evaluates both sheets of the difference function
+in one gradient call.  Morse indices and the regularity margin come
 from numpy's symmetric eigenvalues.  No tolerance, and no
 setting that no caller changes, is a parameter: one used twice is a
 module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
 other a literal at its use.  FAMILIES names the built-in families.
 Refused: dimensions other than 1 or 2 (a gf-file's before anything is
-built), grid steps whose seed grid exceeds MAX_GRID_SAMPLES, chord
-searches whose Newton work exceeds MAX_CHORD_WORK, and composites in
-spin and immersed_filling_family.
+built), core or tail coefficients that are not finite, grid steps
+whose seed grid exceeds MAX_GRID_SAMPLES, chord searches whose Newton
+work exceeds MAX_CHORD_WORK, and composites in spin and
+immersed_filling_family.
 """
 
 import functools
@@ -247,6 +251,10 @@ class GeneratingFamily(_Family):
         if len(tail) != N or not any(tail):
             raise DomainError(f"tail must be a nonzero linear form on "
                               f"{N} fiber variables, got {tail}")
+        for c in [*core.terms.values(), *tail]:
+            if not math.isfinite(c):
+                raise DomainError(
+                    f"core and tail coefficients must be finite, got {c}")
         if not 0 < R < math.inf:
             raise DomainError(
                 f"cutoff radius must be finite and positive, got {R}")
@@ -652,19 +660,6 @@ def _num(v):
 
 # --- fiber-critical set ----------------------------------------------
 
-class FiberPoint:
-    """A sample of the fiber-critical set with its front tags."""
-
-    def __init__(self, x, eta, z, p):
-        self.x = x
-        self.eta = eta
-        self.z = z
-        self.p = p
-
-    def __repr__(self):
-        return f"FiberPoint(x={self.x}, eta={self.eta}, z={self.z:.6g})"
-
-
 # Cap on the (x, eta) seed grid of one fiber solve, in samples.  The
 # saucer (n = 2, N = 1) at the default step 0.05 takes 1.4e7, of which
 # the certified seed scan evaluates grad_eta at 22,482 (0.16%), after
@@ -941,9 +936,12 @@ def _solve_fiber(fam, xs, step):
     return np.concatenate(found_x), np.concatenate(found_e)
 
 
-def _fiber_samples(fam, step):
-    """The samples of fiber_critical_set as arrays (X, E, Z, P), one row
-    per sample, sorted by x and then eta.
+def fiber_critical_set(fam, step=0.05):
+    """Newton-polished samples of the fiber-critical set, as one row
+    (x, eta) per sample, sorted by x and then eta.  One sample per (x
+    gridpoint, eta branch); x stays on the grid, eta is polished.  Its
+    front data z = f and p = d_x f are the family's value and grad_x on
+    the rows, computed by the readers that need them.
 
     Of the solved rows whose x rounded to 9 decimals and eta rounded to
     7 agree, the first one solved is kept: a stable sort by the rounded
@@ -952,37 +950,22 @@ def _fiber_samples(fam, step):
     """
     _check_step(fam, step)
     X, E = _solve_fiber(fam, _x_grid(fam, step), step)
-    if not len(X):
-        return X, E, np.empty(0), np.empty((0, fam.n))
     keys = np.concatenate([np.round(X, 9), np.round(E, 7)], axis=1)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     first = np.ones(len(keys), bool)
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    keep = order[first]
-    keep = keep[np.lexsort(np.concatenate([X, E], axis=1)[keep].T[::-1])]
-    X, E = X[keep], E[keep]
-    return X, E, fam.value(X, E), fam.grad_x(X, E)
+    rows = np.concatenate([X, E], axis=1)[order[first]]
+    return rows[np.lexsort(rows.T[::-1])]
 
 
-def fiber_critical_set(fam, step=0.05):
-    """Newton-polished samples of the fiber-critical set, tagged with the
-    front data (x, eta, z = f, p = d_x f).  One sample per (x gridpoint,
-    eta branch); x stays on the grid, eta is polished.
-    """
-    return [FiberPoint(tuple(x), tuple(eta), float(z), tuple(p))
-            for x, eta, z, p in zip(*_fiber_samples(fam, step))]
-
-
-def fiber_regularity_margin(fam, points):
-    """min over samples of the smallest singular value of D(d_eta f).
-    points: FiberPoints, or an array with one row (x, eta) per sample."""
-    if not len(points):
+def fiber_regularity_margin(fam, rows):
+    """min over samples of the smallest singular value of D(d_eta f),
+    rows one (x, eta) per sample; None without samples."""
+    if not len(rows):
         return None
     n = fam.n
-    P = np.asarray(points if isinstance(points, np.ndarray)
-                   else [q.x + q.eta for q in points], float)
-    _, jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), P,
+    _, jac = _fd_jacobian(lambda Q: fam.grad_eta(Q[:, :n], Q[:, n:]), rows,
                           FD_STEP)
     gram = jac @ jac.transpose(0, 2, 1)
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[:, 0].min()), 0.0))
@@ -1055,11 +1038,12 @@ def _pairs(counts):
     return cell, i[off], j[off]
 
 
-def _chord_seeds(fam, X, E, P, step):
+def _chord_seeds(fam, rows, step):
     """reeb_chords' Newton seeds (x, eta, eta~): ordered pairs of fiber
     branches over one grid x, in the order of x, then eta, then eta~.
-    X, E and P are the x, eta and p = d_x f rows of the fiber samples at
-    step (_fiber_samples), sorted by x and then eta.  The seeds go to
+    rows are the fiber samples (x, eta) at step (fiber_critical_set),
+    sorted by x and then eta; their slopes p = d_x f are evaluated only
+    under N = 1, the only case that reads them.  The seeds go to
     one Newton call as a single group, with no batch bound:
     MAX_CHORD_WORK caps their count.
 
@@ -1076,8 +1060,9 @@ def _chord_seeds(fam, X, E, P, step):
     may cross, and every pair over each x is seeded.
     """
     n, N = fam.n, fam.N
-    if not len(X):
+    if not len(rows):
         return np.empty((0, n + 2 * N))
+    X, E = rows[:, :n], rows[:, n:]
     axis = _sample_grid(fam, step, 1)[0]
     G = np.searchsorted(axis, X)
     # runs of samples over one x, and their keys on the grid padded by
@@ -1105,6 +1090,7 @@ def _chord_seeds(fam, X, E, P, step):
         cell, i, j = _pairs(cnt[eq, 0])
         first = start[run[eq][cell]]
         a, b = first + i[:, None], first + j[:, None]
+        P = fam.grad_x(X, E)
         d = P[a] - P[b]
         cross = ((d.min(axis=1) <= 0) & (d.max(axis=1) >= 0)).all(axis=1)
         A += [a[cross].ravel(), b[cross].ravel()]
@@ -1160,8 +1146,7 @@ def reeb_chords(fam, step=0.05):
     partner (x, eta~, eta) with opposite value and complementary index.
     """
     n, N = fam.n, fam.N
-    X, E, _, P = _fiber_samples(fam, step)
-    seeds = _chord_seeds(fam, X, E, P, step)
+    seeds = _chord_seeds(fam, fiber_critical_set(fam, step), step)
     if not len(seeds):
         return [], LaurentPoly({}), _chord_report([], step)
     probes = 2 * seeds.shape[1] + 1
@@ -1331,12 +1316,12 @@ class ImmersedFilling:
     Every t-slice is again a polynomial-core family (slice_family).
     """
 
-    def __init__(self, fam, eps_G, t_plus, report):
+    def __init__(self, fam, eps_G, t_plus):
         self.family = fam
         self.eps_G = eps_G
         self.t_minus = 1.0
         self.t_plus = float(t_plus)
-        self.report = report
+        self.report = None  # set by immersed_filling_family
 
     def sigma(self, t):
         return float(smoothstep(np.asarray(t, float) - 1.0))
@@ -1359,13 +1344,6 @@ class ImmersedFilling:
         tail = [t * fam.tail[j] - eps[j] for j in range(fam.N)]
         return GeneratingFamily(fam.n, fam.N, core, tail, fam.R)
 
-    def value(self, t, X, E):
-        fam = self.family
-        s = self.sigma(t)
-        eps = np.asarray(self.eps(t))
-        base = t * (s * fam.value(X, E) + (1.0 - s) * fam.tail_value(E))
-        return base - np.asarray(E, float) @ eps
-
 
 # The filling tries FILLING_BUDGET offsets eps_G and takes the first
 # whose slices, solved on a grid of step FILLING_GRID_STEP, keep a
@@ -1381,71 +1359,71 @@ def immersed_filling_family(fam, t_plus=3.0):
     Searches decreasing offsets eps_G until 0 is a regular value of the
     fiber derivative of every sampled slice (the Jacobian in (t, x,
     eta) keeps a singular-value margin); then checks on sample grids
-    that slices are exactly linear for t <= 1, exactly t*f for
-    t >= t_plus, and exactly the tail far from the origin.
+    that the slice families are linear for t <= 1, t*f for t >= t_plus,
+    and the tail far from the origin, to float rounding.
     """
     _refuse_composite(fam, "the filling interpolation")
     if not 2.0 < t_plus < math.inf:
         raise DomainError(f"t_plus must be finite and exceed 2, got {t_plus}")
     rng = np.random.default_rng(0)
     t_samples = [0.5, 1.0, 1.3, 1.6, 1.9, 2.2, 2.6, t_plus, t_plus + 0.5]
-    chosen = None
     for k in range(FILLING_BUDGET):
         mag = 0.5 * (0.7 ** (k // 4))
         direction = rng.normal(size=fam.N)
         direction /= max(np.abs(direction).max(), 1e-12)
         eps_G = list(mag * direction)
-        probe = ImmersedFilling(fam, eps_G, t_plus, None)
+        filling = ImmersedFilling(fam, eps_G, t_plus)
         margin = math.inf
         ok = True
         for t in t_samples:
-            sl = probe.slice_family(t)
+            sl = filling.slice_family(t)
             if not any(sl.tail):
                 ok = False
                 break
-            X, E, _, _ = _fiber_samples(sl, FILLING_GRID_STEP)
-            m = fiber_regularity_margin(sl, np.concatenate([X, E], axis=1))
+            m = fiber_regularity_margin(
+                sl, fiber_critical_set(sl, FILLING_GRID_STEP))
             if m is not None:
                 margin = min(margin, m)
                 if m < FILLING_MARGIN_TOL:
                     ok = False
                     break
         if ok:
-            chosen = (eps_G, margin)
             break
-    if chosen is None:
+    else:
         raise DomainError(
             f"failed to locate regular value ε_G after {FILLING_BUDGET} "
             "samples")
-    eps_G, margin = chosen
-    filling = ImmersedFilling(fam, eps_G, t_plus, None)
+
+    def dev(t, X, E, want):
+        """The largest |slice t - want| over the rows (X, E), relative
+        to want's largest magnitude where that exceeds 1.  The slice
+        families are what the chords and margins are computed on."""
+        got = filling.slice_family(t).value(X, E)
+        return float(np.max(np.abs(got - want))) \
+            / max(1.0, float(np.max(np.abs(want))))
+
     xs = np.linspace(-fam.extent(), fam.extent(), 9).reshape(-1, 1)
     if fam.n == 2:
         xs = np.column_stack([xs[:, 0], xs[::-1, 0]])
     es = np.linspace(-fam.extent(), fam.extent(), 9).reshape(-1, fam.N) \
         if fam.N == 1 else np.column_stack(
             [np.linspace(-fam.extent(), fam.extent(), 9)] * 2)
-    conditions = {}
-    dev = 0.0
     far = np.full((9, fam.N), 1.5 * fam.extent())
-    for t in t_samples:
-        want = t * filling.family.tail_value(far) \
-            - far @ np.asarray(filling.eps(t))
-        dev = max(dev, float(np.max(np.abs(
-            filling.value(t, np.zeros((9, fam.n)) + 2.5 * fam.extent(), far)
-            - want))))
-    conditions["linear_at_infinity"] = dev < 1e-9
-    dev_low = max(float(np.max(np.abs(
-        filling.value(t, xs, es)
-        - (t * fam.tail_value(es) - es @ np.asarray(eps_G)))))
-        for t in (0.3, 0.7, 1.0))
-    conditions["linear_below_t_minus"] = dev_low < 1e-9
-    dev_high = max(float(np.max(np.abs(
-        filling.value(t, xs, es) - t * fam.value(xs, es))))
-        for t in (t_plus, t_plus + 1.0))
-    conditions["scaled_family_above_t_plus"] = dev_high < 1e-9
-    conditions["fiber_derivative_regular"] = margin >= FILLING_MARGIN_TOL
-    report = {
+    beyond = np.zeros((9, fam.n)) + 2.5 * fam.extent()
+    conditions = {
+        "linear_at_infinity": max(
+            dev(t, beyond, far, t * fam.tail_value(far)
+                - far @ np.asarray(filling.eps(t)))
+            for t in t_samples) < 1e-9,
+        "linear_below_t_minus": max(
+            dev(t, xs, es, t * fam.tail_value(es) - es @ np.asarray(eps_G))
+            for t in (0.3, 0.7, 1.0)) < 1e-9,
+        "scaled_family_above_t_plus": max(
+            dev(t, xs, es, t * fam.value(xs, es))
+            for t in (t_plus, t_plus + 1.0)) < 1e-9,
+        "fiber_derivative_regular": margin >= FILLING_MARGIN_TOL,
+    }
+    filling.report = {
         "eps_G": eps_G,
         "t_minus": 1.0,
         "t_plus": t_plus,
@@ -1456,7 +1434,6 @@ def immersed_filling_family(fam, t_plus=3.0):
         "tolerances": {"margin_tol": FILLING_MARGIN_TOL,
                        "slice_grid_step": FILLING_GRID_STEP},
     }
-    filling.report = report
     return filling
 
 

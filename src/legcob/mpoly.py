@@ -88,7 +88,12 @@ class MultiPoly:
                 ne[i] = 2 * j
                 ne.insert(i + 1, 2 * (k - j))
                 ne = tuple(ne)
-                out[ne] = out.get(ne, 0.0) + coeff * math.comb(k, j)
+                try:
+                    out[ne] = out.get(ne, 0.0) + coeff * math.comb(k, j)
+                except OverflowError:
+                    raise DomainError(
+                        f"rotated coefficient {coeff:g} * C({k}, {j}) "
+                        "overflows a float") from None
         return MultiPoly(self.nvars + 1, out)
 
     def evaluate(self, cols):

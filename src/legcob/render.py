@@ -67,14 +67,14 @@ def render_svg(diagram, dx=48, dy=28, margin=30):
             f'{body}\n</svg>\n')
 
 
-def render_points_svg(samples, width=480, height=320, margin=30):
+def render_points_svg(xs, zs, width=480, height=320, margin=30):
     """Scatter SVG of front samples: first base coordinate across, z up.
 
-    Samples need .x (tuple) and .z attributes; for a 2-d base only the
-    x1 projection is drawn.  Layout is data-driven but deterministic
-    (samples are re-sorted before drawing).
+    xs and zs are the samples' first base coordinates and z values; for
+    a 2-d base only the x1 projection is drawn.  Layout is data-driven
+    but deterministic (samples are re-sorted before drawing).
     """
-    pts = sorted((q.x[0], q.z) for q in samples)
+    pts = sorted(zip(xs, zs))
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}">\n'
             f'<rect width="{width}" height="{height}" fill="white"/>\n')

@@ -17,7 +17,6 @@ and sorting, cut at its limit.
 """
 
 from .errors import DomainError
-from .front import classical_invariants, maslov_potential
 from .laurent import LaurentPoly
 
 
@@ -41,14 +40,15 @@ def _transitions(diagram, graded):
     the ruling (switch also wherever e is no crossing).
 
     graded=True admits only switches of equal potential; components with
-    nonzero rotation number admit no graded ruling.
+    nonzero rotation number, those whose potential jumps by a defect of
+    2|rot| around the component, admit no graded ruling.
     """
-    if graded and any(classical_invariants(diagram)["rotation"]):
+    if graded and any(diagram.defects):
         return None
     events = diagram.events
     level = None
     if graded:
-        pot = maslov_potential(diagram).values
+        pot = diagram.potential
         level = {i: pot[u] == pot[l] for i, _, u, l in diagram.crossings}
 
     def step(e, partner):

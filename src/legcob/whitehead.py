@@ -41,17 +41,18 @@ _CUT_SLICE = 1
 MAX_DOUBLE_WORK = 5 * 10**4
 
 
+def _doubled(kind, a):
+    """The doubled group of a base event of kind: its events on the
+    copies of its strands, the lowest copy at height a."""
+    if kind == "L":
+        return [("L", a), ("L", a), ("X", a + 1)]
+    if kind == "R":
+        return [("X", a + 1), ("R", a), ("R", a)]
+    return [("X", a + 1), ("X", a), ("X", a + 2), ("X", a + 1)]
+
+
 def _double_groups(base):
-    out = []
-    for kind, h in base.events:
-        if kind == "L":
-            out.append([("L", 2 * h - 1), ("L", 2 * h - 1), ("X", 2 * h)])
-        elif kind == "X":
-            out.append([("X", 2 * h), ("X", 2 * h - 1),
-                        ("X", 2 * h + 1), ("X", 2 * h)])
-        else:
-            out.append([("X", 2 * h), ("R", 2 * h - 1), ("R", 2 * h - 1)])
-    return out
+    return [_doubled(kind, 2 * h - 1) for kind, h in base.events]
 
 
 def _assemble(base, middle):
@@ -167,13 +168,7 @@ class _TongueState:
 
     def _group(self, e):
         kind, h = self.base.events[e]
-        c = self._c_below(e, h - 1, at_event=True)
-        a = 2 * c + 1
-        if kind == "L":
-            return [("L", a), ("L", a), ("X", a + 1)]
-        if kind == "R":
-            return [("X", a + 1), ("R", a), ("R", a)]
-        return [("X", a + 1), ("X", a), ("X", a + 2), ("X", a + 1)]
+        return _doubled(kind, 2 * self._c_below(e, h - 1, at_event=True) + 1)
 
     def _tip_event(self):
         wid, direction, gap, side = self.tip

@@ -7,7 +7,7 @@ import pytest
 from legcob.errors import DomainError
 from legcob.gfnum import (
     CHORD_ITERS, FAMILIES, MAX_CHORD_WORK, MAX_GRID_SAMPLES, CompositeFamily,
-    GeneratingFamily, _chord_seeds, _fiber_samples, embeddedness_check,
+    GeneratingFamily, ImmersedFilling, _chord_seeds, embeddedness_check,
     fiber_critical_set, fiber_regularity_margin, fish_family, format_gf_file,
     immersed_filling_family, linear_family, parse_gf_file, reeb_chords,
     scaled_unknot_family, shifted_unknot_family, smoothstep, smoothstep_d,
@@ -83,23 +83,24 @@ def test_gradients_match_finite_differences():
 def test_unknot_fiber_circle_and_front():
     fam = unknot_family()
     pts = fiber_critical_set(fam, step=0.05)
-    assert pts
-    for q in pts:
-        x, eta = q.x[0], q.eta[0]
+    assert pts.shape[0] > 0 and pts.shape[1] == 2
+    X, E = pts[:, :1], pts[:, 1:]
+    Z, P = fam.value(X, E), fam.grad_x(X, E)
+    for (x, eta), z in zip(pts, Z):
         assert abs(x * x + eta * eta - 1.0) < 1e-6
         want_z = 2.0 * (1 - x * x) ** 1.5 * (1 if eta > 0 else -1)
-        assert abs(q.z - want_z) < 1e-6
+        assert abs(z - want_z) < 1e-6
     # cusps: samples reach the fold points x = +-1
-    assert max(abs(q.x[0]) for q in pts) > 0.99
+    assert np.abs(X).max() > 0.99
     # front consistency: central-difference dz/dx along each branch
-    # (polishing eta at x +- h by fiber Newton) matches the slope tag p
+    # (polishing eta at x +- h by fiber Newton) matches the slope p
     h = 1e-4
-    for q in pts[::7]:
-        if abs(q.x[0]) > 0.9:
+    for (x0, eta0), p in zip(pts[::7], P[::7, 0]):
+        if abs(x0) > 0.9:
             continue
         zs = []
-        for x in (q.x[0] - h, q.x[0] + h):
-            eta = q.eta[0]
+        for x in (x0 - h, x0 + h):
+            eta = eta0
             for _ in range(40):
                 X = np.array([[x]])
                 E = np.array([[eta]])
@@ -111,7 +112,7 @@ def test_unknot_fiber_circle_and_front():
                 eta -= g / dg
             zs.append(fam.value(np.array([[x]]), np.array([[eta]]))[0])
         slope = (zs[1] - zs[0]) / (2 * h)
-        assert abs(slope - q.p[0]) < 1e-5
+        assert abs(slope - p) < 1e-5
     # regularity of the fiber derivative along the samples
     margin = fiber_regularity_margin(fam, pts[::10])
     assert margin > 1e-3
@@ -119,7 +120,7 @@ def test_unknot_fiber_circle_and_front():
 
 def test_pure_linear_family():
     lin = linear_family()
-    assert fiber_critical_set(lin, step=0.2) == []
+    assert fiber_critical_set(lin, step=0.2).shape == (0, 2)
     chords, gamma, _ = reeb_chords(lin, step=0.2)
     assert chords == [] and gamma.is_zero()
 
@@ -127,10 +128,10 @@ def test_pure_linear_family():
 def test_fish_root_counts():
     pts = fiber_critical_set(fish_family(-1.0), step=0.02)
     counts = {}
-    for q in pts:
-        if abs(q.eta[0]) <= 1.5:
-            counts.setdefault(round(q.x[0], 4), 0)
-            counts[round(q.x[0], 4)] += 1
+    for x, eta in pts.tolist():
+        if abs(eta) <= 1.5:
+            counts.setdefault(round(x, 4), 0)
+            counts[round(x, 4)] += 1
     assert counts[0.0] == 3
     assert counts[1.0] == 1
     wedge = [x for x, c in counts.items() if c == 3]
@@ -235,8 +236,7 @@ CHORD_SEED_ROWS = {"unknot": 8, "scaled-unknot": 8, "shifted-unknot": 8,
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_chord_seed_rows_per_family(name):
     fam = FAMILIES[name]()
-    X, E, _, P = _fiber_samples(fam, 0.05)
-    seeds = _chord_seeds(fam, X, E, P, 0.05)
+    seeds = _chord_seeds(fam, fiber_critical_set(fam, 0.05), 0.05)
     assert seeds.shape == (CHORD_SEED_ROWS[name], fam.n + 2 * fam.N)
 
 
@@ -248,8 +248,7 @@ DEGENERATE_N2 = "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\ntail=e1\nR=3\n"
 def test_chord_work_cap():
     # the saucer at the finest step the grid cap admits fits the cap
     saucer = FAMILIES["saucer"]()
-    X, E, _, P = _fiber_samples(saucer, 0.039)
-    seeds = _chord_seeds(saucer, X, E, P, 0.039)
+    seeds = _chord_seeds(saucer, fiber_critical_set(saucer, 0.039), 0.039)
     assert len(seeds) * (2 * seeds.shape[1] + 1) * CHORD_ITERS \
         <= MAX_CHORD_WORK
     # the degenerate family's 8,508 seeds at step 0.2 do not
@@ -288,16 +287,14 @@ def test_spin_saucer():
     saucer = FAMILIES["saucer"]()
     assert saucer.n == 2 and saucer.N == 1
     pts = fiber_critical_set(saucer, step=0.1)
-    for q in pts:
-        r2 = q.x[0] ** 2 + q.x[1] ** 2 + q.eta[0] ** 2
-        assert abs(r2 - 1.0) < 1e-6
+    assert np.abs((pts ** 2).sum(axis=1) - 1.0).max() < 1e-6
     # theta-slice front equals the rotated 1-d front
-    slice_pts = [q for q in pts if abs(q.x[1]) < 1e-9]
-    assert slice_pts
-    for q in slice_pts:
-        x = q.x[0]
-        want = 2.0 * (1 - x * x) ** 1.5 * (1 if q.eta[0] > 0 else -1)
-        assert abs(q.z - want) < 1e-6
+    slice_pts = pts[np.abs(pts[:, 1]) < 1e-9]
+    assert len(slice_pts)
+    Z = saucer.value(slice_pts[:, :2], slice_pts[:, 2:])
+    for (x, _, eta), z in zip(slice_pts, Z):
+        want = 2.0 * (1 - x * x) ** 1.5 * (1 if eta > 0 else -1)
+        assert abs(z - want) < 1e-6
     chords, gamma, _ = reeb_chords(saucer, step=0.1)
     assert len(chords) == 1
     p = chords[0]
@@ -348,6 +345,15 @@ def test_spin_rejects_odd_radial_terms():
         spin(fish_family())
 
 
+def filling_value(fil, t, X, E):
+    """The closed formula of the filling's slice t:
+    t (sigma(t) f + (1 - sigma(t)) A(eta)) - eps(t) . eta."""
+    fam = fil.family
+    s = fil.sigma(t)
+    base = t * (s * fam.value(X, E) + (1.0 - s) * fam.tail_value(E))
+    return base - E @ np.asarray(fil.eps(t))
+
+
 def test_filling_conditions_and_slice_scaling():
     fam = unknot_family()
     fil = immersed_filling_family(fam, t_plus=3.0)
@@ -362,8 +368,26 @@ def test_filling_conditions_and_slice_scaling():
         X = rng.uniform(-6, 6, (30, 1))
         E = rng.uniform(-6, 6, (30, 1))
         dev = np.max(np.abs(fil.slice_family(t).value(X, E)
-                            - fil.value(t, X, E)))
+                            - filling_value(fil, t, X, E)))
         assert dev < 1e-9
+
+
+def test_filling_conditions_read_the_slice_families(monkeypatch):
+    # a slice family that drifts from t f above t_plus fails that
+    # condition alone
+    slice_family = ImmersedFilling.slice_family
+
+    def drifted(self, t):
+        sl = slice_family(self, t)
+        if t < self.t_plus:
+            return sl
+        return GeneratingFamily(sl.n, sl.N, sl.core.scale(1.0 + 1e-6),
+                                sl.tail, sl.R)
+
+    monkeypatch.setattr(ImmersedFilling, "slice_family", drifted)
+    conditions = immersed_filling_family(unknot_family()).report["conditions"]
+    assert [name for name, good in conditions.items() if not good] \
+        == ["scaled_family_above_t_plus"]
 
 
 def test_filling_linear_and_adversarial():
@@ -383,6 +407,27 @@ def test_family_rejects_non_finite_radius():
     for R in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="cutoff radius"):
             GeneratingFamily(1, 1, core, [-30.0], R)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+def test_gf_file_rejects_non_finite_coefficients(bad):
+    # a nan core answered gf-check with every condition passing, and a
+    # nan tail, being truthy, gf-chords with no chords
+    for core, tail in ((f"{bad}*e1 + e1^3", "-5*e1"),
+                       ("e1^3", f"{bad}*e1")):
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            parse_gf_file(f"n=1\nN=1\ncore={core}\ntail={tail}\nR=3\n")
+
+
+def test_spin_refuses_binomials_beyond_float():
+    # C(1030, 515) exceeds the largest float; C(1029, 514) does not
+    def family(k):
+        return parse_gf_file(
+            f"n=1\nN=1\ncore=x1^{k}*e1 + e1\ntail=-5*e1\nR=3\n")
+
+    assert spin(family(2058)).n == 2
+    with pytest.raises(DomainError, match="overflows a float"):
+        spin(family(2060))
 
 
 def test_grid_cap_admits_the_saucer_at_the_default_step():

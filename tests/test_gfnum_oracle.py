@@ -29,7 +29,7 @@ import pytest
 from legcob import gfnum
 from legcob.errors import DomainError
 from legcob.gfnum import (
-    FAMILIES, FD_STEP, CompositeFamily, FiberPoint, GeneratingFamily,
+    FAMILIES, FD_STEP, CompositeFamily, GeneratingFamily,
     _diff_gradient, _fd_jacobian, _fiber_seeds, _newton, _x_grid,
     fiber_critical_set, fish_family, linear_family, parse_gf_file,
     reeb_chords,
@@ -203,9 +203,12 @@ def ref_solve_fiber(fam, xs, step, newton_tol, accept_tol):
 
 
 def ref_fiber_critical_set(fam, step, newton_tol=1e-12, accept_tol=1e-9):
+    """The fiber samples with their front data, one row (x, eta, z, p)
+    per sample: of the solved rows whose rounded (x, eta) agree the
+    first one solved, sorted by x and then eta."""
     X, E = ref_solve_fiber(fam, _x_grid(fam, step), step, newton_tol,
                            accept_tol)
-    points = []
+    rows = []
     if len(X):
         Z = ref_value(fam, X, E)
         P = ref_grad_x(fam, X, E)
@@ -214,10 +217,9 @@ def ref_fiber_critical_set(fam, step, newton_tol=1e-12, accept_tol=1e-9):
             key = (tuple(np.round(X[i], 9)), tuple(np.round(E[i], 7)))
             if key not in seen:
                 seen.add(key)
-                points.append(FiberPoint(tuple(X[i]), tuple(E[i]),
-                                         float(Z[i]), tuple(P[i])))
-    points.sort(key=lambda q: (q.x, q.eta))
-    return points
+                rows.append((*X[i], *E[i], Z[i], *P[i]))
+    rows.sort(key=lambda r: r[:fam.n + fam.N])
+    return np.array(rows, float).reshape(-1, 2 * fam.n + fam.N + 1)
 
 
 # --- grids straddling r = R and r = 2R --------------------------------
@@ -330,19 +332,18 @@ FIBER_CASES = {
 }
 
 
-def _rows(points):
-    return [repr((q.x, q.eta, q.z, q.p)) for q in points]
-
-
 @pytest.mark.parametrize("name", sorted(FIBER_CASES))
 def test_fiber_critical_set_matches_reference(name):
+    """The rows (x, eta), with z and p evaluated on them, are the
+    reference's bit for bit."""
     make, step = FIBER_CASES[name]
     fam = make()
     got = fiber_critical_set(fam, step)
-    want = ref_fiber_critical_set(fam, step)
-    assert _rows(got) == _rows(want)
+    X, E = got[:, :fam.n], got[:, fam.n:]
+    got = np.column_stack([got, fam.value(X, E), fam.grad_x(X, E)])
+    assert _same(got, ref_fiber_critical_set(fam, step))
     if name != "linear":
-        assert got
+        assert len(got)
 
 
 # --- the certified seed scan -------------------------------------------
@@ -675,31 +676,24 @@ def test_smoothstep_d_sup_dominates():
     assert gfnum.SMOOTHSTEP_D_SUP < 2.0 * (1.0 + 1e-6)
 
 
-def ref_chord_seeds(fam, fiber, step):
+def ref_chord_seeds(fam, rows, step):
     """The reference Newton seeds of reeb_chords: every ordered pair of
-    fiber branches over one x."""
+    fiber branches over one x, from the fiber samples rows (x, eta)."""
+    n = fam.n
     by_x = {}
-    for q in fiber:
-        by_x.setdefault(q.x, []).append(q.eta)
+    for r in rows.tolist():
+        by_x.setdefault(tuple(r[:n]), []).append(r[n:])
     seeds = []
     for x, branches in by_x.items():
         for i, ei in enumerate(branches):
             for j, ej in enumerate(branches):
                 if i != j:
-                    seeds.append(list(x) + list(ei) + list(ej))
+                    seeds.append(list(x) + ei + ej)
     return np.array(seeds, float).reshape(-1, fam.n + 2 * fam.N)
 
 
 def all_pair_seeds(fam, step):
     return ref_chord_seeds(fam, fiber_critical_set(fam, step), step)
-
-
-def ref_chord_seeds_of_arrays(fam, X, E, P, step):
-    """ref_chord_seeds on the fiber samples as _chord_seeds takes them,
-    the rows (X, E, P); z is not read."""
-    return ref_chord_seeds(fam, [FiberPoint(tuple(x), tuple(eta), None,
-                                            tuple(p))
-                                 for x, eta, p in zip(X, E, P)], step)
 
 
 def test_newton_matches_full_batch_reference():
@@ -874,21 +868,34 @@ def test_fiber_solve_polishes_whole_chunks_in_bounded_batches(monkeypatch):
     assert calls == [(m, 1) for m in chunks]
 
 
-def test_chord_search_builds_no_fiber_points(monkeypatch):
-    """reeb_chords reads the fiber samples as arrays: no FiberPoint is
-    built, where fiber_critical_set builds one per sample."""
-    built = []
-    init = FiberPoint.__init__
+def test_each_fiber_solve_is_one_fiber_critical_set_call(monkeypatch):
+    """reeb_chords and each slice of the filling's search solve the
+    fiber through one call of the public fiber_critical_set, so a
+    wrapper of it sees every fiber solve; the filling's margins read
+    the rows of those calls."""
+    solved, measured = [], []
+    solve, margin = gfnum.fiber_critical_set, gfnum.fiber_regularity_margin
 
-    def spy(self, *args):
-        built.append(1)
-        init(self, *args)
+    def spy_solve(fam, step):
+        solved.append(fam)
+        return solve(fam, step)
 
-    monkeypatch.setattr(FiberPoint, "__init__", spy)
+    def spy_margin(fam, rows):
+        measured.append(fam)
+        return margin(fam, rows)
+
+    monkeypatch.setattr(gfnum, "fiber_critical_set", spy_solve)
+    monkeypatch.setattr(gfnum, "fiber_regularity_margin", spy_margin)
     for name, step in (("fish", 0.05), ("saucer", 0.1)):
-        assert reeb_chords(FAMILIES[name](), step)[0]
-    assert not built
-    assert len(fiber_critical_set(fish_family(), 0.05)) == len(built) > 0
+        fam = FAMILIES[name]()
+        solved.clear()
+        assert reeb_chords(fam, step)[0]
+        assert solved == [fam]
+    solved.clear()
+    gfnum.immersed_filling_family(unknot_family())
+    # one slice per sampled time, each solved once
+    assert len(solved) == 9 == len(set(map(id, solved)))
+    assert measured == solved
 
 
 # --- row-wise maps and the stacked Jacobian -----------------------------
@@ -940,7 +947,7 @@ def chords_and_points(name):
     fam = make()
     chords = np.array([[*c.coords[0], *c.coords[1], *c.coords[2]]
                        for c in reeb_chords(fam, step)[0]])
-    points = np.array([q.x + q.eta for q in fiber_critical_set(fam, step)])
+    points = fiber_critical_set(fam, step)
     return chords, points
 
 
@@ -1038,7 +1045,7 @@ def check_against_all_pairs(fam, step, monkeypatch):
     same kind of refusal; returns the outcome."""
     got = _chord_outcome(fam, step)
     with monkeypatch.context() as m:
-        m.setattr(gfnum, "_chord_seeds", ref_chord_seeds_of_arrays)
+        m.setattr(gfnum, "_chord_seeds", ref_chord_seeds)
         m.setattr(gfnum, "MAX_CHORD_WORK", math.inf)
         want = _chord_outcome(fam, step)
     if isinstance(got, str) or isinstance(want, str):

@@ -28,6 +28,7 @@ FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
          "huge-N.gf": "n=1\nN=1000000000\ncore=e1\ntail=-e1\nR=1\n",
          "degenerate-n2.gf": "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\n"
                              "tail=e1\nR=3\n",
+         "spin-2060.gf": "n=1\nN=1\ncore=x1^2060*e1 + e1\ntail=-5*e1\nR=3\n",
          "not-utf8.trace": b"\xff\xfe"}
 
 
@@ -44,6 +45,9 @@ ROWS = [
                  id="gf-chords-degenerate-n2"),
     pytest.param(["gf-chords", "--file", "huge-n.gf"], id="gf-file-huge-n"),
     pytest.param(["gf-chords", "--file", "huge-N.gf"], id="gf-file-huge-N"),
+    # C(1030, j) of the spun x1^2060 does not convert to a float
+    pytest.param(["gf-spin", "--file", "spin-2060.gf"],
+                 id="gf-spin-huge-exponent"),
     pytest.param(["tb", "--dim", "1", "--poly", "t^99999999999"],
                  id="tb-huge-degree"),
     pytest.param(["move", "--front", "L1 R1", "--move", "C --5"],
