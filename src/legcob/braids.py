@@ -22,11 +22,14 @@ NOT_A_FILLING = "not a surface filling for this closure convention"
 DISCONNECTED = "disconnected filling: genus per component not defined"
 
 # Cap on the replay work of one closure: filling moves x closure events
-# x (strands + 2).  Every replayed move rebuilds a front of 2s + k
-# events whose slices carry up to 2s strands.  Timed on an Intel Xeon
-# with 2 to 150 strands, one unit took at most 0.31 microseconds, and
-# the largest admitted closures answered in 0.3 to 0.8 s.  2 strands
-# admit 431 letters, one letter admits 113 strands.
+# x (strands + 2).  Every replayed move splices a window of up to 2s
+# strands into one running front of about 2s + k events, and every
+# merge pinch walks that front's cusp cycles (see moves._replay).  The
+# cap was timed when every move rebuilt a front: on an Intel Xeon with
+# 2 to 150 strands one unit took at most 0.31 microseconds, and the
+# largest admitted closures answered in 0.3 to 0.8 s; they now answer in
+# about 0.2 s.  2 strands admit 431 letters, one letter admits 113
+# strands.  Every admitted closure is within moves.MAX_REPLAY_WORK.
 MAX_CLOSURE_WORK = 3 * 10**6
 
 
@@ -113,20 +116,33 @@ def _closure(b):
         moves += _letter_block_moves(base, s, i)
         if j:
             moves += [("PM", base - 1 - t) for t in range(s)]
-    assert len(moves) == n_moves
+    if len(moves) != n_moves:
+        raise AssertionError(
+            f"closure trace has {len(moves)} moves, not {n_moves}")
     trace = CobordismTrace(parse_front(""), moves, gf_mode=True)
+    # the closure's answers rest on these checks of its one replay, so
+    # they must not vanish under `python -O`
     d, births, pinches, pieces = _replay(trace)
     expected = ([("L", t) for t in range(1, s + 1)]
                 + [("X", s + i) for i in letters]
                 + [("R", t) for t in range(s, 0, -1)])
-    assert d.events == expected, "closure construction went off pattern"
-    assert births == k * (s - 1) and pinches == s * (k - 1)
+    if d.events != expected:
+        raise AssertionError(
+            f"closure construction went off pattern: ends at {d.word!r}")
+    if (births, pinches) != (k * (s - 1), s * (k - 1)):
+        raise AssertionError(
+            f"closure trace has {births} births and {pinches} pinches, "
+            f"not {k * (s - 1)} and {s * (k - 1)}")
     cycles = b.permutation_cycles()
-    assert d.n_components == cycles, \
-        "closure components disagree with permutation cycles"
+    if d.n_components != cycles:
+        raise AssertionError(
+            f"closure components {d.n_components} disagree with "
+            f"{cycles} permutation cycles")
     genus = Fraction(2 - cycles + k - s, 2)
-    if pieces == 1:
-        assert Fraction(2 - d.n_components - births + pinches, 2) == genus
+    if pieces == 1 and Fraction(2 - d.n_components - births + pinches,
+                                2) != genus:
+        raise AssertionError(
+            f"trace genus disagrees with the formula genus {genus}")
     return d, trace, genus, pieces
 
 

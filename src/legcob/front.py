@@ -18,6 +18,7 @@ arc running from its left cusp to its right cusp.
 """
 
 import re
+from itertools import accumulate
 
 from .errors import DomainError
 
@@ -55,7 +56,8 @@ class FrontDiagram:
     Computed on first use, from the stacks:
       crossings   list of (event_index, pos, upper_id, lower_id)
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
-    and from one walk of the cusp cycles:
+    and from one walk of the cusp cycles (cusp_walk, which the trace
+    replay also runs on its own strand labels):
       comp_of     id -> component index (components numbered by oldest id)
       components  list of sorted id lists
       n_components
@@ -94,44 +96,18 @@ class FrontDiagram:
             events = [(k, int(p)) for k, p in events]
             parent, window = _EMPTY, (0, 0)
         w0, w1_old = window
-        n = len(events)
-        w1_new = w1_old + n - len(parent.events)
+        w1_new = w1_old + len(events) - len(parent.events)
         stacks = parent.stacks
-        count, goal, nb = len(stacks[w0]), len(stacks[w1_old]), parent.born[w0]
         self.events = events
-        i = w0
-        while i < n:
-            if i == w1_new and count == goal:
-                # the suffix's positions depend only on the strand count,
-                # so it stays valid and ends with every strand closed
-                break
-            kind, pos = events[i]
-            if kind == "L":
-                if not 1 <= pos <= count + 1:
-                    raise DomainError(
-                        f"invalid position {pos} at event {i} (L{pos}) "
-                        f"with {count} strands")
-                count += 2
-                nb += 1
-            elif kind in ("X", "R"):
-                if not 1 <= pos <= count - 1:
-                    raise DomainError(
-                        f"invalid position {pos} at event {i} ({kind}{pos}) "
-                        f"with {count} strands")
-                if kind == "R":
-                    count -= 2
-            else:
-                raise DomainError(f"unknown event kind {kind!r} at event {i}")
-            i += 1
-        else:
-            if count:
-                # the strand count is 2 * (left - right cusps)
-                raise DomainError(
-                    f"unbalanced cusps: {nb} left, {nb - count // 2} right")
+        # the suffix's positions depend only on the strand count, so it
+        # stays valid once the window ends with the parent's count there
+        i, nb = check_window(events, w0, w1_new, len(stacks[w0]),
+                             len(stacks[w1_old]))
+        nb += parent.born[w0]
         self._tokens = tokens = parent._tokens[:]
         tokens[w0:w1_old] = [f"{k}{p}" for k, p in events[w0:w1_new]]
         self.word = " ".join(tokens)
-        if i == n:  # checked to the end: no suffix to join
+        if i == len(events):  # checked to the end: no suffix to join
             self.n_left = nb
         else:
             self.n_left = parent.n_left + nb - parent.born[w1_old]
@@ -144,19 +120,11 @@ class FrontDiagram:
         parent, w0, w1_old, end = self.__dict__.pop("_pending")
         events = self.events
         head, self.born = parent.stacks[:w0 + 1], parent.born[:w0 + 1]
-        stack, nb = list(head[-1]), self.born[-1]
-        stacks, born = [], []
-        for kind, pos in events[w0:end]:
-            if kind == "L":
-                stack[pos - 1:pos - 1] = (2 * nb, 2 * nb + 1)
-                nb += 1
-            elif kind == "X":
-                stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
-            else:
-                del stack[pos - 1:pos + 1]
-            stacks.append(tuple(stack))
-            born.append(nb)
-        self.born += tuple(born)
+        window = events[w0:end]
+        nb = self.born[-1]
+        stacks = [tuple(s) for s in simulate(window, list(head[-1]), 2 * nb)]
+        self.born += tuple(accumulate([k == "L" for k, _ in window],
+                                      initial=nb))[1:]
         if end == len(events):
             self.stacks = head + tuple(stacks)
             return
@@ -228,51 +196,13 @@ class FrontDiagram:
         self.cusps = cusps
 
     def _walk(self):
-        # Each id meets two cusps, its birth and its death, so the cusp
-        # edges on ids form one cycle per component; a left cusp gives
-        # birth to the pair 2k (upper) and 2k + 1.  The walk goes once
-        # around each cycle from the lower strand of its first left cusp
-        # (oldest id + 1), across its death cusp first and then across
-        # births and deaths in turn, setting mu(upper) = mu(lower) + 1 at
-        # each; the jump left at the birth cusp that closes the cycle is
-        # the defect (0 when single valued).  Strands reverse direction at
-        # every cusp, so the parity of the potential is the orientation.
-        n = self.n_ids
-        dies_with = [None] * n  # id -> (partner at its death, mu step)
-        stacks = self.stacks
-        for i, (kind, pos) in enumerate(self.events):
-            if kind == "R":
-                u, l = stacks[i][pos - 1], stacks[i][pos]
-                dies_with[u] = (l, -1)
-                dies_with[l] = (u, 1)
-        potential = [None] * n
-        comp_of = [None] * n
-        components = []
-        defects = []
-        for oldest in range(0, n, 2):
-            if comp_of[oldest] is not None:
-                continue
-            c = len(components)
-            ids = []
-            a, v = oldest + 1, 0
-            while True:
-                b, step = dies_with[a]
-                potential[a] = v
-                v += step
-                potential[b] = v
-                comp_of[a] = comp_of[b] = c
-                ids += (a, b)
-                if b == oldest:
-                    break
-                a = b ^ 1
-                v += 1 if b & 1 else -1
-            gap = v - 1  # mu(oldest) - mu(oldest + 1) - 1
-            assert gap % 2 == 0, "orientation cycle has odd length"
-            components.append(sorted(ids))
-            defects.append(abs(gap))
-        self.potential = potential
-        self.defects = defects
-        self.comp_of = comp_of
+        potential, comp_of, self.defects = cusp_walk(self.events, self.stacks)
+        ids = range(self.n_ids)
+        self.potential = [potential[a] for a in ids]
+        self.comp_of = [comp_of[a] for a in ids]
+        components = [[] for _ in self.defects]
+        for a, c in enumerate(self.comp_of):
+            components[c].append(a)
         self.components = components
         self.n_components = len(components)
 
@@ -292,6 +222,115 @@ class FrontDiagram:
 _EMPTY = object.__new__(FrontDiagram)
 _EMPTY.__dict__.update(events=[], word="", n_left=0, stacks=((),),
                        born=(0,), _tokens=[])
+
+
+def check_window(events, i, stop, count, goal):
+    """Check the positions of events[i:] against the strand count, from
+    `count` strands at slice i; stop at slice `stop` if it holds `goal`
+    strands, since the rest of the word then keeps its positions.
+    Returns the slice where the check stopped and the left cusps it
+    passed, or raises the DomainError of a full build."""
+    n = len(events)
+    nb = 0
+    while i < n:
+        if i == stop and count == goal:
+            break
+        kind, pos = events[i]
+        if kind == "L":
+            if not 1 <= pos <= count + 1:
+                raise DomainError(
+                    f"invalid position {pos} at event {i} (L{pos}) "
+                    f"with {count} strands")
+            count += 2
+            nb += 1
+        elif kind in ("X", "R"):
+            if not 1 <= pos <= count - 1:
+                raise DomainError(
+                    f"invalid position {pos} at event {i} ({kind}{pos}) "
+                    f"with {count} strands")
+            if kind == "R":
+                count -= 2
+        else:
+            raise DomainError(f"unknown event kind {kind!r} at event {i}")
+        i += 1
+    else:
+        if count:
+            # the strand count is 2 * (left - right cusps)
+            left = sum(k == "L" for k, _ in events)
+            raise DomainError(
+                f"unbalanced cusps: {left} left, {left - count // 2} right")
+    return i, nb
+
+
+def simulate(events, stack, nid):
+    """Run a valid run of events on `stack`, a list changed in place: a
+    left cusp inserts the labels nid, nid + 1, the next one nid + 2,
+    nid + 3, and so on.  Yields the stack after each event."""
+    for kind, pos in events:
+        if kind == "L":
+            stack[pos - 1:pos - 1] = (nid, nid + 1)
+            nid += 2
+        elif kind == "X":
+            stack[pos - 1], stack[pos] = stack[pos], stack[pos - 1]
+        else:
+            del stack[pos - 1:pos + 1]
+        yield stack
+
+
+def cusp_walk(events, stacks):
+    """One walk of the cusp cycles of the front `events`, whose slices
+    hold the strand labels `stacks`.
+
+    Returns (potential, comp_of, defects): dicts label -> raw Maslov
+    potential and label -> component, and per component the size of the
+    potential's jump around its cycle (0 when single valued).  A strand
+    meets two cusps, its birth and its death, so the cusp edges form one
+    cycle per component, numbered by its first left cusp.  The walk goes
+    once around each cycle from the lower strand of that cusp, across its
+    death cusp first and then across births and deaths in turn, setting
+    mu(upper) = mu(lower) + 1 at each; the jump left at the birth cusp
+    that closes the cycle is the defect.  Strands reverse direction at
+    every cusp, so the potential's parity is the orientation.
+    """
+    born_with = {}  # label -> (partner at its birth, mu step)
+    dies_with = {}  # and at its death
+    firsts = []
+    for i, (kind, pos) in enumerate(events):
+        if kind == "L":
+            s = stacks[i + 1]
+            u, l = s[pos - 1], s[pos]
+            born_with[u] = (l, -1)
+            born_with[l] = (u, 1)
+            firsts.append(u)
+        elif kind == "R":
+            s = stacks[i]
+            u, l = s[pos - 1], s[pos]
+            dies_with[u] = (l, -1)
+            dies_with[l] = (u, 1)
+    potential = {}
+    comp_of = {}
+    defects = []
+    for first in firsts:
+        if first in comp_of:
+            continue
+        c = len(defects)
+        a, v = born_with[first][0], 0
+        for _ in dies_with:  # a cycle crosses each death cusp once
+            b, step = dies_with[a]
+            potential[a] = v
+            v += step
+            potential[b] = v
+            comp_of[a] = comp_of[b] = c
+            if b == first:
+                break
+            a, step = born_with[b]
+            v += step
+        else:
+            raise AssertionError("cusp cycle does not close")
+        gap = v - 1  # mu(first) - mu(its lower partner) - 1
+        assert gap % 2 == 0, "orientation cycle has odd length"
+        defects.append(abs(gap))
+    return potential, comp_of, defects
 
 
 def classical_invariants(diagram, reversed_components=()):

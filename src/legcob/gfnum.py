@@ -59,8 +59,8 @@ setting that no caller changes, is a parameter: one used twice is a
 module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
 other a literal at its use.  FAMILIES names the built-in families.
 Refused: dimensions other than 1 or 2 (a gf-file's before anything is
-built), core or tail coefficients that are not finite, grid steps
-whose seed grid exceeds MAX_GRID_SAMPLES, chord searches whose Newton
+built), core or tail coefficients that are not finite, and cores whose
+derivatives' are not, grid steps whose seed grid exceeds MAX_GRID_SAMPLES, chord searches whose Newton
 work exceeds MAX_CHORD_WORK, and composites in spin and
 immersed_filling_family.
 """
@@ -265,6 +265,13 @@ class GeneratingFamily(_Family):
         self.R = float(R)
         self._dx = [core.diff(i) for i in range(n)]
         self._de = [core.diff(n + j) for j in range(N)]
+        for p in [*self._dx, *self._de]:
+            for c in p.terms.values():
+                # a finite coefficient times its exponent can overflow
+                if not math.isfinite(c):
+                    raise DomainError(
+                        f"core derivative coefficients must be finite, "
+                        f"got {c}")
 
     def var_names(self):
         return ([f"x{i + 1}" for i in range(self.n)]

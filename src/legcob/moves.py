@@ -31,16 +31,26 @@ index, all 0-based except heights which are 1-based like event words):
 
 B, P and PM change the surface topology; the rest are isotopies of the
 front and leave tb, rotation numbers, component count and the graded
-ruling count unchanged.  A replay counts the surface's connected
-pieces with a union-find over strand labels that each move carries
-past its window (see _replay); the count walks no cusp cycles.
+ruling count unchanged.
+
+A trace replay (see _replay) builds no FrontDiagram per move.  It
+carries one running front, the event list and per slice a list of
+strand labels, and rewrites each move's window by the same rule as
+apply_move.  It checks the window's positions with the build's own
+check (front.check_window), simulates the window alone
+(front.simulate) and splices it in.  The labels are the nodes of a
+union-find that counts the surface's connected pieces.  In gf mode a
+pinch's grading is one rule (_check_grading) over one cusp walk
+(front.cusp_walk), run by a replay on its running front and by
+apply_move through the FrontDiagram.  Only the end front is built.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 
 from .errors import DomainError
-from .front import FrontDiagram, parse_front
+from .front import (FrontDiagram, check_window, cusp_walk, parse_front,
+                    simulate)
 
 # Each move with its inverse as local rewrites old -> new of the event
 # word, positions written as offsets from a height h.  A move whose old
@@ -118,26 +128,31 @@ def _fail(move, reason):
     raise DomainError(f"move not applicable ({format_move(move)}): {reason}")
 
 
-def _check_grading(diagram, move):
+_PINCHES = ("P", "PM")
+
+
+def _check_grading(move, events, stacks, walk):
     """A pinch P s h needs mu(a) - mu(b) = 1 for the strands a above b
     at heights h, h+1 of slice s (the new right cusp matches the
     potential), a merge PM e equal cusp levels mu(a) = mu(b) for a dying
     at its R_h and b born at its L_h; both modulo the potential's mod,
-    its component's defect (twice its absolute rotation number)."""
-    kind, st = move[0], diagram.stacks
-    if kind == "P":
+    its component's defect (twice its absolute rotation number).  The
+    front is (events, stacks) before the move, and walk = (potential,
+    comp_of, defects) its cusp walk (see front.cusp_walk)."""
+    if move[0] == "P":
         _, w, h = move
-        a, b, gap, what = st[w][h - 1], st[w][h], 1, "potentials"
-    elif kind == "PM":
-        w, h = move[1], diagram.events[move[1]][1]
-        a, b, gap, what = st[w][h - 1], st[w + 2][h - 1], 0, "cusp levels"
+        a, b, gap, what = stacks[w][h - 1], stacks[w][h], 1, "potentials"
     else:
-        return
-    c = diagram.comp_of[a]
-    if diagram.comp_of[b] != c:
+        w = move[1]
+        h = events[w][1]
+        a, b = stacks[w][h - 1], stacks[w + 2][h - 1]
+        gap, what = 0, "cusp levels"
+    potential, comp_of, defects = walk
+    c = comp_of[a]
+    if comp_of[b] != c:
         return  # potentials on distinct components can be shifted freely
-    m = diagram.defects[c] or None
-    mu_a, mu_b = diagram.potential[a], diagram.potential[b]
+    m = defects[c] or None
+    mu_a, mu_b = potential[a], potential[b]
     if m:
         mu_a, mu_b = mu_a % m, mu_b % m
     diff = mu_a - mu_b - gap
@@ -180,15 +195,16 @@ def _apply(diagram, move, gf_mode=False):
     The new diagram is built from `diagram`, checking the window only,
     so its position checks reject an illegal rewrite; its stacks wait
     for their first read."""
-    w0, w1_old, repl = _rewrite(diagram, move)
+    w0, w1_old, repl = _rewrite(diagram.events, move)
     events = diagram.events[:]
     events[w0:w1_old] = repl
     try:
         new = FrontDiagram(events, diagram, (w0, w1_old))
     except DomainError as err:
         _fail(move, f"rewritten word is invalid: {err}")
-    if gf_mode:
-        _check_grading(diagram, move)
+    if gf_mode and move[0] in _PINCHES:
+        _check_grading(move, diagram.events, diagram.stacks,
+                       (diagram.potential, diagram.comp_of, diagram.defects))
     return new, w0, w1_old, w0 + len(repl)
 
 
@@ -205,14 +221,14 @@ def _match(rules, ev, e):
     return None
 
 
-def _rewrite(diagram, move):
-    """The window [w0, w1_old) of the event word that `move` rewrites and
-    its replacement events; the window build checks their positions."""
+def _rewrite(ev, move):
+    """The window [w0, w1_old) of the event word `ev` that `move`
+    rewrites and its replacement events; the caller checks their
+    positions (front.check_window)."""
     kind = move[0]
     arity = _MOVE_ARITY.get(kind)
     if arity is None or len(move) != 1 + arity:
         raise DomainError(f"bad move {move!r}")
-    ev = diagram.events
     e = move[1]  # an event, or the slice of an insertion
 
     if kind in ("C", "Ch"):
@@ -328,16 +344,88 @@ def format_trace(trace):
     return "\n".join(out) + "\n"
 
 
+# The change in event count each move makes: every rule of a table
+# kind changes it alike (new side less old side), and the commutes keep
+# it.
+_GROWTH = {kind: len(rules[0][1]) - len(rules[0][0])
+           for kind, rules in _RULES.items()}
+_GROWTH.update(C=0, Ch=0)
+
+# Cap on the work of one replay, in events, counted from the move kinds
+# before it starts: each move splices its window into the running front
+# and renames the suffix slices of at most two strands, work of the
+# front's event count, and each pinch or merge of a gf-mode replay walks
+# the front's cusp cycles, as much again.  Timed on an Intel Xeon
+# (Python 3.11), a unit took at most 0.45 microseconds, in a gf replay
+# of pinches that each cut two long strands; the largest admitted
+# traces answer in about a second from the shell.  The largest braid
+# closure MAX_CLOSURE_WORK admits (2 strands x 431 letters) takes 5.7e5
+# units, the largest Whitehead double MAX_DOUBLE_WORK admits (the
+# 13-strand closure) 1.2e5.
+MAX_REPLAY_WORK = 2 * 10**6
+
+
+def _check_replay_work(trace):
+    """Refuse a trace whose replay work exceeds MAX_REPLAY_WORK."""
+    n = len(trace.start.events)
+    work = 0
+    for move in trace.moves:
+        work += 2 * n if trace.gf_mode and move[0] in _PINCHES else n
+        # a front never shrinks below the empty one: a replay stops at
+        # its first refused move
+        n = max(n + _GROWTH.get(move[0], 0), 0)
+    if work > MAX_REPLAY_WORK:
+        raise DomainError(
+            f"trace too large to replay: {work} events of work exceed the "
+            f"cap of {MAX_REPLAY_WORK:.3g} (each move works on the whole "
+            f"front, a graded pinch twice)")
+
+
+def _rename(events, stacks, t, h, label):
+    """Give `label` to the strand at index h of slice t on the slices
+    after t, up to its death cusp, following its height."""
+    n = len(events)
+    while t < n:
+        kind, pos = events[t]
+        t += 1
+        if kind == "X":
+            if h == pos - 1:
+                h = pos
+            elif h == pos:
+                h = pos - 1
+        elif kind == "L":
+            if h >= pos - 1:
+                h += 2
+        elif h >= pos - 1:
+            if h <= pos:
+                return  # the strand dies at this right cusp
+            h -= 2
+        stacks[t][h] = label
+
+
 def _replay(trace):
-    """(end front, births, pinches, pieces) of a trace: label[id] is
-    the union-find label of each strand id of the current front.  A
-    move keeps the labels of ids born before w0, shifts those born
-    after w1 with their ids, and gives fresh labels to ids born in the
-    window.  It joins the two strands of each cusp in the new window
-    and the strands at each height of the stacks at w1, whose cells
-    continue past the window."""
-    d = trace.start
-    parent = list(range(d.n_ids))
+    """(end front, births, pinches, pieces) of a trace, replayed on one
+    running front: the event list and, per slice, a list of the labels
+    of its strands.  A label is a node of a union-find over the strands
+    of every front the trace passes, so the surface's pieces are its
+    classes; the start front's labels are its ids.
+
+    A move checks its window's positions (front.check_window) and, in gf
+    mode, a pinch's grading on the cusp walk of the front it pinches
+    (front.cusp_walk).  It then simulates the window alone, new strands
+    taking fresh labels, and splices the window's events and stacks in.
+    It joins the two strands of each cusp in the window, and at the
+    window's right edge the old label at each height with the new one.
+    Where the two differ the strand keeps one label: a new strand in
+    place of one born in the old window takes the old label, in the
+    window; any other strand is cut or joined there (a pinch or a fish
+    cuts it, a merge or a fish removal joins it), and its slices after
+    the window, up to its death cusp, take the new label."""
+    _check_replay_work(trace)
+    start, gf_mode = trace.start, trace.gf_mode
+    events = start.events
+    stacks = [list(s) for s in start.stacks]
+    parent = list(range(start.n_ids))
 
     def find(a):
         while parent[a] != a:
@@ -350,34 +438,53 @@ def _replay(trace):
         if a != b:  # the older root stays, so new labels hang below
             parent[max(a, b)] = min(a, b)
 
-    label = list(range(d.n_ids))
-    for _, _, _, u, l in d.cusps:
+    for _, _, _, u, l in start.cusps:
         union(u, l)
     for move in trace.moves:
-        new_d, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
-        old = len(parent)
-        pairs = [label[a] for a in d.stacks[w1_old]]
-        fresh = 2 * (new_d.born[w1_new] - new_d.born[w0])
-        parent += range(old, old + fresh)
-        label[2 * d.born[w0]:2 * d.born[w1_old]] = range(old, old + fresh)
-        stacks = new_d.stacks
-        for i in range(w0, w1_new):
-            kind, pos = new_d.events[i]
-            if kind != "X":
-                s = stacks[i + 1] if kind == "L" else stacks[i]
-                union(label[s[pos - 1]], label[s[pos]])
-        for a, b in zip(pairs, stacks[w1_new]):
-            if a != label[b]:  # most heights keep their label: no union
-                union(a, label[b])
+        w0, w1_old, repl = _rewrite(events, move)
+        w1_new = w0 + len(repl)
+        new = events[:w0] + repl + events[w1_old:]
+        try:
+            check_window(new, w0, w1_new, len(stacks[w0]),
+                         len(stacks[w1_old]))
+        except DomainError as err:
+            _fail(move, f"rewritten word is invalid: {err}")
+        if gf_mode and move[0] in _PINCHES:
+            _check_grading(move, events, stacks, cusp_walk(events, stacks))
+        events = new
+        nid = len(parent)
+        prefix = stacks[w0]
+        window = [s[:] for s in simulate(repl, prefix[:], nid)]
+        parent += range(nid, nid + 2 * sum(k == "L" for k, _ in repl))
+        edge = prefix
+        for (kind, pos), after in zip(repl, window):
+            if kind == "L":
+                union(after[pos - 1], after[pos])
+            elif kind == "R":
+                union(edge[pos - 1], edge[pos])
+            edge = after
+        old_edge = stacks[w1_old]
+        stacks[w0 + 1:w1_old + 1] = window
+        for h, (a, b) in enumerate(zip(old_edge, edge)):
+            if a == b:
+                continue  # most heights keep their label: no union
+            union(a, b)
+            if b >= nid and a not in prefix:
+                # b takes the place of a, born in the old window
+                for s in window:
+                    if b in s:
+                        s[s.index(b)] = a
+            else:
+                _rename(events, stacks, w1_new, h, b)
         # only a birth makes a piece that joins no label of the last front
-        if move[0] != "B" and any(find(a) >= old
-                                  for a in range(old, old + fresh)):
+        if move[0] != "B" and any(find(a) >= nid
+                                  for a in range(nid, len(parent))):
             raise AssertionError(f"untracked component after {move[0]}")
-        d = new_d
-    pieces = len({find(a) for a in label})
+    pieces = len({find(stacks[i + 1][pos - 1])
+                  for i, (kind, pos) in enumerate(events) if kind == "L"})
     births = sum(m[0] == "B" for m in trace.moves)
-    pinches = sum(m[0] in ("P", "PM") for m in trace.moves)
-    return d, births, pinches, pieces
+    pinches = sum(m[0] in _PINCHES for m in trace.moves)
+    return FrontDiagram(events), births, pinches, pieces
 
 
 def trace_summary(trace):

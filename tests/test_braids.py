@@ -117,6 +117,8 @@ def test_closure_cap_boundary_and_admitted_sizes():
         closure_report(BraidWord(114, [1]))
     with pytest.raises(DomainError, match="braid closure too large"):
         positive_braid_closure(BraidWord(2, [1] * 432))
+    # 2 strands, 431 letters: the largest replay of any admitted closure
+    assert closure_report(BraidWord(2, [1] * 431))["connected"]
     # the largest benchmark braids: 6 strands, 16 letters
     rep = closure_report(BraidWord(6, [5] * 16))
     assert rep["chi"] == 6 - 16

@@ -17,14 +17,20 @@
    pinch gradings through `maslov_potential`, which the applier's check
    does not call; every pinch and merge on the fronts with nonzero
    rotation numbers is checked that way too.
-3. The replay's piece count.  `_replay` tracks pieces by a union-find
-   over strand labels; `ref_replay` is the replay it replaced, which
-   walked the cusp cycles of every new front and matched components by
-   their per-strand overlap (`ref_strand_overlap`, itself checked
-   against the cell-by-cell overlap).  They must give the same end word,
-   births, pinches and pieces, or the same error, on the `wh` traces of
-   the benchmark's bases, the braid survey's 300 closures and seeded
-   random traces mixing births, pinches and merges with isotopies.
+3. The replay.  `_replay` carries one running front of strand labels
+   and tracks pieces by a union-find over them.  `ref_label_replay` is
+   the replay it replaced, which built a FrontDiagram per move and
+   checked pinch gradings through `maslov_potential`; `ref_replay` is
+   the one before, which walked the cusp cycles of every new front and
+   matched components by their per-strand overlap (`ref_strand_overlap`,
+   itself checked against the cell-by-cell overlap).  They must give the
+   same end word, births, pinches and pieces, or the same error, on the
+   `wh` traces of the benchmark's bases, the braid survey's 300 closures
+   and seeded random traces from seven start fronts in both modes, with
+   every move kind.  Every running front a gf replay walks must hold one
+   label per strand, and the shared cusp walk must agree with `ref_walk`
+   on it and on every front of items 1 and 2 relabelled at random.  A
+   replay builds one FrontDiagram, the end front.
 4. The table of local rewrites in `moves` and the positional commute
    rule against the rewriter they replaced, one branch per move kind
    with the commutes replayed on strand stacks, and its `invert_move`: every
@@ -51,7 +57,8 @@ import pytest
 
 from legcob.braids import BraidWord, closure_report
 from legcob.errors import DomainError
-from legcob.front import (FrontDiagram, classical_invariants,
+import legcob.moves as moves_module
+from legcob.front import (FrontDiagram, classical_invariants, cusp_walk,
                           maslov_potential, parse_front)
 from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, _apply, _fail,
                           _replay, _rewrite, apply_move, format_move,
@@ -305,20 +312,27 @@ def ref_simulate(events):
 def ref_apply(d, move, gf_mode):
     """The applier as it was: the same rewrite, then a full rebuild and
     the pinch grading check through maslov_potential."""
-    w0, w1_old, repl = _rewrite(d, move)
+    w0, w1_old, repl = _rewrite(d.events, move)
     try:
         new = FrontDiagram(d.events[:w0] + repl + d.events[w1_old:])
     except DomainError as err:
         _fail(move, f"rewritten word is invalid: {err}")
+    if gf_mode:
+        ref_pinch_grading(d, move)
+    return new
+
+
+def ref_pinch_grading(d, move):
+    """The pinch grading check of a P or PM on d through
+    maslov_potential; other moves pass."""
     st = d.stacks
-    if gf_mode and move[0] == "P":
+    if move[0] == "P":
         _, w, h = move
         ref_check_grading(d, st[w][h - 1], st[w][h], 1, "potentials")
-    elif gf_mode and move[0] == "PM":
+    elif move[0] == "PM":
         w, h = move[1], d.events[move[1]][1]
         ref_check_grading(d, st[w][h - 1], st[w + 2][h - 1], 0,
                           "cusp levels")
-    return new
 
 
 def ref_overlap(old, new, w0, w1_old, w1_new):
@@ -569,8 +583,9 @@ def _random_traces(starts, rng, count):
             move = rng.choice(list(_every_move(d)))
             try:
                 d = apply_move(d, move, gf_mode=gf_mode)
-            except DomainError:
-                if rng.random() < 0.2:
+            except DomainError as err:
+                graded = str(err).startswith("grading mismatch")
+                if rng.random() < (0.6 if graded else 0.2):
                     moves.append(move)
                     break
                 continue
@@ -599,6 +614,223 @@ def test_label_replay_matches_reference(move_fronts):
                for o in random_outcomes) > 150
     kinds = {m[0] for t in traces[-400:] for m in t.moves}
     assert {"B", "P", "PM"} <= kinds and len(kinds) > 10
+
+
+def ref_moved(d, move, gf_mode):
+    """_apply as it was: (new front, w0, w1_old, w1_new) from the
+    windowed build, the pinch grading checked through maslov_potential."""
+    w0, w1_old, repl = _rewrite(d.events, move)
+    try:
+        new = FrontDiagram(d.events[:w0] + repl + d.events[w1_old:], d,
+                           (w0, w1_old))
+    except DomainError as err:
+        _fail(move, f"rewritten word is invalid: {err}")
+    if gf_mode:
+        ref_pinch_grading(d, move)
+    return new, w0, w1_old, w0 + len(repl)
+
+
+def ref_label_replay(trace):
+    """_replay as it was: one FrontDiagram per move, its stacks joined to
+    the last front's; label[id] is the union-find label of each strand
+    id of the current front.  A move keeps the labels of ids born before
+    w0, shifts those born after w1 with their ids, and gives fresh labels
+    to ids born in the window.  It joins the two strands of each cusp in
+    the new window and the strands at each height of the stacks at w1."""
+    d = trace.start
+    parent = list(range(d.n_ids))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    label = list(range(d.n_ids))
+    for _, _, _, u, l in d.cusps:
+        union(u, l)
+    for move in trace.moves:
+        new_d, w0, w1_old, w1_new = ref_moved(d, move, trace.gf_mode)
+        old = len(parent)
+        pairs = [label[a] for a in d.stacks[w1_old]]
+        fresh = 2 * (new_d.born[w1_new] - new_d.born[w0])
+        parent += range(old, old + fresh)
+        label[2 * d.born[w0]:2 * d.born[w1_old]] = range(old, old + fresh)
+        stacks = new_d.stacks
+        for i in range(w0, w1_new):
+            kind, pos = new_d.events[i]
+            if kind != "X":
+                s = stacks[i + 1] if kind == "L" else stacks[i]
+                union(label[s[pos - 1]], label[s[pos]])
+        for a, b in zip(pairs, stacks[w1_new]):
+            if a != label[b]:
+                union(a, label[b])
+        if move[0] != "B" and any(find(a) >= old
+                                  for a in range(old, old + fresh)):
+            raise AssertionError(f"untracked component after {move[0]}")
+        d = new_d
+    pieces = len({find(a) for a in label})
+    births = sum(m[0] == "B" for m in trace.moves)
+    pinches = sum(m[0] in ("P", "PM") for m in trace.moves)
+    return d, births, pinches, pieces
+
+
+# Start fronts of the replay oracle: the empty front, unknot, zigzag,
+# trefoil, a long twist, a two-component front with rotation and the
+# closure of the braid s1 s2 s1, whose crossings make a triangle.
+REPLAY_STARTS = ("", "L1 R1", "L1 L2 R1 L1 R2 R1", "L1 L2 X3 X3 X3 R2 R1",
+                 TWIST_9, "L1 L2 X1 R1 X1 R1", "L1 L2 L3 X4 X5 X4 R3 R2 R1")
+EVERY_KIND = set(ISOTOPY_KINDS) | {"R1a", "R1b", "B", "P", "PM"}
+
+
+def _candidates(d):
+    """Every isotopy candidate of the filtered generator, and every birth,
+    pinch and merge, also at heights and events where they are refused."""
+    n = len(d.events)
+    yield from isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None)
+    for s in range(n + 1):
+        for h in range(1, len(d.stacks[s]) + 2):
+            yield ("B", s, h)
+            yield ("P", s, h)
+    for e in range(n):
+        yield ("PM", e)
+
+
+def _kind_first_traces(rng, count):
+    """Traces of up to 16 moves from REPLAY_STARTS in both modes, each
+    move drawn by kind first, then among that kind's candidates; a drawn
+    move that is refused ends the trace, three times in five when its
+    grading is refused and once in five otherwise, and is skipped
+    otherwise."""
+    starts = [parse_front(word) for word in REPLAY_STARTS]
+    for _ in range(count):
+        start = d = rng.choice(starts)
+        gf_mode = rng.random() < 0.5
+        moves = []
+        for _ in range(rng.randint(1, 16)):
+            by_kind = defaultdict(list)
+            for move in _candidates(d):
+                by_kind[move[0]].append(move)
+            move = rng.choice(by_kind[rng.choice(sorted(by_kind))])
+            try:
+                d = apply_move(d, move, gf_mode=gf_mode)
+            except DomainError as err:
+                graded = str(err).startswith("grading mismatch")
+                if rng.random() < (0.6 if graded else 0.2):
+                    moves.append(move)
+                    break
+                continue
+            moves.append(move)
+        yield CobordismTrace(start, moves, gf_mode=gf_mode)
+
+
+def _checked_walks(monkeypatch, trace):
+    """The replay's outcome, each front whose cusp cycles it walks first
+    checked by _assert_walk_matches_reference, and the count of walks."""
+    walked = []
+
+    def checked(events, stacks):
+        _assert_walk_matches_reference(FrontDiagram(events), stacks)
+        walked.append(events)
+        return cusp_walk(events, stacks)
+
+    monkeypatch.setattr(moves_module, "cusp_walk", checked)
+    outcome = _replay_outcome(_replay, trace)
+    monkeypatch.undo()
+    return outcome, len(walked)
+
+
+def _assert_walk_matches_reference(d, stacks):
+    """cusp_walk on the front d with its ids relabelled as `stacks`
+    gives ref_walk's values at the relabelled ids."""
+    label_of = {}
+    for ids, labels in zip(d.stacks, stacks):
+        assert len(ids) == len(labels), d.word
+        for a, b in zip(ids, labels):
+            assert label_of.setdefault(a, b) == b, (d.word, a)
+    # one label per strand and one strand per label
+    assert len(set(label_of.values())) == d.n_ids, d.word
+    potential, comp_of, defects = cusp_walk(d.events, stacks)
+    ref_potential, ref_defects, ref_comp_of, _ = ref_walk(d)
+    labels = [label_of[a] for a in range(d.n_ids)]
+    assert [potential[b] for b in labels] == ref_potential, d.word
+    assert [comp_of[b] for b in labels] == ref_comp_of, d.word
+    assert defects == ref_defects, d.word
+    assert set(potential) == set(comp_of) == set(labels), d.word
+
+
+def test_replay_matches_per_move_replay(monkeypatch):
+    # the running front against one FrontDiagram per move: the same end
+    # word, births, pinches and pieces, or the same refusal; every front
+    # a gf replay walks holds one label per strand and walks as
+    # ref_walk does
+    rng = random.Random(25)
+    traces = list(_kind_first_traces(rng, 2000))
+    traces += [_wh_trace(word) for word in MOVE_BASES]
+    traces += [_braid_trace(s, letters) for s, letters in BRAIDS]
+    outcomes = []
+    walked = 0
+    for trace in traces:
+        want = _replay_outcome(ref_label_replay, trace)
+        if trace.gf_mode:
+            got, count = _checked_walks(monkeypatch, trace)
+            walked += count
+        else:
+            got = _replay_outcome(_replay, trace)
+        assert got == want, (trace.start.word, trace.moves, trace.gf_mode)
+        outcomes.append(want)
+    refused = [o for o in outcomes if isinstance(o, str)]
+    assert sum("grading mismatch" in o for o in refused) > 25
+    assert sum("rewritten word is invalid" in o for o in refused) > 150
+    assert sum(not isinstance(o, str) and o[3] > 1 for o in outcomes) > 250
+    assert walked > 200
+    assert {t.start.word for t in traces} == set(REPLAY_STARTS)
+    assert {t.gf_mode for t in traces} == {False, True}
+    # every kind replayed past its own move, in both modes
+    for gf_mode in (False, True):
+        done = set()
+        for trace, outcome in zip(traces, outcomes):
+            if trace.gf_mode == gf_mode:
+                last = len(trace.moves) - isinstance(outcome, str)
+                done |= {m[0] for m in trace.moves[:last]}
+        assert done == EVERY_KIND, EVERY_KIND - done
+
+
+def test_shared_walk_matches_reference_on_relabelled_fronts(fronts,
+                                                           move_fronts):
+    # the walk reads birth pairs at left cusps, so any labels will do
+    rng = random.Random(3)
+    bases = fronts + move_fronts + [parse_front(w) for w in REPLAY_STARTS]
+    for d in bases:
+        for labels in (range(d.n_ids),
+                       rng.sample(range(10 * d.n_ids + 10), d.n_ids)):
+            stacks = [[labels[a] for a in s] for s in d.stacks]
+            _assert_walk_matches_reference(d, stacks)
+    assert len(bases) > 400
+
+
+def test_replay_builds_only_the_end_front(monkeypatch):
+    builds = []
+    init = FrontDiagram.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    traces = [_wh_trace("L1 L2 X3 X3 X3 R2 R1"), _braid_trace(4, [1, 3, 2])]
+    for trace in traces:
+        assert trace.gf_mode and len(trace.moves) > 20
+        builds.clear()
+        monkeypatch.setattr(FrontDiagram, "__init__", counted)
+        end = _replay(trace)[0]
+        monkeypatch.undo()
+        assert len(builds) == 1 and builds[0][0] == end.events
+        assert end.word == ref_label_replay(trace)[0].word
 
 
 def test_filtered_candidates_drop_only_refused_moves(move_fronts):

@@ -411,21 +411,29 @@ def test_family_rejects_non_finite_radius():
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
 def test_gf_file_rejects_non_finite_coefficients(bad):
-    # a nan core answered gf-check with every condition passing, and a
-    # nan tail, being truthy, gf-chords with no chords
+    # a nan core answered gf-check with every condition passing, a nan
+    # tail, being truthy, gf-chords with no chords, and an overflowing
+    # derivative gf-chords and gf-front with no chords
     for core, tail in ((f"{bad}*e1 + e1^3", "-5*e1"),
-                       ("e1^3", f"{bad}*e1")):
+                       ("e1^3", f"{bad}*e1"),
+                       # finite, but d/de1 of the core overflows to inf
+                       ("1.5e308*e1^2 + e1^3", "-5*e1")):
         with pytest.raises(DomainError, match="coefficients must be finite"):
             parse_gf_file(f"n=1\nN=1\ncore={core}\ntail={tail}\nR=3\n")
 
 
 def test_spin_refuses_binomials_beyond_float():
-    # C(1030, 515) exceeds the largest float; C(1029, 514) does not
+    # C(1030, 515) exceeds the largest float; C(1029, 514) does not, but
+    # from x1^2040 on a spun coefficient times its exponent does, so the
+    # spun core's derivative is refused
     def family(k):
         return parse_gf_file(
             f"n=1\nN=1\ncore=x1^{k}*e1 + e1\ntail=-5*e1\nR=3\n")
 
-    assert spin(family(2058)).n == 2
+    assert spin(family(2038)).n == 2
+    for k in (2040, 2058):
+        with pytest.raises(DomainError, match="derivative coefficients"):
+            spin(family(k))
     with pytest.raises(DomainError, match="overflows a float"):
         spin(family(2060))
 

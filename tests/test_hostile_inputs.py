@@ -29,6 +29,12 @@ FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
          "degenerate-n2.gf": "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\n"
                              "tail=e1\nR=3\n",
          "spin-2060.gf": "n=1\nN=1\ncore=x1^2060*e1 + e1\ntail=-5*e1\nR=3\n",
+         "derivative-overflow.gf": "n=1\nN=1\ncore=1.5e308*e1^2 + e1^3\n"
+                                   "tail=-5*e1\nR=3\n",
+         # 60 KB of births, and 5,000 pinches each walking the whole
+         # front in gf mode: both over the replay cap
+         "births.trace": "\n" + "B 0 1\n" * 10000,
+         "pinches.trace": "L1 R1\n" + "P 1 1\n" * 5000,
          "not-utf8.trace": b"\xff\xfe"}
 
 
@@ -96,6 +102,11 @@ ROWS = [
                            + [f"X{40 + i}" for i in range(1, 40)]
                            + [f"R{t}" for t in range(40, 0, -1)])],
                  id="wh-40-strand-closure"),
+    pytest.param(["gf-chords", "--file", "derivative-overflow.gf"],
+                 id="gf-chords-derivative-overflow"),
+    pytest.param(["trace", "births.trace"], id="trace-10000-births"),
+    pytest.param(["trace", "pinches.trace", "--gf"],
+                 id="trace-gf-5000-pinches"),
     pytest.param(["trace", "not-utf8.trace"], id="trace-not-utf8"),
     pytest.param(["trace", "/dev/zero"], id="trace-dev-zero"),
     pytest.param(["gf-chords", "--file", "/dev/zero"],

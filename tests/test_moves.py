@@ -1,14 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, parse_front
-from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, apply_move,
-                          format_move, format_trace, invert_move,
-                          isotopy_candidates, parse_move, parse_trace,
-                          trace_summary)
+from legcob.moves import (ISOTOPY_KINDS, MAX_REPLAY_WORK, CobordismTrace,
+                          apply_move, format_move, format_trace,
+                          invert_move, isotopy_candidates, parse_move,
+                          parse_trace, trace_summary)
 from legcob.rulings import enumerate_rulings
 from legcob.whitehead import whitehead_diagram
 
@@ -229,6 +230,44 @@ def test_gf_trace_replay_checks_pinches():
     t = parse_trace("L1 L2 R1 L1 R2 R1\nP 2 3", gf_mode=True)
     with pytest.raises(DomainError, match="grading mismatch at pinch"):
         trace_summary(t)
+
+
+def test_replay_cap_boundary():
+    # a 1,000-event front: three nested eyes around a triangle, whose R3
+    # is its own inverse, and 991 crossings
+    start = "L1 L2 L3 X2 X3 X2 " + "X5 " * 991 + "R3 R2 R1"
+    assert len(parse_front(start).events) == 1000
+    n = MAX_REPLAY_WORK // 1000
+    assert n * 1000 == MAX_REPLAY_WORK and n % 2 == 0
+    for gf_mode in (False, True):
+        # no pinch: the work is the same in gf mode
+        t = parse_trace(start + "\n" + "R3 3\n" * n, gf_mode=gf_mode)
+        assert trace_summary(t)["end"].word == start
+        with pytest.raises(DomainError, match=(
+                f"trace too large to replay: {MAX_REPLAY_WORK + 1000} "
+                f"events of work")):
+            trace_summary(parse_trace(start + "\n" + "R3 3\n" * (n + 1),
+                                      gf_mode=gf_mode))
+    # on 999 events a pinch and its merge work on 999 + 1,001 events, in
+    # gf mode twice as many, as each pinch walks the front
+    start = start.replace("X5 ", "", 1)
+    for gf_mode, pairs in ((False, n // 2), (True, n // 4)):
+        text = start + "\n" + "P 1 1\nPM 1\n" * pairs
+        t = parse_trace(text, gf_mode=gf_mode)
+        assert trace_summary(t)["end"].word == start
+        with pytest.raises(DomainError, match=(
+                f"trace too large to replay: {MAX_REPLAY_WORK + 999} ")):
+            trace_summary(parse_trace(text + "R3 3\n", gf_mode=gf_mode))
+
+
+def test_replay_cap_refuses_short_files_quickly():
+    for text, gf_mode in (("\n" + "B 0 1\n" * 10000, False),
+                          ("L1 R1\n" + "P 1 1\n" * 5000, True)):
+        t = parse_trace(text, gf_mode=gf_mode)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="trace too large to replay"):
+            trace_summary(t)
+        assert time.perf_counter() - start < 0.5
 
 
 def _graded_ruling_count(d):
