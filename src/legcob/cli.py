@@ -41,8 +41,8 @@ from .geography import Block, RealizationPlan, realize
 from .front import classical_invariants, parse_front
 from .laurent import box_size, decompose, incompat_reason, \
     is_connected_form, parse_poly, splitting_box, tb_from_polynomial
-from .moves import apply_move, format_trace, parse_move, parse_trace, \
-    trace_summary
+from .moves import CobordismTrace, _replay, format_trace, parse_move, \
+    parse_trace, trace_summary
 from .render import render_points_svg, render_svg
 from .rulings import enumerate_rulings, ruling_polynomial
 from .whitehead import whitehead_double
@@ -232,9 +232,9 @@ def cmd_rulings(args):
 
 
 def cmd_move(args):
-    d = parse_front(args.front)
-    for text in args.move:
-        d = apply_move(d, parse_move(text), gf_mode=args.gf)
+    start = parse_front(args.front)
+    moves = [parse_move(text) for text in args.move]
+    d, _, _, _ = _replay(CobordismTrace(start, moves, gf_mode=args.gf))
     _maybe_svg(args, d)
     doc = {"word": d.word, "moves": len(args.move)}
     return _kv(doc.items()), doc

@@ -23,6 +23,7 @@ from itertools import accumulate
 from .errors import DomainError
 
 _TOKEN_RE = re.compile(r"([LXR])([0-9]+)")
+_SHIFT = {"L": 2, "X": 0, "R": -2}  # the change in strand count
 
 
 def parse_front(text):
@@ -40,19 +41,22 @@ def parse_front(text):
 
 
 class FrontDiagram:
-    """A validated front word, its strand stacks, and what they determine.
+    """A validated front word, its strand counts and stacks, and what
+    they determine.
 
     Set on construction, which checks every position against the strand
     count of its slice, an integer count per event (no strand ids):
       events      list of (kind, pos)
       word        the event word as text
       n_left      left cusps; n_right (equal) and n_ids = 2 * n_left
-    Simulated on first use, one strand-id stack per event:
-      stacks      tuple of strand-id stacks, one per slice (len(events)+1)
+    Counted on first use:
+      counts      tuple of strand counts, one per slice (len(events)+1)
+    Read off the counts on each use: max_strands, the largest count.
+    Simulated on first use, in one run of the whole word:
+      stacks      tuple of strand-id stacks, one per slice
       born        tuple of per-slice birth counts: born[t] left cusps lie
                   in events[:t], so the ids born before slice t are
                   0 .. 2 * born[t] - 1
-    Read off the stacks on each use: max_strands, the largest stack.
     Computed on first use, from the stacks:
       crossings   list of (event_index, pos, upper_id, lower_id)
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
@@ -66,25 +70,24 @@ class FrontDiagram:
       defects     per component, the size of the potential's jump around
                   its cycle (0 when single valued)
 
-    With no parent the whole word is checked, and simulated on first
-    use.  A windowed build takes a parent front and window=(w0, w1_old):
-    `events` is the parent's word with events[w0:w1_old] replaced, so the
-    rewritten window is events[w0:w1_new] and the rest is the parent's.
-    Only the window is checked, from the parent's strand count at w0,
-    and `word` joins the parent's tokens with the window's spliced in.
-    When the window ends with as many strands as the parent has at
-    w1_old, the parent's suffix stays valid.  On first use the window
-    alone is simulated and joined to the parent's stacks and births:
-    stacks[:w0 + 1] and born[:w0 + 1] are the parent's own objects, and
-    from slice w1_new on the stacks are the parent's stacks[w1_old:],
-    the same objects once the two agree, otherwise relabelled: each id
-    on the parent's stack at w1_old by the id at the same height at
-    w1_new, each id born later by the change in births.  (A window that
-    ends with another strand count is checked and simulated to the end
-    of the word.)
+    With no parent the whole word is checked.  A windowed build takes a
+    parent front and window=(w0, w1_old): `events` is the parent's word
+    with events[w0:w1_old] replaced, so the rewritten window is
+    events[w0:w1_new] and the rest is the parent's.  Only the window is
+    checked, from the parent's strand count at w0, and `word` joins the
+    parent's tokens with the window's spliced in.  When the window ends
+    with as many strands as the parent has at w1_old, the parent's
+    suffix stays valid.  (A window that ends with another strand count
+    is checked to the end of the word.)  A windowed build inherits the
+    parent's counts, not its stacks: on first use its counts are the
+    parent's before w0 and after the checked run, and the run's own
+    inside it.  Its stacks are one simulation of the whole word, as a
+    full build's are, so a front whose stacks are never read (most
+    states of a search) never simulates them.
     """
 
-    _LAZY = {"stacks": "_join", "born": "_join",
+    _LAZY = {"counts": "_count",
+             "stacks": "_simulate", "born": "_simulate",
              "crossings": "_sweep", "cusps": "_sweep",
              "comp_of": "_walk", "components": "_walk",
              "n_components": "_walk", "potential": "_walk",
@@ -97,61 +100,33 @@ class FrontDiagram:
             parent, window = _EMPTY, (0, 0)
         w0, w1_old = window
         w1_new = w1_old + len(events) - len(parent.events)
-        stacks = parent.stacks
+        counts = parent.counts
         self.events = events
         # the suffix's positions depend only on the strand count, so it
         # stays valid once the window ends with the parent's count there
-        i, nb = check_window(events, w0, w1_new, len(stacks[w0]),
-                             len(stacks[w1_old]))
-        nb += parent.born[w0]
+        i, nb = check_window(events, w0, w1_new, counts[w0], counts[w1_old])
         self._tokens = tokens = parent._tokens[:]
         tokens[w0:w1_old] = [f"{k}{p}" for k, p in events[w0:w1_new]]
         self.word = " ".join(tokens)
-        if i == len(events):  # checked to the end: no suffix to join
-            self.n_left = nb
-        else:
-            self.n_left = parent.n_left + nb - parent.born[w1_old]
-        self._pending = (parent, w0, w1_old, i)
+        # the checked run events[w0:i] replaced the parent's events[w0:j]
+        j = i - w1_new + w1_old
+        self.n_left = parent.n_left + nb - sum(
+            k == "L" for k, _ in parent.events[w0:j])
+        self._pending = (counts, w0, i, j)
 
-    def _join(self):
-        """Set stacks and born: simulate events[w0:end] from the parent's
-        stack at w0, then join the parent's slices from w1_old on unless
-        the window was simulated to the end of the word."""
-        parent, w0, w1_old, end = self.__dict__.pop("_pending")
+    def _count(self):
+        """Set counts: the parent's outside the checked run, events[w0:i]
+        counted from the parent's count at w0."""
+        counts, w0, i, j = self.__dict__.pop("_pending")
+        run = accumulate([_SHIFT[k] for k, _ in self.events[w0:i]],
+                         initial=counts[w0])
+        self.counts = counts[:w0] + tuple(run) + counts[j + 1:]
+
+    def _simulate(self):
         events = self.events
-        head, self.born = parent.stacks[:w0 + 1], parent.born[:w0 + 1]
-        window = events[w0:end]
-        nb = self.born[-1]
-        stacks = [tuple(s) for s in simulate(window, list(head[-1]), 2 * nb)]
-        self.born += tuple(accumulate([k == "L" for k, _ in window],
-                                      initial=nb))[1:]
-        if end == len(events):
-            self.stacks = head + tuple(stacks)
-            return
-        old, new = parent.stacks[w1_old], stacks[-1] if stacks else head[-1]
-        shift = self.born[-1] - parent.born[w1_old]
-        tail = parent.stacks[w1_old + 1:]
-        if shift:
-            self.born += tuple(b + shift for b in parent.born[w1_old + 1:])
-        else:
-            self.born += parent.born[w1_old + 1:]
-        if not shift and new == old:
-            self.stacks = head + tuple(stacks) + tail
-            return
-        relabel = list(range(parent.n_ids))
-        for a, b in zip(old, new):
-            relabel[a] = b
-        first = 2 * parent.born[w1_old]
-        relabel[first:] = range(first + 2 * shift, parent.n_ids + 2 * shift)
-        get = relabel.__getitem__
-        for t, s in enumerate(tail):
-            mapped = tuple(map(get, s))
-            if not shift and mapped == s:
-                # no relabelled id is left, and none is born again
-                stacks.extend(tail[t:])
-                break
-            stacks.append(mapped)
-        self.stacks = head + tuple(stacks)
+        self.stacks = ((),) + tuple(map(tuple, simulate(events, [], 0)))
+        self.born = tuple(accumulate([k == "L" for k, _ in events],
+                                     initial=0))
 
     def __getattr__(self, name):
         # only reached while a lazy attribute is unset
@@ -173,7 +148,7 @@ class FrontDiagram:
 
     @property
     def max_strands(self):
-        return max(map(len, self.stacks))
+        return max(self.counts)
 
     def __repr__(self):
         return f"FrontDiagram({self.word!r})"
@@ -220,8 +195,8 @@ class FrontDiagram:
 # The empty front, with its one slice: every full build is a windowed
 # build over it, rewriting the window (0, 0).
 _EMPTY = object.__new__(FrontDiagram)
-_EMPTY.__dict__.update(events=[], word="", n_left=0, stacks=((),),
-                       born=(0,), _tokens=[])
+_EMPTY.__dict__.update(events=[], word="", n_left=0, counts=(0,),
+                       _tokens=[])
 
 
 def check_window(events, i, stop, count, goal):

@@ -5,9 +5,9 @@ FrontDiagram is built from the old one: its construction checks only
 that window's positions, against strand counts, with the checks of a
 full build, so an illegal rewrite surfaces as "move not applicable"
 instead of a corrupt diagram, and splices the window's tokens into the
-old word's.  Its strand stacks are built on first read: the window is
-simulated and the stacks outside it are the old diagram's, shared or
-relabelled (see FrontDiagram).
+old word's.  Its strand counts are the old diagram's outside the
+window it checks; its strand stacks, if read at all, are one
+simulation of the whole new word (see FrontDiagram).
 
 Move syntax, one per trace line (s = slice index, h = height, e = event
 index, all 0-based except heights which are 1-based like event words):
@@ -49,8 +49,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .errors import DomainError
-from .front import (FrontDiagram, check_window, cusp_walk, parse_front,
-                    simulate)
+from .front import (_SHIFT, FrontDiagram, check_window, cusp_walk,
+                    parse_front, simulate)
 
 # Each move with its inverse as local rewrites old -> new of the event
 # word, positions written as offsets from a height h.  A move whose old
@@ -161,9 +161,6 @@ def _check_grading(move, events, stacks, walk):
             f"grading mismatch at pinch: {what} {mu_a}, {mu_b} (mod {m})")
 
 
-_SHIFT = {"L": 2, "X": 0, "R": -2}  # the change in strand count
-
-
 def _commute(first, second, below):
     """[second', first'], the adjacent events first, second swapped, or
     why they do not commute.  On the slice between them strand i sits at
@@ -193,8 +190,8 @@ def _apply(diagram, move, gf_mode=False):
     """Internal applier.  Returns (new_diagram, w0, w1_old, w1_new): the
     rewritten event window [w0, w1_old) was replaced by [w0, w1_new).
     The new diagram is built from `diagram`, checking the window only,
-    so its position checks reject an illegal rewrite; its stacks wait
-    for their first read."""
+    so its position checks reject an illegal rewrite; its counts and
+    stacks wait for their first read."""
     w0, w1_old, repl = _rewrite(diagram.events, move)
     events = diagram.events[:]
     events[w0:w1_old] = repl
@@ -305,7 +302,7 @@ def isotopy_candidates(diagram, window, kinds, fish_heights):
             if (ev[e][0] in start) if start else swaps:
                 yield (kind, e)
     for s in range(lo, min(hi, n) + 1):
-        for h in range(1, len(diagram.stacks[s]) + 1):
+        for h in range(1, diagram.counts[s] + 1):
             if fish_heights is None or h in fish_heights:
                 yield ("R1a", s, h)
                 yield ("R1b", s, h)

@@ -46,8 +46,8 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     At a meet the backward half is inverted by invert_move, which is
     exact, so the joined path is returned without a replay.  A candidate
     state is used for its word, the search key, and its position check
-    alone; its strand stacks are simulated only if it is expanded (see
-    FrontDiagram), so most never are.
+    alone, and an expanded one for its strand counts too; no state's
+    strand stacks are ever simulated (see FrontDiagram).
 
     When every usable move is in COUNT_KEEPING_KINDS (no fish growth:
     `fish_heights` empty, not None) and a and b differ in their counts

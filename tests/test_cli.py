@@ -171,6 +171,46 @@ def test_move_arguments_are_ascii_digits(tmp_path, capsys):
     assert out.startswith("error: bad move line"), out
 
 
+# (start, moves): accepted, refused by the rewrite, by the window check
+# and, in gf mode, by the pinch grading
+MOVE_RUNS = [
+    ("L1 R1", ["R1a 1 1", "R1b 1 1", "P 1 1"]),
+    ("L1 R1", ["R1a 1 1", "PM 0"]),
+    ("L1 R1", ["R2u 0"]),
+    (TREFOIL, ["B 7 1", "C 2"]),
+    ("L1 L2 R1 L1 R2 R1", ["C 2", "P 2 3"]),
+]
+
+
+def test_move_replays_like_trace(tmp_path, capsys):
+    graded = 0
+    for start, moves in MOVE_RUNS:
+        trace_file = tmp_path / "run.trace"
+        trace_file.write_text("\n".join([start, *moves]) + "\n")
+        for gf in ([], ["--gf"]):
+            argv = ["move", "--front", start, "--json", *gf]
+            rc, out = run(argv + [a for m in moves for a in ("--move", m)],
+                          capsys)
+            rc_t, out_t = run(["trace", str(trace_file), "--json", *gf],
+                              capsys)
+            got, want = json.loads(out), json.loads(out_t)
+            assert rc == rc_t, (start, moves, gf)
+            if rc:
+                assert got == want, (start, moves, gf)
+                graded += "grading mismatch" in got["error"]
+            else:
+                assert got == {"word": want["end"], "moves": len(moves)}
+    assert graded == 1
+
+
+def test_move_parses_every_line_first(capsys):
+    # the C move is refused, but only once every line has parsed
+    rc, out = run(["move", "--front", "L1 R1", "--move", "C 0", "--move",
+                   "bogus"], capsys)
+    assert rc == 1
+    assert out == "error: bad move line 'bogus'\n"
+
+
 def test_wh_contract(tmp_path, capsys):
     trace_file = tmp_path / "wh.trace"
     rc, out = run(["wh", "--front", "L1 R1", "--out", str(trace_file)],

@@ -81,8 +81,8 @@ ROTATING = ("L1 X1 R1", "L1 X1 X1 X1 R1", "L1 L2 X2 X2 X2 R2 R1",
 INVERTED = ("L1 L2 X3 X3 X3 R2 R1", "L1 L2 R1 L1 R2 R1",
             "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1",
             "L1 L3 L3 X4 X2 R1 R1 L1 L1 X2 X4 R3 L5 R3 X2 R1 R1")
-FIELDS = ("events", "word", "stacks", "born", "crossings", "cusps",
-          "n_ids", "n_left", "n_right", "max_strands", "comp_of",
+FIELDS = ("events", "word", "counts", "stacks", "born", "crossings",
+          "cusps", "n_ids", "n_left", "n_right", "max_strands", "comp_of",
           "components", "n_components", "potential", "defects")
 
 
@@ -304,7 +304,8 @@ def ref_simulate(events):
         raise DomainError(f"nonzero final strand count {len(stack)}")
     return {"events": list(events),
             "word": " ".join(f"{k}{p}" for k, p in events),
-            "stacks": tuple(stacks), "crossings": crossings, "cusps": cusps,
+            "stacks": tuple(stacks), "counts": tuple(map(len, stacks)),
+            "crossings": crossings, "cusps": cusps,
             "n_ids": next_id, "n_left": n_l, "n_right": n_r,
             "max_strands": max(len(s) for s in stacks)}
 
@@ -358,10 +359,10 @@ def _outcome(build):
         return str(err)
 
 
-# What a windowed build sets itself; every other field is computed on
-# first use from these alone, by the code a full build runs.
-OWN_FIELDS = ("events", "word", "stacks", "born", "n_ids", "n_left",
-              "n_right")
+# What a windowed build sets itself or takes from its parent; every
+# other field is computed on first use from the events alone, by the
+# code a full build runs.
+OWN_FIELDS = ("events", "word", "counts", "n_ids", "n_left", "n_right")
 
 
 def _assert_same(d, ref, fields=FIELDS):

@@ -119,8 +119,9 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-@pytest.mark.parametrize("argv", ROWS)
-def test_short_input_gets_a_bounded_answer(argv, tmp_path):
+def _run(argv, tmp_path):
+    """Run one argv under the caps and check its answer is bounded: exit
+    0, or 1 with an error line, and no traceback.  Returns the process."""
     for name, text in FILES.items():
         if isinstance(text, bytes):
             (tmp_path / name).write_bytes(text)
@@ -143,3 +144,24 @@ def test_short_input_gets_a_bounded_answer(argv, tmp_path):
     if proc.returncode == 1:
         # exit 1 is a DomainError, reported on standard output
         assert proc.stdout.startswith("error: "), out[-500:]
+    return proc
+
+
+@pytest.mark.parametrize("argv", ROWS)
+def test_short_input_gets_a_bounded_answer(argv, tmp_path):
+    _run(argv, tmp_path)
+
+
+@pytest.mark.parametrize("births", [1414, 1415])
+def test_move_births_meet_the_replay_cap(births, tmp_path):
+    # from the empty front, the k-th birth works on the 2(k - 1) events
+    # before it: 1,414 births come to 1,997,982 events of work, and
+    # 1,415 to 2,000,810, over MAX_REPLAY_WORK
+    argv = ["move", "--front", ""] + ["--move", "B 0 1"] * births
+    proc = _run(argv, tmp_path)
+    if births == 1414:
+        assert proc.returncode == 0
+        assert proc.stdout.endswith(f"moves {births}\n")
+    else:
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("error: trace too large to replay")

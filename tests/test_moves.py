@@ -142,9 +142,11 @@ def test_moved_front_simulates_its_stacks_on_first_read():
     for word, move in ((TREFOIL, ("R1a", 2, 1)), (TREFOIL, ("R2u", 1)),
                        (TREFOIL, ("P", 3, 2)), ("L1 R1 L1 R1", ("C", 1))):
         moved = apply_move(parse_front(word), move)
-        assert "stacks" not in moved.__dict__, move
-        assert "born" not in moved.__dict__, move
+        for name in ("counts", "stacks", "born"):
+            assert name not in moved.__dict__, (move, name)
         fresh = parse_front(moved.word)
+        assert moved.counts == fresh.counts
+        assert "counts" in moved.__dict__ and "stacks" not in moved.__dict__
         assert (moved.stacks, moved.born) == (fresh.stacks, fresh.born)
         assert "stacks" in moved.__dict__ and "born" in moved.__dict__
 

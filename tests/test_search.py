@@ -15,7 +15,7 @@ from collections import Counter
 
 from legcob import search, whitehead
 from legcob.errors import DomainError
-from legcob.front import FrontDiagram, parse_front
+from legcob.front import parse_front
 from legcob.moves import (COUNT_KEEPING_KINDS, ISOTOPY_KINDS, _RULES,
                           apply_move, invert_move)
 from legcob.search import connect_fronts
@@ -150,26 +150,29 @@ def test_connect_fronts_meets_in_the_middle():
     assert _search(a, b, 2, 300) is None
 
 
-def test_search_simulates_stacks_only_of_the_states_it_expands(
-        monkeypatch):
-    # the other candidates are built for their word and position checks
+def test_search_simulates_no_stacks(monkeypatch):
+    # every state is built for its word and position checks, and an
+    # expanded one read for its strand counts: none reads its stacks
     a = parse_front("L1 R1")
     b = _replay(a, [("R1a", 1, 1), ("R1b", 1, 1), ("R1a", 7, 1),
                     ("R1b", 9, 1)])
-    joined, expanded, built = [], [], []
-    join, candidates = FrontDiagram._join, search.isotopy_candidates
-    apply = search.apply_move
-    monkeypatch.setattr(FrontDiagram, "_join",
-                        lambda d: joined.append(d) or join(d))
+    expanded, built = [], []
+    candidates, apply = search.isotopy_candidates, search.apply_move
     monkeypatch.setattr(search, "isotopy_candidates",
                         lambda d, *rest: expanded.append(d) or
                         candidates(d, *rest))
-    monkeypatch.setattr(search, "apply_move",
-                        lambda d, m: built.append(m) or apply(d, m))
+
+    def build(d, m):
+        built.append(apply(d, m))
+        return built[-1]
+
+    monkeypatch.setattr(search, "apply_move", build)
     path = _search(a, b, 2, 2000)
     assert len(path) == 4
-    assert len(joined) <= len(expanded) + len(path)
-    assert len(built) > 10 * len(expanded)
+    assert len(built) > 10 * len(expanded) > 0
+    for d in expanded + built:
+        assert "stacks" not in d.__dict__, d.word
+    assert all("counts" in d.__dict__ for d in expanded)
 
 
 def _walk(d, rng, kinds, fish_heights, steps):
