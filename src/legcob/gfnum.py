@@ -8,9 +8,10 @@ it has three regions:
 - the collar, R < r < 2R, where the exp(-1/u) smoothstep s(u),
   u = (r - R) / R, glues the core to the tail:
   f = core + s (A - core);
-- the tail, r >= 2R, where f is exactly A(eta), so d_eta f is the
-  nonzero constant tail and no fiber-critical point, front point or
-  chord lies there.
+- the tail, r >= 2R, where f is A(eta): there d_eta f is the nonzero
+  constant tail and d_x f is 0, bit for bit, so no fiber-critical
+  point, front point or chord lies there.  The value, computed as
+  core + (A - core), equals A(eta) only up to rounding.
 
 Evaluation follows the regions: the blend's exponentials are only
 taken on the collar, and the gradient's collar term evaluates the core
@@ -54,15 +55,15 @@ them (gf-front both, the chord seeds p under N = 1).  The filling's
 slice families are its only evaluator: its conditions are checked on
 them.  The chord map evaluates both sheets of the difference function
 in one gradient call.  Morse indices and the regularity margin come
-from numpy's symmetric eigenvalues.  No tolerance, and no
-setting that no caller changes, is a parameter: one used twice is a
-module constant (FD_STEP, CHORD_*, SPIN_TOL, FILLING_*, PATH_DT), any
-other a literal at its use.  FAMILIES names the built-in families.
-Refused: dimensions other than 1 or 2 (a gf-file's before anything is
-built), core or tail coefficients that are not finite, and cores whose
-derivatives' are not, grid steps whose seed grid exceeds MAX_GRID_SAMPLES, chord searches whose Newton
-work exceeds MAX_CHORD_WORK, and composites in spin and
-immersed_filling_family.
+from numpy's symmetric eigenvalues.  No tolerance, and no setting that
+no caller changes, is a parameter: one used twice is a module constant
+(FD_STEP, CHORD_*, FILLING_*, PATH_DT), any other a literal at its
+use.  FAMILIES names the built-in families.  Refused: dimensions other
+than 1 or 2 (a gf-file's before anything is built), core or tail
+coefficients that are not finite, and cores whose derivatives' are
+not, grid steps whose seed grid exceeds MAX_GRID_SAMPLES, chord
+searches whose Newton work exceeds MAX_CHORD_WORK, and composites in
+spin and immersed_filling_family.
 """
 
 import functools
@@ -213,7 +214,8 @@ class _Family:
     from them."""
 
     def extent(self):
-        """Radius beyond which the family is exactly its tail."""
+        """Radius beyond which the family is its tail: its gradient bit
+        for bit, its value up to rounding."""
         return 2.0 * self.R
 
     def tail_value(self, E):
@@ -281,18 +283,15 @@ class GeneratingFamily(_Family):
         return [X[:, i] for i in range(self.n)] \
             + [E[:, j] for j in range(self.N)]
 
-    def near(self, X, E):
-        """Mask (len(X), len(E)) of the pairs (x, eta) with r < 2R: the
-        only pairs at which the family can differ from its tail."""
-        rsq = _sq(X)[:, None] + _sq(E)[None, :]
-        return rsq < self.extent() ** 2
-
     def near_box(self, Xlo, Xhi, Elo, Ehi):
         """Mask of the boxes [x_lo, x_hi] x [eta_lo, eta_hi], broadcast
-        as in grad_eta_bound, that may hold a pair of the near mask.  A
-        box outside it holds none: its nearest point's r^2, summed as
-        near sums it, is a lower bound of every pair's, since rounding
-        is monotone."""
+        as in grad_eta_bound, that may hold a near pair: a pair (x, eta)
+        with r < 2R, the only pairs at which the gradient can differ
+        from the tail's.  A box's r^2 is its nearest point's, summed
+        column by column; on a one-pair box (lo = hi) that is the pair's
+        own r^2, so near_box(X, X, E, E) is the near mask of the rows.
+        A box outside the mask holds no near pair, since rounding is
+        monotone."""
         return _sq(_gap(Xlo, Xhi)) + _sq(_gap(Elo, Ehi)) \
             < self.extent() ** 2
 
@@ -422,9 +421,12 @@ class CompositeFamily(_Family):
 
     Each part is a family translated in the fiber by its center; the
     sum is tail(eta) + sum_i (part_i(x, eta - c_i) - tail(eta - c_i)).
-    Because every part equals its tail outside the ball of radius 2R_i,
-    the sum is exactly part_i + tail(c_i) near center i and exactly the
-    tail elsewhere, provided the translated supports are disjoint.
+    Because every part is its tail outside the ball of radius 2R_i, the
+    sum is part_i + tail(c_i) near center i and the tail elsewhere,
+    provided the translated supports are disjoint.  Outside every ball
+    the gradient is the tail's bit for bit, but the value is the tail's
+    only up to rounding: each part's value there, computed as core +
+    (A - core), differs from A by rounding.
     """
 
     def __init__(self, parts, centers):
@@ -460,13 +462,6 @@ class CompositeFamily(_Family):
             El = E - np.asarray(center)
             total = total + fam.value(X, El) - fam.tail_value(El)
         return total
-
-    def near(self, X, E):
-        """Union of the parts' masks, each around its fiber center."""
-        out = np.zeros((len(X), len(E)), bool)
-        for fam, center in self.parts:
-            out |= fam.near(X, E - np.asarray(center))
-        return out
 
     def near_box(self, Xlo, Xhi, Elo, Ehi):
         """Union of the parts' box masks, each around its fiber center."""
@@ -711,10 +706,6 @@ def _sample_grid(fam, step, dims):
     return axis, _product([axis] * dims)
 
 
-def _x_grid(fam, step):
-    return _sample_grid(fam, step, fam.n)[1]
-
-
 def _seedless(fam, Xlo, Xhi, Elo, Ehi, step):
     """Which boxes [x_lo, x_hi] x [eta_lo, eta_hi] (the last axes of
     the four arrays) provably hold no seed: those whose grad_eta_bound
@@ -755,40 +746,28 @@ def _halve(rows, first, count):
     return rows[keep], first[keep], count[keep]
 
 
-def _x_blocks(xs):
-    """The x blocks of the rows xs, SCAN_X_BLOCK grid points per x
-    axis: block k of an axis holds the rows whose value on it ranks
-    SCAN_X_BLOCK k .. SCAN_X_BLOCK (k + 1) - 1 among that axis's
-    distinct values, and the x blocks are the products of one block per
-    axis, the first axis slowest.  Returns (lo, hi, at): each x block's
-    box, from the least to the greatest value of its ranks on every
-    axis, and each row's x block."""
-    at = 0
-    lo, hi = [], []
-    for i in range(xs.shape[1]):
-        values, rank = np.unique(xs[:, i], return_inverse=True)
-        first = np.arange(0, len(values), SCAN_X_BLOCK)
-        at = at * len(first) + rank // SCAN_X_BLOCK
-        lo.append(values[first])
-        hi.append(values[np.minimum(first + SCAN_X_BLOCK, len(values)) - 1])
-    return _product(lo), _product(hi), at
-
-
-def _x_tier(fam, xs, es, step):
+def _x_tier(fam, axis, step):
     """The first tier of the seed scan, over the whole x grid: every box
-    of an x block (_x_blocks) times an eta block (SCAN_BLOCK cells per
-    axis) is tested once (_may_seed).  Returns (first, count, top): the
-    eta blocks, and per x row of xs the mask of the blocks whose box
-    with the row's x block may hold a seed."""
-    N, size = fam.N, len(es) - 1
+    of an x block times an eta block (SCAN_BLOCK cells per axis) is
+    tested once (_may_seed).  x block k of the grid axis holds its
+    points SCAN_X_BLOCK k .. SCAN_X_BLOCK (k + 1) - 1 (fewer in a ragged
+    last block), and the x blocks of the grid are the products of one
+    block per x axis, the first slowest as in the x rows.  Returns
+    (first, count, top): the eta blocks, and per x row the mask of the
+    blocks whose box with the row's x block may hold a seed."""
+    n, N, size = fam.n, fam.N, len(axis) - 1
     first = _product([np.arange(0, size, SCAN_BLOCK)] * N)
     count = np.minimum(first + SCAN_BLOCK, size) - first
-    x_lo, x_hi, at = _x_blocks(xs)
+    starts = np.arange(0, len(axis), SCAN_X_BLOCK)
+    ends = np.minimum(starts + SCAN_X_BLOCK, len(axis)) - 1
+    x_lo, x_hi = _product([axis[starts]] * n), _product([axis[ends]] * n)
     nx, ne = len(x_lo), len(first)
     block, eta = np.divmod(np.arange(nx * ne), ne)
-    keep = _may_seed(fam, x_lo[block], x_hi[block], es, first[eta],
+    keep = _may_seed(fam, x_lo[block], x_hi[block], axis, first[eta],
                      count[eta], step)
-    return first, count, keep.reshape(nx, ne)[at]
+    at = np.arange(len(axis)) // SCAN_X_BLOCK
+    top = keep.reshape((len(starts),) * n + (ne,))[np.ix_(*[at] * n)]
+    return first, count, top.reshape(len(axis) ** n, ne)
 
 
 def _live_cells(fam, xc, es, step, first, count, top):
@@ -835,24 +814,26 @@ def _cover(n_rows, size, at, first, count):
     return mask[(slice(None),) + (slice(0, size),) * N] > 0
 
 
-def _fiber_seeds(fam, xs, step):
-    """Grid seeds of the eta roots of grad_eta over the x rows xs, as
-    one (Xs, Es) pair per chunk of rows.
+def _fiber_seeds(fam, step):
+    """Grid seeds of the eta roots of grad_eta over the x rows of the
+    grid of step, as one (Xs, Es) pair per chunk of rows.
 
     N = 1 seeds at the sign changes along the eta grid, N = 2 at the
     near pairs where |grad_eta| < 4 step.  The scan is certified:
-    grad_eta is only evaluated at the near grid pairs that are corners
-    of live cells (_live_cells), every pair off the near mask is
-    exactly the tail, and under N = 1 only live cells are tested for a
-    sign change, so both ends of a tested cell are exact.  The x tier
-    bounds boxes over every row of xs once (_x_tier); the row tier runs
-    per chunk, on the chunk's rows.  The seeds are those of a scan of
-    every near pair, in the same order.
+    grad_eta is only evaluated at the grid pairs that are corners of
+    live cells (_live_cells) and near pairs (near_box of the one-pair
+    box), every pair off the near mask is exactly the tail, and under
+    N = 1 only live cells are tested for a sign change, so both ends of
+    a tested cell are exact.  The x tier bounds boxes over every x row
+    once (_x_tier); the row tier runs per chunk, on the chunk's rows.
+    The seeds are those of a scan of every near pair, in the same
+    order.
     """
-    es, eta_grid = _sample_grid(fam, step, fam.N)
+    es, xs = _sample_grid(fam, step, fam.n)
+    eta_grid = _product([es] * fam.N)
     me = len(eta_grid)
     chunk = max(1, 200000 // me)
-    first, count, top = _x_tier(fam, xs, es, step)
+    first, count, top = _x_tier(fam, es, step)
     for lo in range(0, len(xs), chunk):
         if not top[lo:lo + chunk].any():
             continue
@@ -862,10 +843,11 @@ def _fiber_seeds(fam, xs, step):
         if not len(sub):
             continue
         xc = xc[sub]
-        rows, cols = np.nonzero(fam.near(xc, eta_grid)
-                                & points.reshape(len(xc), me))
+        rows, cols = np.nonzero(points.reshape(len(xc), me))
         Xn = np.take(xc, rows, axis=0)
         En = np.take(eta_grid, cols, axis=0)
+        near = fam.near_box(Xn, Xn, En, En)
+        rows, cols, Xn, En = rows[near], cols[near], Xn[near], En[near]
         gn = fam.grad_eta(Xn, En)
         if fam.N == 1:
             g = np.full((len(xc), me), fam.tail[0])
@@ -924,15 +906,15 @@ def _joined(held):
             np.cumsum([0] + [len(Xs) for Xs, _ in held[:-1]]))
 
 
-def _solve_fiber(fam, xs, step):
-    """eta roots of grad_eta over each x row: the grid seeds of
-    _fiber_seeds, then one Newton call per batch of chunks (_batches),
-    in which each chunk is a group that stops on its own, as a call on
-    the chunk alone would.  Rows that stall on a singular Jacobian (fold
-    points) are rejected.
+def _solve_fiber(fam, step):
+    """eta roots of grad_eta over each x row of the grid of step: the
+    grid seeds of _fiber_seeds, then one Newton call per batch of
+    chunks (_batches), in which each chunk is a group that stops on its
+    own, as a call on the chunk alone would.  Rows that stall on a
+    singular Jacobian (fold points) are rejected.
     """
     found_x, found_e = [], []
-    for Xs, Es, starts in _batches(_fiber_seeds(fam, xs, step)):
+    for Xs, Es, starts in _batches(_fiber_seeds(fam, step)):
         Es, ok, stuck = _newton(lambda P, rows: fam.grad_eta(Xs[rows], P),
                                 Es, 60, starts)
         ok &= ~stuck
@@ -956,7 +938,7 @@ def fiber_critical_set(fam, step=0.05):
     so the sort by x and eta has no ties.
     """
     _check_step(fam, step)
-    X, E = _solve_fiber(fam, _x_grid(fam, step), step)
+    X, E = _solve_fiber(fam, step)
     keys = np.concatenate([np.round(X, 9), np.round(E, 7)], axis=1)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
@@ -1238,67 +1220,23 @@ def _refuse_composite(fam, what):
             "single polynomial core")
 
 
-# A spun path's families must agree with its first to within SPIN_TOL.
-SPIN_TOL = 1e-9
-
-
-def _check_constant_path(fams):
-    """Refuse a path of families whose values differ from the first's
-    on a check grid of (x, eta1, 0) samples."""
-    base = fams[0]
-    ext = base.extent()
-    exs = np.arange(0.0, ext + 0.05, 0.1).reshape(-1, 1)
-    ees = np.arange(-ext, ext + 0.05, 0.2)
-    # one sample (x, eta1, 0) per grid pair (x, eta1)
-    X = np.repeat(exs, len(ees), axis=0)
-    E = np.zeros((len(X), base.N))
-    E[:, 0] = np.tile(ees, len(exs))
-    ref = base.value(X, E)
-    for fam in fams[1:]:
-        dev = np.max(np.abs(fam.value(X, E) - ref))
-        if dev > SPIN_TOL:
-            near = np.abs(X[:, 0]) <= 0.4  # the band about the axis
-            axis_dev = np.max(np.abs(fam.value(X, E) - ref)[near])
-            if axis_dev > SPIN_TOL:
-                raise DomainError(
-                    f"not spinnable: θ-dependence near axis "
-                    f"(variation {axis_dev:.3e})")
-            raise DomainError(
-                f"spin is implemented for θ-constant paths; the path "
-                f"varies by {dev:.3e} away from the axis")
-
-
-def spin(path):
+def spin(fam):
     """Rotate a 1-d base family about the x = 0 axis.
 
-    path is either a single family (constant path) or a callable
-    theta -> family on [0, 2pi), sampled at the eight multiples of
-    pi/4.  The construction replaces x^2 by x1^2 + x2^2 in the core,
-    which is exact for theta-constant paths with even cores;
-    theta-variation near the axis and odd radial terms both obstruct a
-    smooth spun family and are rejected.
+    The construction replaces x^2 by x1^2 + x2^2 in the core, which is
+    exact for even cores; odd radial terms obstruct a smooth spun family
+    and are rejected.
     """
-    if callable(path):
-        fams = [path(math.pi * k / 4) for k in range(8)]
-    else:
-        fams = [path]
-    base = fams[0]
-    _refuse_composite(base, "spin")
-    if base.n != 1:
-        raise DomainError(f"spin needs a 1-dimensional base, got n={base.n}")
-    for fam in fams[1:]:
-        if fam.N != base.N or fam.R != base.R or fam.tail != base.tail:
-            raise DomainError(
-                "spin needs a shared tail and cutoff across the path")
-    if len(fams) > 1:
-        _check_constant_path(fams)
-    if any(e[0] % 2 for e in base.core.terms):
-        slope = max(abs(c) for e, c in base.core.terms.items() if e[0] % 2)
+    _refuse_composite(fam, "spin")
+    if fam.n != 1:
+        raise DomainError(f"spin needs a 1-dimensional base, got n={fam.n}")
+    if any(e[0] % 2 for e in fam.core.terms):
+        slope = max(abs(c) for e, c in fam.core.terms.items() if e[0] % 2)
         raise DomainError(
             f"not spinnable: θ-dependence near axis (odd radial terms of "
             f"size {slope:g} give the gradient a direction-dependent limit)")
-    spun_core = base.core.insert_rotation(0)
-    return GeneratingFamily(2, base.N, spun_core, base.tail, base.R)
+    return GeneratingFamily(2, fam.N, fam.core.insert_rotation(0), fam.tail,
+                            fam.R)
 
 
 def saucer_family():

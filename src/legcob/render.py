@@ -8,6 +8,11 @@ over/under break.
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
+# render_svg's pixels per event (DX) and per strand position (DY),
+# render_points_svg's canvas size, and the margin around both drawings.
+DX, DY = 48, 28
+WIDTH, HEIGHT = 480, 320
+MARGIN = 30
 
 
 def _strand_tracks(diagram):
@@ -30,17 +35,17 @@ def _strand_tracks(diagram):
     return tracks
 
 
-def render_svg(diagram, dx=48, dy=28, margin=30):
+def render_svg(diagram):
     """Deterministic SVG 1.1 document for the front."""
     n_slices = len(diagram.events) + 1
-    width = 2 * margin + dx * max(n_slices - 1, 1)
-    height = 2 * margin + dy * max(diagram.max_strands + 1, 2)
+    width = 2 * MARGIN + DX * max(n_slices - 1, 1)
+    height = 2 * MARGIN + DY * max(diagram.max_strands + 1, 2)
 
     def sx(s):
-        return margin + dx * s
+        return MARGIN + DX * s
 
     def sy(p):
-        return margin + dy * p
+        return MARGIN + DY * p
 
     tracks = _strand_tracks(diagram)
     paths = []
@@ -67,7 +72,7 @@ def render_svg(diagram, dx=48, dy=28, margin=30):
             f'{body}\n</svg>\n')
 
 
-def render_points_svg(xs, zs, width=480, height=320, margin=30):
+def render_points_svg(xs, zs):
     """Scatter SVG of front samples: first base coordinate across, z up.
 
     xs and zs are the samples' first base coordinates and z values; for
@@ -76,17 +81,17 @@ def render_points_svg(xs, zs, width=480, height=320, margin=30):
     """
     pts = sorted(zip(xs, zs))
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{width}" height="{height}">\n'
-            f'<rect width="{width}" height="{height}" fill="white"/>\n')
+            f'width="{WIDTH}" height="{HEIGHT}">\n'
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n')
     if not pts:
         return head + "</svg>\n"
     xs = [p[0] for p in pts]
     zs = [p[1] for p in pts]
     x0, z0 = min(xs), min(zs)
-    sx = (width - 2 * margin) / max(max(xs) - x0, 1e-9)
-    sz = (height - 2 * margin) / max(max(zs) - z0, 1e-9)
+    sx = (WIDTH - 2 * MARGIN) / max(max(xs) - x0, 1e-9)
+    sz = (HEIGHT - 2 * MARGIN) / max(max(zs) - z0, 1e-9)
     dots = "\n".join(
-        f'<circle cx="{margin + (x - x0) * sx:.1f}" '
-        f'cy="{height - margin - (z - z0) * sz:.1f}" r="1.6" '
+        f'<circle cx="{MARGIN + (x - x0) * sx:.1f}" '
+        f'cy="{HEIGHT - MARGIN - (z - z0) * sz:.1f}" r="1.6" '
         f'fill="{_PALETTE[0]}"/>' for x, z in pts)
     return head + dots + "\n</svg>\n"

@@ -30,7 +30,7 @@ from legcob import gfnum
 from legcob.errors import DomainError
 from legcob.gfnum import (
     FAMILIES, FD_STEP, CompositeFamily, GeneratingFamily,
-    _diff_gradient, _fd_jacobian, _fiber_seeds, _newton, _x_grid,
+    _diff_gradient, _fd_jacobian, _fiber_seeds, _newton, _sample_grid,
     fiber_critical_set, fish_family, linear_family, parse_gf_file,
     reeb_chords,
     scaled_unknot_family, shifted_unknot_family, spin, stacked_pair_family,
@@ -206,8 +206,8 @@ def ref_fiber_critical_set(fam, step, newton_tol=1e-12, accept_tol=1e-9):
     """The fiber samples with their front data, one row (x, eta, z, p)
     per sample: of the solved rows whose rounded (x, eta) agree the
     first one solved, sorted by x and then eta."""
-    X, E = ref_solve_fiber(fam, _x_grid(fam, step), step, newton_tol,
-                           accept_tol)
+    X, E = ref_solve_fiber(fam, _sample_grid(fam, step, fam.n)[1], step,
+                           newton_tol, accept_tol)
     rows = []
     if len(X):
         Z = ref_value(fam, X, E)
@@ -313,10 +313,11 @@ def test_near_mask_covers_where_the_family_differs_from_its_tail():
     for name in sorted(EVAL_FAMILIES):
         fam = EVAL_FAMILIES[name]()
         X, E = straddling_grid(fam, seed=1)
-        near = np.array([fam.near(X[i:i + 1], E[i:i + 1])[0, 0]
-                         for i in range(len(X))])
+        near = fam.near_box(X, X, E, E)
+        assert np.array_equal(near, ref_near(fam, X, E))
         far_g = fam.grad_eta(X[~near], E[~near])
         assert np.array_equal(far_g, np.tile(fam.tail, (len(far_g), 1)))
+        assert not fam.grad_x(X[~near], E[~near]).any()
 
 
 FIBER_CASES = {
@@ -348,9 +349,21 @@ def test_fiber_critical_set_matches_reference(name):
 
 # --- the certified seed scan -------------------------------------------
 
+def ref_near(fam, X, E):
+    """The near mask of the rows (X, E): |x|^2 + |eta - c|^2 < (2R)^2
+    about the fiber center c of some part (about the origin, with the
+    family's R, for a GeneratingFamily)."""
+    out = np.zeros(len(X), bool)
+    for R, center in _centers(fam):
+        out |= (X * X).sum(axis=1) + ((E - center) ** 2).sum(axis=1) \
+            < (2.0 * R) ** 2
+    return out
+
+
 def dense_seeds(fam, xs, step):
-    """The seed scan that evaluates grad_eta at every near grid pair and
-    takes the tail elsewhere, one (Xs, Es) pair per chunk of rows."""
+    """The seed scan that evaluates grad_eta at every near grid pair
+    (ref_near) and takes the tail elsewhere, one (Xs, Es) pair per chunk
+    of rows."""
     ext = fam.extent()
     es = np.arange(-ext, ext + step / 2.0, step)
     if fam.N == 1:
@@ -362,7 +375,9 @@ def dense_seeds(fam, xs, step):
     chunk = max(1, 200000 // me)
     for lo in range(0, len(xs), chunk):
         xc = xs[lo:lo + chunk]
-        rows, cols = np.nonzero(fam.near(xc, eta_grid))
+        near = ref_near(fam, np.repeat(xc, me, axis=0),
+                        np.tile(eta_grid, (len(xc), 1)))
+        rows, cols = np.nonzero(near.reshape(len(xc), me))
         Xn, En = xc[rows], eta_grid[cols]
         gn = fam.grad_eta(Xn, En)
         if fam.N == 1:
@@ -400,8 +415,8 @@ def test_seeds_match_a_dense_scan(name, step):
     """The certified scan gives the dense scan's seeds, chunk by chunk
     and in order, so Newton sees the same batches."""
     fam = FIBER_CASES[name][0]()
-    xs = _x_grid(fam, step)
-    got = list(_fiber_seeds(fam, xs, step))
+    xs = _sample_grid(fam, step, fam.n)[1]
+    got = list(_fiber_seeds(fam, step))
     want = list(dense_seeds(fam, xs, step))
     assert len(got) == len(want)
     for (gx, ge), (wx, we) in zip(got, want):
@@ -443,8 +458,8 @@ def random_cases():
 
 def test_seeds_match_a_dense_scan_on_random_families():
     for fam, step in random_cases():
-        xs = _x_grid(fam, step)
-        got = list(_fiber_seeds(fam, xs, step))
+        xs = _sample_grid(fam, step, fam.n)[1]
+        got = list(_fiber_seeds(fam, step))
         want = list(dense_seeds(fam, xs, step))
         assert len(got) == len(want), fam
         for (gx, ge), (wx, we) in zip(got, want):
@@ -468,9 +483,9 @@ def test_seeds_match_a_dense_scan_at_block_edges(name, step, points):
     x axis; axes shorter than a block and ragged last blocks give the
     dense scan's seeds too."""
     fam = FIBER_CASES[name][0]()
-    xs = _x_grid(fam, step)
+    xs = _sample_grid(fam, step, fam.n)[1]
     assert len(np.unique(xs[:, 0])) == points
-    got = list(_fiber_seeds(fam, xs, step))
+    got = list(_fiber_seeds(fam, step))
     want = list(dense_seeds(fam, xs, step))
     assert len(got) == len(want)
     for (gx, ge), (wx, we) in zip(got, want):
@@ -490,7 +505,7 @@ def test_seed_scan_evaluates_few_near_pairs_once(monkeypatch):
         return grad_eta(X, E)
 
     monkeypatch.setattr(fam, "grad_eta", spy_grad_eta)
-    seeds = list(_fiber_seeds(fam, _x_grid(fam, step), step))
+    seeds = list(_fiber_seeds(fam, step))
     assert seeds
     rows = np.concatenate(scanned)
     r2 = (rows * rows).sum(axis=1)
@@ -557,7 +572,7 @@ def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
     saucer at the default step that is 17,626 boxes in 15 bound calls,
     one of them the x tier's."""
     fam = FIBER_CASES[name][0]()
-    xs = _x_grid(fam, step)
+    xs = _sample_grid(fam, step, fam.n)[1]
     tiers = []
     seedless = gfnum._seedless
 
@@ -566,7 +581,7 @@ def test_seed_scan_bounds_only_rows_and_blocks_near_2R(monkeypatch, name,
         return seedless(fam, x_lo, x_hi, e_lo, e_hi, step)
 
     monkeypatch.setattr(gfnum, "_seedless", spy_seedless)
-    assert list(_fiber_seeds(fam, xs, step))
+    assert list(_fiber_seeds(fam, step))
     bounded = [len(t[0]) for t in tiers]
     assert (bounded[0], sum(bounded[1:])) == TIER_BOXES[name]
     for box in tiers:
@@ -703,7 +718,7 @@ def test_newton_matches_full_batch_reference():
     cases = []
     for text, step in ((SMALL_TAIL, 0.5), (TWO_FIBER, 0.2)):
         fam = parse_gf_file(text)
-        for Xs, Es in _fiber_seeds(fam, _x_grid(fam, step), step):
+        for Xs, Es in _fiber_seeds(fam, step):
             cases.append((lambda P, Xs=Xs, fam=fam: fam.grad_eta(Xs, P),
                           lambda P, rows, Xs=Xs, fam=fam:
                           fam.grad_eta(Xs[rows], P), Es, 60))
@@ -857,13 +872,12 @@ def test_fiber_solve_polishes_whole_chunks_in_bounded_batches(monkeypatch):
 
     monkeypatch.setattr(gfnum, "_newton", spy)
     fam = FAMILIES["saucer"]()
-    gfnum._solve_fiber(fam, _x_grid(fam, 0.05), 0.05)
+    gfnum._solve_fiber(fam, 0.05)
     assert calls == [(2502, 12)]
     calls.clear()
     fam = parse_gf_file(SMALL_TAIL)
-    xs = _x_grid(fam, 0.1)
-    chunks = [len(Xs) for Xs, _ in _fiber_seeds(fam, xs, 0.1)]
-    gfnum._solve_fiber(fam, xs, 0.1)
+    chunks = [len(Xs) for Xs, _ in _fiber_seeds(fam, 0.1)]
+    gfnum._solve_fiber(fam, 0.1)
     assert sum(chunks) == 139347 and len(chunks) == 10
     assert calls == [(m, 1) for m in chunks]
 
