@@ -320,6 +320,43 @@ def test_near_mask_covers_where_the_family_differs_from_its_tail():
         assert not fam.grad_x(X[~near], E[~near]).any()
 
 
+def _core_magnitude(fam, X, E):
+    """|core| + |A| summed over the families value adds up: the scale
+    of the rounding in core + (A - core) and in a composite's sum."""
+    if isinstance(fam, CompositeFamily):
+        total = np.abs(fam.tail_value(E))
+        for part, center in fam.parts:
+            total = total + _core_magnitude(part, X, E - np.asarray(center))
+        return total
+    return np.abs(fam.core.evaluate(fam._cols(X, E))) \
+        + np.abs(fam.tail_value(E))
+
+
+def test_value_beyond_2R_is_the_tail_up_to_rounding():
+    """Off the near mask the gradient is the tail's bit for bit, but the
+    value, core + (A - core), equals A only up to rounding of the
+    terms it adds up."""
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    differs = 0
+    for name in sorted(EVAL_FAMILIES):
+        fam = EVAL_FAMILIES[name]()
+        ext = fam.extent()
+        P = rng.uniform(-3.0 * ext, 3.0 * ext, (20000, fam.n + fam.N))
+        X = np.ascontiguousarray(P[:, :fam.n])
+        E = np.ascontiguousarray(P[:, fam.n:])
+        far = ~ref_near(fam, X, E)
+        X, E = X[far], E[far]
+        assert len(X) > 10000, name
+        assert np.array_equal(fam.grad_eta(X, E),
+                              np.tile(fam.tail, (len(X), 1))), name
+        assert not fam.grad_x(X, E).any(), name
+        gap = np.abs(fam.value(X, E) - fam.tail_value(E))
+        assert (gap <= 4.0 * eps * _core_magnitude(fam, X, E)).all(), name
+        differs += np.count_nonzero(gap)
+    assert differs
+
+
 FIBER_CASES = {
     "unknot": (unknot_family, 0.05),
     "scaled-unknot": (scaled_unknot_family, 0.05),
