@@ -64,6 +64,14 @@ coefficients that are not finite, and cores whose derivatives' are
 not, grid steps whose seed grid exceeds MAX_GRID_SAMPLES, chord
 searches whose Newton work exceeds MAX_CHORD_WORK, and composites in
 spin and immersed_filling_family.
+
+Every number a gf command prints is the same on every numpy SIMD tier
+of one machine: the polynomials take their powers as products (see
+mpoly), and the smoothstep takes its exponentials in long double, for
+which numpy has no SIMD loop.  The limits: LAPACK (eigvalsh, solve,
+det) and the C library's expl belong to the machine, and np.longdouble
+is 80-bit on x86-64 Linux but not everywhere, so the claim is the same
+bytes on two numpy tiers of one machine, not across machines.
 """
 
 import functools
@@ -83,15 +91,17 @@ from .mpoly import MultiPoly, parse_mpoly
 def _smoothstep_pair(u):
     """(s, s') of the exp(-1/u) smoothstep: s = 0 for u <= 0 and 1 for
     u >= 1, with s' = 0 on both; on 0 < u < 1 both come from one pair
-    of exponentials, b1 = exp(-1/u) and b2 = exp(-1/(1-u))."""
+    of exponentials, b1 = exp(-1/u) and b2 = exp(-1/(1-u)).  Each is
+    taken in long double and rounded back to float: numpy has no SIMD
+    loop for long double, so every tier calls the C library's expl."""
     u = np.asarray(u, float)
     s = np.where(u >= 1.0, 1.0, 0.0)
     sd = np.zeros_like(u)
     on = (u > 0.0) & (u < 1.0)
     v = u[on]
     w = 1.0 - v
-    b1 = np.exp(-1.0 / v)
-    b2 = np.exp(-1.0 / w)
+    b1 = np.exp((-1.0 / v).astype(np.longdouble)).astype(float)
+    b2 = np.exp((-1.0 / w).astype(np.longdouble)).astype(float)
     s[on] = b1 / (b1 + b2)
     sd[on] = (b1 / v ** 2 * b2 + b1 * (b2 / w ** 2)) / (b1 + b2) ** 2
     return s, sd

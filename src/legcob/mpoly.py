@@ -4,7 +4,14 @@ Small support layer for the numerical family code: exact evaluation on
 numpy arrays, exact partial derivatives, variable shifts, and a parser
 for expanded expressions like "3*e1 - 3*x1^2*e1 - e1^3".  The grammar
 deliberately has no parentheses; families are written out in expanded
-form so the stored text is the polynomial itself.
+form so the stored text is the polynomial itself.  A coefficient may
+carry an exponent (1e-05, 1e+16): format prints repr.
+
+Powers are products: evaluate and bound take x^k by repeated squaring,
+never numpy's float power, which rounds differently on numpy's SIMD
+tiers for k >= 3.  A product rounds alike on every tier, so a
+polynomial's values are the same bytes on every numpy tier of one
+machine; across machines nothing is claimed.
 """
 
 import functools
@@ -97,22 +104,24 @@ class MultiPoly:
         return MultiPoly(self.nvars + 1, out)
 
     def evaluate(self, cols):
-        """cols: one scalar or numpy array per variable."""
+        """cols: one scalar or numpy array per variable.  Each power of
+        a column is taken once per call and shared by the terms."""
         if len(cols) != self.nvars:
             raise DomainError(
                 f"expected {self.nvars} columns, got {len(cols)}")
+        cols = [np.asarray(c) for c in cols]
+        powers = {}
         total = None
         for e, c in self.terms.items():
             term = c
-            for col, k in zip(cols, e):
+            for v, k in enumerate(e):
                 if k:
-                    term = term * np.asarray(col) ** k
+                    if (v, k) not in powers:
+                        powers[v, k] = _power(cols[v], k)
+                    term = term * powers[v, k]
             total = term if total is None else total + term
-        if total is None:
-            return np.zeros(np.broadcast(*[np.asarray(c) for c in cols]).shape
-                            if cols else ())
-        return total + np.zeros(np.broadcast(
-            *[np.asarray(c) for c in cols]).shape)
+        shape = np.broadcast(*cols).shape if cols else ()
+        return np.zeros(shape) if total is None else total + np.zeros(shape)
 
     def bound(self, lo, hi):
         """Range of the polynomial over boxes, term by term.
@@ -130,10 +139,10 @@ class MultiPoly:
             """The ends of variable v's range to the power e."""
             if (v, e) not in cache:
                 a, b = np.asarray(lo[v]), np.asarray(hi[v])
+                pa, pb = _power(a, e), _power(b, e)
                 if e % 2:
-                    cache[v, e] = (a ** e, b ** e)
+                    cache[v, e] = (pa, pb)
                 else:
-                    pa, pb = a ** e, b ** e
                     cache[v, e] = (
                         np.where((a < 0) & (b > 0), 0.0,
                                  np.minimum(pa, pb)),
@@ -184,11 +193,28 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self.terms!r})"
 
 
+def _power(base, k):
+    """base ** k for k >= 1 by repeated squaring: about log2 k
+    products.  For k <= 2 these are numpy's bytes, whose ** 2 is a
+    product."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
 def _fmt_coeff(c):
     return str(int(c)) if float(c).is_integer() else repr(float(c))
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z]\w*)(?:\^(-?\d+))?$")
+# a term ends before each '-' and at each '+', except the sign of a
+# coefficient's exponent (1e-05, 1e+16), which follows a digit and 'e'
+_TERM_SPLIT_RE = re.compile(r"(?<![\d.][eE])(?:\+|(?=-))")
 
 
 def parse_mpoly(text, names):
@@ -200,10 +226,9 @@ def parse_mpoly(text, names):
     """
     index = {name: i for i, name in enumerate(names)}
     nvars = len(names)
-    text = text.replace("-", "+-").lstrip("+")
     poly = MultiPoly(nvars)
     seen = 0
-    for chunk in text.split("+"):
+    for chunk in _TERM_SPLIT_RE.split(text):
         chunk = chunk.strip()
         if not chunk:
             continue

@@ -348,6 +348,21 @@ def test_gf_spin_roundtrip(tmp_path, capsys):
     assert grab(out, "gamma") == "t^2"
 
 
+def test_gf_spin_file_reads_back_exponent_coefficients(tmp_path, capsys):
+    """gf-spin writes 0.00001 as 1e-05; gf-front reads the file back."""
+    core = tmp_path / "core.gf"
+    core.write_text("n=1\nN=1\ncore=3*e1 - 3*x1^2*e1 - e1^3 + 0.00001*x1^2\n"
+                    "tail=-5*e1\nR=3\n")
+    spun = tmp_path / "spun.gf"
+    rc, _ = run(["gf-spin", "--file", str(core), "--out", str(spun)], capsys)
+    assert rc == 0
+    assert "+ 1e-05*x1^2" in spun.read_text()
+    rc, out = run(["gf-front", "--file", str(spun), "--step", "0.25",
+                   "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["count"] > 0
+
+
 def test_gf_spin_rejects_composite(capsys):
     rc, out = run(["gf-spin", "--family", "stacked-pair"], capsys)
     assert rc == 1
@@ -529,3 +544,68 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == (1 if argv[0] == "tb" else 0)
+
+
+# An n = 1, N = 2 family, and the same core with a tail below the grid
+# step: no built-in family has two fiber variables.
+TWO_FIBER = ("n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 + e2^2\n"
+             "tail=-200*e1 + 3*e2\nR=3\n")
+SMALL_TAIL = TWO_FIBER.replace("-200*e1 + 3*e2", "0.05*e1 + 0.05*e2")
+
+# Runs the commands of its JSON argument, prints [exit code, stdout]
+# per command, one JSON line each.
+GF_RUNNER = """
+import contextlib, io, json, sys
+from legcob.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([code, out.getvalue()]))
+"""
+
+
+def gf_tier_commands():
+    """72 gf commands: gf-chords and gf-front --json on every built-in
+    family at steps 0.2, 0.1, 0.05 and 0.03 (the saucer's grid is
+    refused at 0.03), gf-check --json with and without --embedded, and
+    both commands at step 0.2 on the two gf-files."""
+    cmds = []
+    for name in sorted(gfnum.FAMILIES):
+        steps = ["0.2", "0.1", "0.05"] + ([] if name == "saucer"
+                                          else ["0.03"])
+        for step in steps:
+            for cmd in ("gf-chords", "gf-front"):
+                cmds.append([cmd, "--family", name, "--step", step, "--json"])
+        cmds.append(["gf-check", "--family", name, "--json"])
+        cmds.append(["gf-check", "--family", name, "--embedded", "--json"])
+    for path in ("two-fiber.gf", "small-tail.gf"):
+        for cmd in ("gf-chords", "gf-front"):
+            cmds.append([cmd, "--file", path, "--step", "0.2", "--json"])
+    return cmds
+
+
+def test_gf_output_is_the_same_without_avx512(tmp_path, monkeypatch,
+                                              capsys):
+    """Every gf command prints the same bytes whether numpy dispatches
+    to its AVX-512 kernels or not: the gf numbers take no numpy float
+    power and no float64 exponential."""
+    import os
+    from pathlib import Path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two-fiber.gf").write_text(TWO_FIBER)
+    (tmp_path / "small-tail.gf").write_text(SMALL_TAIL)
+    cmds = gf_tier_commands()
+    assert len(cmds) == 72
+    here = [[main(argv), capsys.readouterr().out] for argv in cmds]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    child = subprocess.run(
+        [sys.executable, "-c", GF_RUNNER, json.dumps(cmds)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    there = [json.loads(line) for line in child.stdout.splitlines()]
+    assert len(there) == len(cmds)
+    for argv, mine, theirs in zip(cmds, here, there):
+        assert mine == theirs, argv

@@ -11,10 +11,11 @@ run in order in one work directory, so later commands read the traces
 and plans written earlier; the files in FILES are written there first.
 A refactor that changes any output byte, or any trace move, fails here.
 
-Two rows depend on numpy's kernel tier: without its AVX-512 kernels
-the fish's front and chords differ in their last digits.  The expected
-digest is picked by the tier numpy dispatches to; neither row accepts
-both.
+Every row has one digest on every numpy SIMD tier of one machine: the
+gf numbers take their powers as products and their exponentials in
+long double.  CI reruns this file without numpy's AVX-512 kernels, and
+test_cli.py's test_gf_output_is_the_same_without_avx512 compares the
+two tiers' output of 72 gf commands.
 """
 
 import hashlib
@@ -161,7 +162,7 @@ GOLDEN = [
     # generating-family JSON, every digit of every number: the chords of
     # every built-in family, the fish front and the unknot's filling
     (["gf-chords", "--family", "fish", "--json"], 0,
-     "18dd0558af751b74f1e3830f8057ed3ccbabf723cb1601151cfffbb11d2ca366", {}),
+     "e596ab4a7295df70795883873f37a138fe39706a2e0081da2bb2175b80d21fc3", {}),
     (["gf-chords", "--family", "linear", "--json"], 0,
      "87166ae3809a5daa2fd58731bc83032af4ab0c390f7c22a929588a461a420454", {}),
     (["gf-chords", "--family", "saucer", "--step", "0.1", "--json"], 0,
@@ -175,46 +176,12 @@ GOLDEN = [
     (["gf-chords", "--family", "unknot", "--json"], 0,
      "656553865ad947e34933360e810171025d6a0811d11a62a18ef28d315621da6a", {}),
     (["gf-front", "--family", "fish", "--json"], 0,
-     "eb33a3ce55e781aaa2404e671b4c97db3194861d352c9d615cf9148736e1fdf7", {}),
+     "2ab0ecb9e591ca03120c6c44b86c3c4781ac71a0aece6d3ab552c881213dc5dc", {}),
     (["gf-check", "--family", "unknot", "--embedded", "--json"], 0,
      "5faf60c5a0b88fe4f8c0226e37271c82c5b4ec4aa2b6181d8bb70103388d5e6a", {}),
     (["gf-front", "--file", "two-fiber.gf", "--step", "0.2", "--json"], 0,
      "60365fa34d80f73af8b4262a5348e843e5e35fa3920be416d3e60dc17d71c23b", {}),
 ]
-
-
-# stdout digests of the rows that differ where numpy dispatches to no
-# AVX-512 kernel (recorded with NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR" on numpy 2.4)
-NO_AVX512 = {
-    ("gf-chords", "--family", "fish", "--json"):
-    "de17578323ecff084b9c204a2dfff1e83416e3d6fe640a2a0b1859cc79e763b5",
-    ("gf-front", "--family", "fish", "--json"):
-    "aadea73471f8e3c2e7d412ae963a56841e5f30fea2167b66bed8ccfa3696aec7",
-}
-# numpy's names of the AVX-512 tier: X86_V4 from numpy 2.3 on,
-# AVX512F and AVX512_SKX before
-AVX512_TIER = {"X86_V4", "AVX512F", "AVX512_SKX"}
-
-
-def simd_found():
-    """The SIMD extensions numpy dispatches to, as np.show_runtime()
-    lists them: the baseline and the dispatched features found."""
-    try:
-        from numpy._core import _multiarray_umath as um
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as um
-    return set(um.__cpu_baseline__) | {
-        f for f in um.__cpu_dispatch__ if um.__cpu_features__[f]}
-
-
-def expected_golden():
-    """GOLDEN, with the NO_AVX512 digests where numpy dispatches to no
-    AVX-512 kernel."""
-    if AVX512_TIER & simd_found():
-        return GOLDEN
-    return [(argv, code, NO_AVX512.get(tuple(argv), out), files)
-            for argv, code, out, files in GOLDEN]
 
 
 def _sha(data):
@@ -240,10 +207,5 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
-    assert run_golden(capsys) == expected_golden()
+    assert run_golden(capsys) == GOLDEN
 
-
-def test_no_avx512_rows_are_golden_rows():
-    rows = {tuple(argv): out for argv, _, out, _ in GOLDEN}
-    for argv, out in NO_AVX512.items():
-        assert argv in rows and rows[argv] != out

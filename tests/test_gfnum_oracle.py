@@ -52,7 +52,8 @@ def ref_bump(u):
     out = np.zeros_like(u)
     pos = u > 0
     with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / u[pos])
+        out[pos] = np.exp(
+            (-1.0 / u[pos]).astype(np.longdouble)).astype(float)
     return out
 
 
@@ -60,7 +61,8 @@ def ref_bump_d(u):
     u = np.asarray(u, float)
     out = np.zeros_like(u)
     pos = u > 1e-12
-    out[pos] = np.exp(-1.0 / u[pos]) / u[pos] ** 2
+    out[pos] = (np.exp((-1.0 / u[pos]).astype(np.longdouble)).astype(float)
+                / u[pos] ** 2)
     return out
 
 

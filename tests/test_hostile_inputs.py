@@ -29,6 +29,8 @@ FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
          "degenerate-n2.gf": "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\n"
                              "tail=e1\nR=3\n",
          "spin-2060.gf": "n=1\nN=1\ncore=x1^2060*e1 + e1\ntail=-5*e1\nR=3\n",
+         "huge-exponent.gf": "n=1\nN=1\ncore=3*e1 - 3*x1^2*e1 - e1^100001\n"
+                             "tail=-200*e1\nR=3\n",
          "derivative-overflow.gf": "n=1\nN=1\ncore=1.5e308*e1^2 + e1^3\n"
                                    "tail=-5*e1\nR=3\n",
          # 60 KB of births, and 5,000 pinches each walking the whole
@@ -102,6 +104,11 @@ ROWS = [
                            + [f"X{40 + i}" for i in range(1, 40)]
                            + [f"R{t}" for t in range(40, 0, -1)])],
                  id="wh-40-strand-closure"),
+    # e1^100001: a power taken as k products would not answer in time
+    pytest.param(["gf-chords", "--file", "huge-exponent.gf"],
+                 id="gf-chords-huge-exponent"),
+    pytest.param(["gf-front", "--file", "huge-exponent.gf"],
+                 id="gf-front-huge-exponent"),
     pytest.param(["gf-chords", "--file", "derivative-overflow.gf"],
                  id="gf-chords-derivative-overflow"),
     pytest.param(["trace", "births.trace"], id="trace-10000-births"),

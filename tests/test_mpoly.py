@@ -16,6 +16,12 @@ def test_parse_format_round_trip():
     p = poly("3*e1 - 3*x1^2*e1 - e1^3")
     assert p.format(NAMES) == "-3*x1^2*e1 - e1^3 + 3*e1"
     assert parse_mpoly(p.format(NAMES), NAMES).terms == p.terms
+    # format prints repr, so these coefficients print with an exponent
+    # whose sign must not split the term
+    for c in (1e-05, -2.5e-300, 1e+16):
+        p = MultiPoly(2, {(2, 0): c, (0, 1): -3.0})
+        assert parse_mpoly(p.format(NAMES), NAMES).terms == p.terms
+    assert poly("1e+5*e1 - 1E-3").terms == {(0, 1): 1e5, (0, 0): -1e-3}
 
 
 def test_parse_constants_and_signs():
@@ -31,6 +37,27 @@ def test_parse_errors():
         poly("")
     with pytest.raises(DomainError):
         poly("x1^")
+
+
+def test_powers_are_products():
+    """evaluate takes x1^k by repeated squaring, bit for bit, so that
+    it rounds alike on every numpy SIMD tier; for k <= 2 that is numpy's
+    own x ** k."""
+    def squaring(x, k):
+        out = 1.0
+        while k:
+            if k & 1:
+                out *= x
+            k >>= 1
+            x *= x
+        return out
+    xs = np.random.default_rng(5).uniform(-3.0, 3.0, size=1000)
+    for k in range(1, 10):
+        got = MultiPoly(1, {(k,): 1.0}).evaluate([xs])
+        want = np.array([squaring(float(x), k) for x in xs])
+        assert np.array_equal(got, want), k
+        if k <= 2:
+            assert np.array_equal(got, xs ** k), k
 
 
 def test_diff():
