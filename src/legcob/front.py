@@ -54,9 +54,6 @@ class FrontDiagram:
     Read off the counts on each use: max_strands, the largest count.
     Simulated on first use, in one run of the whole word:
       stacks      tuple of strand-id stacks, one per slice
-      born        tuple of per-slice birth counts: born[t] left cusps lie
-                  in events[:t], so the ids born before slice t are
-                  0 .. 2 * born[t] - 1
     Computed on first use, from the stacks:
       crossings   list of (event_index, pos, upper_id, lower_id)
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
@@ -87,7 +84,7 @@ class FrontDiagram:
     """
 
     _LAZY = {"counts": "_count",
-             "stacks": "_simulate", "born": "_simulate",
+             "stacks": "_simulate",
              "crossings": "_sweep", "cusps": "_sweep",
              "comp_of": "_walk", "components": "_walk",
              "n_components": "_walk", "potential": "_walk",
@@ -123,10 +120,7 @@ class FrontDiagram:
         self.counts = counts[:w0] + tuple(run) + counts[j + 1:]
 
     def _simulate(self):
-        events = self.events
-        self.stacks = ((),) + tuple(map(tuple, simulate(events, [], 0)))
-        self.born = tuple(accumulate([k == "L" for k, _ in events],
-                                     initial=0))
+        self.stacks = ((),) + tuple(map(tuple, simulate(self.events, [], 0)))
 
     def __getattr__(self, name):
         # only reached while a lazy attribute is unset

@@ -174,7 +174,11 @@ def realize(poly, n, sphere_only=False):
     if not blocks:
         blocks = [Block("Saucer", n)]
     plan = RealizationPlan(n, blocks, poly)
-    assert plan.verified(), f"plan replay mismatch: {plan.recomposed} != {poly}"
+    # the plan's answer rests on this check, so it must not vanish under
+    # `python -O`
+    if not plan.verified():
+        raise AssertionError(
+            f"plan replay mismatch: {plan.recomposed} != {poly}")
     return plan
 
 
@@ -199,8 +203,13 @@ def classical_fillable(n, tau):
     else:
         k = -(st + 1) // 2
         poly = LaurentPoly({n: k + 1, -1: k})
-    assert tb_from_polynomial(poly, n) == tau
+    if tb_from_polynomial(poly, n) != tau:
+        raise AssertionError(f"{poly} has tb {tb_from_polynomial(poly, n)}, "
+                             f"not {tau}")
     plan = realize(poly, n)
     sphere_betti = [1 if k in (0, n) else 0 for k in range(n + 1)]
-    assert plan.betti_realized == sphere_betti
+    if plan.betti_realized != sphere_betti:
+        raise AssertionError(
+            f"plan realizes Betti numbers {plan.betti_realized}, not a "
+            f"sphere's {sphere_betti}")
     return poly, plan

@@ -57,13 +57,14 @@ them.  The chord map evaluates both sheets of the difference function
 in one gradient call.  Morse indices and the regularity margin come
 from numpy's symmetric eigenvalues.  No tolerance, and no setting that
 no caller changes, is a parameter: one used twice is a module constant
-(FD_STEP, CHORD_*, FILLING_*, PATH_DT), any other a literal at its
-use.  FAMILIES names the built-in families.  Refused: dimensions other
-than 1 or 2 (a gf-file's before anything is built), core or tail
-coefficients that are not finite, and cores whose derivatives' are
-not, grid steps whose seed grid exceeds MAX_GRID_SAMPLES, chord
-searches whose Newton work exceeds MAX_CHORD_WORK, and composites in
-spin and immersed_filling_family.
+(FD_STEP, CHORD_*, FILLING_*, PATH_DT, PATH_GRID_STEP), any other a
+literal at its use.  FAMILIES names the built-in families.  Refused:
+dimensions other than 1 or 2 (a gf-file's before anything is built),
+tail coefficients that are not finite, cores that are not finite, or
+whose first derivatives are not, on the grid box [-2R, 2R]^(n+N) by
+MultiPoly.bound, grid steps whose seed grid exceeds MAX_GRID_SAMPLES,
+chord searches whose Newton work exceeds MAX_CHORD_WORK, and
+composites in spin and immersed_filling_family.
 
 Every number a gf command prints is the same on every numpy SIMD tier
 of one machine: the polynomials take their powers as products (see
@@ -83,7 +84,7 @@ import numpy as np
 from .errors import DomainError
 from .families import FAMILY_BUILDERS
 from .laurent import LaurentPoly
-from .mpoly import MultiPoly, parse_mpoly
+from .mpoly import MultiPoly, _fmt_coeff, parse_mpoly
 
 
 # --- smoothstep -------------------------------------------------------
@@ -263,10 +264,9 @@ class GeneratingFamily(_Family):
         if len(tail) != N or not any(tail):
             raise DomainError(f"tail must be a nonzero linear form on "
                               f"{N} fiber variables, got {tail}")
-        for c in [*core.terms.values(), *tail]:
+        for c in tail:
             if not math.isfinite(c):
-                raise DomainError(
-                    f"core and tail coefficients must be finite, got {c}")
+                raise DomainError(f"tail coefficients must be finite, got {c}")
         if not 0 < R < math.inf:
             raise DomainError(
                 f"cutoff radius must be finite and positive, got {R}")
@@ -277,13 +277,20 @@ class GeneratingFamily(_Family):
         self.R = float(R)
         self._dx = [core.diff(i) for i in range(n)]
         self._de = [core.diff(n + j) for j in range(N)]
-        for p in [*self._dx, *self._de]:
-            for c in p.terms.values():
-                # a finite coefficient times its exponent can overflow
-                if not math.isfinite(c):
+        # the grid samples the box [-2R, 2R]^(n+N); where the core or a
+        # first derivative is not finite on it (a coefficient that is
+        # not, or one times its exponent or a high power of the box's
+        # edge overflowing), the solves lose points without a word
+        edge = self.extent()
+        lo, hi = [-edge] * (n + N), [edge] * (n + N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in [core, *self._dx, *self._de]:
+                mag = float(p.bound(lo, hi)[2])
+                if not math.isfinite(mag):
                     raise DomainError(
-                        f"core derivative coefficients must be finite, "
-                        f"got {c}")
+                        f"core and its first derivatives must be finite on "
+                        f"the grid box [-{edge:g}, {edge:g}]^{n + N}, got a "
+                        f"bound of {mag}")
 
     def var_names(self):
         return ([f"x{i + 1}" for i in range(self.n)]
@@ -543,72 +550,66 @@ def _fiber_linear(n, coeffs):
 
 # --- standard families ------------------------------------------------
 
-def unknot_family(tail=-200.0):
+def unknot_family():
     """One-chord family: front z = +-2(1-x^2)^(3/2) with cusps at x = +-1.
 
-    The steep tail keeps the collar free of spurious fiber-critical
+    The steep tail -200 keeps the collar free of spurious fiber-critical
     points: on R <= r <= 2R every term of d_eta f is strictly negative
-    once tail < -(3 + 3(2R)^2 + (2R)^2).
+    once the tail is below -(3 + 3(2R)^2 + (2R)^2) = -147.
     """
     core = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3", ["x1", "e1"])
-    return GeneratingFamily(1, 1, core, [tail], 3.0)
+    return GeneratingFamily(1, 1, core, [-200.0], 3.0)
 
 
-def scaled_unknot_family(k=2.0):
-    """The unknot core with both wells deepened by the factor k."""
-    core = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3", ["x1", "e1"]).scale(k)
+def scaled_unknot_family():
+    """The unknot core with both wells deepened by the factor 2."""
+    core = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3", ["x1", "e1"]).scale(2.0)
     return GeneratingFamily(1, 1, core, [-400.0], 3.0)
 
 
-def shifted_unknot_family(c=0.3):
-    """Unknot family recentred at x = c (breaks the x -> -x symmetry)."""
+def shifted_unknot_family():
+    """Unknot family recentred at x = 0.3 (breaks the x -> -x symmetry)."""
     core = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3",
-                       ["x1", "e1"]).shift(0, -c)
-    return GeneratingFamily(1, 1, core, [-260.0], 3.0 + abs(c))
+                       ["x1", "e1"]).shift(0, -0.3)
+    return GeneratingFamily(1, 1, core, [-260.0], 3.3)
 
 
-def linear_family(tail=(-5.0,), R=2.0, n=1):
-    """The tail itself as a family: core == A(eta), so f == A globally
-    and the fiber-critical set is empty."""
-    tail = list(tail)
-    return GeneratingFamily(n, len(tail), _fiber_linear(n, tail), tail, R)
+def linear_family():
+    """The tail -5 eta itself as a family: core == A(eta), so f == A
+    globally and the fiber-critical set is empty."""
+    return GeneratingFamily(1, 1, _fiber_linear(1, [-5.0]), [-5.0], 2.0)
 
 
-def fish_family(pull=-1.0):
-    """Kink family -(e^4 + pull*e^2) + x*e.
+def fish_family():
+    """Kink family -(e^4 - e^2) + x*e.
 
     In the core region the fiber derivative is a cubic: three roots for
-    small |x| when pull < 0 (the swallowtail wedge |x| < 4/(3*sqrt(6))
-    at pull = -1), one root for large |x|.  Because the core is even in
-    eta while the tail is linear, one extra branch always lives in the
-    collar where the blend turns the downward quartic end around; root
-    counts in tests refer to the core region |eta| <= 1.5.
+    small |x| (the swallowtail wedge |x| < 4/(3*sqrt(6))), one root for
+    large |x|.  Because the core is even in eta while the tail is
+    linear, one extra branch always lives in the collar where the blend
+    turns the downward quartic end around; root counts in tests refer
+    to the core region |eta| <= 1.5.
     """
-    core = parse_mpoly("-e1^4 + x1*e1", ["x1", "e1"]) \
-        + MultiPoly(2, {(0, 2): -pull})
+    core = parse_mpoly("-e1^4 + x1*e1 + e1^2", ["x1", "e1"])
     return GeneratingFamily(1, 1, core, [-60.0], 2.0)
 
 
-def stacked_pair_family(separation=6.5, z_shift=5.0, steepen=2.0,
-                        widen=1.25):
+def stacked_pair_family():
     """Fiber-disjoint sum of two one-chord families.
 
-    The copies sit at fiber centers -+separation, which the shared
-    tail turns into a large front separation in z.  The second copy is
-    steepened (no parallel strands, which would make mixed chords
-    tangentially degenerate) and widened (cusps at x = +-widen instead
-    of +-1, so no two cusps are vertically aligned); z_shift nudges it
-    inside its own band.
+    The copies sit at fiber centers -+6.5, which the shared tail turns
+    into a large front separation in z.  The second copy is steepened
+    by the factor 2 (no parallel strands, which would make mixed chords
+    tangentially degenerate) and widened (cusps at x = +-1.25 instead
+    of +-1, so no two cusps are vertically aligned); its constant term
+    5 nudges it inside its own band.
     """
     tail = [-400.0]
     base = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3", ["x1", "e1"])
     low = GeneratingFamily(1, 1, base, tail, 3.0)
-    k, w = steepen, widen
-    high_core = parse_mpoly(
-        f"{3 * k}*e1 - {3 * k / w ** 2}*x1^2*e1 - {k}*e1^3 + {z_shift}",
-        ["x1", "e1"])
+    high_core = parse_mpoly("6*e1 - 3.84*x1^2*e1 - 2*e1^3 + 5", ["x1", "e1"])
     high = GeneratingFamily(1, 1, high_core, tail, 3.0)
-    return CompositeFamily([low, high], [(-separation,), (separation,)])
+    return CompositeFamily([low, high], [(-6.5,), (6.5,)])
 
 
 # --- gf-file format ---------------------------------------------------
@@ -663,11 +664,7 @@ def format_gf_file(fam):
     names = fam.var_names()
     return (f"n={fam.n}\nN={fam.N}\ncore={fam.core.format(names)}\n"
             f"tail={_fiber_linear(fam.n, fam.tail).format(names)}\n"
-            f"R={_num(fam.R)}\n")
-
-
-def _num(v):
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+            f"R={_fmt_coeff(fam.R)}\n")
 
 
 # --- fiber-critical set ----------------------------------------------
@@ -1395,17 +1392,19 @@ def immersed_filling_family(fam, t_plus=3.0):
 # --- embeddedness along a path ----------------------------------------
 
 # A chord whose value falls below CHORD_DEATH_TOL along a path counts
-# as dead; d_t delta is a central difference of step PATH_DT.
+# as dead; d_t delta is a central difference of step PATH_DT; each
+# sampled family's chords are searched on a grid of step PATH_GRID_STEP.
 CHORD_DEATH_TOL = 1e-3
 PATH_DT = 1e-4
+PATH_GRID_STEP = 0.1
 
 
-def embeddedness_check(path, t_start, t_end, samples=9, step=0.1):
+def embeddedness_check(path, t_start, t_end):
     """Certify the chord-length inequality along a family path.
 
     path: callable t -> family on [t_start, t_end], t_start > 0.
-    Enumerates the difference-function critical points at sampled
-    times; h is the smallest |value| seen, max_dt the largest time
+    Enumerates the difference-function critical points at 9 evenly
+    spaced times; h is the smallest |value| seen, max_dt the largest time
     derivative of the difference function at those points, and the
     path passes when h/t stays above |d_t delta| everywhere sampled.
     The reported slowdown is the factor a time reparameterization must
@@ -1420,13 +1419,13 @@ def embeddedness_check(path, t_start, t_end, samples=9, step=0.1):
         raise DomainError(
             f"embeddedness run: times must be finite with t_start < t_end, "
             f"got [{t_start}, {t_end}]")
-    ts = np.linspace(t_start, t_end, samples)
+    ts = np.linspace(t_start, t_end, 9)
     h_min = math.inf
     max_dt = 0.0
     rate_t = 0.0
     for t in ts:
         fam = path(t)
-        chords, _, _ = reeb_chords(fam, step=step)
+        chords, _, _ = reeb_chords(fam, PATH_GRID_STEP)
         if not chords:
             raise DomainError(
                 f"chord death along path: no chords at t = {t:.6g}")
@@ -1453,4 +1452,5 @@ def embeddedness_check(path, t_start, t_end, samples=9, step=0.1):
     return {"h": h_min, "max_dt": max_dt, "ok": ok,
             "slowdown": slowdown,
             "t_samples": list(map(float, ts)),
-            "tolerances": {"grid_step": step, "death_tol": CHORD_DEATH_TOL}}
+            "tolerances": {"grid_step": PATH_GRID_STEP,
+                           "death_tol": CHORD_DEATH_TOL}}

@@ -33,16 +33,17 @@ B, P and PM change the surface topology; the rest are isotopies of the
 front and leave tb, rotation numbers, component count and the graded
 ruling count unchanged.
 
-A trace replay (see _replay) builds no FrontDiagram per move.  It
-carries one running front, the event list and per slice a list of
-strand labels, and rewrites each move's window by the same rule as
-apply_move.  It checks the window's positions with the build's own
-check (front.check_window), simulates the window alone
+apply_move applies one move to a FrontDiagram and grades nothing; the
+search is its caller.  A trace replay (see _replay) builds no
+FrontDiagram per move.  It carries one running front, the event list
+and per slice a list of strand labels, and rewrites each move's window
+by the same rule (_rewrite).  It checks the window's positions with the
+build's own check (front.check_window), simulates the window alone
 (front.simulate) and splices it in.  The labels are the nodes of a
-union-find that counts the surface's connected pieces.  In gf mode a
-pinch's grading is one rule (_check_grading) over one cusp walk
-(front.cusp_walk), run by a replay on its running front and by
-apply_move through the FrontDiagram.  Only the end front is built.
+union-find that counts the surface's connected pieces.  In gf mode it
+also checks each pinch's grading (_check_grading) on one cusp walk of
+its running front (front.cusp_walk); no other code path grades a
+pinch.  Only the end front is built.
 """
 
 from collections import defaultdict
@@ -131,14 +132,14 @@ def _fail(move, reason):
 _PINCHES = ("P", "PM")
 
 
-def _check_grading(move, events, stacks, walk):
+def _check_grading(move, events, stacks):
     """A pinch P s h needs mu(a) - mu(b) = 1 for the strands a above b
     at heights h, h+1 of slice s (the new right cusp matches the
     potential), a merge PM e equal cusp levels mu(a) = mu(b) for a dying
     at its R_h and b born at its L_h; both modulo the potential's mod,
-    its component's defect (twice its absolute rotation number).  The
-    front is (events, stacks) before the move, and walk = (potential,
-    comp_of, defects) its cusp walk (see front.cusp_walk)."""
+    its component's defect (twice its absolute rotation number), read
+    off one cusp walk (front.cusp_walk) of the front (events, stacks)
+    before the move."""
     if move[0] == "P":
         _, w, h = move
         a, b, gap, what = stacks[w][h - 1], stacks[w][h], 1, "potentials"
@@ -147,7 +148,7 @@ def _check_grading(move, events, stacks, walk):
         h = events[w][1]
         a, b = stacks[w][h - 1], stacks[w + 2][h - 1]
         gap, what = 0, "cusp levels"
-    potential, comp_of, defects = walk
+    potential, comp_of, defects = cusp_walk(events, stacks)
     c = comp_of[a]
     if comp_of[b] != c:
         return  # potentials on distinct components can be shifted freely
@@ -180,29 +181,19 @@ def _commute(first, second, below):
     return "strands interleave vertically"
 
 
-def apply_move(diagram, move, gf_mode=False):
-    """Apply one move to a FrontDiagram, returning the new diagram."""
-    new, _, _, _ = _apply(diagram, move, gf_mode)
-    return new
-
-
-def _apply(diagram, move, gf_mode=False):
-    """Internal applier.  Returns (new_diagram, w0, w1_old, w1_new): the
-    rewritten event window [w0, w1_old) was replaced by [w0, w1_new).
-    The new diagram is built from `diagram`, checking the window only,
-    so its position checks reject an illegal rewrite; its counts and
-    stacks wait for their first read."""
+def apply_move(diagram, move):
+    """Apply one move to a FrontDiagram, returning the new diagram.  It
+    is built from `diagram`, checking the rewritten window only, so its
+    position checks reject an illegal rewrite; its counts and stacks
+    wait for their first read.  No pinch grading is checked here: only
+    a gf-mode replay grades (see _replay)."""
     w0, w1_old, repl = _rewrite(diagram.events, move)
     events = diagram.events[:]
     events[w0:w1_old] = repl
     try:
-        new = FrontDiagram(events, diagram, (w0, w1_old))
+        return FrontDiagram(events, diagram, (w0, w1_old))
     except DomainError as err:
         _fail(move, f"rewritten word is invalid: {err}")
-    if gf_mode and move[0] in _PINCHES:
-        _check_grading(move, diagram.events, diagram.stacks,
-                       (diagram.potential, diagram.comp_of, diagram.defects))
-    return new, w0, w1_old, w0 + len(repl)
 
 
 def _match(rules, ev, e):
@@ -447,7 +438,7 @@ def _replay(trace):
         except DomainError as err:
             _fail(move, f"rewritten word is invalid: {err}")
         if gf_mode and move[0] in _PINCHES:
-            _check_grading(move, events, stacks, cusp_walk(events, stacks))
+            _check_grading(move, events, stacks)
         events = new
         nid = len(parent)
         prefix = stacks[w0]

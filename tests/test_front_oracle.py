@@ -13,17 +13,21 @@
    intermediate front of four `wh` traces and two braid filling traces
    must give the diagram a from-scratch build gives, field by field, or
    the same error.  Random rewrites of short windows, legal or not, are
-   checked the same way against the constructor.  The reference checks
-   pinch gradings through `maslov_potential`, which the applier's check
-   does not call; every pinch and merge on the fronts with nonzero
-   rotation numbers is checked that way too.
+   checked the same way against the constructor.  Pinch gradings are
+   checked where the program checks them, in a gf replay: a one-move
+   replay (`graded_apply`) of each move must give the reference's word,
+   or its error, the reference grading through `maslov_potential`,
+   which the replay's check does not call.  Every pinch and merge on
+   the fronts with nonzero rotation numbers is checked that way too.
 3. The replay.  `_replay` carries one running front of strand labels
    and tracks pieces by a union-find over them.  `ref_label_replay` is
    the replay it replaced, which built a FrontDiagram per move and
    checked pinch gradings through `maslov_potential`; `ref_replay` is
    the one before, which walked the cusp cycles of every new front and
    matched components by their per-strand overlap (`ref_strand_overlap`,
-   itself checked against the cell-by-cell overlap).  They must give the
+   itself checked against the cell-by-cell overlap).  Both take each
+   move's window from `_rewrite` and grade through `maslov_potential`
+   (`ref_moved`), and count births from the events.  They must give the
    same end word, births, pinches and pieces, or the same error, on the
    `wh` traces of the benchmark's bases, the braid survey's 300 closures
    and seeded random traces from seven start fronts in both modes, with
@@ -36,9 +40,10 @@
    with the commutes replayed on strand stacks, and its `invert_move`: every
    isotopy candidate, birth and pinch at every slice and height
    0..count+2, and merge at every event, on the fronts of items 1 and 2
-   and of `test_moves.test_invert_move_is_faithful`, with the pinch
-   gradings checked and not, must be accepted or refused alike and give
-   the same word and the same inverse.
+   and of `test_moves.test_invert_move_is_faithful`, applied and
+   replayed in gf mode, against the reference ungraded and graded, must
+   be accepted or refused alike and give the same word and the same
+   inverse.
 5. The commutes C and Ch and their inverses against that reference on
    seeded random words of up to 12 events, many with a birth where a
    pair just died (R_h L_h), where C and Ch differ.
@@ -51,6 +56,7 @@
 
 import random
 from collections import defaultdict
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -60,9 +66,9 @@ from legcob.errors import DomainError
 import legcob.moves as moves_module
 from legcob.front import (FrontDiagram, classical_invariants, cusp_walk,
                           maslov_potential, parse_front)
-from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, _apply, _fail,
-                          _replay, _rewrite, apply_move, format_move,
-                          invert_move, isotopy_candidates)
+from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, _fail, _replay,
+                          _rewrite, apply_move, format_move, invert_move,
+                          isotopy_candidates)
 from legcob.whitehead import whitehead_diagram, whitehead_double
 from test_search import BENCH_BASES, ref_isotopy_candidates
 
@@ -81,8 +87,8 @@ ROTATING = ("L1 X1 R1", "L1 X1 X1 X1 R1", "L1 L2 X2 X2 X2 R2 R1",
 INVERTED = ("L1 L2 X3 X3 X3 R2 R1", "L1 L2 R1 L1 R2 R1",
             "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1",
             "L1 L3 L3 X4 X2 R1 R1 L1 L1 X2 X4 R3 L5 R3 X2 R1 R1")
-FIELDS = ("events", "word", "counts", "stacks", "born", "crossings",
-          "cusps", "n_ids", "n_left", "n_right", "max_strands", "comp_of",
+FIELDS = ("events", "word", "counts", "stacks", "crossings", "cusps",
+          "n_ids", "n_left", "n_right", "max_strands", "comp_of",
           "components", "n_components", "potential", "defects")
 
 
@@ -205,7 +211,7 @@ def _replayed(trace):
     d = trace.start
     out = [d]
     for move in trace.moves:
-        d = apply_move(d, move, gf_mode=trace.gf_mode)
+        d = ref_moved(d, move, trace.gf_mode)[0]
         out.append(d)
     return out
 
@@ -323,6 +329,12 @@ def ref_apply(d, move, gf_mode):
     return new
 
 
+def graded_apply(d, move):
+    """The front a one-move gf replay of `move` from d ends at; a refused
+    move raises.  The replay is the only code that grades pinches."""
+    return _replay(CobordismTrace(d, [move], gf_mode=True))[0]
+
+
 def ref_pinch_grading(d, move):
     """The pinch grading check of a P or PM on d through
     maslov_potential; other moves pass."""
@@ -386,9 +398,6 @@ def test_fresh_build_matches_reference_simulation(move_fronts):
         ref = ref_simulate(d.events)
         for name, value in ref.items():
             assert getattr(d, name) == value, (d.word, name)
-        assert d.born == tuple(
-            sum(k == "L" for k, _ in d.events[:t])
-            for t in range(len(d.events) + 1))
 
 
 def test_move_fronts_cover_every_kind_of_window(move_fronts):
@@ -402,13 +411,20 @@ def test_move_fronts_cover_every_kind_of_window(move_fronts):
 
 def test_windowed_moves_match_full_rebuild(move_fronts):
     # every field on the children of every fifth front, the fields a
-    # windowed build sets on all of them
-    accepted = shifted = swapped = rejected = 0
+    # windowed build sets on all of them; and the one-move gf replay's
+    # end word, or its refusal, against the graded reference
+    accepted = shifted = swapped = rejected = graded = 0
     for k, parent in enumerate(move_fronts):
         fields = FIELDS if k % 5 == 0 else OWN_FIELDS
         for move in _every_move(parent):
             want = _outcome(lambda: ref_apply(parent, move, True))
-            got = _outcome(lambda: apply_move(parent, move, gf_mode=True))
+            replayed = _outcome(lambda: graded_apply(parent, move).word)
+            assert replayed == (want if isinstance(want, str)
+                                else want.word), (parent.word, move)
+            if isinstance(want, str) and want.startswith("grading"):
+                graded += 1
+                want = _outcome(lambda: ref_apply(parent, move, False))
+            got = _outcome(lambda: apply_move(parent, move))
             if isinstance(want, str):
                 assert got == want, (parent.word, move)
                 rejected += 1
@@ -421,7 +437,7 @@ def test_windowed_moves_match_full_rebuild(move_fronts):
                         parent.events[move[1]][0] ==
                         parent.events[move[1] + 1][0] == "L")
     assert accepted > 50000 and rejected > 20000
-    assert shifted > 50000 and swapped > 400
+    assert shifted > 50000 and swapped > 400 and graded > 5000
 
 
 def test_pinch_gradings_on_rotating_fronts():
@@ -435,7 +451,7 @@ def test_pinch_gradings_on_rotating_fronts():
         moves += [("PM", e) for e in range(len(d.events))]
         for move in moves:
             want = _outcome(lambda: ref_apply(d, move, True))
-            got = _outcome(lambda: apply_move(d, move, gf_mode=True))
+            got = _outcome(lambda: graded_apply(d, move))
             if isinstance(want, str):
                 assert got == want, (word, move)
                 modded["refused"] += ("grading mismatch" in want
@@ -487,6 +503,12 @@ def test_random_windows_match_full_simulation(move_fronts):
     assert errors > 500
 
 
+def ref_born(d):
+    """Per slice t, the left cusps in d.events[:t]: the ids born before
+    slice t are 0 .. 2 * born[t] - 1."""
+    return tuple(accumulate([k == "L" for k, _ in d.events], initial=0))
+
+
 def ref_strand_overlap(old, new, w0, w1_old, w1_new):
     """Map each component of `new` to the set of components of `old` it
     shares a strand cell with, one pair per strand id: ids born before
@@ -494,22 +516,24 @@ def ref_strand_overlap(old, new, w0, w1_old, w1_new):
     height, and ids born later pair up offset by the change in births."""
     found = defaultdict(set)
     old_comp, new_comp = old.comp_of, new.comp_of
-    for a in range(2 * old.born[w0]):
+    old_born, new_born = ref_born(old), ref_born(new)
+    for a in range(2 * old_born[w0]):
         found[new_comp[a]].add(old_comp[a])
     so, sn = old.stacks[w1_old], new.stacks[w1_new]
     assert len(so) == len(sn)
     for a, b in zip(so, sn):
         found[new_comp[b]].add(old_comp[a])
-    first = 2 * old.born[w1_old]
-    shift = 2 * new.born[w1_new] - first
+    first = 2 * old_born[w1_old]
+    shift = 2 * new_born[w1_new] - first
     for a in range(first, old.n_ids):
         found[new_comp[a + shift]].add(old_comp[a])
     return found
 
 
 def ref_replay(trace):
-    """_replay as it was: a union-find over the components of each
-    front, merged by their per-strand overlap with the last one."""
+    """_replay as it was: one front per move (ref_moved), a union-find
+    over the components of each, merged by their per-strand overlap
+    with the last one."""
     d = trace.start
     parent = list(range(d.n_components))
 
@@ -521,7 +545,7 @@ def ref_replay(trace):
 
     piece_of = list(range(d.n_components))
     for move in trace.moves:
-        new_d, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
+        new_d, w0, w1_old, w1_new = ref_moved(d, move, trace.gf_mode)
         overlap = ref_strand_overlap(d, new_d, w0, w1_old, w1_new)
         next_piece_of = []
         for c in range(new_d.n_components):
@@ -548,7 +572,7 @@ def test_per_strand_overlap_matches_cells(move_traces):
     for trace in move_traces:
         d = trace.start
         for move in trace.moves:
-            new, w0, w1_old, w1_new = _apply(d, move, trace.gf_mode)
+            new, w0, w1_old, w1_new = ref_moved(d, move, trace.gf_mode)
             assert ref_strand_overlap(d, new, w0, w1_old, w1_new) == \
                 ref_overlap(d, new, w0, w1_old, w1_new), move
             d = new
@@ -583,7 +607,7 @@ def _random_traces(starts, rng, count):
         for _ in range(rng.randint(1, 10)):
             move = rng.choice(list(_every_move(d)))
             try:
-                d = apply_move(d, move, gf_mode=gf_mode)
+                d = ref_moved(d, move, gf_mode)[0]
             except DomainError as err:
                 graded = str(err).startswith("grading mismatch")
                 if rng.random() < (0.6 if graded else 0.2):
@@ -618,8 +642,9 @@ def test_label_replay_matches_reference(move_fronts):
 
 
 def ref_moved(d, move, gf_mode):
-    """_apply as it was: (new front, w0, w1_old, w1_new) from the
-    windowed build, the pinch grading checked through maslov_potential."""
+    """A move with its window: (new front, w0, w1_old, w1_new) from the
+    window of _rewrite and the windowed build, and in gf mode the pinch
+    grading checked through maslov_potential."""
     w0, w1_old, repl = _rewrite(d.events, move)
     try:
         new = FrontDiagram(d.events[:w0] + repl + d.events[w1_old:], d,
@@ -659,9 +684,10 @@ def ref_label_replay(trace):
         new_d, w0, w1_old, w1_new = ref_moved(d, move, trace.gf_mode)
         old = len(parent)
         pairs = [label[a] for a in d.stacks[w1_old]]
-        fresh = 2 * (new_d.born[w1_new] - new_d.born[w0])
+        born, new_born = ref_born(d), ref_born(new_d)
+        fresh = 2 * (new_born[w1_new] - new_born[w0])
         parent += range(old, old + fresh)
-        label[2 * d.born[w0]:2 * d.born[w1_old]] = range(old, old + fresh)
+        label[2 * born[w0]:2 * born[w1_old]] = range(old, old + fresh)
         stacks = new_d.stacks
         for i in range(w0, w1_new):
             kind, pos = new_d.events[i]
@@ -719,7 +745,7 @@ def _kind_first_traces(rng, count):
                 by_kind[move[0]].append(move)
             move = rng.choice(by_kind[rng.choice(sorted(by_kind))])
             try:
-                d = apply_move(d, move, gf_mode=gf_mode)
+                d = ref_moved(d, move, gf_mode)[0]
             except DomainError as err:
                 graded = str(err).startswith("grading mismatch")
                 if rng.random() < (0.6 if graded else 0.2):
@@ -1111,10 +1137,10 @@ def test_rewrite_table_matches_reference(fronts, move_fronts):
                   for h in range(len(d.stacks[s]) + 3) for kind in "BP"]
         moves += [("PM", e) for e in range(n)]
         for move in moves:
-            for gf_mode in (False, True):
+            for gf_mode, apply in ((False, apply_move), (True, graded_apply)):
                 cases += 1
                 want = _outcome(lambda: ref_windowed_apply(d, move, gf_mode))
-                got = _outcome(lambda: apply_move(d, move, gf_mode=gf_mode))
+                got = _outcome(lambda: apply(d, move))
                 if isinstance(want, str):
                     assert isinstance(got, str), (d.word, move, gf_mode)
                     prefix = "move not applicable"

@@ -1,9 +1,11 @@
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
+from legcob import gfnum
 from legcob.errors import DomainError
 from legcob.gfnum import (
     CHORD_ITERS, FAMILIES, MAX_CHORD_WORK, MAX_GRID_SAMPLES, CompositeFamily,
@@ -126,7 +128,7 @@ def test_pure_linear_family():
 
 
 def test_fish_root_counts():
-    pts = fiber_critical_set(fish_family(-1.0), step=0.02)
+    pts = fiber_critical_set(fish_family(), step=0.02)
     counts = {}
     for x, eta in pts.tolist():
         if abs(eta) <= 1.5:
@@ -263,8 +265,17 @@ def test_fiber_solve_rejects_stalled_rows():
     assert len(fiber_critical_set(stacked_pair_family(), 0.05)) == 176
 
 
+def aligned_stacked_pair():
+    """stacked_pair_family with its second copy not widened: its cusps
+    sit at x = +-1, vertically aligned with the first copy's."""
+    high = parse_mpoly("6*e1 - 6*x1^2*e1 - 2*e1^3 + 5", ["x1", "e1"])
+    return CompositeFamily(
+        [stacked_pair_family().parts[0][0],
+         GeneratingFamily(1, 1, high, [-400.0], 3.0)], [(-6.5,), (6.5,)])
+
+
 def test_stacked_aligned_cusps_degenerate():
-    fam = stacked_pair_family(widen=1.0)
+    fam = aligned_stacked_pair()
     with pytest.raises(DomainError, match="degenerate critical point") as err:
         reeb_chords(fam, step=0.05)
     # the point's coordinates print as plain floats
@@ -405,21 +416,39 @@ def test_gf_file_rejects_non_finite_coefficients(bad):
                        ("e1^3", f"{bad}*e1"),
                        # finite, but d/de1 of the core overflows to inf
                        ("1.5e308*e1^2 + e1^3", "-5*e1")):
-        with pytest.raises(DomainError, match="coefficients must be finite"):
+        with pytest.raises(DomainError, match="must be finite"):
             parse_gf_file(f"n=1\nN=1\ncore={core}\ntail={tail}\nR=3\n")
+
+
+def test_gf_file_rejects_cores_that_overflow_on_the_grid_box():
+    # e1^100001 underflows its derivative to 0 near the root at
+    # |e1| ~ 0.9999, and overflows beyond |e1| ~ 1.007: gf-front and
+    # gf-chords answered count 0.  The box is [-2R, 2R]^(n+N)
+    huge = "n=1\nN=1\ncore=3*e1 - 3*x1^2*e1 - e1^{}\ntail=-200*e1\nR={}\n"
+    with pytest.raises(DomainError, match=r"grid box \[-6, 6\]\^2, got a "
+                                          r"bound of inf"):
+        parse_gf_file(huge.format(100001, 3))
+    # 6^394 is finite, but d/de1's 394 * 6^393 is not; 393 * 6^392 is
+    with pytest.raises(DomainError, match="first derivatives must be finite"):
+        parse_gf_file(huge.format(394, 3))
+    assert parse_gf_file(huge.format(393, 3)).R == 3.0
+    # the same power on a smaller box stays finite
+    assert parse_gf_file(huge.format(100001, 0.25)).R == 0.25
 
 
 def test_spin_refuses_binomials_beyond_float():
     # C(1030, 515) exceeds the largest float; C(1029, 514) does not, but
     # from x1^2040 on a spun coefficient times its exponent does, so the
-    # spun core's derivative is refused
+    # spun core's derivative is refused.  On the box [-0.5, 0.5]^2 the
+    # powers themselves stay finite
     def family(k):
         return parse_gf_file(
-            f"n=1\nN=1\ncore=x1^{k}*e1 + e1\ntail=-5*e1\nR=3\n")
+            f"n=1\nN=1\ncore=x1^{k}*e1 + e1\ntail=-5*e1\nR=0.25\n")
 
     assert spin(family(2038)).n == 2
     for k in (2040, 2058):
-        with pytest.raises(DomainError, match="derivative coefficients"):
+        with pytest.raises(DomainError, match="first derivatives must be "
+                                              "finite"):
             spin(family(k))
     with pytest.raises(DomainError, match="overflows a float"):
         spin(family(2060))
@@ -439,7 +468,7 @@ def test_filling_rejects_small_t_plus():
 
 def test_embeddedness_constant_path():
     fam = unknot_family()
-    report = embeddedness_check(lambda t: fam, 1.0, 3.0, samples=5, step=0.1)
+    report = embeddedness_check(lambda t: fam, 1.0, 3.0)
     assert report["ok"]
     assert abs(report["h"] - 4.0) < 1e-6
     assert report["max_dt"] < 1e-6
@@ -451,7 +480,7 @@ def test_embeddedness_tilted_path():
         core = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3", ["x1", "e1"]) \
             + MultiPoly(2, {(0, 1): 0.5 * (t - 1.0)})
         return GeneratingFamily(1, 1, core, [-200.0], 3.0)
-    report = embeddedness_check(path, 1.0, 3.0, samples=5, step=0.1)
+    report = embeddedness_check(path, 1.0, 3.0)
     assert report["max_dt"] > 0.1
     assert report["slowdown"] > 0.0
     # slowdown below 1 certifies the path as-is
@@ -462,8 +491,10 @@ def test_embeddedness_slowdown_divides_by_the_path_minimum():
     """On a path whose chord shrinks, value 16/t on [1, 2], h is the
     chord at t = 2 and the slowdown max_t t |d_t delta| / h = 16 / 8,
     not the 16 / 16 of the smallest value seen by t = 1."""
-    report = embeddedness_check(lambda t: scaled_unknot_family(k=4.0 / t),
-                                1.0, 2.0, samples=5, step=0.1)
+    def path(t):
+        core = parse_mpoly("3*e1 - 3*x1^2*e1 - e1^3", ["x1", "e1"])
+        return GeneratingFamily(1, 1, core.scale(4.0 / t), [-400.0], 3.0)
+    report = embeddedness_check(path, 1.0, 2.0)
     assert report["h"] == pytest.approx(8.0, rel=1e-6)
     assert report["slowdown"] == pytest.approx(2.0, rel=1e-3)
     assert not report["ok"]
@@ -476,7 +507,7 @@ def test_embeddedness_chord_death():
                            ["x1", "e1"]).scale(k)
         return GeneratingFamily(1, 1, core, [-200.0], 3.0)
     with pytest.raises(DomainError, match="chord death along path"):
-        embeddedness_check(shrink, 1.0, 3.0, samples=5, step=0.1)
+        embeddedness_check(shrink, 1.0, 3.0)
     with pytest.raises(DomainError, match="t_start must be positive"):
         embeddedness_check(lambda t: unknot_family(), 0.0, 1.0)
 
@@ -493,3 +524,24 @@ def test_gf_file_round_trip():
         parse_gf_file("n=1\nN=1\ncore=e1^3\ntail=e1^2\nR=2")
     with pytest.raises(DomainError, match="bad gf-file line"):
         parse_gf_file("n=1\nN=1\nnonsense\ncore=e1^3\ntail=-e1\nR=2")
+
+
+def test_only_the_cli_settings_are_parameters():
+    # every setting no caller changes is a literal or a module constant;
+    # the three left are the CLI's --step (twice) and --t-plus
+    defaulted = []
+    for name, obj in vars(gfnum).items():
+        if name.startswith("_") or getattr(obj, "__module__", "") \
+                != gfnum.__name__ or not callable(obj):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                        if not m.startswith("_") and inspect.isfunction(f)]
+        for qual, f in members:
+            defaulted += [f"{qual}({p.name})" for p in
+                          inspect.signature(f).parameters.values()
+                          if p.default is not p.empty]
+    assert sorted(defaulted) == ["fiber_critical_set(step)",
+                                 "immersed_filling_family(t_plus)",
+                                 "reeb_chords(step)"]

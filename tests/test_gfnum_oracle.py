@@ -36,6 +36,7 @@ from legcob.gfnum import (
     scaled_unknot_family, shifted_unknot_family, spin, stacked_pair_family,
     unknot_family)
 from legcob.mpoly import MultiPoly
+from test_gfnum import aligned_stacked_pair
 
 # An n = 1, N = 2 family: no built-in family has two fiber variables.
 TWO_FIBER = ("n=1\nN=2\ncore=3*e1 - 3*x1^2*e1 - e1^3 + e2^2\n"
@@ -1143,7 +1144,7 @@ def test_chords_match_all_pair_seeds(name, step, monkeypatch):
 
 
 def test_aligned_cusps_stay_refused_as_degenerate(monkeypatch):
-    fam = stacked_pair_family(widen=1.0)
+    fam = aligned_stacked_pair()
     assert check_against_all_pairs(fam, 0.05, monkeypatch) \
         == "degenerate critical"
 

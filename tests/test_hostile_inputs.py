@@ -28,7 +28,9 @@ FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
          "huge-N.gf": "n=1\nN=1000000000\ncore=e1\ntail=-e1\nR=1\n",
          "degenerate-n2.gf": "n=2\nN=1\ncore=e1^3 - 3*x1^2*e1 + x2^2*e1\n"
                              "tail=e1\nR=3\n",
-         "spin-2060.gf": "n=1\nN=1\ncore=x1^2060*e1 + e1\ntail=-5*e1\nR=3\n",
+         # R = 0.25: on a larger grid box x1^2060 itself overflows
+         "spin-2060.gf": "n=1\nN=1\ncore=x1^2060*e1 + e1\ntail=-5*e1\n"
+                         "R=0.25\n",
          "huge-exponent.gf": "n=1\nN=1\ncore=3*e1 - 3*x1^2*e1 - e1^100001\n"
                              "tail=-200*e1\nR=3\n",
          "derivative-overflow.gf": "n=1\nN=1\ncore=1.5e308*e1^2 + e1^3\n"
@@ -172,3 +174,12 @@ def test_move_births_meet_the_replay_cap(births, tmp_path):
     else:
         assert proc.returncode == 1
         assert proc.stdout.startswith("error: trace too large to replay")
+
+
+@pytest.mark.parametrize("command", ["gf-chords", "gf-front"])
+def test_overflowing_core_is_refused(command, tmp_path):
+    # e1^100001 is inf on the grid box [-6, 6]^2 and its derivative
+    # underflows to 0 near the true root: both answered count 0
+    proc = _run([command, "--file", "huge-exponent.gf"], tmp_path)
+    assert proc.returncode == 1
+    assert "grid box [-6, 6]^2" in proc.stdout
