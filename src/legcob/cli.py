@@ -21,8 +21,12 @@ is a signed sum of ``c*t^d`` terms.  Every command prints key-value
 text by default or a JSON document under ``--json``; front pictures go
 to ``--svg PATH``.  Exit codes: 0 success, 1 domain error (the output
 document is a single error field), 2 usage error.  Output is
-deterministic for fixed inputs; configuration is flags only.  Only the
-gf commands load numpy, through legcob.gfnum.
+deterministic for fixed inputs; configuration is flags only.
+
+Each command imports only the modules it runs, when it runs: starting
+`leg` loads the parser and nothing the command does not call, and only
+the gf commands load numpy, through legcob.gfnum.  `import legcob`
+itself imports no submodule until one of its names is used.
 """
 
 import argparse
@@ -30,22 +34,10 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 
-from .braids import BraidWord, closure_report
 from .errors import DomainError
-from .exactseq import filling_polynomial
 from .families import FAMILY_BUILDERS
-from .geography import Block, RealizationPlan, realize
-from .front import classical_invariants, parse_front
-from .laurent import box_size, decompose, incompat_reason, \
-    is_connected_form, parse_poly, splitting_box, tb_from_polynomial
-from .moves import CobordismTrace, _replay, format_trace, parse_move, \
-    parse_trace, trace_summary
-from .render import render_points_svg, render_svg
-from .rulings import enumerate_rulings, ruling_polynomial
-from .whitehead import whitehead_double
 
 # Most rulings or splittings a command lists; it always prints how many
 # there are, and a `listed N of M` line when it lists fewer.
@@ -58,6 +50,7 @@ def _fmt(v):
     """One value as text: floats trimmed, lists comma-joined, booleans
     lowercase, None a dash.
 
+    >>> from fractions import Fraction
     >>> _fmt([0, -1]), _fmt(Fraction(3, 2)), _fmt(True), _fmt(None)
     ('0,-1', '3/2', 'true', '-')
     """
@@ -181,29 +174,25 @@ def _csv_ints(text, what):
 
 def _maybe_svg(args, diagram):
     if getattr(args, "svg", None):
+        from .render import render_svg
         _write(args.svg, render_svg(diagram))
 
 
-def _gfnum():
-    """legcob.gfnum, imported by the first gf command, so that numpy
-    loads only for the commands that need it."""
-    from . import gfnum
-    return gfnum
-
-
 def _load_family(args):
-    gf = _gfnum()
+    from .gfnum import FAMILIES, parse_gf_file
     if args.file:
-        return gf.parse_gf_file(_read(args.file))
-    return gf.FAMILIES[args.family]()
+        return parse_gf_file(_read(args.file))
+    return FAMILIES[args.family]()
 
 
 # --- command handlers --------------------------------------------------
 # Each returns (text lines, JSON document).  The lines are a lazy
 # iterable, formatted only when main prints text; a document may come
-# already encoded, as a string.
+# already encoded, as a string.  Each imports what it runs at the top
+# of its body, so a command loads only its own modules.
 
 def cmd_inv(args):
+    from .front import classical_invariants, parse_front
     d = parse_front(args.front)
     info = classical_invariants(d, _csv_ints(args.reverse, "--reverse"))
     _maybe_svg(args, d)
@@ -217,6 +206,8 @@ def _cut(listed, count):
 
 
 def cmd_rulings(args):
+    from .front import parse_front
+    from .rulings import enumerate_rulings, ruling_polynomial
     d = parse_front(args.front)
     poly = ruling_polynomial(d, graded=args.graded)
     count = poly.total_count()
@@ -232,6 +223,8 @@ def cmd_rulings(args):
 
 
 def cmd_move(args):
+    from .front import parse_front
+    from .moves import CobordismTrace, _replay, parse_move
     start = parse_front(args.front)
     moves = [parse_move(text) for text in args.move]
     d, _, _, _ = _replay(CobordismTrace(start, moves, gf_mode=args.gf))
@@ -241,6 +234,7 @@ def cmd_move(args):
 
 
 def cmd_trace(args):
+    from .moves import parse_trace, trace_summary
     trace = parse_trace(_read(args.file), gf_mode=args.gf)
     s = trace_summary(trace)
     end = s.pop("end")
@@ -251,6 +245,11 @@ def cmd_trace(args):
 
 
 def cmd_wh(args):
+    from fractions import Fraction
+    from .exactseq import filling_polynomial
+    from .front import classical_invariants, parse_front
+    from .moves import format_trace
+    from .whitehead import whitehead_double
     base = parse_front(args.front)
     # whitehead_double replays the trace and checks it fills with genus 1
     diagram, trace = whitehead_double(base, gf_mode=not args.no_gf)
@@ -269,6 +268,8 @@ def cmd_wh(args):
 
 
 def cmd_braid(args):
+    from .braids import BraidWord, closure_report
+    from .moves import format_trace
     letters = _csv_ints(args.word, "braid word")
     rep = closure_report(BraidWord(args.strands, letters))
     d = rep["diagram"]
@@ -292,6 +293,8 @@ def _is_int(v):
 
 
 def _load_plan(path):
+    from .geography import Block, RealizationPlan
+    from .laurent import parse_poly
     try:
         data = json.loads(_read(path))
     except ValueError as e:
@@ -325,6 +328,8 @@ def _load_plan(path):
 
 
 def cmd_plan(args):
+    from .geography import realize
+    from .laurent import parse_poly
     if args.verify:
         plan = _load_plan(args.verify)
         doc = {"file": args.verify, "n": plan.n, "target": str(plan.target),
@@ -340,6 +345,7 @@ def cmd_plan(args):
 
 
 def cmd_tb(args):
+    from .laurent import parse_poly, tb_from_polynomial
     if args.dim < 1:
         raise DomainError(f"dimension must be >= 1, got {args.dim}")
     poly = parse_poly(args.poly)
@@ -348,6 +354,8 @@ def cmd_tb(args):
 
 
 def cmd_compat(args):
+    from .laurent import box_size, decompose, incompat_reason, \
+        is_connected_form, parse_poly, splitting_box
     poly = parse_poly(args.poly)
     count = box_size(splitting_box(poly, args.dim))
     splits = decompose(poly, args.dim, limit=MAX_LISTED)
@@ -369,13 +377,14 @@ def cmd_compat(args):
 
 
 def cmd_gf_front(args):
-    gf = _gfnum()
+    from .gfnum import fiber_critical_set, fiber_regularity_margin
     fam = _load_family(args)
-    rows = gf.fiber_critical_set(fam, step=args.step)
-    margin = gf.fiber_regularity_margin(fam, rows)
+    rows = fiber_critical_set(fam, step=args.step)
+    margin = fiber_regularity_margin(fam, rows)
     X, E = rows[:, :fam.n], rows[:, fam.n:]
     Z, P = fam.value(X, E), fam.grad_x(X, E)
     if args.svg:
+        from .render import render_points_svg
         _write(args.svg, render_points_svg(X[:, 0], Z))
     pts = [{"x": x, "eta": eta, "z": z, "p": p} for x, eta, z, p
            in zip(X.tolist(), E.tolist(), Z.tolist(), P.tolist())]
@@ -396,8 +405,9 @@ def _chord_line(c):
 
 
 def cmd_gf_chords(args):
+    from .gfnum import reeb_chords
     fam = _load_family(args)
-    chords, gamma, report = _gfnum().reeb_chords(fam, step=args.step)
+    chords, gamma, report = reeb_chords(fam, step=args.step)
     doc = {"count": len(chords), "gamma": str(gamma),
            "chords": [c.to_dict() for c in chords], "report": report}
     lines = chain(
@@ -412,9 +422,9 @@ def cmd_gf_chords(args):
 
 
 def cmd_gf_spin(args):
-    gf = _gfnum()
-    spun = gf.spin(_load_family(args))
-    text = gf.format_gf_file(spun)
+    from .gfnum import format_gf_file, spin
+    spun = spin(_load_family(args))
+    text = format_gf_file(spun)
     if args.out:
         _write(args.out, text)
     doc = {"n": spun.n, "N": spun.N, "R": spun.R,
@@ -424,9 +434,9 @@ def cmd_gf_spin(args):
 
 
 def cmd_gf_check(args):
-    gf = _gfnum()
-    filling = gf.immersed_filling_family(_load_family(args),
-                                         t_plus=args.t_plus)
+    from .gfnum import embeddedness_check, immersed_filling_family
+    filling = immersed_filling_family(_load_family(args),
+                                      t_plus=args.t_plus)
     rep = filling.report
     doc = {"filling": rep, "ok": all(rep["conditions"].values())}
     lines = chain(_kv([("eps_G", rep["eps_G"]), ("t_minus", rep["t_minus"]),
@@ -439,8 +449,7 @@ def cmd_gf_check(args):
                   _kv([("ok", doc["ok"])]))
     if args.embedded:
         t_end = args.t_end if args.t_end is not None else args.t_plus
-        emb = gf.embeddedness_check(filling.slice_family, args.t_start,
-                                    t_end)
+        emb = embeddedness_check(filling.slice_family, args.t_start, t_end)
         doc["embeddedness"] = emb
         lines = chain(lines, _kv([("h", emb["h"]), ("max_dt", emb["max_dt"]),
                                   ("slowdown", emb["slowdown"]),

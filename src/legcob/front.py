@@ -297,7 +297,8 @@ def cusp_walk(events, stacks):
         else:
             raise AssertionError("cusp cycle does not close")
         gap = v - 1  # mu(first) - mu(its lower partner) - 1
-        assert gap % 2 == 0, "orientation cycle has odd length"
+        if gap % 2:
+            raise AssertionError("orientation cycle has odd length")
         defects.append(abs(gap))
     return potential, comp_of, defects
 

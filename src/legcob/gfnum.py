@@ -60,8 +60,9 @@ no caller changes, is a parameter: one used twice is a module constant
 (FD_STEP, CHORD_*, FILLING_*, PATH_DT, PATH_GRID_STEP), any other a
 literal at its use.  FAMILIES names the built-in families.  Refused:
 dimensions other than 1 or 2 (a gf-file's before anything is built),
-tail coefficients that are not finite, cores that are not finite, or
-whose first derivatives are not, on the grid box [-2R, 2R]^(n+N) by
+gf-files with a repeated or unknown key, tail coefficients that are
+not finite, an R whose grid box [-2R, 2R]^(n+N) overflows, cores that
+are not finite, or whose first derivatives are not, on that box by
 MultiPoly.bound, grid steps whose seed grid exceeds MAX_GRID_SAMPLES,
 chord searches whose Newton work exceeds MAX_CHORD_WORK, and
 composites in spin and immersed_filling_family.
@@ -270,6 +271,10 @@ class GeneratingFamily(_Family):
         if not 0 < R < math.inf:
             raise DomainError(
                 f"cutoff radius must be finite and positive, got {R}")
+        if 2.0 * R == math.inf:
+            raise DomainError(
+                f"cutoff radius must leave the grid box [-2R, 2R] finite, "
+                f"got R = {R:g}")
         self.n = n
         self.N = N
         self.core = core
@@ -614,6 +619,10 @@ def stacked_pair_family():
 
 # --- gf-file format ---------------------------------------------------
 
+# The fields of a gf-file, each on one line, each exactly once.
+GF_FIELDS = ("n", "N", "core", "tail", "R")
+
+
 def parse_gf_file(text):
     """Parse the n= / N= / core= / tail= / R= family format.
 
@@ -630,8 +639,13 @@ def parse_gf_file(text):
         if "=" not in line:
             raise DomainError(f"bad gf-file line {line!r}")
         key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
-    for key in ("n", "N", "core", "tail", "R"):
+        key = key.strip()
+        if key not in GF_FIELDS:
+            raise DomainError(f"unknown gf-file field {key!r}")
+        if key in fields:
+            raise DomainError(f"gf-file field {key}= given twice")
+        fields[key] = val.strip()
+    for key in GF_FIELDS:
         if key not in fields:
             raise DomainError(f"gf-file missing field {key}=")
     n, N = _number(fields, "n", int), _number(fields, "N", int)

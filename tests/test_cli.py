@@ -348,6 +348,18 @@ def test_gf_spin_roundtrip(tmp_path, capsys):
     assert grab(out, "gamma") == "t^2"
 
 
+@pytest.mark.parametrize("extra, key", [("N=1\n", "N="),
+                                        ("extra=1\n", "'extra'")])
+def test_gf_file_with_a_repeated_or_unknown_key_is_refused(
+        extra, key, tmp_path, capsys):
+    gf = tmp_path / "unknot.gf"
+    gf.write_text("n=1\nN=1\ncore=3*e1 - 3*x1^2*e1 - e1^3\ntail=-30*e1\n"
+                  "R=3\n" + extra)
+    rc, out = run(["gf-chords", "--file", str(gf)], capsys)
+    assert rc == 1
+    assert out.startswith("error: ") and key in out
+
+
 def test_gf_spin_file_reads_back_exponent_coefficients(tmp_path, capsys):
     """gf-spin writes 0.00001 as 1e-05; gf-front reads the file back."""
     core = tmp_path / "core.gf"

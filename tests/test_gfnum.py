@@ -513,17 +513,42 @@ def test_embeddedness_chord_death():
 
 
 def test_gf_file_round_trip():
-    fam = unknot_family()
-    text = format_gf_file(fam)
-    back = parse_gf_file(text)
-    assert back.core.terms == fam.core.terms
-    assert back.tail == fam.tail and back.R == fam.R
+    # the spun file is what `gf-spin --out` writes
+    for fam in (unknot_family(), spin(unknot_family())):
+        text = format_gf_file(fam)
+        assert sorted(line.partition("=")[0] for line in text.splitlines()) \
+            == sorted(gfnum.GF_FIELDS)
+        back = parse_gf_file(text)
+        assert (back.n, back.N) == (fam.n, fam.N)
+        assert back.core.terms == fam.core.terms
+        assert back.tail == fam.tail and back.R == fam.R
     with pytest.raises(DomainError, match="missing field"):
         parse_gf_file("n=1\nN=1\ncore=e1^3\nR=2")
     with pytest.raises(DomainError, match="tail must be linear"):
         parse_gf_file("n=1\nN=1\ncore=e1^3\ntail=e1^2\nR=2")
     with pytest.raises(DomainError, match="bad gf-file line"):
         parse_gf_file("n=1\nN=1\nnonsense\ncore=e1^3\ntail=-e1\nR=2")
+
+
+UNKNOT_GF = "n=1\nN=1\ncore=3*e1 - 3*x1^2*e1 - e1^3\ntail=-30*e1\nR=3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (UNKNOT_GF + "N=1\n", "field N= given twice"),
+    (UNKNOT_GF.replace("R=3", "R=3\nR=2"), "field R= given twice"),
+    (UNKNOT_GF + "extra=1\n", "unknown gf-file field 'extra'"),
+    (UNKNOT_GF.replace("R=3", "r=3"), "unknown gf-file field 'r'"),
+    # [-2R, 2R] is [-inf, inf]: refused by its own rule, not as a nan bound
+    (UNKNOT_GF.replace("R=3", "R=1e308"),
+     r"leave the grid box \[-2R, 2R\] finite, got R = 1e\+308"),
+    (UNKNOT_GF.replace("R=3", "R=9e307"), "leave the grid box"),
+    # a finite box passes this rule, and meets the core's
+    (UNKNOT_GF.replace("R=3", "R=8.9e307"), "first derivatives must be"),
+])
+def test_gf_file_refuses_repeated_and_unknown_keys_and_overflowing_R(
+        text, message):
+    with pytest.raises(DomainError, match=message):
+        parse_gf_file(text)
 
 
 def test_only_the_cli_settings_are_parameters():

@@ -1,13 +1,18 @@
-"""Only the gf commands and legcob.gfnum load numpy.
+"""Each command loads only its own modules; only the gf commands and
+legcob.gfnum load numpy.
 
-The front, exact and geography commands run with numpy blocked, byte
-for byte as they run with it; the package resolves its generating-family
-names on first use; and since the CLI's encoders name no numpy type,
-the gf documents may carry no numpy scalar but float64, a float.  The
-documents are walked by the JSON writer's reference copy
-(`test_json_writer.ref_jsonable`), which visits every value.
+`import legcob.cli` loads four legcob modules, and each command the
+modules it runs, pinned per command below; the front, exact and
+geography commands run with numpy blocked, byte for byte as they run
+with it; the package resolves every public name on use, in its module;
+and since the CLI's encoders name no numpy type, the gf documents may
+carry no numpy scalar but float64, a float.  The documents are walked
+by the JSON writer's reference copy (`test_json_writer.ref_jsonable`),
+which visits every value.
 """
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -97,28 +102,108 @@ def test_front_commands_run_without_numpy(tmp_path):
 def test_import_cli_loads_no_numpy():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, legcob.cli; print(sorted(m for m in ('numpy', "
-         "'legcob.gfnum', 'legcob.mpoly') if m in sys.modules))"],
+         "import json, sys, legcob.cli; print(json.dumps(sorted(m for m in "
+         "sys.modules if m.startswith('legcob') or m in ('numpy', "
+         "'fractions'))))"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "legcob", "legcob.cli", "legcob.errors", "legcob.families"]
 
 
-GF_NAMES = ["GeneratingFamily", "CompositeFamily", "fiber_critical_set",
-            "reeb_chords", "spin", "immersed_filling_family",
-            "embeddedness_check", "unknot_family", "stacked_pair_family",
-            "parse_gf_file", "format_gf_file"]
+# Runs the command argv[2] through cli.main in a fresh interpreter, in
+# the work directory argv[1], and prints its exit code and the legcob
+# modules then loaded.
+LOADS_RUNNER = """
+import contextlib, io, json, os, sys
+from legcob.cli import main
+os.chdir(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(json.loads(sys.argv[2]))
+print(json.dumps([rc, sorted(m[len("legcob."):] for m in sys.modules
+                             if m.startswith("legcob."))]))
+"""
+
+# The modules each command loads beside the parser's errors and
+# families, one argv per command kind: a command loads what it runs.
+GF_LOADS = ["gfnum", "laurent", "mpoly"]
+COMMAND_LOADS = [
+    (["inv", "--front", TREFOIL], ["front"]),
+    (["inv", "--front", TREFOIL, "--svg", "inv.svg"], ["front", "render"]),
+    (["rulings", "--front", TREFOIL], ["front", "laurent", "rulings"]),
+    (["move", "--front", "L1 R1", "--move", "R1a 1 1"], ["front", "moves"]),
+    (["trace", "start.trace"], ["front", "moves"]),
+    (["wh", "--front", "L1 R1"],
+     ["exactseq", "front", "laurent", "moves", "search", "whitehead"]),
+    (["braid", "--strands", "3", "--word", "2,1"],
+     ["braids", "front", "moves"]),
+    (["plan", "--dim", "3", "--poly", "t^3 + t^2"],
+     ["exactseq", "geography", "laurent"]),
+    (["tb", "--dim", "1", "--poly", "2 + t"], ["laurent"]),
+    (["compat", "--dim", "3", "--poly", "t^3 + t^2 + 1"], ["laurent"]),
+    (["gf-front", "--family", "unknot", "--step", "0.2"], GF_LOADS),
+    (["gf-chords", "--family", "unknot", "--step", "0.2"], GF_LOADS),
+    (["gf-spin", "--family", "unknot"], GF_LOADS),
+    (["gf-check", "--family", "unknot"], GF_LOADS),
+]
 
 
-@pytest.mark.parametrize("name", GF_NAMES)
-def test_package_gf_names_are_gfnum_names(name, monkeypatch):
-    assert getattr(legcob, name) is getattr(gfnum, name)
+@pytest.mark.parametrize("argv, loads", COMMAND_LOADS,
+                         ids=[" ".join(a) for a, _ in COMMAND_LOADS])
+def test_each_command_loads_only_its_modules(argv, loads, tmp_path):
+    (tmp_path / "start.trace").write_text("L1 R1\nR1a 1 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_RUNNER, str(tmp_path), json.dumps(argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        0, sorted(["cli", "errors", "families", *loads])]
+
+
+# Every public name of the package, by the module that defines it.
+PUBLIC = {
+    "errors": ["DomainError"],
+    "laurent": ["LaurentPoly", "parse_poly", "decompose", "splitting_box",
+                "is_connected_form", "tb_from_polynomial"],
+    "exactseq": ["les_ranks", "les_solve", "zero_surgery_update",
+                 "connect_sum", "filling_polynomial",
+                 "cobordism_les_constrain"],
+    "front": ["FrontDiagram", "parse_front", "classical_invariants"],
+    "rulings": ["enumerate_rulings", "ruling_polynomial"],
+    "moves": ["CobordismTrace", "apply_move", "parse_trace", "format_trace",
+              "trace_summary"],
+    "braids": ["BraidWord", "positive_braid_closure", "closure_report"],
+    "whitehead": ["whitehead_double"],
+    "geography": ["Block", "RealizationPlan", "realize",
+                  "classical_fillable"],
+    "gfnum": ["GeneratingFamily", "CompositeFamily", "fiber_critical_set",
+              "reeb_chords", "spin", "immersed_filling_family",
+              "embeddedness_check", "unknot_family", "stacked_pair_family",
+              "parse_gf_file", "format_gf_file"],
+}
+PUBLIC_NAMES = [(m, name) for m, names in PUBLIC.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", PUBLIC_NAMES,
+                         ids=[name for _, name in PUBLIC_NAMES])
+def test_package_gf_names_are_gfnum_names(module, name, monkeypatch):
+    """Every public name, the generating-family ones among them, is its
+    module's attribute."""
+    mod = importlib.import_module("legcob." + module)
+    assert getattr(legcob, name) is getattr(mod, name)
     assert name in dir(legcob)
     assert name not in vars(legcob)
-    # looked up on every access: a replaced gfnum function is what the
-    # package hands out, as a tracer wrapping gfnum's functions needs
+    # looked up on every access: a replaced module function is what the
+    # package hands out, as a tracer wrapping the modules' functions needs
     marker = object()
-    monkeypatch.setattr(gfnum, name, marker)
+    monkeypatch.setattr(mod, name, marker)
     assert getattr(legcob, name) is marker
+
+
+def test_package_lists_exactly_the_public_names():
+    listed = {n for n in dir(legcob) if not n.startswith("_")
+              and not inspect.ismodule(getattr(legcob, n))}
+    assert listed == {name for _, name in PUBLIC_NAMES}
 
 
 def test_package_unknown_name_raises_attribute_error():
