@@ -57,8 +57,8 @@ class FrontDiagram:
     Computed on first use, from the stacks:
       crossings   list of (event_index, pos, upper_id, lower_id)
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
-    and from one walk of the cusp cycles (cusp_walk, which the trace
-    replay also runs on its own strand labels):
+    and from one walk of the cusp cycles (cusp_walk, whose cycle walk,
+    walk_cycle, the trace replay also runs on its own strand labels):
       comp_of     id -> component index (components numbered by oldest id)
       components  list of sorted id lists
       n_components
@@ -246,6 +246,51 @@ def simulate(events, stack, nid):
         yield stack
 
 
+def record_cusps(events, stacks, born_with, dies_with, indices):
+    """Record the partners at the cusps among the events `indices` of
+    the front `events`, whose slices hold the strand labels `stacks`:
+    born_with[x] = (y, step) when x is born with y at a left cusp,
+    dies_with[x] likewise at a right cusp, where step is mu(y) - mu(x),
+    -1 from the upper strand and 1 from the lower."""
+    for i in indices:
+        kind, pos = events[i]
+        if kind == "L":
+            s, table = stacks[i + 1], born_with
+        elif kind == "R":
+            s, table = stacks[i], dies_with
+        else:
+            continue
+        u, l = s[pos - 1], s[pos]
+        table[u] = (l, -1)
+        table[l] = (u, 1)
+
+
+def walk_cycle(a, born_with, dies_with):
+    """One walk around the cusp cycle of the label `a`, on the partners
+    of record_cusps: from mu(a) = 0 across its death cusp first, then
+    across births and deaths in turn, up to the label born with `a`.
+
+    Returns (potential, jump): the raw Maslov potential, label -> mu,
+    of each label on the cycle, and mu(a) less the value the birth cusp
+    that closes the cycle gives it, the potential's jump around the
+    cycle.  Starting from another label of the cycle shifts every
+    difference mu(x) - mu(y) by 0 or +-jump, and keeps the jump's size.
+    """
+    stop = born_with[a][0]
+    potential = {}
+    v = 0
+    for _ in dies_with:  # a cycle crosses each death cusp once
+        b, step = dies_with[a]
+        potential[a] = v
+        v += step
+        potential[b] = v
+        if b == stop:
+            return potential, v + born_with[b][1]
+        a, step = born_with[b]
+        v += step
+    raise AssertionError("cusp cycle does not close")
+
+
 def cusp_walk(events, stacks):
     """One walk of the cusp cycles of the front `events`, whose slices
     hold the strand labels `stacks`.
@@ -254,52 +299,31 @@ def cusp_walk(events, stacks):
     potential and label -> component, and per component the size of the
     potential's jump around its cycle (0 when single valued).  A strand
     meets two cusps, its birth and its death, so the cusp edges form one
-    cycle per component, numbered by its first left cusp.  The walk goes
-    once around each cycle from the lower strand of that cusp, across its
-    death cusp first and then across births and deaths in turn, setting
-    mu(upper) = mu(lower) + 1 at each; the jump left at the birth cusp
-    that closes the cycle is the defect.  Strands reverse direction at
-    every cusp, so the potential's parity is the orientation.
+    cycle per component, numbered by its first left cusp.  The walk
+    (walk_cycle) goes once around each cycle from the lower strand of
+    that cusp, across its death cusp first and then across births and
+    deaths in turn, setting mu(upper) = mu(lower) + 1 at each; the jump
+    left at the birth cusp that closes the cycle is the defect.  Strands
+    reverse direction at every cusp, so the potential's parity is the
+    orientation.  A gf-mode trace replay keeps the partners of its
+    running front and walks one cycle per graded pinch; it calls this
+    only for a refused pinch's message.
     """
-    born_with = {}  # label -> (partner at its birth, mu step)
-    dies_with = {}  # and at its death
-    firsts = []
-    for i, (kind, pos) in enumerate(events):
-        if kind == "L":
-            s = stacks[i + 1]
-            u, l = s[pos - 1], s[pos]
-            born_with[u] = (l, -1)
-            born_with[l] = (u, 1)
-            firsts.append(u)
-        elif kind == "R":
-            s = stacks[i]
-            u, l = s[pos - 1], s[pos]
-            dies_with[u] = (l, -1)
-            dies_with[l] = (u, 1)
+    born_with, dies_with = {}, {}
+    record_cusps(events, stacks, born_with, dies_with, range(len(events)))
     potential = {}
     comp_of = {}
     defects = []
-    for first in firsts:
-        if first in comp_of:
+    # the upper strand of each left cusp, in word order
+    for first, (lower, step) in born_with.items():
+        if step > 0 or first in comp_of:
             continue
-        c = len(defects)
-        a, v = born_with[first][0], 0
-        for _ in dies_with:  # a cycle crosses each death cusp once
-            b, step = dies_with[a]
-            potential[a] = v
-            v += step
-            potential[b] = v
-            comp_of[a] = comp_of[b] = c
-            if b == first:
-                break
-            a, step = born_with[b]
-            v += step
-        else:
-            raise AssertionError("cusp cycle does not close")
-        gap = v - 1  # mu(first) - mu(its lower partner) - 1
-        if gap % 2:
+        cycle, jump = walk_cycle(lower, born_with, dies_with)
+        if jump % 2:
             raise AssertionError("orientation cycle has odd length")
-        defects.append(abs(gap))
+        potential |= cycle
+        comp_of |= dict.fromkeys(cycle, len(defects))
+        defects.append(abs(jump))
     return potential, comp_of, defects
 
 

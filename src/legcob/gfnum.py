@@ -100,6 +100,8 @@ def _smoothstep_pair(u):
     s = np.where(u >= 1.0, 1.0, 0.0)
     sd = np.zeros_like(u)
     on = (u > 0.0) & (u < 1.0)
+    if not on.any():
+        return s, sd
     v = u[on]
     w = 1.0 - v
     b1 = np.exp((-1.0 / v).astype(np.longdouble)).astype(float)

@@ -41,9 +41,10 @@ by the same rule (_rewrite).  It checks the window's positions with the
 build's own check (front.check_window), simulates the window alone
 (front.simulate) and splices it in.  The labels are the nodes of a
 union-find that counts the surface's connected pieces.  In gf mode it
-also checks each pinch's grading (_check_grading) on one cusp walk of
-its running front (front.cusp_walk); no other code path grades a
-pinch.  Only the end front is built.
+also checks each pinch's grading (_check_grading) by walking one cusp
+cycle of its running front (front.walk_cycle) on the cusp partners the
+replay keeps; no other code path grades a pinch.  Only the end front is
+built.
 """
 
 from collections import defaultdict
@@ -51,7 +52,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .front import (_SHIFT, FrontDiagram, check_window, cusp_walk,
-                    parse_front, simulate)
+                    parse_front, record_cusps, simulate, walk_cycle)
 
 # Each move with its inverse as local rewrites old -> new of the event
 # word, positions written as offsets from a height h.  A move whose old
@@ -132,14 +133,21 @@ def _fail(move, reason):
 _PINCHES = ("P", "PM")
 
 
-def _check_grading(move, events, stacks):
+def _check_grading(move, events, stacks, born_with, dies_with):
     """A pinch P s h needs mu(a) - mu(b) = 1 for the strands a above b
     at heights h, h+1 of slice s (the new right cusp matches the
     potential), a merge PM e equal cusp levels mu(a) = mu(b) for a dying
     at its R_h and b born at its L_h; both modulo the potential's mod,
-    its component's defect (twice its absolute rotation number), read
-    off one cusp walk (front.cusp_walk) of the front (events, stacks)
-    before the move."""
+    its component's defect (twice its absolute rotation number).
+
+    It walks one cusp cycle of the front (events, stacks) before the
+    move, b's (front.walk_cycle), on born_with and dies_with, the cusp
+    partners the replay keeps.  If the walk never meets a, the two
+    strands lie on distinct components, whose potentials can be shifted
+    freely.  Otherwise mu(a) - mu(b) - gap is tested modulo the cycle's
+    jump, which does not depend on where the walk starts.  A refused
+    pinch takes the numbers of its message from one walk of the whole
+    front (front.cusp_walk)."""
     if move[0] == "P":
         _, w, h = move
         a, b, gap, what = stacks[w][h - 1], stacks[w][h], 1, "potentials"
@@ -148,18 +156,19 @@ def _check_grading(move, events, stacks):
         h = events[w][1]
         a, b = stacks[w][h - 1], stacks[w + 2][h - 1]
         gap, what = 0, "cusp levels"
+    cycle, jump = walk_cycle(b, born_with, dies_with)
+    if a not in cycle:
+        return
+    diff = cycle[a] - cycle[b] - gap
+    if (diff % jump if jump else diff) == 0:
+        return
     potential, comp_of, defects = cusp_walk(events, stacks)
-    c = comp_of[a]
-    if comp_of[b] != c:
-        return  # potentials on distinct components can be shifted freely
-    m = defects[c] or None
+    m = defects[comp_of[a]] or None
     mu_a, mu_b = potential[a], potential[b]
     if m:
         mu_a, mu_b = mu_a % m, mu_b % m
-    diff = mu_a - mu_b - gap
-    if (diff % m if m else diff) != 0:
-        raise DomainError(
-            f"grading mismatch at pinch: {what} {mu_a}, {mu_b} (mod {m})")
+    raise DomainError(
+        f"grading mismatch at pinch: {what} {mu_a}, {mu_b} (mod {m})")
 
 
 def _commute(first, second, below):
@@ -343,7 +352,8 @@ _GROWTH.update(C=0, Ch=0)
 # before it starts: each move splices its window into the running front
 # and renames the suffix slices of at most two strands, work of the
 # front's event count, and each pinch or merge of a gf-mode replay walks
-# the front's cusp cycles, as much again.  Timed on an Intel Xeon
+# the cusp cycle of one of its strands on the partners the replay keeps,
+# as much again when that cycle is the whole front.  Timed on an Intel Xeon
 # (Python 3.11), a unit took at most 0.45 microseconds, in a gf replay
 # of pinches that each cut two long strands; the largest admitted
 # traces answer in about a second from the shell.  The largest braid
@@ -371,7 +381,8 @@ def _check_replay_work(trace):
 
 def _rename(events, stacks, t, h, label):
     """Give `label` to the strand at index h of slice t on the slices
-    after t, up to its death cusp, following its height."""
+    after t, up to its death cusp, following its height.  Returns the
+    index of that death cusp."""
     n = len(events)
     while t < n:
         kind, pos = events[t]
@@ -386,7 +397,7 @@ def _rename(events, stacks, t, h, label):
                 h += 2
         elif h >= pos - 1:
             if h <= pos:
-                return  # the strand dies at this right cusp
+                return t - 1  # the strand dies at this right cusp
             h -= 2
         stacks[t][h] = label
 
@@ -399,8 +410,8 @@ def _replay(trace):
     classes; the start front's labels are its ids.
 
     A move checks its window's positions (front.check_window) and, in gf
-    mode, a pinch's grading on the cusp walk of the front it pinches
-    (front.cusp_walk).  It then simulates the window alone, new strands
+    mode, a pinch's grading on one cusp cycle of the front it pinches
+    (_check_grading).  It then simulates the window alone, new strands
     taking fresh labels, and splices the window's events and stacks in.
     It joins the two strands of each cusp in the window, and at the
     window's right edge the old label at each height with the new one.
@@ -408,7 +419,18 @@ def _replay(trace):
     place of one born in the old window takes the old label, in the
     window; any other strand is cut or joined there (a pinch or a fish
     cuts it, a merge or a fish removal joins it), and its slices after
-    the window, up to its death cusp, take the new label."""
+    the window, up to its death cusp, take the new label.
+
+    The replay keeps, for the running front, each label's partner and
+    mu step at its birth and at its death cusp (front.record_cusps), so
+    a graded pinch walks one cusp cycle and not the whole front.  A move
+    changes them at the cusps of its window, which the loop that joins
+    their strands records, and at the death cusps of the strands it
+    renames.  A new strand that takes an old label takes its birth
+    partners too.  Both strands of one death cusp may be renamed, so
+    those cusps are recorded once every label is final.  Entries of
+    labels that left the front stay, unread, as their union-find nodes
+    do."""
     _check_replay_work(trace)
     start, gf_mode = trace.start, trace.gf_mode
     events = start.events
@@ -428,6 +450,8 @@ def _replay(trace):
 
     for _, _, _, u, l in start.cusps:
         union(u, l)
+    born_with, dies_with = {}, {}
+    record_cusps(events, stacks, born_with, dies_with, range(len(events)))
     for move in trace.moves:
         w0, w1_old, repl = _rewrite(events, move)
         w1_new = w0 + len(repl)
@@ -438,7 +462,7 @@ def _replay(trace):
         except DomainError as err:
             _fail(move, f"rewritten word is invalid: {err}")
         if gf_mode and move[0] in _PINCHES:
-            _check_grading(move, events, stacks)
+            _check_grading(move, events, stacks, born_with, dies_with)
         events = new
         nid = len(parent)
         prefix = stacks[w0]
@@ -447,23 +471,35 @@ def _replay(trace):
         edge = prefix
         for (kind, pos), after in zip(repl, window):
             if kind == "L":
-                union(after[pos - 1], after[pos])
+                u, l = after[pos - 1], after[pos]
+                born_with[u], born_with[l] = (l, -1), (u, 1)
+                union(u, l)
             elif kind == "R":
-                union(edge[pos - 1], edge[pos])
+                u, l = edge[pos - 1], edge[pos]
+                dies_with[u], dies_with[l] = (l, -1), (u, 1)
+                union(u, l)
             edge = after
         old_edge = stacks[w1_old]
         stacks[w0 + 1:w1_old + 1] = window
+        ends = []  # the death cusps of renamed strands
         for h, (a, b) in enumerate(zip(old_edge, edge)):
             if a == b:
                 continue  # most heights keep their label: no union
             union(a, b)
             if b >= nid and a not in prefix:
-                # b takes the place of a, born in the old window
+                # b takes the place of a, born in the old window, and
+                # a is born at b's left cusp
                 for s in window:
                     if b in s:
                         s[s.index(b)] = a
+                partner, step = born_with[a] = born_with[b]
+                born_with[partner] = (a, -step)
             else:
-                _rename(events, stacks, w1_new, h, b)
+                ends.append(_rename(events, stacks, w1_new, h, b))
+        if ends:
+            # both strands of one death cusp may be renamed: record its
+            # partners once every label is final
+            record_cusps(events, stacks, born_with, dies_with, ends)
         # only a birth makes a piece that joins no label of the last front
         if move[0] != "B" and any(find(a) >= nid
                                   for a in range(nid, len(parent))):

@@ -31,10 +31,12 @@
    same end word, births, pinches and pieces, or the same error, on the
    `wh` traces of the benchmark's bases, the braid survey's 300 closures
    and seeded random traces from seven start fronts in both modes, with
-   every move kind.  Every running front a gf replay walks must hold one
-   label per strand, and the shared cusp walk must agree with `ref_walk`
-   on it and on every front of items 1 and 2 relabelled at random.  A
-   replay builds one FrontDiagram, the end front.
+   every move kind.  At every pinch and merge a gf replay grades, its
+   running front must hold one label per strand, the shared cusp walk
+   must agree with `ref_walk` on it, and the cusp partners the replay
+   keeps must be `ref_walk`'s; the walk must agree on every front of
+   items 1 and 2 relabelled at random too.  A replay builds one
+   FrontDiagram, the end front.
 4. The table of local rewrites in `moves` and the positional commute
    rule against the rewriter they replaced, one branch per move kind
    with the commutes replayed on strand stacks, and its `invert_move`: every
@@ -114,13 +116,20 @@ def ref_components(d):
     return comp_of, components
 
 
-def ref_walk(d):
-    """The LIFO walk of the cusp cycles the fronts used to run: potential,
-    defects, comp_of and components."""
+def ref_edges(d):
+    """Per strand id of d, its partner and mu step at its birth cusp,
+    then at its death cusp."""
     edges = [[] for _ in range(d.n_ids)]
     for _, _, _, u, l in d.cusps:
         edges[u].append((l, -1))
         edges[l].append((u, +1))
+    return edges
+
+
+def ref_walk(d):
+    """The LIFO walk of the cusp cycles the fronts used to run, along
+    ref_edges: potential, defects, comp_of and components."""
+    edges = ref_edges(d)
     potential = [None] * d.n_ids
     comp_of = [None] * d.n_ids
     components = []
@@ -756,57 +765,80 @@ def _kind_first_traces(rng, count):
         yield CobordismTrace(start, moves, gf_mode=gf_mode)
 
 
-def _checked_walks(monkeypatch, trace):
-    """The replay's outcome, each front whose cusp cycles it walks first
-    checked by _assert_walk_matches_reference, and the count of walks."""
-    walked = []
+def _checked_gradings(monkeypatch, trace):
+    """The replay's outcome, and the count of the pinches and merges it
+    grades, each front it grades one on first checked by
+    _assert_walk_matches_reference and the cusp partners the replay
+    keeps by _assert_partners_match_reference."""
+    graded = []
+    check = moves_module._check_grading
 
-    def checked(events, stacks):
-        _assert_walk_matches_reference(FrontDiagram(events), stacks)
-        walked.append(events)
-        return cusp_walk(events, stacks)
+    def checked(move, events, stacks, born_with, dies_with):
+        d = FrontDiagram(events)
+        _assert_walk_matches_reference(d, stacks)
+        _assert_partners_match_reference(d, stacks, born_with, dies_with)
+        graded.append(move)
+        return check(move, events, stacks, born_with, dies_with)
 
-    monkeypatch.setattr(moves_module, "cusp_walk", checked)
+    monkeypatch.setattr(moves_module, "_check_grading", checked)
     outcome = _replay_outcome(_replay, trace)
     monkeypatch.undo()
-    return outcome, len(walked)
+    return outcome, len(graded)
 
 
-def _assert_walk_matches_reference(d, stacks):
-    """cusp_walk on the front d with its ids relabelled as `stacks`
-    gives ref_walk's values at the relabelled ids."""
+def _relabelling(d, stacks):
+    """The label of each strand id of d in `stacks`, which must hold one
+    label per strand and one strand per label."""
     label_of = {}
     for ids, labels in zip(d.stacks, stacks):
         assert len(ids) == len(labels), d.word
         for a, b in zip(ids, labels):
             assert label_of.setdefault(a, b) == b, (d.word, a)
-    # one label per strand and one strand per label
-    assert len(set(label_of.values())) == d.n_ids, d.word
+    labels = [label_of[a] for a in range(d.n_ids)]
+    assert len(set(labels)) == d.n_ids, d.word
+    return labels
+
+
+def _assert_walk_matches_reference(d, stacks):
+    """cusp_walk on the front d with its ids relabelled as `stacks`
+    gives ref_walk's values at the relabelled ids."""
+    labels = _relabelling(d, stacks)
     potential, comp_of, defects = cusp_walk(d.events, stacks)
     ref_potential, ref_defects, ref_comp_of, _ = ref_walk(d)
-    labels = [label_of[a] for a in range(d.n_ids)]
     assert [potential[b] for b in labels] == ref_potential, d.word
     assert [comp_of[b] for b in labels] == ref_comp_of, d.word
     assert defects == ref_defects, d.word
     assert set(potential) == set(comp_of) == set(labels), d.word
 
 
+def _assert_partners_match_reference(d, stacks, born_with, dies_with):
+    """The partners kept for the front d with its ids relabelled as
+    `stacks`, at each strand's birth and death cusp, are ref_walk's
+    edges (ref_edges) at the relabelled ids."""
+    labels = _relabelling(d, stacks)
+    id_of = {b: a for a, b in enumerate(labels)}
+    for a, edges in enumerate(ref_edges(d)):
+        kept = [born_with[labels[a]], dies_with[labels[a]]]
+        assert [(id_of.get(p), step) for p, step in kept] == edges, \
+            (d.word, a)
+
+
 def test_replay_matches_per_move_replay(monkeypatch):
     # the running front against one FrontDiagram per move: the same end
-    # word, births, pinches and pieces, or the same refusal; every front
-    # a gf replay walks holds one label per strand and walks as
-    # ref_walk does
+    # word, births, pinches and pieces, or the same refusal; at every
+    # pinch and merge a gf replay grades, its front holds one label per
+    # strand, walks as ref_walk does and keeps ref_walk's cusp partners
     rng = random.Random(25)
     traces = list(_kind_first_traces(rng, 2000))
     traces += [_wh_trace(word) for word in MOVE_BASES]
     traces += [_braid_trace(s, letters) for s, letters in BRAIDS]
     outcomes = []
-    walked = 0
+    graded = 0
     for trace in traces:
         want = _replay_outcome(ref_label_replay, trace)
         if trace.gf_mode:
-            got, count = _checked_walks(monkeypatch, trace)
-            walked += count
+            got, count = _checked_gradings(monkeypatch, trace)
+            graded += count
         else:
             got = _replay_outcome(_replay, trace)
         assert got == want, (trace.start.word, trace.moves, trace.gf_mode)
@@ -815,7 +847,7 @@ def test_replay_matches_per_move_replay(monkeypatch):
     assert sum("grading mismatch" in o for o in refused) > 25
     assert sum("rewritten word is invalid" in o for o in refused) > 150
     assert sum(not isinstance(o, str) and o[3] > 1 for o in outcomes) > 250
-    assert walked > 200
+    assert graded > 200
     assert {t.start.word for t in traces} == set(REPLAY_STARTS)
     assert {t.gf_mode for t in traces} == {False, True}
     # every kind replayed past its own move, in both modes

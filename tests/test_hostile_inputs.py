@@ -35,10 +35,12 @@ FILES = {"bad-argument.trace": "L1 R1\nC --1\n",
                              "tail=-200*e1\nR=3\n",
          "derivative-overflow.gf": "n=1\nN=1\ncore=1.5e308*e1^2 + e1^3\n"
                                    "tail=-5*e1\nR=3\n",
-         # 60 KB of births, and 5,000 pinches each walking the whole
-         # front in gf mode: both over the replay cap
+         # 60 KB of births, and 5,000 pinches each counted twice in gf
+         # mode: both over the replay cap
          "births.trace": "\n" + "B 0 1\n" * 10000,
          "pinches.trace": "L1 R1\n" + "P 1 1\n" * 5000,
+         # 999 graded pinches: 1,998,000 events of work, under the cap
+         "pinches-999.trace": "L1 R1\n" + "P 1 1\n" * 999,
          "not-utf8.trace": b"\xff\xfe"}
 
 
@@ -116,6 +118,8 @@ ROWS = [
     pytest.param(["trace", "births.trace"], id="trace-10000-births"),
     pytest.param(["trace", "pinches.trace", "--gf"],
                  id="trace-gf-5000-pinches"),
+    pytest.param(["trace", "pinches-999.trace", "--gf"],
+                 id="trace-gf-999-pinches"),
     pytest.param(["trace", "not-utf8.trace"], id="trace-not-utf8"),
     pytest.param(["trace", "/dev/zero"], id="trace-dev-zero"),
     pytest.param(["gf-chords", "--file", "/dev/zero"],

@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+import legcob.moves as moves_module
 from legcob.errors import DomainError
-from legcob.front import classical_invariants, parse_front
+from legcob.front import classical_invariants, cusp_walk, parse_front
 from legcob.moves import (ISOTOPY_KINDS, MAX_REPLAY_WORK, CobordismTrace,
                           apply_move, format_move, format_trace,
                           invert_move, isotopy_candidates, parse_move,
                           parse_trace, trace_summary)
 from legcob.rulings import enumerate_rulings
 from legcob.whitehead import whitehead_diagram
-from test_front_oracle import _outcome, graded_apply, ref_apply
+from test_front_oracle import (BRAIDS, MOVE_BASES, _braid_trace, _outcome,
+                               _wh_trace, graded_apply, ref_apply,
+                               ref_label_replay)
 
 TREFOIL = "L1 L2 X3 X3 X3 R2 R1"
 ZIGZAG = "L1 L2 R1 L1 R2 R1"
@@ -249,6 +252,43 @@ def test_gf_trace_replay_checks_pinches():
         trace_summary(t)
 
 
+def test_accepted_gf_replays_walk_no_whole_front(monkeypatch):
+    # a graded pinch walks one cusp cycle on the partners the replay
+    # keeps; only a refused one walks the whole front, for its message
+    traces = [_wh_trace(word) for word in MOVE_BASES]
+    traces += [_braid_trace(s, letters) for s, letters in BRAIDS]
+    wants = [ref_label_replay(trace) for trace in traces]
+    assert sum(want[2] for want in wants) > 50
+    pinches = parse_trace("L1 R1\n" + "P 1 1\n" * 999, gf_mode=True)
+
+    def whole_front_walk(events, stacks):
+        raise AssertionError("a whole-front cusp walk")
+
+    monkeypatch.setattr(moves_module, "cusp_walk", whole_front_walk)
+    for trace, (end, births, pinch_count, pieces) in zip(traces, wants):
+        assert trace.gf_mode
+        # some braid fillings are disconnected, which trace_summary
+        # refuses after the replay
+        got = moves_module._replay(trace)
+        assert (got[0].word, *got[1:]) == (end.word, births, pinch_count,
+                                           pieces)
+    got = trace_summary(pinches)
+    assert (got["components"], got["chi"], got["pieces"]) == (1000, -999, 1)
+
+    walks = []
+
+    def counted(events, stacks):
+        walks.append(events)
+        return cusp_walk(events, stacks)
+
+    monkeypatch.setattr(moves_module, "cusp_walk", counted)
+    refused = parse_trace("L1 L2 R1 L1 R2 R1\nP 2 2\nP 4 3", gf_mode=True)
+    with pytest.raises(DomainError, match=r"^grading mismatch at pinch: "
+                       r"potentials -1, 0 \(mod None\)$"):
+        trace_summary(refused)
+    assert len(walks) == 1
+
+
 def test_replay_cap_boundary():
     # a 1,000-event front: three nested eyes around a triangle, whose R3
     # is its own inverse, and 991 crossings
@@ -266,7 +306,7 @@ def test_replay_cap_boundary():
             trace_summary(parse_trace(start + "\n" + "R3 3\n" * (n + 1),
                                       gf_mode=gf_mode))
     # on 999 events a pinch and its merge work on 999 + 1,001 events, in
-    # gf mode twice as many, as each pinch walks the front
+    # gf mode twice as many, as the cap counts a graded pinch twice
     start = start.replace("X5 ", "", 1)
     for gf_mode, pairs in ((False, n // 2), (True, n // 4)):
         text = start + "\n" + "P 1 1\nPM 1\n" * pairs
