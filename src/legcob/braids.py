@@ -23,10 +23,10 @@ DISCONNECTED = "disconnected filling: genus per component not defined"
 
 # Cap on the replay work of one closure: filling moves x closure events
 # x (strands + 2).  Every replayed move splices a window of up to 2s
-# strands into one running front of about 2s + k events, and every
-# merge pinch walks that front's cusp cycles (see moves._replay).  The
-# cap was timed when every move rebuilt a front: on an Intel Xeon with
-# 2 to 150 strands one unit took at most 0.31 microseconds, and the
+# strands into one running front of about 2s + k events, and a graded
+# merge pinch walks one of that front's cusp cycles (see moves._replay).
+# The cap was timed when every move rebuilt a front: on an Intel Xeon
+# with 2 to 150 strands one unit took at most 0.31 microseconds, and the
 # largest admitted closures answered in 0.3 to 0.8 s; they now answer in
 # about 0.2 s.  2 strands admit 431 letters, one letter admits 113
 # strands.  Every admitted closure is within moves.MAX_REPLAY_WORK.

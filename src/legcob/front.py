@@ -48,8 +48,8 @@ class FrontDiagram:
     count of its slice, an integer count per event (no strand ids):
       events      list of (kind, pos)
       word        the event word as text
-      n_left      left cusps; n_right (equal) and n_ids = 2 * n_left
     Counted on first use:
+      n_left      left cusps; n_right (equal) and n_ids = 2 * n_left
       counts      tuple of strand counts, one per slice (len(events)+1)
     Read off the counts on each use: max_strands, the largest count.
     Simulated on first use, in one run of the whole word:
@@ -71,19 +71,18 @@ class FrontDiagram:
     parent front and window=(w0, w1_old): `events` is the parent's word
     with events[w0:w1_old] replaced, so the rewritten window is
     events[w0:w1_new] and the rest is the parent's.  Only the window is
-    checked, from the parent's strand count at w0, and `word` joins the
-    parent's tokens with the window's spliced in.  When the window ends
-    with as many strands as the parent has at w1_old, the parent's
-    suffix stays valid.  (A window that ends with another strand count
-    is checked to the end of the word.)  A windowed build inherits the
+    checked, from the parent's strand count at w0, and it must end with
+    the parent's count at w1_old, as every move's window does; the
+    parent's suffix then stays valid.  `word` joins the parent's tokens
+    with the window's spliced in.  A windowed build inherits the
     parent's counts, not its stacks: on first use its counts are the
-    parent's before w0 and after the checked run, and the run's own
-    inside it.  Its stacks are one simulation of the whole word, as a
-    full build's are, so a front whose stacks are never read (most
-    states of a search) never simulates them.
+    parent's outside the window and the window's own inside it.  Its
+    stacks are one simulation of the whole word, as a full build's are,
+    so a front whose stacks are never read (most states of a search)
+    never simulates them.
     """
 
-    _LAZY = {"counts": "_count",
+    _LAZY = {"n_left": "_count_left", "counts": "_count",
              "stacks": "_simulate",
              "crossings": "_sweep", "cusps": "_sweep",
              "comp_of": "_walk", "components": "_walk",
@@ -101,23 +100,22 @@ class FrontDiagram:
         self.events = events
         # the suffix's positions depend only on the strand count, so it
         # stays valid once the window ends with the parent's count there
-        i, nb = check_window(events, w0, w1_new, counts[w0], counts[w1_old])
+        check_window(events, w0, w1_new, counts[w0], counts[w1_old])
         self._tokens = tokens = parent._tokens[:]
         tokens[w0:w1_old] = [f"{k}{p}" for k, p in events[w0:w1_new]]
         self.word = " ".join(tokens)
-        # the checked run events[w0:i] replaced the parent's events[w0:j]
-        j = i - w1_new + w1_old
-        self.n_left = parent.n_left + nb - sum(
-            k == "L" for k, _ in parent.events[w0:j])
-        self._pending = (counts, w0, i, j)
+        self._pending = (counts, w0, w1_new, w1_old)
+
+    def _count_left(self):
+        self.n_left = sum(k == "L" for k, _ in self.events)
 
     def _count(self):
-        """Set counts: the parent's outside the checked run, events[w0:i]
+        """Set counts: the parent's outside the window, events[w0:w1_new]
         counted from the parent's count at w0."""
-        counts, w0, i, j = self.__dict__.pop("_pending")
-        run = accumulate([_SHIFT[k] for k, _ in self.events[w0:i]],
+        counts, w0, w1_new, w1_old = self.__dict__.pop("_pending")
+        run = accumulate([_SHIFT[k] for k, _ in self.events[w0:w1_new]],
                          initial=counts[w0])
-        self.counts = counts[:w0] + tuple(run) + counts[j + 1:]
+        self.counts = counts[:w0] + tuple(run) + counts[w1_old + 1:]
 
     def _simulate(self):
         self.stacks = ((),) + tuple(map(tuple, simulate(self.events, [], 0)))
@@ -189,21 +187,15 @@ class FrontDiagram:
 # The empty front, with its one slice: every full build is a windowed
 # build over it, rewriting the window (0, 0).
 _EMPTY = object.__new__(FrontDiagram)
-_EMPTY.__dict__.update(events=[], word="", n_left=0, counts=(0,),
-                       _tokens=[])
+_EMPTY.__dict__.update(events=[], word="", counts=(0,), _tokens=[])
 
 
 def check_window(events, i, stop, count, goal):
-    """Check the positions of events[i:] against the strand count, from
-    `count` strands at slice i; stop at slice `stop` if it holds `goal`
-    strands, since the rest of the word then keeps its positions.
-    Returns the slice where the check stopped and the left cusps it
-    passed, or raises the DomainError of a full build."""
-    n = len(events)
-    nb = 0
-    while i < n:
-        if i == stop and count == goal:
-            break
+    """Check the positions of events[i:stop] against the strand count,
+    from `count` strands at slice i, and that slice `stop` holds `goal`
+    strands, so the rest of the word keeps its positions.  Raises the
+    DomainError of a full build."""
+    for i in range(i, stop):
         kind, pos = events[i]
         if kind == "L":
             if not 1 <= pos <= count + 1:
@@ -211,7 +203,6 @@ def check_window(events, i, stop, count, goal):
                     f"invalid position {pos} at event {i} (L{pos}) "
                     f"with {count} strands")
             count += 2
-            nb += 1
         elif kind in ("X", "R"):
             if not 1 <= pos <= count - 1:
                 raise DomainError(
@@ -221,14 +212,13 @@ def check_window(events, i, stop, count, goal):
                 count -= 2
         else:
             raise DomainError(f"unknown event kind {kind!r} at event {i}")
-        i += 1
-    else:
-        if count:
-            # the strand count is 2 * (left - right cusps)
-            left = sum(k == "L" for k, _ in events)
-            raise DomainError(
-                f"unbalanced cusps: {left} left, {left - count // 2} right")
-    return i, nb
+    if count != goal:
+        # a full word ends with no strands: its count there is
+        # 2 * (left - right cusps)
+        left = sum(k == "L" for k, _ in events)
+        raise DomainError(
+            f"unbalanced cusps: {left} left, "
+            f"{left - (count - goal) // 2} right")
 
 
 def simulate(events, stack, nid):

@@ -91,16 +91,6 @@ def _tables():
 _RULES, _INVERSE, _MOVE_ARITY = _tables()
 
 
-# Kinds that never change how many L, X and R events a front has: the
-# table rules whose two sides hold the same events (R3), and the
-# commutes, which swap two events and keep their kinds (see _commute).
-COUNT_KEEPING_KINDS = frozenset(
-    [kind for kind, rules in _RULES.items()
-     if all(sorted(k for k, _ in old) == sorted(k for k, _ in new)
-            for old, new in rules)]
-    + ["C", "Ch"])
-
-
 def parse_move(text):
     """Parse one move line like 'B 0 1' or 'PM 3' into a tuple."""
     tok = text.split()

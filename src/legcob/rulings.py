@@ -101,20 +101,16 @@ def _sweep(diagram, graded):
     event.  live[e] maps each live pairing before event e, one that
     reaches the end, to (through, live switch or None, through is
     straight, through is rich): straight when its all-through completion
-    reaches the end, rich when one with a further switch does.  A first
-    call checks the caps as it goes, before a wide front can run the
-    process out of memory; a later one, against the pairings carried."""
-    # {graded: (live, ends, pairings carried past each event)}
+    reaches the end, rich when one with a further switch does.  It checks
+    the caps as it goes, before a wide front can run the process out of
+    memory, and keeps only a sweep that passed them: a later call
+    returns that one."""
+    # {graded: (live, ends)}
     sweeps = vars(diagram).setdefault("_ruling_sweeps", {})
-    work = 0
     if graded in sweeps:
-        live, ends, widths = sweeps[graded]
-        for e, width in enumerate(widths):
-            work += width
-            _check_caps(e, width, work)
-        return live, ends
+        return sweeps[graded]
     step = _transitions(diagram, graded)
-    tables, widths, states = [], [], {(): {0: 1}} if step else {}
+    tables, states, work = [], {(): {0: 1}} if step else {}, 0
     for e in range(len(diagram.events)):
         # ways go once read, and equal pairings reached share one tuple
         table, reached, canon = {}, {}, {}
@@ -137,7 +133,6 @@ def _sweep(diagram, graded):
         work += len(reached)
         _check_caps(e, len(reached), work)
         tables.append(table)
-        widths.append(len(reached))
         states = reached
     straight, rich = set(states), set()
     live = [None] * len(tables)
@@ -155,7 +150,7 @@ def _sweep(diagram, graded):
                 row[partner] = (through, switch, t_straight, t_rich)
         live[e] = row
         straight, rich = now_straight, now_rich
-    sweeps[graded] = live, states, widths
+    sweeps[graded] = live, states
     return live, states
 
 

@@ -5,11 +5,8 @@ by meeting in the middle.  The search is deterministic, so recorded
 move sequences replay exactly.
 """
 
-from collections import Counter
-
 from .errors import DomainError
-from .moves import (COUNT_KEEPING_KINDS, apply_move, invert_move,
-                    isotopy_candidates)
+from .moves import apply_move, invert_move, isotopy_candidates
 
 
 def _try(d, m):
@@ -17,10 +14,6 @@ def _try(d, m):
         return apply_move(d, m)
     except DomainError:
         return None
-
-
-def _event_counts(d):
-    return Counter(kind for kind, _ in d.events)
 
 
 def _steps(seen, word):
@@ -47,20 +40,13 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     exact, so the joined path is returned without a replay.  A candidate
     state is used for its word, the search key, and its position check
     alone, and an expanded one for its strand counts too; no state's
-    strand stacks are ever simulated (see FrontDiagram).
-
-    When every usable move is in COUNT_KEEPING_KINDS (no fish growth:
-    `fish_heights` empty, not None) and a and b differ in their counts
-    of L, X and R events, it returns None without expanding a state.
-    That is exact: every front either side reaches keeps its root's
-    counts, so the two sides never meet.
+    strand stacks are ever simulated (see FrontDiagram).  The caller
+    picks kinds that can reach b: commutes and R3 keep the counts of L,
+    X and R events, so a search by them alone never meets a b whose
+    counts differ from a's.
     """
     if a.word == b.word:
         return []
-    grows_fish = fish_heights is None or len(fish_heights) > 0
-    if not grows_fish and COUNT_KEEPING_KINDS.issuperset(kinds) \
-            and _event_counts(a) != _event_counts(b):
-        return None
     fwd_seen = {a.word: (a, None, None)}
     bwd_seen = {b.word: (b, None, None)}
 

@@ -7,10 +7,10 @@ import pytest
 import legcob.moves as moves_module
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, cusp_walk, parse_front
-from legcob.moves import (ISOTOPY_KINDS, MAX_REPLAY_WORK, CobordismTrace,
-                          apply_move, format_move, format_trace,
-                          invert_move, isotopy_candidates, parse_move,
-                          parse_trace, trace_summary)
+from legcob.moves import (_REWRITES, _RULES, ISOTOPY_KINDS, MAX_REPLAY_WORK,
+                          CobordismTrace, _commute, apply_move, format_move,
+                          format_trace, invert_move, isotopy_candidates,
+                          parse_move, parse_trace, trace_summary)
 from legcob.rulings import enumerate_rulings
 from legcob.whitehead import whitehead_diagram
 from test_front_oracle import (BRAIDS, MOVE_BASES, _braid_trace, _outcome,
@@ -389,3 +389,30 @@ def test_invert_move_is_faithful():
     d = parse_front(PAST_DYING_PAIR)
     after = apply_move(d, ("C", 12))
     assert invert_move(d, ("C", 12), after) == ("Ch", 12)
+
+
+def _cusp_balance(side):
+    return sum((k == "L") - (k == "R") for k, _ in side)
+
+
+def test_move_windows_keep_the_strand_count():
+    """Every rewrite rule, each inverse included, and every pair of
+    events _commute accepts keep L - R between the old and the new side,
+    so a move's window ends with its parent's strand count there and a
+    windowed build checks the window alone."""
+    assert set(_RULES) == {kind for kind, _, _ in _REWRITES} \
+        | {inv for _, inv, _ in _REWRITES if inv}
+    for kind, rules in _RULES.items():
+        for old, new in rules:
+            assert _cusp_balance(old) == _cusp_balance(new), (kind, old, new)
+    accepted = 0
+    events = [(k, p) for k in "LXR" for p in range(1, 7)]
+    for first in events:
+        for second in events:
+            for below in (False, True):
+                new = _commute(first, second, below)
+                if isinstance(new, str):
+                    continue
+                assert _cusp_balance(new) == _cusp_balance([first, second])
+                accepted += 1
+    assert accepted > 300

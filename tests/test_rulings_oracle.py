@@ -288,17 +288,22 @@ def test_twists_match_reference(graded):
 
 
 def test_wide_front_is_refused(monkeypatch):
-    d = parse_front("L1 L2 L3 " + "X4 X5 " * 3 + "R3 R2 R1")
+    # a diagram keeps the sweep it passed and returns it as it is, so
+    # each patched cap sweeps a fresh front
+    word = "L1 L2 L3 " + "X4 X5 " * 3 + "R3 R2 R1"
+    d = parse_front(word)
     want = ref_ruling_polynomial(d, ref_enumerate_rulings(d))
     assert ruling_polynomial(d) == want
     for cap, value, text in (("MAX_PAIRINGS", 2, "eye pairings after"),
                              ("MAX_SWEEP_WORK", 20, "pairings carried by")):
         with monkeypatch.context() as m:
             m.setattr(rulings, cap, value)
+            fresh = parse_front(word)
             with pytest.raises(DomainError, match=text):
-                ruling_polynomial(d)
+                ruling_polynomial(fresh)
             with pytest.raises(DomainError, match=text):
-                enumerate_rulings(d, limit=1)
+                enumerate_rulings(fresh, limit=1)
+            assert ruling_polynomial(d) == want
 
 
 @pytest.mark.parametrize("word,graded", BENCH_FRONTS)

@@ -1,7 +1,7 @@
-"""connect_fronts, and its count refusal against the full search.
+"""connect_fronts against the full search.
 
-`ref_connect_fronts` is connect_fronts as it was before the refusal,
-the candidate filter and the meet replay went in: it expands every
+`ref_connect_fronts` is connect_fronts as it was before the candidate
+filter and the meet replay went in: it expands every
 candidate of `ref_isotopy_candidates`, the unfiltered generator, until
 the two sides meet or give out, and accepts a meet only if the joined
 path replays a into b.  The two must return the same path, or both
@@ -16,8 +16,7 @@ from collections import Counter
 from legcob import search, whitehead
 from legcob.errors import DomainError
 from legcob.front import parse_front
-from legcob.moves import (COUNT_KEEPING_KINDS, ISOTOPY_KINDS, _RULES,
-                          apply_move, invert_move)
+from legcob.moves import ISOTOPY_KINDS, _RULES, apply_move, invert_move
 from legcob.search import connect_fronts
 from legcob.whitehead import whitehead_double
 
@@ -77,8 +76,8 @@ def ref_isotopy_candidates(diagram, window, kinds, fish_heights):
 
 
 def ref_connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
-    """connect_fronts without the count refusal, over the unfiltered
-    candidates and with the meet replay: the full search."""
+    """connect_fronts over the unfiltered candidates and with the meet
+    replay: the full search."""
     if a.word == b.word:
         return []
     fwd_seen = {a.word: (a, None, None)}
@@ -208,14 +207,14 @@ def _change(old, new):
 def test_table_kinds_change_counts_as_their_rules_say():
     """Each rewrite kind, applied wherever it applies on random fronts,
     changes the L, X and R counts by its new side less its old side;
-    the commutes change none.  COUNT_KEEPING_KINDS is exactly the kinds
-    that change none."""
+    the commutes change none.  R3 and the commutes are the kinds that
+    change none, so a search by them alone reaches only fronts with its
+    root's counts."""
     change = {kind: _change(*rules[0]) for kind, rules in _RULES.items()}
     for kind, rules in _RULES.items():
         assert all(_change(*rule) == change[kind] for rule in rules)
     change.update({kind: _change((), ()) for kind in COMMUTES})
-    assert COUNT_KEEPING_KINDS == {kind for kind, c in change.items()
-                                   if not any(c.values())} \
+    assert {kind for kind, c in change.items() if not any(c.values())} \
         == {"R3", "C", "Ch"}
     inserts = {kind for kind, rules in _RULES.items() if not rules[0][0]}
     applied = Counter()
@@ -234,14 +233,16 @@ def test_table_kinds_change_counts_as_their_rules_say():
     assert set(applied) == set(change)
 
 
-def test_refusal_matches_full_search_on_random_pairs():
+def test_search_matches_full_search_on_random_pairs():
     """Pairs a short walk apart (commutes and R3, one fish, or any
     isotopy) and unrelated pairs, searched with commute-only kinds and
     with ISOTOPY_KINDS, without fish, with fish at two heights and with
-    fish everywhere.  A commute-only search with fish finds the pairs
-    one fish apart, which a refusal ignoring the fish would miss."""
+    fish everywhere: connect_fronts returns the full search's path, or
+    None with it.  A commute-only search without fish misses every pair
+    whose event counts differ; with fish it finds the pairs one fish
+    apart."""
     rng = random.Random(14)
-    found = refused = fish_found = 0
+    found = unreachable = fish_found = 0
     for a in _random_fronts(rng, 40):
         others = (_walk(a, rng, COMMUTES + ("R3",), (), rng.randint(1, 3)),
                   _walk(a, rng, (), None, 1),
@@ -256,19 +257,22 @@ def test_refusal_matches_full_search_on_random_pairs():
                     assert path == ref_connect_fronts(*args), \
                         (a.word, b.word, kinds, fish)
                     if path is None:
-                        refused += (fish == frozenset() and kinds == COMMUTES
-                                    and _counts(a) != _counts(b))
+                        unreachable += (fish == frozenset()
+                                        and kinds == COMMUTES
+                                        and _counts(a) != _counts(b))
                     else:
                         found += 1
                         fish_found += bool(kinds == COMMUTES and fish
                                            and _counts(a) != _counts(b))
                         assert _replay(a, path).word == b.word
-    assert found > 350 and refused > 100 and fish_found > 20
+    assert found > 350 and unreachable > 100 and fish_found > 20
 
 
 def test_whitehead_searches_match_full_search(monkeypatch):
     """Every search of the tongue walks on the benchmark's bases, replayed
-    through the reference; every path found replays a into b."""
+    through the reference: one per stage, commute-only exactly when the
+    stage keeps its event counts, and every one finds a path that
+    replays a into b."""
     calls = []
 
     def recording(a, b, depth, budget, window, kinds, fish_heights):
@@ -281,10 +285,9 @@ def test_whitehead_searches_match_full_search(monkeypatch):
     for base in BENCH_BASES:
         whitehead_double(parse_front(base))
     misses = [args for args, path in calls if path is None]
-    assert (len(calls), len(misses)) == (132, 58)
-    # every miss is a commute-only stage gap that adds a doubled group
-    assert all(kinds == COMMUTES and not fish and _counts(a) != _counts(b)
-               for a, b, _, _, _, kinds, fish in misses)
+    assert (len(calls), len(misses)) == (74, 0)
+    assert all((kinds == COMMUTES and not fish) == (_counts(a) == _counts(b))
+               for (a, b, _, _, _, kinds, fish), _ in calls)
     for (a, b, depth, budget, window, kinds, fish), path in calls:
         assert ref_connect_fronts(a, b, depth, budget, window, kinds,
                                   fish) == path, (a.word, b.word)

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from legcob import whitehead
+from legcob.braids import BraidWord
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, parse_front
 from legcob.moves import format_trace, parse_trace, trace_summary
@@ -108,3 +110,41 @@ def test_work_cap_boundary(monkeypatch):
     for word in (_twist(89), _closure(14), _twist(3001), _closure(40)):
         with pytest.raises(DomainError, match="front too large to double"):
             whitehead_double(parse_front(word))
+
+
+def _random_braid_knots(rng, count):
+    """Closures of seeded random positive braids on 2 to 9 strands with
+    at most 14 letters that close to a knot within the work cap."""
+    fronts = []
+    while len(fronts) < count:
+        s = rng.randint(2, 9)
+        letters = [rng.randint(1, s - 1) for _ in range(rng.randint(1, 14))]
+        if BraidWord(s, letters).permutation_cycles() != 1:
+            continue
+        d = parse_front(" ".join([f"L{t}" for t in range(1, s + 1)]
+                                 + [f"X{s + x}" for x in letters]
+                                 + [f"R{t}" for t in range(s, 0, -1)]))
+        if len(d.events) ** 2 * (d.max_strands + 2) \
+                <= whitehead.MAX_DOUBLE_WORK:
+            fronts.append(d)
+    return fronts
+
+
+def test_each_stage_connects_on_its_one_search(monkeypatch):
+    """The tongue walk makes one search per stage, and on the doubles of
+    random braid-closure knots every one finds its path; each trace
+    replays to the double with genus 1."""
+    paths = []
+    search = whitehead.connect_fronts
+
+    def recording(*args, **kwargs):
+        paths.append(search(*args, **kwargs))
+        return paths[-1]
+
+    monkeypatch.setattr(whitehead, "connect_fronts", recording)
+    for base in _random_braid_knots(random.Random(5), 40):
+        d, tr = whitehead_double(base)
+        summary = trace_summary(tr)
+        assert summary["end"].word == d.word, base.word
+        assert summary["genus"] == 1, base.word
+    assert len(paths) > 1000 and None not in paths
