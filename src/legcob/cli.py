@@ -293,7 +293,7 @@ def _is_int(v):
 
 
 def _load_plan(path):
-    from .geography import Block, RealizationPlan
+    from .geography import Block, RealizationPlan, check_block_cap
     from .laurent import parse_poly
     try:
         data = json.loads(_read(path))
@@ -311,6 +311,7 @@ def _load_plan(path):
             f"{target!r}")
     if not isinstance(blocks, list):
         raise DomainError("plan field 'blocks' must be a list")
+    check_block_cap(len(blocks))
     for b in blocks:
         if not isinstance(b, dict) or "kind" not in b:
             raise DomainError("plan block missing field 'kind'")

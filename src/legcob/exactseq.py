@@ -100,10 +100,17 @@ def connect_sum(gammas, n):
     """Fold count polynomials of summands: total minus (count-1) * t^n."""
     if not gammas:
         raise DomainError("empty connect sum")
-    total = gammas[0]
+    top = gammas[0].coeff(n)
+    pairs = list(gammas[0].coeffs.items())
     for g in gammas[1:]:
-        total = (total + g).subtract_monomial(n)
-    return total
+        top += g.coeff(n)
+        if top < 1:
+            raise DomainError(
+                f"coefficient underflow at degree {n}: have {top}, need 1")
+        top -= 1
+        pairs += g.coeffs.items()
+        pairs.append((n, -1))
+    return LaurentPoly(pairs)
 
 
 def filling_polynomial(genus, components):

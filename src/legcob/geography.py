@@ -21,9 +21,17 @@ from .laurent import LaurentPoly, check_dim_cap, connected_p_top, \
     incompat_reason, split_from_p, splitting_box, tb_from_polynomial, \
     tb_sign
 
-# Largest number of blocks realize puts in a plan; counted from the
-# chosen splitting before any block is built.
+# Largest number of blocks in a plan, planned or read; counted before
+# any block is built.
 MAX_PLAN_BLOCKS = 10**4
+
+
+def check_block_cap(count):
+    """Refuse a plan of count blocks above MAX_PLAN_BLOCKS."""
+    if count > MAX_PLAN_BLOCKS:
+        raise DomainError(
+            f"plan too large: {count} blocks exceed the cap of "
+            f"{MAX_PLAN_BLOCKS:.3g}")
 
 
 class Block:
@@ -36,11 +44,10 @@ class Block:
         self.kind = kind
         self.n = n
         self.a = a
-        top = LaurentPoly({n: 1})
         if kind == "Saucer":
             if a is not None:
                 raise DomainError("saucer block takes no degree parameter")
-            self.gamma = top
+            degrees = [n]
             self.provenance = (
                 "spin the one-chord disk family about its axis; the single "
                 f"chord lands in degree {n}")
@@ -48,7 +55,7 @@ class Block:
             if a is None or not 1 <= a <= n - 1:
                 raise DomainError(
                     f"manifold block degree must be in 1..{n - 1}, got {a}")
-            self.gamma = top + LaurentPoly({a: 1})
+            degrees = [n, a]
             self.provenance = (
                 f"spin a two-chord family so the second chord lands in "
                 f"degree {a}; attach one index-{n - a - 1} surgery handle "
@@ -56,13 +63,14 @@ class Block:
         elif kind == "Sphere":
             if a is None:
                 raise DomainError("sphere block needs a degree parameter")
-            self.gamma = top + LaurentPoly({a: 1}) + LaurentPoly({n - 1 - a: 1})
+            degrees = [n, a, n - 1 - a]
             self.provenance = (
                 f"hopf-link pair with chords in degrees {a} and {n - 1 - a}; "
                 "one 0-surgery between the copies removes a top chord and "
                 "joins them into a sphere")
         else:
             raise DomainError(f"unknown block kind {kind!r}")
+        self.gamma = LaurentPoly((d, 1) for d in degrees)
 
     def __repr__(self):
         if self.a is None:
@@ -84,10 +92,8 @@ class RealizationPlan:
         self.blocks = list(blocks)
         self.target = target
         self.recomposed = connect_sum([b.gamma for b in self.blocks], n)
-        q = LaurentPoly({n: 1})
-        for b in self.blocks:
-            if b.kind == "Manifold":
-                q = q + LaurentPoly({b.a: 1})
+        q = LaurentPoly([(n, 1)] + [(b.a, 1) for b in self.blocks
+                                    if b.kind == "Manifold"])
         self.betti_realized = [q.coeff(k) + q.coeff(n - k)
                                for k in range(n + 1)]
 
@@ -115,8 +121,8 @@ def choose_split(poly, n, sphere_only=False):
     Among the splittings with q_n = 1 and q_0 = 0 it takes the one with
     the fewest sphere blocks.  The connected form fixes p_(n-1) and no
     other free degree, so that optimum sets every other free p_i to 0.
-    sphere_only demands q = t^n, which fixes each free p_i to c(i)
-    (c(i)/2 in the middle degree), or leaves no splitting.
+    sphere_only demands q = t^n: each free p_i then takes all it can,
+    its bound in the box, and the q that is left must be t^n.
     """
     box = splitting_box(poly, n)
     top = connected_p_top(poly, n, box)
@@ -126,22 +132,15 @@ def choose_split(poly, n, sphere_only=False):
             "in degree 0")
         raise DomainError(
             f"not compatible with duality in connected form: {reason}")
-    forced, degrees, _ = box
+    forced, degrees, bounds = box
     if not sphere_only:
         return split_from_p(poly, n, forced, [(n - 1, top)])
-    c = poly.coeff
-    free = []
-    for i in degrees:
-        if 2 * i == n - 1:
-            v = c(i) // 2 if c(i) % 2 == 0 else None
-        else:
-            v = c(i) if c(i) == c(n - 1 - i) else None
-        if v is None:
-            raise DomainError(
-                f"sphere-only plan impossible for {poly}: every splitting "
-                "leaves terms that need manifold blocks")
-        free.append((i, v))
-    return split_from_p(poly, n, forced, free)
+    q, p = split_from_p(poly, n, forced, zip(degrees, bounds))
+    if q != LaurentPoly({n: 1}):
+        raise DomainError(
+            f"sphere-only plan impossible for {poly}: every splitting "
+            "leaves terms that need manifold blocks")
+    return q, p
 
 
 def realize(poly, n, sphere_only=False):
@@ -160,12 +159,8 @@ def realize(poly, n, sphere_only=False):
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
     q, p = choose_split(poly, n, sphere_only)
-    count = sum(q.coeff(a) for a in range(1, n)) \
-        + sum(max(v, 0) for v in p.coeffs.values())
-    if count > MAX_PLAN_BLOCKS:
-        raise DomainError(
-            f"plan too large: {count} blocks exceed the cap of "
-            f"{MAX_PLAN_BLOCKS:.3g}")
+    check_block_cap(sum(q.coeff(a) for a in range(1, n))
+                    + sum(max(v, 0) for v in p.coeffs.values()))
     blocks = []
     for a in range(1, n):
         blocks.extend(Block("Manifold", n, a) for _ in range(q.coeff(a)))

@@ -549,10 +549,8 @@ def _fiber_linear(n, coeffs):
     """The linear form sum_j coeffs[j] * eta_j in the n + len(coeffs)
     variables of a family."""
     nv = n + len(coeffs)
-    out = MultiPoly(nv)
-    for j, c in enumerate(coeffs):
-        out = out + MultiPoly.variable(nv, n + j).scale(c)
-    return out
+    return MultiPoly(nv, ((tuple(int(v == n + j) for v in range(nv)), c)
+                          for j, c in enumerate(coeffs)))
 
 
 # --- standard families ------------------------------------------------
@@ -1191,9 +1189,7 @@ def reeb_chords(fam, step=0.05):
     _audit_duality(points, n, N)
     chords = sorted((p for p in points if p.value > 0),
                     key=lambda p: (p.value, p.coords))
-    gamma = LaurentPoly({})
-    for p in chords:
-        gamma = gamma + LaurentPoly({p.degree: 1})
+    gamma = LaurentPoly((p.degree, 1) for p in chords)
     return chords, gamma, _chord_report(chords, step)
 
 

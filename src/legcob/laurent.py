@@ -38,18 +38,26 @@ class LaurentPoly:
     """A Laurent polynomial in one variable with integer coefficients.
 
     Stored as a sparse degree -> coefficient dict; zero coefficients are
-    never kept.
+    never kept.  The constructor sums a dict's or an iterable's (degree,
+    coefficient) pairs in order: a running sum that reaches 0 leaves the
+    dict, and a pair that revives it puts it back last, as a chain of
+    `+`, one pair at a time, would.
 
     >>> str(LaurentPoly({5: 1, 4: 2, 0: 2}))
     't^5 + 2t^4 + 2'
+    >>> LaurentPoly([(1, 2), (0, 1), (1, -2), (1, 3)])
+    LaurentPoly({0: 1, 1: 3})
     """
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                if c:
-                    self.coeffs[int(d)] = int(c)
+    def __init__(self, coeffs=()):
+        self.coeffs = out = {}
+        for d, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
+            d = int(d)
+            total = out.get(d, 0) + int(c)
+            if total:
+                out[d] = total
+            else:
+                out.pop(d, None)
 
     def coeff(self, degree):
         return self.coeffs.get(degree, 0)
@@ -58,16 +66,12 @@ class LaurentPoly:
         return not self.coeffs
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly(itertools.chain(self.coeffs.items(),
+                                           other.coeffs.items()))
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) - c
-        return LaurentPoly(out)
+        return LaurentPoly(itertools.chain(
+            self.coeffs.items(), ((d, -c) for d, c in other.coeffs.items())))
 
     def scale(self, k):
         return LaurentPoly({d: k * c for d, c in self.coeffs.items()})

@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials with float coefficients.
 
-Small support layer for the numerical family code: exact evaluation on
+Small support layer for the numerical family code: polynomials built
+from their (exponents, coefficient) pairs in one pass, exact evaluation on
 numpy arrays, exact partial derivatives, variable shifts, and a parser
 for expanded expressions like "3*e1 - 3*x1^2*e1 - e1^3".  The grammar
 deliberately has no parentheses; families are written out in expanded
@@ -15,6 +16,7 @@ machine; across machines nothing is claimed.
 """
 
 import functools
+import itertools
 import math
 import re
 
@@ -24,84 +26,71 @@ from .errors import DomainError
 
 
 class MultiPoly:
-    """terms: exponent tuple (one slot per variable) -> coefficient."""
+    """terms: exponent tuple (one slot per variable) -> coefficient.
 
-    def __init__(self, nvars, terms=None):
+    The constructor sums a dict's or an iterable's (exponent tuple,
+    coefficient) pairs in order: a running sum that reaches 0 leaves
+    the dict, and a pair that revives it puts it back last, as a chain
+    of `+`, one pair at a time, would, to the last bit.
+    """
+
+    def __init__(self, nvars, terms=()):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != nvars:
-                    raise DomainError(
-                        f"exponent tuple {exps} has {len(exps)} slots, "
-                        f"expected {nvars}")
-                if c:
-                    self.terms[tuple(int(e) for e in exps)] = \
-                        self.terms.get(tuple(exps), 0.0) + float(c)
-
-    @classmethod
-    def variable(cls, nvars, i):
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): 1.0})
+        self.terms = out = {}
+        for exps, c in terms.items() if isinstance(terms, dict) else terms:
+            if len(exps) != nvars:
+                raise DomainError(
+                    f"exponent tuple {exps} has {len(exps)} slots, "
+                    f"expected {nvars}")
+            key = tuple(int(e) for e in exps)
+            total = out.get(key, 0.0) + float(c)
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(self.nvars, itertools.chain(self.terms.items(),
+                                                     other.terms.items()))
 
     def scale(self, k):
         return MultiPoly(self.nvars,
                          {e: k * c for e, c in self.terms.items()})
 
     def diff(self, i):
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), 0.0) + c * e[i]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(self.nvars, (
+            (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+            for e, c in self.terms.items() if e[i]))
 
     def shift(self, i, c):
         """Substitute variable i -> variable i + c."""
-        out = MultiPoly(self.nvars)
-        for e, coeff in self.terms.items():
-            base = list(e)
-            expanded = {}
-            for k in range(e[i] + 1):
-                base[i] = k
-                expanded[tuple(base)] = (coeff * math.comb(e[i], k)
-                                         * c ** (e[i] - k))
-            out = out + MultiPoly(self.nvars, expanded)
-        return out
+        return MultiPoly(self.nvars, (
+            (e[:i] + (k,) + e[i + 1:], coeff * math.comb(e[i], k)
+             * c ** (e[i] - k))
+            for e, coeff in self.terms.items() for k in range(e[i] + 1)))
 
     def insert_rotation(self, i):
         """Substitute (variable i)^2 -> x_i^2 + x_new^2, the new variable
         spliced in after slot i.  Requires every exponent of slot i even.
         """
-        out = {}
-        for e, coeff in self.terms.items():
-            if e[i] % 2:
-                raise DomainError(
-                    f"odd exponent {e[i]} in rotated variable slot {i}")
-            k = e[i] // 2
-            for j in range(k + 1):
-                ne = list(e)
-                ne[i] = 2 * j
-                ne.insert(i + 1, 2 * (k - j))
-                ne = tuple(ne)
-                try:
-                    out[ne] = out.get(ne, 0.0) + coeff * math.comb(k, j)
-                except OverflowError:
+        def pairs():
+            for e, coeff in self.terms.items():
+                if e[i] % 2:
                     raise DomainError(
-                        f"rotated coefficient {coeff:g} * C({k}, {j}) "
-                        "overflows a float") from None
-        return MultiPoly(self.nvars + 1, out)
+                        f"odd exponent {e[i]} in rotated variable slot {i}")
+                k = e[i] // 2
+                for j in range(k + 1):
+                    try:
+                        c = coeff * math.comb(k, j)
+                    except OverflowError:
+                        raise DomainError(
+                            f"rotated coefficient {coeff:g} * C({k}, {j}) "
+                            "overflows a float") from None
+                    yield e[:i] + (2 * j, 2 * (k - j)) + e[i + 1:], c
+        return MultiPoly(self.nvars + 1, pairs())
 
     def evaluate(self, cols):
         """cols: one scalar or numpy array per variable.  Each power of
@@ -226,13 +215,11 @@ def parse_mpoly(text, names):
     """
     index = {name: i for i, name in enumerate(names)}
     nvars = len(names)
-    poly = MultiPoly(nvars)
-    seen = 0
+    pairs = []
     for chunk in _TERM_SPLIT_RE.split(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        seen += 1
         coeff = 1.0
         if chunk.startswith("-"):
             coeff = -1.0
@@ -255,7 +242,7 @@ def parse_mpoly(text, names):
             if k < 0:
                 raise DomainError(f"negative exponent in {factor!r}")
             exps[index[m.group(1)]] += k
-        poly = poly + MultiPoly(nvars, {tuple(exps): coeff})
-    if not seen:
+        pairs.append((exps, coeff))
+    if not pairs:
         raise DomainError("empty polynomial expression")
-    return poly
+    return MultiPoly(nvars, pairs)

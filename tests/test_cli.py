@@ -116,6 +116,26 @@ def test_plan_verify_rejects_malformed_fields(tmp_path, capsys):
     assert rc == 0
 
 
+def test_plan_verify_meets_the_block_cap(tmp_path, capsys, monkeypatch):
+    # a plan file gets the planner's cap, counted before any block is
+    # built: at the cap it verifies, one over it is refused
+    from legcob import geography
+    monkeypatch.setattr(geography, "MAX_PLAN_BLOCKS", 3)
+    three = {"n": 4, "target": "t^4 + t^3 + t^2 + t",
+             "blocks": [{"kind": "Manifold", "a": a} for a in (1, 2, 3)]}
+    rc, out = _verify_plan(tmp_path, capsys, three)
+    assert rc == 0 and grab(out, "verified") == "true"
+    four = dict(three, blocks=three["blocks"] + [{"kind": "Saucer"}])
+
+    def no_block(*args):
+        raise AssertionError("a block was built")
+    monkeypatch.setattr(geography, "Block", no_block)
+    rc, out = _verify_plan(tmp_path, capsys, four)
+    assert rc == 1
+    assert out.startswith("error: plan too large: 4 blocks exceed the cap "
+                          "of 3")
+
+
 def test_gf_file_rejects_malformed_numbers(tmp_path, capsys):
     # n=x and R=abc used to end in a ValueError traceback
     good = {"n": "1", "N": "1", "core": "3*e1 - 3*x1^2*e1 - e1^3",

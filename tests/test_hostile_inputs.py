@@ -9,6 +9,7 @@ strict xfail naming the ROADMAP item that fixes it, so a fix shows up
 as an unexpected pass; none is marked today.
 """
 
+import json
 import os
 import resource
 import subprocess
@@ -127,6 +128,34 @@ ROWS = [
     pytest.param(["plan", "--verify", "/dev/zero"], id="plan-verify-dev-zero"),
 ]
 
+# Long inputs, written to the working directory of the long-input rows
+# only.
+LONG_FILES = {
+    # 20,000 manifold blocks in distinct degrees, twice the plan cap
+    "blocks-20000.plan": json.dumps({
+        "n": 20001,
+        "target": "t^20001 + " + " + ".join(
+            f"t^{a}" for a in range(20000, 0, -1)),
+        "blocks": [{"kind": "Manifold", "a": a} for a in range(1, 20001)]}),
+    # 2,500 distinct terms x1^i*e1^j, 34 KB
+    "core-2500.gf": "n=1\nN=1\ncore=" + " + ".join(
+        f"x1^{i}*e1^{j}" for i in range(50) for j in range(50))
+    + "\ntail=-5*e1\nR=0.25\n"}
+
+# Each row: argv, its exit code and a line of its output.
+LONG_ROWS = [
+    # 9,999 manifold blocks in distinct degrees, under the plan cap: an
+    # 89 KB argv
+    pytest.param(["plan", "--dim", "20000", "--poly", "t^20000 + " + " + ".join(
+        f"t^{a}" for a in range(9999, 0, -1))], 0, '    "equal": true,',
+        id="plan-9999-degrees"),
+    pytest.param(["plan", "--verify", "blocks-20000.plan"], 1,
+                 "error: plan too large: 20000 blocks exceed the cap of 1e+04",
+                 id="plan-verify-20000-blocks"),
+    pytest.param(["gf-chords", "--file", "core-2500.gf"], 0, "gamma t",
+                 id="gf-chords-2500-terms"),
+]
+
 
 def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
@@ -187,3 +216,18 @@ def test_overflowing_core_is_refused(command, tmp_path):
     proc = _run([command, "--file", "huge-exponent.gf"], tmp_path)
     assert proc.returncode == 1
     assert "grid box [-6, 6]^2" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, code, line", LONG_ROWS)
+def test_long_input_gets_a_linear_answer(argv, code, line, tmp_path):
+    """These inputs are long, tens of kilobytes, not short, so their
+    cost may grow with their length but must stay linear in it: each
+    term, degree or block is summed into its polynomial once, not by
+    rebuilding the whole sum for each, and a plan file over the block
+    cap is refused before any block is built.  They answer under the
+    same caps and deadline as the short inputs."""
+    for name, text in LONG_FILES.items():
+        (tmp_path / name).write_text(text)
+    proc = _run(argv, tmp_path)
+    assert proc.returncode == code, proc.stdout[-500:]
+    assert line in proc.stdout.splitlines(), proc.stdout[:500]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legcob.errors import DomainError
+from legcob.exactseq import connect_sum
 from legcob.laurent import (LaurentPoly, parse_poly, decompose,
                             is_connected_form, tb_from_polynomial)
 
@@ -148,3 +149,72 @@ def test_decompose_output_always_replays(coeffs, n):
     poly = LaurentPoly(coeffs)
     for q, p in decompose(poly, n):
         assert q + p + p.reflect(n - 1) == poly
+
+
+def ref_fold(pairs):
+    """The coefficients a chain of `+` builds, one monomial per pair:
+    each step copies the sum, adds the monomial and drops every zero
+    coefficient, the way LaurentPoly built polynomials term by term."""
+    total = {}
+    for d, c in pairs:
+        term = {int(d): int(c)} if c else {}
+        out = dict(total)
+        for e, v in term.items():
+            out[e] = out.get(e, 0) + v
+        total = {int(e): int(v) for e, v in out.items() if v}
+    return total
+
+
+def ref_connect_sum(gammas, n):
+    """The old connect sum: add each summand, then take one t^n off."""
+    total = gammas[0]
+    for g in gammas[1:]:
+        total = LaurentPoly(ref_fold([*total.coeffs.items(),
+                                      *g.coeffs.items()]))
+        total = total.subtract_monomial(n)
+    return total
+
+
+# few degrees and small coefficients, so that running sums reach 0 and
+# come back
+fold_pairs = st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 2)),
+                      max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_pairs, fold_pairs)
+def test_constructor_sum_and_difference_match_the_chain(left, right):
+    want = ref_fold(left)
+    assert LaurentPoly(left).coeffs == want
+    assert list(LaurentPoly(iter(left)).coeffs.items()) == list(want.items())
+    assert LaurentPoly(dict(left)).coeffs == ref_fold(dict(left).items())
+    a, b = LaurentPoly(left), LaurentPoly(right)
+    both = [*a.coeffs.items(), *b.coeffs.items()]
+    assert (a + b).coeffs == ref_fold(both)
+    assert (a - b).coeffs == ref_fold(
+        [*a.coeffs.items(), *((d, -c) for d, c in b.coeffs.items())])
+
+
+def test_constructor_revives_a_cancelled_degree_last():
+    p = LaurentPoly([(1, 2), (0, 1), (1, -2), (1, 3)])
+    assert list(p.coeffs.items()) == [(0, 1), (1, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 4), st.integers(-1, 2),
+                                max_size=3), min_size=1, max_size=8),
+       st.integers(2, 4))
+def test_connect_sum_underflows_at_the_chain_prefix(summands, n):
+    """connect_sum answers as the old fold does on every prefix, and
+    refuses at the first prefix the fold refuses, with its message."""
+    gammas = [LaurentPoly(c) for c in summands]
+    for k in range(1, len(gammas) + 1):
+        try:
+            want = ref_connect_sum(gammas[:k], n)
+        except DomainError as e:
+            with pytest.raises(DomainError) as got:
+                connect_sum(gammas[:k], n)
+            assert str(got.value) == str(e)
+            assert str(e).startswith(f"coefficient underflow at degree {n}")
+            return
+        assert connect_sum(gammas[:k], n).coeffs == want.coeffs

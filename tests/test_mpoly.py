@@ -115,3 +115,63 @@ def test_shift_round_trip_and_arith(terms, c, pt):
     assert abs(back.evaluate(cols)[0] - p.evaluate(cols)[0]) < 1e-6
     q = p + p.scale(-1.0)
     assert abs(q.evaluate(cols)[0]) < 1e-9
+
+
+def ref_fold(nvars, pairs):
+    """The terms a chain of `+` builds, one single-term polynomial per
+    pair: each step copies the sum, adds the term and drops every zero
+    coefficient, the way MultiPoly built polynomials term by term."""
+    total = {}
+    for exps, c in pairs:
+        term = {tuple(int(e) for e in exps): 0.0 + float(c)} if c else {}
+        out = dict(total)
+        for e, v in term.items():
+            out[e] = out.get(e, 0.0) + v
+        total = {e: 0.0 + float(v) for e, v in out.items() if v}
+    return total
+
+
+def _bits(terms):
+    """The items of a term dict in order, each coefficient as its exact
+    bits (nan and -0.0 included)."""
+    return [(e, float(c).hex()) for e, c in terms.items()]
+
+
+# few keys and coefficients that cancel, so that running sums reach 0
+# and come back
+fold_exps = st.tuples(st.integers(0, 2), st.integers(0, 1))
+fold_coeffs = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.1, 0.2, -0.3, 0.0, -0.0]),
+    st.floats(width=64))
+fold_pairs = st.lists(st.tuples(fold_exps, fold_coeffs), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_pairs)
+def test_constructor_sums_pairs_like_the_chain(pairs):
+    want = _bits(ref_fold(2, pairs))
+    assert _bits(MultiPoly(2, pairs).terms) == want
+    assert _bits(MultiPoly(2, iter(pairs)).terms) == want
+    # a dict holds each key once, so it is its pairs
+    d = dict(pairs)
+    assert _bits(MultiPoly(2, d).terms) == _bits(ref_fold(2, d.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_pairs, fold_pairs)
+def test_sum_and_parse_match_the_chain(left, right):
+    p = MultiPoly(2, left) + MultiPoly(2, right)
+    assert _bits(p.terms) == _bits(ref_fold(
+        2, list(ref_fold(2, left).items()) + list(ref_fold(2, right).items())))
+    finite = [(e, c) for e, c in left + right if np.isfinite(c)]
+    if finite:
+        text = " + ".join(f"{c!r}*x1^{e[0]}*e1^{e[1]}" for e, c in finite)
+        assert _bits(poly(text).terms) == _bits(ref_fold(2, finite))
+
+
+def test_constructor_revives_a_cancelled_term_last():
+    p = MultiPoly(2, [((1, 0), 1.0), ((0, 1), 2.0), ((1, 0), -1.0),
+                      ((1, 0), 3.0)])
+    assert list(p.terms.items()) == [((0, 1), 2.0), ((1, 0), 3.0)]
+    with pytest.raises(DomainError, match="3 slots, expected 2"):
+        MultiPoly(2, [((0, 1, 0), 1.0)])
