@@ -10,7 +10,10 @@ of strands numbered from 1 at the top:
 Validity means every position is legal for the current strand count and
 the count returns to zero with as many left as right cusps.  Strand ids
 are assigned at birth and persist through crossings, so an id names one
-arc running from its left cusp to its right cusp.
+arc running from its left cusp to its right cusp.  The pair of ids at
+each crossing and cusp, which every invariant reads, comes from one run
+of the word (simulate); per-slice stacks of ids are kept only for the
+code that reads slices.
 
 >>> d = parse_front("L1 R1")
 >>> classical_invariants(d)["tb"]
@@ -41,8 +44,8 @@ def parse_front(text):
 
 
 class FrontDiagram:
-    """A validated front word, its strand counts and stacks, and what
-    they determine.
+    """A validated front word, its strand counts and event labels, and
+    what they determine.
 
     Set on construction, which checks every position against the strand
     count of its slice, an integer count per event (no strand ids):
@@ -52,13 +55,11 @@ class FrontDiagram:
       n_left      left cusps; n_right (equal) and n_ids = 2 * n_left
       counts      tuple of strand counts, one per slice (len(events)+1)
     Read off the counts on each use: max_strands, the largest count.
-    Simulated on first use, in one run of the whole word:
-      stacks      tuple of strand-id stacks, one per slice
-    Computed on first use, from the stacks:
+    Computed on first use, in one run of the word (simulate) on one
+    list, each event's pair read as the run passes it:
       crossings   list of (event_index, pos, upper_id, lower_id)
       cusps       list of (event_index, kind, pos, upper_id, lower_id)
-    and from one walk of the cusp cycles (cusp_walk, whose cycle walk,
-    walk_cycle, the trace replay also runs on its own strand labels):
+    and from one walk of the cusp cycles on that cusp list (cusp_walk):
       comp_of     id -> component index (components numbered by oldest id)
       components  list of sorted id lists
       n_components
@@ -66,6 +67,9 @@ class FrontDiagram:
                   component's first left cusp; even means pointing right
       defects     per component, the size of the potential's jump around
                   its cycle (0 when single valued)
+    Simulated on first use, only for readers of slices (render, the
+    tongue walk's base, a replay's start), in another run of the word:
+      stacks      tuple of strand-id stacks, one per slice
 
     With no parent the whole word is checked.  A windowed build takes a
     parent front and window=(w0, w1_old): `events` is the parent's word
@@ -75,11 +79,11 @@ class FrontDiagram:
     the parent's count at w1_old, as every move's window does; the
     parent's suffix then stays valid.  `word` joins the parent's tokens
     with the window's spliced in.  A windowed build inherits the
-    parent's counts, not its stacks: on first use its counts are the
+    parent's counts, not its labels: on first use its counts are the
     parent's outside the window and the window's own inside it.  Its
-    stacks are one simulation of the whole word, as a full build's are,
-    so a front whose stacks are never read (most states of a search)
-    never simulates them.
+    labels are one run of the whole word, as a full build's are, so a
+    front whose labels are never read (most states of a search) never
+    runs its word.
     """
 
     _LAZY = {"n_left": "_count_left", "counts": "_count",
@@ -148,22 +152,23 @@ class FrontDiagram:
     def _sweep(self):
         crossings = []
         cusps = []
-        stacks = self.stacks
+        stack = []
+        run = simulate(self.events, stack, 0)
         for i, (kind, pos) in enumerate(self.events):
             if kind == "L":
-                s = stacks[i + 1]
-                cusps.append((i, "L", pos, s[pos - 1], s[pos]))
+                next(run)  # a left cusp's pair is read after it
+            u, l = stack[pos - 1], stack[pos]
+            if kind == "X":
+                crossings.append((i, pos, u, l))
             else:
-                s = stacks[i]
-                if kind == "X":
-                    crossings.append((i, pos, s[pos - 1], s[pos]))
-                else:
-                    cusps.append((i, "R", pos, s[pos - 1], s[pos]))
+                cusps.append((i, kind, pos, u, l))
+            if kind != "L":
+                next(run)  # a crossing's or right cusp's before it
         self.crossings = crossings
         self.cusps = cusps
 
     def _walk(self):
-        potential, comp_of, self.defects = cusp_walk(self.events, self.stacks)
+        potential, comp_of, self.defects = cusp_walk(self.cusps)
         ids = range(self.n_ids)
         self.potential = [potential[a] for a in ids]
         self.comp_of = [comp_of[a] for a in ids]
@@ -236,21 +241,14 @@ def simulate(events, stack, nid):
         yield stack
 
 
-def record_cusps(events, stacks, born_with, dies_with, indices):
-    """Record the partners at the cusps among the events `indices` of
-    the front `events`, whose slices hold the strand labels `stacks`:
+def record_cusps(cusps, born_with, dies_with):
+    """Record the partners at the cusps `cusps`, entries (event_index,
+    kind, pos, upper, lower) as FrontDiagram.cusps lists them:
     born_with[x] = (y, step) when x is born with y at a left cusp,
     dies_with[x] likewise at a right cusp, where step is mu(y) - mu(x),
     -1 from the upper strand and 1 from the lower."""
-    for i in indices:
-        kind, pos = events[i]
-        if kind == "L":
-            s, table = stacks[i + 1], born_with
-        elif kind == "R":
-            s, table = stacks[i], dies_with
-        else:
-            continue
-        u, l = s[pos - 1], s[pos]
+    for _, kind, _, u, l in cusps:
+        table = born_with if kind == "L" else dies_with
         table[u] = (l, -1)
         table[l] = (u, 1)
 
@@ -281,9 +279,9 @@ def walk_cycle(a, born_with, dies_with):
     raise AssertionError("cusp cycle does not close")
 
 
-def cusp_walk(events, stacks):
-    """One walk of the cusp cycles of the front `events`, whose slices
-    hold the strand labels `stacks`.
+def cusp_walk(cusps):
+    """One walk of the cusp cycles of a front, from its cusp list
+    `cusps` (as FrontDiagram.cusps lists it, on any strand labels).
 
     Returns (potential, comp_of, defects): dicts label -> raw Maslov
     potential and label -> component, and per component the size of the
@@ -296,11 +294,12 @@ def cusp_walk(events, stacks):
     left at the birth cusp that closes the cycle is the defect.  Strands
     reverse direction at every cusp, so the potential's parity is the
     orientation.  A gf-mode trace replay keeps the partners of its
-    running front and walks one cycle per graded pinch; it calls this
-    only for a refused pinch's message.
+    running front and walks one cycle per graded pinch; a refused pinch
+    takes its message from the whole-front walk of a FrontDiagram of
+    its front, which runs this.
     """
     born_with, dies_with = {}, {}
-    record_cusps(events, stacks, born_with, dies_with, range(len(events)))
+    record_cusps(cusps, born_with, dies_with)
     potential = {}
     comp_of = {}
     defects = []

@@ -6,8 +6,8 @@ that window's positions, against strand counts, with the checks of a
 full build, so an illegal rewrite surfaces as "move not applicable"
 instead of a corrupt diagram, and splices the window's tokens into the
 old word's.  Its strand counts are the old diagram's outside the
-window it checks; its strand stacks, if read at all, are one
-simulation of the whole new word (see FrontDiagram).
+window it checks; its event labels, if read at all, are one run of
+the whole new word (see FrontDiagram).
 
 Move syntax, one per trace line (s = slice index, h = height, e = event
 index, all 0-based except heights which are 1-based like event words):
@@ -43,16 +43,18 @@ build's own check (front.check_window), simulates the window alone
 union-find that counts the surface's connected pieces.  In gf mode it
 also checks each pinch's grading (_check_grading) by walking one cusp
 cycle of its running front (front.walk_cycle) on the cusp partners the
-replay keeps; no other code path grades a pinch.  Only the end front is
-built.
+replay keeps, seeded from the start front's cusp list; no other code
+path grades a pinch.  Only the end front is built, and for a refused
+pinch the front it pinches, whose own whole-front walk gives the
+numbers of the message.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 
 from .errors import DomainError
-from .front import (_SHIFT, FrontDiagram, check_window, cusp_walk,
-                    parse_front, record_cusps, simulate, walk_cycle)
+from .front import (_SHIFT, FrontDiagram, check_window, parse_front,
+                    record_cusps, simulate, walk_cycle)
 
 # Each move with its inverse as local rewrites old -> new of the event
 # word, positions written as offsets from a height h.  A move whose old
@@ -136,25 +138,27 @@ def _check_grading(move, events, stacks, born_with, dies_with):
     strands lie on distinct components, whose potentials can be shifted
     freely.  Otherwise mu(a) - mu(b) - gap is tested modulo the cycle's
     jump, which does not depend on where the walk starts.  A refused
-    pinch takes the numbers of its message from one walk of the whole
-    front (front.cusp_walk)."""
+    pinch takes the numbers of its message from the whole-front walk of
+    FrontDiagram(events), at the ids in the same spots: a at index
+    h - 1 of slice w, b at index hb of slice t."""
     if move[0] == "P":
         _, w, h = move
-        a, b, gap, what = stacks[w][h - 1], stacks[w][h], 1, "potentials"
+        t, hb, gap, what = w, h, 1, "potentials"
     else:
         w = move[1]
         h = events[w][1]
-        a, b = stacks[w][h - 1], stacks[w + 2][h - 1]
-        gap, what = 0, "cusp levels"
+        t, hb, gap, what = w + 2, h - 1, 0, "cusp levels"
+    a, b = stacks[w][h - 1], stacks[t][hb]
     cycle, jump = walk_cycle(b, born_with, dies_with)
     if a not in cycle:
         return
     diff = cycle[a] - cycle[b] - gap
     if (diff % jump if jump else diff) == 0:
         return
-    potential, comp_of, defects = cusp_walk(events, stacks)
-    m = defects[comp_of[a]] or None
-    mu_a, mu_b = potential[a], potential[b]
+    d = FrontDiagram(events)
+    a, b = d.stacks[w][h - 1], d.stacks[t][hb]
+    m = d.defects[d.comp_of[a]] or None
+    mu_a, mu_b = d.potential[a], d.potential[b]
     if m:
         mu_a, mu_b = mu_a % m, mu_b % m
     raise DomainError(
@@ -183,7 +187,7 @@ def _commute(first, second, below):
 def apply_move(diagram, move):
     """Apply one move to a FrontDiagram, returning the new diagram.  It
     is built from `diagram`, checking the rewritten window only, so its
-    position checks reject an illegal rewrite; its counts and stacks
+    position checks reject an illegal rewrite; its counts and labels
     wait for their first read.  No pinch grading is checked here: only
     a gf-mode replay grades (see _replay)."""
     w0, w1_old, repl = _rewrite(diagram.events, move)
@@ -412,8 +416,9 @@ def _replay(trace):
     the window, up to its death cusp, take the new label.
 
     The replay keeps, for the running front, each label's partner and
-    mu step at its birth and at its death cusp (front.record_cusps), so
-    a graded pinch walks one cusp cycle and not the whole front.  A move
+    mu step at its birth and at its death cusp, recorded first from the
+    start front's cusp list (front.record_cusps), so a graded pinch
+    walks one cusp cycle and not the whole front.  A move
     changes them at the cusps of its window, which the loop that joins
     their strands records, and at the death cusps of the strands it
     renames.  A new strand that takes an old label takes its birth
@@ -441,7 +446,7 @@ def _replay(trace):
     for _, _, _, u, l in start.cusps:
         union(u, l)
     born_with, dies_with = {}, {}
-    record_cusps(events, stacks, born_with, dies_with, range(len(events)))
+    record_cusps(start.cusps, born_with, dies_with)
     for move in trace.moves:
         w0, w1_old, repl = _rewrite(events, move)
         w1_new = w0 + len(repl)
@@ -486,10 +491,12 @@ def _replay(trace):
                 born_with[partner] = (a, -step)
             else:
                 ends.append(_rename(events, stacks, w1_new, h, b))
-        if ends:
+        for t in ends:
             # both strands of one death cusp may be renamed: record its
             # partners once every label is final
-            record_cusps(events, stacks, born_with, dies_with, ends)
+            pos = events[t][1]
+            u, l = stacks[t][pos - 1], stacks[t][pos]
+            dies_with[u], dies_with[l] = (l, -1), (u, 1)
         # only a birth makes a piece that joins no label of the last front
         if move[0] != "B" and any(find(a) >= nid
                                   for a in range(nid, len(parent))):

@@ -16,23 +16,14 @@ MARGIN = 30
 
 
 def _strand_tracks(diagram):
-    """Per id: (birth event, death event, [(slice, position 1-based), ...])."""
-    born = {}
-    died = {}
-    for i, kind, pos, u, l in diagram.cusps:
-        if kind == "L":
-            born[u] = i
-            born[l] = i
-        else:
-            died[u] = i
-            died[l] = i
-    tracks = {}
-    for a in range(diagram.n_ids):
-        pts = []
-        for s in range(born[a] + 1, died[a] + 1):
-            pts.append((s, diagram.stacks[s].index(a) + 1))
-        tracks[a] = (born[a], died[a], pts)
-    return tracks
+    """Per id: (birth event, death event, [(slice, position 1-based), ...]),
+    listed in one pass over the slices.  An id is born at the event
+    before its first slice and dies at the event after its last."""
+    pts = [[] for _ in range(diagram.n_ids)]
+    for s, stack in enumerate(diagram.stacks):
+        for p, a in enumerate(stack, 1):
+            pts[a].append((s, p))
+    return {a: (t[0][0] - 1, t[-1][0], t) for a, t in enumerate(pts)}
 
 
 def render_svg(diagram):

@@ -28,7 +28,9 @@ _CUT = [("R", 1), ("L", 1)]
 # fish in the cut region, fish two strands below, then merge both fish
 # cusps with their neighbors: the four clasp events replace the cut
 _CLASP_ENDING = [("R1a", 5, 1), ("R1b", 8, 2), ("PM", 7), ("PM", 3)]
-_CUT_SLICE = 1
+# The cut sits at slice 1 on strand id 0, the upper strand of the L1 a
+# valid front opens with.
+_CUT_SLICE, _CUT_ID = 1, 0
 
 # Cap on the work of one double: base events^2 x (max strands + 2).
 # The tongue walk has a stage per base feature, and each stage's search
@@ -112,11 +114,10 @@ def _loop_visits(base):
     for i, pos, u, l in base.crossings:
         xs[u].append((i, l))
         xs[l].append((i, u))
-    cut_id = base.stacks[_CUT_SLICE][0]
     visits = []
-    cur, direction = cut_id, 1
+    cur, direction = _CUT_ID, 1
     while True:
-        if cur == cut_id and visits:
+        if cur == _CUT_ID and visits:
             visits.append((cur, 1, []))
             return visits
         if direction > 0:
@@ -141,9 +142,8 @@ class _TongueState:
     def __init__(self, base):
         self.base = base
         self.mat = set()
-        self.cut_id = base.stacks[_CUT_SLICE][0]
-        self.spans = {self.cut_id: [_CUT_SLICE, _CUT_SLICE]}
-        self.tip = [self.cut_id, 1, _CUT_SLICE, 1]
+        self.spans = {_CUT_ID: [_CUT_SLICE, _CUT_SLICE]}
+        self.tip = [_CUT_ID, 1, _CUT_SLICE, 1]
 
     def covered_at(self, w, t, before_start, at_event=False):
         if w not in self.spans:
@@ -151,11 +151,11 @@ class _TongueState:
         lo, hi = self.spans[w]
         if not lo <= t <= hi:
             return False
-        if w == self.cut_id and t == _CUT_SLICE and before_start:
+        if w == _CUT_ID and t == _CUT_SLICE and before_start:
             return False
         if at_event and w == self.tip[0] and self.tip[1] > 0 \
                 and t == self.tip[2] \
-                and not (w == self.cut_id and t >= _CUT_SLICE):
+                and not (w == _CUT_ID and t >= _CUT_SLICE):
             # the event at index t sits just right of a right-moving
             # tip, so the tip strand's copies have not reached it yet;
             # the cut strand keeps its original copies right of the cut

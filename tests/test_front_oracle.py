@@ -812,10 +812,15 @@ def _relabelling(d, stacks):
 
 
 def _assert_walk_matches_reference(d, stacks):
-    """cusp_walk on the front d with its ids relabelled as `stacks`
-    gives ref_walk's values at the relabelled ids."""
+    """cusp_walk on the cusp list of the front d with its ids relabelled
+    as `stacks`, each pair read off the slice after a left cusp and
+    before a right one, gives ref_walk's values at the relabelled ids."""
     labels = _relabelling(d, stacks)
-    potential, comp_of, defects = cusp_walk(d.events, stacks)
+    cusps = []
+    for i, kind, pos, _, _ in d.cusps:
+        s = stacks[i + 1] if kind == "L" else stacks[i]
+        cusps.append((i, kind, pos, s[pos - 1], s[pos]))
+    potential, comp_of, defects = cusp_walk(cusps)
     ref_potential, ref_defects, ref_comp_of, _ = ref_walk(d)
     assert [potential[b] for b in labels] == ref_potential, d.word
     assert [comp_of[b] for b in labels] == ref_comp_of, d.word

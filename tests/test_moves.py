@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import legcob.front as front_module
 import legcob.moves as moves_module
 from legcob.errors import DomainError
 from legcob.front import classical_invariants, cusp_walk, parse_front
@@ -254,17 +255,20 @@ def test_gf_trace_replay_checks_pinches():
 
 def test_accepted_gf_replays_walk_no_whole_front(monkeypatch):
     # a graded pinch walks one cusp cycle on the partners the replay
-    # keeps; only a refused one walks the whole front, for its message
+    # keeps; only a refused one walks the whole front, its own
+    # FrontDiagram's, for its message
     traces = [_wh_trace(word) for word in MOVE_BASES]
     traces += [_braid_trace(s, letters) for s, letters in BRAIDS]
     wants = [ref_label_replay(trace) for trace in traces]
     assert sum(want[2] for want in wants) > 50
     pinches = parse_trace("L1 R1\n" + "P 1 1\n" * 999, gf_mode=True)
+    traces.append(pinches)
+    wants.append(ref_label_replay(pinches))
 
-    def whole_front_walk(events, stacks):
+    def whole_front_walk(cusps):
         raise AssertionError("a whole-front cusp walk")
 
-    monkeypatch.setattr(moves_module, "cusp_walk", whole_front_walk)
+    monkeypatch.setattr(front_module, "cusp_walk", whole_front_walk)
     for trace, (end, births, pinch_count, pieces) in zip(traces, wants):
         assert trace.gf_mode
         # some braid fillings are disconnected, which trace_summary
@@ -272,16 +276,17 @@ def test_accepted_gf_replays_walk_no_whole_front(monkeypatch):
         got = moves_module._replay(trace)
         assert (got[0].word, *got[1:]) == (end.word, births, pinch_count,
                                            pieces)
+    monkeypatch.undo()
     got = trace_summary(pinches)
     assert (got["components"], got["chi"], got["pieces"]) == (1000, -999, 1)
 
     walks = []
 
-    def counted(events, stacks):
-        walks.append(events)
-        return cusp_walk(events, stacks)
+    def counted(cusps):
+        walks.append(cusps)
+        return cusp_walk(cusps)
 
-    monkeypatch.setattr(moves_module, "cusp_walk", counted)
+    monkeypatch.setattr(front_module, "cusp_walk", counted)
     refused = parse_trace("L1 L2 R1 L1 R2 R1\nP 2 2\nP 4 3", gf_mode=True)
     with pytest.raises(DomainError, match=r"^grading mismatch at pinch: "
                        r"potentials -1, 0 \(mod None\)$"):

@@ -1,5 +1,7 @@
-from legcob.front import parse_front
-from legcob.render import render_svg
+import random
+
+from legcob.front import _SHIFT, FrontDiagram, parse_front
+from legcob.render import _strand_tracks, render_svg
 
 TREFOIL = "L1 L2 X3 X3 X3 R2 R1"
 
@@ -16,3 +18,50 @@ def test_svg_deterministic():
     d1 = render_svg(parse_front("L1 R1"))
     d2 = render_svg(parse_front("L1 R1"))
     assert d1 == d2
+
+
+def ref_strand_tracks(diagram):
+    """The tracks as they were: birth and death events from the cusp
+    list, and each id's position searched for in every slice it
+    crosses."""
+    born = {}
+    died = {}
+    for i, kind, pos, u, l in diagram.cusps:
+        if kind == "L":
+            born[u] = i
+            born[l] = i
+        else:
+            died[u] = i
+            died[l] = i
+    tracks = {}
+    for a in range(diagram.n_ids):
+        pts = []
+        for s in range(born[a] + 1, died[a] + 1):
+            pts.append((s, diagram.stacks[s].index(a) + 1))
+        tracks[a] = (born[a], died[a], pts)
+    return tracks
+
+
+def _random_front(rng, steps):
+    """A valid front: `steps` events at random legal positions, then
+    right cusps at random positions until no strand is left."""
+    events, count = [], 0
+    for _ in range(steps):
+        kind = rng.choice("LXR") if count >= 2 else "L"
+        top = count + 1 if kind == "L" else count - 1
+        events.append((kind, rng.randint(1, top)))
+        count += _SHIFT[kind]
+    while count:
+        events.append(("R", rng.randint(1, count - 1)))
+        count -= 2
+    return FrontDiagram(events)
+
+
+def test_strand_tracks_match_reference():
+    rng = random.Random(11)
+    fronts = [_random_front(rng, rng.randint(1, 40)) for _ in range(300)]
+    fronts.append(parse_front(TREFOIL))
+    for d in fronts:
+        assert _strand_tracks(d) == ref_strand_tracks(d), d.word
+    assert max(d.max_strands for d in fronts) > 10
+    assert sum(len(d.crossings) for d in fronts) > 1000

@@ -15,8 +15,10 @@ from collections import Counter
 
 from legcob import search, whitehead
 from legcob.errors import DomainError
-from legcob.front import parse_front
-from legcob.moves import ISOTOPY_KINDS, _RULES, apply_move, invert_move
+from legcob.front import classical_invariants, parse_front
+from legcob.moves import (ISOTOPY_KINDS, _RULES, apply_move, invert_move,
+                          trace_summary)
+from legcob.rulings import ruling_polynomial
 from legcob.search import connect_fronts
 from legcob.whitehead import whitehead_double
 
@@ -172,6 +174,23 @@ def test_search_simulates_no_stacks(monkeypatch):
     for d in expanded + built:
         assert "stacks" not in d.__dict__, d.word
     assert all("counts" in d.__dict__ for d in expanded)
+
+
+def test_invariants_simulate_no_stacks():
+    # tb and rotation numbers, a graded ruling count and a replay end
+    # front's components read each event's own pair of ids from one run
+    # of the word: none reads its stacks
+    fronts = [trace_summary(whitehead_double(parse_front(word))[1])["end"]
+              for word in BENCH_BASES[2:4]]
+    for word in BENCH_BASES:
+        d = parse_front(word)
+        classical_invariants(d)
+        graded = parse_front(word)
+        ruling_polynomial(graded, graded=True)
+        fronts += [d, graded]
+    for d in fronts:
+        assert "potential" in d.__dict__, d.word
+        assert "stacks" not in d.__dict__, d.word
 
 
 def _walk(d, rng, kinds, fish_heights, steps):
