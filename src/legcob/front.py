@@ -74,20 +74,18 @@ class FrontDiagram:
     With no parent the whole word is checked.  A windowed build takes a
     parent front and window=(w0, w1_old): `events` is the parent's word
     with events[w0:w1_old] replaced, so the rewritten window is
-    events[w0:w1_new] and the rest is the parent's.  Only the window is
-    checked, from the parent's strand count at w0, and it must end with
-    the parent's count at w1_old, as every move's window does; the
-    parent's suffix then stays valid.  `word` joins the parent's tokens
-    with the window's spliced in.  A windowed build inherits the
-    parent's counts, not its labels: on first use its counts are the
-    parent's outside the window and the window's own inside it.  Its
-    labels are one run of the whole word, as a full build's are, so a
-    front whose labels are never read (most states of a search) never
-    runs its word.
+    events[w0:w1_new] and the rest is the parent's.  Its word is the
+    parent's splice of that window (splice), which checks the window
+    alone; a full build is the splice of the whole word into the empty
+    front.  A windowed build inherits the parent's counts, not its
+    labels: on first use its counts are the parent's outside the window
+    and the window's own inside it.  Its labels are one run of the whole
+    word, as a full build's are, so a front whose labels are never read
+    (most states of a search) never runs its word.
     """
 
     _LAZY = {"n_left": "_count_left", "counts": "_count",
-             "stacks": "_simulate",
+             "stacks": "_simulate", "_offsets": "_offset",
              "crossings": "_sweep", "cusps": "_sweep",
              "comp_of": "_walk", "components": "_walk",
              "n_components": "_walk", "potential": "_walk",
@@ -100,18 +98,32 @@ class FrontDiagram:
             parent, window = _EMPTY, (0, 0)
         w0, w1_old = window
         w1_new = w1_old + len(events) - len(parent.events)
-        counts = parent.counts
+        self.word = parent.splice(w0, w1_old, events[w0:w1_new])
         self.events = events
-        # the suffix's positions depend only on the strand count, so it
-        # stays valid once the window ends with the parent's count there
-        check_window(events, w0, w1_new, counts[w0], counts[w1_old])
-        self._tokens = tokens = parent._tokens[:]
-        tokens[w0:w1_old] = [f"{k}{p}" for k, p in events[w0:w1_new]]
-        self.word = " ".join(tokens)
-        self._pending = (counts, w0, w1_new, w1_old)
+        self._pending = (parent.counts, w0, w1_new, w1_old)
+
+    def splice(self, w0, w1_old, new):
+        """The word of this front with events[w0:w1_old] replaced by the
+        events `new`.  Their positions are checked first against this
+        front's strand counts, from its count at w0, and they must end
+        with its count at w1_old, as every move's window does; the rest
+        of the word then stays valid (check_window).  Raises the
+        DomainError of a full build of the new word.  The new tokens go
+        between the word's own, cut at token offsets read off the word
+        on first use, so a search keys a candidate by its word without
+        building it."""
+        counts, events = self.counts, self.events
+        check_window(events, w0, w1_old, new, counts[w0], counts[w1_old])
+        offsets, word = self._offsets, self.word
+        parts = [word[:offsets[w0] - 1]] if w0 else []
+        if new:
+            parts.append(" ".join([f"{k}{p}" for k, p in new]))
+        if w1_old < len(events):
+            parts.append(word[offsets[w1_old]:])
+        return " ".join(parts)
 
     def _count_left(self):
-        self.n_left = sum(k == "L" for k, _ in self.events)
+        self.n_left = _lefts(self.events)
 
     def _count(self):
         """Set counts: the parent's outside the window, events[w0:w1_new]
@@ -120,6 +132,11 @@ class FrontDiagram:
         run = accumulate([_SHIFT[k] for k, _ in self.events[w0:w1_new]],
                          initial=counts[w0])
         self.counts = counts[:w0] + tuple(run) + counts[w1_old + 1:]
+
+    def _offset(self):
+        # token i starts at _offsets[i]; the last entry is len(word) + 1
+        self._offsets = tuple(accumulate(
+            [len(t) + 1 for t in self.word.split()], initial=0))
 
     def _simulate(self):
         self.stacks = ((),) + tuple(map(tuple, simulate(self.events, [], 0)))
@@ -192,35 +209,40 @@ class FrontDiagram:
 # The empty front, with its one slice: every full build is a windowed
 # build over it, rewriting the window (0, 0).
 _EMPTY = object.__new__(FrontDiagram)
-_EMPTY.__dict__.update(events=[], word="", counts=(0,), _tokens=[])
+_EMPTY.__dict__.update(events=[], word="", counts=(0,))
 
 
-def check_window(events, i, stop, count, goal):
-    """Check the positions of events[i:stop] against the strand count,
-    from `count` strands at slice i, and that slice `stop` holds `goal`
-    strands, so the rest of the word keeps its positions.  Raises the
-    DomainError of a full build."""
-    for i in range(i, stop):
-        kind, pos = events[i]
+def _lefts(events):
+    return sum(k == "L" for k, _ in events)
+
+
+def check_window(events, i, stop, window, count, goal):
+    """Check the positions of the events `window`, which replace
+    events[i:stop] of a valid word, against the strand count, from
+    `count` strands at slice i, and that they end with `goal` strands,
+    the word's count at slice stop, so the rest of the word keeps its
+    positions.  Raises the DomainError of a full build of the new word,
+    its event indices and its cusp counts read in the whole word."""
+    for e, (kind, pos) in enumerate(window, i):
         if kind == "L":
             if not 1 <= pos <= count + 1:
                 raise DomainError(
-                    f"invalid position {pos} at event {i} (L{pos}) "
+                    f"invalid position {pos} at event {e} (L{pos}) "
                     f"with {count} strands")
             count += 2
         elif kind in ("X", "R"):
             if not 1 <= pos <= count - 1:
                 raise DomainError(
-                    f"invalid position {pos} at event {i} ({kind}{pos}) "
+                    f"invalid position {pos} at event {e} ({kind}{pos}) "
                     f"with {count} strands")
             if kind == "R":
                 count -= 2
         else:
-            raise DomainError(f"unknown event kind {kind!r} at event {i}")
+            raise DomainError(f"unknown event kind {kind!r} at event {e}")
     if count != goal:
         # a full word ends with no strands: its count there is
         # 2 * (left - right cusps)
-        left = sum(k == "L" for k, _ in events)
+        left = _lefts(events) - _lefts(events[i:stop]) + _lefts(window)
         raise DomainError(
             f"unbalanced cusps: {left} left, "
             f"{left - (count - goal) // 2} right")

@@ -1,13 +1,16 @@
 """Moves on front words and replayable cobordism traces.
 
-A move rewrites a small window of the event word.  The new
-FrontDiagram is built from the old one: its construction checks only
-that window's positions, against strand counts, with the checks of a
+A move rewrites a small window of the event word, (w0, w1_old, new
+events), which _rewrite reads off the table below.  The old
+FrontDiagram splices it in (FrontDiagram.splice): it checks only that
+window's positions, against its strand counts, with the checks of a
 full build, so an illegal rewrite surfaces as "move not applicable"
-instead of a corrupt diagram, and splices the window's tokens into the
-old word's.  Its strand counts are the old diagram's outside the
-window it checks; its event labels, if read at all, are one run of
-the whole new word (see FrontDiagram).
+instead of a corrupt diagram, and cuts the window's tokens into its
+own word.  The new FrontDiagram's strand counts are the old diagram's
+outside the window; its event labels, if read at all, are one run of
+the whole new word (see FrontDiagram).  isotopy_candidates yields the
+search's moves with their windows, so a search keys a candidate by its
+spliced word and builds no FrontDiagram for it.
 
 Move syntax, one per trace line (s = slice index, h = height, e = event
 index, all 0-based except heights which are 1-based like event words):
@@ -34,11 +37,12 @@ front and leave tb, rotation numbers, component count and the graded
 ruling count unchanged.
 
 apply_move applies one move to a FrontDiagram and grades nothing; the
-search is its caller.  A trace replay (see _replay) builds no
-FrontDiagram per move.  It carries one running front, the event list
-and per slice a list of strand labels, and rewrites each move's window
-by the same rule (_rewrite).  It checks the window's positions with the
-build's own check (front.check_window), simulates the window alone
+search calls it only for the states it expands or returns.  A trace
+replay (see _replay) builds no FrontDiagram per move.  It carries one
+running front, the event list and per slice a list of strand labels,
+and rewrites each move's window by the same rule (_rewrite).  It checks
+the window's positions with the build's own check
+(front.check_window), simulates the window alone
 (front.simulate) and splices it in.  The labels are the nodes of a
 union-find that counts the surface's connected pieces.  In gf mode it
 also checks each pinch's grading (_check_grading) by walking one cusp
@@ -212,6 +216,12 @@ def _match(rules, ev, e):
     return None
 
 
+def _placed(e, h, old, new):
+    """The window of the rule old -> new at event or slice e and height
+    h: (w0, w1_old, new events)."""
+    return e, e + len(old), [(k, h + o) for k, o in new]
+
+
 def _rewrite(ev, move):
     """The window [w0, w1_old) of the event word `ev` that `move`
     rewrites and its replacement events; the caller checks their
@@ -230,16 +240,14 @@ def _rewrite(ev, move):
             _fail(move, repl)
         return e, e + 2, repl
     if arity == 2:
-        h = move[2]
         if not 0 <= e <= len(ev):
             _fail(move, f"no slice {e}")
         (old, new), = _RULES[kind]
-    else:
-        found = _match(_RULES[kind], ev, e)
-        if found is None:
-            _fail(move, f"no pattern match at event {e}")
-        h, old, new = found
-    return e, e + len(old), [(k, h + o) for k, o in new]
+        return _placed(e, move[2], old, new)
+    found = _match(_RULES[kind], ev, e)
+    if found is None:
+        _fail(move, f"no pattern match at event {e}")
+    return _placed(e, *found)
 
 
 def invert_move(before, move, after):
@@ -268,38 +276,56 @@ def invert_move(before, move, after):
 ISOTOPY_KINDS = ("R1a-", "R1b-", "R2u-", "R2d-", "C", "Ch", "R3",
                  "R2u", "R2d")
 
-# Event-indexed table kind -> the event kinds its old sides start with.
-_STARTS = {kind: frozenset(old[0][0] for old, _ in rules)
-           for kind, rules in _RULES.items() if rules[0][0]}
+# Event-indexed table kind -> its rules; fish growth's two kinds.
+_EVENT_RULES = {kind: rules for kind, rules in _RULES.items()
+                if rules[0][0]}
+_FISH = [(kind, *_RULES[kind][0]) for kind in ("R1a", "R1b")]
 
 
 def isotopy_candidates(diagram, window, kinds, fish_heights):
-    """Candidate isotopy moves (no B/P/PM) whose event or slice index
-    falls in window = (lo, hi).
+    """The isotopy moves (no B/P/PM) whose event or slice index falls in
+    window = (lo, hi) and that rewrite the word, each with its window
+    (w0, w1_old, new events) as _rewrite gives it.
 
-    For each event, the kinds in the order given where they can match:
-    a table kind where one of its old sides starts with the event's
-    kind, C and Ch where _commute accepts the event and the next.  Then
-    fish growth by slice and height, at the heights in fish_heights
-    (None: every height), since fish at every height of a tall diagram
-    dominate the branching otherwise.  Candidates are not guaranteed
-    applicable; callers filter through apply_move.
+    For each event, the kinds in the order given where they rewrite: a
+    table kind where _match finds one of its old sides at the event, C
+    where _commute accepts the event and the next, and Ch there too
+    where it places the pair otherwise than C (R_h L_h) or C is not
+    among the kinds, since elsewhere the two give one word.  Then fish
+    growth by slice and height, at the heights in fish_heights (None:
+    every height), since fish at every height of a tall diagram dominate
+    the branching otherwise.  The new events' positions are not checked
+    here: FrontDiagram.splice checks them, as a build would.
     """
     lo, hi = max(window[0], 0), window[1]
     ev = diagram.events
     n = len(ev)
-    starts = [_STARTS.get(kind) for kind in kinds]  # None: C or Ch
+    rules = [_EVENT_RULES.get(kind) for kind in kinds]  # None: C or Ch
+    ties_only = "C" in kinds
     for e in range(lo, min(hi, n - 1) + 1):
-        swaps = e < n - 1 and not isinstance(
-            _commute(ev[e], ev[e + 1], False), str)
-        for kind, start in zip(kinds, starts):
-            if (ev[e][0] in start) if start else swaps:
-                yield (kind, e)
+        above = None
+        for kind, table in zip(kinds, rules):
+            if table:
+                found = _match(table, ev, e)
+                if found:
+                    yield (kind, e), _placed(e, *found)
+                continue
+            if above is None:
+                above = (_commute(ev[e], ev[e + 1], False) if e < n - 1
+                         else "no event pair")
+            if isinstance(above, str):
+                continue
+            if kind == "C":
+                yield ("C", e), (e, e + 2, above)
+            elif kind == "Ch":
+                below = _commute(ev[e], ev[e + 1], True)
+                if below != above or not ties_only:
+                    yield ("Ch", e), (e, e + 2, below)
     for s in range(lo, min(hi, n) + 1):
         for h in range(1, diagram.counts[s] + 1):
             if fish_heights is None or h in fish_heights:
-                yield ("R1a", s, h)
-                yield ("R1b", s, h)
+                for kind, old, new in _FISH:
+                    yield (kind, s, h), _placed(s, h, old, new)
 
 
 class CobordismTrace:
@@ -407,9 +433,10 @@ def _replay(trace):
     mode, a pinch's grading on one cusp cycle of the front it pinches
     (_check_grading).  It then simulates the window alone, new strands
     taking fresh labels, and splices the window's events and stacks in.
-    It joins the two strands of each cusp in the window, and at the
-    window's right edge the old label at each height with the new one.
-    Where the two differ the strand keeps one label: a new strand in
+    It joins the two strands of each cusp in the window, and, when the
+    window's right edge holds other labels than before, the old label at
+    each height there with the new one.  Where the two differ the strand
+    keeps one label: a new strand in
     place of one born in the old window takes the old label, in the
     window; any other strand is cut or joined there (a pinch or a fish
     cuts it, a merge or a fish removal joins it), and its slices after
@@ -452,7 +479,7 @@ def _replay(trace):
         w1_new = w0 + len(repl)
         new = events[:w0] + repl + events[w1_old:]
         try:
-            check_window(new, w0, w1_new, len(stacks[w0]),
+            check_window(events, w0, w1_old, repl, len(stacks[w0]),
                          len(stacks[w1_old]))
         except DomainError as err:
             _fail(move, f"rewritten word is invalid: {err}")
@@ -476,30 +503,32 @@ def _replay(trace):
             edge = after
         old_edge = stacks[w1_old]
         stacks[w0 + 1:w1_old + 1] = window
-        ends = []  # the death cusps of renamed strands
-        for h, (a, b) in enumerate(zip(old_edge, edge)):
-            if a == b:
-                continue  # most heights keep their label: no union
-            union(a, b)
-            if b >= nid and a not in prefix:
-                # b takes the place of a, born in the old window, and
-                # a is born at b's left cusp
-                for s in window:
-                    if b in s:
-                        s[s.index(b)] = a
-                partner, step = born_with[a] = born_with[b]
-                born_with[partner] = (a, -step)
-            else:
-                ends.append(_rename(events, stacks, w1_new, h, b))
-        for t in ends:
-            # both strands of one death cusp may be renamed: record its
-            # partners once every label is final
-            pos = events[t][1]
-            u, l = stacks[t][pos - 1], stacks[t][pos]
-            dies_with[u], dies_with[l] = (l, -1), (u, 1)
-        # only a birth makes a piece that joins no label of the last front
-        if move[0] != "B" and any(find(a) >= nid
-                                  for a in range(nid, len(parent))):
+        if old_edge != edge:
+            ends = []  # the death cusps of renamed strands
+            for h, (a, b) in enumerate(zip(old_edge, edge)):
+                if a == b:
+                    continue  # most heights keep their label: no union
+                union(a, b)
+                if b >= nid and a not in prefix:
+                    # b takes the place of a, born in the old window,
+                    # and a is born at b's left cusp
+                    for s in window:
+                        if b in s:
+                            s[s.index(b)] = a
+                    partner, step = born_with[a] = born_with[b]
+                    born_with[partner] = (a, -step)
+                else:
+                    ends.append(_rename(events, stacks, w1_new, h, b))
+            for t in ends:
+                # both strands of one death cusp may be renamed: record
+                # its partners once every label is final
+                pos = events[t][1]
+                u, l = stacks[t][pos - 1], stacks[t][pos]
+                dies_with[u], dies_with[l] = (l, -1), (u, 1)
+        # only a birth makes a piece that joins no label of the last
+        # front; a move that made no label made no piece
+        if move[0] != "B" and nid < len(parent) and any(
+                find(a) >= nid for a in range(nid, len(parent))):
             raise AssertionError(f"untracked component after {move[0]}")
     pieces = len({find(stacks[i + 1][pos - 1])
                   for i, (kind, pos) in enumerate(events) if kind == "L"})

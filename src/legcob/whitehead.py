@@ -210,12 +210,14 @@ def _advance(state, cur, moves):
     # that keeps its events' kinds is the tip sliding past a group: a few
     # commutes.  Any other adds a doubled group and needs fish growth,
     # which multiplies the branching by the stack height, so fish grow
-    # only at the heights the stretch touches, padded by two.  Over about
-    # 95,000 stage gaps (the doubles of the twists up to 87 crossings,
-    # the closures of s1..s(s-1) up to 13 strands, the zigzag, the kink
-    # and 3,206 random positive-braid knots) the commute search connected
-    # every gap of the first kind within 107 candidates and 4 moves, and
-    # the fish search every other gap within 1,457 candidates and 3 moves.
+    # only at the heights the stretch touches, padded by two.  Over
+    # 97,890 stage gaps (the doubles of the twist knots up to 87
+    # crossings, the closures of s1..s(s-1) up to 13 strands, the zigzag
+    # and 3,206 random positive-braid knots on 2 to 6 strands) the commute
+    # search connected every gap of the first kind within 54 candidates
+    # (37 new states, the budget's unit) and 4 moves, and the fish search
+    # every other gap within 1,163 candidates (1,149 new states) and 3
+    # moves.
     if sorted(k for k, _ in old) == sorted(k for k, _ in new):
         kinds, fish, depth, budget = ("C", "Ch"), frozenset(), 6, 20000
     else:

@@ -231,7 +231,7 @@ def test_criterion_8_move_invariance():
         applied = 0
         while applied < 200:
             fish = None if len(d.crossings) < 12 else ()
-            cands = [m for m in isotopy_candidates(
+            cands = [m for m, _ in isotopy_candidates(
                 d, (0, len(d.events)), ISOTOPY_KINDS, fish)
                 if m[0] in r_kinds]
             rng.shuffle(cands)

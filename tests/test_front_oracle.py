@@ -51,13 +51,17 @@
    pair just died (R_h L_h), where C and Ch differ.
 6. The filtered `isotopy_candidates` against the unfiltered generator
    (`ref_isotopy_candidates` in test_search.py): on every front of item
-   2 it keeps the reference's order, and apply_move refuses every
-   candidate it drops.  Items 2 and 4 draw their moves from the
-   unfiltered generator, so they keep checking those refusals.
+   2 it keeps the reference's order and yields each move with
+   `_rewrite`'s window, and every candidate it drops is refused by
+   apply_move or is a Ch giving the word of the C it keeps.  Items 2
+   and 4 draw their moves from the unfiltered generator, so they keep
+   checking those refusals.  The word `FrontDiagram.splice` gives for
+   every rule's window, or its refusal, is the full build's, on the
+   empty front and seeded random words.
 """
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import accumulate
 from math import gcd
 
@@ -68,9 +72,9 @@ from legcob.errors import DomainError
 import legcob.moves as moves_module
 from legcob.front import (FrontDiagram, classical_invariants, cusp_walk,
                           maslov_potential, parse_front)
-from legcob.moves import (ISOTOPY_KINDS, CobordismTrace, _fail, _replay,
-                          _rewrite, apply_move, format_move, invert_move,
-                          isotopy_candidates)
+from legcob.moves import (_MOVE_ARITY, ISOTOPY_KINDS, CobordismTrace, _fail,
+                          _replay, _rewrite, apply_move, format_move,
+                          invert_move, isotopy_candidates)
 from legcob.whitehead import whitehead_diagram, whitehead_double
 from test_search import BENCH_BASES, ref_isotopy_candidates
 
@@ -740,7 +744,8 @@ def _candidates(d):
     """Every isotopy candidate of the filtered generator, and every birth,
     pinch and merge, also at heights and events where they are refused."""
     n = len(d.events)
-    yield from isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None)
+    yield from (m for m, _ in isotopy_candidates(d, (0, n), ISOTOPY_KINDS,
+                                                 None))
     for s in range(n + 1):
         for h in range(1, len(d.stacks[s]) + 2):
             yield ("B", s, h)
@@ -910,22 +915,85 @@ def test_replay_builds_only_the_end_front(monkeypatch):
 
 
 def test_filtered_candidates_drop_only_refused_moves(move_fronts):
-    dropped = kept = 0
+    # the generator keeps the unfiltered order and yields each move with
+    # _rewrite's window; every move it drops is refused, or is a Ch that
+    # gives the word of the C it keeps at the same event
+    dropped = same_as_c = kept = 0
     for d in move_fronts:
         window = (0, len(d.events))
-        for kinds in (ISOTOPY_KINDS, ("C", "Ch"), ("R2u", "C", "R3")):
+        for kinds in (ISOTOPY_KINDS, ("C", "Ch"), ("R2u", "C", "R3"),
+                      ("Ch", "R2d-")):
             want = list(ref_isotopy_candidates(d, window, kinds, None))
             got = list(isotopy_candidates(d, window, kinds, None))
-            keep = set(got)
-            assert [m for m in want if m in keep] == got, d.word
+            moves = [m for m, _ in got]
+            keep = set(moves)
+            assert [m for m in want if m in keep] == moves, d.word
+            for move, rewrite in got:
+                assert rewrite == _rewrite(d.events, move), (d.word, move)
             for move in want:
                 if move in keep:
                     kept += 1
                     continue
+                dropped += 1
+                if move[0] == "Ch" and ("C", move[1]) in keep:
+                    assert apply_move(d, move).word \
+                        == apply_move(d, ("C", move[1])).word, (d.word, move)
+                    same_as_c += 1
+                    continue
                 with pytest.raises(DomainError):
                     apply_move(d, move)
-                dropped += 1
-    assert dropped > 20000 and kept > 100000
+    assert dropped > 20000 and kept > 100000 and same_as_c > 1000
+
+
+def test_spliced_words_match_full_builds():
+    # the word FrontDiagram.splice gives for a move's window, or its
+    # refusal, is the full build's of the new events: every rule of
+    # every table kind, its inverse and both commutes, at every event,
+    # and at every slice and height up to two past the strand count,
+    # on the empty front, seeded random words and the fronts of
+    # test_invert_move_is_faithful, one with a triangle (R3); and windows
+    # that delete or replace the whole word
+    rng = random.Random(35)
+    fronts = [FrontDiagram([])] + [parse_front(word) for word in INVERTED]
+    fronts += [FrontDiagram(_random_word(rng, rng.randint(2, 12)))
+               for _ in range(300)]
+    kinds = set()
+    ends = Counter()
+    accepted = refused = 0
+    for d in fronts:
+        n = len(d.events)
+        moves = [(kind, e) for kind, arity in _MOVE_ARITY.items()
+                 if arity == 1 for e in range(n)]
+        moves += [(kind, s, h) for kind, arity in _MOVE_ARITY.items()
+                  if arity == 2 for s in range(n + 1)
+                  for h in range(d.counts[s] + 3)]
+        windows = []
+        for move in moves:
+            try:
+                windows.append((move[0],) + _rewrite(d.events, move))
+            except DomainError:
+                pass  # no pattern, or commutes refused
+        other = rng.choice(fronts)
+        windows += [("", 0, n, []), ("", 0, n, other.events)]
+        for kind, w0, w1_old, new in windows:
+            events = d.events[:w0] + new + d.events[w1_old:]
+            # a word in a tuple, a refusal as its text
+            want = _outcome(lambda: (FrontDiagram(events).word,))
+            got = _outcome(lambda: (d.splice(w0, w1_old, new),))
+            assert got == want, (d.word, kind, w0, w1_old, new)
+            if isinstance(got, str):
+                refused += 1
+                continue
+            accepted += 1
+            kinds.add(kind)
+            if w0 == w1_old:
+                ends["first"] += w0 == 0 < n
+                ends["last"] += w0 == n > 0
+            ends["empty front"] += n == 0
+            ends["whole word"] += (w0, w1_old) == (0, n) > (0, 0)
+    assert kinds == set(_MOVE_ARITY) | {""}
+    assert min(ends.values()) > 50 and len(ends) == 4, ends
+    assert accepted > 15000 and refused > 10000
 
 
 # --- item 4: the rewriter before the table ------------------------------

@@ -344,8 +344,8 @@ def test_random_isotopies_preserve_invariants():
         base_rulings = _graded_ruling_count(d)
         for _ in range(60):
             fish = None if len(d.crossings) < 12 else ()
-            cands = list(isotopy_candidates(d, (0, len(d.events)),
-                                            ISOTOPY_KINDS, fish))
+            cands = [m for m, _ in isotopy_candidates(
+                d, (0, len(d.events)), ISOTOPY_KINDS, fish)]
             rng.shuffle(cands)
             for move in cands:
                 try:
@@ -375,7 +375,8 @@ def test_invert_move_is_faithful():
               parse_front("L1 L2 L3 X4 X5 X4 X5 R3 R2 R1"),
               parse_front(PAST_DYING_PAIR)):
         n = len(d.events)
-        cands = list(isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None))
+        cands = [m for m, _ in isotopy_candidates(d, (0, n), ISOTOPY_KINDS,
+                                                  None)]
         cands += [("P", s, h) for s in range(n + 1)
                   for h in range(1, len(d.stacks[s]))]
         cands += [("PM", e) for e in range(n - 1)]

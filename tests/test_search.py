@@ -152,8 +152,10 @@ def test_connect_fronts_meets_in_the_middle():
 
 
 def test_search_simulates_no_stacks(monkeypatch):
-    # every state is built for its word and position checks, and an
-    # expanded one read for its strand counts: none reads its stacks
+    # candidates are keyed by spliced words: the diagrams built are the
+    # expanded states and the returned path's, each once, the roots
+    # aside.  An expanded one is read for its strand counts, and none
+    # reads its stacks
     a = parse_front("L1 R1")
     b = _replay(a, [("R1a", 1, 1), ("R1b", 1, 1), ("R1a", 7, 1),
                     ("R1b", 9, 1)])
@@ -170,7 +172,13 @@ def test_search_simulates_no_stacks(monkeypatch):
     monkeypatch.setattr(search, "apply_move", build)
     path = _search(a, b, 2, 2000)
     assert len(path) == 4
-    assert len(built) > 10 * len(expanded) > 0
+    states = [a]
+    for m in path:
+        states.append(apply_move(states[-1], m))
+    assert states[-1].word == b.word
+    want = {d.word for d in expanded + states} - {a.word, b.word}
+    assert sorted(d.word for d in built) == sorted(want)
+    assert len(expanded) > 5
     for d in expanded + built:
         assert "stacks" not in d.__dict__, d.word
     assert all("counts" in d.__dict__ for d in expanded)
