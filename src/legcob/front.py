@@ -10,10 +10,12 @@ of strands numbered from 1 at the top:
 Validity means every position is legal for the current strand count and
 the count returns to zero with as many left as right cusps.  Strand ids
 are assigned at birth and persist through crossings, so an id names one
-arc running from its left cusp to its right cusp.  The pair of ids at
-each crossing and cusp, which every invariant reads, comes from one run
-of the word (simulate); per-slice stacks of ids are kept only for the
-code that reads slices.
+arc running from its left cusp to its right cusp.  Labels are kept in
+one format only, the pair of ids at each crossing and cusp, which every
+invariant reads; it comes from one run of the word (simulate).  No
+front keeps a slice's ids: a reader of slices (a render, the tongue
+walk's base) runs the word itself, and a trace replay keeps a label
+pair per cusp and walks one slice across them.
 
 >>> d = parse_front("L1 R1")
 >>> classical_invariants(d)["tb"]
@@ -67,9 +69,7 @@ class FrontDiagram:
                   component's first left cusp; even means pointing right
       defects     per component, the size of the potential's jump around
                   its cycle (0 when single valued)
-    Simulated on first use, only for readers of slices (render, the
-    tongue walk's base, a replay's start), in another run of the word:
-      stacks      tuple of strand-id stacks, one per slice
+    No slice's ids are kept: a reader of slices runs simulate itself.
 
     With no parent the whole word is checked.  A windowed build takes a
     parent front and window=(w0, w1_old): `events` is the parent's word
@@ -85,8 +85,7 @@ class FrontDiagram:
     """
 
     _LAZY = {"n_left": "_count_left", "counts": "_count",
-             "stacks": "_simulate", "_offsets": "_offset",
-             "crossings": "_sweep", "cusps": "_sweep",
+             "_offsets": "_offset", "crossings": "_sweep", "cusps": "_sweep",
              "comp_of": "_walk", "components": "_walk",
              "n_components": "_walk", "potential": "_walk",
              "defects": "_walk"}
@@ -137,9 +136,6 @@ class FrontDiagram:
         # token i starts at _offsets[i]; the last entry is len(word) + 1
         self._offsets = tuple(accumulate(
             [len(t) + 1 for t in self.word.split()], initial=0))
-
-    def _simulate(self):
-        self.stacks = ((),) + tuple(map(tuple, simulate(self.events, [], 0)))
 
     def __getattr__(self, name):
         # only reached while a lazy attribute is unset

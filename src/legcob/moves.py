@@ -39,18 +39,19 @@ ruling count unchanged.
 apply_move applies one move to a FrontDiagram and grades nothing; the
 search calls it only for the states it expands or returns.  A trace
 replay (see _replay) builds no FrontDiagram per move.  It carries one
-running front, the event list and per slice a list of strand labels,
-and rewrites each move's window by the same rule (_rewrite).  It checks
-the window's positions with the build's own check
-(front.check_window), simulates the window alone
-(front.simulate) and splices it in.  The labels are the nodes of a
-union-find that counts the surface's connected pieces.  In gf mode it
-also checks each pinch's grading (_check_grading) by walking one cusp
-cycle of its running front (front.walk_cycle) on the cusp partners the
-replay keeps, seeded from the start front's cusp list; no other code
-path grades a pinch.  Only the end front is built, and for a refused
-pinch the front it pinches, whose own whole-front walk gives the
-numbers of the message.
+running front in the labels' one format, a label pair per cusp event
+as FrontDiagram.cusps lists them: the event list, those pairs and the
+labels of one slice, which each move walks to its window (_seek).  It
+rewrites each move's window by the same rule (_rewrite), checks the
+window's positions with the build's own check (front.check_window),
+runs the window alone on the slice and splices its events and pairs
+in.  The labels are the nodes of a union-find that counts the
+surface's connected pieces.  In gf mode it also checks each pinch's
+grading (_check_grading) by walking one cusp cycle of its running
+front (front.walk_cycle) on the cusp partners the replay keeps, seeded
+from the start front's cusp list; no other code path grades a pinch.
+Only the end front is built, and for a refused pinch the front it
+pinches, whose own whole-front walk gives the numbers of the message.
 """
 
 from collections import defaultdict
@@ -58,7 +59,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .front import (_SHIFT, FrontDiagram, check_window, parse_front,
-                    record_cusps, simulate, walk_cycle)
+                    record_cusps, walk_cycle)
 
 # Each move with its inverse as local rewrites old -> new of the event
 # word, positions written as offsets from a height h.  A move whose old
@@ -129,30 +130,32 @@ def _fail(move, reason):
 _PINCHES = ("P", "PM")
 
 
-def _check_grading(move, events, stacks, born_with, dies_with):
+def _check_grading(move, events, pairs, labels, born_with, dies_with):
     """A pinch P s h needs mu(a) - mu(b) = 1 for the strands a above b
     at heights h, h+1 of slice s (the new right cusp matches the
     potential), a merge PM e equal cusp levels mu(a) = mu(b) for a dying
     at its R_h and b born at its L_h; both modulo the potential's mod,
     its component's defect (twice its absolute rotation number).
 
-    It walks one cusp cycle of the front (events, stacks) before the
-    move, b's (front.walk_cycle), on born_with and dies_with, the cusp
+    The front before the move is the replay's: its events, the label
+    pair of each cusp (`pairs`, None at a crossing) and `labels`, those
+    of slice s.  A pinch reads a and b off that slice, a merge off the
+    upper labels of the pairs at e and e + 1.  It walks one cusp cycle,
+    b's (front.walk_cycle), on born_with and dies_with, the cusp
     partners the replay keeps.  If the walk never meets a, the two
     strands lie on distinct components, whose potentials can be shifted
     freely.  Otherwise mu(a) - mu(b) - gap is tested modulo the cycle's
     jump, which does not depend on where the walk starts.  A refused
     pinch takes the numbers of its message from the whole-front walk of
-    FrontDiagram(events), at the ids in the same spots: a at index
-    h - 1 of slice w, b at index hb of slice t."""
+    FrontDiagram(events), at the ids of a and b: that front numbers its
+    strands by left cusp in word order, so the labels of the left
+    cusps' pairs, in that order, are its ids."""
     if move[0] == "P":
-        _, w, h = move
-        t, hb, gap, what = w, h, 1, "potentials"
+        h = move[2]
+        a, b, gap, what = labels[h - 1], labels[h], 1, "potentials"
     else:
-        w = move[1]
-        h = events[w][1]
-        t, hb, gap, what = w + 2, h - 1, 0, "cusp levels"
-    a, b = stacks[w][h - 1], stacks[t][hb]
+        e = move[1]
+        a, b, gap, what = pairs[e][0], pairs[e + 1][0], 0, "cusp levels"
     cycle, jump = walk_cycle(b, born_with, dies_with)
     if a not in cycle:
         return
@@ -160,7 +163,8 @@ def _check_grading(move, events, stacks, born_with, dies_with):
     if (diff % jump if jump else diff) == 0:
         return
     d = FrontDiagram(events)
-    a, b = d.stacks[w][h - 1], d.stacks[t][hb]
+    ids = [x for (k, _), p in zip(events, pairs) if k == "L" for x in p]
+    a, b = ids.index(a), ids.index(b)
     m = d.defects[d.comp_of[a]] or None
     mu_a, mu_b = d.potential[a], d.potential[b]
     if m:
@@ -369,17 +373,22 @@ _GROWTH = {kind: len(rules[0][1]) - len(rules[0][0])
 _GROWTH.update(C=0, Ch=0)
 
 # Cap on the work of one replay, in events, counted from the move kinds
-# before it starts: each move splices its window into the running front
-# and renames the suffix slices of at most two strands, work of the
-# front's event count, and each pinch or merge of a gf-mode replay walks
-# the cusp cycle of one of its strands on the partners the replay keeps,
-# as much again when that cycle is the whole front.  Timed on an Intel Xeon
-# (Python 3.11), a unit took at most 0.45 microseconds, in a gf replay
-# of pinches that each cut two long strands; the largest admitted
-# traces answer in about a second from the shell.  The largest braid
-# closure MAX_CLOSURE_WORK admits (2 strands x 431 letters) takes 5.7e5
-# units, the largest Whitehead double MAX_DOUBLE_WORK admits (the
-# 13-strand closure) 1.2e5.
+# before it starts: each move walks its one slice to the move's window
+# from the nearest of where the last move left it and the front's two
+# ends, runs the window, and follows at most two renamed strands to
+# their death cusps, work of the front's event count; each pinch or
+# merge of a gf-mode replay also walks the cusp cycle of one of its
+# strands on the partners the replay keeps, as much again when that
+# cycle is the whole front.  Timed on an Intel Xeon (Python 3.11), the
+# largest admitted traces took at most 0.33 microseconds of CPU a unit:
+# births alternating between a quarter and three quarters of 12,000
+# nested eyes, each walk crossing a quarter of the front, 2.0e6 units in
+# 0.63 to 0.66 s (1.1 s from the shell); alternating between its first
+# and last slice, 0.06 s.  The largest braid closure MAX_CLOSURE_WORK
+# admits (2 strands x 431 letters) takes 5.7e5 units in 0.015 s, the
+# largest Whitehead double MAX_DOUBLE_WORK admits (the 13-strand
+# closure) 1.2e5 in 0.016 s, and 999 graded pinches on an eye 2.0e6 in
+# 0.012 s.
 MAX_REPLAY_WORK = 2 * 10**6
 
 
@@ -399,48 +408,68 @@ def _check_replay_work(trace):
             f"front, a graded pinch twice)")
 
 
-def _rename(events, stacks, t, h, label):
-    """Give `label` to the strand at index h of slice t on the slices
-    after t, up to its death cusp, following its height.  Returns the
-    index of that death cusp."""
-    n = len(events)
-    while t < n:
-        kind, pos = events[t]
-        t += 1
+def _seek(labels, events, pairs, t, goal):
+    """Move `labels`, the labels of slice t, to slice goal in place, on
+    the label pairs `pairs` of the cusps of `events`: going right a left
+    cusp inserts its pair and a right cusp deletes it, going left the
+    other way round, and a crossing swaps the labels at its heights."""
+    if t <= goal:
+        run, birth = range(t, goal), "L"
+    else:
+        run, birth = range(t - 1, goal - 1, -1), "R"
+    for i in run:
+        kind, pos = events[i]
         if kind == "X":
-            if h == pos - 1:
-                h = pos
-            elif h == pos:
-                h = pos - 1
+            labels[pos - 1], labels[pos] = labels[pos], labels[pos - 1]
+        elif kind == birth:
+            labels[pos - 1:pos - 1] = pairs[i]
+        else:
+            del labels[pos - 1:pos + 1]
+
+
+def _death(events, pairs, t, h, label):
+    """Give `label` to the strand at index h of slice t in the pair of
+    its death cusp, found by following its height, and return that
+    cusp's index."""
+    for t in range(t, len(events)):
+        kind, pos = events[t]
+        if kind == "X":
+            if pos - 1 <= h <= pos:
+                h = 2 * pos - 1 - h  # to the other height of the crossing
         elif kind == "L":
             if h >= pos - 1:
                 h += 2
         elif h >= pos - 1:
             if h <= pos:
-                return t - 1  # the strand dies at this right cusp
+                pairs[t][h - pos + 1] = label
+                return t
             h -= 2
-        stacks[t][h] = label
 
 
 def _replay(trace):
     """(end front, births, pinches, pieces) of a trace, replayed on one
-    running front: the event list and, per slice, a list of the labels
-    of its strands.  A label is a node of a union-find over the strands
-    of every front the trace passes, so the surface's pieces are its
-    classes; the start front's labels are its ids.
+    running front: the event list, the label pair [upper, lower] of each
+    cusp (None at a crossing) and the labels of one slice.  A label is a
+    node of a union-find over the strands of every front the trace
+    passes, so the surface's pieces are its classes; the start front's
+    labels are its ids, and its pairs those of its cusp list.
 
-    A move checks its window's positions (front.check_window) and, in gf
-    mode, a pinch's grading on one cusp cycle of the front it pinches
-    (_check_grading).  It then simulates the window alone, new strands
-    taking fresh labels, and splices the window's events and stacks in.
-    It joins the two strands of each cusp in the window, and, when the
-    window's right edge holds other labels than before, the old label at
-    each height there with the new one.  Where the two differ the strand
-    keeps one label: a new strand in
-    place of one born in the old window takes the old label, in the
-    window; any other strand is cut or joined there (a pinch or a fish
-    cuts it, a merge or a fish removal joins it), and its slices after
-    the window, up to its death cusp, take the new label.
+    A move first walks the slice to its w0 (_seek), from the nearest of
+    where the last move left it and the two ends, which hold no strand,
+    and copies it; the walk goes on over the old window to its right
+    edge.  It checks its window's positions (front.check_window) and, in
+    gf mode, a pinch's grading on one cusp cycle of the front it pinches
+    (_check_grading).  It then runs the new window on the copy, new
+    strands taking fresh labels, and splices the window's events and
+    pairs in; the copy, now the slice at the window's new right edge,
+    is where the next move's walk starts.  It joins the two strands of
+    each cusp in the window, and, when the window's right edge holds
+    other labels than before, the old label at each height there with
+    the new one.  Where the two differ the strand keeps one label: a new
+    strand in place of one born in the old window takes the old label,
+    in its pair in the window; any other strand is cut or joined there
+    (a pinch or a fish cuts it, a merge or a fish removal joins it), and
+    the pair of its death cusp (_death) takes the new label.
 
     The replay keeps, for the running front, each label's partner and
     mu step at its birth and at its death cusp, recorded first from the
@@ -455,8 +484,8 @@ def _replay(trace):
     do."""
     _check_replay_work(trace)
     start, gf_mode = trace.start, trace.gf_mode
-    events = start.events
-    stacks = [list(s) for s in start.stacks]
+    events = start.events[:]
+    pairs = [None] * len(events)
     parent = list(range(start.n_ids))
 
     def find(a):
@@ -470,68 +499,77 @@ def _replay(trace):
         if a != b:  # the older root stays, so new labels hang below
             parent[max(a, b)] = min(a, b)
 
-    for _, _, _, u, l in start.cusps:
+    for i, _, _, u, l in start.cusps:
+        pairs[i] = [u, l]
         union(u, l)
     born_with, dies_with = {}, {}
     record_cusps(start.cusps, born_with, dies_with)
+    labels, at = [], 0
     for move in trace.moves:
         w0, w1_old, repl = _rewrite(events, move)
         w1_new = w0 + len(repl)
-        new = events[:w0] + repl + events[w1_old:]
+        n = len(events)
+        if min(w0, n - w0) < abs(w0 - at):  # start from an end
+            labels, at = [], 0 if w0 < n - w0 else n
+        _seek(labels, events, pairs, at, w0)
+        edge = labels[:]  # slice w0, which the new window runs on
+        _seek(labels, events, pairs, w0, w1_old)
         try:
-            check_window(events, w0, w1_old, repl, len(stacks[w0]),
-                         len(stacks[w1_old]))
+            check_window(events, w0, w1_old, repl, len(edge), len(labels))
         except DomainError as err:
             _fail(move, f"rewritten word is invalid: {err}")
         if gf_mode and move[0] in _PINCHES:
-            _check_grading(move, events, stacks, born_with, dies_with)
-        events = new
+            _check_grading(move, events, pairs, edge, born_with, dies_with)
         nid = len(parent)
-        prefix = stacks[w0]
-        window = [s[:] for s in simulate(repl, prefix[:], nid)]
-        parent += range(nid, nid + 2 * sum(k == "L" for k, _ in repl))
-        edge = prefix
-        for (kind, pos), after in zip(repl, window):
+        window = []
+        for kind, pos in repl:
+            if kind == "X":
+                edge[pos - 1], edge[pos] = edge[pos], edge[pos - 1]
+                window.append(None)
+                continue
             if kind == "L":
-                u, l = after[pos - 1], after[pos]
-                born_with[u], born_with[l] = (l, -1), (u, 1)
-                union(u, l)
-            elif kind == "R":
-                u, l = edge[pos - 1], edge[pos]
-                dies_with[u], dies_with[l] = (l, -1), (u, 1)
-                union(u, l)
-            edge = after
-        old_edge = stacks[w1_old]
-        stacks[w0 + 1:w1_old + 1] = window
-        if old_edge != edge:
+                pair = [len(parent), len(parent) + 1]
+                parent += pair
+                edge[pos - 1:pos - 1] = pair
+            else:
+                pair = edge[pos - 1:pos + 1]
+                del edge[pos - 1:pos + 1]
+            u, l = pair
+            table = born_with if kind == "L" else dies_with
+            table[u], table[l] = (l, -1), (u, 1)
+            union(u, l)
+            window.append(pair)
+        old_window = pairs[w0:w1_old]
+        events[w0:w1_old] = repl
+        pairs[w0:w1_old] = window
+        if labels != edge:
             ends = []  # the death cusps of renamed strands
-            for h, (a, b) in enumerate(zip(old_edge, edge)):
+            for h, (a, b) in enumerate(zip(labels, edge)):
                 if a == b:
                     continue  # most heights keep their label: no union
                 union(a, b)
-                if b >= nid and a not in prefix:
+                if b >= nid and any(a in p for p in old_window if p):
                     # b takes the place of a, born in the old window,
                     # and a is born at b's left cusp
-                    for s in window:
-                        if b in s:
-                            s[s.index(b)] = a
+                    pair = next(p for p in window if p and b in p)
+                    pair[pair.index(b)] = edge[h] = a
                     partner, step = born_with[a] = born_with[b]
                     born_with[partner] = (a, -step)
                 else:
-                    ends.append(_rename(events, stacks, w1_new, h, b))
+                    ends.append(_death(events, pairs, w1_new, h, b))
             for t in ends:
                 # both strands of one death cusp may be renamed: record
                 # its partners once every label is final
-                pos = events[t][1]
-                u, l = stacks[t][pos - 1], stacks[t][pos]
+                u, l = pairs[t]
                 dies_with[u], dies_with[l] = (l, -1), (u, 1)
+        labels, at = edge, w1_new
         # only a birth makes a piece that joins no label of the last
         # front; a move that made no label made no piece
         if move[0] != "B" and nid < len(parent) and any(
                 find(a) >= nid for a in range(nid, len(parent))):
             raise AssertionError(f"untracked component after {move[0]}")
-    pieces = len({find(stacks[i + 1][pos - 1])
-                  for i, (kind, pos) in enumerate(events) if kind == "L"})
+    pieces = len({find(pair[0]) for (kind, _), pair in zip(events, pairs)
+                  if kind == "L"})
     births = sum(m[0] == "B" for m in trace.moves)
     pinches = sum(m[0] in _PINCHES for m in trace.moves)
     return FrontDiagram(events), births, pinches, pieces

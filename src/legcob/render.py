@@ -17,10 +17,13 @@ MARGIN = 30
 
 def _strand_tracks(diagram):
     """Per id: (birth event, death event, [(slice, position 1-based), ...]),
-    listed in one pass over the slices.  An id is born at the event
-    before its first slice and dies at the event after its last."""
+    listed in one pass over the slices, one run of the word
+    (front.simulate); slice 0 holds no strand.  An id is born at the
+    event before its first slice and dies at the event after its last."""
+    # imported here, so that a render of sampled fronts loads no front code
+    from .front import simulate
     pts = [[] for _ in range(diagram.n_ids)]
-    for s, stack in enumerate(diagram.stacks):
+    for s, stack in enumerate(simulate(diagram.events, [], 0), 1):
         for p, a in enumerate(stack, 1):
             pts[a].append((s, p))
     return {a: (t[0][0] - 1, t[-1][0], t) for a, t in enumerate(pts)}

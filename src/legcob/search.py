@@ -48,8 +48,8 @@ def connect_fronts(a, b, depth, budget, window, kinds, fish_heights):
     when it is the meet and the backward half needs its events.  At a
     meet the backward half is inverted by invert_move, which is exact,
     so the joined path is returned without a replay.  An expanded state
-    is read for its strand counts and no state's strand stacks are ever
-    simulated (see FrontDiagram).  The caller picks kinds that can reach
+    is read for its strand counts, and no state's word is ever run for
+    its labels (see FrontDiagram).  The caller picks kinds that can reach
     b: commutes and R3 keep the counts of L, X and R events, so a search
     by them alone never meets a b whose counts differ from a's.
     """

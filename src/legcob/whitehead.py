@@ -19,7 +19,7 @@ which a bidirectional search fills in.
 from collections import defaultdict
 
 from .errors import DomainError
-from .front import FrontDiagram, classical_invariants, parse_front
+from .front import FrontDiagram, classical_invariants, parse_front, simulate
 from .moves import ISOTOPY_KINDS, CobordismTrace, trace_summary
 from .search import connect_fronts
 
@@ -35,11 +35,12 @@ _CUT_SLICE, _CUT_ID = 1, 0
 # Cap on the work of one double: base events^2 x (max strands + 2).
 # The tongue walk has a stage per base feature, and each stage's search
 # builds fronts whose words grow with the base, so the time is about
-# quadratic in the events and linear in the width.  Timed on an Intel
-# Xeon over twist fronts, wide closures and random braid-closure knots
-# of 2 to 20 strands, one unit took 18 to 33 microseconds; the largest
-# admitted bases (the twist front with 87 crossings, the 13-strand
-# closure of s1..s12) answered `leg wh` in 1.0 to 1.6 s.
+# quadratic in the events and linear in the width.  It also bounds the
+# base the walk simulates once.  Timed on an Intel Xeon (Python 3.11),
+# ten runs each, the largest admitted bases took 0.22 to 0.37 s of CPU
+# (the twist front with 87 crossings, 49,686 units, 4 to 7 microseconds
+# a unit) and 0.26 to 0.45 s (the 13-strand closure of s1..s12, 40,432
+# units, 6 to 11 microseconds); `leg wh` answers them in 0.3 to 0.5 s.
 MAX_DOUBLE_WORK = 5 * 10**4
 
 
@@ -137,10 +138,13 @@ class _TongueState:
     companion copies; mat holds base event indices whose doubled group
     has materialized; tip is [strand, direction, gap, side] with side
     ordering the tip against the start edge when both share gap 1.
+    stacks[t] lists the base's strand ids on slice t, from one run of
+    its word (front.simulate); MAX_DOUBLE_WORK bounds the base.
     """
 
     def __init__(self, base):
         self.base = base
+        self.stacks = [()] + list(map(tuple, simulate(base.events, [], 0)))
         self.mat = set()
         self.spans = {_CUT_ID: [_CUT_SLICE, _CUT_SLICE]}
         self.tip = [_CUT_ID, 1, _CUT_SLICE, 1]
@@ -163,7 +167,7 @@ class _TongueState:
         return True
 
     def _c_below(self, t, pos, before_start=False, at_event=False):
-        return sum(1 for w in self.base.stacks[t][:pos]
+        return sum(1 for w in self.stacks[t][:pos]
                    if self.covered_at(w, t, before_start, at_event))
 
     def _group(self, e):
@@ -172,7 +176,7 @@ class _TongueState:
 
     def _tip_event(self):
         wid, direction, gap, side = self.tip
-        pos = self.base.stacks[gap].index(wid)
+        pos = self.stacks[gap].index(wid)
         c = self._c_below(gap, pos,
                           before_start=(gap == _CUT_SLICE and side < 0))
         a = 2 * c + 1

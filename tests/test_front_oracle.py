@@ -19,24 +19,29 @@
    or its error, the reference grading through `maslov_potential`,
    which the replay's check does not call.  Every pinch and merge on
    the fronts with nonzero rotation numbers is checked that way too.
-3. The replay.  `_replay` carries one running front of strand labels
-   and tracks pieces by a union-find over them.  `ref_label_replay` is
-   the replay it replaced, which built a FrontDiagram per move and
-   checked pinch gradings through `maslov_potential`; `ref_replay` is
-   the one before, which walked the cusp cycles of every new front and
-   matched components by their per-strand overlap (`ref_strand_overlap`,
-   itself checked against the cell-by-cell overlap).  Both take each
+3. The replay.  `_replay` carries one running front, a label pair per
+   cusp and one moving slice of labels, and tracks pieces by a
+   union-find over the labels.  `ref_slice_replay` is the replay it
+   replaced, which kept every slice's labels and renamed a cut or joined
+   strand on each slice up to its death cusp.  `ref_label_replay` is
+   the one before, which built a FrontDiagram per move and checked pinch
+   gradings through `maslov_potential`; `ref_replay` is the one before
+   that, which walked the cusp cycles of every new front and matched
+   components by their per-strand overlap (`ref_strand_overlap`, itself
+   checked against the cell-by-cell overlap).  These two take each
    move's window from `_rewrite` and grade through `maslov_potential`
    (`ref_moved`), and count births from the events.  They must give the
    same end word, births, pinches and pieces, or the same error, on the
    `wh` traces of the benchmark's bases, the braid survey's 300 closures
    and seeded random traces from seven start fronts in both modes, with
-   every move kind.  At every pinch and merge a gf replay grades, its
-   running front must hold one label per strand, the shared cusp walk
-   must agree with `ref_walk` on it, and the cusp partners the replay
-   keeps must be `ref_walk`'s; the walk must agree on every front of
-   items 1 and 2 relabelled at random too.  A replay builds one
-   FrontDiagram, the end front.
+   every move kind.  At every pinch and merge a gf replay grades, the
+   slices its cusp pairs give must hold one label per strand, the one
+   slice it carries must be theirs, the shared cusp walk must agree
+   with `ref_walk` on them, and the cusp partners the replay keeps must
+   be `ref_walk`'s; the walk must agree on every front of items 1 and 2
+   relabelled at random too.  A replay builds one FrontDiagram, the end
+   front.  No FrontDiagram keeps a slice's ids, so the reference code
+   reads them off `ref_stacks`, the full reference simulation.
 4. The table of local rewrites in `moves` and the positional commute
    rule against the rewriter they replaced, one branch per move kind
    with the commutes replayed on strand stacks, and its `invert_move`: every
@@ -62,6 +67,7 @@
 
 import random
 from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
@@ -70,11 +76,13 @@ import pytest
 from legcob.braids import BraidWord, closure_report
 from legcob.errors import DomainError
 import legcob.moves as moves_module
-from legcob.front import (FrontDiagram, classical_invariants, cusp_walk,
-                          maslov_potential, parse_front)
-from legcob.moves import (_MOVE_ARITY, ISOTOPY_KINDS, CobordismTrace, _fail,
-                          _replay, _rewrite, apply_move, format_move,
-                          invert_move, isotopy_candidates)
+from legcob.front import (FrontDiagram, check_window, classical_invariants,
+                          cusp_walk, maslov_potential, parse_front,
+                          record_cusps, simulate, walk_cycle)
+from legcob.moves import (_MOVE_ARITY, _PINCHES, ISOTOPY_KINDS,
+                          CobordismTrace, _check_replay_work, _fail, _replay,
+                          _rewrite, apply_move, format_move, invert_move,
+                          isotopy_candidates)
 from legcob.whitehead import whitehead_diagram, whitehead_double
 from test_search import BENCH_BASES, ref_isotopy_candidates
 
@@ -93,7 +101,7 @@ ROTATING = ("L1 X1 R1", "L1 X1 X1 X1 R1", "L1 L2 X2 X2 X2 R2 R1",
 INVERTED = ("L1 L2 X3 X3 X3 R2 R1", "L1 L2 R1 L1 R2 R1",
             "L1 L2 L3 X4 X5 X4 X5 R3 R2 R1",
             "L1 L3 L3 X4 X2 R1 R1 L1 L1 X2 X4 R3 L5 R3 X2 R1 R1")
-FIELDS = ("events", "word", "counts", "stacks", "crossings", "cusps",
+FIELDS = ("events", "word", "counts", "crossings", "cusps",
           "n_ids", "n_left", "n_right", "max_strands", "comp_of",
           "components", "n_components", "potential", "defects")
 
@@ -329,6 +337,17 @@ def ref_simulate(events):
             "max_strands": max(len(s) for s in stacks)}
 
 
+def ref_stacks(d):
+    """The strand ids of each slice of the front d, as the reference
+    simulation lists them; a FrontDiagram keeps none."""
+    return _ref_stacks(tuple(d.events))
+
+
+@lru_cache(maxsize=4096)
+def _ref_stacks(events):
+    return ref_simulate(events)["stacks"]
+
+
 def ref_apply(d, move, gf_mode):
     """The applier as it was: the same rewrite, then a full rebuild and
     the pinch grading check through maslov_potential."""
@@ -351,7 +370,7 @@ def graded_apply(d, move):
 def ref_pinch_grading(d, move):
     """The pinch grading check of a P or PM on d through
     maslov_potential; other moves pass."""
-    st = d.stacks
+    st = ref_stacks(d)
     if move[0] == "P":
         _, w, h = move
         ref_check_grading(d, st[w][h - 1], st[w][h], 1, "potentials")
@@ -368,9 +387,10 @@ def ref_overlap(old, new, w0, w1_old, w1_new):
     found = defaultdict(set)
     pairs = [(t, t) for t in range(w0 + 1)]
     pairs += [(t, t + shift) for t in range(w1_old, len(old.events) + 1)]
+    old_stacks, new_stacks = ref_stacks(old), ref_stacks(new)
     for t, tn in set(pairs):
-        so = old.stacks[t]
-        sn = new.stacks[tn]
+        so = old_stacks[t]
+        sn = new_stacks[tn]
         assert len(so) == len(sn)
         for p in range(len(so)):
             found[new.comp_of[sn[p]]].add(old.comp_of[so[p]])
@@ -399,7 +419,7 @@ def _every_move(d):
     yield from ref_isotopy_candidates(d, (0, len(d.events)), ISOTOPY_KINDS,
                                       None)
     for s in range(len(d.events) + 1):
-        for h in range(1, len(d.stacks[s]) + 2):
+        for h in range(1, d.counts[s] + 2):
             yield ("B", s, h)
             yield ("P", s, h)
     for e in range(len(d.events) - 1):
@@ -407,8 +427,11 @@ def _every_move(d):
 
 
 def test_fresh_build_matches_reference_simulation(move_fronts):
+    # and one run of simulate lists the reference's slices
     for d in move_fronts + [parse_front(word) for word in ROTATING]:
         ref = ref_simulate(d.events)
+        stacks = ((),) + tuple(map(tuple, simulate(d.events, [], 0)))
+        assert ref.pop("stacks") == stacks, d.word
         for name, value in ref.items():
             assert getattr(d, name) == value, (d.word, name)
 
@@ -460,7 +483,7 @@ def test_pinch_gradings_on_rotating_fronts():
     for word in ROTATING:
         d = parse_front(word)
         moves = [("P", s, h) for s in range(len(d.events) + 1)
-                 for h in range(1, len(d.stacks[s]) + 2)]
+                 for h in range(1, d.counts[s] + 2)]
         moves += [("PM", e) for e in range(len(d.events))]
         for move in moves:
             want = _outcome(lambda: ref_apply(d, move, True))
@@ -473,7 +496,7 @@ def test_pinch_gradings_on_rotating_fronts():
             assert not isinstance(got, str), (word, move, got)
             assert got.word == want.word, (word, move)
             if move[0] == "P":
-                a, b = d.stacks[move[1]][move[2] - 1:move[2] + 1]
+                a, b = ref_stacks(d)[move[1]][move[2] - 1:move[2] + 1]
                 c = d.comp_of[a]
                 modded["accepted"] += c == d.comp_of[b] and d.defects[c] > 0
             for front in (d, got):
@@ -503,7 +526,7 @@ def test_random_windows_match_full_simulation(move_fronts):
                     for _ in range(rng.randint(0, 3))]
             if rng.random() < 0.5:
                 # a legal position more often than not
-                repl = [(k, min(p, 1 + len(parent.stacks[w0]) // 2))
+                repl = [(k, min(p, 1 + parent.counts[w0] // 2))
                         for k, p in repl]
             events = parent.events[:w0] + repl + parent.events[w1_old:]
             want = _outcome(lambda: ref_simulate(events))
@@ -520,6 +543,7 @@ def test_random_windows_match_full_simulation(move_fronts):
                 errors += 1
                 unbalanced += want.startswith("unbalanced cusps")
                 continue
+            del want["stacks"]
             for name, value in want.items():
                 assert getattr(got, name) == value, (got.word, name)
             _assert_same(got, fresh)
@@ -544,7 +568,7 @@ def ref_strand_overlap(old, new, w0, w1_old, w1_new):
     old_born, new_born = ref_born(old), ref_born(new)
     for a in range(2 * old_born[w0]):
         found[new_comp[a]].add(old_comp[a])
-    so, sn = old.stacks[w1_old], new.stacks[w1_new]
+    so, sn = ref_stacks(old)[w1_old], ref_stacks(new)[w1_new]
     assert len(so) == len(sn)
     for a, b in zip(so, sn):
         found[new_comp[b]].add(old_comp[a])
@@ -682,12 +706,13 @@ def ref_moved(d, move, gf_mode):
 
 
 def ref_label_replay(trace):
-    """_replay as it was: one FrontDiagram per move, its stacks joined to
-    the last front's; label[id] is the union-find label of each strand
-    id of the current front.  A move keeps the labels of ids born before
-    w0, shifts those born after w1 with their ids, and gives fresh labels
-    to ids born in the window.  It joins the two strands of each cusp in
-    the new window and the strands at each height of the stacks at w1."""
+    """_replay before ref_slice_replay: one FrontDiagram per move, its
+    stacks joined to the last front's; label[id] is the union-find label
+    of each strand id of the current front.  A move keeps the labels of
+    ids born before w0, shifts those born after w1 with their ids, and
+    gives fresh labels to ids born in the window.  It joins the two
+    strands of each cusp in the new window and the strands at each
+    height of the stacks at w1."""
     d = trace.start
     parent = list(range(d.n_ids))
 
@@ -708,12 +733,12 @@ def ref_label_replay(trace):
     for move in trace.moves:
         new_d, w0, w1_old, w1_new = ref_moved(d, move, trace.gf_mode)
         old = len(parent)
-        pairs = [label[a] for a in d.stacks[w1_old]]
+        pairs = [label[a] for a in ref_stacks(d)[w1_old]]
         born, new_born = ref_born(d), ref_born(new_d)
         fresh = 2 * (new_born[w1_new] - new_born[w0])
         parent += range(old, old + fresh)
         label[2 * born[w0]:2 * born[w1_old]] = range(old, old + fresh)
-        stacks = new_d.stacks
+        stacks = ref_stacks(new_d)
         for i in range(w0, w1_new):
             kind, pos = new_d.events[i]
             if kind != "X":
@@ -747,7 +772,7 @@ def _candidates(d):
     yield from (m for m, _ in isotopy_candidates(d, (0, n), ISOTOPY_KINDS,
                                                  None))
     for s in range(n + 1):
-        for h in range(1, len(d.stacks[s]) + 2):
+        for h in range(1, d.counts[s] + 2):
             yield ("B", s, h)
             yield ("P", s, h)
     for e in range(n):
@@ -782,20 +807,41 @@ def _kind_first_traces(rng, count):
         yield CobordismTrace(start, moves, gf_mode=gf_mode)
 
 
+def _label_slices(events, pairs):
+    """The labels of every slice of a replay's front, rebuilt from its
+    cusp pairs: a left cusp's pair enters the slice after it, and a
+    right cusp's must be the labels at its heights before it."""
+    labels, slices = [], [[]]
+    for (kind, pos), pair in zip(events, pairs):
+        assert (pair is None) == (kind == "X"), (kind, pair)
+        if kind == "L":
+            labels[pos - 1:pos - 1] = pair
+        elif kind == "X":
+            labels[pos - 1], labels[pos] = labels[pos], labels[pos - 1]
+        else:
+            assert labels[pos - 1:pos + 1] == list(pair), (pos, pair)
+            del labels[pos - 1:pos + 1]
+        slices.append(labels[:])
+    return slices
+
+
 def _checked_gradings(monkeypatch, trace):
     """The replay's outcome, and the count of the pinches and merges it
-    grades, each front it grades one on first checked by
-    _assert_walk_matches_reference and the cusp partners the replay
-    keeps by _assert_partners_match_reference."""
+    grades, each front it grades one on first checked: the slices its
+    cusp pairs give (_label_slices) by _assert_walk_matches_reference,
+    the slice the replay carries against theirs, and the cusp partners
+    the replay keeps by _assert_partners_match_reference."""
     graded = []
     check = moves_module._check_grading
 
-    def checked(move, events, stacks, born_with, dies_with):
+    def checked(move, events, pairs, labels, born_with, dies_with):
         d = FrontDiagram(events)
+        stacks = _label_slices(events, pairs)
+        assert labels == stacks[move[1]], move
         _assert_walk_matches_reference(d, stacks)
         _assert_partners_match_reference(d, stacks, born_with, dies_with)
         graded.append(move)
-        return check(move, events, stacks, born_with, dies_with)
+        return check(move, events, pairs, labels, born_with, dies_with)
 
     monkeypatch.setattr(moves_module, "_check_grading", checked)
     outcome = _replay_outcome(_replay, trace)
@@ -807,7 +853,7 @@ def _relabelling(d, stacks):
     """The label of each strand id of d in `stacks`, which must hold one
     label per strand and one strand per label."""
     label_of = {}
-    for ids, labels in zip(d.stacks, stacks):
+    for ids, labels in zip(ref_stacks(d), stacks):
         assert len(ids) == len(labels), d.word
         for a, b in zip(ids, labels):
             assert label_of.setdefault(a, b) == b, (d.word, a)
@@ -845,11 +891,150 @@ def _assert_partners_match_reference(d, stacks, born_with, dies_with):
             (d.word, a)
 
 
+def ref_slice_grading(move, events, stacks, born_with, dies_with):
+    """_check_grading as ref_slice_replay called it: the strands a and b
+    read off the replay's slices, a at index h - 1 of slice w and b at
+    index hb of slice t, one cusp cycle walked on the kept partners, and
+    a refusal's numbers read off the whole-front walk of
+    FrontDiagram(events) at the ids in the same spots."""
+    if move[0] == "P":
+        _, w, h = move
+        t, hb, gap, what = w, h, 1, "potentials"
+    else:
+        w = move[1]
+        h = events[w][1]
+        t, hb, gap, what = w + 2, h - 1, 0, "cusp levels"
+    a, b = stacks[w][h - 1], stacks[t][hb]
+    cycle, jump = walk_cycle(b, born_with, dies_with)
+    if a not in cycle:
+        return
+    diff = cycle[a] - cycle[b] - gap
+    if (diff % jump if jump else diff) == 0:
+        return
+    d = FrontDiagram(events)
+    a, b = ref_stacks(d)[w][h - 1], ref_stacks(d)[t][hb]
+    m = d.defects[d.comp_of[a]] or None
+    mu_a, mu_b = d.potential[a], d.potential[b]
+    if m:
+        mu_a, mu_b = mu_a % m, mu_b % m
+    raise DomainError(
+        f"grading mismatch at pinch: {what} {mu_a}, {mu_b} (mod {m})")
+
+
+def ref_rename(events, stacks, t, h, label):
+    """Give `label` to the strand at index h of slice t on the slices
+    after t, up to its death cusp, following its height.  Returns the
+    index of that death cusp."""
+    n = len(events)
+    while t < n:
+        kind, pos = events[t]
+        t += 1
+        if kind == "X":
+            if h == pos - 1:
+                h = pos
+            elif h == pos:
+                h = pos - 1
+        elif kind == "L":
+            if h >= pos - 1:
+                h += 2
+        elif h >= pos - 1:
+            if h <= pos:
+                return t - 1  # the strand dies at this right cusp
+            h -= 2
+        stacks[t][h] = label
+
+
+def ref_slice_replay(trace):
+    """_replay before the label pairs: the running front keeps, per
+    slice, a list of the labels of its strands.  A move simulates its
+    window alone, new strands taking fresh labels, splices the window's
+    events and slices in, and renames a cut or joined strand on every
+    slice after the window up to its death cusp (ref_rename); the rest,
+    the union-find and the kept cusp partners, is _replay's."""
+    _check_replay_work(trace)
+    start, gf_mode = trace.start, trace.gf_mode
+    events = start.events
+    stacks = [list(s) for s in ref_stacks(start)]
+    parent = list(range(start.n_ids))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    for _, _, _, u, l in start.cusps:
+        union(u, l)
+    born_with, dies_with = {}, {}
+    record_cusps(start.cusps, born_with, dies_with)
+    for move in trace.moves:
+        w0, w1_old, repl = _rewrite(events, move)
+        w1_new = w0 + len(repl)
+        new = events[:w0] + repl + events[w1_old:]
+        try:
+            check_window(events, w0, w1_old, repl, len(stacks[w0]),
+                         len(stacks[w1_old]))
+        except DomainError as err:
+            _fail(move, f"rewritten word is invalid: {err}")
+        if gf_mode and move[0] in _PINCHES:
+            ref_slice_grading(move, events, stacks, born_with, dies_with)
+        events = new
+        nid = len(parent)
+        prefix = stacks[w0]
+        window = [s[:] for s in simulate(repl, prefix[:], nid)]
+        parent += range(nid, nid + 2 * sum(k == "L" for k, _ in repl))
+        edge = prefix
+        for (kind, pos), after in zip(repl, window):
+            if kind == "L":
+                u, l = after[pos - 1], after[pos]
+                born_with[u], born_with[l] = (l, -1), (u, 1)
+                union(u, l)
+            elif kind == "R":
+                u, l = edge[pos - 1], edge[pos]
+                dies_with[u], dies_with[l] = (l, -1), (u, 1)
+                union(u, l)
+            edge = after
+        old_edge = stacks[w1_old]
+        stacks[w0 + 1:w1_old + 1] = window
+        if old_edge != edge:
+            ends = []
+            for h, (a, b) in enumerate(zip(old_edge, edge)):
+                if a == b:
+                    continue
+                union(a, b)
+                if b >= nid and a not in prefix:
+                    for s in window:
+                        if b in s:
+                            s[s.index(b)] = a
+                    partner, step = born_with[a] = born_with[b]
+                    born_with[partner] = (a, -step)
+                else:
+                    ends.append(ref_rename(events, stacks, w1_new, h, b))
+            for t in ends:
+                pos = events[t][1]
+                u, l = stacks[t][pos - 1], stacks[t][pos]
+                dies_with[u], dies_with[l] = (l, -1), (u, 1)
+        if move[0] != "B" and nid < len(parent) and any(
+                find(a) >= nid for a in range(nid, len(parent))):
+            raise AssertionError(f"untracked component after {move[0]}")
+    pieces = len({find(stacks[i + 1][pos - 1])
+                  for i, (kind, pos) in enumerate(events) if kind == "L"})
+    births = sum(m[0] == "B" for m in trace.moves)
+    pinches = sum(m[0] in _PINCHES for m in trace.moves)
+    return FrontDiagram(events), births, pinches, pieces
+
+
 def test_replay_matches_per_move_replay(monkeypatch):
-    # the running front against one FrontDiagram per move: the same end
-    # word, births, pinches and pieces, or the same refusal; at every
-    # pinch and merge a gf replay grades, its front holds one label per
-    # strand, walks as ref_walk does and keeps ref_walk's cusp partners
+    # the label pairs and the one moving slice against the per-slice
+    # replay and one FrontDiagram per move: the same end word, births,
+    # pinches and pieces, or the same refusal; at every pinch and merge
+    # a gf replay grades, its front holds one label per strand, walks as
+    # ref_walk does and keeps ref_walk's cusp partners
     rng = random.Random(25)
     traces = list(_kind_first_traces(rng, 2000))
     traces += [_wh_trace(word) for word in MOVE_BASES]
@@ -858,6 +1043,8 @@ def test_replay_matches_per_move_replay(monkeypatch):
     graded = 0
     for trace in traces:
         want = _replay_outcome(ref_label_replay, trace)
+        assert _replay_outcome(ref_slice_replay, trace) == want, \
+            (trace.start.word, trace.moves, trace.gf_mode)
         if trace.gf_mode:
             got, count = _checked_gradings(monkeypatch, trace)
             graded += count
@@ -890,7 +1077,7 @@ def test_shared_walk_matches_reference_on_relabelled_fronts(fronts,
     for d in bases:
         for labels in (range(d.n_ids),
                        rng.sample(range(10 * d.n_ids + 10), d.n_ids)):
-            stacks = [[labels[a] for a in s] for s in d.stacks]
+            stacks = [[labels[a] for a in s] for s in ref_stacks(d)]
             _assert_walk_matches_reference(d, stacks)
     assert len(bases) > 400
 
@@ -1077,7 +1264,7 @@ def ref_rewrite(diagram, move, gf_mode):
         s, h = move[1], move[2]
         if not 0 <= s <= len(ev):
             _fail(move, f"no slice {s}")
-        count = len(diagram.stacks[s])
+        count = diagram.counts[s]
         if kind == "B":
             if not 1 <= h <= count + 1:
                 _fail(move, f"height {h} out of range for {count} strands")
@@ -1086,7 +1273,7 @@ def ref_rewrite(diagram, move, gf_mode):
             if not 1 <= h <= count - 1:
                 _fail(move, f"no strand pair at heights {h}, {h + 1}")
             if gf_mode:
-                stack = diagram.stacks[s]
+                stack = ref_stacks(diagram)[s]
                 ref_check_grading(diagram, stack[h - 1], stack[h], 1,
                                "potentials")
             ins = [("R", h), ("L", h)]
@@ -1109,7 +1296,7 @@ def ref_rewrite(diagram, move, gf_mode):
         if (ka, kb) != ("R", "L") or pa != pb:
             _fail(move, f"events at {e}, {e + 1} are not a matched R,L pair")
         if gf_mode:
-            st = diagram.stacks
+            st = ref_stacks(diagram)
             a, _ = ref_participants(ev[e], st[e], st[e + 1])  # dying at R
             u, _ = ref_participants(ev[e + 1], st[e + 1], st[e + 2])  # born
             ref_check_grading(diagram, a, u, 0, "cusp levels")
@@ -1130,7 +1317,7 @@ def ref_rewrite(diagram, move, gf_mode):
         k, q = ev[e]
         if k not in ("L", "R"):
             _fail(move, f"event {e} is not a cusp")
-        count = len(diagram.stacks[e])
+        count = diagram.counts[e]
         if kind == "R2u":
             if q < 2:
                 _fail(move, "no strand above the cusp")
@@ -1171,9 +1358,7 @@ def ref_rewrite(diagram, move, gf_mode):
         if not 0 <= e < len(ev) - 1:
             _fail(move, f"no event pair at {e}")
         first, second = ev[e], ev[e + 1]
-        s0 = list(diagram.stacks[e])
-        s1 = diagram.stacks[e + 1]
-        s2 = list(diagram.stacks[e + 2])
+        s0, s1, s2 = map(list, ref_stacks(diagram)[e:e + 3])
         pa = ref_participants(first, s0, s1)
         pb = ref_participants(second, s1, s2)
         if set(pa) & set(pb):
@@ -1251,7 +1436,7 @@ def test_rewrite_table_matches_reference(fronts, move_fronts):
         n = len(d.events)
         moves = list(ref_isotopy_candidates(d, (0, n), ISOTOPY_KINDS, None))
         moves += [(kind, s, h) for s in range(n + 1)
-                  for h in range(len(d.stacks[s]) + 3) for kind in "BP"]
+                  for h in range(d.counts[s] + 3) for kind in "BP"]
         moves += [("PM", e) for e in range(n)]
         for move in moves:
             for gf_mode, apply in ((False, apply_move), (True, graded_apply)):

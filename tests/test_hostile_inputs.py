@@ -139,9 +139,35 @@ ROWS = [
     pytest.param(["plan", "--verify", "/dev/zero"], id="plan-verify-dev-zero"),
 ]
 
+
+def _nested_eyes(k):
+    return "L1 " * k + "R1 " * k
+
+
+# The births of a trace on 12,000 nested eyes that the replay cap admits
+# (83 on 24,000 to 24,164 events), alternating between two slices of
+# the growing front.
+def _eye_births(first, second):
+    return "".join(f"B {first(k) if k % 2 == 0 else second(k)} 1\n"
+                   for k in range(83))
+
+
 # Long inputs, written to the working directory of the long-input rows
 # only.
 LONG_FILES = {
+    # a birth after 6,000 and 12,000 nested eyes, 36 KB and 72 KB: a
+    # replay keeps a label pair per cusp and one slice, not the labels
+    # of every slice
+    "eyes-6000.trace": _nested_eyes(6000) + "\nB 0 1\n",
+    "eyes-12000.trace": _nested_eyes(12000) + "\nB 0 1\n",
+    # the replay's worst cases at the cap: births alternately at the
+    # first and the last slice, which a walk of the slice from where the
+    # last move left it would cross the whole front to reach, and at a
+    # quarter and three quarters of the front, half a front apart
+    "eyes-ends.trace": _nested_eyes(12000) + "\n" + _eye_births(
+        lambda k: 0, lambda k: 24000 + 2 * k),
+    "eyes-quarters.trace": _nested_eyes(12000) + "\n" + _eye_births(
+        lambda k: 6000, lambda k: 18000),
     # 20,000 manifold blocks in distinct degrees, twice the plan cap
     "blocks-20000.plan": json.dumps({
         "n": 20001,
@@ -169,6 +195,20 @@ LONG_ROWS = [
     # pair from one run of the word and keep no stack per slice
     pytest.param(["inv", "--front", "L1 " * 12000 + "R1 " * 12000], 0,
                  "tb -12000", id="inv-12000-nested-eyes"),
+    pytest.param(["trace", "eyes-6000.trace"], 0, "pieces 6001",
+                 id="trace-6000-nested-eyes"),
+    pytest.param(["trace", "eyes-6000.trace", "--gf"], 0, "pieces 6001",
+                 id="trace-gf-6000-nested-eyes"),
+    pytest.param(["trace", "eyes-12000.trace"], 0, "pieces 12001",
+                 id="trace-12000-nested-eyes"),
+    pytest.param(["trace", "eyes-12000.trace", "--gf"], 0, "pieces 12001",
+                 id="trace-gf-12000-nested-eyes"),
+    pytest.param(["move", "--front", _nested_eyes(6000), "--move", "B 0 1"],
+                 0, "moves 1", id="move-6000-nested-eyes"),
+    pytest.param(["trace", "eyes-ends.trace"], 0, "pieces 12083",
+                 id="trace-12000-nested-eyes-ends-at-cap"),
+    pytest.param(["trace", "eyes-quarters.trace"], 0, "pieces 12083",
+                 id="trace-12000-nested-eyes-quarters-at-cap"),
 ]
 
 
@@ -239,9 +279,9 @@ def test_long_input_gets_a_linear_answer(argv, code, line, tmp_path):
     cost may grow with their length but must stay linear in it: each
     term, degree or block is summed into its polynomial once, not by
     rebuilding the whole sum for each, a plan file over the block cap is
-    refused before any block is built, and a front's invariants keep no
-    stack of strands per slice.  They answer under the
-    same caps and deadline as the short inputs."""
+    refused before any block is built, and neither a front's invariants
+    nor a trace replay keep a stack of strands per slice.  They answer
+    under the same caps and deadline as the short inputs."""
     for name, text in LONG_FILES.items():
         (tmp_path / name).write_text(text)
     proc = _run(argv, tmp_path)

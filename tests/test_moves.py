@@ -71,7 +71,7 @@ def test_fish_round_trip_and_invariants():
     base = classical_invariants(d)
     for kind in ("R1a", "R1b"):
         for s in range(len(d.events) + 1):
-            for h in range(1, len(d.stacks[s]) + 1):
+            for h in range(1, d.counts[s] + 1):
                 d2 = apply_move(d, (kind, s, h))
                 inv = classical_invariants(d2)
                 assert inv["tb"] == base["tb"]
@@ -143,22 +143,22 @@ def test_commute_rejects_interleaved_cusps():
         apply_move(d, ("C", 0))
 
 
-def test_moved_front_simulates_its_stacks_on_first_read():
+def test_moved_front_counts_on_first_read_and_keeps_no_stacks():
     for word, move in ((TREFOIL, ("R1a", 2, 1)), (TREFOIL, ("R2u", 1)),
                        (TREFOIL, ("P", 3, 2)), ("L1 R1 L1 R1", ("C", 1))):
         moved = apply_move(parse_front(word), move)
-        for name in ("counts", "stacks"):
-            assert name not in moved.__dict__, (move, name)
+        assert "counts" not in moved.__dict__, move
         fresh = parse_front(moved.word)
         assert moved.counts == fresh.counts
-        assert "counts" in moved.__dict__ and "stacks" not in moved.__dict__
-        assert moved.stacks == fresh.stacks
-        assert "stacks" in moved.__dict__
-        # ids are numbered in birth order: those on slice t are born at
-        # the left cusps of events[:t]
-        for t, stack in enumerate(moved.stacks):
-            born = sum(k == "L" for k, _ in moved.events[:t])
-            assert all(a < 2 * born for a in stack), (move, t)
+        assert "counts" in moved.__dict__
+        # labels are one pair per event: no front keeps a slice's ids
+        for d in (moved, fresh):
+            assert moved.cusps == fresh.cusps
+            assert not hasattr(d, "stacks") and not hasattr(d, "_simulate")
+        # ids are numbered by left cusp in word order, as a refused
+        # pinch's message reads them
+        lefts = [(u, l) for _, kind, _, u, l in moved.cusps if kind == "L"]
+        assert lefts == [(a, a + 1) for a in range(0, moved.n_ids, 2)]
 
 
 def _graded_like_reference(d, move):
@@ -378,7 +378,7 @@ def test_invert_move_is_faithful():
         cands = [m for m, _ in isotopy_candidates(d, (0, n), ISOTOPY_KINDS,
                                                   None)]
         cands += [("P", s, h) for s in range(n + 1)
-                  for h in range(1, len(d.stacks[s]))]
+                  for h in range(1, d.counts[s])]
         cands += [("PM", e) for e in range(n - 1)]
         for move in cands:
             try:

@@ -2,6 +2,7 @@ import random
 
 from legcob.front import _SHIFT, FrontDiagram, parse_front
 from legcob.render import _strand_tracks, render_svg
+from test_front_oracle import ref_stacks
 
 TREFOIL = "L1 L2 X3 X3 X3 R2 R1"
 
@@ -23,7 +24,7 @@ def test_svg_deterministic():
 def ref_strand_tracks(diagram):
     """The tracks as they were: birth and death events from the cusp
     list, and each id's position searched for in every slice it
-    crosses."""
+    crosses, the slices the reference simulation's."""
     born = {}
     died = {}
     for i, kind, pos, u, l in diagram.cusps:
@@ -34,10 +35,11 @@ def ref_strand_tracks(diagram):
             died[u] = i
             died[l] = i
     tracks = {}
+    stacks = ref_stacks(diagram)
     for a in range(diagram.n_ids):
         pts = []
         for s in range(born[a] + 1, died[a] + 1):
-            pts.append((s, diagram.stacks[s].index(a) + 1))
+            pts.append((s, stacks[s].index(a) + 1))
         tracks[a] = (born[a], died[a], pts)
     return tracks
 

@@ -71,7 +71,7 @@ def ref_isotopy_candidates(diagram, window, kinds, fish_heights):
         for kind in kinds:
             yield (kind, e)
     for s in range(lo, min(hi, n) + 1):
-        for h in range(1, len(diagram.stacks[s]) + 1):
+        for h in range(1, diagram.counts[s] + 1):
             if fish_heights is None or h in fish_heights:
                 yield ("R1a", s, h)
                 yield ("R1b", s, h)
@@ -155,7 +155,7 @@ def test_search_simulates_no_stacks(monkeypatch):
     # candidates are keyed by spliced words: the diagrams built are the
     # expanded states and the returned path's, each once, the roots
     # aside.  An expanded one is read for its strand counts, and none
-    # reads its stacks
+    # runs its word for its labels
     a = parse_front("L1 R1")
     b = _replay(a, [("R1a", 1, 1), ("R1b", 1, 1), ("R1a", 7, 1),
                     ("R1b", 9, 1)])
@@ -180,14 +180,14 @@ def test_search_simulates_no_stacks(monkeypatch):
     assert sorted(d.word for d in built) == sorted(want)
     assert len(expanded) > 5
     for d in expanded + built:
-        assert "stacks" not in d.__dict__, d.word
+        assert "cusps" not in d.__dict__, d.word
     assert all("counts" in d.__dict__ for d in expanded)
 
 
 def test_invariants_simulate_no_stacks():
     # tb and rotation numbers, a graded ruling count and a replay end
     # front's components read each event's own pair of ids from one run
-    # of the word: none reads its stacks
+    # of the word, and no front keeps a slice's ids
     fronts = [trace_summary(whitehead_double(parse_front(word))[1])["end"]
               for word in BENCH_BASES[2:4]]
     for word in BENCH_BASES:
@@ -198,7 +198,7 @@ def test_invariants_simulate_no_stacks():
         fronts += [d, graded]
     for d in fronts:
         assert "potential" in d.__dict__, d.word
-        assert "stacks" not in d.__dict__, d.word
+        assert not hasattr(d, "stacks"), d.word
 
 
 def _walk(d, rng, kinds, fish_heights, steps):
@@ -250,7 +250,7 @@ def test_table_kinds_change_counts_as_their_rules_say():
         cands = [(kind, e) for e in range(n) for kind in change
                  if kind not in inserts]
         cands += [(kind, s, h) for kind in inserts for s in range(n + 1)
-                  for h in range(1, len(d.stacks[s]) + 2)]
+                  for h in range(1, d.counts[s] + 2)]
         for move in cands:
             nd = _try(d, move)
             if nd is not None:
