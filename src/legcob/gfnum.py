@@ -41,13 +41,14 @@ adjacent degrees.
 Every central difference is one _fd_jacobian call: one call of the
 map on the points stacked over their probes.  Every solve (fiber roots
 and chords) runs through one batched Newton that takes one such
-Jacobian per step; the chord Hessian and the regularity margin take
-one each.  So every family map is row-wise, the tail A(eta) summed
-column by column: a row's value never depends on the rest of its
-batch.  The fiber solve joins whole chunks of its seed scan into one
-Newton call until the call holds FIBER_BATCH_ROWS seed rows, and each
-chunk stops on the step its own rows converge, so a row takes the
-steps a call per chunk gives it; the chord Newton is one group.
+Jacobian per step; the chord Hessians of a search, stacked, and the
+regularity margin take one each.  So every family map is row-wise,
+the tail A(eta) summed column by column: a row's value never depends
+on the rest of its batch.  The fiber solve joins whole chunks of its
+seed scan into one Newton call until the call holds FIBER_BATCH_ROWS
+seed rows, and each chunk stops on the step its own rows converge, so
+a row takes the steps a call per chunk gives it; the chord Newton is
+one group.
 fiber_critical_set is the one fiber solve, for gf-front, the chord
 searches and the filling's slices alike: it returns the samples as
 rows (x, eta), and only the readers of z = f and p = d_x f evaluate
@@ -70,10 +71,12 @@ composites in spin and immersed_filling_family.
 Every number a gf command prints is the same on every numpy SIMD tier
 of one machine: the polynomials take their powers as products (see
 mpoly), and the smoothstep takes its exponentials in long double, for
-which numpy has no SIMD loop.  The limits: LAPACK (eigvalsh, solve,
-det) and the C library's expl belong to the machine, and np.longdouble
-is 80-bit on x86-64 Linux but not everywhere, so the claim is the same
-bytes on two numpy tiers of one machine, not across machines.
+which numpy has no SIMD loop.  The limits: LAPACK (eigvalsh, and
+solve and det for Newton systems of two or more unknowns; a 1x1
+system divides and never calls LAPACK) and the C library's expl
+belong to the machine, and np.longdouble is 80-bit on x86-64 Linux
+but not everywhere, so the claim is the same bytes on two numpy tiers
+of one machine, not across machines.
 """
 
 import functools
@@ -133,7 +136,8 @@ SMOOTHSTEP_D_SUP = 2.0 * (1.0 + BOUND_MARGIN)
 # --- linear algebra ---------------------------------------------------
 
 def sym_eigenvalues(mat):
-    """Eigenvalues of a symmetric matrix, ascending."""
+    """Eigenvalues of a symmetric matrix, ascending; of a stack (m, k,
+    k) of them, one list per matrix, each as a call on it alone gives."""
     return np.linalg.eigvalsh(np.asarray(mat, float)).tolist()
 
 
@@ -152,7 +156,7 @@ def _fd_jacobian(F, P, h):
     out = F(np.concatenate([P[None], P + probes[:, None, :],
                             P - probes[:, None, :]]).reshape(-1, k))
     out = out.reshape(2 * k + 1, m, -1)
-    return out[0], np.moveaxis((out[1:k + 1] - out[k + 1:]) / (2 * h), 0, 2)
+    return out[0], ((out[1:k + 1] - out[k + 1:]) / (2 * h)).transpose(1, 2, 0)
 
 
 def _newton(F, P, iters, starts=(0,)):
@@ -163,10 +167,13 @@ def _newton(F, P, iters, starts=(0,)):
     of its batch.  Each step takes the residual and the Jacobian of the
     live points Q from one _fd_jacobian call, with h = FD_STEP and
     `rows` tiled to match its 2k + 1 stacked blocks.  Steps are clipped
-    to 0.5 per coordinate.  A row whose Jacobian turns singular never
-    moves again: it leaves the live rows, on which alone F, its
-    Jacobian and the convergence test are evaluated, so it cannot keep
-    the others iterating to the cap.
+    to 0.5 per coordinate.  A row whose Jacobian turns singular, |det|
+    <= 1e-14, never moves again: it leaves the live rows, on which
+    alone F, its Jacobian and the convergence test are evaluated, so it
+    cannot keep the others iterating to the cap.  For k >= 2 LAPACK
+    takes the determinants and solves the steps; a 1x1 system (k = 1)
+    never calls LAPACK: its determinant is its one entry J, exactly,
+    and its step is the division F / J.
 
     The rows form groups of consecutive rows, group g starting at row
     starts[g] (ascending, from 0), and each group stops on its own: on
@@ -196,14 +203,28 @@ def _newton(F, P, iters, starts=(0,)):
             on = going[np.searchsorted(starts, live, "right") - 1]
             if not on.all():
                 live, Q, res, jac = live[on], Q[on], res[on], jac[on]
-        move = ~(np.abs(np.linalg.det(jac)) <= 1e-14)
-        stuck[live[~move]] = True
-        step = np.zeros_like(Q)
-        step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
-        P[live] = Q - np.clip(step, -0.5, 0.5)
+        # a 1x1 Jacobian is its own determinant
+        det = jac[:, 0, 0] if k == 1 else np.linalg.det(jac)
+        move = ~(np.abs(det) <= 1e-14)
+        if move.all():
+            step = _steps(jac, res)
+        else:
+            stuck[live[~move]] = True
+            step = np.zeros_like(Q)
+            step[move] = _steps(jac[move], res[move])
+        P[live] = Q - np.minimum(np.maximum(step, -0.5), 0.5)
         live = live[move]
     accept = np.max(np.abs(F(P, np.arange(len(P)))), axis=1) < 1e-9
     return P, accept, stuck
+
+
+def _steps(jac, res):
+    """The Newton steps jac^-1 res of the rows: 1x1 systems divide, which
+    gives LAPACK's solve bit for bit and its silence on overflow."""
+    if jac.shape[1] == 1:
+        with np.errstate(all="ignore"):
+            return res / jac[:, 0]
+    return np.linalg.solve(jac, res[..., None])[..., 0]
 
 
 # --- families ---------------------------------------------------------
@@ -1030,10 +1051,16 @@ def _diff_value(fam, pts):
             - fam.value(pts[:, :n], pts[:, n:n + N]))
 
 
+def _diff_hessians(fam, pts):
+    """The symmetrized central-difference Hessians (m, k, k) of the
+    difference function at the rows of pts, from one _diff_gradient
+    call on the rows stacked over their probes."""
+    hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pts, 1e-5)[1]
+    return (hess + hess.transpose(0, 2, 1)) / 2.0
+
+
 def _diff_hessian(fam, pt):
-    hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pt[None],
-                        1e-5)[1][0]
-    return (hess + hess.T) / 2.0
+    return _diff_hessians(fam, pt[None])[0]
 
 
 def _pairs(counts):
@@ -1115,12 +1142,14 @@ def _chord_seeds(fam, rows, step):
 
 
 def _cluster(pts):
+    """The rows of pts in ascending order, less each row within 1e-5 in
+    every coordinate of one kept before it, as an array."""
     out = []
     for p in sorted(map(tuple, pts)):
         if any(max(abs(a - b) for a, b in zip(q, p)) < 1e-5 for q in out):
             continue
         out.append(p)
-    return [np.array(p) for p in out]
+    return np.array(out, float).reshape(-1, pts.shape[1])
 
 
 # Critical points with |value| <= CHORD_VALUE_FLOOR are dropped, and a
@@ -1172,11 +1201,15 @@ def reeb_chords(fam, step=0.05):
     converged = pts[ok]
     vals = _diff_value(fam, converged)
     keep = np.abs(vals) > CHORD_VALUE_FLOOR
+    cluster = _cluster(converged[keep])
+    if not len(cluster):
+        return [], LaurentPoly({}), _chord_report([], step)
+    # every map is row-wise, so one call on the stacked points gives
+    # each point what a call on it alone gives
+    values = _diff_value(fam, cluster).tolist()
+    spectra = sym_eigenvalues(_diff_hessians(fam, cluster))
     points = []
-    for pt in _cluster(converged[keep]):
-        value = float(_diff_value(fam, pt[None, :])[0])
-        hess = _diff_hessian(fam, pt)
-        eigs = sym_eigenvalues(hess)
+    for pt, value, eigs in zip(cluster, values, spectra):
         margin = min(abs(v) for v in eigs)
         coords = (tuple(pt[:n].tolist()), tuple(pt[n:n + N].tolist()),
                   tuple(pt[n + N:].tolist()))
@@ -1277,7 +1310,8 @@ class ImmersedFilling:
     F(t, x, eta) = t*(sigma(t) f + (1-sigma(t)) A(eta)) - eps(t)*eta,
     with sigma the smoothstep rising on [1, 2]; eps(t) holds the
     regular value eps_G up to t = 2 and ramps linearly to 0 at t_plus.
-    Every t-slice is again a polynomial-core family (slice_family).
+    Every t-slice is again a polynomial-core family (slice_family),
+    built once per time for the filling's lifetime.
     """
 
     def __init__(self, fam, eps_G, t_plus):
@@ -1286,6 +1320,7 @@ class ImmersedFilling:
         self.t_minus = 1.0
         self.t_plus = float(t_plus)
         self.report = None  # set by immersed_filling_family
+        self._slices = {}
 
     def sigma(self, t):
         return float(smoothstep(np.asarray(t, float) - 1.0))
@@ -1299,6 +1334,15 @@ class ImmersedFilling:
         return [e * frac for e in self.eps_G]
 
     def slice_family(self, t):
+        """The slice at time t, the one built at the first call with
+        float(t): the margins of the search, the conditions and the
+        embeddedness path all read the same slices."""
+        sl = self._slices.get(float(t))
+        if sl is None:
+            sl = self._slices[float(t)] = self._slice(t)
+        return sl
+
+    def _slice(self, t):
         fam = self.family
         s = self.sigma(t)
         eps = self.eps(t)
@@ -1451,11 +1495,10 @@ def embeddedness_check(path, t_start, t_end):
         lo = path(max(t - PATH_DT, t_start))
         hi = path(min(t + PATH_DT, t_end))
         span = min(t + PATH_DT, t_end) - max(t - PATH_DT, t_start)
-        for p in chords:
-            pt = np.array([list(p.coords[0]) + list(p.coords[1])
-                           + list(p.coords[2])])
-            d_hi = float(_diff_value(hi, pt)[0])
-            d_lo = float(_diff_value(lo, pt)[0])
+        pts = np.array([[*p.coords[0], *p.coords[1], *p.coords[2]]
+                        for p in chords])
+        for d_hi, d_lo in zip(_diff_value(hi, pts).tolist(),
+                              _diff_value(lo, pts).tolist()):
             rate = abs(d_hi - d_lo) / span
             max_dt = max(max_dt, rate)
             rate_t = max(rate_t, float(rate * t))

@@ -3,8 +3,12 @@
 Layout is deterministic: event index fixes the x coordinate, strand
 position fixes the y coordinate.  Cusps are drawn as the meeting point
 of two cubic curves; crossings are plain intersections with no
-over/under break.
+over/under break.  A front's drawing grows as its events times its
+most strands, and one past MAX_SVG_POINTS of those is refused before
+any path is built.
 """
+
+from .errors import DomainError
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
@@ -13,6 +17,14 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 DX, DY = 48, 28
 WIDTH, HEIGHT = 480, 320
 MARGIN = 30
+# Cap on events x max strands of a front render_svg draws.  Timed from
+# the shell under a 1 GiB address-space limit (2 cores, Python 3.11):
+# k nested eyes have 2k events of up to 2k strands, and k = 600 (1.44e6
+# points) takes 1.2 s, peaks at 115 MB and writes 13 MB; k = 700 (1.96e6)
+# 1.4 s, 153 MB and 17 MB; k = 1,000 (4e6) 3.3 s and 303 MB.  A drawing
+# at the cap takes under half of a 3 s deadline, and stays within it on
+# a host twice as slow.
+MAX_SVG_POINTS = 2 * 10**6
 
 
 def _strand_tracks(diagram):
@@ -31,9 +43,13 @@ def _strand_tracks(diagram):
 
 def render_svg(diagram):
     """Deterministic SVG 1.1 document for the front."""
-    n_slices = len(diagram.events) + 1
-    width = 2 * MARGIN + DX * max(n_slices - 1, 1)
-    height = 2 * MARGIN + DY * max(diagram.max_strands + 1, 2)
+    events, strands = len(diagram.events), diagram.max_strands
+    if events * strands > MAX_SVG_POINTS:
+        raise DomainError(
+            f"SVG too large: {events} events x {strands} strands exceed "
+            f"the cap of {MAX_SVG_POINTS:.3g} points")
+    width = 2 * MARGIN + DX * max(events, 1)
+    height = 2 * MARGIN + DY * max(strands + 1, 2)
 
     def sx(s):
         return MARGIN + DX * s

@@ -388,6 +388,35 @@ def test_filling_conditions_read_the_slice_families(monkeypatch):
         == ["scaled_family_above_t_plus"]
 
 
+def test_filling_builds_each_slice_once(monkeypatch):
+    """A filling builds its slice at a time once, keyed by float(t): the
+    search's margins, the conditions and the embeddedness path read the
+    same slices, each the one a fresh build gives."""
+    built = []
+    build = ImmersedFilling._slice
+
+    def spy(self, t):
+        built.append((id(self), float(t)))
+        return build(self, t)
+
+    monkeypatch.setattr(ImmersedFilling, "_slice", spy)
+    fil = immersed_filling_family(unknot_family())
+    mine = [t for who, t in built if who == id(fil)]
+    assert len(mine) == 12
+    embeddedness_check(fil.slice_family, 2.0, 3.0)
+    assert len(built) == len(set(built))
+    mine = [t for who, t in built if who == id(fil)]
+    # gf-check --embedded's path: 9 times, each with its two neighbours
+    # PATH_DT away but the ends' outer ones, less t_plus = 3, which the
+    # conditions built
+    assert len(mine) == 12 + 9 * 3 - 2 - 1
+    assert fil.slice_family(np.float64(2.5)) is fil.slice_family(2.5)
+    X, E = np.linspace(-7, 7, 15)[:, None], np.linspace(7, -7, 15)[:, None]
+    for t in mine:
+        assert np.array_equal(fil.slice_family(t).value(X, E),
+                              build(fil, np.float64(t)).value(X, E))
+
+
 def test_filling_linear_and_adversarial():
     lin = linear_family()
     assert all(immersed_filling_family(lin, t_plus=3.0)

@@ -17,7 +17,10 @@ that seeding it with every ordered pair of branches finds, or the same
 refusal.  Every family map is row-wise, so the Jacobian from one call
 on the points stacked over their probes equals, bit for bit, the one
 that calls the map once per probe column, and Newton on groups of rows
-that stop on their own gives what one call per group gives.
+that stop on their own gives what one call per group gives.  Newton's
+1x1 steps, taken by division, give LAPACK's solves bit for bit, and a
+chord search's stacked certification gives the CriticalPoints of the
+per-point loop it replaced.
 """
 
 import functools
@@ -29,11 +32,11 @@ import pytest
 from legcob import gfnum
 from legcob.errors import DomainError
 from legcob.gfnum import (
-    FAMILIES, FD_STEP, CompositeFamily, GeneratingFamily,
-    _diff_gradient, _fd_jacobian, _fiber_seeds, _newton, _sample_grid,
-    fiber_critical_set, fish_family, linear_family, parse_gf_file,
-    reeb_chords,
-    scaled_unknot_family, shifted_unknot_family, spin, stacked_pair_family,
+    CHORD_MARGIN_TOL, FAMILIES, FD_STEP, CompositeFamily, CriticalPoint,
+    GeneratingFamily, _diff_gradient, _diff_value, _fd_jacobian,
+    _fiber_seeds, _newton, _sample_grid, fiber_critical_set, fish_family,
+    linear_family, parse_gf_file, reeb_chords, scaled_unknot_family,
+    shifted_unknot_family, spin, stacked_pair_family, sym_eigenvalues,
     unknot_family)
 from legcob.mpoly import MultiPoly
 from test_gfnum import aligned_stacked_pair
@@ -144,7 +147,8 @@ def ref_fd_jacobian(F, P, h):
     return np.stack(cols, axis=2)
 
 
-def ref_newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9, h=1e-6):
+def ref_full_newton(F, P, iters, newton_tol=1e-12, accept_tol=1e-9,
+                    h=1e-6):
     """Full-batch Newton for F(P) = 0: F and its Jacobian are evaluated
     on every row each iteration, stuck rows included."""
     P = np.array(P, float)
@@ -195,8 +199,8 @@ def ref_solve_fiber(fam, xs, step, newton_tol, accept_tol):
             Xs, Es = X[pick], E[pick]
         if not len(Xs):
             continue
-        Es, ok, stuck = ref_newton(lambda P: ref_grad_eta(fam, Xs, P), Es,
-                                   60, newton_tol, accept_tol)
+        Es, ok, stuck = ref_full_newton(lambda P: ref_grad_eta(fam, Xs, P),
+                                        Es, 60, newton_tol, accept_tol)
         ok &= ~stuck
         found_x.append(Xs[ok])
         found_e.append(Es[ok])
@@ -778,7 +782,7 @@ def test_newton_matches_full_batch_reference():
             live_rows[0] += len(P)
             return F(P, rows)
 
-        want = ref_newton(count_full, P, iters)
+        want = ref_full_newton(count_full, P, iters)
         got = _newton(count_live, P, iters)
         for a, b in zip(got, want):
             assert _same(a, b)
@@ -886,6 +890,196 @@ def test_grouped_newton_matches_one_call_per_group():
     assert calls[0] == 2 and 2 < calls[1] < 81 and calls[2] == 81 \
         and calls[3] < 81
     assert stuck == [False, True, True, True]
+
+
+# --- 1x1 steps by division ---------------------------------------------
+
+def ref_newton(F, P, iters, starts=(0,), det=np.linalg.det):
+    """_newton as it was, LAPACK solving every step, 1x1 systems too;
+    the singularity test reads the determinants det gives, LAPACK's by
+    default, which rounds a 1x1 determinant J through exp(log |J|)."""
+    P = np.array(P, float)
+    k = P.shape[1]
+    stuck = np.zeros(len(P), bool)
+    live = np.arange(len(P))
+    for _ in range(iters):
+        if not len(live):
+            break
+        Q = P[live]
+        res, jac = _fd_jacobian(lambda S: F(S, np.tile(live, 2 * k + 1)),
+                                Q, FD_STEP)
+        near = np.abs(res).max(axis=1) < 1e-12
+        if near.all():
+            break
+        if len(starts) > 1 and near.any():
+            going = np.zeros(len(starts), bool)
+            going[np.searchsorted(starts, live[~near], "right") - 1] = True
+            on = going[np.searchsorted(starts, live, "right") - 1]
+            if not on.all():
+                live, Q, res, jac = live[on], Q[on], res[on], jac[on]
+        with np.errstate(invalid="ignore"):
+            move = ~(np.abs(det(jac)) <= 1e-14)
+        stuck[live[~move]] = True
+        step = np.zeros_like(Q)
+        step[move] = np.linalg.solve(jac[move], res[move][..., None])[..., 0]
+        P[live] = Q - np.clip(step, -0.5, 0.5)
+        live = live[move]
+    accept = np.max(np.abs(F(P, np.arange(len(P)))), axis=1) < 1e-9
+    return P, accept, stuck
+
+
+def _same_bits(a, b):
+    """The arrays hold the same bits: NaNs, their signs and payloads
+    included."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == float:
+        a, b = a.view(np.uint64), b.view(np.uint64)
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def _ulps(x, count):
+    """x and the count floats on each side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+# The Jacobians of the spike systems: within 20 ulps of the singularity
+# threshold 1e-14 on either sign, subnormal, zero, huge, infinite, NaN,
+# and two plain ones; each meets each of the residuals.
+SPIKE_JACOBIANS = (_ulps(1e-14, 20) + _ulps(-1e-14, 20)
+                   + [5e-324, -1e-310, 2.2250738585072014e-308, 0.0, -0.0,
+                      1e300, -1.7e308, np.inf, -np.inf, np.nan, 2.0, -3.5])
+SPIKE_RESIDUALS = [1.0, -3.0, 1e300, 2e-12, np.inf, np.nan]
+
+
+def one_by_one_systems(seed, smooth=300):
+    """(F, P, starts) for Newton on 1x1 systems.  The first `smooth`
+    rows solve a p^3 + c p = d, with coefficients over many scales, in
+    30-odd groups of random sizes.  Each row after them is a spike
+    system, a group of its own: F = b at p = 0, where it starts, and J p
+    elsewhere, so its first Jacobian, from F(+-h) = +-h J, is J to an
+    ulp, and its first residual is b."""
+    rng = np.random.default_rng(seed)
+    J, b = np.meshgrid(SPIKE_JACOBIANS, SPIKE_RESIDUALS)
+    m = smooth + J.size
+    J = np.concatenate([np.zeros(smooth), J.ravel()])
+    b = np.concatenate([np.zeros(smooth), b.ravel()])
+
+    def coefficients(lo):
+        """Smooth rows' coefficients, of magnitudes 10^lo to 10^3."""
+        return np.concatenate([rng.normal(size=smooth) * 10.0 ** rng.uniform(
+            lo, 3, smooth), np.zeros(m - smooth)])
+
+    a, c, d = coefficients(-3), coefficients(-6), coefficients(-3)
+
+    def F(Q, rows):
+        p = Q[:, 0]
+        with np.errstate(all="ignore"):
+            cubic = (a[rows] * p * p + c[rows]) * p - d[rows]
+            spike = np.where(p == 0.0, b[rows], p * J[rows])
+        return np.where(rows < smooth, cubic, spike)[:, None]
+
+    P = np.concatenate([rng.normal(size=smooth) * 3.0, np.zeros(m - smooth)])
+    cuts = rng.choice(np.arange(1, smooth), 30, replace=False)
+    starts = np.concatenate([[0], np.sort(cuts), np.arange(smooth, m)])
+    return F, P[:, None], starts
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_newton_divides_1x1_systems_as_lapack_solves(seed):
+    """1x1 steps by division equal LAPACK's solves bit for bit, the
+    stuck and accepted rows too, on systems whose Jacobians reach the
+    singularity threshold, subnormal, huge, infinite and NaN ones
+    included.  The singularity test reads the Jacobian itself: it parts
+    from LAPACK's determinant only on the rows whose |J| and |det| fall
+    on either side of 1e-14, each of which LAPACK alone calls stuck or
+    _newton alone calls stuck."""
+    F, P, starts = one_by_one_systems(seed)
+    got = _newton(F, P, 60, starts)
+    exact = ref_newton(F, P, 60, starts, det=lambda jac: jac[:, 0, 0])
+    for a, b in zip(got, exact):
+        assert _same_bits(a, b)
+    _, jac = _fd_jacobian(lambda Q: F(Q, np.tile(np.arange(len(P)), 3)), P,
+                          FD_STEP)
+    with np.errstate(invalid="ignore"):
+        straddle = (np.abs(jac[:, 0, 0]) <= 1e-14) \
+            != (np.abs(np.linalg.det(jac)) <= 1e-14)
+    lapack = ref_newton(F, P, 60, starts)
+    for a, b in zip(got, lapack):
+        assert _same_bits(a[~straddle], b[~straddle])
+    assert straddle.any() and (got[2] != lapack[2])[straddle].all()
+    assert got[1].any() and got[2].any() and not got[2].all()
+
+
+def fiber_batches():
+    """(F, seeds, starts) of every Newton call of the fiber solves of
+    the built-in families (the saucer at step 0.1) and of the random
+    N = 1 families."""
+    cases = [(FAMILIES[name](), 0.1 if name == "saucer" else 0.05)
+             for name in sorted(FAMILIES)]
+    cases += [(fam, step) for fam, step in random_cases() if fam.N == 1]
+    for fam, step in cases:
+        for Xs, Es, starts in gfnum._batches(_fiber_seeds(fam, step)):
+            yield (lambda P, rows, fam=fam, Xs=Xs: fam.grad_eta(Xs[rows], P),
+                   Es, starts)
+
+
+def test_fiber_newton_divides_as_lapack_solves():
+    """Every N = 1 fiber solve's Newton, a 1x1 system per row, gives
+    LAPACK's points, accepted and stuck rows bit for bit."""
+    stuck = 0
+    for F, Es, starts in fiber_batches():
+        got = _newton(F, Es, 60, starts)
+        for a, b in zip(got, ref_newton(F, Es, 60, starts)):
+            assert _same_bits(a, b)
+        stuck += int(got[2].sum())
+    assert stuck
+
+
+def polynomial_systems(k, seed, stuck):
+    """(F, P, starts): 120 rows of A p + B p^3 = c in k unknowns, A near
+    3 I, in three groups; with stuck, every third row's first equation
+    is the constant -c_0, so its Jacobian has a zero row."""
+    rng = np.random.default_rng(seed)
+    m = 120
+    A = 3.0 * np.eye(k) + rng.normal(size=(m, k, k))
+    B, c = rng.normal(size=(m, k)), rng.normal(size=(m, k))
+    if stuck:
+        A[::3, 0] = 0.0
+        B[::3, 0] = 0.0
+
+    def F(Q, rows):
+        return (A[rows] @ Q[..., None])[..., 0] + B[rows] * Q ** 3 - c[rows]
+
+    return F, rng.normal(size=(m, k)), np.array([0, 40, 80])
+
+
+def test_newton_on_larger_systems_keeps_lapack_steps():
+    """k = 2, 3 and 4 systems still solve by LAPACK, with every row
+    moving or some stuck: random polynomial systems, the N = 2 fiber
+    solves, and the chord seeds of the unknot, the fish and the
+    saucer."""
+    cases = [polynomial_systems(k, k, stuck) + (40,)
+             for k in (2, 3, 4) for stuck in (False, True)]
+    for text, step in ((TWO_FIBER, 0.2), (SMALL_TAIL, 0.5)):
+        fam = parse_gf_file(text)
+        for Xs, Es, starts in gfnum._batches(_fiber_seeds(fam, step)):
+            cases.append((lambda P, rows, fam=fam, Xs=Xs:
+                          fam.grad_eta(Xs[rows], P), Es, starts, 60))
+    for fam, step in ((unknot_family(), 0.1), (fish_family(), 0.05),
+                      (spin(unknot_family()), 0.2)):
+        cases.append((lambda P, rows, fam=fam: _diff_gradient(fam, P),
+                      all_pair_seeds(fam, step), (0,), 80))
+    kinds = set()
+    for F, P, starts, iters in cases:
+        got = _newton(F, P, iters, starts)
+        for a, b in zip(got, ref_newton(F, P, iters, starts)):
+            assert _same_bits(a, b)
+        kinds.add((P.shape[1], bool(got[2].any())))
+    assert kinds == {(k, stuck) for k in (2, 3, 4) for stuck in (False, True)}
 
 
 def test_fiber_solve_polishes_whole_chunks_in_bounded_batches(monkeypatch):
@@ -1036,7 +1230,9 @@ def test_stacked_jacobian_matches_one_call_per_probe(name):
 def test_hessian_and_margin_make_one_call_each(monkeypatch):
     """_diff_hessian calls _diff_gradient once, on 2k + 1 rows, and
     fiber_regularity_margin calls grad_eta once, on 2(n + N) + 1 rows
-    per fiber point."""
+    per fiber point.  A chord search certifies its m clustered points
+    with one _diff_gradient call on m (2k + 1) rows and one
+    sym_eigenvalues call."""
     fam = stacked_pair_family()
     chords, _ = chords_and_points("stacked-pair")
     calls = []
@@ -1062,6 +1258,34 @@ def test_hessian_and_margin_make_one_call_each(monkeypatch):
     monkeypatch.setattr(fam, "grad_eta", spy_grad_eta)
     assert gfnum.fiber_regularity_margin(fam, points) > 0
     assert calls == [(2 * (fam.n + fam.N) + 1) * len(points)]
+    # one chord search: after its chord Newton, one _diff_gradient call
+    # on the m (2k + 1) probe rows of its m clustered points' Hessians,
+    # and one sym_eigenvalues call on the (m, k, k) stack
+    fam = stacked_pair_family()
+    calls, spectra = [], []
+    newton = gfnum._newton
+    eigenvalues = gfnum.sym_eigenvalues
+
+    def spy_newton(*args):
+        out = newton(*args)
+        calls.append("newton")
+        return out
+
+    def spy_eigenvalues(mat):
+        spectra.append(np.shape(mat))
+        return eigenvalues(mat)
+
+    monkeypatch.setattr(gfnum, "_diff_gradient", spy_diff)
+    monkeypatch.setattr(gfnum, "_newton", spy_newton)
+    monkeypatch.setattr(gfnum, "sym_eigenvalues", spy_eigenvalues)
+    chords = reeb_chords(fam, 0.05)[0]
+    # six chords and their mirror images
+    m, k = 2 * len(chords), fam.n + 2 * fam.N
+    assert m == 12
+    # the fiber solve's Newton runs first, the chord Newton last
+    assert calls[len(calls) - calls[::-1].index("newton"):] \
+        == [m * (2 * k + 1)]
+    assert spectra == [(m, k, k)]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES) + ["gf-file N=2"])
@@ -1135,6 +1359,91 @@ CHORD_CASES = ([(name, step) for name in sorted(FAMILIES)
                 for step in ((0.2, 0.1) if name == "saucer"
                              else (0.2, 0.1, 0.05, 0.03))]
                + [("gf-file N=2", 0.1), ("gf-file N=2, small tail", 0.5)])
+
+
+def ref_certify(fam, cluster):
+    """reeb_chords' certification of its clustered points as it was:
+    one value, one Hessian and one eigenvalue call per point, in order,
+    raising on the first degenerate one."""
+    n, N = fam.n, fam.N
+    points = []
+    for pt in cluster:
+        value = float(_diff_value(fam, pt[None, :])[0])
+        hess = _fd_jacobian(lambda P: _diff_gradient(fam, P), pt[None],
+                            1e-5)[1][0]
+        eigs = sym_eigenvalues((hess + hess.T) / 2.0)
+        margin = min(abs(v) for v in eigs)
+        coords = (tuple(pt[:n].tolist()), tuple(pt[n:n + N].tolist()),
+                  tuple(pt[n + N:].tolist()))
+        if margin < CHORD_MARGIN_TOL:
+            raise DomainError(
+                f"degenerate critical point at {coords}: min |eigenvalue| "
+                f"{margin:.3e}")
+        index = sum(1 for v in eigs if v < 0)
+        points.append(CriticalPoint(coords, value, index, margin, N))
+    return points
+
+
+def _certified(fam, step, monkeypatch):
+    """(cluster, points): the clustered points of reeb_chords(fam, step)
+    and the CriticalPoints it certifies from them, or the text of its
+    refusal for the points; (None, []) without a point to certify."""
+    seen = {"cluster": None, "points": []}
+    cluster, audit = gfnum._cluster, gfnum._audit_duality
+
+    def spy_cluster(pts):
+        seen["cluster"] = cluster(pts)
+        return seen["cluster"]
+
+    def spy_audit(points, n, N):
+        seen["points"] = points
+        return audit(points, n, N)
+
+    with monkeypatch.context() as m:
+        m.setattr(gfnum, "_cluster", spy_cluster)
+        m.setattr(gfnum, "_audit_duality", spy_audit)
+        try:
+            reeb_chords(fam, step)
+        except DomainError as err:
+            seen["points"] = str(err)
+    return seen["cluster"], seen["points"]
+
+
+CERTIFY_CASES = {**{name: (FAMILIES[name], 0.1 if name == "saucer"
+                           else 0.05) for name in FAMILIES},
+                 "gf-file N=2": FIBER_CASES["gf-file N=2"],
+                 "aligned cusps": (aligned_stacked_pair, 0.05)}
+
+
+def test_stacked_certification_matches_per_point_loop(monkeypatch):
+    """The CriticalPoints of one stacked certification pass are those
+    of the per-point loop, in the same order, their values and margins
+    bit for bit, or its refusal, on every built-in family, the N = 2
+    gf-file, the stacked pair with aligned cusps and the first twenty
+    random families."""
+    cases = [(make(), step) for make, step in CERTIFY_CASES.values()]
+    cases += random_cases()[:20]
+    refused = certified = 0
+    for fam, step in cases:
+        cluster, got = _certified(fam, step, monkeypatch)
+        if cluster is None:
+            assert got == []
+            continue
+        try:
+            want = ref_certify(fam, cluster)
+        except DomainError as err:
+            assert got == str(err)
+            refused += 1
+            continue
+        assert [p.coords for p in got] == [p.coords for p in want]
+        for p, q in zip(got, want):
+            assert (p.index, p.N) == (q.index, q.N)
+            assert type(p.value) is type(q.value) is float
+            assert _same(p.value, q.value)
+            assert _same(p.min_abs_hessian_eigenvalue,
+                         q.min_abs_hessian_eigenvalue)
+        certified += len(got)
+    assert refused and certified
 
 
 @pytest.mark.parametrize("name,step", CHORD_CASES)

@@ -6,8 +6,7 @@ interpreter with its address space capped at 1 GiB and a deadline of a
 few seconds.  It must exit 0 or 1 (a DomainError), print no traceback
 and not die from a signal.  An input that still fails is marked a
 strict xfail naming the ROADMAP item that fixes it, so a fix shows up
-as an unexpected pass.  One row is marked today: `inv --svg` on 2,000
-nested eyes, whose SVG grows as events x strands, to hundreds of MB.
+as an unexpected pass.
 """
 
 import json
@@ -74,12 +73,10 @@ ROWS = [
     # slices, not searched for in every slice
     pytest.param(["inv", "--front", "L1 " * 600 + "R1 " * 600,
                   "--svg", "eyes.svg"], id="inv-svg-600-nested-eyes"),
-    # a 12 KB argv whose drawing has 4,000 slices of up to 4,000 strands
+    # a 12 KB argv whose drawing has 4,000 slices of up to 4,000 strands:
+    # refused by the SVG cap, 16e6 points
     pytest.param(["inv", "--front", "L1 " * 2000 + "R1 " * 2000,
-                  "--svg", "eyes.svg"], id="inv-svg-2000-nested-eyes",
-                 marks=pytest.mark.xfail(
-                     strict=True, reason="ROADMAP item 2: no cap counts "
-                     "the SVG's size, events x strands")),
+                  "--svg", "eyes.svg"], id="inv-svg-2000-nested-eyes"),
     pytest.param(["compat", "--dim", "3", "--poly",
                   "t^3 + 100000000t^2 + 100000000t"],
                  id="compat-big-coefficients"),

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+
+from legcob import render
+from legcob.errors import DomainError
 from legcob.front import _SHIFT, FrontDiagram, parse_front
 from legcob.render import _strand_tracks, render_svg
 from test_front_oracle import ref_stacks
@@ -19,6 +23,31 @@ def test_svg_deterministic():
     d1 = render_svg(parse_front("L1 R1"))
     d2 = render_svg(parse_front("L1 R1"))
     assert d1 == d2
+
+
+def test_svg_cap_counts_events_times_strands(monkeypatch):
+    """A front of events x max strands up to MAX_SVG_POINTS is drawn, one
+    past it is refused before any strand is tracked.  The trefoil has 7
+    events of up to 4 strands; n nested eyes have 2n events of up to 2n
+    strands, so 600 are drawn and 2,000 refused."""
+    trefoil = parse_front(TREFOIL)
+    assert (len(trefoil.events), trefoil.max_strands) == (7, 4)
+    monkeypatch.setattr(render, "MAX_SVG_POINTS", 28)
+    assert render_svg(trefoil).startswith("<svg")
+    monkeypatch.setattr(render, "MAX_SVG_POINTS", 27)
+
+    def no_tracks(diagram):
+        raise AssertionError("tracked strands past the cap")
+
+    monkeypatch.setattr(render, "_strand_tracks", no_tracks)
+    with pytest.raises(DomainError, match="SVG too large: 7 events x 4 "
+                       "strands exceed the cap of 27 points"):
+        render_svg(trefoil)
+    monkeypatch.undo()
+    for n, drawn in ((600, True), (2000, False)):
+        eyes = parse_front("L1 " * n + "R1 " * n)
+        assert len(eyes.events) == eyes.max_strands == 2 * n
+        assert (4 * n * n <= render.MAX_SVG_POINTS) == drawn
 
 
 def ref_strand_tracks(diagram):
