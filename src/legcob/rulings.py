@@ -10,34 +10,41 @@ Maslov potential on the two strands of every switch.
 
 Both functions read one sweep of the word over the eye pairings it
 reaches, kept on the diagram, so asking for the polynomial and then the
-listing sweeps once.  Every call refuses a front past the cap
-MAX_PAIRINGS or MAX_SWEEP_WORK with the same DomainError.  A listing by
-enumerate_rulings is the list, order included, of walking every ruling
-and sorting, cut at its limit.
+listing sweeps once.  The sweep runs from both ends of the word, the
+side carrying fewer pairings advancing, and the two halves meet.  Every
+call refuses a front past the cap MAX_PAIRINGS or MAX_SWEEP_WORK with
+the same DomainError.  A listing by enumerate_rulings is the list, order
+included, of walking every ruling and sorting, cut at its limit.
 """
 
 from .errors import DomainError
 from .laurent import LaurentPoly
 
 
-# Largest number of distinct eye pairings the sweep carries past one
-# event; a wider front is refused before its pairings run the process
-# out of memory.
+# Largest number of distinct eye pairings a side of the sweep carries
+# past one event; a wider front is refused before its pairings run the
+# process out of memory.
 MAX_PAIRINGS = 10**4
-# Largest sum over the events of the pairings the sweep carries, which
-# its time follows; a long front that stays wide is refused with it.
-MAX_SWEEP_WORK = 10**5
+# Largest sum over the pairings the sweep carries of their strand
+# counts, which its time and the memory of its tables follow; a long
+# front that stays wide, or one of many nested eyes, is refused with it.
+MAX_SWEEP_WORK = 2 * 10**6
+# read backward, a left cusp is a death, a right cusp a birth and a
+# crossing itself
+_BACKWARD = {"L": "R", "R": "L", "X": "X"}
 
 
 def _transitions(diagram, graded):
-    """step(e, partner) -> (through, switch) for the event word, or None
-    when the diagram admits no ruling at all.
+    """step(e, partner, back=False) -> (through, switch) for the event
+    word, or None when the diagram admits no ruling at all.
 
     partner is the eye pairing of the strands before event e: partner[j]
     is the position of the strand that shares an eye with position j.
     through is the pairing after e when its strands go through, switch
     the pairing after a switch; each is None where that choice kills
-    the ruling (switch also wherever e is no crossing).
+    the ruling (switch also wherever e is no crossing).  With back, the
+    word is read from its end: partner is the pairing after e, and
+    through and switch are the pairings before e that step to it.
 
     graded=True admits only switches of equal potential; components with
     nonzero rotation number, those whose potential jumps by a defect of
@@ -45,15 +52,15 @@ def _transitions(diagram, graded):
     """
     if graded and any(diagram.defects):
         return None
-    events = diagram.events
+    forward = [(kind, pos - 1) for kind, pos in diagram.events]
+    plan = forward, [(_BACKWARD[kind], p) for kind, p in forward]
     level = None
     if graded:
         pot = diagram.potential
         level = {i: pot[u] == pot[l] for i, _, u, l in diagram.crossings}
 
-    def step(e, partner):
-        kind, pos = events[e]
-        p = pos - 1
+    def step(e, partner, back=False):
+        kind, p = plan[back][e]
         if kind == "L":
             new = tuple(q if q < p else q + 2 for q in partner)
             return new[:p] + (p + 1, p) + new[p:], None
@@ -81,77 +88,149 @@ def _transitions(diagram, graded):
 
 
 def _check_caps(e, width, work):
-    """Refuse a sweep that carries `width` pairings past event e, or
-    `work` over events 0..e."""
+    """Refuse a sweep that carries `width` pairings over event e, or
+    pairings of `work` strands in all."""
     if width > MAX_PAIRINGS:
         raise DomainError(
             f"front too wide for the ruling sweep: {width} eye pairings "
-            f"after event {e + 1} exceed the cap of {MAX_PAIRINGS:.3g}")
+            f"at event {e + 1} exceed the cap of {MAX_PAIRINGS:.3g}")
     if work > MAX_SWEEP_WORK:
         raise DomainError(
             f"front too long and wide for the ruling sweep: {work} "
-            f"pairings carried by event {e + 1} exceed the cap of "
-            f"{MAX_SWEEP_WORK:.3g}")
+            f"strands of the pairings carried by event {e + 1} exceed "
+            f"the cap of {MAX_SWEEP_WORK:.3g}")
+
+
+def _advance(step, e, states, back):
+    """(table, reached, marks): a sweep's pairings carried over event e,
+    read backward when back.  table maps each pairing of `states`, which
+    it empties, to its (through, switch) pair, and reached each pairing
+    reached to its merged {switch count: ways}.  marks, filled on the
+    backward side only, maps each pairing of `states` to (its ways hold
+    0 switches, they hold 1 or more): (it is straight, it is rich)."""
+    # ways go once read, and equal pairings reached share one tuple
+    table, reached, canon, marks = {}, {}, {}, {}
+    for partner in list(states):
+        ways = states.pop(partner)
+        if back:
+            zero = 0 in ways
+            marks[partner] = zero, len(ways) > zero
+        through, switch = step(e, partner, back)
+        table[partner] = pair = (canon.setdefault(through, through),
+                                 canon.setdefault(switch, switch))
+        for new, shift in zip(pair, (0, 1)):
+            if new is None:
+                continue
+            have = reached.get(new)
+            if have is None:
+                reached[new] = {k + shift: c for k, c in ways.items()} \
+                    if shift else ways
+                continue
+            merged = dict(have)
+            for k, c in ways.items():
+                merged[k + shift] = merged.get(k + shift, 0) + c
+            reached[new] = merged
+    return table, reached, marks
 
 
 def _sweep(diagram, graded):
-    """(live, ends) from one forward and one backward pass.  The forward
-    pass carries each pairing it reaches with {switch count: ways},
-    merging equal pairings as they meet; ends is that map past the last
-    event.  live[e] maps each live pairing before event e, one that
-    reaches the end, to (through, live switch or None, through is
-    straight, through is rich): straight when its all-through completion
-    reaches the end, rich when one with a further switch does.  It checks
-    the caps as it goes, before a wide front can run the process out of
-    memory, and keeps only a sweep that passed them: a later call
-    returns that one."""
+    """(live, ends) from a sweep of the word from both ends.  Each side
+    carries the pairings it reaches with {switch count: ways}, merging
+    equal pairings as they meet: the forward side from the start, the
+    backward side from the end, with ways counted to the end.  At each
+    event the side carrying fewer pairings advances, so neither carries
+    more than twice the widest that a forward pass alone would; where
+    they meet, ends maps () to the sum, over the pairings both carry, of
+    the product of their two maps.
+
+    live[e] maps each live pairing before event e, one reached from the
+    start that reaches the end, to (through, live switch or None,
+    through is straight, through is rich): straight when its
+    all-through completion reaches the end, rich when one with a further
+    switch does.  Before the meeting the forward side's tables are
+    pruned from it backward; after it the live pairings are carried
+    forward through the backward side's tables, inverted, so no
+    transition is computed twice.  The sweep checks the caps as it goes,
+    before a wide front can run the process out of memory, and a diagram
+    keeps only a sweep that passed them: a later call returns that
+    one."""
     # {graded: (live, ends)}
     sweeps = vars(diagram).setdefault("_ruling_sweeps", {})
     if graded in sweeps:
         return sweeps[graded]
     step = _transitions(diagram, graded)
-    tables, states, work = [], {(): {0: 1}} if step else {}, 0
-    for e in range(len(diagram.events)):
-        # ways go once read, and equal pairings reached share one tuple
-        table, reached, canon = {}, {}, {}
-        for partner in list(states):
-            ways = states.pop(partner)
-            through, switch = step(e, partner)
-            table[partner] = pair = (canon.setdefault(through, through),
-                                     canon.setdefault(switch, switch))
-            for new, shift in zip(pair, (0, 1)):
-                if new is None:
-                    continue
-                have = reached.get(new)
-                if have is None and not shift:
-                    reached[new] = ways
-                    continue
-                merged = dict(have or ())
-                for k, c in ways.items():
-                    merged[k + shift] = merged.get(k + shift, 0) + c
-                reached[new] = merged
-        work += len(reached)
-        _check_caps(e, len(reached), work)
-        tables.append(table)
-        states = reached
-    straight, rich = set(states), set()
-    live = [None] * len(tables)
-    for e in reversed(range(len(tables))):
-        row, now_straight, now_rich = {}, set(), set()
+    ahead, behind = ({(): {0: 1}}, {(): {0: 1}}) if step else ({}, {})
+    tables, back_tables = [], []
+    m, stop, work = 0, len(diagram.events), 0
+    while m < stop:
+        if len(ahead) <= len(behind):
+            e, m = m, m + 1
+            table, ahead, _ = _advance(step, e, ahead, False)
+            tables.append(table)
+            carried = ahead
+        else:
+            stop -= 1
+            e = stop
+            table, behind, marks = _advance(step, e, behind, True)
+            back_tables.append((table, marks))
+            carried = behind
+        # the pairings carried past e share one strand count
+        work += len(carried) * len(next(iter(carried), ()))
+        _check_caps(e, len(carried), work)
+
+    # the sides meet before event m: each shared pairing's two maps
+    # multiply as polynomials in the switch count.  flags maps each live
+    # pairing to (it is straight, it is rich), as marks does
+    total, flags = {}, {}
+    for partner, ways in ahead.items():
+        rest = behind.get(partner)
+        if rest is not None:
+            for i, a in ways.items():
+                for j, b in rest.items():
+                    total[i + j] = total.get(i + j, 0) + a * b
+            zero = 0 in rest
+            flags[partner] = zero, len(rest) > zero
+    ends = {(): total} if flags else {}
+    live = [None] * len(diagram.events)
+    now = list(flags)
+    for e in reversed(range(m)):
+        row, before = {}, {}
         for partner, (through, switch) in tables.pop().items():
-            t_straight, t_rich = through in straight, through in rich
-            if switch not in straight and switch not in rich:
+            t_straight, t_rich = flags.get(through, (False, False))
+            if switch not in flags:
                 switch = None
-            if t_straight:
-                now_straight.add(partner)
-            if t_rich or switch is not None:
-                now_rich.add(partner)
             if t_straight or t_rich or switch is not None:
                 row[partner] = (through, switch, t_straight, t_rich)
+                before[partner] = t_straight, t_rich or switch is not None
         live[e] = row
-        straight, rich = now_straight, now_rich
-    sweeps[graded] = live, states
-    return live, states
+        flags = before
+    for e in range(m, len(live)):
+        # the backward table of e maps each pairing after e that reaches
+        # the end to the pairings before e that step to it
+        table, marks = back_tables.pop()
+        came = {}
+        for after, (through, switch) in table.items():
+            if through is not None:
+                came[through] = after
+        row, reached = {}, set()
+        for partner in now:
+            # a switch keeps the pairing, so it is live when the table
+            # holds the pairing with a switch before e
+            after, own = came.get(partner), table.get(partner)
+            switch = partner if own and own[1] is not None else None
+            if after is None:
+                # only the switch is live; at a crossing the pairing's
+                # backward through is its through
+                row[partner] = (own[0], switch, False, False)
+            else:
+                row[partner] = (after, switch) + marks[after]
+                reached.add(after)
+            if switch is not None:
+                reached.add(partner)
+        live[e] = row
+        now = reached
+    sweeps[graded] = live, ends
+    return live, ends
 
 
 def ruling_polynomial(diagram, *, graded=False):

@@ -96,12 +96,20 @@ ROWS = [
                  id="plan-verify-huge-dim"),
     pytest.param(["rulings", "--front", "L1 L2 " + "X3 " * 40 + "R2 R1"],
                  id="rulings-40-twists"),
-    # ten nested eyes whose crossings reach over 10^4 pairings
+    # ten nested eyes whose crossings run twice: over 10^4 pairings at
+    # once from the start alone, at most 512 when swept from both ends
     pytest.param(["rulings", "--front",
                   " ".join([f"L{t}" for t in range(1, 11)]
                            + [f"X{10 + i}" for i in range(1, 10)] * 2
                            + [f"R{t}" for t in range(10, 0, -1)])],
                  id="rulings-wide-front"),
+    # the crossings run four times, so the front is wide from both ends:
+    # refused by the cap on pairings at once
+    pytest.param(["rulings", "--front",
+                  " ".join([f"L{t}" for t in range(1, 11)]
+                           + [f"X{10 + i}" for i in range(1, 10)] * 4
+                           + [f"R{t}" for t in range(10, 0, -1)])],
+                 id="rulings-wide-front-both-ends"),
     # seven nested eyes over 180 crossings: never 10^4 pairings at once
     pytest.param(["rulings", "--front",
                   " ".join([f"L{t}" for t in range(1, 8)]
@@ -192,6 +200,12 @@ LONG_ROWS = [
     # pair from one run of the word and keep no stack per slice
     pytest.param(["inv", "--front", "L1 " * 12000 + "R1 " * 12000], 0,
                  "tb -12000", id="inv-12000-nested-eyes"),
+    # the ruling sweep's pairings grow by two strands an event: refused
+    # by the strands it carries before their tuples fill the memory
+    pytest.param(["rulings", "--front", "L1 " * 12000 + "R1 " * 12000], 1,
+                 "error: front too long and wide for the ruling sweep: "
+                 "2000810 strands of the pairings carried by event 1414 "
+                 "exceed the cap of 2e+06", id="rulings-12000-nested-eyes"),
     pytest.param(["trace", "eyes-6000.trace"], 0, "pieces 6001",
                  id="trace-6000-nested-eyes"),
     pytest.param(["trace", "eyes-6000.trace", "--gf"], 0, "pieces 6001",

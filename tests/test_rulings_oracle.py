@@ -5,7 +5,10 @@ ruling by one recursion per event and sorts the list.
 `ref_ruling_polynomial` is the polynomial summed over that list, which
 `rulings.ruling_polynomial` now gets from one sweep of the word without
 listing any ruling.  `ref_sweep` is that sweep as it stood alone, before
-the polynomial and the listing came to share one sweep per diagram.
+the polynomial and the listing came to share one sweep per diagram, and
+`ref_one_ended_sweep` the shared sweep as it ran from the start of the
+word alone, before it ran from both ends: the two-ended sweep must keep
+its live states and ends, and carry no more than twice its widest.
 `ref_walk_rulings` is the second walker, which
 lists in increasing order with no sort but walks every state it meets,
 remembers those that gave no ruling, and walks each through branch to
@@ -204,6 +207,48 @@ def ref_sweep(diagram, graded=False):
                         sorted(states.get((), {}).items())}), calls
 
 
+def ref_one_ended_sweep(diagram, graded=False):
+    """(live, ends, widest): the shared sweep run from the start of the
+    word alone.  A forward pass keeps each event's (through, switch)
+    table and each pairing's {switch count: ways}; ends is that map past
+    the last event.  A backward pass over the tables keeps in live[e]
+    each pairing reached before event e whose completions reach the end,
+    with (through, live switch or None, through is straight, through is
+    rich).  widest is the most pairings carried past one event."""
+    step = _transitions(diagram, graded)
+    tables, states, widest = [], {(): {0: 1}} if step else {}, 0
+    for e in range(len(diagram.events)):
+        table, reached = {}, {}
+        for partner, ways in states.items():
+            table[partner] = pair = step(e, partner)
+            for new, shift in zip(pair, (0, 1)):
+                if new is None:
+                    continue
+                merged = reached.setdefault(new, {})
+                for k, c in ways.items():
+                    merged[k + shift] = merged.get(k + shift, 0) + c
+        widest = max(widest, len(reached))
+        tables.append(table)
+        states = reached
+    straight, rich = set(states), set()
+    live = [None] * len(tables)
+    for e in reversed(range(len(tables))):
+        row, now_straight, now_rich = {}, set(), set()
+        for partner, (through, switch) in tables.pop().items():
+            t_straight, t_rich = through in straight, through in rich
+            if switch not in straight and switch not in rich:
+                switch = None
+            if t_straight:
+                now_straight.add(partner)
+            if t_rich or switch is not None:
+                now_rich.add(partner)
+            if t_straight or t_rich or switch is not None:
+                row[partner] = (through, switch, t_straight, t_rich)
+        live[e] = row
+        straight, rich = now_straight, now_rich
+    return live, states, widest
+
+
 def ref_ruling_polynomial(diagram, rulings):
     """Sum of t^(#switches - #right cusps + 1) over the listed rulings."""
     return LaurentPoly(Counter(len(sw) - diagram.n_right + 1
@@ -268,6 +313,33 @@ def check_against_sweep(d, graded):
         == repr(ref_sweep(d, graded)[0])
 
 
+def sweep_widths(word, graded):
+    """(live, ends, widths): the two-ended sweep of a fresh diagram of
+    the word, with the number of pairings it carries past each event."""
+    widths = []
+    check = rulings._check_caps
+
+    def spy(e, width, work):
+        widths.append(width)
+        check(e, width, work)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rulings, "_check_caps", spy)
+        live, ends = rulings._sweep(parse_front(word), graded)
+    return live, ends, widths
+
+
+def check_against_one_ended(word, graded):
+    """The two-ended sweep keeps the one-ended sweep's live states and
+    ends, and no side carries more than twice its widest: a side
+    advances only while it carries no more than the other, and one event
+    at most doubles what a side carries."""
+    live, ends, widths = sweep_widths(word, graded)
+    ref_live, ref_ends, widest = ref_one_ended_sweep(parse_front(word), graded)
+    assert (live, ends) == (ref_live, ref_ends)
+    assert max(widths, default=0) <= 2 * widest
+
+
 def check_against_walk(d, graded):
     for limit in LIMITS:
         assert enumerate_rulings(d, graded, limit) \
@@ -278,6 +350,24 @@ def check_against_walk(d, graded):
 @given(fronts(), st.booleans(), st.integers(min_value=0, max_value=40))
 def test_sweep_and_listing_match_reference(d, graded, cut):
     check_against_reference(d, graded, cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fronts())
+def test_two_ended_sweep_matches_one_ended(d):
+    for graded in (False, True):
+        check_against_one_ended(d.word, graded)
+
+
+FIXED_FRONTS = TWISTS + [w for w, _ in BENCH_FRONTS] \
+    + ["L1 L2 " + "X3 " * 3000 + "R2 R1"]
+
+
+@pytest.mark.parametrize("word", FIXED_FRONTS,
+                         ids=[f"front-{i}" for i in range(len(FIXED_FRONTS))])
+def test_two_ended_sweep_matches_one_ended_on_fixed_fronts(word):
+    for graded in (False, True):
+        check_against_one_ended(word, graded)
 
 
 @pytest.mark.parametrize("graded", [False, True])
@@ -294,7 +384,7 @@ def test_wide_front_is_refused(monkeypatch):
     d = parse_front(word)
     want = ref_ruling_polynomial(d, ref_enumerate_rulings(d))
     assert ruling_polynomial(d) == want
-    for cap, value, text in (("MAX_PAIRINGS", 2, "eye pairings after"),
+    for cap, value, text in (("MAX_PAIRINGS", 2, "eye pairings at"),
                              ("MAX_SWEEP_WORK", 20, "pairings carried by")):
         with monkeypatch.context() as m:
             m.setattr(rulings, cap, value)
@@ -317,14 +407,36 @@ def test_bench_fronts_match_walk(word, graded):
         == ruling_polynomial(d, graded=graded).total_count()
 
 
+TEN_EYES_TWICE = " ".join([f"L{t}" for t in range(1, 11)]
+                          + [f"X{10 + i}" for i in range(1, 10)] * 2
+                          + [f"R{t}" for t in range(10, 0, -1)])
+# the crossings run four times: wide from both ends
+TEN_EYES_FOUR_TIMES = " ".join([f"L{t}" for t in range(1, 11)]
+                               + [f"X{10 + i}" for i in range(1, 10)] * 4
+                               + [f"R{t}" for t in range(10, 0, -1)])
+
+
+def test_front_wide_from_one_end_answers():
+    """Ten nested eyes whose crossings run twice carry 13,122 pairings
+    past one event when swept from the start alone, over the cap; swept
+    from both ends they carry 2,064 in all, at most 512 at once."""
+    d = parse_front(TEN_EYES_TWICE)
+    assert ref_one_ended_sweep(d)[2] == 13122
+    live, ends, widths = sweep_widths(TEN_EYES_TWICE, False)
+    assert (sum(widths), max(widths)) == (2064, 512)
+    poly = ruling_polynomial(d)
+    assert str(poly) == "t^9 + 9t^7 + 28t^5 + 35t^3 + 15t + t^(-1)"
+    assert repr(poly) == repr(ref_sweep(d)[0])
+    assert len(enumerate_rulings(d)) == poly.total_count() == 89
+    check_against_walk(d, False)
+
+
 def test_listing_refuses_what_the_sweep_refuses():
     """The listing runs the polynomial's sweep first, so a front too wide
     for it is refused by the same DomainError (the walk it replaced
     listed such a front's first rulings)."""
-    d = parse_front(" ".join([f"L{t}" for t in range(1, 11)]
-                             + [f"X{10 + i}" for i in range(1, 10)] * 2
-                             + [f"R{t}" for t in range(10, 0, -1)]))
-    with pytest.raises(DomainError, match="eye pairings after") as sweep:
+    d = parse_front(TEN_EYES_FOUR_TIMES)
+    with pytest.raises(DomainError, match="eye pairings at") as sweep:
         ruling_polynomial(d)
     for limit in (1, 1000, None):
         with pytest.raises(DomainError) as listing:
@@ -332,11 +444,16 @@ def test_listing_refuses_what_the_sweep_refuses():
         assert str(listing.value) == str(sweep.value)
 
 
+# transitions a `leg rulings` command computes on each benchmark front:
+# 1,490 in all, where a sweep from the start alone computed 7,843
+BENCH_TRANSITIONS = [20, 28, 36, 44, 226, 470, 666]
+
+
 def test_rulings_command_sweeps_once(monkeypatch, capsys):
     """One `leg rulings` run on each benchmark front computes each
-    transition once, for the polynomial and the listing alike (7,843
-    calls, where a sweep apiece made 15,686), and its diagram, which
-    holds the sweep, is let go with the command."""
+    transition once, for the polynomial and the listing alike: as many
+    as the polynomial's sweep alone.  Its diagram, which holds the
+    sweep, is let go with the command."""
     calls = Counter()
     seen = []
 
@@ -344,18 +461,21 @@ def test_rulings_command_sweeps_once(monkeypatch, capsys):
         step = _transitions(diagram, graded)
         seen.append(weakref.ref(diagram))
 
-        def spy(e, partner):
+        def spy(e, partner, back=False):
             calls[diagram.word, graded] += 1
-            return step(e, partner)
+            return step(e, partner, back)
         return step and spy
 
     monkeypatch.setattr(rulings, "_transitions", counting)
-    for word, graded in BENCH_FRONTS:
+    for (word, graded), want in zip(BENCH_FRONTS, BENCH_TRANSITIONS):
+        key = parse_front(word).word, graded
         argv = ["rulings", "--front", word, "--json"]
         assert main(argv + ["--graded"] * graded) == 0
         capsys.readouterr()
-        d = parse_front(word)
-        assert calls[d.word, graded] == ref_sweep(d, graded)[1]
-    assert sum(calls.values()) == 7843
-    assert len(seen) == len(BENCH_FRONTS)
+        assert calls[key] == want
+        # the polynomial's sweep alone computes as many
+        ruling_polynomial(parse_front(word), graded=graded)
+        assert calls[key] == 2 * want
+    assert sum(calls.values()) == 2 * 1490
+    assert len(seen) == 2 * len(BENCH_FRONTS)
     assert all(ref() is None for ref in seen)
