@@ -21,7 +21,9 @@ is a signed sum of ``c*t^d`` terms.  Every command prints key-value
 text by default or a JSON document under ``--json``; front pictures go
 to ``--svg PATH``.  Exit codes: 0 success, 1 domain error (the output
 document is a single error field), 2 usage error.  Output is
-deterministic for fixed inputs; configuration is flags only.
+deterministic for fixed inputs; configuration is flags only.  An argv
+that starts with a command name is read by that command's own parser
+alone; any other, or one with arguments left over, by the full parser.
 
 Each command imports only the modules it runs, when it runs: starting
 `leg` loads the parser and nothing the command does not call, and only
@@ -81,7 +83,8 @@ def _dump(doc):
     "-inf"; ints as int.__repr__; bools and None as true, false and
     null; tuples as lists; any other object as the string str(v) (a
     Fraction, a LaurentPoly, a numpy bool as "True"); an empty list or
-    dict as [] or {}.  A list of plain ints is joined in one call.
+    dict as [] or {}.  A list of plain ints, and a list of lists or tuples
+    of plain ints, is joined in one comprehension.
 
     >>> print(_dump({"b": [1, 2], 1: float("nan"), "a": {}}))
     {
@@ -97,23 +100,36 @@ def _dump(doc):
 
 
 def _encode(v, nl):
-    """v as JSON text; nl is the newline and indent of v's own line."""
-    if isinstance(v, str):
+    """v as JSON text; nl is the newline and indent of v's own line.
+    Exact str, int, finite float, dict, list and tuple are told by
+    type; a bool, None, a subclass or any other object takes the
+    isinstance chain."""
+    t = type(v)
+    if t is str:
         return _ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
+    if t is int:
         return int.__repr__(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
+    if t is float and math.isfinite(v):
         return float.__repr__(v)
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(v, str):
+            return _ascii(v)
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, float):
+            if math.isnan(v):
+                return '"nan"'
+            if math.isinf(v):
+                return '"inf"' if v > 0 else '"-inf"'
+            return float.__repr__(v)
+        if not isinstance(v, (dict, list, tuple)):
+            return _ascii(str(v))
     inner = nl + "  "
     if isinstance(v, dict):
         if not v:
@@ -122,15 +138,18 @@ def _encode(v, nl):
         body = [_ascii(k) + ": " + _encode(items[k], inner)
                 for k in sorted(items)]
         return "{" + inner + ("," + inner).join(body) + nl + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        if all(type(x) is int for x in v):
-            body = map(int.__repr__, v)
-        else:
-            body = [_encode(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(body) + nl + "]"
-    return _ascii(str(v))
+    if not v:
+        return "[]"
+    if all(type(x) is int for x in v):
+        body = map(int.__repr__, v)
+    elif all((type(x) is list or type(x) is tuple)
+             and all(type(y) is int for y in x) for x in v):
+        deep = "," + inner + "  "
+        body = ["[" + deep[1:] + deep.join(map(int.__repr__, x)) + inner
+                + "]" if x else "[]" for x in v]
+    else:
+        body = [_encode(x, inner) for x in v]
+    return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
 def _read(path):
@@ -213,7 +232,7 @@ def cmd_rulings(args):
     count = poly.total_count()
     rus = enumerate_rulings(d, graded=args.graded, limit=MAX_LISTED)
     doc = {"word": d.word, "graded": args.graded, "count": count,
-           "polynomial": str(poly), "rulings": [list(r) for r in rus]}
+           "polynomial": str(poly), "rulings": rus}
     lines = chain(_kv([("word", d.word), ("graded", args.graded),
                        ("count", count),
                        ("polynomial", doc["polynomial"])]),
@@ -604,6 +623,7 @@ def _build_parser():
                    help="last time of the embeddedness run "
                         "(default t-plus)")
 
+    parser.commands = sub.choices  # name -> subparser, for main
     return parser
 
 
@@ -626,7 +646,16 @@ def main(argv=None):
     if _PARSER is None:
         _PARSER = _build_parser()
     parser = _PARSER
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, rest = sub.parse_known_args(argv[1:])
+        if rest:
+            parser.parse_args(argv)  # the top-level parser's own error
+        args.cmd = argv[0]
     if args.cmd == "plan" and not args.verify \
             and (args.dim is None or args.poly is None):
         parser.error("plan needs --dim and --poly (or --verify PATH)")

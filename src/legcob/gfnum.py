@@ -1359,6 +1359,39 @@ class ImmersedFilling:
 FILLING_BUDGET = 40
 FILLING_GRID_STEP = 0.2
 FILLING_MARGIN_TOL = 1e-6
+# The first 2 * FILLING_BUDGET draws of np.random.default_rng(0).normal(),
+# enough for N <= 2.  Try k's direction is draws k*N .. k*N + N - 1, what
+# that generator gives try k when each try draws N of them (its stream
+# does not depend on the draw size); a gf-check loads no numpy.random.
+FILLING_DRAWS = (
+    0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
+    0.10490011715303971, -0.535669373161111, 0.36159505490948474,
+    1.3040000451301372, 0.9470809631292422, -0.7037352358069926,
+    -1.2654214710460525, -0.6232744625373522, 0.0413259793472436,
+    -2.3250307746388343, -0.21879166393254573, -1.2459109472530652,
+    -0.7322673547034516, -0.5442589828573099, -0.31630015636915454,
+    0.4116305363741328, 1.0425133694426776, -0.12853466294403426,
+    1.3664634705496859, -0.6651946734866135, 0.3515100700930197,
+    0.9034701816518086, 0.09401229776087457, -0.7434992493538084,
+    -0.9217253762584194, -0.45772582566733916, 0.2201951234700494,
+    -1.009618183538736, -0.20917557487171307, -0.15922500991447772,
+    0.5408455846858077, 0.2146591225063409, 0.3553727090399214,
+    -0.6538286094183394, -0.12961363369276946, 0.7839754700613295,
+    1.4934311452207607, -1.2590655321041202, 1.5139237747390626,
+    1.3458754237823045, 0.7813114007004275, 0.2644556303293035,
+    -0.3139228145364278, 1.4580206835369587, 1.9602583164499647,
+    1.801634869866125, 1.31510376473437, 0.357380410658956,
+    -1.2083186322821715, -0.004454133120083229, 0.6564749350763358,
+    -1.2883614637495544, 0.39512206018200824, 0.42986369482223,
+    0.6960427239628685, -1.184117966757189, -0.6617025720390349,
+    -0.43643524714322124, -1.169801907772864, 1.739367877130134,
+    -0.4959107284421519, 0.3289696294602021, -0.258572545473924,
+    1.5834728788021222, 1.3203609870818391, 0.6333526228249152,
+    -2.2035098806466507, 0.05202897425988651, 0.6836861907765345,
+    1.0039615758421696, -0.6179070447076008, 1.8220113633283233,
+    -1.3204309700132935, -0.6615280218152191, 0.9350499881140221,
+    0.049054613825311656, 2.002392583645255,
+)
 
 
 def immersed_filling_family(fam, t_plus=3.0):
@@ -1373,11 +1406,10 @@ def immersed_filling_family(fam, t_plus=3.0):
     _refuse_composite(fam, "the filling interpolation")
     if not 2.0 < t_plus < math.inf:
         raise DomainError(f"t_plus must be finite and exceed 2, got {t_plus}")
-    rng = np.random.default_rng(0)
     t_samples = [0.5, 1.0, 1.3, 1.6, 1.9, 2.2, 2.6, t_plus, t_plus + 0.5]
     for k in range(FILLING_BUDGET):
         mag = 0.5 * (0.7 ** (k // 4))
-        direction = rng.normal(size=fam.N)
+        direction = np.array(FILLING_DRAWS[k * fam.N:(k + 1) * fam.N])
         direction /= max(np.abs(direction).max(), 1e-12)
         eps_G = list(mag * direction)
         filling = ImmersedFilling(fam, eps_G, t_plus)

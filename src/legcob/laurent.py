@@ -17,6 +17,7 @@ degree above n and its mirror below -1 fix p alike) or no spare top
 class (q_n = c(n) - c(-1) >= 1).
 """
 
+import functools
 import itertools
 import math
 import re
@@ -122,16 +123,9 @@ class LaurentPoly:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        out = []
-        for d, c in sorted(self.coeffs.items(), reverse=True):
-            if c > 0:
-                out.append(" + ")
-            else:
-                out.append(" - ")
-                c = -c
-            out.append(_VARS[d] if c == 1 and d else f"{c}{_VARS[d]}")
-        out[0] = "" if out[0] == " + " else "-"
-        return "".join(out)
+        text = "".join([_term(d, c) for d, c
+                        in sorted(self.coeffs.items(), reverse=True)])
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     @classmethod
     def _of(cls, coeffs):
@@ -142,17 +136,15 @@ class LaurentPoly:
         return poly
 
 
-class _Monomials(dict):
-    """degree -> the text of t^degree in a term: '' for 0, 't', 't^5',
-    't^(-2)'; each degree is formatted once."""
-
-    def __missing__(self, d):
-        var = self[d] = ("" if d == 0 else "t" if d == 1
-                         else f"t^{d}" if d > 0 else f"t^({d})")
-        return var
-
-
-_VARS = _Monomials()
+@functools.lru_cache(maxsize=1 << 12)
+def _term(d, c):
+    """The text of the term c*t^d with its sign, as __str__ joins it:
+    ' + 12t^8', ' - t', ' + 2', ' + t^(-2)'.  Each (degree, coefficient)
+    is formatted once while it stays among the cache's most recent."""
+    var = ("" if d == 0 else "t" if d == 1
+           else f"t^{d}" if d > 0 else f"t^({d})")
+    return (" + " if c > 0 else " - ") \
+        + (var if abs(c) == 1 and d else f"{abs(c)}{var}")
 
 
 # [C[*]]t[^E] or C, where E is an integer, parenthesized or not; a '*'

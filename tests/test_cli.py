@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from legcob import gfnum
+from legcob import cli, gfnum
 from legcob.cli import _build_parser, main
 from legcob.front import parse_front
 from legcob.gfnum import parse_gf_file
@@ -545,6 +545,99 @@ def test_parser_reuse_matches_fresh_interpreters(tmp_path, monkeypatch,
     assert len(parsers) == 1
     assert grab(outs[0], "moves") == "2" and grab(outs[1], "moves") == "1"
     assert grab(outs[5], "verified") == "true"
+
+
+# main hands an argv that starts with a command name to that command's
+# own subparser; each of these must come out as the full parser gives it
+DISPATCH_CORPUS = [
+    # every command with valid flags
+    ["inv", "--front", TREFOIL, "--reverse", "0", "--svg", "inv.svg",
+     "--json"],
+    ["rulings", "--front", TREFOIL, "--graded", "--json"],
+    ["move", "--front", "L1 R1", "--move", "R1a 1 1", "--move", "R1a 1 1",
+     "--gf"],
+    ["trace", "wh.trace", "--gf", "--svg", "trace.svg"],
+    ["wh", "--front", "L1 R1", "--no-gf", "--out", "wh.trace"],
+    ["braid", "--strands", "3", "--word", "2,1", "--fill", "--out",
+     "braid.trace"],
+    ["plan", "--dim", "3", "--poly", "t^3 + t^2", "--sphere-only", "--out",
+     "plan.json", "--json"],
+    ["plan", "--verify", "plan.json"],
+    ["tb", "--dim", "1", "--poly", "2 + t"],
+    ["tb", "--dim=4", "--poly=t^4 + 2t^3 + t + 3", "--json"],
+    ["compat", "--dim", "3", "--poly", "t^3 + t^2 + 1"],
+    ["gf-front", "--family", "unknot", "--step", "0.2", "--svg", "gf.svg"],
+    ["gf-chords", "--file", "fam.gf", "--step", "0.1", "--json"],
+    ["gf-spin", "--family", "fish", "--out", "spun.gf"],
+    ["gf-check", "--family", "saucer", "--t-plus", "4", "--embedded",
+     "--t-start", "2.5", "--t-end", "3.5", "--json"],
+    # abbreviated flags, help after a command
+    ["tb", "--di", "1", "--po", "t", "--js"],
+    ["compat", "--di", "3", "--po", "t^3"],
+    ["gf-check", "--family", "unknot", "--t-p", "5", "--emb"],
+    ["tb", "-h"],
+    ["gf-check", "--family", "unknot", "--help"],
+    # not a command first: the full parser alone
+    [], ["-h"], ["--"], ["--", "tb", "--dim", "1", "--poly", "t"],
+    ["nope"], ["TB", "--dim", "1", "--poly", "t"],
+    ["--json", "tb", "--dim", "1", "--poly", "t"],
+    ["-h", "tb"],
+    # usage errors after a command
+    ["tb", "--dim", "1"], ["braid", "--strands", "3"], ["gf-front"],
+    ["tb", "--dim", "x", "--poly", "t"],
+    ["gf-front", "--family", "unknot", "--step", "fast"],
+    ["gf-front", "--family", "nope"],
+    ["gf-front", "--family", "unknot", "--file", "fam.gf"],
+    ["tb", "--dim", "1", "--poly", "-t"],
+    ["tb", "--dim", "1", "--poly", "t", "extra"],
+    ["tb", "--dim", "1", "extra", "--poly", "t", "more"],
+    ["trace", "a.trace", "b.trace"],
+    ["inv", "--front", "L1 R1", "--bogus"],
+    ["inv", "--bogus", "--front", "L1 R1"],
+    ["inv", "--front", "L1 R1", "--json", "--", "--bogus"],
+    ["trace", "--", "wh.trace"],
+    ["tb", "--d", "1", "--poly", "t"],
+    # plan without --poly
+    ["plan", "--dim", "3"], ["plan"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=repr)
+def test_dispatch_matches_the_full_parser(argv, monkeypatch, capsys):
+    """Exit code, stdout, stderr and the handler's namespace of main,
+    against main with every argv sent through _PARSER.parse_args."""
+    if cli._PARSER is None:
+        cli._PARSER = cli._build_parser()
+    seen = []
+
+    def handler(args):
+        seen.append(vars(args))
+        return [repr(sorted(vars(args).items()))], {"cmd": args.cmd}
+
+    full = []
+    parse_args = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args",
+                        lambda a: full.append(a) or parse_args(a))
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS,
+                                                        handler))
+
+    def outcome():
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        here = capsys.readouterr()
+        return rc, here.out, here.err, seen[-1] if seen else None
+
+    direct = outcome()
+    direct_full = list(full)
+    seen.clear()
+    monkeypatch.setattr(cli._PARSER, "commands", {})
+    assert outcome() == direct
+    if direct[0] == 0 and argv[:1] and argv[0] in cli._HANDLERS:
+        assert direct_full == []  # the subparser alone read it
+    if direct[0] == 2:
+        assert direct[2] != ""
 
 
 def test_module_entry_point():

@@ -417,6 +417,21 @@ def test_filling_builds_each_slice_once(monkeypatch):
                               build(fil, np.float64(t)).value(X, E))
 
 
+def test_filling_draws_are_the_seeded_generator_stream():
+    """Every try may take two draws (N <= 2), and the tuple is the
+    stream of default_rng(0), whatever the draw size: N draws per try
+    from the generator give what slicing the tuple gives."""
+    draws = gfnum.FILLING_DRAWS
+    assert len(draws) >= 2 * gfnum.FILLING_BUDGET
+    assert draws == tuple(
+        np.random.default_rng(0).normal(size=len(draws)).tolist())
+    for N in (1, 2):
+        rng = np.random.default_rng(0)
+        for k in range(gfnum.FILLING_BUDGET):
+            assert np.array_equal(rng.normal(size=N),
+                                  np.array(draws[k * N:(k + 1) * N]))
+
+
 def test_filling_linear_and_adversarial():
     lin = linear_family()
     assert all(immersed_filling_family(lin, t_plus=3.0)

@@ -10,6 +10,8 @@ document the `compat`, `plan`, `tb`, `rulings`, `wh`, `braid` and
 
 import json
 import math
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,16 @@ def ref_dump(doc):
 
 # --- the checks ----------------------------------------------------------
 
+class Sign(IntEnum):
+    PLUS = 1
+
+
+class Word(str):
+    pass
+
+
+Pair = namedtuple("Pair", "a b")
+
 EDGE_DOCUMENTS = [
     float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-320, 1e22,
     1e16, 0.1, -2.5e-308, np.float64(0.1), np.float64("nan"),
@@ -63,6 +75,19 @@ EDGE_DOCUMENTS = [
     {1: "int first", "1": "str second"}, {"1": "str first", 1: "int"},
     {"nested": {"z": [1, {"q": Fraction(1, 3)}], "a": (np.bool_(True),)}},
     {Fraction(1, 2): [float("nan"), -float("inf")]},
+    # lists of int lists and int tuples, joined without a recursive call
+    [[1, 2], [3], []], [(1, 2), (3,), ()], [[0], (-1, 10**40)], [[], ()],
+    {"rulings": [(0, 2), (1,)], "n": [[5]]},
+    # an inner item that is not a plain int takes the fallback
+    [[1, True]], [[1, 2], [np.int64(3)]], [[1], [2.0]], [[Sign.PLUS, 2]],
+    [(1,), [False]], [[1], None], [[1], "2"], [Pair(1, 2), [3]],
+    # int-list lists three levels deep
+    [[[1, 2], [3]], [[4], []]], {"a": [{"b": [[1, 2], (3,)]}]},
+    # exact types beside their subclasses
+    Sign.PLUS, [Sign.PLUS, 1], Word("w"), {Word("k"): Word("v")},
+    OrderedDict([("b", 1), ("a", [2])]), Pair(1, [2]),
+    np.float64(2.5), np.float64(-0.0), [np.float64("nan"), np.float64(-0.0)],
+    {"x": np.float64(1e300), "y": np.float64("-inf")},
 ]
 
 
@@ -86,6 +111,8 @@ documents = st.recursive(
     scalars,
     lambda inner: (st.lists(inner, max_size=6)
                    | st.lists(st.integers(), max_size=6)
+                   | st.lists(st.lists(st.integers(), max_size=4)
+                              | st.tuples(st.integers()), max_size=4)
                    | st.tuples(inner, inner)
                    | st.dictionaries(keys, inner, max_size=6)),
     max_leaves=40)

@@ -13,6 +13,64 @@ def test_parse_and_format_round_trip_basics():
         assert parse_poly(str(poly)) == poly
 
 
+def ref_str(poly):
+    """The text __str__ printed before it joined cached term texts."""
+    if not poly.coeffs:
+        return "0"
+    out = []
+    for d, c in sorted(poly.coeffs.items(), reverse=True):
+        if c > 0:
+            out.append(" + ")
+        else:
+            out.append(" - ")
+            c = -c
+        var = ("" if d == 0 else "t" if d == 1
+               else f"t^{d}" if d > 0 else f"t^({d})")
+        out.append(var if c == 1 and d else f"{c}{var}")
+    out[0] = "" if out[0] == " + " else "-"
+    return "".join(out)
+
+
+degrees = (st.sampled_from([0, 1, -1, 2, -2, 10**6, -(10**6), 2**70])
+           | st.integers(-70, 70))
+coefficients = (st.sampled_from([1, -1, 2, -2, 12, -(10**30)])
+                | st.integers().filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(degrees, coefficients, max_size=8))
+def test_str_matches_the_term_loop(coeffs):
+    poly = LaurentPoly(coeffs)
+    assert str(poly) == ref_str(poly)
+    assert parse_poly(str(poly)) == poly
+
+
+def test_str_of_the_zero_polynomial():
+    assert str(LaurentPoly()) == ref_str(LaurentPoly()) == "0"
+    assert str(LaurentPoly({3: 1, 0: -1})) == "t^3 - 1"
+    assert str(LaurentPoly({1: -1, -1: 1})) == "-t + t^(-1)"
+
+
+# The compat targets at n = 8, 9 and 10 of the benchmark's exact_counts
+# workload, seed 1, with 990, 10,098 and 20,160 splittings
+BENCH_TARGETS = [
+    (8, "t^8 + 4t^7 + 5t^6 + 4t^5 + 13t^4 + 10t^3 + 4t^2 + 5t + 2", 990),
+    (9, "t^9 + 5t^8 + 19t^7 + 12t^6 + 5t^5 + 5t^4 + 7t^3 + 10t^2 + 16t + 2",
+     10_098),
+    (10, "t^10 + 3t^9 + 22t^8 + 10t^7 + 13t^6 + 3t^5 + 3t^4 + 15t^3 + 8t^2 "
+         "+ 19t + 1", 20_160),
+]
+
+
+@pytest.mark.parametrize("n, text, count", BENCH_TARGETS,
+                         ids=[str(n) for n, _, _ in BENCH_TARGETS])
+def test_str_matches_the_term_loop_on_every_splitting(n, text, count):
+    splits = decompose(parse_poly(text), n)
+    assert len(splits) == count
+    for q, p in splits:
+        assert str(q) == ref_str(q) and str(p) == ref_str(p)
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "t^", "2 +", "x + 1", "t^^2"]:
         with pytest.raises(DomainError):

@@ -160,6 +160,35 @@ def test_each_command_loads_only_its_modules(argv, loads, tmp_path):
         0, sorted(["cli", "errors", "families", *loads])]
 
 
+# Runs the command argv[1] through cli.main and prints its exit code and
+# the name of every module then loaded.
+MODULES_RUNNER = """
+import contextlib, io, json, sys
+from legcob.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, sorted(sys.modules)]))
+"""
+
+
+def test_gf_check_loads_no_numpy_random():
+    """The filling's offsets come from a fixed tuple of draws: gf-check
+    loads its gf modules and numpy, but not numpy.random, nor the
+    hashlib and secrets that it pulls in."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_RUNNER,
+         json.dumps(["gf-check", "--family", "unknot", "--embedded"])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    assert [m for m in loaded if m.startswith("legcob.")] == sorted(
+        "legcob." + m for m in ["cli", "errors", "families", *GF_LOADS])
+    assert "numpy" in loaded
+    assert [m for m in loaded if m.startswith("numpy.random")
+            or m in ("hashlib", "secrets")] == []
+
+
 # Every public name of the package, by the module that defines it.
 PUBLIC = {
     "errors": ["DomainError"],
