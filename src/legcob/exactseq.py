@@ -5,34 +5,14 @@ Only dimensions are modeled, never maps.  Exactness of
     0 -> V_1 -> V_2 -> ... -> V_L -> 0
 
 over a field is equivalent to the existence of map ranks r_0..r_L with
-r_0 = r_L = 0, every r_i >= 0 and dim V_i = r_(i-1) + r_i.  Feasibility
-of fully known dims is a deterministic left-to-right scan; unknown dims
-are searched within an explicit bound.  Graded dimension counts are
-carried around as LaurentPoly (degree -> dimension).
+r_0 = r_L = 0, every r_i >= 0 and dim V_i = r_(i-1) + r_i.  A known
+dim fixes the next rank; unknown dims are searched within an explicit
+bound.  Graded dimension counts are carried around as LaurentPoly
+(degree -> dimension).
 """
 
 from .errors import DomainError
 from .laurent import LaurentPoly, is_connected_form
-
-
-def les_ranks(dims):
-    """Interior map ranks of a fully known exact sequence, or None.
-
-    >>> les_ranks([0, 0, 1, 2, 1])
-    [0, 0, 1, 1]
-    >>> les_ranks([1, 0, 1]) is None
-    True
-    """
-    r = 0
-    ranks = []
-    for d in dims:
-        r = d - r
-        if r < 0:
-            return None
-        ranks.append(r)
-    if r != 0:
-        return None
-    return ranks[:-1]
 
 
 def les_solve(slots, min_ranks=None):
@@ -128,42 +108,3 @@ def filling_polynomial(genus, components):
         raise DomainError(
             f"bad surface data: genus {genus}, components {components}")
     return LaurentPoly({0: 2 * genus + components - 1, 1: 1})
-
-
-def cobordism_les_constrain(first, third, min_connecting=None):
-    """Feasible graded dims for the middle family of a three-periodic LES.
-
-    The sequence is ... -> X_k -> Y_k -> Z_k -> X_(k+1) -> ... with
-    X_k = first.coeff(k), Z_k = third.coeff(k+1) and Y unknown, exact and
-    vanishing beyond both ends.  min_connecting maps a block degree k to
-    a required minimum rank of the connecting map Z_k -> X_(k+1).
-
-    Other interleavings reduce to this one by pre-shifting the inputs:
-    for blocks [X^(k-1), Y, Z^k] pass first.shift(1) and third.shift(1),
-    and put the fundamental-class constraint on min_connecting[n].
-
-    OUTPUT: sorted list of LaurentPoly, one per feasible middle family.
-    """
-    degs = set(first.coeffs) | {d - 1 for d in third.coeffs}
-    if min_connecting:
-        degs |= set(min_connecting)
-    if not degs:
-        return [LaurentPoly({})]
-    kmin, kmax = min(degs) - 1, max(degs) + 1
-    slots = []
-    unknown_degs = []
-    min_ranks = {}
-    for k in range(kmin, kmax + 1):
-        slots.append(first.coeff(k))
-        slots.append(None)
-        unknown_degs.append(k)
-        slots.append(third.coeff(k + 1))
-        if min_connecting and k in min_connecting:
-            min_ranks[len(slots) - 1] = min_connecting[k]
-    results = []
-    for assign in les_solve(slots, min_ranks=min_ranks):
-        poly = LaurentPoly(dict(zip(unknown_degs, assign)))
-        if poly not in results:
-            results.append(poly)
-    results.sort(key=lambda q: sorted(q.coeffs.items()))
-    return results

@@ -403,12 +403,15 @@ def maslov_potential(diagram):
     for c, ids in enumerate(diagram.components):
         defect = diagram.defects[c]
         if rot[c] == 0:
-            assert defect == 0, \
-                f"inconsistent potential on component {c} with r = 0"
+            if defect != 0:
+                raise AssertionError(
+                    f"inconsistent potential on component {c} with r = 0")
             mods.append(None)
         else:
-            assert defect == 2 * abs(rot[c]), \
-                f"inconsistent potential on component {c}: defect {defect}"
+            if defect != 2 * abs(rot[c]):
+                raise AssertionError(
+                    f"inconsistent potential on component {c}: "
+                    f"defect {defect}")
             mods.append(defect)
         for a in ids:
             v = diagram.potential[a]

@@ -822,19 +822,16 @@ def _live_cells(fam, xc, es, step, first, count, top):
     cells on one axis, then tests each box once (_may_seed): a box that
     holds no pair of the near mask, or whose bound proves it seedless,
     is dropped.  The cells of the boxes left are live.  Returns (rows,
-    cells, points): rows, ascending, index the rows of xc with live
-    cells; cells and points mask, per such row, the live cells and the
-    grid points at their corners, with one axis per fiber variable.
+    at, first, count): rows, ascending, index the rows of xc with live
+    cells, and box k of those left spans the eta cells first[k] ..
+    first[k] + count[k] - 1 along each axis in row rows[at[k]].
     """
-    size = len(es) - 1
     rows, eta = np.nonzero(top)
     rows, first, count = _halve(rows, first[eta], count[eta])
     X = xc[rows]
     keep = _may_seed(fam, X, X, es, first, count, step)
     rows, at = np.unique(rows[keep], return_inverse=True)
-    first, count = first[keep], count[keep]
-    return (rows, _cover(len(rows), size, at, first, count),
-            _cover(len(rows), size + 1, at, first, count + 1))
+    return rows, at, first[keep], count[keep]
 
 
 def _corners(N):
@@ -863,11 +860,13 @@ def _fiber_seeds(fam, step):
     N = 1 seeds at the sign changes along the eta grid, N = 2 at the
     near pairs where |grad_eta| < 4 step.  The scan is certified:
     grad_eta is only evaluated at the grid pairs that are corners of
-    live cells (_live_cells) and near pairs (near_box of the one-pair
-    box), every pair off the near mask is exactly the tail, and under
-    N = 1 only live cells are tested for a sign change, so both ends of
-    a tested cell are exact.  The x tier bounds boxes over every x row
-    once (_x_tier); the row tier runs per chunk, on the chunk's rows.
+    live cells (_live_cells, covered into the mask points) and near
+    pairs (near_box of the one-pair box), every pair off the near mask
+    is exactly the tail, and under N = 1 only live cells (the mask
+    cells, covered under N = 1 alone) are tested for a sign change, so
+    both ends of a tested cell are exact.  The x tier bounds boxes over
+    every x row once (_x_tier); the row tier runs per chunk, on the
+    chunk's rows.
     The seeds are those of a scan of every near pair, in the same
     order.
     """
@@ -880,11 +879,12 @@ def _fiber_seeds(fam, step):
         if not top[lo:lo + chunk].any():
             continue
         xc = xs[lo:lo + chunk]
-        sub, cells, points = _live_cells(fam, xc, es, step, first, count,
-                                         top[lo:lo + chunk])
+        sub, at, cfirst, ccount = _live_cells(fam, xc, es, step, first,
+                                              count, top[lo:lo + chunk])
         if not len(sub):
             continue
         xc = xc[sub]
+        points = _cover(len(xc), len(es), at, cfirst, ccount + 1)
         rows, cols = np.nonzero(points.reshape(len(xc), me))
         Xn = np.take(xc, rows, axis=0)
         En = np.take(eta_grid, cols, axis=0)
@@ -892,6 +892,7 @@ def _fiber_seeds(fam, step):
         rows, cols, Xn, En = rows[near], cols[near], Xn[near], En[near]
         gn = fam.grad_eta(Xn, En)
         if fam.N == 1:
+            cells = _cover(len(xc), len(es) - 1, at, cfirst, ccount)
             g = np.full((len(xc), me), fam.tail[0])
             g[rows, cols] = gn[:, 0]
             ga, gb = g[:, :-1], g[:, 1:]

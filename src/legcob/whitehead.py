@@ -100,8 +100,9 @@ def _loop_visits(base):
     toward the strand's death cusp, -1 walks left toward its birth, and
     features lists ('X', event, other_id) crossings in walking order
     followed by ('end', event, partner_id) for the turn cusp.  The cut
-    strand opens the walk (right half) and a featureless visit to its
-    left half closes it.
+    strand opens the walk (right half), and the walk ends at the closing
+    turn onto it, the birth at event 0, whose feature is
+    ('close', 0, _CUT_ID): the close stage is the cut loop.
     """
     born, dies = {}, {}
     for i, kind, pos, u, l in base.cusps:
@@ -118,15 +119,15 @@ def _loop_visits(base):
     visits = []
     cur, direction = _CUT_ID, 1
     while True:
-        if cur == _CUT_ID and visits:
-            visits.append((cur, 1, []))
-            return visits
         if direction > 0:
             e, partner = dies[cur]
             feats = [("X", i, o) for i, o in sorted(xs[cur])]
         else:
             e, partner = born[cur]
             feats = [("X", i, o) for i, o in sorted(xs[cur], reverse=True)]
+        if partner == _CUT_ID:
+            visits.append((cur, direction, feats + [("close", e, partner)]))
+            return visits
         visits.append((cur, direction, feats + [("end", e, partner)]))
         cur, direction = partner, -direction
 
@@ -136,8 +137,9 @@ class _TongueState:
 
     spans[w] is the slice range where strand w already carries its two
     companion copies; mat holds base event indices whose doubled group
-    has materialized; tip is [strand, direction, gap, side] with side
-    ordering the tip against the start edge when both share gap 1.
+    has materialized; tip is [strand, direction, gap], the tip event
+    sitting on slice gap (never below the cut slice, where it follows the
+    start edge L1).
     stacks[t] lists the base's strand ids on slice t, from one run of
     its word (front.simulate); MAX_DOUBLE_WORK bounds the base.
     """
@@ -147,15 +149,13 @@ class _TongueState:
         self.stacks = [()] + list(map(tuple, simulate(base.events, [], 0)))
         self.mat = set()
         self.spans = {_CUT_ID: [_CUT_SLICE, _CUT_SLICE]}
-        self.tip = [_CUT_ID, 1, _CUT_SLICE, 1]
+        self.tip = [_CUT_ID, 1, _CUT_SLICE]
 
-    def covered_at(self, w, t, before_start, at_event=False):
+    def covered_at(self, w, t, at_event=False):
         if w not in self.spans:
             return False
         lo, hi = self.spans[w]
         if not lo <= t <= hi:
-            return False
-        if w == _CUT_ID and t == _CUT_SLICE and before_start:
             return False
         if at_event and w == self.tip[0] and self.tip[1] > 0 \
                 and t == self.tip[2] \
@@ -166,20 +166,17 @@ class _TongueState:
             return False
         return True
 
-    def _c_below(self, t, pos, before_start=False, at_event=False):
+    def _c_below(self, t, pos, at_event=False):
         return sum(1 for w in self.stacks[t][:pos]
-                   if self.covered_at(w, t, before_start, at_event))
+                   if self.covered_at(w, t, at_event))
 
     def _group(self, e):
         kind, h = self.base.events[e]
         return _doubled(kind, 2 * self._c_below(e, h - 1, at_event=True) + 1)
 
     def _tip_event(self):
-        wid, direction, gap, side = self.tip
-        pos = self.stacks[gap].index(wid)
-        c = self._c_below(gap, pos,
-                          before_start=(gap == _CUT_SLICE and side < 0))
-        a = 2 * c + 1
+        wid, direction, gap = self.tip
+        a = 2 * self._c_below(gap, self.stacks[gap].index(wid)) + 1
         return ("R", a) if direction > 0 else ("L", a)
 
     def render(self):
@@ -187,12 +184,8 @@ class _TongueState:
         gap = self.tip[2]
         for g in range(len(self.base.events) + 1):
             if g == _CUT_SLICE:
-                if gap == g and self.tip[3] < 0:
-                    ev.append(self._tip_event())
                 ev.append(("L", 1))
-                if gap == g and self.tip[3] > 0:
-                    ev.append(self._tip_event())
-            elif gap == g:
+            if gap == g:
                 ev.append(self._tip_event())
             if g < len(self.base.events) and g in self.mat:
                 ev.extend(self._group(g))
@@ -204,8 +197,7 @@ def _extend_span(state, g):
     state.spans[state.tip[0]] = [min(lo, g), max(hi, g)]
 
 
-def _advance(state, cur, moves):
-    target = state.render()
+def _advance(cur, target, moves):
     if target.word == cur.word:
         return cur
     lo, hi_a, hi_b = _diff_span(cur.events, target.events)
@@ -242,36 +234,23 @@ def _slide_to(state, cur, moves, fe, vdir):
     rightward for vdir = 1 and leftward for vdir = -1."""
     stop = fe if vdir > 0 else fe + 1
     while (stop - state.tip[2]) * vdir > 0:
-        if state.tip[2] == _CUT_SLICE and state.tip[3] == -vdir:
-            state.tip[3] = vdir
-        else:
-            state.tip[2] += vdir
-            if state.tip[2] == _CUT_SLICE:
-                state.tip[3] = -vdir
-            _extend_span(state, state.tip[2])
-        cur = _advance(state, cur, moves)
+        state.tip[2] += vdir
+        _extend_span(state, state.tip[2])
+        cur = _advance(cur, state.render(), moves)
     return cur
 
 
 def _cover(state, cur, moves, feat, vdir):
-    if feat[0] == "X":
-        _, fe, other = feat
-        if state.covered_at(other, fe, False):
+    kind, fe, other = feat
+    if kind == "X":
+        if state.covered_at(other, fe):
             state.mat.add(fe)
         state.tip[2] = fe + 1 if vdir > 0 else fe
-        if state.tip[2] == _CUT_SLICE:
-            state.tip[3] = -vdir
-        _extend_span(state, state.tip[2])
-        return _advance(state, cur, moves)
-    _, fe, partner = feat
-    state.mat.add(fe)
-    if vdir > 0:
-        gap, side = fe, (1 if fe == _CUT_SLICE else 0)
     else:
-        gap, side = fe + 1, (-1 if fe + 1 == _CUT_SLICE else 0)
-    state.tip = [partner, -vdir, gap, side]
-    _extend_span(state, gap)
-    return _advance(state, cur, moves)
+        state.mat.add(fe)
+        state.tip = [other, -vdir, fe if vdir > 0 else fe + 1]
+    _extend_span(state, state.tip[2])
+    return _advance(cur, state.render(), moves)
 
 
 def _drag_moves(base):
@@ -282,11 +261,9 @@ def _drag_moves(base):
     for wid, vdir, feats in _loop_visits(base):
         for feat in feats:
             cur = _slide_to(state, cur, moves, feat[1], vdir)
-            cur = _cover(state, cur, moves, feat, vdir)
-    loop = _cut_loop(base)
-    if cur.word != loop.word:
-        raise DomainError(
-            f"tongue walk ended at {cur.word!r}, not the cut loop")
+            if feat[0] != "close":
+                cur = _cover(state, cur, moves, feat, vdir)
+    _advance(cur, _cut_loop(base), moves)
     return moves
 
 

@@ -223,6 +223,25 @@ def test_move_replays_like_trace(tmp_path, capsys):
     assert graded == 1
 
 
+@pytest.mark.parametrize("move, reason", [
+    ("B 9 1", "no slice 9"),
+    ("R2u 5", "no pattern match at event 5"),
+])
+def test_move_refuses_a_position_off_the_front(move, reason, capsys):
+    rc, out = run(["move", "--front", "L1 R1", "--move", move], capsys)
+    assert rc == 1
+    assert out == f"error: move not applicable ({move}): {reason}\n"
+
+
+def test_trace_refuses_a_position_off_the_front(tmp_path, capsys):
+    trace_file = tmp_path / "off.trace"
+    trace_file.write_text("L1 R1\nR3 7\n")
+    rc, out = run(["trace", str(trace_file)], capsys)
+    assert rc == 1
+    assert out == ("error: move not applicable (R3 7): no pattern match "
+                   "at event 7\n")
+
+
 def test_move_parses_every_line_first(capsys):
     # the C move is refused, but only once every line has parsed
     rc, out = run(["move", "--front", "L1 R1", "--move", "C 0", "--move",

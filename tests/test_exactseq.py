@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from legcob.errors import DomainError
 from legcob.laurent import LaurentPoly, parse_poly
-from legcob.exactseq import (les_ranks, les_solve, zero_surgery_update,
-                             connect_sum, filling_polynomial,
-                             cobordism_les_constrain)
+from legcob.exactseq import (les_solve, zero_surgery_update, connect_sum,
+                             filling_polynomial)
 
 
 def brute_feasible(dims):
@@ -21,14 +20,6 @@ def brute_feasible(dims):
         if all(dims[i] == full[i] + full[i + 1] for i in range(L)):
             return True
     return False
-
-
-def test_les_ranks_examples():
-    assert les_ranks([0, 0, 1, 2, 1]) == [0, 0, 1, 1]
-    assert les_ranks([2, 2]) == [2]
-    assert les_ranks([1, 0, 1]) is None
-    assert les_ranks([0]) == []
-    assert les_ranks([1]) is None
 
 
 def test_les_solve_isomorphism():
@@ -117,33 +108,3 @@ def test_filling_polynomial():
 def test_filling_polynomial_euler(genus, comps):
     poly = filling_polynomial(genus, comps)
     assert poly.evaluate(-1) == 2 * genus + comps - 2
-
-
-def test_constrain_vanishing_left_family():
-    # X = 0 everywhere forces Y isomorphic to the shifted third family
-    out = cobordism_les_constrain(LaurentPoly({}), LaurentPoly({2: 1, 4: 1}))
-    assert out == [LaurentPoly({1: 1, 3: 1})]
-
-
-def test_constrain_vanishing_third_family():
-    gh = parse_poly("2t^3 + t^2 + 1")
-    assert cobordism_les_constrain(gh, LaurentPoly({})) == [gh]
-
-
-def test_constrain_zero_surgery_replay():
-    gh = parse_poly("2t^3 + t^2 + 1")
-    out = cobordism_les_constrain(gh, LaurentPoly({3: 1}))
-    assert parse_poly("t^3 + t^2 + 1") in out
-    assert out == [parse_poly("t^3 + t^2 + 1"), parse_poly("2t^3 + 2t^2 + 1")]
-
-
-def test_constrain_duality_shape_fundamental_class():
-    # blocks [X^(k-1), Y, Z^k] via pre-shift; the rank floor on the
-    # connecting map in top degree kills the spurious larger solution
-    gh = parse_poly("t").shift(1)
-    circle = parse_poly("1 + t").shift(1)
-    free = cobordism_les_constrain(gh, circle)
-    pinned = cobordism_les_constrain(gh, circle, min_connecting={1: 1})
-    assert pinned == [LaurentPoly({0: 1})]
-    assert free == [LaurentPoly({0: 1}),
-                    LaurentPoly({0: 1, 1: 1, 2: 1})]

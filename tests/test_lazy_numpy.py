@@ -194,9 +194,8 @@ PUBLIC = {
     "errors": ["DomainError"],
     "laurent": ["LaurentPoly", "parse_poly", "decompose", "splitting_box",
                 "is_connected_form", "tb_from_polynomial"],
-    "exactseq": ["les_ranks", "les_solve", "zero_surgery_update",
-                 "connect_sum", "filling_polynomial",
-                 "cobordism_les_constrain"],
+    "exactseq": ["les_solve", "zero_surgery_update", "connect_sum",
+                 "filling_polynomial"],
     "front": ["FrontDiagram", "parse_front", "classical_invariants"],
     "rulings": ["enumerate_rulings", "ruling_polynomial"],
     "moves": ["CobordismTrace", "apply_move", "parse_trace", "format_trace",

@@ -36,6 +36,13 @@ def test_move_parse_rejects_garbage():
             parse_move(line)
 
 
+def test_apply_move_refuses_a_wrong_arity():
+    # parse_move checks a line's arity; a tuple handed to apply_move
+    # is checked again by the rewrite
+    with pytest.raises(DomainError, match=r"bad move \('R3',\)"):
+        apply_move(parse_front("L1 R1"), ("R3",))
+
+
 def test_birth_pinch_merge_words():
     d = apply_move(parse_front(""), ("B", 0, 1))
     assert d.word == "L1 R1"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -112,12 +113,13 @@ def test_work_cap_boundary(monkeypatch):
             whitehead_double(parse_front(word))
 
 
-def _random_braid_knots(rng, count):
-    """Closures of seeded random positive braids on 2 to 9 strands with
-    at most 14 letters that close to a knot within the work cap."""
+def _random_braid_knots(rng, count, max_strands=9):
+    """Closures of seeded random positive braids on 2 to max_strands
+    strands with at most 14 letters that close to a knot within the work
+    cap."""
     fronts = []
     while len(fronts) < count:
-        s = rng.randint(2, 9)
+        s = rng.randint(2, max_strands)
         letters = [rng.randint(1, s - 1) for _ in range(rng.randint(1, 14))]
         if BraidWord(s, letters).permutation_cycles() != 1:
             continue
@@ -148,3 +150,26 @@ def test_each_stage_connects_on_its_one_search(monkeypatch):
         assert summary["end"].word == d.word, base.word
         assert summary["genus"] == 1, base.word
     assert len(paths) > 1000 and None not in paths
+
+
+# sha256 of word + trace text of every double below, in both gf modes,
+# taken before the tongue tip lost its side flag
+TONGUE_WALK_DIGEST = \
+    "6c539d7ce0665fb7ecbc0f54a626b52f82ca8e38f4cff431e333a8b83203db1e"
+
+
+def test_tongue_walk_traces_are_pinned():
+    """Every double and trace of a fixed corpus beyond the golden rows:
+    the twist fronts with 1 to 21 crossings (odd counts), the closures
+    of s1..s(s-1) on 2 to 8 strands, the zigzag and 40 seeded random
+    positive-braid knots on 2 to 5 strands."""
+    words = [_twist(k) for k in range(1, 22, 2)]
+    words += [_closure(s) for s in range(2, 9)] + [ZIGZAG]
+    bases = [parse_front(w) for w in words]
+    bases += _random_braid_knots(random.Random(40), 40, max_strands=5)
+    digest = hashlib.sha256()
+    for base in bases:
+        for gf_mode in (True, False):
+            d, tr = whitehead_double(base, gf_mode=gf_mode)
+            digest.update((d.word + "\n" + format_trace(tr) + "\0").encode())
+    assert digest.hexdigest() == TONGUE_WALK_DIGEST
